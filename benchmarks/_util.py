@@ -28,7 +28,7 @@ def figure9_family_benchmark(benchmark, dataset, domain, family, n_udfs=BENCH_N_
         query = from_collection(rows).where_consolidated(
             report.program, pids, dataset.functions
         )
-        return query.run(workers=4)
+        return query.run()  # ExecutionConfig default: 4 workers
 
     cons = benchmark(run_consolidated)
 

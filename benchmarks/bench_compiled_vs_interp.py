@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang.compile import clear_compile_cache, compile_cached
@@ -71,14 +72,15 @@ def measure(cities=120, n_udfs=50, family="Mix", seed=1, repeats=3):
     }
 
     def run_consolidated(backend):
-        query = from_collection(rows).where_consolidated(
-            merged, pids, ft, backend=backend
-        )
-        return query.run(workers=4)
+        config = ExecutionConfig(backend=backend)  # default: 4 workers
+        return from_collection(rows, config).where_consolidated(merged, pids, ft).run()
+
+    def run_many(backend):
+        return run_where_many(rows, programs, ft, config=ExecutionConfig(backend=backend))
 
     results = {}
     for label, run in (
-        ("where_many", lambda b: run_where_many(rows, programs, ft, backend=b)),
+        ("where_many", run_many),
         ("where_consolidated", run_consolidated),
     ):
         interp_s, interp_run = _best_of(repeats, lambda: run("interp"))

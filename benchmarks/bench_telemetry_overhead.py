@@ -1,8 +1,8 @@
 """No-op telemetry overhead on the Weather family (perf guardrail).
 
 The observability layer promises that a run with the default
-``NULL_TELEMETRY`` costs (essentially) nothing: the engine branches once
-per *run* onto the pre-telemetry code path, never per record.  This file
+``NULL_TELEMETRY`` costs (essentially) nothing: the engine picks the
+plain, uninstrumented worker once per *run*, never per record.  This file
 enforces that promise with a paired, same-hardware A/B:
 
 * **A** — the current engine: ``whereMany[50]`` over the Weather Mix
@@ -42,7 +42,7 @@ from time import perf_counter
 
 from repro.config import ExecutionConfig
 from repro.datasets import generate_weather
-from repro.naiad.dataflow import Worker, _RunState
+from repro.naiad.dataflow import RunMetrics, RunResult, Worker
 from repro.naiad.linq import from_collection
 from repro.queries import DOMAIN_QUERIES
 from repro.telemetry import Telemetry
@@ -80,9 +80,9 @@ def _bare_run(dataflow, records, workers):
     the baseline the current fast path is measured against.
     """
 
-    state = _RunState()
+    state = RunResult(RunMetrics(), {})
     for index, part in enumerate(dataflow._partition(records, workers)):
-        worker = Worker(index, state)
+        worker = Worker(index, state, dataflow.overhead_per_operator)
         for record in part:
             state.metrics.records += 1
             worker.charge_io(dataflow.io_cost_per_record)

@@ -4,15 +4,14 @@ Before this module, each layer grew its own keyword arguments —
 ``backend=`` on the operators, ``workers=`` on ``Query.run``,
 ``cost_model=`` everywhere, ``parallel=`` on ``consolidate_all`` — and
 they drifted (a knob added to one entry point was forgotten on the next).
-:class:`ExecutionConfig` replaces them with a single immutable value
+:class:`ExecutionConfig` replaced them with a single immutable value
 threaded through :meth:`repro.naiad.linq.Query.run`,
 :func:`repro.naiad.linq.from_collection`, ``run_where_many`` /
 ``run_where_consolidated``, :func:`repro.consolidation.consolidate_all`,
 the experiment harness and the CLI.
 
-The old keyword arguments still work but emit :class:`DeprecationWarning`
-(see :func:`resolve_config`, the shared shim); they will be removed in
-2.0.
+It is the only way to set a run-time knob: the keywords were deprecated
+through 1.x and removed in 2.0 (CHANGES.md has the migration table).
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -23,9 +22,8 @@ optional :class:`repro.telemetry.sinks.TelemetrySink` that
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 from .lang.compile import BACKENDS, DEFAULT_BACKEND
 from .lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -37,9 +35,6 @@ __all__ = [
     "ServiceConfig",
     "EXECUTORS",
     "PLANNERS",
-    "LEGACY_KWARG_REMOVAL",
-    "resolve_config",
-    "deprecated_kwarg",
 ]
 
 EXECUTORS = ("serial", "thread", "process")
@@ -47,30 +42,6 @@ EXECUTORS = ("serial", "thread", "process")
 # Consolidation pair-ordering strategies (see repro.profiling.planner for
 # the calibrated one).
 PLANNERS = ("related", "calibrated")
-
-# The version in which every legacy per-function keyword disappears; the
-# deprecation warnings name it so callers can plan, and
-# tests/test_api_surface.py pins the message shape.
-LEGACY_KWARG_REMOVAL = "2.0"
-
-
-def deprecated_kwarg(name: str, instead: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation warning for a legacy keyword.
-
-    ``instead`` names the exact :class:`ExecutionConfig` field (and value)
-    that replaces the keyword, e.g. ``"workers=2"`` or
-    ``"executor='thread'"``; the warning also states the scheduled
-    removal version so the deprecation cycle is actionable.
-    """
-
-    warnings.warn(
-        f"the {name!r} keyword is deprecated and will be removed in repro "
-        f"{LEGACY_KWARG_REMOVAL}; set ExecutionConfig({instead}) and pass it "
-        f"via config= instead",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -180,7 +151,7 @@ class ExecutionConfig:
                 f"max_workers must be an integer >= 1, got {self.max_workers!r}"
             )
 
-    def evolve(self, **changes) -> "ExecutionConfig":
+    def evolve(self, **changes: Any) -> "ExecutionConfig":
         """A copy with ``changes`` applied (the config is immutable)."""
 
         return replace(self, **changes)
@@ -257,31 +228,8 @@ class ServiceConfig:
                 f"cache), got {self.plan_cache_size!r}"
             )
 
-    def evolve(self, **changes) -> "ServiceConfig":
+    def evolve(self, **changes: Any) -> "ServiceConfig":
         """A copy with ``changes`` applied (the config is immutable)."""
 
         return replace(self, **changes)
 
-
-def resolve_config(
-    config: Optional[ExecutionConfig],
-    *,
-    stacklevel: int = 3,
-    **legacy,
-) -> ExecutionConfig:
-    """Merge deprecated per-function kwargs into an :class:`ExecutionConfig`.
-
-    ``legacy`` holds the old keyword arguments with ``None`` meaning "not
-    passed".  Every explicitly passed one emits a
-    :class:`DeprecationWarning` and overrides the config field of the same
-    name.  Behaviour is otherwise identical to pre-config code — the shim
-    tests assert byte-for-byte equal results.
-    """
-
-    resolved = config if config is not None else ExecutionConfig()
-    overrides = {name: value for name, value in legacy.items() if value is not None}
-    for name, value in overrides.items():
-        deprecated_kwarg(name, f"{name}={value!r}", stacklevel=stacklevel)
-    if overrides:
-        resolved = resolved.evolve(**overrides)
-    return resolved

@@ -29,9 +29,7 @@ Each tree level's pair consolidations can run on an ``executor``:
   folded back into the parent's report; per-query SMT latency histograms
   are process-local and therefore only recorded for serial/thread runs.
 
-The legacy ``parallel=True`` flag is a deprecated alias for
-``executor="thread"``.  :class:`ConsolidationReport.executor` records
-which executor actually ran.
+:class:`ConsolidationReport.executor` records which executor actually ran.
 
 Telemetry (``telemetry=`` or ``config.telemetry``): per-pair merge time
 histogram, calculus rule application counts, SMT query counters and the
@@ -158,8 +156,7 @@ class ConsolidationReport:
     """What happened while merging a batch of UDFs.
 
     ``executor``/``max_workers`` record how the driver was configured, so
-    scalability experiments can attribute a duration to the pool it used
-    (``parallel`` is kept as a derived legacy field).
+    scalability experiments can attribute a duration to the pool it used.
 
     ``simplify_stats`` aggregates the entailment fast-path counters
     (abstract-env pre-check skips, memo hits) over every pair;
@@ -206,7 +203,6 @@ class ConsolidationReport:
     prefilter: object = None
     prefilter_seconds: float = 0.0
     solver_stats: dict[str, int] = field(default_factory=dict)
-    parallel: bool = False
     max_workers: int = 1
     executor: str = "serial"
     simplify_stats: dict = field(default_factory=dict)
@@ -320,7 +316,6 @@ def consolidate_all(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     order: str = "clustered",
-    parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
     priority: Sequence[str] | None = None,
     executor: Optional[str] = None,
@@ -403,12 +398,6 @@ def consolidate_all(
                 )
             seen_pids[pid] = p.pid
 
-    if parallel is not None:
-        from ..config import deprecated_kwarg
-
-        deprecated_kwarg("parallel", "executor='thread'")
-        if executor is None:
-            executor = "thread" if parallel else "serial"
     if executor is None:
         executor = config.executor if config is not None else "serial"
     if executor not in _EXECUTORS:
@@ -812,7 +801,6 @@ def consolidate_all(
         prefilter=prefilter_obj,
         prefilter_seconds=prefilter_seconds,
         solver_stats=solver_stats,
-        parallel=executor != "serial",
         max_workers=max_workers if executor != "serial" else 1,
         executor=executor,
         simplify_stats=simplify_snapshot,

@@ -14,9 +14,9 @@ noise-free signal) and wall-clock seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..datasets import generate_news
 from ..queries import DOMAIN_QUERIES
@@ -79,14 +79,12 @@ def run_figure10(
     articles: int = 400,
     family: str = "BC",
     seed: int = 1,
-    workers: Optional[int] = None,
     options: ConsolidationOptions | None = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> Figure10Report:
     """Sweep the number of News-mix UDFs; returns all five series."""
 
-    cfg = resolve_config(config, workers=workers, backend=backend)
+    cfg = config or ExecutionConfig()
     dataset = generate_news(articles=articles)
     module = DOMAIN_QUERIES["news"]
     report = Figure10Report()

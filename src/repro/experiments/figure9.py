@@ -22,9 +22,9 @@ cardinality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..datasets import (
     generate_flights,
@@ -93,16 +93,14 @@ def run_figure9(
     n_udfs: int = 50,
     scale: float = 0.05,
     seed: int = 1,
-    workers: Optional[int] = None,
     domains: Iterable[str] = DOMAIN_ORDER,
     options: ConsolidationOptions | None = None,
     datasets: dict | None = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> Figure9Report:
     """Regenerate every Figure 9 bar pair; raises on any soundness failure."""
 
-    cfg = resolve_config(config, workers=workers, backend=backend)
+    cfg = config or ExecutionConfig()
     datasets = datasets or make_datasets(scale)
     report = Figure9Report()
     for domain in domains:

@@ -24,13 +24,12 @@ numbers — an experiment with a soundness violation raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..datasets.records import Dataset
 from ..lang.ast import Program
-from ..lang.cost import CostModel
 from ..naiad.linq import run_where_consolidated, run_where_many
 
 __all__ = ["ExperimentResult", "SoundnessError", "run_experiment"]
@@ -117,11 +116,7 @@ def run_experiment(
     programs: Sequence[Program],
     family: str = "?",
     row_limit: int | None = None,
-    workers: Optional[int] = None,
-    cost_model: Optional[CostModel] = None,
     options: ConsolidationOptions | None = None,
-    io_cost_per_record: Optional[int] = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> ExperimentResult:
     """Measure one batch under both operators; raises on any disagreement.
@@ -131,13 +126,7 @@ def run_experiment(
     only* while the parent registry still aggregates the whole batch.
     """
 
-    cfg = resolve_config(
-        config,
-        workers=workers,
-        cost_model=cost_model,
-        io_cost_per_record=io_cost_per_record,
-        backend=backend,
-    )
+    cfg = config or ExecutionConfig()
     local = cfg.telemetry.child()
     run_cfg = cfg if local is cfg.telemetry else cfg.evolve(telemetry=local)
 

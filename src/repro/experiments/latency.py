@@ -25,9 +25,9 @@ designated queries near the front of the merged program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import consolidate_all
 from ..datasets.records import Dataset
@@ -101,14 +101,12 @@ def run_latency_experiment(
     programs: list[Program],
     priority: Sequence[str] = (),
     row_limit: int | None = 100,
-    cost_model: Optional[CostModel] = None,
     options: ConsolidationOptions | None = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> LatencyReport:
     """Measure per-query broadcast latencies under the three strategies."""
 
-    cfg = resolve_config(config, cost_model=cost_model, backend=backend)
+    cfg = config or ExecutionConfig()
     rows = dataset.rows if row_limit is None else dataset.rows[:row_limit]
     pids = [p.pid for p in programs]
 

@@ -10,9 +10,9 @@ from .linq import Query, from_collection, run_where_consolidated, run_where_many
 from .operators import Collect, Count, CountByKey, FlatMap, Select, Where, WhereConsolidated, WhereMany
 
 
-def __getattr__(name: str):
-    if name == "JobMetrics":  # deprecated alias; warns via the dataflow module
-        from . import dataflow
-
-        return dataflow.JobMetrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [
+    "Dataflow", "OperatorStats", "RunMetrics", "RunResult", "Vertex", "Worker",
+    "Query", "from_collection", "run_where_consolidated", "run_where_many",
+    "Collect", "Count", "CountByKey", "FlatMap", "Select",
+    "Where", "WhereConsolidated", "WhereMany",
+]

@@ -16,18 +16,18 @@ provides faithfully:
   (the Naiad primitive the paper relies on for early result broadcast),
   which the engine routes into named result buckets.
 
-Observability: pass a live :class:`repro.telemetry.Telemetry` to
-:meth:`Dataflow.run` (normally via ``ExecutionConfig.telemetry``) and the
-engine additionally records **per-operator** records in/out, wall time,
-UDF cost and notification counts — both onto ``RunMetrics.per_operator``
-for that run and into the telemetry registry
-(``dataflow_operator_*{operator=...}`` series).  With the default no-op
-telemetry the engine takes a separate, uninstrumented code path whose
+Observability: :meth:`Dataflow.run` is the one loop over partitions, and
+every call it makes into a vertex goes through the partition's
+:class:`Worker` (``push`` / ``ingest`` / ``flush`` — the bare calls).  Pass
+a live :class:`repro.telemetry.Telemetry` (normally via
+``ExecutionConfig.telemetry``) and the run picks — once, not per record — a
+worker subclass that times and counts around the same three calls,
+recording **per-operator** records in/out, wall time, UDF cost and
+notification counts onto ``RunMetrics.per_operator`` and into the registry
+(``dataflow_operator_*{operator=...}`` series); traced and untraced runs
+execute the same program, batch ingest included.  The plain worker's
 overhead over the pre-telemetry engine is bounded by
 ``benchmarks/bench_telemetry_overhead.py`` (≤ 5%).
-
-``RunMetrics`` absorbed the former ``JobMetrics`` (same fields, plus the
-per-operator breakdown); the old name remains as a deprecated alias.
 
 Determinism: given the same graph, input and worker count, a run produces
 identical costs and outputs — which is what makes the benchmark harness
@@ -36,10 +36,11 @@ reproducible.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
+
+from ..telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "Vertex",
@@ -55,9 +56,10 @@ __all__ = [
 class Vertex:
     """A dataflow operator.
 
-    Subclasses implement :meth:`process`, yielding output records, and
-    report the cost of handling each record via ``last_cost`` (in
-    cost-model units).  Vertices are wired by :class:`Dataflow`.
+    Subclasses implement :meth:`process`, which either returns (or yields)
+    the records to forward downstream or forwards them itself through
+    :meth:`Worker.emit`, and charge the cost of handling each record to the
+    worker (in cost-model units).  Vertices are wired by :class:`Dataflow`.
     """
 
     #: True when :meth:`ingest_batch` can replace per-record ``process``
@@ -72,13 +74,12 @@ class Vertex:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.downstream: list["Vertex"] = []
-        self.last_cost = 0
+        self.downstream: list[Vertex] = []
 
-    def process(self, record: Any, worker: "Worker") -> Iterable[Any]:
+    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         raise NotImplementedError
 
-    def ingest_batch(self, records: Sequence[Any], worker: "Worker") -> None:
+    def ingest_batch(self, records: Sequence[Any], worker: Worker) -> None:
         """Buffer a whole partition slice at once (batch operators only).
 
         Only called when :attr:`accepts_batches` is true; must be
@@ -88,7 +89,7 @@ class Vertex:
 
         raise NotImplementedError
 
-    def on_flush(self, worker: "Worker") -> None:
+    def on_flush(self, worker: Worker) -> None:
         """Called once per worker after its partition is exhausted."""
 
 
@@ -100,7 +101,11 @@ class Edge:
 
 @dataclass
 class OperatorStats:
-    """Per-operator accounting for one run (telemetry-enabled runs only)."""
+    """Per-operator accounting for one run (telemetry-enabled runs only).
+
+    ``seconds`` covers the operator's own ``process`` / ``ingest_batch`` /
+    ``on_flush`` calls, exclusive of the operators it forwards records to.
+    """
 
     records_in: int = 0
     records_out: int = 0
@@ -108,7 +113,7 @@ class OperatorStats:
     notifications: int = 0
     seconds: float = 0.0
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, float]:
         return {
             "records_in": self.records_in,
             "records_out": self.records_out,
@@ -120,7 +125,7 @@ class OperatorStats:
 
 @dataclass
 class RunMetrics:
-    """Cost accounting for one dataflow run (formerly ``JobMetrics``).
+    """Cost accounting for one dataflow run.
 
     ``udf_cost`` counts only the work done inside user-defined functions
     (Figure 2 units); ``total_cost`` adds IO and engine overhead.
@@ -161,14 +166,16 @@ class RunResult:
 
 
 class Worker:
-    """One data-parallel shard with its own virtual clock."""
+    """One data-parallel shard with its own virtual clock.
 
-    def __init__(
-        self, index: int, run: "_RunState", engine: "Dataflow | None" = None
-    ) -> None:
+    :meth:`push`, :meth:`ingest` and :meth:`flush` are the only places the
+    engine calls into a vertex; here they are the bare calls.
+    """
+
+    def __init__(self, index: int, run: RunResult, overhead_per_operator: int) -> None:
         self.index = index
         self._run = run
-        self._engine = engine
+        self._overhead = overhead_per_operator
         self.total_clock = 0
         self.udf_clock = 0
 
@@ -193,35 +200,48 @@ class Worker:
     def emit(self, vertex: Vertex, record: Any) -> None:
         """Push ``record`` to ``vertex``'s downstream operators.
 
-        Batch-oriented operators (the vectorized backend) buffer their
-        partition during :meth:`Vertex.process` and produce outputs from
-        :meth:`Vertex.on_flush`, after the per-record push loop is over —
-        this is their flush-time stand-in for yielding from ``process``.
+        The stand-in for yielding from :meth:`Vertex.process`, and the only
+        way to forward from :meth:`Vertex.on_flush`: batch-oriented
+        operators (the vectorized backend) buffer their partition and
+        produce outputs there, after the per-record push loop is over.
         """
 
-        engine = self._engine
-        if engine is None:
-            raise RuntimeError("worker is not bound to a dataflow engine")
         for child in vertex.downstream:
-            engine._push(child, record, self)
+            self.push(child, record)
+
+    def push(self, vertex: Vertex, record: Any) -> None:
+        # charge_overhead, inlined: this is the hottest call in a run.
+        overhead = self._overhead
+        self.total_clock += overhead
+        self._run.metrics.overhead_cost += overhead
+        for output in vertex.process(record, self):
+            for child in vertex.downstream:
+                self.push(child, output)
+
+    def ingest(self, path: Sequence[Vertex], records: Sequence[Any]) -> None:
+        """Hand a whole partition to the batch operator ending ``path``: one
+        overhead charge per hop per record, as the push loop would bill."""
+
+        self.charge_overhead(self._overhead * len(records) * len(path))
+        path[-1].ingest_batch(records, self)
+
+    def flush(self, vertex: Vertex) -> None:
+        vertex.on_flush(self)
 
 
 class _TracedWorker(Worker):
-    """A worker that additionally attributes UDF cost and notifications to
-    the operator currently processing a record (``_op`` is maintained by
-    the traced push loop).  Kept out of :class:`Worker` so the fast path
-    pays nothing for the attribution hooks."""
+    """The same three calls, timed and counted per operator.
 
-    def __init__(
-        self,
-        index: int,
-        run: "_RunState",
-        engine: "Dataflow | None" = None,
-        op_stats: "dict[str, OperatorStats] | None" = None,
-    ) -> None:
-        super().__init__(index, run, engine)
+    UDF cost and notifications are attributed to ``_op``, the operator
+    whose ``process`` / ``ingest_batch`` / ``on_flush`` is running.  Kept
+    out of :class:`Worker` so the plain worker pays nothing for the
+    attribution hooks.
+    """
+
+    def __init__(self, index: int, run: RunResult, overhead_per_operator: int) -> None:
+        super().__init__(index, run, overhead_per_operator)
+        self._stats = run.metrics.per_operator
         self._op: OperatorStats | None = None
-        self._op_stats = op_stats
 
     def charge_udf(self, units: int) -> None:
         super().charge_udf(units)
@@ -234,22 +254,48 @@ class _TracedWorker(Worker):
             self._op.notifications += 1
 
     def emit(self, vertex: Vertex, record: Any) -> None:
-        engine, op_stats = self._engine, self._op_stats
-        if engine is None or op_stats is None:
-            raise RuntimeError("worker is not bound to a dataflow engine")
-        op_stats[vertex.name].records_out += 1
-        # The traced push loop clobbers ``_op``; flush-time emission happens
-        # while the emitting vertex's stats are installed, so restore them.
-        saved = self._op
-        for child in vertex.downstream:
-            engine._push_traced(child, record, self, op_stats)
-        self._op = saved
+        stats = self._stats[vertex.name]
+        stats.records_out += 1
+        # emit is called from inside the emitter's timed process/on_flush,
+        # and the children it reaches are timed on their own: take their
+        # time back out so per-operator seconds stay exclusive and sum to
+        # no more than the run's wall time.
+        t0 = perf_counter()
+        super().emit(vertex, record)
+        stats.seconds -= perf_counter() - t0
 
+    def push(self, vertex: Vertex, record: Any) -> None:
+        self.charge_overhead(self._overhead)
+        stats = self._stats[vertex.name]
+        stats.records_in += 1
+        outer, self._op = self._op, stats
+        t0 = perf_counter()
+        # Materialising the generator keeps the timing exclusive to this
+        # operator: children are pushed only after the clock stops.
+        outputs = list(vertex.process(record, self))
+        stats.seconds += perf_counter() - t0
+        self._op = outer
+        stats.records_out += len(outputs)
+        for output in outputs:
+            for child in vertex.downstream:
+                self.push(child, output)
 
-class _RunState:
-    def __init__(self) -> None:
-        self.metrics = RunMetrics()
-        self.buckets: dict[str, list[Any]] = {}
+    def ingest(self, path: Sequence[Vertex], records: Sequence[Any]) -> None:
+        for hop in path:
+            self._stats[hop.name].records_in += len(records)
+        for hop in path[:-1]:
+            self._stats[hop.name].records_out += len(records)
+        self._timed(self._stats[path[-1].name], super().ingest, path, records)
+
+    def flush(self, vertex: Vertex) -> None:
+        self._timed(self._stats[vertex.name], vertex.on_flush, self)
+
+    def _timed(self, stats: OperatorStats, call: Callable[..., None], *args: Any) -> None:
+        outer, self._op = self._op, stats
+        t0 = perf_counter()
+        call(*args)
+        stats.seconds += perf_counter() - t0
+        self._op = outer
 
 
 class Dataflow:
@@ -289,157 +335,81 @@ class Dataflow:
             parts[i % workers].append(r)
         return parts
 
+    def _batch_path(self) -> list[Vertex] | None:
+        """The route from a single root to a batch-buffering operator, if any.
+
+        A single batch-buffering root (the vectorized operators) takes its
+        partition in one call: same IO/overhead charges, no per-record push
+        loop.  Identity pass-through roots (the linq source vertex) are
+        walked over.
+        """
+
+        if len(self._roots) != 1:
+            return None
+        path = [self._roots[0]]
+        while path[-1].passthrough and len(path[-1].downstream) == 1:
+            path.append(path[-1].downstream[0])
+        return path if path[-1].accepts_batches else None
+
     def run(
         self,
         records: Sequence[Any],
         workers: int = 4,
-        telemetry=None,
+        telemetry: Telemetry | None = None,
     ) -> RunResult:
         """Push every record through the graph; deterministic cost clock.
 
-        ``telemetry`` (a :class:`repro.telemetry.Telemetry`, default no-op)
-        switches the run onto the instrumented path: per-operator stats on
-        the result's metrics, counters in the registry, and a
+        A live ``telemetry`` (a :class:`repro.telemetry.Telemetry`, default
+        no-op) runs the same loop with the instrumented worker: per-operator
+        stats on the result's metrics, counters in the registry, and a
         ``dataflow.run`` span when tracing is on.
         """
 
         if workers < 1:
             raise ValueError("need at least one worker")
-        if telemetry is not None and telemetry.enabled:
-            return self._run_traced(records, workers, telemetry)
-
-        state = _RunState()
-        start = perf_counter()
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        state = RunResult(RunMetrics(), {})
+        make_worker = Worker
+        if telemetry.enabled:
+            make_worker = _TracedWorker
+            state.metrics.per_operator = {v.name: OperatorStats() for v in self._vertices}
         roots = self._roots
-        push = self._push
-        # A single batch-buffering root (the vectorized operators) takes
-        # its partition in one call: same IO/overhead charges, no
-        # per-record push loop.  Identity pass-through roots (the linq
-        # source vertex) are walked over — each hop is one more overhead
-        # charge per record, exactly what the push loop would have billed.
-        batch_root = None
-        batch_hops = 1
-        if len(roots) == 1:
-            node = roots[0]
-            while node.passthrough and len(node.downstream) == 1:
-                node = node.downstream[0]
-                batch_hops += 1
-            if node.accepts_batches:
-                batch_root = node
-        for index, part in enumerate(self._partition(records, workers)):
-            worker = Worker(index, state, self)
-            # IO charges and the record count are per-partition sums; batch
-            # them so the per-record loop only pays for operator pushes.
-            state.metrics.records += len(part)
-            worker.charge_io(self.io_cost_per_record * len(part))
-            if batch_root is not None:
-                worker.charge_overhead(
-                    self.overhead_per_operator * len(part) * batch_hops
-                )
-                batch_root.ingest_batch(part, worker)
-            else:
-                for record in part:
-                    for root in roots:
-                        push(root, record, worker)
-            for vertex in self._vertices:
-                vertex.on_flush(worker)
-            state.metrics.per_worker_total.append(worker.total_clock)
-            state.metrics.per_worker_udf.append(worker.udf_clock)
-        state.metrics.wall_seconds = perf_counter() - start
-        return RunResult(metrics=state.metrics, buckets=state.buckets)
-
-    def _push(self, vertex: Vertex, record: Any, worker: Worker) -> None:
-        # charge_overhead, inlined: this is the hottest call in a run.
-        overhead = self.overhead_per_operator
-        worker.total_clock += overhead
-        worker._run.metrics.overhead_cost += overhead
-        for output in vertex.process(record, worker):
-            for child in vertex.downstream:
-                self._push(child, output, worker)
-
-    # -- instrumented execution --------------------------------------------------
-
-    def _run_traced(self, records: Sequence[Any], workers: int, telemetry) -> RunResult:
-        state = _RunState()
-        op_stats: dict[str, OperatorStats] = {
-            v.name: OperatorStats() for v in self._vertices
-        }
-        with telemetry.span("dataflow.run", workers=workers, records=len(records)) as span:
+        batch_path = self._batch_path()
+        with telemetry.span("dataflow.run", workers=workers) as span:
             start = perf_counter()
             for index, part in enumerate(self._partition(records, workers)):
-                worker = _TracedWorker(index, state, self, op_stats)
-                for record in part:
-                    state.metrics.records += 1
-                    worker.charge_io(self.io_cost_per_record)
-                    for root in self._roots:
-                        self._push_traced(root, record, worker, op_stats)
+                worker = make_worker(index, state, self.overhead_per_operator)
+                # IO charges and the record count are per-partition sums; batch
+                # them so the per-record loop only pays for operator pushes.
+                state.metrics.records += len(part)
+                worker.charge_io(self.io_cost_per_record * len(part))
+                if batch_path is not None:
+                    worker.ingest(batch_path, part)
+                else:
+                    push = worker.push
+                    for record in part:
+                        for root in roots:
+                            push(root, record)
                 for vertex in self._vertices:
-                    worker._op = op_stats[vertex.name]
-                    vertex.on_flush(worker)
-                    worker._op = None
+                    worker.flush(vertex)
                 state.metrics.per_worker_total.append(worker.total_clock)
                 state.metrics.per_worker_udf.append(worker.udf_clock)
             state.metrics.wall_seconds = perf_counter() - start
+            span.set("records", state.metrics.records)
             span.set("total_cost", state.metrics.total_cost)
             span.set("udf_cost", state.metrics.udf_cost)
-        state.metrics.per_operator = op_stats
-        self._record_metrics(state.metrics, op_stats, telemetry)
-        return RunResult(metrics=state.metrics, buckets=state.buckets)
-
-    def _push_traced(
-        self,
-        vertex: Vertex,
-        record: Any,
-        worker: _TracedWorker,
-        op_stats: dict[str, OperatorStats],
-    ) -> None:
-        worker.charge_overhead(self.overhead_per_operator)
-        stats = op_stats[vertex.name]
-        stats.records_in += 1
-        worker._op = stats
-        t0 = perf_counter()
-        # Materialising the generator keeps the timing exclusive to this
-        # operator: children are pushed only after the clock stops.
-        outputs = list(vertex.process(record, worker))
-        stats.seconds += perf_counter() - t0
-        worker._op = None
-        stats.records_out += len(outputs)
-        for output in outputs:
-            for child in vertex.downstream:
-                self._push_traced(child, output, worker, op_stats)
+        if telemetry.enabled:
+            self._record_metrics(state.metrics, telemetry)
+        return state
 
     @staticmethod
-    def _record_metrics(metrics: RunMetrics, op_stats: dict, telemetry) -> None:
+    def _record_metrics(metrics: RunMetrics, telemetry: Telemetry) -> None:
         registry = telemetry.metrics
         registry.counter("dataflow_runs_total").inc()
         registry.counter("dataflow_records_total").inc(metrics.records)
         registry.counter("dataflow_wall_seconds_total").inc(metrics.wall_seconds)
         registry.counter("dataflow_udf_cost_total").inc(metrics.udf_cost)
-        for name, stats in op_stats.items():
-            registry.counter("dataflow_operator_records_in_total", operator=name).inc(
-                stats.records_in
-            )
-            registry.counter("dataflow_operator_records_out_total", operator=name).inc(
-                stats.records_out
-            )
-            registry.counter("dataflow_operator_udf_cost_total", operator=name).inc(
-                stats.udf_cost
-            )
-            registry.counter("dataflow_operator_seconds_total", operator=name).inc(
-                stats.seconds
-            )
-            registry.counter(
-                "dataflow_operator_notifications_total", operator=name
-            ).inc(stats.notifications)
-
-
-def __getattr__(name: str):
-    if name == "JobMetrics":
-        warnings.warn(
-            "JobMetrics was absorbed into RunMetrics; update imports to "
-            "repro.naiad.dataflow.RunMetrics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RunMetrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        for name, stats in metrics.per_operator.items():
+            for key, value in vars(stats).items():
+                registry.counter(f"dataflow_operator_{key}_total", operator=name).inc(value)

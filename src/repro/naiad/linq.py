@@ -13,26 +13,30 @@ points implement the operators of Section 6.1:
 
 Configuration travels as ONE object: every entry point takes an
 :class:`repro.config.ExecutionConfig` (``config=``) carrying backend,
-workers, cost model, default function table, executor and telemetry.  The
-pre-config keyword arguments (``backend=``, ``workers=``, ``cost_model=``,
-``io_cost_per_record=``, ...) still work but emit
-:class:`DeprecationWarning`.
+workers, cost model, default function table, executor and telemetry.
+There are no per-call knobs beside it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..config import ExecutionConfig, resolve_config
+from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
 from ..lang.ast import Program
-from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable
-from .dataflow import Dataflow, RunResult, Vertex
+from .dataflow import Dataflow, RunResult, Vertex, Worker
 from .operators import Collect, Count, CountByKey, FlatMap, Select, Where, WhereConsolidated, WhereMany
 
 __all__ = ["Query", "from_collection", "run_where_many", "run_where_consolidated"]
+
+
+class _Source(Vertex):
+    passthrough = True  # identity: the engine may forward batches past it
+
+    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
+        yield record
 
 
 class Query:
@@ -53,22 +57,18 @@ class Query:
         self._records = records
         self._dataflow = dataflow
         self._tail = tail
-        self._config = config if config is not None else ExecutionConfig()
+        self._config = config or ExecutionConfig()
 
     @property
     def config(self) -> ExecutionConfig:
         return self._config
 
-    def _extend(self, vertex: Vertex) -> "Query":
+    def _extend(self, vertex: Vertex) -> Query:
         self._dataflow.add_vertex(vertex, upstream=self._tail)
         return Query(self._records, self._dataflow, vertex, self._config)
 
-    def _udf_kwargs(
-        self, cost_model: Optional[CostModel], backend: Optional[str]
-    ) -> dict:
-        cfg = resolve_config(
-            self._config, cost_model=cost_model, backend=backend, stacklevel=4
-        )
+    def _udf_kwargs(self) -> dict[str, Any]:
+        cfg = self._config
         return {
             "cost_model": cfg.cost_model,
             "backend": cfg.backend,
@@ -78,99 +78,52 @@ class Query:
             "profiler": cfg.profiler,
         }
 
-    def where(
-        self,
-        program: Program,
-        functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
-    ) -> "Query":
-        return self._extend(
-            Where(
-                program,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
-        )
+    def where(self, program: Program, functions: Optional[FunctionTable] = None) -> Query:
+        table = self._config.resolve_functions(functions)
+        return self._extend(Where(program, table, **self._udf_kwargs()))
 
     def where_many(
-        self,
-        programs: Sequence[Program],
-        functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
-    ) -> "Query":
-        return self._extend(
-            WhereMany(
-                programs,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
-        )
+        self, programs: Sequence[Program], functions: Optional[FunctionTable] = None
+    ) -> Query:
+        table = self._config.resolve_functions(functions)
+        return self._extend(WhereMany(programs, table, **self._udf_kwargs()))
 
     def where_consolidated(
         self,
         merged: Program,
         pids: Sequence[str],
         functions: Optional[FunctionTable] = None,
-        cost_model: Optional[CostModel] = None,
-        backend: Optional[str] = None,
-    ) -> "Query":
-        return self._extend(
-            WhereConsolidated(
-                merged,
-                pids,
-                self._config.resolve_functions(functions),
-                **self._udf_kwargs(cost_model, backend),
-            )
-        )
+    ) -> Query:
+        table = self._config.resolve_functions(functions)
+        return self._extend(WhereConsolidated(merged, pids, table, **self._udf_kwargs()))
 
-    def select(self, fn: Callable[[Any], Any], cost: int = 3) -> "Query":
+    def select(self, fn: Callable[[Any], Any], cost: int = 3) -> Query:
         return self._extend(Select(fn, cost))
 
-    def flat_map(self, fn, base_cost: int = 5, unit_cost: int = 1) -> "Query":
+    def flat_map(
+        self, fn: Callable[[Any], Iterable[Any]], base_cost: int = 5, unit_cost: int = 1
+    ) -> Query:
         return self._extend(FlatMap(fn, base_cost, unit_cost))
 
-    def count_by_key(self, bucket: str = "counts") -> "Query":
+    def count_by_key(self, bucket: str = "counts") -> Query:
         return self._extend(CountByKey(bucket))
 
-    def count(self, bucket: str = "count") -> "Query":
+    def count(self, bucket: str = "count") -> Query:
         return self._extend(Count(bucket))
 
-    def collect(self, bucket: str = "out") -> "Query":
+    def collect(self, bucket: str = "out") -> Query:
         return self._extend(Collect(bucket))
 
-    def run(
-        self,
-        config: ExecutionConfig | None = None,
-        *,
-        workers: Optional[int] = None,
-    ) -> RunResult:
-        cfg = resolve_config(config if config is not None else self._config, workers=workers)
+    def run(self, config: ExecutionConfig | None = None) -> RunResult:
+        cfg = config or self._config
         return self._dataflow.run(self._records, cfg.workers, telemetry=cfg.telemetry)
 
 
-def from_collection(
-    records: Sequence[Any],
-    io_cost_per_record: Optional[int] = None,
-    overhead_per_operator: Optional[int] = None,
-    config: ExecutionConfig | None = None,
-) -> Query:
+def from_collection(records: Sequence[Any], config: ExecutionConfig | None = None) -> Query:
     """Start a query over an in-memory collection (one graph root)."""
 
-    cfg = resolve_config(
-        config,
-        io_cost_per_record=io_cost_per_record,
-        overhead_per_operator=overhead_per_operator,
-    )
+    cfg = config or ExecutionConfig()
     dataflow = Dataflow(cfg.io_cost_per_record, cfg.overhead_per_operator)
-
-    class _Source(Vertex):
-        passthrough = True  # identity: the engine may forward batches past it
-
-        def process(self, record: Any, worker) -> Any:  # noqa: ANN001
-            yield record
-
     source = _Source("input")
     dataflow.add_vertex(source)
     return Query(records, dataflow, source, cfg)
@@ -180,49 +133,25 @@ def run_where_many(
     records: Sequence[Any],
     programs: Sequence[Program],
     functions: Optional[FunctionTable] = None,
-    cost_model: Optional[CostModel] = None,
-    workers: Optional[int] = None,
-    io_cost_per_record: Optional[int] = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> RunResult:
     """Execute the ``whereMany`` baseline over the collection."""
 
-    cfg = resolve_config(
-        config,
-        cost_model=cost_model,
-        workers=workers,
-        io_cost_per_record=io_cost_per_record,
-        backend=backend,
-    )
-    query = from_collection(records, config=cfg).where_many(programs, functions)
-    return query.run(cfg)
+    return from_collection(records, config).where_many(programs, functions).run()
 
 
 def run_where_consolidated(
     records: Sequence[Any],
     programs: Sequence[Program],
     functions: Optional[FunctionTable] = None,
-    cost_model: Optional[CostModel] = None,
-    workers: Optional[int] = None,
-    io_cost_per_record: Optional[int] = None,
     options: ConsolidationOptions | None = None,
-    backend: Optional[str] = None,
     config: ExecutionConfig | None = None,
 ) -> tuple[RunResult, ConsolidationReport]:
     """Consolidate the batch, execute ``whereConsolidated``, report both."""
 
-    cfg = resolve_config(
-        config,
-        cost_model=cost_model,
-        workers=workers,
-        io_cost_per_record=io_cost_per_record,
-        backend=backend,
-    )
+    cfg = config or ExecutionConfig()
     table = cfg.resolve_functions(functions)
     report = consolidate_all(list(programs), table, options=options, config=cfg)
     pids = [p.pid for p in programs]
-    query = from_collection(records, config=cfg).where_consolidated(
-        report.program, pids, table
-    )
-    return query.run(cfg), report
+    query = from_collection(records, cfg).where_consolidated(report.program, pids, table)
+    return query.run(), report

@@ -14,7 +14,9 @@ The two that matter for the evaluation (Section 6.1):
 
 Both route a record into bucket ``pid`` whenever query ``pid`` accepts it,
 so downstream consumers cannot tell them apart — equivalence is asserted by
-the test-suite and the harness.
+the test-suite and the harness.  They are the same operator
+(:class:`_UdfOperator`) differing only in how many programs it holds; the
+public classes are constructors over it.
 
 With ``prefilter=True`` the Where operators synthesize a sound
 reject-early guard (:mod:`repro.analysis.prefilter`) per UDF at
@@ -31,14 +33,20 @@ from __future__ import annotations
 
 from itertools import compress
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from ..analysis.prefilter import PREFILTER_PID, PrefilterGuard, make_guard, prefilter_program
 from ..lang.ast import Program
 from ..lang.compile import DEFAULT_BACKEND, make_runner
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
-from ..lang.vectorize import columns_from_records, vectorize_cached
+from ..lang.interp import RunResult
+from ..lang.vectorize import BatchResult, VectorizedProgram, columns_from_records, vectorize_cached
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dataflow import Vertex, Worker
+
+if TYPE_CHECKING:
+    from ..profiling import Profiler
 
 __all__ = [
     "Where",
@@ -58,34 +66,143 @@ def _bind_args(program: Program, record: Any) -> dict[str, Any]:
     return {program.params[0]: record}
 
 
-def _make_guards(
-    programs: Sequence[Program],
-    functions: FunctionTable,
-    cost_model: CostModel,
-    backend: str,
-    telemetry,
-) -> Optional[list]:
-    """Build one prefilter guard per program; None when no guard is usable."""
+class _Unit(NamedTuple):
+    """One UDF held by a :class:`_UdfOperator`, lowered once at construction."""
 
-    from ..analysis.prefilter import make_guard
-
-    guards = [
-        make_guard(
-            p, functions, cost_model, backend=backend, telemetry=telemetry
-        )
-        for p in programs
-    ]
-    return guards if any(g is not None for g in guards) else None
+    program: Program
+    #: The notification channels to demultiplex: the program's own pid for
+    #: ``where`` / ``whereMany``, every merged query's pid for
+    #: ``whereConsolidated``.
+    pids: tuple[str, ...]
+    runner: Callable[[Mapping[str, object]], RunResult]
+    #: Prefilter guard (None = run the UDF on every record).
+    guard: Optional[PrefilterGuard]
+    #: Column kernel, under ``backend="vectorized"`` only.
+    plan: Optional[VectorizedProgram]
+    #: The column-mask form of ``guard`` (None = evaluate it per row).
+    vguard: Optional[VectorizedProgram]
 
 
-class _PrefilterMixin:
-    """Shared rejection bookkeeping for the Where operators."""
+def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> Iterable[Any]:
+    """The records that broadcast a truthy value on ``pid``.
 
-    _telemetry = None
-    _pre_checked = 0
-    _pre_rejected = 0
+    One scan of the mask and value columns, with row-mode error
+    parity: ``result.notification(pid)`` raises ``KeyError`` on a
+    record that never notified, so the scan does too — at the same
+    record position the row-at-a-time loop would.  A wholesale-
+    committed pid shares the batch's all-true mask (identity check),
+    where the scan collapses to a C-level compress."""
 
-    def _reject(self, guard, args: Mapping[str, Any], worker: Worker) -> bool:
+    mask = batch.present.get(pid)
+    if mask is None:
+        if records:
+            raise KeyError(pid)
+        return ()
+    if mask is batch.full_mask and len(records) == batch.n:
+        return compress(records, batch.values[pid])
+    return _scan(pid, records, mask, batch.values[pid])
+
+
+def _scan(pid: str, records: Sequence[Any], mask: list[bool], values: list[Any]) -> Iterable[Any]:
+    for record, hit, value in zip(records, mask, values):
+        if not hit:
+            raise KeyError(pid)
+        if value:
+            yield record
+
+
+class _UdfOperator(Vertex):
+    """Read a record once, run the held UDFs, demultiplex their notifications.
+
+    Section 6.1's ``whereMany`` and ``whereConsolidated`` are this one
+    operator holding n programs or the single merged one; ``where`` is the
+    one-program case that forwards accepted records downstream
+    (``emits=True``) instead of notifying the per-query bucket.
+
+    Under ``backend="vectorized"`` the operator buffers its worker's
+    partition (:meth:`process` / :meth:`ingest_batch`) and executes it as
+    one struct-of-arrays batch per unit from :meth:`on_flush` — which the
+    engine runs *before* capturing per-worker clocks, so batch-time charges
+    land in exactly the per-worker totals row-at-a-time execution produces.
+    IO and operator overhead are still charged per record by the engine, so
+    only UDF evaluation changes execution strategy.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        programs: Sequence[tuple[Program, Sequence[str]]],
+        emits: bool,
+        functions: FunctionTable,
+        cost_model: CostModel,
+        memoize_calls: bool,
+        backend: str,
+        telemetry: Optional[Telemetry],
+        prefilter: bool,
+        profiler: Optional[Profiler],
+    ) -> None:
+        super().__init__(name)
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        self._emits = emits
+        self._telemetry = telemetry
+        # Profiling hook (None when off — the batch path then pays a single
+        # attribute check per flush, nothing per record).
+        self._profiler = profiler
+        self._functions = functions
+        self.accepts_batches = backend == "vectorized"
+        self._pending: dict[int, list[Any]] = {}
+        self._pre_checked = 0
+        self._pre_rejected = 0
+        self.units: list[_Unit] = []
+        for program, pids in programs:
+            guard = (
+                make_guard(program, functions, cost_model, backend=backend, telemetry=telemetry)
+                if prefilter
+                else None
+            )
+            runner = make_runner(
+                program,
+                functions,
+                cost_model,
+                backend=backend,
+                memoize_calls=memoize_calls,
+                telemetry=telemetry,
+                profiler=profiler,
+            )
+            plan: Optional[VectorizedProgram] = None
+            vguard: Optional[VectorizedProgram] = None
+            if self.accepts_batches:
+                plan = vectorize_cached(
+                    program,
+                    functions,
+                    cost_model,
+                    memoize_calls=memoize_calls,
+                    telemetry=telemetry,
+                )
+                if guard is not None:
+                    vguard = self._vector_guard(guard, program, functions, cost_model)
+            self.units.append(_Unit(program, tuple(pids), runner, guard, plan, vguard))
+
+    def _vector_guard(
+        self,
+        guard: PrefilterGuard,
+        program: Program,
+        functions: FunctionTable,
+        cost_model: CostModel,
+    ) -> Optional[VectorizedProgram]:
+        """The column-mask form of a prefilter guard (None = use per-row)."""
+
+        try:
+            wrapper = prefilter_program(guard.prefilter, program)
+            vg = vectorize_cached(wrapper, functions, cost_model, telemetry=self._telemetry)
+            return vg if vg.vectorized else None
+        except Exception:  # noqa: BLE001 - the per-row guard still applies
+            return None
+
+    # -- row at a time -------------------------------------------------------------
+
+    def _reject(self, guard: PrefilterGuard, args: Mapping[str, Any], worker: Worker) -> bool:
         """Evaluate ``guard``; True when the record is provably a no-op."""
 
         passes, cost = guard(args)
@@ -96,81 +213,59 @@ class _PrefilterMixin:
         self._pre_rejected += 1
         return True
 
-    def on_flush(self, worker: Worker) -> None:
-        telemetry = self._telemetry
-        if telemetry is None or not telemetry.enabled or not self._pre_checked:
-            return
-        telemetry.counter("prefilter_checked_total").inc(self._pre_checked)
-        telemetry.counter("prefilter_rejected_total").inc(self._pre_rejected)
-        telemetry.gauge("prefilter_selectivity").set(
-            1.0 - self._pre_rejected / self._pre_checked
-        )
-        self._pre_checked = 0
-        self._pre_rejected = 0
+    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
+        if self.accepts_batches:
+            self._pending.setdefault(worker.index, []).append(record)
+            return ()
+        emits = self._emits
+        for program, pids, runner, guard, _, _ in self.units:
+            args = _bind_args(program, record)
+            if guard is not None and self._reject(guard, args, worker):
+                continue
+            result = runner(args)
+            worker.charge_udf(result.cost)
+            for pid in pids:
+                if result.notification(pid):
+                    if emits:
+                        worker.emit(self, record)
+                    else:
+                        worker.notify(pid, record)
+        return ()
 
-
-class _VectorMixin(_PrefilterMixin):
-    """Batch buffering + flush-time kernel execution for the Where operators.
-
-    Under ``backend="vectorized"`` the operator buffers its worker's
-    partition during :meth:`process` and executes it as one struct-of-
-    arrays batch from :meth:`on_flush` — which the engine runs *before*
-    capturing per-worker clocks, so batch-time charges land in exactly the
-    per-worker totals row-at-a-time execution produces.  IO and operator
-    overhead are still charged per record by the engine's push loop, so
-    only UDF evaluation changes execution strategy.
-    """
-
-    _pending: "dict[int, list] | None" = None
-    # Profiling hooks (None when off — the batch path then pays a single
-    # attribute check per flush, nothing per record).
-    _profiler = None
-    _functions = None
-
-    @property
-    def accepts_batches(self) -> bool:
-        return self._vectorized
+    # -- a partition at a time -----------------------------------------------------
 
     def ingest_batch(self, records: Sequence[Any], worker: Worker) -> None:
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = {}
-        bucket = pending.get(worker.index)
-        if bucket is None:
-            pending[worker.index] = list(records)
-        else:
-            bucket.extend(records)
+        self._pending.setdefault(worker.index, []).extend(records)
 
-    def _buffer(self, record: Any, worker: Worker) -> None:
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = {}
-        pending.setdefault(worker.index, []).append(record)
+    def on_flush(self, worker: Worker) -> None:
+        records = self._pending.pop(worker.index, None)
+        if records:
+            emits = self._emits
+            for unit in self.units:
+                kept = self._apply_guard(unit, records, worker)
+                batch = self._run_batch(unit, kept, worker)
+                if batch is None:
+                    continue
+                for pid in unit.pids:
+                    for record in _notified(batch, pid, kept):
+                        if emits:
+                            worker.emit(self, record)
+                        else:
+                            worker.notify(pid, record)
+        telemetry = self._telemetry
+        if telemetry.enabled and self._pre_checked:
+            checked = telemetry.counter("prefilter_checked_total")
+            rejected = telemetry.counter("prefilter_rejected_total")
+            checked.inc(self._pre_checked)
+            rejected.inc(self._pre_rejected)
+            # Set from the counters just advanced, not from this partition's
+            # counts: every worker flushes, and the last one to do so must
+            # not overwrite the run's selectivity with its own.
+            telemetry.gauge("prefilter_selectivity").set(1.0 - rejected.value / checked.value)
+            self._pre_checked = 0
+            self._pre_rejected = 0
 
-    def _drain(self, worker: Worker) -> list:
-        pending = self._pending
-        if not pending:
-            return []
-        return pending.pop(worker.index, [])
-
-    @staticmethod
-    def _vector_guard(guard, program, functions, cost_model, telemetry):
-        """The column-mask form of a prefilter guard (None = use per-row)."""
-
-        if guard is None:
-            return None
-        try:
-            from ..analysis.prefilter import prefilter_program
-
-            wrapper = prefilter_program(guard.prefilter, program)
-            vg = vectorize_cached(
-                wrapper, functions, cost_model, telemetry=telemetry
-            )
-            return vg if vg.vectorized else None
-        except Exception:  # noqa: BLE001 - the per-row guard still applies
-            return None
-
-    def _apply_guard(self, vguard, guard, program, records, worker) -> list:
+    def _apply_guard(self, unit: _Unit, records: list[Any], worker: Worker) -> list[Any]:
         """φ as a batch-compacting mask, with the row guard's exact books.
 
         The vectorized φ wrapper runs over the whole batch; any problem
@@ -180,11 +275,10 @@ class _VectorMixin(_PrefilterMixin):
         charged guard cost are identical to row-at-a-time execution.
         """
 
+        program, guard, vguard = unit.program, unit.guard, unit.vguard
         if guard is None:
             return records
-        from ..analysis.prefilter import PREFILTER_PID
-
-        verdicts = None
+        verdicts: Optional[list[tuple[bool, int]]] = None
         if vguard is not None:
             try:
                 batch = vguard.run_batch(
@@ -200,12 +294,13 @@ class _VectorMixin(_PrefilterMixin):
                         verdicts.append((True, 0))  # fail open, like the row guard
             except Exception:  # noqa: BLE001 - guard problems fail open per row
                 verdicts = None
-        keep = []
         if verdicts is None:
-            for record in records:
-                if not self._reject(guard, _bind_args(program, record), worker):
-                    keep.append(record)
-            return keep
+            return [
+                record
+                for record in records
+                if not self._reject(guard, _bind_args(program, record), worker)
+            ]
+        keep = []
         for record, (passes, cost) in zip(records, verdicts):
             self._pre_checked += 1
             worker.charge_udf(cost)
@@ -215,7 +310,7 @@ class _VectorMixin(_PrefilterMixin):
                 self._pre_rejected += 1
         return keep
 
-    def _run_batch(self, vp, program, records, worker):
+    def _run_batch(self, unit: _Unit, records: list[Any], worker: Worker) -> Optional[BatchResult]:
         """Execute one batch and charge its exact total UDF cost.
 
         With a live profiler attached the whole batch is a sampling
@@ -224,55 +319,21 @@ class _VectorMixin(_PrefilterMixin):
         (see :meth:`repro.profiling.Profiler.record_batch`).
         """
 
-        if not records:
+        program, plan = unit.program, unit.plan
+        if plan is None or not records:  # only the vectorized backend buffers, and it has a plan
             return None
+        started = perf_counter()
+        batch = plan.run_batch(columns_from_records(program, records), len(records))
+        elapsed = perf_counter() - started
+        cost = sum(batch.costs)
+        worker.charge_udf(cost)
         profiler = self._profiler
         if profiler is not None and profiler.enabled:
-            started = perf_counter()
-            batch = vp.run_batch(
-                columns_from_records(program, records), len(records)
-            )
-            elapsed = perf_counter() - started
-            cost = sum(batch.costs)
-            worker.charge_udf(cost)
-            profiler.record_batch(
-                program, self._functions, elapsed, cost, len(records)
-            )
-            return batch
-        batch = vp.run_batch(columns_from_records(program, records), len(records))
-        worker.charge_udf(sum(batch.costs))
+            profiler.record_batch(program, self._functions, elapsed, cost, len(records))
         return batch
 
-    @staticmethod
-    def _notified(batch, pid, records):
-        """The records that broadcast a truthy value on ``pid``.
 
-        One scan of the mask and value columns, with row-mode error
-        parity: ``result.notification(pid)`` raises ``KeyError`` on a
-        record that never notified, so the scan does too — at the same
-        record position the row-at-a-time loop would.  A wholesale-
-        committed pid shares the batch's all-true mask (identity check),
-        where the scan collapses to a C-level compress."""
-
-        mask = batch.present.get(pid)
-        if mask is None:
-            if records:
-                raise KeyError(pid)
-            return ()
-        if mask is batch.full_mask and len(records) == batch.n:
-            return compress(records, batch.values[pid])
-
-        def scan():
-            for record, hit, value in zip(records, mask, batch.values[pid]):
-                if not hit:
-                    raise KeyError(pid)
-                if value:
-                    yield record
-
-        return scan()
-
-
-class Where(_VectorMixin, Vertex):
+class Where(_UdfOperator):
     """A single-UDF filter: passes records the UDF accepts."""
 
     def __init__(
@@ -282,70 +343,17 @@ class Where(_VectorMixin, Vertex):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
-        profiler=None,
+        profiler: Optional[Profiler] = None,
     ) -> None:
-        super().__init__(f"where[{program.pid}]")
-        self.program = program
-        self._telemetry = telemetry
-        self._profiler = profiler
-        self._functions = functions
-        self.guard = None
-        if prefilter:
-            guards = _make_guards(
-                [program], functions, cost_model, backend, telemetry
-            )
-            self.guard = guards[0] if guards else None
-        self.runner = make_runner(
-            program,
-            functions,
-            cost_model,
-            backend=backend,
-            memoize_calls=memoize_calls,
-            telemetry=telemetry,
-            profiler=profiler,
+        super().__init__(
+            f"where[{program.pid}]", [(program, [program.pid])], True,
+            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
         )
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vp = vectorize_cached(
-                program,
-                functions,
-                cost_model,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-            )
-            self._vguard = self._vector_guard(
-                self.guard, program, functions, cost_model, telemetry
-            )
-
-    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
-        if self._vectorized:
-            self._buffer(record, worker)
-            return
-        args = _bind_args(self.program, record)
-        if self.guard is not None and self._reject(self.guard, args, worker):
-            return
-        result = self.runner(args)
-        worker.charge_udf(result.cost)
-        if result.notification(self.program.pid):
-            yield record
-
-    def on_flush(self, worker: Worker) -> None:
-        if self._vectorized:
-            records = self._drain(worker)
-            if records:
-                kept = self._apply_guard(
-                    self._vguard, self.guard, self.program, records, worker
-                )
-                batch = self._run_batch(self._vp, self.program, kept, worker)
-                if batch is not None:
-                    for record in self._notified(batch, self.program.pid, kept):
-                        worker.emit(self, record)
-        super().on_flush(worker)
 
 
-class WhereMany(_VectorMixin, Vertex):
+class WhereMany(_UdfOperator):
     """The sequential baseline: run every UDF on every record."""
 
     def __init__(
@@ -355,90 +363,19 @@ class WhereMany(_VectorMixin, Vertex):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
-        profiler=None,
+        profiler: Optional[Profiler] = None,
     ) -> None:
-        super().__init__(f"whereMany[{len(programs)}]")
         if not programs:
             raise ValueError("whereMany needs at least one UDF")
-        self.programs = list(programs)
-        self._telemetry = telemetry
-        self._profiler = profiler
-        self._functions = functions
-        self.guards = (
-            _make_guards(self.programs, functions, cost_model, backend, telemetry)
-            if prefilter
-            else None
+        super().__init__(
+            f"whereMany[{len(programs)}]", [(p, [p.pid]) for p in programs], False,
+            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
         )
-        self.runners = [
-            make_runner(
-                p,
-                functions,
-                cost_model,
-                backend=backend,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-                profiler=profiler,
-            )
-            for p in programs
-        ]
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vps = [
-                vectorize_cached(
-                    p,
-                    functions,
-                    cost_model,
-                    memoize_calls=memoize_calls,
-                    telemetry=telemetry,
-                )
-                for p in programs
-            ]
-            self._vguards = (
-                [
-                    self._vector_guard(g, p, functions, cost_model, telemetry)
-                    for g, p in zip(self.guards, self.programs)
-                ]
-                if self.guards is not None
-                else None
-            )
-
-    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
-        if self._vectorized:
-            self._buffer(record, worker)
-            return ()
-        guards = self.guards
-        for index, (program, runner) in enumerate(zip(self.programs, self.runners)):
-            args = _bind_args(program, record)
-            if guards is not None:
-                guard = guards[index]
-                if guard is not None and self._reject(guard, args, worker):
-                    continue
-            result = runner(args)
-            worker.charge_udf(result.cost)
-            if result.notification(program.pid):
-                worker.notify(program.pid, record)
-        return ()
-
-    def on_flush(self, worker: Worker) -> None:
-        if self._vectorized:
-            records = self._drain(worker)
-            if records:
-                for index, (program, vp) in enumerate(zip(self.programs, self._vps)):
-                    guard = self.guards[index] if self.guards is not None else None
-                    vguard = self._vguards[index] if self._vguards is not None else None
-                    kept = self._apply_guard(vguard, guard, program, records, worker)
-                    batch = self._run_batch(vp, program, kept, worker)
-                    if batch is None:
-                        continue
-                    pid = program.pid
-                    for record in self._notified(batch, pid, kept):
-                        worker.notify(pid, record)
-        super().on_flush(worker)
 
 
-class WhereConsolidated(_VectorMixin, Vertex):
+class WhereConsolidated(_UdfOperator):
     """The consolidated operator: one merged UDF, all results broadcast."""
 
     def __init__(
@@ -449,71 +386,14 @@ class WhereConsolidated(_VectorMixin, Vertex):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
-        profiler=None,
+        profiler: Optional[Profiler] = None,
     ) -> None:
-        super().__init__(f"whereConsolidated[{len(pids)}]")
-        self.merged = merged
-        self.pids = list(pids)
-        self._telemetry = telemetry
-        self._profiler = profiler
-        self._functions = functions
-        self.guard = None
-        if prefilter:
-            guards = _make_guards(
-                [merged], functions, cost_model, backend, telemetry
-            )
-            self.guard = guards[0] if guards else None
-        self.runner = make_runner(
-            merged,
-            functions,
-            cost_model,
-            backend=backend,
-            memoize_calls=memoize_calls,
-            telemetry=telemetry,
-            profiler=profiler,
+        super().__init__(
+            f"whereConsolidated[{len(pids)}]", [(merged, pids)], False,
+            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
         )
-        self._vectorized = backend == "vectorized"
-        if self._vectorized:
-            self._vp = vectorize_cached(
-                merged,
-                functions,
-                cost_model,
-                memoize_calls=memoize_calls,
-                telemetry=telemetry,
-            )
-            self._vguard = self._vector_guard(
-                self.guard, merged, functions, cost_model, telemetry
-            )
-
-    def process(self, record: Any, worker: Worker) -> Iterable[Any]:
-        if self._vectorized:
-            self._buffer(record, worker)
-            return ()
-        args = _bind_args(self.merged, record)
-        if self.guard is not None and self._reject(self.guard, args, worker):
-            return ()
-        result = self.runner(args)
-        worker.charge_udf(result.cost)
-        for pid in self.pids:
-            if result.notification(pid):
-                worker.notify(pid, record)
-        return ()
-
-    def on_flush(self, worker: Worker) -> None:
-        if self._vectorized:
-            records = self._drain(worker)
-            if records:
-                kept = self._apply_guard(
-                    self._vguard, self.guard, self.merged, records, worker
-                )
-                batch = self._run_batch(self._vp, self.merged, kept, worker)
-                if batch is not None:
-                    for pid in self.pids:
-                        for record in self._notified(batch, pid, kept):
-                            worker.notify(pid, record)
-        super().on_flush(worker)
 
 
 class FlatMap(Vertex):

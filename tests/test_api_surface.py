@@ -2,10 +2,10 @@
 
 ``repro.api`` is the contract both the CLI and the service build on;
 these golden tests make any signature change an explicit, reviewed act —
-the diff shows exactly which verb moved.  The deprecation-cycle tests pin
-the *message shape* of every legacy-kwarg warning (it must name the
-replacement ``ExecutionConfig`` field and the scheduled removal version)
-and the config validation errors (they must enumerate the valid values).
+the diff shows exactly which verb moved.  The 2.0-removal tests pin that
+every pre-config keyword argument is gone (a ``TypeError``, not a silent
+shim) and the config validation errors (they must enumerate the valid
+values).
 """
 
 import inspect
@@ -14,13 +14,17 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.config import (
-    EXECUTORS,
-    LEGACY_KWARG_REMOVAL,
-    ExecutionConfig,
-    ServiceConfig,
-    resolve_config,
+import repro.config
+import repro.naiad.dataflow
+from repro.config import EXECUTORS, ExecutionConfig, ServiceConfig
+from repro.consolidation import ConsolidationReport, consolidate_all
+from repro.experiments import (
+    run_experiment,
+    run_figure9,
+    run_figure10,
+    run_latency_experiment,
 )
+from repro.naiad import Query, from_collection, run_where_consolidated, run_where_many
 
 # ---------------------------------------------------------------------------
 # the facade: frozen __all__ and golden signatures
@@ -83,39 +87,46 @@ def test_every_facade_verb_has_type_hints():
 
 
 # ---------------------------------------------------------------------------
-# the deprecation cycle: warnings name the field and the removal version
+# the 2.0 removals: ExecutionConfig is the only way to set a run-time knob
+
+_RUN_KNOBS = ("cost_model", "workers", "io_cost_per_record", "backend")
+REMOVED_KEYWORDS = [
+    (Query.where, ("cost_model", "backend")),
+    (Query.where_many, ("cost_model", "backend")),
+    (Query.where_consolidated, ("cost_model", "backend")),
+    (Query.run, ("workers",)),
+    (from_collection, ("io_cost_per_record", "overhead_per_operator")),
+    (run_where_many, _RUN_KNOBS),
+    (run_where_consolidated, _RUN_KNOBS),
+    (run_experiment, _RUN_KNOBS),
+    (run_figure9, ("workers", "backend")),
+    (run_figure10, ("workers", "backend")),
+    (run_latency_experiment, ("cost_model", "backend")),
+    (consolidate_all, ("parallel",)),
+]
 
 
-def test_legacy_kwarg_warning_names_field_and_removal_version():
-    with pytest.warns(DeprecationWarning) as caught:
-        resolved = resolve_config(None, workers=2)
-    assert resolved.workers == 2
-    message = str(caught[0].message)
-    assert "'workers'" in message
-    assert "ExecutionConfig(workers=2)" in message
-    assert f"removed in repro {LEGACY_KWARG_REMOVAL}" in message
-    assert "config=" in message
+@pytest.mark.parametrize(
+    "function, keyword",
+    [
+        pytest.param(function, keyword, id=f"{function.__qualname__}-{keyword}")
+        for function, keywords in REMOVED_KEYWORDS
+        for keyword in keywords
+    ],
+)
+def test_removed_legacy_keyword_raises_type_error(function, keyword):
+    # Binding rejects the unknown keyword before anything runs, so no real
+    # arguments are needed.
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        function(**{keyword: None})
 
 
-def test_legacy_kwarg_removal_version_is_pinned():
-    # Finishing the cycle (actually removing the kwargs) must update this
-    # test along with every call site.
-    assert LEGACY_KWARG_REMOVAL == "2.0"
-
-
-def test_each_legacy_kwarg_warns_once_with_its_own_name():
-    with pytest.warns(DeprecationWarning) as caught:
-        resolve_config(None, workers=2, executor="thread")
-    messages = sorted(str(w.message) for w in caught)
-    assert len(messages) == 2
-    assert any("'executor'" in m and "executor='thread'" in m for m in messages)
-    assert any("'workers'" in m for m in messages)
-
-
-def test_resolve_config_without_legacy_kwargs_is_silent(recwarn):
-    resolved = resolve_config(ExecutionConfig(workers=3))
-    assert resolved.workers == 3
-    assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+def test_removed_shim_names_are_gone():
+    for name in ("resolve_config", "deprecated_kwarg", "LEGACY_KWARG_REMOVAL"):
+        assert not hasattr(repro.config, name)
+    assert not hasattr(repro.naiad, "JobMetrics")
+    assert not hasattr(repro.naiad.dataflow, "JobMetrics")
+    assert "parallel" not in ConsolidationReport.__dataclass_fields__
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.lang import (
     CompileError,
     FunctionTable,
@@ -106,8 +107,8 @@ class TestOperatorsUnderBothBackends:
     def test_where_many_buckets_and_costs_match(self):
         rows = list(range(30))
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
-        interp = run_where_many(rows, programs, FT, backend="interp")
-        compiled = run_where_many(rows, programs, FT, backend="compiled")
+        interp = run_where_many(rows, programs, FT, config=ExecutionConfig(backend="interp"))
+        compiled = run_where_many(rows, programs, FT, config=ExecutionConfig(backend="compiled"))
         assert interp.buckets == compiled.buckets
         assert interp.metrics.udf_cost == compiled.metrics.udf_cost
         assert interp.metrics.total_cost == compiled.metrics.total_cost
@@ -115,8 +116,12 @@ class TestOperatorsUnderBothBackends:
     def test_where_consolidated_buckets_and_costs_match(self):
         rows = list(range(30))
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
-        interp, _ = run_where_consolidated(rows, programs, FT, backend="interp")
-        compiled, _ = run_where_consolidated(rows, programs, FT, backend="compiled")
+        interp, _ = run_where_consolidated(
+            rows, programs, FT, config=ExecutionConfig(backend="interp")
+        )
+        compiled, _ = run_where_consolidated(
+            rows, programs, FT, config=ExecutionConfig(backend="compiled")
+        )
         assert interp.buckets == compiled.buckets
         assert interp.metrics.udf_cost == compiled.metrics.udf_cost
 

@@ -1,17 +1,15 @@
-"""ExecutionConfig API: validation, deprecation shims, executors, telemetry.
+"""ExecutionConfig API: validation, executors, telemetry.
 
-The contract under test: the new ``config=`` object is the one way to set
-run-time knobs; every legacy keyword still works identically but warns;
-telemetry never changes observable outputs; both pool executors produce
-the same merged program as the serial driver.
+The contract under test: the ``config=`` object is the one way to set
+run-time knobs; telemetry never changes observable outputs; both pool
+executors produce the same merged program as the serial driver.
 """
 
 import pickle
-import warnings
 
 import pytest
 
-from repro.config import ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang import parse_program
@@ -64,69 +62,6 @@ class TestExecutionConfig:
         other = weather.functions
         assert cfg.resolve_functions(other) is other
         assert len(ExecutionConfig().resolve_functions(None)) == 0
-
-    def test_resolve_config_merges_and_warns(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            cfg = resolve_config(None, workers=2)
-        assert cfg.workers == 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_config(None, workers=None).workers == 4
-
-
-class TestDeprecatedKwargShims:
-    """Legacy keywords warn but behave byte-for-byte like the config."""
-
-    def test_run_where_many_workers_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_where_many(weather.rows, batch, weather.functions, workers=2)
-        modern = run_where_many(
-            weather.rows, batch, weather.functions, config=ExecutionConfig(workers=2)
-        )
-        assert _buckets(legacy) == _buckets(modern)
-        assert legacy.metrics.total_cost == modern.metrics.total_cost
-
-    def test_run_where_many_backend_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_where_many(
-                weather.rows[:40], batch, weather.functions, backend="interp"
-            )
-        modern = run_where_many(
-            weather.rows[:40],
-            batch,
-            weather.functions,
-            config=ExecutionConfig(backend="interp"),
-        )
-        assert _buckets(legacy) == _buckets(modern)
-
-    def test_query_run_workers_kwarg(self, weather, batch):
-        q = from_collection(weather.rows).where_many(batch, weather.functions)
-        with pytest.warns(DeprecationWarning):
-            legacy = q.run(workers=3)
-        q2 = from_collection(weather.rows).where_many(batch, weather.functions)
-        modern = q2.run(ExecutionConfig(workers=3))
-        assert legacy.metrics.per_worker_total == modern.metrics.per_worker_total
-
-    def test_from_collection_io_cost_kwarg(self, weather):
-        with pytest.warns(DeprecationWarning, match="io_cost_per_record"):
-            q = from_collection(weather.rows, io_cost_per_record=7)
-        assert q.config.io_cost_per_record == 7
-
-    def test_consolidate_all_parallel_kwarg(self, weather, batch):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            report = consolidate_all(batch, weather.functions, parallel=True)
-        assert report.executor == "thread"
-        assert report.parallel is True
-        with pytest.warns(DeprecationWarning):
-            serial = consolidate_all(batch, weather.functions, parallel=False)
-        assert serial.executor == "serial"
-
-    def test_jobmetrics_alias_warns(self):
-        from repro.naiad import dataflow
-
-        with pytest.warns(DeprecationWarning, match="RunMetrics"):
-            alias = dataflow.JobMetrics
-        assert alias is dataflow.RunMetrics
 
 
 class TestExecutors:
@@ -232,6 +167,121 @@ class TestTelemetryDifferential:
         )
         assert _buckets(plain) == _buckets(traced)
         assert traced_rep.program == plain_rep.program
+
+    SHAPES = ("chain", "where_many", "where_consolidated")
+
+    @pytest.fixture(scope="class")
+    def merged(self, weather, batch):
+        return consolidate_all(batch, weather.functions).program
+
+    @staticmethod
+    def _run(shape, weather, batch, merged, config):
+        query = from_collection(weather.rows, config=config)
+        table = weather.functions
+        if shape == "chain":
+            query = query.where(batch[0], table).where(batch[1], table).collect("out")
+        elif shape == "where_many":
+            query = query.where_many(batch, table)
+        else:
+            query = query.where_consolidated(merged, [p.pid for p in batch], table)
+        return query.run()
+
+    @staticmethod
+    def _counts(result):
+        return {
+            name: (op.records_in, op.records_out, op.udf_cost, op.notifications)
+            for name, op in result.metrics.per_operator.items()
+        }
+
+    @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("backend", ["interp", "compiled", "vectorized"])
+    def test_traced_run_is_the_untraced_run(
+        self, weather, batch, merged, backend, workers, shape, prefilter
+    ):
+        config = ExecutionConfig(backend=backend, workers=workers, prefilter=prefilter)
+        plain = self._run(shape, weather, batch, merged, config)
+        live = config.evolve(telemetry=Telemetry.capture())
+        traced = self._run(shape, weather, batch, merged, live)
+
+        assert plain.buckets == traced.buckets  # same rows in the same order
+        assert plain.metrics.udf_cost == traced.metrics.udf_cost
+        assert plain.metrics.total_cost == traced.metrics.total_cost
+        assert plain.metrics.per_worker_total == traced.metrics.per_worker_total
+        assert plain.metrics.per_operator == {}
+
+        # Per-operator counts are exact: they add up to the run's totals and
+        # are the ones the row-at-a-time reference interpreter produces.
+        ops = traced.metrics.per_operator
+        assert sum(op.udf_cost for op in ops.values()) == traced.metrics.udf_cost
+        assert sum(op.notifications for op in ops.values()) == sum(
+            len(rows) for rows in traced.buckets.values()
+        )
+        assert ops["input"].records_in == ops["input"].records_out == len(weather.rows)
+        reference = live.evolve(backend="interp", telemetry=Telemetry.capture())
+        assert self._counts(traced) == self._counts(
+            self._run(shape, weather, batch, merged, reference)
+        )
+
+    def test_traced_vectorized_run_takes_the_batch_route(
+        self, weather, batch, monkeypatch
+    ):
+        from repro.naiad.operators import WhereMany
+
+        ingested = []
+        original = WhereMany.ingest_batch
+
+        def spy(self, records, worker):
+            ingested.append(len(records))
+            original(self, records, worker)
+
+        monkeypatch.setattr(WhereMany, "ingest_batch", spy)
+        config = ExecutionConfig(
+            backend="vectorized", workers=3, telemetry=Telemetry.capture()
+        )
+        result = run_where_many(weather.rows, batch, weather.functions, config=config)
+        assert len(ingested) == 3 and sum(ingested) == len(weather.rows)
+        assert result.metrics.per_operator[f"whereMany[{len(batch)}]"].records_in == len(
+            weather.rows
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_operator_seconds_cover_flush_time_kernels(
+        self, weather, batch, merged, shape, monkeypatch
+    ):
+        """Vectorized UDFs execute in ``on_flush``; that time is the operator's."""
+
+        from time import perf_counter
+
+        from repro.lang.vectorize import VectorizedProgram
+
+        kernel_seconds = 0.0
+        original = VectorizedProgram.run_batch
+
+        def timed(self, columns, n):
+            nonlocal kernel_seconds
+            started = perf_counter()
+            try:
+                return original(self, columns, n)
+            finally:
+                kernel_seconds += perf_counter() - started
+
+        monkeypatch.setattr(VectorizedProgram, "run_batch", timed)
+        telemetry = Telemetry.capture()
+        config = ExecutionConfig(backend="vectorized", workers=2, telemetry=telemetry)
+        result = self._run(shape, weather, batch, merged, config)
+
+        ops = result.metrics.per_operator
+        udf_seconds = sum(op.seconds for name, op in ops.items() if name.startswith("where"))
+        assert kernel_seconds > 0
+        assert udf_seconds >= kernel_seconds
+        # Exclusive per-operator times: a flush that emits downstream does
+        # not bill its children's time twice.
+        assert sum(op.seconds for op in ops.values()) <= result.metrics.wall_seconds
+        for name, op in ops.items():
+            series = telemetry.metrics.counter("dataflow_operator_seconds_total", operator=name)
+            assert series.value == op.seconds
 
     def test_per_operator_metrics_content(self, weather, batch):
         cfg = ExecutionConfig(telemetry=Telemetry.capture(), workers=2)

@@ -73,18 +73,18 @@ class TestDivideConquer:
 
     def test_parallel_matches_serial(self):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(6)]
-        serial = consolidate_all(programs, FT, parallel=False)
-        parallel = consolidate_all(programs, FT, parallel=True, max_workers=3)
+        serial = consolidate_all(programs, FT, executor="serial")
+        parallel = consolidate_all(programs, FT, executor="thread", max_workers=3)
         assert serial.program == parallel.program
         assert serial.pair_consolidations == parallel.pair_consolidations == 5
         assert serial.tree_depth == parallel.tree_depth
 
     def test_report_records_pool_configuration(self):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
-        serial = consolidate_all(programs, FT, parallel=False, max_workers=8)
-        assert (serial.parallel, serial.max_workers) == (False, 1)
-        parallel = consolidate_all(programs, FT, parallel=True, max_workers=2)
-        assert (parallel.parallel, parallel.max_workers) == (True, 2)
+        serial = consolidate_all(programs, FT, executor="serial", max_workers=8)
+        assert (serial.executor, serial.max_workers) == ("serial", 1)
+        parallel = consolidate_all(programs, FT, executor="thread", max_workers=2)
+        assert (parallel.executor, parallel.max_workers) == ("thread", 2)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

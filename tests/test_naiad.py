@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.lang import (
     FunctionTable,
     LibraryFunction,
@@ -38,28 +39,28 @@ def filt(pid, bound):
 class TestDataflowBasics:
     def test_where_filters(self):
         q = from_collection(range(20)).where(filt("q", 25), FT).collect("out")
-        result = q.run(workers=2)
+        result = q.run(ExecutionConfig(workers=2))
         expected = [r for r in range(20) if (r * 13) % 50 < 25]
         assert sorted(result.buckets["out"]) == sorted(expected)
 
     def test_select_projects(self):
         q = from_collection(range(5)).select(lambda r: r * 2).collect("out")
-        result = q.run(workers=1)
+        result = q.run(ExecutionConfig(workers=1))
         assert sorted(result.buckets["out"]) == [0, 2, 4, 6, 8]
 
     def test_count_sink(self):
         q = from_collection(range(10)).count("n")
-        result = q.run(workers=3)
+        result = q.run(ExecutionConfig(workers=3))
         assert sum(result.buckets["n"]) == 10
 
     def test_io_cost_charged_once_per_record(self):
-        q = from_collection(range(10), io_cost_per_record=7).collect("out")
-        result = q.run(workers=2)
+        q = from_collection(range(10), ExecutionConfig(io_cost_per_record=7)).collect("out")
+        result = q.run(ExecutionConfig(workers=2))
         assert result.metrics.io_cost == 70
 
     def test_udf_cost_accumulates(self):
         q = from_collection(range(10)).where(filt("q", 25), FT).collect("out")
-        result = q.run(workers=2)
+        result = q.run(ExecutionConfig(workers=2))
         # Each record: call(15) + arg(1) + assign(1) + var(1)+const+cmp(1)+branch(2)+notify(1)
         assert result.metrics.udf_cost == 10 * (15 + 1 + 1 + 1 + 1 + 2 + 1)
 
@@ -67,25 +68,25 @@ class TestDataflowBasics:
         def build():
             return from_collection(range(30)).where_many([filt("a", 20), filt("b", 40)], FT)
 
-        r1 = build().run(workers=4)
-        r2 = build().run(workers=4)
+        r1 = build().run(ExecutionConfig(workers=4))
+        r2 = build().run(ExecutionConfig(workers=4))
         assert r1.metrics.total_cost == r2.metrics.total_cost
         assert r1.buckets == r2.buckets
 
     def test_worker_partitioning_covers_all(self):
         q = from_collection(range(17)).collect("out")
-        result = q.run(workers=5)
+        result = q.run(ExecutionConfig(workers=5))
         assert sorted(result.buckets["out"]) == list(range(17))
         assert len(result.metrics.per_worker_total) == 5
 
     def test_invalid_worker_count(self):
         q = from_collection(range(3)).collect("out")
         with pytest.raises(ValueError):
-            q.run(workers=0)
+            q.run(ExecutionConfig(workers=0))
 
     def test_makespan_is_max_worker(self):
         q = from_collection(range(16)).where(filt("q", 25), FT).collect("out")
-        result = q.run(workers=4)
+        result = q.run(ExecutionConfig(workers=4))
         assert result.metrics.makespan == max(result.metrics.per_worker_total)
 
 
@@ -121,12 +122,12 @@ class TestOperators:
 
     def test_flat_map_expands(self):
         q = from_collection([2, 3]).flat_map(lambda n: range(n)).collect("out")
-        result = q.run(workers=1)
+        result = q.run(ExecutionConfig(workers=1))
         assert sorted(result.buckets["out"]) == [0, 0, 1, 1, 2]
 
     def test_flat_map_cost_scales_with_output(self):
         q = from_collection([4]).flat_map(lambda n: range(n), base_cost=5, unit_cost=3)
-        result = q.run(workers=1)
+        result = q.run(ExecutionConfig(workers=1))
         assert result.metrics.udf_cost == 5 + 3 * 4
 
     def test_count_by_key_combines_across_workers(self):
@@ -134,7 +135,7 @@ class TestOperators:
 
         data = ["a", "b", "a", "c", "a", "b"] * 3
         q = from_collection(data).count_by_key("counts")
-        result = q.run(workers=4)
+        result = q.run(ExecutionConfig(workers=4))
         totals = CountByKey.combine(result.buckets["counts"])
         assert totals == {"a": 9, "b": 6, "c": 3}
 
@@ -147,7 +148,7 @@ class TestOperators:
             .flat_map(lambda d: docs[d])
             .count_by_key("wc")
         )
-        totals = CountByKey.combine(q.run(workers=2).buckets["wc"])
+        totals = CountByKey.combine(q.run(ExecutionConfig(workers=2)).buckets["wc"])
         assert totals == {"x": 1, "y": 3, "z": 1}
 
     def test_multi_param_udf_rejected_as_row_filter(self):

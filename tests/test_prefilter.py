@@ -256,11 +256,26 @@ class TestOperators:
         assert "prefilter_selectivity" in gauges
         assert counters.get("prefilter_synthesized_total", 0) >= 1
 
+    @pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+    def test_selectivity_gauge_is_the_runs_not_the_last_workers(
+        self, dataset, batch, backend
+    ):
+        telemetry = Telemetry.capture()
+        config = ExecutionConfig(
+            prefilter=True, telemetry=telemetry, workers=4, backend=backend
+        )
+        run_where_many(dataset.rows, batch, dataset.functions, config=config)
+        checked = telemetry.metrics.counter("prefilter_checked_total").value
+        rejected = telemetry.metrics.counter("prefilter_rejected_total").value
+        assert 0 < rejected < checked
+        gauge = telemetry.metrics.gauge("prefilter_selectivity").value
+        assert gauge == pytest.approx(1.0 - rejected / checked, abs=1e-12)
+
     def test_disabled_prefilter_builds_no_guard(self, dataset, batch):
         from repro.naiad.operators import WhereMany
 
         vertex = WhereMany(batch, dataset.functions)
-        assert vertex.guards is None
+        assert all(unit.guard is None for unit in vertex.units)
 
 
 class TestConsolidateAll:
@@ -296,8 +311,8 @@ class TestConfig:
         from repro.naiad.linq import from_collection
 
         query = from_collection([], config=ExecutionConfig(prefilter=True))
-        assert query._udf_kwargs(None, None)["prefilter"] is True
-        assert from_collection([])._udf_kwargs(None, None)["prefilter"] is False
+        assert query._udf_kwargs()["prefilter"] is True
+        assert from_collection([])._udf_kwargs()["prefilter"] is False
 
 
 class TestBattery:
