@@ -6,9 +6,9 @@ unprofitable, and lose nothing on the merged plan's runtime cost.  This
 file measures that pitch as a paired, same-process A/B on the Weather
 Mix family:
 
-* **A** — ``consolidate_all(..., planner="related")`` (the default
-  clustered/related pipeline);
-* **B** — ``consolidate_all(..., planner="calibrated")`` with the
+* **A** — ``consolidate_all`` under ``ExecutionConfig(planner="related")``
+  (the default clustered/related pipeline);
+* **B** — the same under ``ExecutionConfig(planner="calibrated")`` with the
   uniform fallback model (no trace needed, so the benchmark is
   self-contained and deterministic).
 
@@ -63,7 +63,7 @@ def measure(cities=50, years=1, n_udfs=24, seed=3, repeats=3, rows_limit=400):
     def consolidate(planner):
         started = time.perf_counter()
         report = consolidate_all(
-            list(programs), dataset.functions, planner=planner
+            list(programs), dataset.functions, config=ExecutionConfig(planner=planner)
         )
         return time.perf_counter() - started, report
 

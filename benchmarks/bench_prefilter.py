@@ -145,7 +145,9 @@ def measure(cities: int = 120, n_udfs: int = 6, workers: int = 4) -> dict:
     rows = dataset.rows
 
     started = time.perf_counter()
-    report = consolidate_all(programs, dataset.functions, prefilter=True)
+    report = consolidate_all(
+        programs, dataset.functions, config=ExecutionConfig(prefilter=True)
+    )
     consolidation_seconds = time.perf_counter() - started
     pre = report.prefilter
     assert pre is not None and not pre.trivial, (

@@ -59,11 +59,7 @@ def consolidate(
 
     cfg = config or ExecutionConfig()
     return consolidate_all(
-        list(programs),
-        cfg.resolve_functions(functions),
-        cfg.cost_model,
-        options,
-        config=cfg,
+        list(programs), cfg.resolve_functions(functions), options=options, config=cfg
     )
 
 

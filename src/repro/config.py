@@ -11,7 +11,11 @@ threaded through :meth:`repro.naiad.linq.Query.run`,
 the experiment harness and the CLI.
 
 It is the only way to set a run-time knob: the keywords were deprecated
-through 1.x and removed in 2.0 (CHANGES.md has the migration table).
+through 1.x and removed in 2.0, and 3.0 removed the copies
+``consolidate_all`` had kept (CHANGES.md has the migration table).
+``consolidate_all`` reads ``cost_model``, ``executor``, ``max_workers``,
+``telemetry``, ``provenance``, ``prefilter``, ``planner``, ``calibration``
+and ``smt_budget_seconds`` from its ``config`` and from nowhere else.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -68,7 +72,8 @@ class ExecutionConfig:
         How the divide-and-conquer consolidation driver runs its pair
         merges: ``"serial"``, ``"thread"`` (the paper's structure; no
         CPython speedup) or ``"process"`` (actually uses cores — programs
-        are picklable ASTs).
+        are picklable ASTs).  Only the ``related`` planner's levels pool;
+        calibrated levels run in-process, in plan order.
     ``telemetry`` / ``sink``
         The observability handle and an optional export target.
     ``provenance``
@@ -97,7 +102,8 @@ class ExecutionConfig:
         predicted wall-seconds saved under ``calibration``, skip pairs
         predicted unprofitable, and spend ``smt_budget_seconds`` on the
         highest-savings merges first (see
-        :mod:`repro.profiling.planner`).
+        :mod:`repro.profiling.planner`).  It plans tree levels, so
+        ``consolidate_all`` refuses it with ``order="fold"``/``"priority"``.
     ``calibration``
         Optional :class:`repro.profiling.CalibratedCostModel` backing the
         calibrated planner.  When the planner is ``"calibrated"`` and no

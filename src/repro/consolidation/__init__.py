@@ -2,21 +2,15 @@
 
 * :mod:`repro.consolidation.simplifier` — cross-simplification (Figure 3),
 * :mod:`repro.consolidation.algorithm` — the Ω/Ω′ algorithm (Figures 5/7/8),
-* :mod:`repro.consolidation.divide_conquer` — merging n UDFs pairwise,
+* :mod:`repro.consolidation.divide_conquer` — merging n UDFs pairwise: one
+  level loop over a pairing policy, and the one pair-merge step,
 * :mod:`repro.consolidation.incremental` — patching the merge tree on
   add/remove of a single query (the service's re-consolidation engine),
 * :mod:`repro.consolidation.verify` — dynamic Theorem 1 checking.
 """
 
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator
-from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all
-from .incremental import (
-    PatchError,
-    PatchResult,
-    add_query,
-    merge_pair,
-    rebuild,
-    remove_query,
-)
+from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all, merge_pair
+from .incremental import PatchError, PatchResult, add_query, rebuild, remove_query
 from .simplifier import Context, fold_expr, ir_from_linear, ir_linear
 from .verify import SoundnessReport, SoundnessViolation, check_soundness

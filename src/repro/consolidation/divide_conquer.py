@@ -1,22 +1,38 @@
 """Consolidating *n* UDFs: the divide-and-conquer driver (Section 6.1).
 
 The paper amortises consolidation cost over many queries by merging UDFs
-pairwise in a balanced tree: 50 leaf UDFs → 25 pairs → 13 → … → 1.  Each
-internal node consolidates two already-consolidated programs, so "the last
-iteration typically consolidates a pair of programs each containing a few
-thousand lines of code".
+pairwise, level by level, until one program is left: 50 leaf UDFs → 25
+pairs → 13 → … → 1.  Each internal node consolidates two
+already-consolidated programs, so "the last iteration typically
+consolidates a pair of programs each containing a few thousand lines of
+code".
 
-Four orders are provided (the ablation benchmark compares them):
+:func:`consolidate_all` is that one loop.  What varies is the *pairing
+policy* — which programs of a level meet, and which ride up unmerged:
 
-* ``clustered`` (default) — the balanced tree over programs first sorted
-  by call-feature signature, so same-family queries merge while small;
-* ``tree``  — the paper's balanced divide-and-conquer in given order;
-* ``fold``  — a left fold (accumulate one growing program), which exposes
-  the same optimisations but consolidates the big accumulator n−1 times;
-* ``priority`` — a fold with the queries named in ``priority`` first (the
-  Section 8 latency extension).
+* ``order="clustered"`` (default) / ``"tree"`` — neighbours meet
+  (:func:`_adjacent`): the paper's balanced tree, over the programs as
+  given (``tree``) or first sorted by call-feature signature so
+  same-family queries merge while small (``clustered``);
+* ``order="fold"`` / ``"priority"`` — the degenerate policy "the first two
+  meet, the rest wait" (:func:`_first_two`): a left fold, which exposes the
+  same optimisations but consolidates the growing accumulator n−1 times;
+  ``priority`` puts the queries named in ``priority`` first — the paper's
+  Section 8 extension sketch, a (partial) query execution order;
+* ``config.planner="calibrated"`` — the cost-driven plan of
+  :class:`repro.profiling.planner.CalibratedPairing`, for the tree orders.
 
-Each tree level's pair consolidations can run on an ``executor``:
+Every pair the policy names goes through the one pair step,
+:func:`merge_pair`, which either returns the merged program with its
+evidence or raises.  Its three callers differ only in what a failure
+*means*: the batch driver keeps the pair unmerged (:func:`_sequential_pair`)
+and records the skip; the process-pool task lets it propagate, so the
+driver redoes the level serially; the incremental engine
+(:mod:`repro.consolidation.incremental`) turns it into a ``PatchError``.
+
+Every run-time knob comes from ``config`` (an
+:class:`repro.config.ExecutionConfig`) and nowhere else.
+``config.executor`` selects how a level's pair merges run:
 
 * ``"serial"`` (default) — inline, one after the other;
 * ``"thread"`` — a thread pool, mirroring the paper's parallel driver
@@ -29,42 +45,43 @@ Each tree level's pair consolidations can run on an ``executor``:
   folded back into the parent's report; per-query SMT latency histograms
   are process-local and therefore only recorded for serial/thread runs.
 
-:class:`ConsolidationReport.executor` records which executor actually ran.
+:class:`ConsolidationReport.executor` records which executor was configured.
 
-Telemetry (``telemetry=`` or ``config.telemetry``): per-pair merge time
-histogram, calculus rule application counts, SMT query counters and the
-entailment fast-path counters all land in the metrics registry; tracing
-adds ``consolidate.batch`` / ``consolidate.pair`` spans.
+Telemetry (``config.telemetry``): per-pair merge time histogram, calculus
+rule application counts, SMT query counters and the entailment fast-path
+counters all land in the metrics registry; tracing adds
+``consolidate.batch`` / ``consolidate.pair`` spans.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Iterator, Optional, Sequence
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
 
+from ..analysis.related import call_features
+from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
-from ..lang.cost import DEFAULT_COST_MODEL, CostModel
+from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable, LibraryFunction
-from ..lang.visitors import notified_pids, rename_locals
+from ..lang.visitors import notified_pids, rename_locals, stmt_exprs
+from ..profiling.model import CalibratedCostModel
+from ..profiling.planner import CalibratedPairing, Pairing
+from ..provenance.recorder import DerivationRecorder
 from ..smt.solver import Solver
-from ..provenance.recorder import DerivationRecorder, Heuristic
-from ..telemetry import NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator
 from .simplifier import SimplifyStats
-
-_PLANNERS = ("related", "calibrated")
 
 __all__ = [
     "ConsolidationReport",
     "MergeNode",
     "consolidate_all",
+    "merge_pair",
     "FAULT_HOOK",
     "SMT_UNKNOWN_NOTE",
 ]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 # Prefix of the ConsolidationReport.degradations entry recording that the
 # SMT solver answered "unknown" during the batch.  Unlike a skipped pair or
@@ -73,7 +90,8 @@ _EXECUTORS = ("serial", "thread", "process")
 # compare executors can recognise and ignore it.
 SMT_UNKNOWN_NOTE = "SMT solver returned unknown"
 
-# Fault-injection seam (see repro.testing.faults).  Sites:
+# Fault-injection seam (see repro.testing.faults), consulted by merge_pair.
+# Sites:
 #   ("consolidate.pair", (a, b))   — consulted before each in-process pair
 #                                    merge; raising simulates a mid-batch
 #                                    failure, which must *degrade* (keep the
@@ -84,7 +102,7 @@ SMT_UNKNOWN_NOTE = "SMT solver returned unknown"
 #                                    pool) must make the driver redo the
 #                                    level serially.
 # None — the production value — costs one attribute read per pair.
-FAULT_HOOK = None
+FAULT_HOOK: Optional[Callable[[str, tuple[Program, Program]], object]] = None
 
 
 @dataclass
@@ -127,17 +145,6 @@ class MergeNode:
         children = [c for c in (self.left, self.right) if c is not None]
         return 1 + max(c.depth() for c in children)
 
-    def internal_count(self) -> int:
-        """Number of internal nodes, i.e. pair merges the tree embodies."""
-
-        if self.is_leaf:
-            return 0
-        count = 1
-        for child in (self.left, self.right):
-            if child is not None:
-                count += child.internal_count()
-        return count
-
     def shape(self) -> object:
         """A JSON-friendly rendering of the tree's structure (pids only)."""
 
@@ -165,15 +172,13 @@ class ConsolidationReport:
 
     ``derivations`` holds one
     :class:`repro.provenance.DerivationTree` per successfully merged pair
-    when provenance recording was requested (``provenance=True`` or
-    ``config.provenance``); it is empty otherwise.
+    under ``config.provenance``; it is empty otherwise.
 
     ``prefilter`` holds the :class:`repro.analysis.prefilter.Prefilter`
-    synthesized for the merged program when requested (``prefilter=True``
-    or ``config.prefilter``), and ``prefilter_seconds`` its synthesis
-    time — reported separately from ``duration`` (and spanned as
-    ``consolidate.prefilter``) so guard synthesis can be banded apart
-    from merge time.
+    synthesized for the merged program under ``config.prefilter``, and
+    ``prefilter_seconds`` its synthesis time — reported separately from
+    ``duration`` (and spanned as ``consolidate.prefilter``) so guard
+    synthesis can be banded apart from merge time.
 
     ``planner`` records the pair-ordering strategy that ran (``"related"``
     — the default heuristic adjacency — or ``"calibrated"``), and
@@ -205,14 +210,14 @@ class ConsolidationReport:
     solver_stats: dict[str, int] = field(default_factory=dict)
     max_workers: int = 1
     executor: str = "serial"
-    simplify_stats: dict = field(default_factory=dict)
-    validations: list = field(default_factory=list)
-    skipped_pairs: list = field(default_factory=list)
-    degradations: list = field(default_factory=list)
-    derivations: list = field(default_factory=list)
+    simplify_stats: dict[str, Any] = field(default_factory=dict)
+    validations: list[Any] = field(default_factory=list)
+    skipped_pairs: list[dict[str, str]] = field(default_factory=list)
+    degradations: list[str] = field(default_factory=list)
+    derivations: list[Any] = field(default_factory=list)
     merge_tree: Optional[MergeNode] = None
     planner: str = "related"
-    planner_decisions: list = field(default_factory=list)
+    planner_decisions: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def all_certified(self) -> bool:
@@ -239,9 +244,6 @@ def _cluster_by_features(programs: list[Program]) -> list[Program]:
     through its own identifier.
     """
 
-    from ..analysis.related import call_features
-    from ..lang.visitors import stmt_exprs
-
     def signature(p: Program) -> str:
         keys = sorted(repr(k) for k in call_features(stmt_exprs(p.body)))
         return "|".join(keys)
@@ -257,15 +259,15 @@ def _cluster_by_features(programs: list[Program]) -> list[Program]:
 # ---------------------------------------------------------------------------
 
 
-def _stub_fn(*_args):  # pragma: no cover - consolidation never calls it
+def _stub_fn(*_args: object) -> NoReturn:  # pragma: no cover - consolidation never calls it
     raise RuntimeError("library implementations are not shipped to consolidation workers")
 
 
-def _table_spec(functions: FunctionTable) -> tuple:
+def _table_spec(functions: FunctionTable) -> tuple[Any, ...]:
     return tuple((f.name, f.cost, f.result_sort, f.arg_sorts) for f in functions)
 
 
-def _table_from_spec(spec: tuple) -> FunctionTable:
+def _table_from_spec(spec: tuple[Any, ...]) -> FunctionTable:
     return FunctionTable(
         LibraryFunction(name, _stub_fn, cost=cost, result_sort=sort, arg_sorts=args)
         for name, cost, sort, args in spec
@@ -286,105 +288,141 @@ def _sequential_pair(a: Program, b: Program) -> Program:
     return Program(f"{a.pid}&{b.pid}", a.params, seq(qa.body, qb.body))
 
 
-def _merge_pair_task(payload: tuple):
-    """Top-level (hence picklable) pair-merge job for the process pool."""
+def _adjacent(level: Sequence[Program]) -> Pairing:
+    """``tree`` / ``clustered``: neighbours meet; an odd last program is carried."""
 
-    a, b, spec, cost_model, options, provenance = payload
+    n = len(level)
+    return [(i, i + 1) for i in range(0, n - 1, 2)], range(n - n % 2, n)
+
+
+def _first_two(level: Sequence[Program]) -> Pairing:
+    """``fold`` / ``priority``: the accumulator meets the next program.
+
+    Since Ω′ consumes the first program's statements — including its
+    ``notify`` — before the second's, a query placed earlier in the fold
+    broadcasts earlier in the merged program, bounding its latency.
+    """
+
+    return [(0, 1)], range(2, len(level))
+
+
+# What one pair merge yields: (merged, validation, derivation, trace, seconds).
+PairMerge = tuple[Program, Any, Any, tuple[str, ...], float]
+
+
+def merge_pair(
+    a: Program,
+    b: Program,
+    functions: FunctionTable,
+    cost_model: CostModel,
+    options: ConsolidationOptions,
+    solver: Solver,
+    stats: SimplifyStats | None = None,
+    *,
+    provenance: bool = False,
+    telemetry: Telemetry = NULL_TELEMETRY,
+    site: str = "consolidate.pair",
+    **span_attrs: object,
+) -> PairMerge:
+    """The one pair-merge step: consolidate ``a`` and ``b`` or raise.
+
+    A fresh Consolidator per pair keeps traces separate; the caller's
+    ``solver`` keeps the entailment cache warm across its pairs, and its
+    ``stats`` object aggregates fast-path counters.  The recorder is
+    per-pair too: its node stack is not re-entrant, and the thread
+    executor runs pairs concurrently.
+
+    Anything may escape — a solver crash, a refuted static validation, an
+    injected fault (:data:`FAULT_HOOK` at ``site``).  What that means is
+    the caller's business; see the module docstring.
+    """
+
     if FAULT_HOOK is not None:
-        FAULT_HOOK("consolidate.worker", (a, b))
+        FAULT_HOOK(site, (a, b))
     recorder = DerivationRecorder() if provenance else None
-    worker = Consolidator(
-        _table_from_spec(spec), cost_model, options, recorder=recorder
-    )
-    merged = worker.consolidate(a, b)
-    # Derivation events are plain string/number dataclasses, so the tree
-    # pickles back to the parent unchanged.
+    worker = Consolidator(functions, cost_model, options, solver, stats, recorder=recorder)
+    with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
+        merged = worker.consolidate(a, b)
     return (
         merged,
-        worker.simplify_stats,
-        worker.solver.stats.snapshot(),
         worker.last_validation,
+        worker.last_derivation,
         tuple(worker.trace),
         worker.last_duration,
-        worker.last_derivation,
     )
+
+
+def _merge_pair_task(
+    payload: tuple[Program, Program, tuple[Any, ...], CostModel, ConsolidationOptions, bool],
+) -> tuple[PairMerge, SimplifyStats, dict[str, int]]:
+    """Top-level (hence picklable) pair-merge job for the process pool.
+
+    A failure propagates: the driver treats the pool as broken and redoes
+    the level in-process.  Derivation events are plain string/number
+    dataclasses, so the tree pickles back to the parent unchanged.
+    """
+
+    a, b, spec, cost_model, options, provenance = payload
+    solver, stats = Solver(), SimplifyStats()
+    result = merge_pair(
+        a,
+        b,
+        _table_from_spec(spec),
+        cost_model,
+        options,
+        solver,
+        stats,
+        provenance=provenance,
+        site="consolidate.worker",
+    )
+    return result, stats, solver.stats.snapshot()
 
 
 def consolidate_all(
     programs: list[Program],
     functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
+    *,
     options: ConsolidationOptions | None = None,
     order: str = "clustered",
-    max_workers: Optional[int] = None,
     priority: Sequence[str] | None = None,
-    executor: Optional[str] = None,
-    telemetry=None,
-    config=None,
-    provenance: Optional[bool] = None,
-    prefilter: Optional[bool] = None,
     keep_tree: bool = False,
-    planner: Optional[str] = None,
-    calibration=None,
-    smt_budget_seconds: Optional[float] = None,
+    config: ExecutionConfig | None = None,
 ) -> ConsolidationReport:
     """Merge ``programs`` into one program broadcasting every result.
 
-    ``order='priority'`` implements the paper's Section 8 extension sketch:
-    a (partial) query execution order.  Programs are folded left-to-right
-    with the queries named in ``priority`` placed first; since Ω′ consumes
-    the first program's statements — including its ``notify`` — before the
-    second's, a higher-priority query's result is broadcast earlier in the
-    merged program, bounding its latency.
+    ``order`` picks the pairing policy (see the module docstring);
+    ``priority`` names the queries ``order='priority'`` folds first.
+    ``config`` (default ``ExecutionConfig()``) is the only source of the
+    run-time knobs — ``cost_model``, ``executor`` / ``max_workers``,
+    ``telemetry``, ``provenance``, ``prefilter``, ``planner``,
+    ``calibration``, ``smt_budget_seconds`` — documented on
+    :class:`repro.config.ExecutionConfig`.
 
-    ``executor`` selects how each tree level's pair merges run (see module
-    docstring); ``config`` (an :class:`repro.config.ExecutionConfig`)
-    supplies defaults for ``executor``, ``max_workers``, ``telemetry`` and
-    ``provenance``.
+    ``keep_tree=True`` keeps the divide-and-conquer structure itself on
+    ``report.merge_tree`` (a :class:`MergeNode` tree), which the incremental
+    engine (:mod:`repro.consolidation.incremental`) patches on add/remove
+    of a single query instead of re-running the whole batch.
 
-    ``provenance=True`` records one
-    :class:`~repro.provenance.DerivationTree` per merged pair onto the
-    report's ``derivations`` — every rule application, entailment, rewrite
-    and heuristic decision of the batch.
-
-    ``prefilter=True`` additionally synthesizes a sound reject-early guard
-    for the final merged program (see :mod:`repro.analysis.prefilter`);
-    the result and its timing land on ``report.prefilter`` /
-    ``report.prefilter_seconds``.
-
-    ``keep_tree=True`` records the divide-and-conquer structure itself: the
-    report's ``merge_tree`` holds one :class:`MergeNode` per original
-    program (leaves) and per pair merge (internal nodes, each carrying its
-    intermediate merged program).  The incremental re-consolidation engine
-    (:mod:`repro.consolidation.incremental`) patches this tree on
-    add/remove of a single query instead of re-running the whole batch.
-
-    ``planner="calibrated"`` replaces the level's fixed adjacent pairing
-    with the cost-driven plan of :mod:`repro.profiling.planner`: pairs
-    are ranked by predicted wall-seconds saved under ``calibration`` (a
-    :class:`repro.profiling.CalibratedCostModel`; the static-prior
-    ``uniform()`` model when none is supplied), executed highest-savings
-    first, and pairs predicted unprofitable are composed sequentially
-    without invoking the consolidator.  ``smt_budget_seconds`` caps the
-    wall time spent on SMT-backed merges: once the budget is gone, the
-    remaining (lowest-savings) pairs merge with ``use_smt=False``.
-    Calibrated planning applies to the tree orders (``tree`` /
-    ``clustered``) and runs its pair merges in-process and in plan order
-    — budget accounting is sequential by construction — so ``executor``
-    only shapes the ``related`` planner's levels.  Every decision lands
-    on ``report.planner_decisions`` and, for provenance-recorded merges,
-    as a ``planner`` heuristic entry on the pair's derivation tree
-    (rendered by ``repro explain``).
+    Raises ``ValueError`` for an empty batch, an unknown ``order``, or the
+    calibrated planner (which plans *tree* levels) with a fold order.
     """
 
-    if not programs:
-        raise ValueError("need at least one program")
-    if order not in ("tree", "fold", "priority", "clustered"):
-        raise ValueError(f"unknown order {order!r}")
+    cfg = config or ExecutionConfig()
+    cost_model, executor, telemetry = cfg.cost_model, cfg.executor, cfg.telemetry
 
     # Batch-level preconditions are checked up front so misuse still raises
     # eagerly; once they hold, any *mid-batch* failure (solver crash, refuted
     # validation, dead worker) degrades to the sequential baseline instead.
+    if not programs:
+        raise ValueError("need at least one program")
+    if order not in ("clustered", "tree", "fold", "priority"):
+        raise ValueError(f"unknown order {order!r}")
+    fold = order in ("fold", "priority")
+    if fold and cfg.planner == "calibrated":
+        raise ValueError(
+            f"planner='calibrated' plans tree levels and cannot drive order={order!r}; "
+            "use order='tree' or 'clustered', or planner='related'"
+        )
     seen_pids: dict[str, str] = {}
     for p in programs:
         if p.params != programs[0].params:
@@ -398,320 +436,144 @@ def consolidate_all(
                 )
             seen_pids[pid] = p.pid
 
-    if executor is None:
-        executor = config.executor if config is not None else "serial"
-    if executor not in _EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
-    if max_workers is None:
-        max_workers = config.max_workers if config is not None else 4
-    if telemetry is None:
-        telemetry = config.telemetry if config is not None else NULL_TELEMETRY
-    if provenance is None:
-        provenance = bool(config.provenance) if config is not None else False
-    if prefilter is None:
-        prefilter = bool(config.prefilter) if config is not None else False
-    if planner is None:
-        planner = config.planner if config is not None else "related"
-    if planner not in _PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; choose from {_PLANNERS}")
-    if calibration is None and config is not None:
-        calibration = config.calibration
-    if smt_budget_seconds is None and config is not None:
-        smt_budget_seconds = config.smt_budget_seconds
-
     if order == "priority":
         rank = {pid: i for i, pid in enumerate(priority or [])}
         programs = sorted(programs, key=lambda p: rank.get(p.pid, len(rank)))
-        order = "fold"
     elif order == "clustered":
         programs = _cluster_by_features(programs)
-        order = "tree"
 
     solver = Solver(telemetry=telemetry)
     options = options or ConsolidationOptions()
     stats = SimplifyStats()
-    validations: list = []
+    validations: list[Any] = []
+    derivations: list[Any] = []
+    skipped: list[dict[str, str]] = []
+    degradations: list[str] = []
     extra_solver_stats: dict[str, int] = {}
     registry = telemetry.metrics
     pair_seconds = registry.histogram("consolidation_pair_seconds")
     rule_counts: dict[str, int] = {}
     started = time.perf_counter()
-    pairs = 0
-    depth = 0
 
-    def record_pair(trace, duration: float) -> None:
+    def absorb(result: PairMerge) -> Program:
+        # Fold one successful pair merge into the batch state (list.append
+        # on the shared lists is atomic under the GIL, which is all the
+        # thread executor needs).
+        merged, validation, derivation, trace, duration = result
         pair_seconds.observe(duration)
         for rule in trace:
             rule_counts[rule] = rule_counts.get(rule, 0) + 1
+        if validation is not None:
+            validations.append(validation)
+        if derivation is not None:
+            derivations.append(derivation)
+        return merged
 
-    skipped: list[dict] = []
-    degradations: list[str] = []
-    derivations: list = []
-
-    # Calibrated-planner state (inert under planner="related").
-    calib_model = None
-    planner_decisions: list[dict] = []
-    planner_skips = 0
-    planner_mispredictions = 0
-    planner_budget_exhausted = 0
-    smt_spent = 0.0
-    if planner == "calibrated":
-        from ..profiling import CalibratedCostModel
-
-        calib_model = (
-            calibration
-            if calibration is not None
-            else CalibratedCostModel.uniform(cost_model)
-        )
-
-    def merge(
-        a: Program, b: Program, pair_options: ConsolidationOptions | None = None
-    ) -> Program:
-        # A fresh Consolidator per pair keeps traces separate; the shared
-        # solver keeps the entailment cache warm across pairs, and the
-        # shared stats object aggregates fast-path counters batch-wide.
-        # (The recorder is per-pair too: its node stack is not re-entrant,
-        # and the thread executor runs pairs concurrently; list.append on
-        # the shared derivations list is atomic under the GIL.)
-        # Any failure here — a solver crash escaping as an exception, a
-        # refuted static validation, an injected fault — keeps the pair
-        # unmerged (the sequential baseline is always correct) and records
-        # the skip; the batch never dies for one pair.
+    def merge(a: Program, b: Program, pair_options: ConsolidationOptions = options) -> Program:
+        # Here a failure keeps the pair unmerged (the sequential baseline
+        # is always correct) and records the skip; the batch never dies
+        # for one pair.
         try:
-            if FAULT_HOOK is not None:
-                FAULT_HOOK("consolidate.pair", (a, b))
-            recorder = DerivationRecorder() if provenance else None
-            worker = Consolidator(
+            result = merge_pair(
+                a,
+                b,
                 functions,
                 cost_model,
-                pair_options if pair_options is not None else options,
+                pair_options,
                 solver,
                 stats,
-                recorder=recorder,
+                provenance=cfg.provenance,
+                telemetry=telemetry,
             )
-            with telemetry.span("consolidate.pair", left=a.pid, right=b.pid):
-                merged = worker.consolidate(a, b)
         except Exception as exc:  # noqa: BLE001 - degrade, never crash mid-batch
             skipped.append(
-                {
-                    "left": a.pid,
-                    "right": b.pid,
-                    "reason": f"{type(exc).__name__}: {exc}",
-                }
+                {"left": a.pid, "right": b.pid, "reason": f"{type(exc).__name__}: {exc}"}
             )
             if telemetry.enabled:
                 registry.counter("consolidation_skipped_pairs_total").inc()
             return _sequential_pair(a, b)
-        record_pair(worker.trace, worker.last_duration)
-        if worker.last_validation is not None:
-            validations.append(worker.last_validation)
-        if worker.last_derivation is not None:
-            derivations.append(worker.last_derivation)
-        return merged
+        return absorb(result)
 
-    def absorb_task(result) -> Program:
+    def absorb_task(result: tuple[PairMerge, SimplifyStats, dict[str, int]]) -> Program:
         """Fold one :func:`_merge_pair_task` result into the batch state."""
 
-        merged, child_stats, child_solver, validation, trace, duration, tree = result
+        pair, child_stats, child_solver = result
         stats.entail_queries += child_stats.entail_queries
         stats.smt_queries += child_stats.smt_queries
         stats.precheck_skips += child_stats.precheck_skips
         stats.memo_hits += child_stats.memo_hits
         for key, value in child_solver.items():
             extra_solver_stats[key] = extra_solver_stats.get(key, 0) + value
-        if validation is not None:
-            validations.append(validation)
-        if tree is not None:
-            derivations.append(tree)
-        record_pair(trace, duration)
-        return merged
+        return absorb(pair)
 
+    calibrated = None
+    if cfg.planner == "calibrated":
+        calibrated = CalibratedPairing(
+            functions,
+            cast("CalibratedCostModel | None", cfg.calibration)
+            or CalibratedCostModel.uniform(cost_model),
+            options,
+            cfg.smt_budget_seconds,
+            merge_step=merge,
+            compose=_sequential_pair,
+            derivations=derivations,
+        )
+    policy = calibrated or (_first_two if fold else _adjacent)
+    in_order = calibrated.merge if calibrated else merge
+    # Budget accounting needs plan order, so calibrated levels never pool.
+    pooled = calibrated is None and executor != "serial"
+    pool: Executor | None = None
     spec = _table_spec(functions) if executor == "process" else None
-    pool = None
-    try:
-        with telemetry.span(
-            "consolidate.batch", n=len(programs), order=order, executor=executor
-        ):
-            level = list(programs)
-            # ``nodes`` mirrors ``level`` one-to-one while keep_tree is on,
-            # so every intermediate merged program lands on a MergeNode.
-            nodes: list[MergeNode] | None = (
-                [MergeNode(p) for p in level] if keep_tree else None
-            )
-            if order == "fold":
-                acc = level[0]
-                acc_node = nodes[0] if nodes is not None else None
-                for i, nxt in enumerate(level[1:], start=1):
-                    acc = merge(acc, nxt)
-                    if nodes is not None:
-                        acc_node = MergeNode(acc, acc_node, nodes[i])
-                    pairs += 1
-                    depth += 1
-                result = acc
-                if nodes is not None:
-                    nodes = [acc_node]
-            else:
-                pool_broken = False
-                while len(level) > 1:
-                    depth += 1
-                    if calib_model is not None:
-                        # The cost-driven plan: highest predicted savings
-                        # first, zero-savings pairs composed sequentially
-                        # without touching the consolidator, SMT budget
-                        # spent down the ranking.  Sequential by
-                        # construction (budget accounting needs the order).
-                        from ..profiling.planner import plan_level
+    depth = pair_count = 0
 
-                        plan = plan_level(level, functions, calib_model)
-                        merged = []
-                        for decision in plan.decisions:
-                            a = level[decision.left]
-                            b = level[decision.right]
-                            if not decision.merge:
-                                m = _sequential_pair(a, b)
-                                planner_skips += 1
-                                planner_decisions.append(
-                                    {
-                                        "left": a.pid,
-                                        "right": b.pid,
-                                        "merged": False,
-                                        "predicted_savings_seconds": decision.predicted_savings,
-                                        "observed_savings_seconds": 0.0,
-                                        "mispredicted": False,
-                                        "used_smt": False,
-                                    }
-                                )
-                            else:
-                                pair_options = options
-                                use_smt = options.use_smt
-                                if (
-                                    use_smt
-                                    and smt_budget_seconds is not None
-                                    and smt_spent >= smt_budget_seconds
-                                ):
-                                    pair_options = dc_replace(
-                                        options, use_smt=False
-                                    )
-                                    use_smt = False
-                                    planner_budget_exhausted += 1
-                                before_derivations = len(derivations)
-                                merge_started = time.perf_counter()
-                                m = merge(a, b, pair_options)
-                                if use_smt:
-                                    smt_spent += (
-                                        time.perf_counter() - merge_started
-                                    )
-                                # Realized savings under the same model:
-                                # predicted cost of the two inputs minus the
-                                # merged program's.  A positive prediction
-                                # that realizes nothing is a misprediction —
-                                # flagged, counted, rendered by explain.
-                                observed = (
-                                    calib_model.predict_program_seconds(a, functions)
-                                    + calib_model.predict_program_seconds(b, functions)
-                                    - calib_model.predict_program_seconds(m, functions)
-                                )
-                                mispredicted = (
-                                    decision.predicted_savings > 0.0
-                                    and observed <= 0.0
-                                )
-                                if mispredicted:
-                                    planner_mispredictions += 1
-                                planner_decisions.append(
-                                    {
-                                        "left": a.pid,
-                                        "right": b.pid,
-                                        "merged": True,
-                                        "predicted_savings_seconds": decision.predicted_savings,
-                                        "observed_savings_seconds": observed,
-                                        "mispredicted": mispredicted,
-                                        "used_smt": use_smt,
-                                    }
-                                )
-                                if provenance and len(derivations) > before_derivations:
-                                    detail = (
-                                        f"predicted={decision.predicted_savings:.3e}s "
-                                        f"observed={observed:.3e}s"
-                                    )
-                                    if not use_smt:
-                                        detail += " (smt budget exhausted)"
-                                    if mispredicted:
-                                        detail += " MISPREDICTED"
-                                    derivations[-1].root.heuristics.append(
-                                        Heuristic(
-                                            "planner", detail, not mispredicted
-                                        )
-                                    )
-                            merged.append(m)
-                        pairs += len(plan.decisions)
-                        if nodes is not None:
-                            merged_nodes = [
-                                MergeNode(m, nodes[d.left], nodes[d.right])
-                                for d, m in zip(plan.decisions, merged)
-                            ]
-                            nodes = merged_nodes + [
-                                nodes[i] for i in plan.carried
-                            ]
-                        level = merged + [level[i] for i in plan.carried]
-                        continue
-                    pairings = [
-                        (level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-                    ]
-                    carried = [level[-1]] if len(level) % 2 else []
-                    if executor != "serial" and len(pairings) > 1 and not pool_broken:
-                        if pool is None:
-                            pool_cls = (
-                                ThreadPoolExecutor
-                                if executor == "thread"
-                                else ProcessPoolExecutor
-                            )
-                            pool = pool_cls(max_workers=max_workers)
-                        if executor == "thread":
-                            merged = list(pool.map(lambda ab: merge(*ab), pairings))
-                        else:
-                            payloads = [
-                                (a, b, spec, cost_model, options, provenance)
-                                for a, b in pairings
-                            ]
-                            try:
-                                # Drain the whole level before absorbing any
-                                # result, so a failure absorbs nothing and the
-                                # serial redo cannot double-count stats.
-                                raw = list(pool.map(_merge_pair_task, payloads))
-                            except Exception as exc:  # noqa: BLE001 - dead worker / task crash
-                                # A worker died (BrokenProcessPool) or a task
-                                # raised; the pool is no longer trustworthy.
-                                # Redo this level in-process — merge() still
-                                # degrades per pair — and stay serial for the
-                                # remaining levels.
-                                degradations.append(
-                                    f"process pool failed at depth {depth} "
-                                    f"({type(exc).__name__}: {exc}); completed serially"
-                                )
-                                if telemetry.enabled:
-                                    registry.counter(
-                                        "consolidation_executor_degradations_total"
-                                    ).inc()
-                                pool.shutdown(wait=False)
-                                pool = None
-                                pool_broken = True
-                                merged = [merge(a, b) for a, b in pairings]
-                            else:
-                                merged = [absorb_task(r) for r in raw]
-                    else:
-                        merged = [merge(a, b) for a, b in pairings]
-                    pairs += len(pairings)
-                    if nodes is not None:
-                        merged_nodes = [
-                            MergeNode(m, nodes[2 * i], nodes[2 * i + 1])
-                            for i, m in enumerate(merged)
-                        ]
-                        nodes = merged_nodes + ([nodes[-1]] if carried else [])
-                    level = merged + carried
-                result = level[0]
+    def run(jobs: list[tuple[Program, Program]]) -> list[Program]:
+        nonlocal pool, pooled
+        if not (pooled and len(jobs) > 1):
+            return [in_order(a, b) for a, b in jobs]
+        if pool is None:
+            pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
+            pool = pool_cls(max_workers=cfg.max_workers)
+        if executor == "thread":
+            return list(pool.map(lambda ab: merge(*ab), jobs))
+        payloads = [(a, b, spec, cost_model, options, cfg.provenance) for a, b in jobs]
+        try:
+            # Drain the whole level before absorbing any result, so a
+            # failure absorbs nothing and the serial redo cannot
+            # double-count stats.
+            raw = list(pool.map(_merge_pair_task, payloads))
+        except Exception as exc:  # noqa: BLE001 - dead worker / task crash
+            # A worker died (BrokenProcessPool) or a task raised; the pool
+            # is no longer trustworthy.  Redo this level in-process —
+            # merge() still degrades per pair — and stay serial for the
+            # remaining levels.
+            degradations.append(
+                f"process pool failed at depth {depth} "
+                f"({type(exc).__name__}: {exc}); completed serially"
+            )
+            if telemetry.enabled:
+                registry.counter("consolidation_executor_degradations_total").inc()
+            pool.shutdown(wait=False)
+            pool, pooled = None, False
+            return [merge(a, b) for a, b in jobs]
+        return [absorb_task(r) for r in raw]
+
+    try:
+        with telemetry.span("consolidate.batch", n=len(programs), order=order, executor=executor):
+            # Every program of a level rides on a MergeNode, so each
+            # intermediate merged program lands in the tree.
+            level = [MergeNode(p) for p in programs]
+            while len(level) > 1:
+                depth += 1
+                pairs, carried = policy([node.program for node in level])
+                merged = run([(level[i].program, level[j].program) for i, j in pairs])
+                pair_count += len(pairs)
+                level = [
+                    MergeNode(m, level[i], level[j]) for (i, j), m in zip(pairs, merged)
+                ] + [level[i] for i in carried]
     finally:
         if pool is not None:
             pool.shutdown()
+    result = level[0].program
 
     # Prefilter synthesis runs on the final merged program, inside its own
     # span and timed separately, so trajectory banding can tell guard
@@ -719,10 +581,10 @@ def consolidate_all(
     # the stats snapshot below, so its certificate queries are counted).
     prefilter_obj = None
     prefilter_seconds = 0.0
-    if prefilter:
+    if cfg.prefilter:
         from ..analysis.prefilter import synthesize_prefilter
 
-        recorder = DerivationRecorder() if provenance else None
+        recorder = DerivationRecorder() if cfg.provenance else None
         prefilter_started = time.perf_counter()
         with telemetry.span("consolidate.prefilter", program=result.pid):
             prefilter_obj = synthesize_prefilter(
@@ -755,7 +617,7 @@ def consolidate_all(
 
     if telemetry.enabled:
         registry.counter("consolidation_batches_total").inc()
-        registry.counter("consolidation_pairs_total").inc(pairs)
+        registry.counter("consolidation_pairs_total").inc(pair_count)
         registry.counter("consolidation_seconds_total").inc(
             time.perf_counter() - started
         )
@@ -769,25 +631,8 @@ def consolidate_all(
         registry.gauge("consolidation_memo_hit_rate").set(
             simplify_snapshot.get("memo_hit_rate", 0.0)
         )
-        if planner == "calibrated":
-            registry.counter("planner_pairs_total").inc(
-                sum(1 for d in planner_decisions if d["merged"])
-            )
-            registry.counter("planner_skips_total").inc(planner_skips)
-            registry.counter("planner_mispredictions_total").inc(
-                planner_mispredictions
-            )
-            registry.counter("planner_smt_budget_exhausted_total").inc(
-                planner_budget_exhausted
-            )
-            registry.gauge("planner_predicted_savings_seconds").set(
-                sum(d["predicted_savings_seconds"] for d in planner_decisions)
-            )
-            if calib_model is not None:
-                registry.gauge("calibration_staleness_seconds").set(
-                    calib_model.staleness_seconds()
-                )
-                registry.gauge("calibration_r2").set(calib_model.r2)
+        if calibrated is not None:
+            calibrated.export(registry)
 
     if prefilter_obj is not None and prefilter_obj.derivation is not None:
         derivations.append(prefilter_obj.derivation)
@@ -795,20 +640,20 @@ def consolidate_all(
     return ConsolidationReport(
         program=result,
         num_inputs=len(programs),
-        pair_consolidations=pairs,
+        pair_consolidations=pair_count,
         tree_depth=depth,
         duration=time.perf_counter() - started,
         prefilter=prefilter_obj,
         prefilter_seconds=prefilter_seconds,
         solver_stats=solver_stats,
-        max_workers=max_workers if executor != "serial" else 1,
+        max_workers=cfg.max_workers if executor != "serial" else 1,
         executor=executor,
         simplify_stats=simplify_snapshot,
         validations=validations,
         skipped_pairs=skipped,
         degradations=degradations,
         derivations=derivations,
-        merge_tree=nodes[0] if keep_tree else None,
-        planner=planner,
-        planner_decisions=planner_decisions,
+        merge_tree=level[0] if keep_tree else None,
+        planner=cfg.planner,
+        planner_decisions=calibrated.decisions if calibrated else [],
     )

@@ -25,35 +25,29 @@ fallback.  Unlike the batch driver, a patch never silently degrades to
 the sequential composition: the service wants either a certified patch or
 an honest rebuild.
 
-Pair merges consult the batch driver's fault-injection seam
-(``divide_conquer.FAULT_HOOK``, site ``consolidate.pair``) so the
-existing fault battery exercises the fallback ladder.
+Patched pairs go through the batch driver's one pair step
+(:func:`~repro.consolidation.divide_conquer.merge_pair`) — and so through
+its fault-injection seam (``divide_conquer.FAULT_HOOK``, site
+``consolidate.pair``), which lets the existing fault battery exercise the
+fallback ladder.  Only the meaning of a failure is this module's own.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional
 
+from ..config import ExecutionConfig
 from ..lang.ast import Program
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
-from ..provenance.recorder import DerivationRecorder
 from ..smt.solver import Solver
-from ..telemetry import NULL_TELEMETRY
-from .algorithm import ConsolidationOptions, Consolidator
-from . import divide_conquer
-from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all
+from ..telemetry import NULL_TELEMETRY, Telemetry
+from .algorithm import ConsolidationOptions
+from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all, merge_pair
 
-__all__ = [
-    "PatchError",
-    "PatchResult",
-    "merge_pair",
-    "add_query",
-    "remove_query",
-    "rebuild",
-]
+__all__ = ["PatchError", "PatchResult", "add_query", "remove_query", "rebuild"]
 
 
 class PatchError(Exception):
@@ -80,8 +74,8 @@ class PatchResult:
     action: str  # "add" | "remove" | "rebuild"
     pair_merges: int = 0
     seconds: float = 0.0
-    validations: list = field(default_factory=list)
-    derivations: list = field(default_factory=list)
+    validations: list[Any] = field(default_factory=list)
+    derivations: list[Any] = field(default_factory=list)
     patched_pids: list[str] = field(default_factory=list)
     fallback: Optional[str] = None
 
@@ -90,69 +84,55 @@ class PatchResult:
         return self.tree.program if self.tree is not None else None
 
 
-def merge_pair(
-    a: Program,
-    b: Program,
-    functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    options: ConsolidationOptions | None = None,
-    solver: Solver | None = None,
-    recorder: DerivationRecorder | None = None,
-    telemetry=NULL_TELEMETRY,
-) -> tuple[Program, object, object]:
-    """Consolidate one pair; returns (merged, validation, derivation).
-
-    Unlike the batch driver's per-pair wrapper this *raises* on failure —
-    patching callers must fall back to a full rebuild, not quietly keep
-    the pair sequential.
-    """
-
-    if divide_conquer.FAULT_HOOK is not None:
-        divide_conquer.FAULT_HOOK("consolidate.pair", (a, b))
-    worker = Consolidator(
-        functions,
-        cost_model,
-        options or ConsolidationOptions(),
-        solver or Solver(telemetry=telemetry),
-        recorder=recorder,
-    )
-    with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, patch=True):
-        merged = worker.consolidate(a, b)
-    return merged, worker.last_validation, worker.last_derivation
-
-
-def _patch_merge(
-    a: Program,
-    b: Program,
+def _patch_step(
+    result: PatchResult,
     functions: FunctionTable,
     cost_model: CostModel,
-    options: ConsolidationOptions,
-    result: PatchResult,
-    solver: Solver,
+    options: ConsolidationOptions | None,
+    static_validate: bool,
     record: bool,
-    telemetry,
-) -> Program:
-    """One certified pair merge inside a patch, folded into ``result``."""
+    telemetry: Telemetry,
+) -> Callable[[Program, Program], Program]:
+    """One patch's pair step: a certified merge folded into ``result``, or
+    a :class:`PatchError` — for an exception and for an uncertified
+    validation alike.  Each patch gets a fresh solver.
+    """
 
-    recorder = DerivationRecorder() if record else None
-    try:
-        merged, validation, derivation = merge_pair(
-            a, b, functions, cost_model, options, solver, recorder, telemetry
-        )
-    except Exception as exc:  # noqa: BLE001 - surfaced as a typed patch failure
-        raise PatchError(f"pair merge {a.pid} ⊕ {b.pid} failed: "
-                         f"{type(exc).__name__}: {exc}") from exc
-    result.pair_merges += 1
-    if validation is not None:
-        result.validations.append(validation)
-        if not validation.certified:
-            raise PatchError(
-                f"pair merge {a.pid} ⊕ {b.pid} refuted by the static validator"
+    options = options or ConsolidationOptions()
+    if static_validate:
+        options = replace(options, static_validate=True)
+    solver = Solver(telemetry=telemetry)
+
+    def merge(a: Program, b: Program) -> Program:
+        try:
+            merged, validation, derivation, _, _ = merge_pair(
+                a,
+                b,
+                functions,
+                cost_model,
+                options,
+                solver,
+                provenance=record,
+                telemetry=telemetry,
+                patch=True,
             )
-    if derivation is not None:
-        result.derivations.append(derivation)
-    result.patched_pids.append(merged.pid)
-    return merged
+        except Exception as exc:  # noqa: BLE001 - surfaced as a typed patch failure
+            raise PatchError(
+                f"pair merge {a.pid} ⊕ {b.pid} failed: {type(exc).__name__}: {exc}"
+            ) from exc
+        result.pair_merges += 1
+        if validation is not None:
+            result.validations.append(validation)
+            if not validation.certified:
+                raise PatchError(
+                    f"pair merge {a.pid} ⊕ {b.pid} refuted by the static validator"
+                )
+        if derivation is not None:
+            result.derivations.append(derivation)
+        result.patched_pids.append(merged.pid)
+        return merged
+
+    return merge
 
 
 def add_query(
@@ -164,7 +144,7 @@ def add_query(
     *,
     static_validate: bool = True,
     record: bool = True,
-    telemetry=NULL_TELEMETRY,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PatchResult:
     """Graft one new query onto the merge tree with a single pair merge.
 
@@ -179,22 +159,11 @@ def add_query(
     leaf = MergeNode(program)
     if tree is None:
         result.tree = leaf
-        result.seconds = time.perf_counter() - started
-        return result
-    options = _options_with_validation(options, static_validate)
-    solver = Solver(telemetry=telemetry)
-    merged = _patch_merge(
-        tree.program,
-        program,
-        functions,
-        cost_model,
-        options,
-        result,
-        solver,
-        record,
-        telemetry,
-    )
-    result.tree = MergeNode(merged, tree, leaf)
+    else:
+        merge = _patch_step(
+            result, functions, cost_model, options, static_validate, record, telemetry
+        )
+        result.tree = MergeNode(merge(tree.program, program), tree, leaf)
     result.seconds = time.perf_counter() - started
     return result
 
@@ -208,7 +177,7 @@ def remove_query(
     *,
     static_validate: bool = True,
     record: bool = True,
-    telemetry=NULL_TELEMETRY,
+    telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PatchResult:
     """Unlink the leaf for ``pid`` and re-merge only its root path.
 
@@ -226,61 +195,27 @@ def remove_query(
     if len(path) == 1:
         # The tree was a single leaf; removing it empties the registry.
         result.tree = None
-        result.seconds = time.perf_counter() - started
-        return result
-
-    options = _options_with_validation(options, static_validate)
-    solver = Solver(telemetry=telemetry)
-    parent = path[-2]
-    sibling = parent.right if parent.left is path[-1] else parent.left
-    # ``sibling`` takes the parent's place; every ancestor above is then
-    # re-merged bottom-up with its untouched child.
-    result.tree = _rebuild_path(
-        path, sibling, functions, cost_model, options, result, solver, record, telemetry
-    )
+    else:
+        merge = _patch_step(
+            result, functions, cost_model, options, static_validate, record, telemetry
+        )
+        # ``path`` runs root → … → parent → leaf.  The sibling subtree takes
+        # the parent's place; every ancestor above is then re-merged
+        # bottom-up from its untouched child and the patched subtree.
+        parent = path[-2]
+        patched = parent.right if parent.left is path[-1] else parent.left
+        swapped = parent  # the node ``patched`` currently stands in for
+        for ancestor in reversed(path[:-2]):
+            if ancestor.left is swapped:
+                left, right = patched, ancestor.right
+            else:
+                left, right = ancestor.left, patched
+            assert left is not None and right is not None  # internal nodes have both
+            patched = MergeNode(merge(left.program, right.program), left, right)
+            swapped = ancestor
+        result.tree = patched
     result.seconds = time.perf_counter() - started
     return result
-
-
-def _rebuild_path(
-    path: list[MergeNode],
-    replacement: Optional[MergeNode],
-    functions: FunctionTable,
-    cost_model: CostModel,
-    options: ConsolidationOptions,
-    result: PatchResult,
-    solver: Solver,
-    record: bool,
-    telemetry,
-) -> MergeNode:
-    """Rebuild the ancestors of ``path[-1]`` with ``replacement`` spliced in.
-
-    ``path`` runs root → … → parent → leaf.  ``replacement`` takes the
-    *parent*'s place (the sibling subtree after a removal); every ancestor
-    above is re-merged from its surviving child and the patched subtree.
-    """
-
-    patched = replacement
-    swapped = path[-2]  # the node ``patched`` currently stands in for
-    for ancestor in reversed(path[:-2]):
-        other = ancestor.right if ancestor.left is swapped else ancestor.left
-        left, right = (
-            (patched, other) if ancestor.left is swapped else (other, patched)
-        )
-        merged = _patch_merge(
-            left.program,
-            right.program,
-            functions,
-            cost_model,
-            options,
-            result,
-            solver,
-            record,
-            telemetry,
-        )
-        patched = MergeNode(merged, left, right)
-        swapped = ancestor
-    return patched
 
 
 def rebuild(
@@ -289,34 +224,18 @@ def rebuild(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    config=None,
+    config: ExecutionConfig | None = None,
     provenance: bool = True,
-    telemetry=None,
+    telemetry: Telemetry | None = None,
 ) -> tuple[MergeNode, ConsolidationReport]:
     """Full re-consolidation, keeping the tree for future patches."""
 
-    report = consolidate_all(
-        programs,
-        functions,
-        cost_model,
-        options,
-        config=config,
-        provenance=provenance,
-        telemetry=telemetry,
-        keep_tree=True,
-    )
+    cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model, provenance=provenance)
+    if telemetry is not None:
+        cfg = cfg.evolve(telemetry=telemetry)
+    report = consolidate_all(programs, functions, options=options, keep_tree=True, config=cfg)
+    assert report.merge_tree is not None  # keep_tree=True
     return report.merge_tree, report
-
-
-def _options_with_validation(
-    options: ConsolidationOptions | None, static_validate: bool
-) -> ConsolidationOptions:
-    options = options or ConsolidationOptions()
-    if static_validate and not options.static_validate:
-        from dataclasses import replace
-
-        options = replace(options, static_validate=True)
-    return options
 
 
 def _path_to_leaf(tree: MergeNode, pid: str) -> Optional[list[MergeNode]]:

@@ -111,13 +111,12 @@ def run_latency_experiment(
     pids = [p.pid for p in programs]
 
     merged_default = consolidate_all(
-        programs, dataset.functions, cfg.cost_model, options, config=cfg
+        programs, dataset.functions, options=options, config=cfg
     ).program
     merged_priority = consolidate_all(
         programs,
         dataset.functions,
-        cfg.cost_model,
-        options,
+        options=options,
         order="priority",
         priority=priority,
         config=cfg,

@@ -16,9 +16,9 @@ seconds instead of treating sharing as boolean.  Two programs that both
 call a 40-unit library function are predicted to save roughly
 ``40 · weight("call")`` seconds per record if consolidation dedups the
 call; two that merely compare the same subexpression save one
-``cmp``-weight.  The ranking is what matters: the driver spends its SMT
-budget down this order, so mispredictions cost budget allocation, never
-correctness.
+``cmp``-weight.  The ranking is what matters: :class:`CalibratedPairing`
+spends the SMT budget down this order, so mispredictions cost budget
+allocation, never correctness.
 
 Determinism: profiles are accumulated in first-seen order, candidate
 ties break on ``(i, j)``, and the greedy match is a plain sort — the
@@ -28,8 +28,9 @@ this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.related import is_trivial
 from ..lang.ast import (
@@ -54,10 +55,27 @@ from ..lang.ast import (
 )
 from ..lang.functions import FunctionTable
 from ..lang.visitors import stmt_exprs, subexpressions
+from ..provenance.recorder import Heuristic
 from .features import LOOP_UNROLL
 from .model import CalibratedCostModel
 
-__all__ = ["PlannedPair", "LevelPlan", "pair_savings", "plan_level"]
+if TYPE_CHECKING:
+    from ..consolidation.algorithm import ConsolidationOptions
+    from ..telemetry.metrics import MetricsRegistry
+
+__all__ = [
+    "Pairing",
+    "PlannedPair",
+    "LevelPlan",
+    "CalibratedPairing",
+    "pair_savings",
+    "plan_level",
+]
+
+# What a pairing policy answers for one level of the merge driver: the
+# positions that meet, in execution order, and the positions carried to the
+# next level unmerged.
+Pairing = Tuple[Sequence[Tuple[int, int]], Sequence[int]]
 
 # An overlap profile: sharing-feature key -> predicted seconds at stake.
 Profile = Dict[Tuple[str, str], float]
@@ -78,25 +96,16 @@ class PlannedPair:
     predicted_savings: float
     merge: bool
 
-    def describe(self) -> str:
-        action = "merge" if self.merge else "skip"
-        return (
-            f"{action} ({self.left}, {self.right}) "
-            f"predicted_savings={self.predicted_savings:.3e}s"
-        )
-
 
 @dataclass(frozen=True)
 class LevelPlan:
     """The planner's output for one tree level.
 
-    ``pairs`` is every pairing in execution order (highest predicted
+    ``decisions`` is every pairing in execution order (highest predicted
     savings first); ``carried`` is the odd program carried to the next
-    level unpaired; ``decisions`` carries the full per-pair records for
-    provenance.
+    level unpaired.
     """
 
-    pairs: Tuple[Tuple[int, int], ...]
     carried: Tuple[int, ...]
     decisions: Tuple[PlannedPair, ...]
 
@@ -236,11 +245,6 @@ def plan_level(
     """
 
     n = len(programs)
-    if n < 2:
-        return LevelPlan(
-            pairs=(), carried=tuple(range(n)), decisions=()
-        )
-
     profiles = [_profile(p, functions, model) for p in programs]
     candidates: List[Tuple[float, int, int]] = []
     for i in range(n):
@@ -263,8 +267,113 @@ def plan_level(
         leftovers = leftovers[2:]
         decisions.append(PlannedPair(i, j, 0.0, merge=False))
 
-    return LevelPlan(
-        pairs=tuple((d.left, d.right) for d in decisions),
-        carried=tuple(leftovers),
-        decisions=tuple(decisions),
-    )
+    return LevelPlan(carried=tuple(leftovers), decisions=tuple(decisions))
+
+
+@dataclass
+class CalibratedPairing:
+    """The calibrated planner as the merge driver's pairing policy.
+
+    Calling it plans one level; :meth:`merge` then runs one planned pair:
+    a pair predicted to save nothing is composed sequentially (``compose``)
+    without touching the consolidator, the others go through the driver's
+    pair step (``merge_step``) highest predicted savings first, with the
+    SMT budget spent down that ranking.  Sequential by construction:
+    budget accounting needs the order.
+
+    ``decisions`` holds one dict per decision, in execution order (see
+    :class:`repro.consolidation.ConsolidationReport`); ``derivations`` is
+    the batch's provenance list, onto whose newest tree a recorded merge's
+    decision is noted as a ``planner`` heuristic.
+    """
+
+    functions: Optional[FunctionTable]
+    model: CalibratedCostModel
+    options: "ConsolidationOptions"
+    smt_budget_seconds: Optional[float]
+    merge_step: Callable[[Program, Program, "ConsolidationOptions"], Program]
+    compose: Callable[[Program, Program], Program]
+    derivations: List[Any]
+    decisions: List[Dict[str, Any]] = field(init=False, default_factory=list)
+    _planned: Dict[Tuple[str, str], PlannedPair] = field(init=False, default_factory=dict)
+    _smt_spent: float = field(init=False, default=0.0)
+    _budget_exhausted: int = field(init=False, default=0)
+
+    def __call__(self, level: Sequence[Program]) -> Pairing:
+        plan = plan_level(level, self.functions, self.model)
+        self._planned = {
+            (level[d.left].pid, level[d.right].pid): d for d in plan.decisions
+        }
+        return [(d.left, d.right) for d in plan.decisions], plan.carried
+
+    def merge(self, a: Program, b: Program) -> Program:
+        """Execute the decision planned for ``(a, b)`` and record it."""
+
+        decision = self._planned[a.pid, b.pid]
+        entry = {
+            "left": a.pid,
+            "right": b.pid,
+            "merged": decision.merge,
+            "predicted_savings_seconds": decision.predicted_savings,
+            "observed_savings_seconds": 0.0,
+            "mispredicted": False,
+            "used_smt": False,
+        }
+        self.decisions.append(entry)
+        if not decision.merge:
+            return self.compose(a, b)
+        options = self.options
+        if (
+            options.use_smt
+            and self.smt_budget_seconds is not None
+            and self._smt_spent >= self.smt_budget_seconds
+        ):
+            options = replace(options, use_smt=False)
+            self._budget_exhausted += 1
+        recorded = len(self.derivations)
+        started = time.perf_counter()
+        merged = self.merge_step(a, b, options)
+        if options.use_smt:
+            self._smt_spent += time.perf_counter() - started
+        # Realized savings under the same model: predicted cost of the two
+        # inputs minus the merged program's.  A positive prediction that
+        # realizes nothing is a misprediction — flagged, counted, rendered
+        # by explain.
+        predict = self.model.predict_program_seconds
+        observed = (
+            predict(a, self.functions)
+            + predict(b, self.functions)
+            - predict(merged, self.functions)
+        )
+        mispredicted = decision.predicted_savings > 0.0 and observed <= 0.0
+        entry.update(
+            observed_savings_seconds=observed,
+            mispredicted=mispredicted,
+            used_smt=options.use_smt,
+        )
+        if len(self.derivations) > recorded:
+            detail = f"predicted={decision.predicted_savings:.3e}s observed={observed:.3e}s"
+            if not options.use_smt:
+                detail += " (smt budget exhausted)"
+            if mispredicted:
+                detail += " MISPREDICTED"
+            self.derivations[-1].root.heuristics.append(
+                Heuristic("planner", detail, not mispredicted)
+            )
+        return merged
+
+    def export(self, registry: "MetricsRegistry") -> None:
+        """The batch's ``planner_*`` / ``calibration_*`` telemetry."""
+
+        merges = sum(1 for d in self.decisions if d["merged"])
+        registry.counter("planner_pairs_total").inc(merges)
+        registry.counter("planner_skips_total").inc(len(self.decisions) - merges)
+        registry.counter("planner_mispredictions_total").inc(
+            sum(1 for d in self.decisions if d["mispredicted"])
+        )
+        registry.counter("planner_smt_budget_exhausted_total").inc(self._budget_exhausted)
+        registry.gauge("planner_predicted_savings_seconds").set(
+            sum(d["predicted_savings_seconds"] for d in self.decisions)
+        )
+        registry.gauge("calibration_staleness_seconds").set(self.model.staleness_seconds())
+        registry.gauge("calibration_r2").set(self.model.r2)

@@ -24,8 +24,8 @@ into queryable artifacts — the database EXPLAIN for the optimiser:
   and render the whole derivation as a text tree, JSON document or a
   self-contained HTML report.
 
-Enable recording through the config — ``ExecutionConfig(provenance=True)``
-— or directly via ``consolidate_all(..., provenance=True)``; every pair's
+Enable recording through the config — ``consolidate_all(...,
+config=ExecutionConfig(provenance=True))``; every pair's
 :class:`DerivationTree` lands on ``ConsolidationReport.derivations``.
 
 ``attribution`` and ``explain`` are loaded lazily (PEP 562): they import

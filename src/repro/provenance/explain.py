@@ -176,15 +176,14 @@ def explain_batch(
 
     if telemetry is None or not getattr(telemetry, "enabled", False):
         telemetry = Telemetry()
+    cfg = ExecutionConfig(telemetry=telemetry, functions=dataset.functions)
     report = consolidate_all(
         selected,
         dataset.functions,
         options=options,
-        telemetry=telemetry,
-        provenance=True,
-        prefilter=True,
-        planner=planner,
-        calibration=calibration,
+        config=cfg.evolve(
+            provenance=True, prefilter=True, planner=planner, calibration=calibration
+        ),
     )
     prefilter_summary = None
     if report.prefilter is not None:
@@ -200,7 +199,6 @@ def explain_batch(
     # Instrumented execution: per-operator stats are only collected with a
     # live telemetry (the NULL path skips the bookkeeping entirely).
     records = dataset.rows if rows is None else dataset.rows[: max(rows, 1)]
-    cfg = ExecutionConfig(telemetry=telemetry, functions=dataset.functions)
     many_run = (
         from_collection(records, config=cfg).where_many(selected).run(cfg)
     )

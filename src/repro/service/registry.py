@@ -339,6 +339,9 @@ class QueryRegistry:
 
     def _apply_add(self, program: Program) -> None:
         if self._cache_probe():
+            # A hit is the patch that produced the live tree — one with no
+            # pair merges — so last_patch never describes an older plan.
+            self.last_patch = PatchResult(tree=self._tree, action="add")
             return
         started = time.perf_counter()
         try:
@@ -367,7 +370,7 @@ class QueryRegistry:
 
     def _apply_remove(self, entry: RegisteredQuery) -> None:
         if self._cache_probe():
-            self.last_patch = None
+            self.last_patch = PatchResult(tree=self._tree, action="remove")
             return
         started = time.perf_counter()
         try:

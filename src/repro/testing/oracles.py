@@ -219,8 +219,7 @@ def _check_executors(
             report = consolidate_all(
                 list(programs),
                 dataset.functions,
-                cost_model,
-                executor=executor,
+                config=ExecutionConfig(cost_model=cost_model, executor=executor),
             )
         except Exception as exc:  # noqa: BLE001
             out.append(

@@ -102,7 +102,23 @@ REMOVED_KEYWORDS = [
     (run_figure9, ("workers", "backend")),
     (run_figure10, ("workers", "backend")),
     (run_latency_experiment, ("cost_model", "backend")),
-    (consolidate_all, ("parallel",)),
+    (
+        consolidate_all,
+        (
+            "parallel",
+            # PR 14: every ExecutionConfig field consolidate_all used to
+            # take again as a keyword.
+            "executor",
+            "max_workers",
+            "telemetry",
+            "provenance",
+            "prefilter",
+            "planner",
+            "calibration",
+            "smt_budget_seconds",
+            "cost_model",
+        ),
+    ),
 ]
 
 
@@ -119,6 +135,18 @@ def test_removed_legacy_keyword_raises_type_error(function, keyword):
     # arguments are needed.
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         function(**{keyword: None})
+
+
+def test_consolidate_all_signature_is_config_only():
+    assert str(inspect.signature(consolidate_all)).split(" -> ")[0] == (
+        "(programs: 'list[Program]', functions: 'FunctionTable', *, "
+        "options: 'ConsolidationOptions | None' = None, order: 'str' = 'clustered', "
+        "priority: 'Sequence[str] | None' = None, keep_tree: 'bool' = False, "
+        "config: 'ExecutionConfig | None' = None)"
+    )
+    # cost_model used to be the third positional parameter.
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3"):
+        consolidate_all([], None, None)
 
 
 def test_removed_shim_names_are_gone():

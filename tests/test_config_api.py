@@ -72,9 +72,11 @@ class TestExecutors:
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_pool_matches_serial(self, weather, batch, executor):
-        serial = consolidate_all(batch, weather.functions, executor="serial")
+        serial = consolidate_all(batch, weather.functions)
         pooled = consolidate_all(
-            batch, weather.functions, executor=executor, max_workers=2
+            batch,
+            weather.functions,
+            config=ExecutionConfig(executor=executor, max_workers=2),
         )
         assert pooled.executor == executor
         assert pooled.program == serial.program
@@ -82,13 +84,17 @@ class TestExecutors:
         assert pooled.tree_depth == serial.tree_depth
 
     def test_executor_recorded_in_report(self, weather, batch):
-        report = consolidate_all(batch, weather.functions, executor="thread")
+        report = consolidate_all(
+            batch, weather.functions, config=ExecutionConfig(executor="thread")
+        )
         assert report.executor == "thread"
         assert report.max_workers >= 1
 
-    def test_unknown_executor_rejected(self, weather, batch):
+    def test_unknown_executor_rejected(self):
+        # ExecutionConfig owns the check; consolidate_all has no executor
+        # keyword of its own to validate.
         with pytest.raises(ValueError, match="executor"):
-            consolidate_all(batch, weather.functions, executor="gpu")
+            ExecutionConfig(executor="gpu")
 
     def test_config_supplies_executor(self, weather, batch):
         cfg = ExecutionConfig(executor="thread", max_workers=2)
@@ -105,6 +111,54 @@ class TestExecutors:
         )
         assert report.executor == "process"
         assert _buckets(serial) == _buckets(pooled)
+
+
+class TestCostModelReachesTheConsolidator:
+    """``config.cost_model`` prices the consolidation, not only the run.
+
+    ``run_where_consolidated`` used to pass ``config=cfg`` but not
+    ``cfg.cost_model``, so the batch was merged — and its cost-never-worse
+    certificate proved — under ``DEFAULT_COST_MODEL`` while the run was
+    charged under ``cfg.cost_model``.
+    """
+
+    def test_consolidator_validation_and_run_share_the_config_cost_model(
+        self, weather, batch, monkeypatch
+    ):
+        from repro.analysis.static import validate_consolidation
+        from repro.consolidation import ConsolidationOptions, divide_conquer
+        from repro.lang.cost import DEFAULT_COST_MODEL, CostModel
+
+        cm = CostModel(branch=DEFAULT_COST_MODEL.branch + 5)
+        cfg = ExecutionConfig(cost_model=cm)
+        seen = []
+
+        class Spy(divide_conquer.Consolidator):
+            def __init__(self, functions, cost_model, *args, **kwargs):
+                seen.append(cost_model)
+                super().__init__(functions, cost_model, *args, **kwargs)
+
+        monkeypatch.setattr(divide_conquer, "Consolidator", Spy)
+        pair, rows = batch[:2], weather.rows[:60]
+        result, report = run_where_consolidated(
+            rows,
+            pair,
+            weather.functions,
+            options=ConsolidationOptions(static_validate=True),
+            config=cfg,
+        )
+        assert seen and all(model is cm for model in seen)
+
+        (validation,) = report.validations
+        under_cm = validate_consolidation(pair, report.program, weather.functions, cm)
+        under_default = validate_consolidation(pair, report.program, weather.functions)
+        assert under_cm.originals_cost_upper != under_default.originals_cost_upper
+        assert validation.originals_cost_upper == under_cm.originals_cost_upper
+        assert validation.merged_cost_upper == under_cm.merged_cost_upper
+
+        many = run_where_many(rows, pair, weather.functions, config=cfg)
+        assert result.metrics.udf_cost <= many.metrics.udf_cost
+        assert _buckets(result) == _buckets(many)
 
 
 class TestExecutorBackendMatrix:

@@ -4,6 +4,7 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
+from repro.config import ExecutionConfig
 from repro.consolidation import ConsolidationOptions, check_soundness, consolidate_all
 from repro.datasets import generate_news, generate_stocks
 from repro.experiments import (
@@ -73,17 +74,23 @@ class TestDivideConquer:
 
     def test_parallel_matches_serial(self):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(6)]
-        serial = consolidate_all(programs, FT, executor="serial")
-        parallel = consolidate_all(programs, FT, executor="thread", max_workers=3)
+        serial = consolidate_all(programs, FT)
+        parallel = consolidate_all(
+            programs, FT, config=ExecutionConfig(executor="thread", max_workers=3)
+        )
         assert serial.program == parallel.program
         assert serial.pair_consolidations == parallel.pair_consolidations == 5
         assert serial.tree_depth == parallel.tree_depth
 
     def test_report_records_pool_configuration(self):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
-        serial = consolidate_all(programs, FT, executor="serial", max_workers=8)
+        serial = consolidate_all(
+            programs, FT, config=ExecutionConfig(executor="serial", max_workers=8)
+        )
         assert (serial.executor, serial.max_workers) == ("serial", 1)
-        parallel = consolidate_all(programs, FT, executor="thread", max_workers=2)
+        parallel = consolidate_all(
+            programs, FT, config=ExecutionConfig(executor="thread", max_workers=2)
+        )
         assert (parallel.executor, parallel.max_workers) == ("thread", 2)
 
     def test_empty_batch_rejected(self):

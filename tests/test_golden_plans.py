@@ -1,0 +1,74 @@
+"""Golden plan equivalence: the merge driver against its recorded decisions.
+
+``tests/golden/consolidation_plans.json`` was written by
+``tools/gen_golden_plans.py`` at the commit before the driver was collapsed
+to one level loop over a pairing policy.  Every row is replayed through the
+current driver and must come out byte for byte: the merged program's text,
+the pair count and depth, the merge tree's shape and the calibrated
+planner's decisions.  The ``related`` rows are replayed on all three
+executors — pairing and merge order inside a level may not depend on which
+one runs them.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "gen_golden_plans", REPO_ROOT / "tools" / "gen_golden_plans.py"
+)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+GOLDEN = json.loads(gen.GOLDEN_PATH.read_text())
+RECORDED = ("program", "pair_consolidations", "tree_depth", "shape", "planner_decisions")
+
+
+@pytest.fixture(scope="module")
+def batches():
+    return gen.batches()
+
+
+def _replays():
+    for row in GOLDEN["plans"]:
+        # Calibrated levels run in-process whatever the executor, so one
+        # executor covers them.
+        executors = ("serial", "thread", "process") if row["planner"] == "related" else ("serial",)
+        for executor in executors:
+            budget = row["smt_budget_seconds"]
+            name = f"{row['domain']}-{row['order']}-{row['planner']}"
+            yield pytest.param(
+                row, executor, id=f"{name}{'' if budget is None else '-budget0'}-{executor}"
+            )
+
+
+def test_golden_file_covers_the_matrix():
+    assert GOLDEN["families"] == gen.MIXED_FAMILY
+    assert len(GOLDEN["plans"]) == len(gen.MIXED_FAMILY) * (len(gen.ORDERS) + 4)
+    assert any(
+        not merged for row in GOLDEN["plans"] for _, _, merged, _ in row["planner_decisions"]
+    ), "no golden row exercises a planner skip"
+
+
+@pytest.mark.parametrize("row, executor", _replays())
+def test_plan_replays_byte_for_byte(batches, row, executor):
+    programs, functions = batches[row["domain"]]
+    record = gen.plan_record(
+        programs,
+        functions,
+        row["order"],
+        row["planner"],
+        row["smt_budget_seconds"],
+        executor=executor,
+    )
+    for key in RECORDED:
+        assert record[key] == row[key], f"{key} differs from the golden plan"
+
+
+@pytest.mark.parametrize("domain", sorted(GOLDEN["incremental"]))
+def test_incremental_script_replays(batches, domain):
+    programs, functions = batches[domain]
+    assert gen.incremental_record(programs, functions) == GOLDEN["incremental"][domain]

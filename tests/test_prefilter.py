@@ -281,8 +281,8 @@ class TestOperators:
 class TestConsolidateAll:
     def test_report_carries_prefilter_and_span(self, dataset, batch):
         telemetry = Telemetry.capture(trace=True)
-        config = ExecutionConfig(prefilter=True, telemetry=telemetry)
-        report = consolidate_all(batch, dataset.functions, config=config, provenance=True)
+        config = ExecutionConfig(prefilter=True, provenance=True, telemetry=telemetry)
+        report = consolidate_all(batch, dataset.functions, config=config)
         assert report.prefilter is not None
         assert report.prefilter.certificate in ("proved", "trivial")
         assert report.prefilter_seconds > 0

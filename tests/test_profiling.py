@@ -412,8 +412,7 @@ class TestPlannerEndToEnd:
         report = consolidate_all(
             programs,
             weather.functions,
-            planner="calibrated",
-            smt_budget_seconds=0.0,
+            config=ExecutionConfig(planner="calibrated", smt_budget_seconds=0.0),
         )
         merges = [d for d in report.planner_decisions if d["merged"]]
         assert merges
@@ -438,7 +437,9 @@ class TestPlannerEndToEnd:
             weather, "Mix", n=8, seed=2
         )
         report = consolidate_all(
-            programs, weather.functions, planner="calibrated", provenance=True
+            programs,
+            weather.functions,
+            config=ExecutionConfig(planner="calibrated", provenance=True),
         )
         heuristics = [
             h
@@ -475,12 +476,21 @@ class TestPlannerEndToEnd:
         with pytest.raises(ValueError):
             ExecutionConfig(smt_budget_seconds=-1.0)
 
-    def test_unknown_planner_rejected_by_consolidate_all(self, weather):
+    @pytest.mark.parametrize("order", ["fold", "priority"])
+    def test_calibrated_planner_rejects_fold_orders(self, weather, order):
+        # The calibrated planner plans tree levels; a fold has none.  The
+        # combination used to run the plain fold while the report claimed
+        # "calibrated" — now it is refused with the other preconditions.
         programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=2, seed=1
+            weather, "Mix", n=3, seed=1
         )
-        with pytest.raises(ValueError):
-            consolidate_all(programs, weather.functions, planner="bogus")
+        with pytest.raises(ValueError, match=rf"planner='calibrated'.*order='{order}'"):
+            consolidate_all(
+                programs,
+                weather.functions,
+                order=order,
+                config=ExecutionConfig(planner="calibrated"),
+            )
 
     def test_registry_metrics_doc_reports_calibration(self, weather):
         from repro.service.registry import QueryRegistry

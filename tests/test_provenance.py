@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 import repro.provenance.recorder as recorder_mod
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.provenance import (
@@ -15,6 +16,8 @@ from repro.provenance import (
 )
 from repro.provenance.recorder import _strip_timings
 from repro.queries import DOMAIN_QUERIES
+
+RECORDING = ExecutionConfig(provenance=True)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +87,7 @@ class TestRecorderUnit:
 class TestRecordedConsolidation:
     def test_derivations_land_on_report(self, weather):
         dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions, provenance=True)
+        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
         assert len(report.derivations) == 1
         tree = report.derivations[0]
         assert tree.left == programs[0].pid and tree.right == programs[1].pid
@@ -101,7 +104,7 @@ class TestRecordedConsolidation:
 
     def test_entailments_have_contexts_and_sources(self, weather):
         dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions, provenance=True)
+        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
         entailments = report.derivations[0].entailments()
         assert entailments
         assert {e.source for e in entailments} <= {
@@ -116,7 +119,7 @@ class TestRecordedConsolidation:
         dataset, programs = weather
         off = consolidate_all(programs[:2], dataset.functions)
         assert off.derivations == []
-        on = consolidate_all(programs[:3], dataset.functions, provenance=True)
+        on = consolidate_all(programs[:3], dataset.functions, config=RECORDING)
         assert len(on.derivations) == 2  # two pair merges for a batch of 3
         clones = pickle.loads(pickle.dumps(on.derivations))
         assert [t.merged for t in clones] == [t.merged for t in on.derivations]

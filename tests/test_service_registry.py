@@ -182,6 +182,31 @@ def test_plan_cache_hit_on_alpha_renamed_reregistration(weather):
     assert set(result.buckets) <= set(plan_after.pids)
 
 
+def test_last_patch_describes_a_plan_cache_hit(weather):
+    # register ×3, unregister the middle query (a cache miss → "remove"
+    # patch), re-register it (a cache hit).  The hit produced the live
+    # tree, so it is what last_patch — and /v1/explain — must describe.
+    registry = QueryRegistry(weather.functions)
+    batch = weather_batch(weather, n=3)
+    for program in batch:
+        registry.register(program)
+    registry.unregister(batch[1].pid)
+    assert registry.explain()["last_patch"]["action"] == "remove"
+    assert registry.explain()["last_patch"]["pair_merges"] >= 1
+
+    registry.register(batch[1])
+    assert registry.stats["plan_cache_hits"] == 1
+    last = registry.explain()["last_patch"]
+    assert (last["action"], last["pair_merges"], last["fallback"]) == ("add", 0, None)
+    assert registry.last_patch.tree is registry.tree
+
+    # The remove path answers a hit the same way.
+    registry.unregister(batch[1].pid)
+    assert registry.stats["plan_cache_hits"] == 2
+    last = registry.explain()["last_patch"]
+    assert (last["action"], last["pair_merges"]) == ("remove", 0)
+
+
 def test_plan_cache_capacity_zero_disables(weather):
     registry = QueryRegistry(
         weather.functions, service=ServiceConfig(plan_cache_size=0)

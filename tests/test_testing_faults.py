@@ -10,6 +10,7 @@ still catching a genuine miscompile.
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.consolidation.divide_conquer import SMT_UNKNOWN_NOTE
 from repro.lang.compile import CompileError, compile_cached, make_runner
@@ -177,7 +178,9 @@ class TestWorkerDeath:
         baseline = consolidate_all(list(PROGRAMS), WEATHER.functions)
         with worker_death():
             report = consolidate_all(
-                list(PROGRAMS), WEATHER.functions, executor="process", max_workers=2
+                list(PROGRAMS),
+                WEATHER.functions,
+                config=ExecutionConfig(executor="process", max_workers=2),
             )
         assert report.degradations, "the broken pool must be recorded"
         assert any("process pool failed" in d for d in report.degradations)
