@@ -42,7 +42,7 @@ from ..smt.terms import (
     cone_of_influence,
     eq_f,
     fand,
-    free_syms,
+    formula_tokens,
     le_f,
     t_sub,
 )
@@ -59,7 +59,7 @@ def stable_conjuncts(psi: Formula, killed_names: set[str]) -> Formula:
 
     killed_syms = {var_sym(n).name for n in killed_names}
     parts = psi.args if isinstance(psi, FAnd) else (psi,)
-    kept = [p for p in parts if not (free_syms(p) & killed_syms)]
+    kept = [p for p in parts if formula_tokens(p).isdisjoint(killed_syms)]
     return fand(*kept)
 
 

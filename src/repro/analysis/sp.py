@@ -106,23 +106,25 @@ class SpEngine:
             sort = self.sort_of(expr)
         except TypeError_:
             sort = "int"
-        old = var_sym(var).name
         fresh = self.fresh_sym(var)
-        renaming: dict[str, Term] = {old: fresh}
+        renaming: dict[str, Term] = {var_sym(var).name: fresh}
 
+        # The defining fact of the new value, over the *old* value renamed;
+        # None havocs: nothing is known about the new value.
+        defining: Formula | None = None
         if sort == BOOL:
-            enc = self.encode_bool(expr)
+            cond = self.encode_bool(expr)
+            if cond is not None:
+                defining = fiff(eq_f(var_sym(var), Num(1)), rename_syms(cond, renaming))
         else:
-            enc = self.encode_int(expr)
-        psi2 = rename_syms(psi, renaming)
+            value = self.encode_int(expr)
+            if value is not None:
+                defining = eq_f(var_sym(var), rename_syms_term(value, renaming))
         self.sorts[var] = sort
-        if enc is None:
-            return psi2  # havoc: nothing known about the new value
-        if sort == BOOL:
-            enc_renamed = rename_syms(enc, renaming)  # type: ignore[arg-type]
-            return fand(psi2, fiff(eq_f(var_sym(var), Num(1)), enc_renamed))
-        enc_renamed = rename_syms_term(enc, renaming)  # type: ignore[arg-type]
-        return fand(psi2, eq_f(var_sym(var), enc_renamed))
+        # rename_syms rebuilds only the conjuncts that mention ``var``; the
+        # rest of Ψ comes back by identity.
+        psi2 = rename_syms(psi, renaming)
+        return psi2 if defining is None else fand(psi2, defining)
 
     def post(self, psi: Formula, s: Stmt) -> Formula:
         """``sp(Ψ, S)`` for an arbitrary statement."""

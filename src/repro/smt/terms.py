@@ -20,13 +20,21 @@ that fragment, with aggressive canonicalisation:
 
 Everything is immutable and structurally hashable, which makes formulas
 usable as cache keys for entailment memoisation.
+
+Because nodes never change, facts derived from a node are computed once and
+kept *on the node* in non-compared, non-printed slots: the structural hash
+(``_hash``), the canonical sort key of an atom (``_key``, its ``repr``) and
+the interaction tokens of a formula (``_tokens``).  There is nothing to
+invalidate, the caches die with the node, and they never leave the process
+(see :func:`_cached`).  Slot fills are idempotent — two threads racing on
+an empty slot store the same value — so ``executor="thread"`` needs no lock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar, Union
 
 __all__ = [
     "Term",
@@ -64,8 +72,6 @@ __all__ = [
     "fimplies",
     "fiff",
     "term_atoms",
-    "formula_atoms",
-    "formula_terms",
     "rename_syms_term",
     "rename_syms",
     "free_syms",
@@ -75,6 +81,44 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
+
+
+_T = TypeVar("_T")
+
+
+def _slot() -> Any:
+    """A lazily filled cache slot: not an ``__init__`` argument, not compared,
+    not hashed, not printed."""
+
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def _cached(cls: type[_T]) -> type[_T]:
+    """Cache the dataclass's structural hash in the node's ``_hash`` slot.
+
+    Also pickles the node through its constructor, so no cache slot crosses
+    a process boundary: ``str`` hashes are salted per interpreter, and a
+    hash cached by a ``executor="process"`` worker would poison every dict
+    lookup on the receiving side.
+    """
+
+    node: Any = cls
+    structural_hash: Callable[[Any], int] = node.__hash__
+    init_names = tuple(f.name for f in fields(node) if f.init)
+
+    def cached_hash(self: Any) -> int:
+        h: Optional[int] = self._hash
+        if h is None:
+            h = structural_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def reduce(self: Any) -> tuple[Any, ...]:
+        return cls, tuple(getattr(self, name) for name in init_names)
+
+    setattr(cls, "__hash__", cached_hash)
+    setattr(cls, "__reduce__", reduce)
+    return cls
 
 
 class Term:
@@ -90,24 +134,31 @@ class Num(Term):
     value: int
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class Sym(Term):
     """An integer variable (program local, argument, or fresh name)."""
 
     name: str
+    _hash: Optional[int] = _slot()
+    _key: Optional[str] = _slot()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class App(Term):
     """An uninterpreted function application ``f(t1..tk)``."""
 
     func: str
     args: tuple[Term, ...]
+    _hash: Optional[int] = _slot()
+    _key: Optional[str] = _slot()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class Lin(Term):
     """``const + sum(coef * atom)`` with atoms Sym/App, coefs nonzero, sorted.
@@ -118,6 +169,7 @@ class Lin(Term):
 
     const: int
     coeffs: tuple[tuple[Term, int], ...]
+    _hash: Optional[int] = _slot()
 
 
 Atom = Union[Sym, App]
@@ -136,7 +188,15 @@ def app(func: str, *args: Term) -> App:
 
 
 def _atom_key(atom: Term) -> str:
-    return repr(atom)
+    """The canonical sort key of an atom: its ``repr``, computed once."""
+
+    if not isinstance(atom, (Sym, App)):
+        return repr(atom)
+    key = atom._key
+    if key is None:
+        key = repr(atom)
+        object.__setattr__(atom, "_key", key)
+    return key
 
 
 def as_linear(t: Term) -> tuple[int, dict[Term, int]]:
@@ -199,7 +259,7 @@ def t_mul(a: Term, b: Term) -> Term:
         return t_scale(a.value, b)
     if isinstance(b, Num):
         return t_scale(b.value, a)
-    left, right = sorted((a, b), key=repr)
+    left, right = sorted((a, b), key=_atom_key)
     return App("@mul", (left, right))
 
 
@@ -212,6 +272,12 @@ class Formula:
     """Base class of quantifier-free formulas."""
 
     __slots__ = ()
+
+
+# Interaction tokens of a formula (see :func:`formula_tokens`): variable
+# names, plus ``("app", t)`` for every ground application ``t``.
+Token = Union[str, tuple[str, Term]]
+Tokens = frozenset[Token]
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,33 +294,48 @@ TRUE_F = FTrue()
 FALSE_F = FFalse()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class Le(Formula):
     """``term <= 0`` in integer-tightened linear normal form."""
 
     term: Term
+    _hash: Optional[int] = _slot()
+    _tokens: Optional[Tokens] = _slot()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class Eq(Formula):
     """``term = 0`` in normalised linear form."""
 
     term: Term
+    _hash: Optional[int] = _slot()
+    _tokens: Optional[Tokens] = _slot()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class FNot(Formula):
     operand: Formula
+    _hash: Optional[int] = _slot()
+    _tokens: Optional[Tokens] = _slot()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class FAnd(Formula):
     args: tuple[Formula, ...]
+    _hash: Optional[int] = _slot()
+    _tokens: Optional[Tokens] = _slot()
 
 
+@_cached
 @dataclass(frozen=True, slots=True)
 class FOr(Formula):
     args: tuple[Formula, ...]
+    _hash: Optional[int] = _slot()
+    _tokens: Optional[Tokens] = _slot()
 
 
 def _coeff_gcd(coeffs: dict[Term, int]) -> int:
@@ -339,9 +420,9 @@ def fand(*fs: Formula) -> Formula:
             flat.extend(f.args)
         else:
             flat.append(f)
-    # Deduplicate while preserving order (formulas hash structurally).
-    seen: set[Formula] = set()
-    unique = [f for f in flat if not (f in seen or seen.add(f))]
+    # Deduplicate while preserving order (formulas hash structurally, and
+    # each node computes its hash once).
+    unique = list(dict.fromkeys(flat))
     if not unique:
         return TRUE_F
     if len(unique) == 1:
@@ -360,8 +441,7 @@ def for_(*fs: Formula) -> Formula:
             flat.extend(f.args)
         else:
             flat.append(f)
-    seen: set[Formula] = set()
-    unique = [f for f in flat if not (f in seen or seen.add(f))]
+    unique = list(dict.fromkeys(flat))
     if not unique:
         return FALSE_F
     if len(unique) == 1:
@@ -392,44 +472,60 @@ def term_atoms(t: Term) -> Iterator[Term]:
             yield atom
 
 
-def formula_atoms(f: Formula) -> Iterator[Formula]:
-    """All theory atoms (``Le``/``Eq``) occurring in ``f``."""
+def rename_syms_term(t: Term, mapping: Mapping[str, Term]) -> Term:
+    """Substitute variables by terms, everywhere including App arguments.
 
-    if isinstance(f, (Le, Eq)):
-        yield f
-    elif isinstance(f, FNot):
-        yield from formula_atoms(f.operand)
-    elif isinstance(f, (FAnd, FOr)):
-        for g in f.args:
-            yield from formula_atoms(g)
-
-
-def formula_terms(f: Formula) -> Iterator[Term]:
-    for atom in formula_atoms(f):
-        yield atom.term  # type: ignore[union-attr]
-
-
-def rename_syms_term(t: Term, mapping: dict[str, Term]) -> Term:
-    """Substitute variables by terms, everywhere including App arguments."""
+    A term mentioning no mapped variable is returned by identity.
+    """
 
     if isinstance(t, Num):
         return t
     if isinstance(t, Sym):
         return mapping.get(t.name, t)
     if isinstance(t, App):
-        return App(t.func, tuple(rename_syms_term(a, mapping) for a in t.args))
+        args = tuple(rename_syms_term(a, mapping) for a in t.args)
+        if all(new is old for new, old in zip(args, t.args)):
+            return t
+        return App(t.func, args)
     if isinstance(t, Lin):
-        result: Term = Num(t.const)
+        const = t.const
+        coeffs: dict[Term, int] = {}
+        touched = False
         for atom, coef in t.coeffs:
-            result = t_add(result, t_scale(coef, rename_syms_term(atom, mapping)))
-        return result
+            renamed = rename_syms_term(atom, mapping)
+            touched = touched or renamed is not atom
+            c, monomials = as_linear(renamed)
+            const += coef * c
+            for a, k in monomials.items():
+                coeffs[a] = coeffs.get(a, 0) + coef * k
+        return from_linear(const, coeffs) if touched else t
     raise TypeError(f"not a term: {t!r}")
 
 
-def rename_syms(f: Formula, mapping: dict[str, Term]) -> Formula:
-    """Substitute variables by terms throughout a formula (re-canonicalising)."""
+def rename_syms(f: Formula, mapping: Mapping[str, Term]) -> Formula:
+    """Substitute variables by terms throughout a formula (re-canonicalising).
 
-    if isinstance(f, (FTrue, FFalse)):
+    Identity-preservation contract: only the sub-formulas whose symbols
+    intersect ``mapping`` are rebuilt.  Every other conjunct/disjunct — and
+    ``f`` itself when nothing is touched — is returned as the *same object*,
+    so extending a context costs what the statement touches, and the
+    untouched conjuncts keep their cached hash and tokens.  (The full walk
+    this replaces is kept as the reference in
+    :func:`repro.testing.reference.rename_syms_full_walk`.)
+    """
+
+    if isinstance(f, (FAnd, FOr)):
+        # Per child, never for the junction itself: a context is rebuilt by
+        # every statement, so a union over all of its conjuncts would put
+        # the O(|Ψ|) walk back.
+        args = [
+            g if formula_tokens(g).isdisjoint(mapping) else rename_syms(g, mapping)
+            for g in f.args
+        ]
+        if all(new is old for new, old in zip(args, f.args)):
+            return f
+        return fand(*args) if isinstance(f, FAnd) else for_(*args)
+    if formula_tokens(f).isdisjoint(mapping):
         return f
     if isinstance(f, Le):
         return le_f(rename_syms_term(f.term, mapping), Num(0))
@@ -437,31 +533,7 @@ def rename_syms(f: Formula, mapping: dict[str, Term]) -> Formula:
         return eq_f(rename_syms_term(f.term, mapping), Num(0))
     if isinstance(f, FNot):
         return fnot(rename_syms(f.operand, mapping))
-    if isinstance(f, FAnd):
-        return fand(*(rename_syms(g, mapping) for g in f.args))
-    if isinstance(f, FOr):
-        return for_(*(rename_syms(g, mapping) for g in f.args))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _term_syms(t: Term, out: set[str]) -> None:
-    if isinstance(t, Sym):
-        out.add(t.name)
-    elif isinstance(t, App):
-        for a in t.args:
-            _term_syms(a, out)
-    elif isinstance(t, Lin):
-        for atom, _coef in t.coeffs:
-            _term_syms(atom, out)
-
-
-def free_syms(f: Formula) -> set[str]:
-    """All variable names occurring in ``f``."""
-
-    out: set[str] = set()
-    for t in formula_terms(f):
-        _term_syms(t, out)
-    return out
 
 
 def _is_ground(t: Term) -> bool:
@@ -476,7 +548,7 @@ def _is_ground(t: Term) -> bool:
     return False
 
 
-def _term_tokens(t: Term, out: set) -> None:
+def _term_tokens(t: Term, out: set[Token]) -> None:
     if isinstance(t, Sym):
         out.add(t.name)
     elif isinstance(t, App):
@@ -489,19 +561,40 @@ def _term_tokens(t: Term, out: set) -> None:
             _term_tokens(atom, out)
 
 
-def formula_tokens(f: Formula) -> set:
+_NO_TOKENS: Tokens = frozenset()
+
+
+def formula_tokens(f: Formula) -> Tokens:
     """Interaction tokens: variable names plus ground-application keys.
 
     Two conjuncts can influence a common entailment only through a chain of
     shared tokens — shared variables, or equal ground applications such as
-    ``f(3)`` whose results congruence identifies.  Used by
-    :func:`cone_of_influence`.
+    ``f(3)`` whose results congruence identifies.  This is the one accessor
+    for "what does this formula mention": computed once per node and cached
+    on it, it serves :func:`cone_of_influence`, :func:`rename_syms`,
+    :func:`free_syms` and ``invariants.stable_conjuncts``.
     """
 
-    out: set = set()
-    for t in formula_terms(f):
-        _term_tokens(t, out)
-    return out
+    if not isinstance(f, (Le, Eq, FNot, FAnd, FOr)):
+        return _NO_TOKENS  # FTrue / FFalse
+    tokens = f._tokens
+    if tokens is None:
+        if isinstance(f, (Le, Eq)):
+            out: set[Token] = set()
+            _term_tokens(f.term, out)
+            tokens = frozenset(out)
+        elif isinstance(f, FNot):
+            tokens = formula_tokens(f.operand)
+        else:
+            tokens = _NO_TOKENS.union(*map(formula_tokens, f.args))
+        object.__setattr__(f, "_tokens", tokens)
+    return tokens
+
+
+def free_syms(f: Formula) -> set[str]:
+    """All variable names occurring in ``f``."""
+
+    return {token for token in formula_tokens(f) if isinstance(token, str)}
 
 
 def cone_of_influence(hypothesis: Formula, goal: Formula) -> Formula:
@@ -517,16 +610,15 @@ def cone_of_influence(hypothesis: Formula, goal: Formula) -> Formula:
     parts = list(hypothesis.args) if isinstance(hypothesis, FAnd) else [hypothesis]
     if len(parts) <= 1:
         return hypothesis
-    part_tokens = [(p, formula_tokens(p)) for p in parts]
-    reached = formula_tokens(goal)
+    reached = set(formula_tokens(goal))
     kept: list[Formula] = []
-    pending = part_tokens
+    pending = [(p, formula_tokens(p)) for p in parts]
     changed = True
     while changed:
         changed = False
         remaining = []
         for p, tokens in pending:
-            if tokens & reached:
+            if not tokens.isdisjoint(reached):
                 kept.append(p)
                 reached |= tokens
                 changed = True

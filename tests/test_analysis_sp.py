@@ -203,3 +203,106 @@ def test_sp_soundness_on_loop_program(a0, n):
     env["a!a"] = a0
     # Fresh (renamed) symbols are havocked — _holds treats them as free.
     assert _holds(psi, env, {f.name: f for f in ft})
+
+
+# -- complexity: extending Ψ costs what the statement touches -------------------
+
+
+class TestCostIsWhatTheStatementTouches:
+    """Counted, not timed: canonicalising calls must not grow with |Ψ|."""
+
+    @staticmethod
+    def context(n):
+        """Two conjuncts on ``x`` and ``n`` conjuncts that do not mention it."""
+
+        from repro.smt.terms import t_add
+
+        untouched = [le_f(var_sym(f"y{i}"), Num(i)) for i in range(n)]
+        on_x = [
+            le_f(var_sym("x"), Num(5)),
+            eq_f(var_sym("w"), t_add(var_sym("x"), Num(1))),
+        ]
+        return fand(*untouched[: n // 2], *on_x, *untouched[n // 2 :]), untouched
+
+    @staticmethod
+    def count_canonicalisations(monkeypatch):
+        from repro.smt import terms
+
+        calls = {"le_f": 0, "eq_f": 0, "from_linear": 0}
+
+        def counted(name):
+            real = getattr(terms, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(terms, name, counted(name))
+        return calls
+
+    def measure(self, monkeypatch, n, step):
+        psi, untouched = self.context(n)
+        with monkeypatch.context() as patch:
+            calls = self.count_canonicalisations(patch)
+            post = step(psi)
+        kept = {id(part) for part in post.args}
+        assert all(id(part) in kept for part in untouched)
+        return dict(calls)
+
+    def test_assign(self, ft, monkeypatch):
+        def step(psi):
+            return SpEngine(ft).assign(psi, "x", add(var("x"), 1))
+
+        small = self.measure(monkeypatch, 50, step)
+        assert small["from_linear"] > 0
+        assert self.measure(monkeypatch, 800, step) == small
+
+    def test_havoc(self, ft, monkeypatch):
+        def step(psi):
+            return SpEngine(ft).havoc(psi, {"x"})
+
+        small = self.measure(monkeypatch, 50, step)
+        assert small["from_linear"] > 0
+        assert self.measure(monkeypatch, 800, step) == small
+
+    def test_loop_invariant_body_execution(self, ft, monkeypatch):
+        """``post(pre, body)`` runs once per candidate over ``stable ∧ ...``:
+        a large stable part must ride through it by identity."""
+
+        from repro.analysis import loop_invariant
+
+        body = block(assign("i", add(var("i"), 1)), assign("j", add(var("j"), 1)))
+        conds = [lt(var("i"), 10), lt(var("j"), 11)]
+
+        def run(n):
+            engine = SpEngine(ft)
+            untouched = [le_f(var_sym(f"y{k}"), Num(k)) for k in range(n)]
+            psi = fand(*untouched, eq_f(var_sym("i"), Num(0)), eq_f(var_sym("j"), Num(1)))
+            posts = []
+            real_post = engine.post
+
+            def post(pre, stmt):
+                out = real_post(pre, stmt)
+                posts.append(out)
+                return out
+
+            engine.post = post
+            with monkeypatch.context() as patch:
+                calls = self.count_canonicalisations(patch)
+                inv = loop_invariant(engine, Solver(), psi, conds, body)
+            assert posts, "no candidate reached the inductiveness check"
+            for out in posts:
+                kept = {id(part) for part in out.args}
+                assert all(id(part) in kept for part in untouched)
+            return dict(calls), inv
+
+        small_calls, small_inv = run(50)
+        large_calls, large_inv = run(800)
+        assert large_calls == small_calls
+        from repro.smt.terms import t_sub
+
+        for inv in (small_inv, large_inv):
+            assert Solver().entails(inv, eq_f(t_sub(var_sym("j"), var_sym("i")), Num(1)))

@@ -132,3 +132,85 @@ class TestMinimizeCore:
         lits = [TheoryLiteral("le", t_sub(sym(f"v{i}"), sym(f"v{i+1}"))) for i in range(30)]
         lits += [TheoryLiteral("le", t_sub(sym("v30"), sym("v0"))), TheoryLiteral("le", t_sub(num(1), num(0)))]
         assert len(minimize_core(lits, budget=5)) == len(lits)
+
+
+class TestTheoryMemoIsBounded:
+    """The process-wide memo is an LRU: it plateaus, and keeps admitting."""
+
+    def test_evicts_the_oldest_and_keeps_the_recent(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.smt import combine
+
+        cap = 8
+        uncached_calls = []
+        real = combine._check_literals_uncached
+
+        def counting(literals):
+            uncached_calls.append(frozenset(literals))
+            return real(literals)
+
+        monkeypatch.setattr(combine, "_CHECK_CACHE", OrderedDict())
+        monkeypatch.setattr(combine, "_CHECK_CACHE_LIMIT", cap)
+        monkeypatch.setattr(combine, "_check_literals_uncached", counting)
+
+        def key(i):
+            return [TheoryLiteral("le", t_sub(x, num(i)))]
+
+        for i in range(cap):
+            check_literals(key(i))
+        check_literals(key(0))  # a hit: key 0 becomes the most recently used
+        assert len(uncached_calls) == cap
+        for i in range(cap, 2 * cap - 1):  # overflow by cap - 1 fresh keys
+            check_literals(key(i))
+            assert len(combine._CHECK_CACHE) <= cap
+
+        before = len(uncached_calls)
+        assert check_literals(key(0)).status == "sat"  # survived: recently used
+        assert check_literals(key(2 * cap - 2)).status == "sat"  # admitted past the cap
+        assert len(uncached_calls) == before
+        check_literals(key(1))  # the oldest unused entry was evicted
+        assert len(uncached_calls) == before + 1
+        assert len(combine._CHECK_CACHE) == cap
+
+    def test_thread_workers_share_it_safely(self, monkeypatch):
+        """``executor="thread"`` workers hit, refresh and evict concurrently."""
+
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.smt import combine
+
+        cap = 4
+        monkeypatch.setattr(combine, "_CHECK_CACHE", OrderedDict())
+        monkeypatch.setattr(combine, "_CHECK_CACHE_LIMIT", cap)
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(300):
+                    k = (i * 7 + offset) % 11
+                    # x <= k and x >= k + 1 is unsat; x <= k alone is sat.
+                    lits = [TheoryLiteral("le", t_sub(x, num(k)))]
+                    if k % 2:
+                        lits.append(TheoryLiteral("le", t_sub(num(k + 1), x)))
+                    expected = "unsat" if k % 2 else "sat"
+                    assert check_literals(lits).status == expected
+                    assert len(combine._CHECK_CACHE) <= cap
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert len(combine._CHECK_CACHE) <= cap
