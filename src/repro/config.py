@@ -53,9 +53,10 @@ class ExecutionConfig:
 
     ``backend``
         UDF execution backend: ``"compiled"`` (default), ``"interp"``, or
-        ``"vectorized"`` — struct-of-arrays column batches executed from
-        the operators' flush path, per-row compiled fallback for programs
-        the shape classifier cannot bound (see :mod:`repro.lang.vectorize`).
+        ``"vectorized"`` — whole batches run through one row-loop kernel
+        from the operators' flush path, per-row compiled fallback for
+        programs the shape classifier cannot bound (see
+        :mod:`repro.lang.vectorize`).
     ``workers``
         Data-parallel dataflow shards.
     ``cost_model``

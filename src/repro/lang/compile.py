@@ -23,7 +23,15 @@ and emits Python source for a specialised closure instead:
 * the fuel check is hoisted to loop back-edges, so straight-line code pays
   zero per-node overhead.  Each back-edge burns the static node count of
   one iteration, which bounds runaway loops within a small constant factor
-  of the interpreter's per-node budget.
+  of the interpreter's per-node budget;
+* a dynamic sort check on a parameter the program never assigns is emitted
+  once per dominating point, not once per read.
+
+:class:`_Emitter` is the only translator from Figure-1 to Python.  It has
+two *frames* around the same lowered body: the per-record closure built
+here, and the batch kernel of :mod:`repro.lang.vectorize` (the same body
+inside a row loop), which overrides the emitter's prologue/epilogue, what
+a ``notify`` commits to, and how a library function is bound.
 
 The compiled closure honours the interpreter's observable contract: the
 same :class:`RunResult` (env, notifications, cost, notification_costs) and
@@ -45,7 +53,8 @@ import logging
 import re
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from time import perf_counter
+from typing import Callable, Mapping, TypeVar
 
 from .ast import (
     Arg,
@@ -117,13 +126,15 @@ class CompileError(Exception):
     """The program cannot be translated; callers fall back to the interpreter."""
 
 
-def _contains_loop(s: Stmt) -> bool:
-    if isinstance(s, While):
+def _contains(s: Stmt, kinds: type | tuple[type, ...]) -> bool:
+    if isinstance(s, kinds):
         return True
     if isinstance(s, Seq):
-        return any(_contains_loop(sub) for sub in s.stmts)
+        return any(_contains(sub, kinds) for sub in s.stmts)
     if isinstance(s, If):
-        return _contains_loop(s.then) or _contains_loop(s.orelse)
+        return _contains(s.then, kinds) or _contains(s.orelse, kinds)
+    if isinstance(s, While):
+        return _contains(s.body, kinds)
     return False
 
 
@@ -140,7 +151,9 @@ def _collect_assigns(s: Stmt, out: list[tuple[str, Expr]]) -> None:
         _collect_assigns(s.body, out)
 
 
-def _static_var_sorts(program: Program) -> dict[str, str | None]:
+def _static_var_sorts(
+    params: tuple[str, ...], assigns: list[tuple[str, Expr]]
+) -> dict[str, str | None]:
     """Flow-insensitive sort inference for local variables.
 
     A variable's sort is known when every assignment to it produces the
@@ -152,9 +165,6 @@ def _static_var_sorts(program: Program) -> dict[str, str | None]:
     interpreter checks dynamically.
     """
 
-    assigns: list[tuple[str, Expr]] = []
-    _collect_assigns(program.body, assigns)
-    params = set(program.params)
     sorts: dict[str, str | None] = {}
 
     def esort(e: Expr) -> str | None:
@@ -190,12 +200,17 @@ def _static_var_sorts(program: Program) -> dict[str, str | None]:
 
 
 class _Emitter:
-    """Single-pass AST -> Python source translator.
+    """Single-pass AST -> Python source translator — the only one.
 
     ``pending`` accumulates the statically known cost of the current basic
     block; it is flushed into the run-time ``_cost`` accumulator only at
     block boundaries (branch joins, loop back-edges, function exit) and
     read without flushing at ``notify`` latency captures.
+
+    This class is the *per-record frame*: ``_compiled_run(_args, _budget)``.
+    The batch frame (:mod:`repro.lang.vectorize`) puts the same lowered body
+    inside a row loop and overrides only :meth:`prologue` / :meth:`epilogue`,
+    :meth:`commit_notify` and :meth:`bind_call`.
     """
 
     def __init__(
@@ -205,7 +220,7 @@ class _Emitter:
         self.cm = cost_model
         self.memoize = memoize_calls
         self.lines: list[str] = []
-        # Globals bound into the exec namespace of the compiled closure.
+        # Globals bound into the exec namespace of the generated function.
         self.bindings: dict[str, object] = {
             "_InterpError": InterpError,
             "_NotificationClash": NotificationClash,
@@ -215,6 +230,16 @@ class _Emitter:
         self.slots: dict[str, str] = {}  # source name -> mangled local
         self.callers: dict[str, tuple[str, int]] = {}  # func -> (global, cost)
         self.var_sorts: dict[str, str | None] = {}
+        # Dominated-check elimination: ``known[p]`` is the sort a check
+        # emitted at a point dominating the current one proved for ``p``.
+        # Only parameters the program never assigns (``stable``) qualify —
+        # ``row := "s"`` makes ``@row`` mutable and every check must stay.
+        self.stable: frozenset[str] = frozenset()
+        self.known: dict[str, str] = {}
+        # Names whose reads go through an ``_UNDEF`` check (batch frame: a
+        # Python local outlives its row; here Python's own unbound-local
+        # detection does the job, so the set stays empty).
+        self.undef: frozenset[str] = frozenset()
         self.pending = 0
         self._tmp = 0
 
@@ -230,6 +255,12 @@ class _Emitter:
             self.slots[name] = mangled
         return mangled
 
+    def bind_call(self, func: str, fn: Callable[..., object]) -> Callable[..., object]:
+        """The callable a ``Call`` node invokes (wrapped: failures surface
+        as :class:`InterpError`, exactly as ``Interpreter._eval_call``)."""
+
+        return make_memo_call(func, fn) if self.memoize else make_lib_call(func, fn)
+
     def caller(self, func: str) -> tuple[str, int]:
         entry = self.callers.get(func)
         if entry is None:
@@ -238,10 +269,7 @@ class _Emitter:
             except KeyError:
                 raise CompileError(f"unknown library function {func!r}") from None
             name = f"_c{len(self.callers)}"
-            wrapper = (
-                make_memo_call(func, lib.fn) if self.memoize else make_lib_call(func, lib.fn)
-            )
-            self.bindings[name] = wrapper
+            self.bindings[name] = self.bind_call(func, lib.fn)
             entry = (name, lib.cost)
             self.callers[func] = entry
         return entry
@@ -282,18 +310,32 @@ class _Emitter:
             self.emit(depth, f"_cost += {self.pending}")
         self.pending = 0
 
+    def elapsed(self) -> str:
+        """The run's cost so far, as a Python expression (notify latency)."""
+
+        return f"_cost + {self.pending}" if self.pending else "_cost"
+
+    def _pad(self, mark: int, depth: int) -> None:
+        if len(self.lines) == mark:
+            self.emit(depth, "pass")
+
     def _check(self, depth: int, cond: str, exc: str, message: str) -> None:
         self.emit(depth, f"if {cond}:")
         self.emit(depth + 1, f"raise {exc}({message!r})")
 
-    def _check_int(self, name: str, e: Expr, depth: int, kind: str) -> None:
+    def _learn(self, operand: Expr, sort: str) -> None:
+        if isinstance(operand, (Arg, Var)) and operand.name in self.stable:
+            self.known[operand.name] = sort
+
+    def _check_int(self, name: str, operand: Expr, e: Expr, depth: int) -> None:
         # Matches the interpreter's arithmetic requirement: int but not bool.
         self._check(
             depth,
             f"not isinstance({name}, int) or isinstance({name}, bool)",
             "_InterpError",
-            f"{kind}: {expr_to_str(e)}",
+            f"arithmetic on non-integers: {expr_to_str(e)}",
         )
+        self._learn(operand, INT)
 
     def _check_ordered(self, name: str, e: Expr, depth: int) -> None:
         # The interpreter's ordering check admits bools (they are ints).
@@ -304,8 +346,9 @@ class _Emitter:
             f"ordering on non-integers: {expr_to_str(e)}",
         )
 
-    def _check_bool(self, name: str, message: str, depth: int) -> None:
+    def _check_bool(self, name: str, operand: Expr, message: str, depth: int) -> None:
         self._check(depth, f"not isinstance({name}, bool)", "_InterpError", message)
+        self._learn(operand, BOOL)
 
     # -- expressions --------------------------------------------------------
 
@@ -326,10 +369,14 @@ class _Emitter:
             return repr(e.value), cm.str_const, STR
         if isinstance(e, BoolConst):
             return ("True" if e.value else "False"), cm.bool_const, BOOL
-        if isinstance(e, Arg):
-            return self.slot(e.name), cm.arg, None
-        if isinstance(e, Var):
-            return self.slot(e.name), cm.var, self.var_sorts.get(e.name)
+        if isinstance(e, (Arg, Var)):
+            py = self.slot(e.name)
+            if e.name in self.undef:
+                self._check(
+                    depth, f"{py} is _UNDEF", "_InterpError", f"unbound variable {e.name!r}"
+                )
+            cost = cm.arg if isinstance(e, Arg) else cm.var
+            return py, cost, self.known.get(e.name) or self.var_sorts.get(e.name)
         if isinstance(e, Call):
             parts: list[str] = []
             cost = 0
@@ -348,9 +395,9 @@ class _Emitter:
             if rs != INT:
                 rpy = self.materialize(rpy, depth)
             if ls != INT:
-                self._check_int(lpy, e, depth, "arithmetic on non-integers")
+                self._check_int(lpy, e.left, e, depth)
             if rs != INT:
-                self._check_int(rpy, e, depth, "arithmetic on non-integers")
+                self._check_int(rpy, e.right, e, depth)
             return f"({lpy} {e.op} {rpy})", lc + rc + cm.arith_cost(e.op), INT
         if isinstance(e, Cmp):
             lpy, lc, ls = self.expr(e.left, depth)
@@ -375,7 +422,9 @@ class _Emitter:
             opy, oc, osort = self.expr(e.operand, depth)
             if osort != BOOL:
                 opy = self.materialize(opy, depth)
-                self._check_bool(opy, f"negation of non-boolean: {expr_to_str(e)}", depth)
+                self._check_bool(
+                    opy, e.operand, f"negation of non-boolean: {expr_to_str(e)}", depth
+                )
             return f"(not {opy})", oc + cm.neg, BOOL
         if isinstance(e, BoolOp):
             # Figure 2 evaluates both operands (no short-circuiting).
@@ -388,13 +437,29 @@ class _Emitter:
             rpy = self.materialize(rpy, depth) if rs != BOOL else self.force(rpy, depth)
             msg = f"connective on non-booleans: {expr_to_str(e)}"
             if ls != BOOL:
-                self._check_bool(lpy, msg, depth)
+                self._check_bool(lpy, e.left, msg, depth)
             if rs != BOOL:
-                self._check_bool(rpy, msg, depth)
+                self._check_bool(rpy, e.right, msg, depth)
             return f"({lpy} {e.op} {rpy})", lc + rc + cm.logic_cost(e.op), BOOL
         raise CompileError(f"unknown expression node {e!r}")
 
     # -- statements ---------------------------------------------------------
+
+    def commit_notify(self, pid: str, py: str, depth: int) -> None:
+        """Store one broadcast: clash check, value, latency."""
+
+        # The interpreter evaluates the value *before* the clash check;
+        # force it so an unbound variable wins the race exactly as it does
+        # there.
+        py = self.force(py, depth)
+        self._check(
+            depth,
+            f"{pid!r} in _nots",
+            "_NotificationClash",
+            f"duplicate notification for {pid!r}",
+        )
+        self.emit(depth, f"_nots[{pid!r}] = {py}")
+        self.emit(depth, f"_ncosts[{pid!r}] = {self.elapsed()}")
 
     def stmt(self, s: Stmt, depth: int) -> None:
         cm = self.cm
@@ -409,22 +474,9 @@ class _Emitter:
             py, cost, sort = self.expr(s.expr, depth)
             if sort != BOOL:
                 py = self.materialize(py, depth)
-                self._check_bool(py, f"notify of non-boolean: {stmt_to_str(s)}", depth)
-            else:
-                # The interpreter evaluates the value *before* the clash
-                # check; force bare reads so an unbound variable wins the
-                # race exactly as it does there.
-                py = self.force(py, depth)
-            self._check(
-                depth,
-                f"{s.pid!r} in _nots",
-                "_NotificationClash",
-                f"duplicate notification for {s.pid!r}",
-            )
-            self.emit(depth, f"_nots[{s.pid!r}] = {py}")
+                self._check_bool(py, s.expr, f"notify of non-boolean: {stmt_to_str(s)}", depth)
             self.pending += cost + cm.notify
-            at = f"_cost + {self.pending}" if self.pending else "_cost"
-            self.emit(depth, f"_ncosts[{s.pid!r}] = {at}")
+            self.commit_notify(s.pid, py, depth)
             return
         if isinstance(s, Seq):
             for sub in s.stmts:
@@ -434,7 +486,9 @@ class _Emitter:
             py, cost, sort = self.expr(s.cond, depth)
             if sort != BOOL:
                 py = self.materialize(py, depth)
-                self._check_bool(py, f"branch on non-boolean: {expr_to_str(s.cond)}", depth)
+                self._check_bool(
+                    py, s.cond, f"branch on non-boolean: {expr_to_str(s.cond)}", depth
+                )
             self.pending += cost + cm.branch
             entry = self.pending
             self.emit(depth, f"if {py}:")
@@ -454,31 +508,37 @@ class _Emitter:
             py, cost, sort = self.expr(s.cond, d)
             if sort != BOOL:
                 py = self.materialize(py, d)
-                self._check_bool(py, f"loop on non-boolean: {expr_to_str(s.cond)}", d)
+                self._check_bool(py, s.cond, f"loop on non-boolean: {expr_to_str(s.cond)}", d)
             test_cost = cost + cm.branch
             self.emit(d, f"if not {py}:")
             if test_cost:
                 self.emit(d + 1, f"_cost += {test_cost}")
             self.emit(d + 1, "break")
-            self.pending = test_cost
-            self.stmt(s.body, d)
-            self.flush(d)
+            self._block(s.body, d, test_cost)
             return
         raise CompileError(f"unknown statement node {s!r}")
 
     def _block(self, s: Stmt, depth: int, entry_cost: int) -> None:
-        before = len(self.lines)
+        """An ``If`` arm or loop body: its own basic block, and its own
+        scope for dominated checks — what a block proves does not survive
+        it (the other arm, or zero iterations, may have run instead), while
+        what its condition proved beforehand does."""
+
+        mark = len(self.lines)
+        known = self.known
+        self.known = dict(known)
         self.pending = entry_cost
         self.stmt(s, depth)
         self.flush(depth)
-        if len(self.lines) == before:
-            self.emit(depth, "pass")
+        self.known = known
+        self._pad(mark, depth)
 
     # -- whole programs -----------------------------------------------------
 
-    def build(self, program: Program) -> str:
+    def prologue(self, program: Program) -> int:
+        """Open the generated function; returns the body's indent depth."""
+
         params = program.params
-        self.var_sorts = _static_var_sorts(program)
         self.emit(0, "def _compiled_run(_args, _budget):")
         if params:
             have = " and ".join(f"{p!r} in _args" for p in params)
@@ -490,7 +550,7 @@ class _Emitter:
             )
             for p in params:
                 self.emit(1, f"{self.slot(p)} = _args[{p!r}]")
-        if _contains_loop(program.body):
+        if _contains(program.body, While):
             self.emit(1, "_fuel = _budget")
         self.emit(1, "_nots = {}")
         self.emit(1, "_ncosts = {}")
@@ -498,11 +558,13 @@ class _Emitter:
         if self.memoize:
             self.emit(1, "_cache = {}")
         self.emit(1, "try:")
-        before = len(self.lines)
-        self.stmt(program.body, 2)
-        self.flush(2)
-        if len(self.lines) == before:
-            self.emit(2, "pass")
+        return 2
+
+    def epilogue(self, depth: int, mark: int) -> None:
+        """Close the body (``mark`` is where it began) and return."""
+
+        self.flush(depth)
+        self._pad(mark, depth)
         # A read of a never-assigned slot compiles to a *global* load and
         # raises plain NameError; UnboundLocalError (its subclass) covers
         # slots assigned on some path only.  Catch the base class.
@@ -520,6 +582,16 @@ class _Emitter:
         self.bindings["_SRC_NAMES"] = {
             mangled: src for src, mangled in self.slots.items()
         }
+
+    def build(self, program: Program) -> str:
+        assigns: list[tuple[str, Expr]] = []
+        _collect_assigns(program.body, assigns)
+        self.var_sorts = _static_var_sorts(program.params, assigns)
+        self.stable = frozenset(program.params) - {name for name, _ in assigns}
+        depth = self.prologue(program)
+        mark = len(self.lines)
+        self.stmt(program.body, depth)
+        self.epilogue(depth, mark)
         return "\n".join(self.lines) + "\n"
 
 
@@ -588,9 +660,41 @@ def compile_program(
     return compiled
 
 
-# One cache bucket per function table (weak, so dropping a dataset frees
-# its compiled UDFs), keyed by the structural program identity and cost
-# model — whereMany's 50 UDFs compile once per job, not once per record.
+_T = TypeVar("_T")
+
+
+def _cached(
+    cache: "weakref.WeakKeyDictionary[FunctionTable, dict]",
+    functions: FunctionTable,
+    key: tuple,
+    build: Callable[[], _T],
+    telemetry,
+    series: str,
+    *,
+    refresh: bool = False,
+) -> tuple[_T, bool]:
+    """The lowering caches' one lookup; returns ``(value, missed)``.
+
+    One bucket per function table (weak, so dropping a dataset frees its
+    lowered UDFs), keyed by the structural program identity and cost model
+    — whereMany's 50 UDFs lower once per job, not once per record, and a
+    consolidated plan the service runs repeatedly lowers once.  Traffic is
+    counted into ``<series>_hits_total`` / ``<series>_misses_total``;
+    ``refresh`` forces a miss (fault injection).
+    """
+
+    per_table = cache.get(functions)
+    if per_table is None:
+        per_table = cache.setdefault(functions, {})
+    value = None if refresh else per_table.get(key)
+    missed = value is None
+    if missed:
+        value = per_table[key] = build()
+    if telemetry is not None and telemetry.enabled:
+        telemetry.counter(f"{series}_{'misses' if missed else 'hits'}_total").inc()
+    return value, missed
+
+
 _CACHE: "weakref.WeakKeyDictionary[FunctionTable, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -610,20 +714,8 @@ def compile_cached(
     the ``compile_seconds`` histogram.
     """
 
-    per_table = _CACHE.get(functions)
-    if per_table is None:
-        per_table = _CACHE.setdefault(functions, {})
-    key = (program, cost_model, memoize_calls, max_steps)
-    compiled = per_table.get(key)
-    if compiled is not None and FAULT_HOOK is not None:
-        if FAULT_HOOK("compile.cache_lookup", program):
-            compiled = None
-    live = telemetry is not None and telemetry.enabled
-    if compiled is None:
-        if live:
-            from time import perf_counter
-
-            started = perf_counter()
+    def build() -> CompiledProgram:
+        started = perf_counter()
         compiled = compile_program(
             program,
             functions,
@@ -631,13 +723,13 @@ def compile_cached(
             memoize_calls=memoize_calls,
             max_steps=max_steps,
         )
-        per_table[key] = compiled
-        if live:
-            telemetry.counter("compile_cache_misses_total").inc()
+        if telemetry is not None and telemetry.enabled:
             telemetry.histogram("compile_seconds").observe(perf_counter() - started)
-    elif live:
-        telemetry.counter("compile_cache_hits_total").inc()
-    return compiled
+        return compiled
+
+    key = (program, cost_model, memoize_calls, max_steps)
+    refresh = FAULT_HOOK is not None and bool(FAULT_HOOK("compile.cache_lookup", program))
+    return _cached(_CACHE, functions, key, build, telemetry, "compile_cache", refresh=refresh)[0]
 
 
 def clear_compile_cache() -> None:
@@ -704,9 +796,9 @@ def make_runner(
         return profiler.wrap_runner(runner, program, functions, served_by)
 
     if backend in ("compiled", "vectorized"):
-        # The vectorized backend is batch-oriented: its column kernels live
-        # in repro.lang.vectorize and are driven from the dataflow
-        # operators' flush path.  Any caller asking for a *per-record*
+        # The vectorized backend is batch-oriented: its kernels live in
+        # repro.lang.vectorize and are driven from the dataflow operators'
+        # flush path.  Any caller asking for a *per-record*
         # runner under backend="vectorized" (prefilter guards, harness
         # probes, the fallback rung itself) gets the compiled closure —
         # which is exactly what a one-row batch degrades to anyway.

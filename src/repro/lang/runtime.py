@@ -14,11 +14,14 @@ graph acyclic: the compiler imports the runtime, never the reverse.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Mapping
 
 from .interp import InterpError
 
 __all__ = ["make_lib_call", "make_memo_call", "unbound_error"]
+
+_QUOTED = re.compile(r"'(\w+)'")
 
 
 def make_lib_call(name: str, fn: Callable[..., object]) -> Callable[..., object]:
@@ -65,6 +68,10 @@ def unbound_error(exc: BaseException, source_names: Mapping[str, str]) -> Interp
     into the interpreter's unbound-variable error, mapping the mangled slot
     name back to the source-program name."""
 
-    slot = getattr(exc, "name", None)
+    # Not ``exc.name``: CPython leaves it ``None`` on ``UnboundLocalError``
+    # (3.11 and before), while every supported version quotes the slot in
+    # the message.
+    quoted = _QUOTED.search(str(exc))
+    slot = quoted.group(1) if quoted else None
     name = source_names.get(slot, slot)
     return InterpError(f"unbound variable {name!r}")

@@ -1,46 +1,48 @@
-"""Columnar (vectorized) execution backend for Figure-1 programs.
+"""Batch-at-a-time ("vectorized") execution backend for Figure-1 programs.
 
 The compiled backend (:mod:`repro.lang.compile`) removed the interpreter's
-per-*node* overhead but still runs one closure call per *record*: argument
-dict, env materialisation, ``RunResult`` allocation and a cascade of
-per-operand ``isinstance`` checks, times 4000 rows times 50 consolidated
-queries.  This module removes the per-record overhead too, by executing a
-whole **batch** of records through the program at once:
+per-*node* overhead but still pays per *record*: a closure call, an
+argument dict, env materialisation, a notifications dict and a
+``RunResult``, times 4000 rows times 50 queries.  This module removes the
+per-record overhead by running a whole **batch** through one generated
+function — and it does so with the compiled backend's own lowering, not a
+second one:
 
-* batches are struct-of-arrays — plain Python lists as columns, one per
-  argument/local, no numpy dependency (mirroring the dependency-free
-  telemetry layer);
-* every statement's expression is fused into one **column kernel**: a
-  generated list comprehension evaluated once per batch, so per-element
-  work is a single bytecode loop instead of a closure call.  Dynamic sort
-  checks are *hoisted* to one ``all()`` scan per column per kernel where
-  the operand is a bare argument/local, and inlined only around nested
-  call results;
-* ``if`` runs both arms over **selection vectors**: the condition column
-  partitions the active rows, each arm executes on its compacted
-  sub-batch (gather), and assignments/notifications scatter back — effect
-  masking, so an arm's ``notify`` fires only for rows that took it;
-* ``while`` executes as a shrinking live-set iteration: every iteration
-  re-tests the condition column over the rows still live and charges the
-  Figure-2 test cost to each of them.  The per-row fuel ledger burns the
-  same per-iteration budget as the compiled backend's loop back-edges, so
-  a record that would exceed ``max_steps`` degrades instead of looping on;
-* costs are exact: each frame accumulates the statically folded pending
-  cost of its basic block and flushes it into a per-record cost array at
-  the same boundaries the compiled emitter flushes (branch entry, loop
-  tests, notify latency capture, frame exit).  ``SoundnessReport`` and the
-  cost-attribution trajectory metrics therefore compare like with like.
+* the kernel is ``_kern(_n, _budget, *columns)``: the body
+  :class:`repro.lang.compile._Emitter` emits for the per-record closure,
+  inside ``for <param slots> in <columns>:``.  ``if`` / ``while`` are
+  native per-row control flow, locals are Python locals, sort checks, cost
+  folding, latency capture and the fuel ledger are the emitter's — there
+  is one translator from Figure-1 to Python, and :class:`_KernelEmitter`
+  overrides only the three places where a batch differs from a record:
+  prologue/epilogue, what a ``notify`` commits to, how a library function
+  is bound;
+* results are struct-of-arrays — plain Python lists, no numpy: a cost
+  column and per-pid ``present`` / ``values`` / latency columns.  A pid
+  every run broadcasts on exactly once, whatever its path, appends to its
+  columns and shares the batch's all-true ``full_mask``; any other pid
+  stores at the row index, behind an inline clash check when some path
+  may broadcast twice;
+* a program with no ``if`` / ``while`` has a compile-time-constant cost
+  and per-pid latency, so its kernel keeps no ``_cost`` books at all and
+  returns ``[K] * _n`` columns;
+* Python locals outlive a row, so a local that some path may read before
+  *this* row assigned it (:func:`_row_facts`) is reset to
+  ``_UNDEF`` at the top of every row and read through a check — without
+  it a row would silently see its predecessor's value where the
+  interpreter raises ``unbound variable``.
 
-The safety story is a **fallback ladder**, not a verifier: any dynamic
-condition the kernels cannot reproduce bit-for-bit (a sort-check failure,
-a library call raising, a notification clash, a possibly-unassigned local,
-fuel exhaustion, a kernel crash) abandons the batch *before any effect is
-committed* and re-runs every record through the existing compiled closure
-— which reproduces the interpreter's exact result or error, in record
-order.  Programs the PR-7 shape classifier marks ``unbounded`` never get
-a plan and take the per-row road from the start.  Degradation is recorded
-(``BatchResult.fallback`` + ``vectorized_fallback*`` telemetry), never an
-error.
+The safety story is a **fallback ladder**, not a verifier.  Nothing a
+kernel computes is visible until it returns, so *any* exception inside it
+— a failed sort check, a library function raising (they are bound
+unwrapped), a notification clash, an unassigned local, fuel exhaustion, a
+bug — abandons the batch and re-runs every record through the compiled
+closure, which reproduces the interpreter's exact result or error, in
+record order.  Programs the PR-7 shape classifier marks ``unbounded``
+never get a kernel and take the per-row road from the start, as do
+programs Python cannot compile (control flow nested past its indentation
+limit).  Degradation is recorded (``BatchResult.fallback`` +
+``vectorized_fallback*`` telemetry), never an error.
 
 The three-way differential oracle (:mod:`repro.testing.oracles`) holds
 this backend to *identical* notifications, costs and latencies against the
@@ -50,34 +52,15 @@ interpreter and the compiled backend on every fuzzed batch.
 from __future__ import annotations
 
 import weakref
+from copy import copy
 from typing import Callable, Mapping, Optional, Sequence
 
-from .ast import (
-    Arg,
-    Assign,
-    BinOp,
-    BoolConst,
-    BoolOp,
-    Call,
-    Cmp,
-    Expr,
-    If,
-    IntConst,
-    Not,
-    Notify,
-    Program,
-    Seq,
-    Skip,
-    Stmt,
-    StrConst,
-    Var,
-    While,
-)
-from .compile import DEFAULT_MAX_STEPS, _static_var_sorts, make_runner
+from .ast import If, Program, Stmt, While
+from .compile import DEFAULT_MAX_STEPS, _cached, _contains, _Emitter, make_runner
 from .cost import DEFAULT_COST_MODEL, CostModel
-from .functions import BOOL, INT, STR, FunctionTable
+from .functions import FunctionTable
 from .interp import RunResult
-from .visitors import stmt_size
+from .visitors import expr_args, expr_vars
 
 __all__ = [
     "VECTORIZED_BACKEND",
@@ -96,9 +79,9 @@ __all__ = [
 #                                      compiled fallback (recorded, never
 #                                      an error);
 #   ("vectorize.finish", program)    — may return a VectorizedProgram
-#                                      transformer, modelling a mis-masked
-#                                      plan (the differential oracle must
-#                                      catch the corrupted output).
+#                                      transformer, modelling a corrupted
+#                                      kernel (the differential oracle
+#                                      must catch the wrong output).
 # None — the production value — costs one attribute read per site.
 FAULT_HOOK = None
 
@@ -109,793 +92,143 @@ _UNDEF = object()
 
 
 class VectorizeError(Exception):
-    """The program cannot be translated into column kernels."""
+    """The records cannot be bound to the program's parameters."""
 
 
-class _Degrade(Exception):
-    """Internal: abandon the batch and re-run it per row (always safe)."""
+# -- the batch frame --------------------------------------------------------
 
 
-class _KernelCheck(Exception):
-    """Internal: a hoisted/inline sort check failed inside a kernel."""
+def _row_facts(program: Program) -> tuple[dict[str, tuple[int, int]], frozenset[str]]:
+    """What the batch frame must know about one run of ``program``.
 
-
-# -- kernel runtime helpers (bound into every kernel namespace) -------------
-
-
-def _ci(v):
-    """Arithmetic operand: int but not bool (the interpreter's check)."""
-
-    if type(v) is int:
-        return v
-    raise _KernelCheck
-
-
-def _co(v):
-    """Ordering operand: int, bools admitted (the interpreter's check)."""
-
-    if isinstance(v, int):
-        return v
-    raise _KernelCheck
-
-
-def _cb(v):
-    """Boolean context: exactly bool."""
-
-    if isinstance(v, bool):
-        return v
-    raise _KernelCheck
-
-
-def _all_int(col):
-    return all(type(v) is int for v in col)
-
-
-def _all_ord(col):
-    return all(isinstance(v, int) for v in col)
-
-
-def _all_bool(col):
-    return all(isinstance(v, bool) for v in col)
-
-
-_HOIST_FNS = {"int": _all_int, "ord": _all_ord, "bool": _all_bool}
-
-
-# -- kernels ----------------------------------------------------------------
-
-
-class _Kernel:
-    """One fused column expression: ``fn(n, *gathered_columns) -> list``."""
-
-    __slots__ = ("fn", "srcs", "cost")
-
-    def __init__(self, fn: Callable, srcs: tuple[str, ...], cost: int) -> None:
-        self.fn = fn
-        self.srcs = srcs
-        self.cost = cost
-
-
-class _KernelBuilder:
-    """Translate one expression into a fused comprehension kernel.
-
-    The element translation mirrors :class:`repro.lang.compile._Emitter`'s
-    expression walk, with two twists: dynamic checks on bare argument /
-    local operands are hoisted to whole-column prechecks (one C-speed
-    ``all()`` per column per kernel), and the non-short-circuiting
-    connectives compile to ``&`` / ``|`` on checked bools, which evaluate
-    both operands exactly as Figure 2 demands.  Any check failure raises
-    :class:`_KernelCheck`, which the executor turns into a batch degrade —
-    the per-row fallback then reproduces the interpreter's exact error.
+    ``(notify_counts, undef)``: per pid, the fewest and most broadcasts
+    over all paths of a run; and the names some path may read before the
+    *current row* assigned them (parameters start assigned, an ``If`` keeps
+    what both arms assign, a loop body — zero iterations — adds nothing).
+    Over-approximating ``undef`` only costs a reset and a check per read.
     """
 
-    def __init__(
-        self, functions: FunctionTable, cost_model: CostModel, var_sorts: dict
-    ) -> None:
-        self.functions = functions
-        self.cm = cost_model
-        self.var_sorts = var_sorts
-        self.srcs: dict[str, str] = {}  # source name -> element itervar
-        self.checks: dict[tuple[str, str], None] = {}  # (name, kind), ordered
-        self.local_vars: dict[str, tuple[str, Optional[str]]] = {}
-        self.callers: dict[str, tuple[str, int]] = {}
-        self.bindings: dict[str, object] = {
-            "_ci": _ci,
-            "_co": _co,
-            "_cb": _cb,
-            "_KernelCheck": _KernelCheck,
-        }
+    # Deferred: the analyses import this package.
+    from ..analysis.static import DefiniteAssignmentDomain, NotificationDomain, analyze_program
 
-    def _src(self, name: str) -> str:
-        itervar = self.srcs.get(name)
-        if itervar is None:
-            itervar = f"_x{len(self.srcs)}"
-            self.srcs[name] = itervar
-        return itervar
+    undef: set[str] = set()
 
-    def _caller(self, func: str) -> tuple[str, int]:
-        entry = self.callers.get(func)
-        if entry is None:
-            try:
-                lib = self.functions[func]
-            except KeyError:
-                raise VectorizeError(f"unknown library function {func!r}") from None
-            name = f"_f{len(self.callers)}"
-            self.bindings[name] = lib.fn
-            entry = (name, lib.cost)
-            self.callers[func] = entry
-        return entry
+    def visit(stmt: Stmt, state) -> None:
+        e = stmt.cond if isinstance(stmt, (If, While)) else stmt.expr
+        undef.update((expr_vars(e) | expr_args(e)) - state.assigned)
 
-    def _checked(self, py: str, node: Expr, sort, kind: str) -> str:
-        """Guard one operand for ``kind`` ∈ {int, ord, bool} contexts."""
-
-        if kind == "int" and sort == INT:
-            return py
-        if kind == "ord" and sort in (INT, BOOL):
-            return py
-        if kind == "bool" and sort == BOOL:
-            return py
-        if isinstance(node, Arg) or (
-            isinstance(node, Var) and node.name not in self.local_vars
-        ):
-            # Bare column read: hoist to one whole-column precheck.  A
-            # fused-run local is a scalar, not a column — wrap it instead.
-            self.checks[(node.name, kind)] = None
-            return py
-        wrapper = {"int": "_ci", "ord": "_co", "bool": "_cb"}[kind]
-        return f"{wrapper}({py})"
-
-    def expr(self, e: Expr) -> tuple[str, int, Optional[str]]:
-        """Element translation: ``(python_elem, static_cost, sort)``."""
-
-        cm = self.cm
-        if isinstance(e, IntConst):
-            return repr(e.value), cm.int_const, INT
-        if isinstance(e, StrConst):
-            return repr(e.value), cm.str_const, STR
-        if isinstance(e, BoolConst):
-            return ("True" if e.value else "False"), cm.bool_const, BOOL
-        if isinstance(e, Arg):
-            return self._src(e.name), cm.arg, None
-        if isinstance(e, Var):
-            local = self.local_vars.get(e.name)
-            if local is not None:
-                return local[0], cm.var, local[1]
-            return self._src(e.name), cm.var, self.var_sorts.get(e.name)
-        if isinstance(e, Call):
-            parts: list[str] = []
-            cost = 0
-            for a in e.args:
-                py, c, _ = self.expr(a)
-                parts.append(py)
-                cost += c
-            name, call_cost = self._caller(e.func)
-            return f"{name}({', '.join(parts)})", cost + call_cost, None
-        if isinstance(e, BinOp):
-            lpy, lc, ls = self.expr(e.left)
-            rpy, rc, rs = self.expr(e.right)
-            lpy = self._checked(lpy, e.left, ls, "int")
-            rpy = self._checked(rpy, e.right, rs, "int")
-            return f"({lpy} {e.op} {rpy})", lc + rc + cm.arith_cost(e.op), INT
-        if isinstance(e, Cmp):
-            lpy, lc, ls = self.expr(e.left)
-            rpy, rc, rs = self.expr(e.right)
-            cost = lc + rc + cm.cmp_cost(e.op)
-            if e.op == "=":
-                # Equality accepts any values, and Python ``==`` over the
-                # value domain always yields a genuine bool — so, unlike
-                # the compiled emitter's static sort, the *runtime* sort
-                # is BOOL and downstream contexts need no re-check.
-                return f"({lpy} == {rpy})", cost, BOOL
-            lpy = self._checked(lpy, e.left, ls, "ord")
-            rpy = self._checked(rpy, e.right, rs, "ord")
-            return f"({lpy} {e.op} {rpy})", cost, BOOL
-        if isinstance(e, Not):
-            opy, oc, osort = self.expr(e.operand)
-            opy = self._checked(opy, e.operand, osort, "bool")
-            return f"(not {opy})", oc + cm.neg, BOOL
-        if isinstance(e, BoolOp):
-            # Figure 2 evaluates both operands (no short-circuiting);
-            # ``&`` / ``|`` on checked bools do exactly that.
-            lpy, lc, ls = self.expr(e.left)
-            rpy, rc, rs = self.expr(e.right)
-            lpy = self._checked(lpy, e.left, ls, "bool")
-            rpy = self._checked(rpy, e.right, rs, "bool")
-            symbol = "&" if e.op == "and" else "|"
-            return f"({lpy} {symbol} {rpy})", lc + rc + cm.logic_cost(e.op), BOOL
-        raise VectorizeError(f"unknown expression node {e!r}")
-
-    def finish(self, elem: str, cost: int) -> _Kernel:
-        """Assemble and exec the kernel source around element ``elem``."""
-
-        names = list(self.srcs)
-        itervars = [self.srcs[name] for name in names]
-        gathered = [f"_g{i}" for i in range(len(names))]
-        header = ", ".join(["_n", *gathered])
-        lines = [f"def _kern({header}):", "    if not _n:", "        return []"]
-        index = {name: i for i, name in enumerate(names)}
-        for (name, kind) in self.checks:
-            fn = f"_all_{kind}"
-            self.bindings[fn] = _HOIST_FNS[kind]
-            lines.append(f"    if not {fn}(_g{index[name]}):")
-            lines.append("        raise _KernelCheck")
-        if not names:
-            # Constant element (library calls are deterministic per the
-            # paper's assumptions): evaluate once, replicate.
-            lines.append(f"    _v = {elem}")
-            lines.append("    return [_v] * _n")
-        elif len(names) == 1:
-            lines.append(f"    return [{elem} for {itervars[0]} in _g0]")
-        else:
-            tuple_vars = ", ".join(itervars)
-            zipped = ", ".join(gathered)
-            lines.append(f"    return [{elem} for ({tuple_vars}) in zip({zipped})]")
-        source = "\n".join(lines) + "\n"
-        namespace = dict(self.bindings)
-        exec(compile(source, "<vectorized kernel>", "exec"), namespace)  # noqa: S102
-        return _Kernel(namespace["_kern"], tuple(names), cost)
+    analyze_program(DefiniteAssignmentDomain(), program, visit)
+    counts = analyze_program(NotificationDomain(), program).as_dict()
+    return counts, frozenset(undef - set(program.params))
 
 
-# -- plan nodes -------------------------------------------------------------
-
-
-class _OpAssign:
-    __slots__ = ("kern", "var", "cost")
-
-    def __init__(self, kern: _Kernel, var: str, cost: int) -> None:
-        self.kern = kern
-        self.var = var
-        self.cost = cost  # expr cost + cm.assign
-
-
-class _OpNotify:
-    __slots__ = ("kern", "pid", "cost")
-
-    def __init__(self, kern: _Kernel, pid: str, cost: int) -> None:
-        self.kern = kern
-        self.pid = pid
-        self.cost = cost  # expr cost + cm.notify
-
-
-class _OpIf:
-    __slots__ = ("kern", "entry_cost", "then_ops", "else_ops")
-
-    def __init__(self, kern: _Kernel, entry_cost: int, then_ops, else_ops) -> None:
-        self.kern = kern
-        self.entry_cost = entry_cost  # cond cost + cm.branch
-        self.then_ops = then_ops
-        self.else_ops = else_ops
-
-
-class _OpWhile:
-    __slots__ = ("kern", "test_cost", "body_ops", "fuel")
-
-    def __init__(self, kern: _Kernel, test_cost: int, body_ops, fuel: int) -> None:
-        self.kern = kern
-        self.test_cost = test_cost  # cond cost + cm.branch, per test
-        self.body_ops = body_ops
-        self.fuel = fuel  # per-iteration budget burn (compiled back-edge)
-
-
-class _OpStraight:
-    """A fused run of consecutive assignments and notifies.
-
-    One kernel evaluates the whole run per element, keeping intermediate
-    locals in Python variables; only notify values and the assigned names
-    still *live* after the run come back as columns (``notifies`` first,
-    then ``out_vars``).  Costs are static over the run: ``flush_prefix``
-    is the accumulated cost at the last notify (flushed there, exactly as
-    the unfused ops would), and each notify carries its ``lag`` — how far
-    its own prefix sits before that flush point.
-
-    ``tail`` marks the final op of a top-level plan: nothing after it can
-    charge row-varying cost, so a wholesale notify commit may defer its
-    ncost column to ``final costs - (lag + total - flush_prefix)``.
-    """
-
-    __slots__ = ("kern", "out_vars", "notifies", "flush_prefix", "total", "tail")
+class _KernelEmitter(_Emitter):
+    """The batch frame: the compiled closure's body inside a row loop."""
 
     def __init__(
         self,
-        kern: _Kernel,
-        out_vars: tuple[str, ...],
-        notifies: tuple[tuple[str, int], ...],  # (pid, lag)
-        flush_prefix: int,
-        total: int,
+        functions: FunctionTable,
+        cost_model: CostModel,
+        notify_counts: Mapping[str, tuple[int, int]],
+        undef: frozenset[str],
     ) -> None:
-        self.kern = kern
-        self.out_vars = out_vars
-        self.notifies = notifies
-        self.flush_prefix = flush_prefix
-        self.total = total
-        self.tail = False
+        # Memoising calls never changes results or costs (library calls are
+        # deterministic per the paper's assumptions); it is honoured on the
+        # per-row rung only.
+        super().__init__(functions, cost_model, memoize_calls=False)
+        self.bindings["_UNDEF"] = _UNDEF
+        self.undef = undef
+        self.static = False  # no If/While: cost and latencies are constants
+        # A pid every run broadcasts on exactly once has its columns
+        # appended to, row by row, and shares the batch's all-true mask.
+        # Any other is stored at the row index — behind a clash check when
+        # some path may broadcast twice.
+        # pid -> (column id, appends, may clash).
+        self.pids = {
+            pid: (k, lo == hi == 1, hi > 1)
+            for k, (pid, (lo, hi)) in enumerate(notify_counts.items())
+        }
+        self.latency: dict[int, int] = {}  # appended column id -> constant latency
 
+    def bind_call(self, func: str, fn: Callable[..., object]) -> Callable[..., object]:
+        # Unwrapped: whatever it raises abandons the batch anyway.
+        return fn
 
-def _build_kernel(
-    e: Expr,
-    functions: FunctionTable,
-    cost_model: CostModel,
-    var_sorts: dict,
-    require_bool: bool,
-) -> tuple[_Kernel, int]:
-    builder = _KernelBuilder(functions, cost_model, var_sorts)
-    elem, cost, sort = builder.expr(e)
-    if require_bool:
-        elem = builder._checked(elem, e, sort, "bool")
-    return builder.finish(elem, cost), cost
+    def elapsed(self) -> str:
+        return str(self.pending) if self.static else super().elapsed()
 
-
-def _expr_reads(e: Expr, out: set) -> None:
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _expr_reads(a, out)
-    elif isinstance(e, (BinOp, Cmp, BoolOp)):
-        _expr_reads(e.left, out)
-        _expr_reads(e.right, out)
-    elif isinstance(e, Not):
-        _expr_reads(e.operand, out)
-
-
-def _stmt_reads(s: Stmt, out: set) -> None:
-    if isinstance(s, (Assign, Notify)):
-        _expr_reads(s.expr, out)
-    elif isinstance(s, Seq):
-        for sub in s.stmts:
-            _stmt_reads(sub, out)
-    elif isinstance(s, If):
-        _expr_reads(s.cond, out)
-        _stmt_reads(s.then, out)
-        _stmt_reads(s.orelse, out)
-    elif isinstance(s, While):
-        _expr_reads(s.cond, out)
-        _stmt_reads(s.body, out)
-
-
-def _flatten(s: Stmt, out: list) -> None:
-    if isinstance(s, Seq):
-        for sub in s.stmts:
-            _flatten(sub, out)
-    elif not isinstance(s, Skip):
-        out.append(s)
-
-
-def _fuse_straight(
-    run: list,
-    functions: FunctionTable,
-    cost_model: CostModel,
-    var_sorts: dict,
-    live_after: set,
-):
-    """Fuse one run of Assign/Notify statements into a single kernel.
-
-    Returns ``None`` when the run must stay unfused (a pid notified twice
-    in the run: the per-row path owns the clash error).  Dead stores are
-    still *evaluated* — their operand checks must fire exactly where the
-    interpreter would error — they just never materialise a column.
-    """
-
-    cm = cost_model
-    pids = [st.pid for st in run if isinstance(st, Notify)]
-    if len(pids) != len(set(pids)):
-        return None
-    b = _KernelBuilder(functions, cm, var_sorts)
-    body: list[str] = []
-    assigned: dict[str, str] = {}  # program var -> kernel local
-    prefix_at: list[tuple[str, int]] = []  # (pid, cost prefix at notify)
-    outs = 0
-    total = 0
-    for st in run:
-        py, cost, sort = b.expr(st.expr)
-        if isinstance(st, Assign):
-            # Consolidated programs carry renamed vars like "q0&q1.q0.x";
-            # mangle by position, never by name, to stay a valid identifier.
-            local = f"_v{len(body)}"
-            body.append(f"{local} = {py}")
-            b.local_vars[st.var] = (local, sort)
-            assigned[st.var] = local
-            total += cost + cm.assign
-        else:
-            py = b._checked(py, st.expr, sort, "bool")
-            body.append(f"_a{outs}({py})")
-            outs += 1
-            total += cost + cm.notify
-            prefix_at.append((st.pid, total))
-    out_vars = tuple(name for name in assigned if name in live_after)
-    for name in out_vars:
-        body.append(f"_a{outs}({assigned[name]})")
-        outs += 1
-
-    names = list(b.srcs)
-    itervars = [b.srcs[name] for name in names]
-    gathered = [f"_g{i}" for i in range(len(names))]
-    header = ", ".join(["_n", *gathered])
-    empty = ", ".join(["[]"] * outs)
-    lines = [
-        f"def _kern({header}):",
-        "    if not _n:",
-        f"        return ({empty}{',' if outs == 1 else ''})",
-    ]
-    index = {name: i for i, name in enumerate(names)}
-    for (name, kind) in b.checks:
-        fn = f"_all_{kind}"
-        b.bindings[fn] = _HOIST_FNS[kind]
-        lines.append(f"    if not {fn}(_g{index[name]}):")
-        lines.append("        raise _KernelCheck")
-    for i in range(outs):
-        lines.append(f"    _o{i} = []")
-        lines.append(f"    _a{i} = _o{i}.append")
-    if not names:
-        lines.append("    for _ in range(_n):")
-    elif len(names) == 1:
-        lines.append(f"    for {itervars[0]} in _g0:")
-    else:
-        tuple_vars = ", ".join(itervars)
-        zipped = ", ".join(gathered)
-        lines.append(f"    for ({tuple_vars}) in zip({zipped}):")
-    for stmt_line in body:
-        lines.append(f"        {stmt_line}")
-    rets = ", ".join(f"_o{i}" for i in range(outs))
-    lines.append(f"    return ({rets}{',' if outs == 1 else ''})")
-    source = "\n".join(lines) + "\n"
-    namespace = dict(b.bindings)
-    exec(compile(source, "<vectorized kernel>", "exec"), namespace)  # noqa: S102
-    kern = _Kernel(namespace["_kern"], tuple(names), total)
-    flush_prefix = prefix_at[-1][1] if prefix_at else 0
-    notifies = tuple((pid, flush_prefix - prefix) for pid, prefix in prefix_at)
-    return _OpStraight(kern, out_vars, notifies, flush_prefix, total)
-
-
-def _build_one(
-    s: Stmt,
-    functions: FunctionTable,
-    cost_model: CostModel,
-    var_sorts: dict,
-    live_after: set,
-):
-    cm = cost_model
-    if isinstance(s, Assign):
-        kern, cost = _build_kernel(s.expr, functions, cm, var_sorts, False)
-        return _OpAssign(kern, s.var, cost + cm.assign)
-    if isinstance(s, Notify):
-        kern, cost = _build_kernel(s.expr, functions, cm, var_sorts, True)
-        return _OpNotify(kern, s.pid, cost + cm.notify)
-    if isinstance(s, If):
-        kern, cost = _build_kernel(s.cond, functions, cm, var_sorts, True)
-        return _OpIf(
-            kern,
-            cost + cm.branch,
-            _build_ops(s.then, functions, cm, var_sorts, live_after),
-            _build_ops(s.orelse, functions, cm, var_sorts, live_after),
-        )
-    if isinstance(s, While):
-        kern, cost = _build_kernel(s.cond, functions, cm, var_sorts, True)
-        # Anything the loop reads (condition or body) may be consumed on
-        # the next iteration; body-local dead stores still fuse away.
-        body_live = set(live_after)
-        _expr_reads(s.cond, body_live)
-        _stmt_reads(s.body, body_live)
-        return _OpWhile(
-            kern,
-            cost + cm.branch,
-            _build_ops(s.body, functions, cm, var_sorts, body_live),
-            stmt_size(s),
-        )
-    raise VectorizeError(f"unknown statement node {s!r}")
-
-
-def _build_ops(
-    s: Stmt,
-    functions: FunctionTable,
-    cost_model: CostModel,
-    var_sorts: dict,
-    live_after: set = frozenset(),
-) -> list:
-    """Translate a statement into plan ops, fusing straight-line runs.
-
-    Liveness flows backward: a statement's ops are built knowing exactly
-    which names any *later* op (or the caller's continuation) still
-    reads, so fused runs only materialise columns someone will consume.
-    The analysis never subtracts on assignment — over-approximating
-    liveness only costs an extra column, never correctness.
-    """
-
-    stmts: list = []
-    _flatten(s, stmts)
-    ops_rev: list = []
-    live = set(live_after)
-    i = len(stmts) - 1
-    while i >= 0:
-        st = stmts[i]
-        if isinstance(st, (Assign, Notify)):
-            j = i
-            while j > 0 and isinstance(stmts[j - 1], (Assign, Notify)):
-                j -= 1
-            run = stmts[j : i + 1]
-            fused = _fuse_straight(run, functions, cost_model, var_sorts, live) if len(run) > 1 else None
-            if fused is not None:
-                ops_rev.append(fused)
+    def commit_notify(self, pid: str, py: str, depth: int) -> None:
+        k, appends, clashes = self.pids[pid]
+        if appends:
+            self.emit(depth, f"_v{k}a({py})")
+            if self.static:
+                self.latency[k] = self.pending
             else:
-                for sub in reversed(run):
-                    ops_rev.append(
-                        _build_one(sub, functions, cost_model, var_sorts, live)
-                    )
-            for sub in run:
-                _stmt_reads(sub, live)
-            i = j - 1
-        else:
-            ops_rev.append(_build_one(st, functions, cost_model, var_sorts, live))
-            _stmt_reads(st, live)
-            i -= 1
-    ops_rev.reverse()
-    return ops_rev
+                self.emit(depth, f"_l{k}a({self.elapsed()})")
+            return
+        if clashes:
+            self._check(
+                depth,
+                f"_p{k}[_i]",
+                "_NotificationClash",
+                f"duplicate notification for {pid!r}",
+            )
+        self.emit(depth, f"_p{k}[_i] = True")
+        self.emit(depth, f"_v{k}[_i] = {py}")
+        self.emit(depth, f"_l{k}[_i] = {self.elapsed()}")
 
-
-# -- batch execution --------------------------------------------------------
-
-
-class _Frame:
-    """One selection of the batch with its compacted column environment.
-
-    ``rows`` are absolute record indices (for cost/notify scatter);
-    ``positions`` index into the parent frame (for env gather/scatter).
-    Columns gather lazily from the parent and cache; assignments replace a
-    whole frame-local column and are scattered back when the frame ends.
-    ``undef`` flags columns that may still hold :data:`_UNDEF` for some
-    row — reading one degrades the batch, exactly where the interpreter
-    would raise an unbound-variable error for *some* active row.
-    """
-
-    __slots__ = ("rows", "env", "parent", "positions", "dirty", "undef", "pending")
-
-    def __init__(self, rows, env, parent=None, positions=None) -> None:
-        self.rows = rows
-        self.env = env
-        self.parent = parent
-        self.positions = positions
-        self.dirty: set[str] = set()
-        self.undef: set[str] = set()
-        self.pending = 0
-
-    def _fetch(self, name: str) -> tuple[list, bool]:
-        """Materialise ``name`` in this frame (no definedness scan)."""
-
-        col = self.env.get(name)
-        if col is not None:
-            return col, name in self.undef
-        if self.parent is None:
-            raise _Degrade(f"unbound name {name!r}")
-        pcol, flagged = self.parent._fetch(name)
-        col = [pcol[j] for j in self.positions]
-        self.env[name] = col
-        if flagged:
-            self.undef.add(name)
-        return col, flagged
-
-    def col(self, name: str) -> list:
-        """A kernel-readable column: every active row must be defined."""
-
-        col, flagged = self._fetch(name)
-        if flagged:
-            if any(v is _UNDEF for v in col):
-                raise _Degrade(f"possibly-unassigned variable {name!r}")
-            self.undef.discard(name)
-        return col
-
-    def assign(self, name: str, col: list) -> None:
-        self.env[name] = col
-        self.undef.discard(name)
-        self.dirty.add(name)
-
-    def scatter(self) -> None:
-        """Write this frame's assignments back into the parent columns."""
-
-        parent = self.parent
-        for name in self.dirty:
-            col = self.env[name]
-            try:
-                pcol, _flagged = parent._fetch(name)
-            except _Degrade:
-                pcol = [_UNDEF] * len(parent.rows)
-                parent.env[name] = pcol
-                parent.undef.add(name)
-            for j, v in zip(self.positions, col):
-                pcol[j] = v
-            parent.dirty.add(name)
-            if name in self.undef:
-                parent.undef.add(name)
-
-
-class _BatchState:
-    """Absolute per-record accumulators for one batch run."""
-
-    __slots__ = (
-        "n", "costs", "present", "values", "ncosts", "lazy_ncosts",
-        "full_mask", "fuel", "max_steps", "masks",
-    )
-
-    def __init__(self, n: int, max_steps: int, collect_masks: bool) -> None:
-        self.n = n
-        self.costs = [0] * n
-        self.present: dict[str, list[bool]] = {}
-        self.values: dict[str, list] = {}
-        self.ncosts: dict[str, list[int]] = {}
-        # pid -> cost lag; ncosts[pid][i] == costs[i] - lag, materialised
-        # only if someone actually reads notification costs.
-        self.lazy_ncosts: dict[str, int] = {}
-        # One shared all-true mask for wholesale commits (identity-checked
-        # by consumers for the fast all-notified scan).  Never mutated: any
-        # op that would flip one of its flags raises the duplicate-
-        # notification degrade before writing.
-        self.full_mask: Optional[list[bool]] = None
-        self.fuel: Optional[list[int]] = None
-        self.max_steps = max_steps
-        self.masks: Optional[list[float]] = [] if collect_masks else None
-
-
-def _flush(frame: _Frame, state: _BatchState) -> None:
-    pending = frame.pending
-    if pending:
-        costs = state.costs
-        for r in frame.rows:
-            costs[r] += pending
-        frame.pending = 0
-
-
-def _eager_ncosts(state: _BatchState, pid: str) -> list[int]:
-    """``state.ncosts[pid]``, materialising a lazily-committed column.
-
-    Reached only when a second notify targets an already-committed pid —
-    the caller's clash scan raises on the first shared-mask row, so the
-    materialised list is short-lived; correctness is all that matters.
-    """
-
-    ncosts = state.ncosts.get(pid)
-    if ncosts is None:
-        lag = state.lazy_ncosts.pop(pid)
-        ncosts = state.ncosts[pid] = (
-            [c - lag for c in state.costs] if lag else list(state.costs)
-        )
-    return ncosts
-
-
-def _run_kernel(kern: _Kernel, frame: _Frame) -> list:
-    cols = [frame.col(name) for name in kern.srcs]
-    try:
-        return kern.fn(len(frame.rows), *cols)
-    except _Degrade:
-        raise
-    except _KernelCheck:
-        raise _Degrade("kernel sort check failed") from None
-    except Exception as exc:  # noqa: BLE001 - any kernel crash degrades
-        raise _Degrade(f"kernel raised {type(exc).__name__}: {exc}") from exc
-
-
-def _exec_ops(ops: list, frame: _Frame, state: _BatchState) -> None:
-    for op in ops:
-        cls = op.__class__
-        if cls is _OpAssign:
-            frame.assign(op.var, _run_kernel(op.kern, frame))
-            frame.pending += op.cost
-        elif cls is _OpStraight:
-            res = _run_kernel(op.kern, frame)
-            k = len(op.notifies)
-            for name, col in zip(op.out_vars, res[k:]):
-                frame.assign(name, col)
-            if not op.notifies:
-                frame.pending += op.total
+    def prologue(self, program: Program) -> int:
+        self.static = not _contains(program.body, (If, While))
+        targets = [self.slot(p) for p in program.params]
+        sources = [f"_g{i}" for i in range(len(targets))]
+        self.emit(0, f"def _kern({', '.join(['_n', '_budget', *sources])}):")
+        if not self.static:
+            self.emit(1, "_costs = []")
+            self.emit(1, "_ca = _costs.append")
+        for k, appends, _ in self.pids.values():
+            if not appends:
+                self.emit(1, f"_p{k} = [False] * _n")
+                self.emit(1, f"_v{k} = [False] * _n")
+                self.emit(1, f"_l{k} = [0] * _n")
                 continue
-            frame.pending += op.flush_prefix
-            _flush(frame, state)
-            rows = frame.rows
-            costs = state.costs
-            full = len(rows) == state.n
-            # Lazy ncosts are only sound when nothing after this op can
-            # charge row-varying cost: the tail op of the top-level plan.
-            # The final top-frame flush then adds total - flush_prefix to
-            # every row uniformly, which folds into the deferred lag.
-            lazy_ok = op.tail and frame.parent is None
-            lazy_extra = op.total - op.flush_prefix
-            for (pid, lag), vals in zip(op.notifies, res):
-                present = state.present.get(pid)
-                if present is None and full:
-                    # Whole-batch frame, first notify on this pid: no
-                    # clash is possible, commit the columns wholesale.
-                    full_mask = state.full_mask
-                    if full_mask is None:
-                        full_mask = state.full_mask = [True] * state.n
-                    state.present[pid] = full_mask
-                    state.values[pid] = vals
-                    if lazy_ok:
-                        state.lazy_ncosts[pid] = lag + lazy_extra
-                    else:
-                        state.ncosts[pid] = (
-                            [c - lag for c in costs] if lag else list(costs)
-                        )
-                    continue
-                if present is None:
-                    present = state.present[pid] = [False] * state.n
-                    state.values[pid] = [False] * state.n
-                    state.ncosts[pid] = [0] * state.n
-                values = state.values[pid]
-                ncosts = _eager_ncosts(state, pid)
-                for r, v in zip(rows, vals):
-                    if present[r]:
-                        raise _Degrade(f"duplicate notification for {pid!r}")
-                    present[r] = True
-                    values[r] = v
-                    ncosts[r] = costs[r] - lag
-            frame.pending += op.total - op.flush_prefix
-        elif cls is _OpNotify:
-            vals = _run_kernel(op.kern, frame)
-            frame.pending += op.cost
-            _flush(frame, state)
-            pid = op.pid
-            present = state.present.get(pid)
-            if present is None:
-                present = state.present[pid] = [False] * state.n
-                state.values[pid] = [False] * state.n
-                state.ncosts[pid] = [0] * state.n
-            values, costs = state.values[pid], state.costs
-            ncosts = _eager_ncosts(state, pid)
-            for r, v in zip(frame.rows, vals):
-                if present[r]:
-                    raise _Degrade(f"duplicate notification for {pid!r}")
-                present[r] = True
-                values[r] = v
-                ncosts[r] = costs[r]
-        elif cls is _OpIf:
-            cvals = _run_kernel(op.kern, frame)
-            frame.pending += op.entry_cost
-            _flush(frame, state)
-            then_pos = [j for j, v in enumerate(cvals) if v]
-            if state.masks is not None and cvals:
-                state.masks.append(len(then_pos) / len(cvals))
-            if len(then_pos) == len(cvals):
-                else_pos: list[int] = []
-            elif not then_pos:
-                else_pos = list(range(len(cvals)))
-            else:
-                else_pos = [j for j, v in enumerate(cvals) if not v]
-            rows = frame.rows
-            for positions, arm_ops in ((then_pos, op.then_ops), (else_pos, op.else_ops)):
-                if not positions or not arm_ops:
-                    continue
-                child = _Frame(
-                    [rows[j] for j in positions], {}, parent=frame, positions=positions
-                )
-                _exec_ops(arm_ops, child, state)
-                _flush(child, state)
-                child.scatter()
-        else:  # _OpWhile
-            _flush(frame, state)
-            rows = frame.rows
-            positions = list(range(len(rows)))
-            fuel = state.fuel
-            if fuel is None:
-                fuel = state.fuel = [state.max_steps] * state.n
-            burn = op.fuel
-            while True:
-                live_rows = [rows[j] for j in positions]
-                for r in live_rows:
-                    fuel[r] -= burn
-                    if fuel[r] < 0:
-                        raise _Degrade("step budget exceeded in loop")
-                sub = _Frame(live_rows, {}, parent=frame, positions=positions)
-                cvals = _run_kernel(op.kern, sub)
-                sub.pending = op.test_cost
-                _flush(sub, state)
-                cont = [positions[j] for j, v in enumerate(cvals) if v]
-                if not cont:
-                    break
-                body = _Frame(
-                    [rows[j] for j in cont], {}, parent=frame, positions=cont
-                )
-                _exec_ops(op.body_ops, body, state)
-                _flush(body, state)
-                body.scatter()
-                positions = cont
+            for col in (f"_v{k}",) if self.static else (f"_v{k}", f"_l{k}"):
+                self.emit(1, f"{col} = []")
+                self.emit(1, f"{col}a = {col}.append")
+        if not all(appends for _, appends, _ in self.pids.values()):
+            targets.insert(0, "_i")
+            sources.insert(0, "range(_n)")
+        if not targets:
+            targets, sources = ["_"], ["range(_n)"]
+        rows = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
+        self.emit(1, f"for {', '.join(targets)} in {rows}:")
+        if _contains(program.body, While):
+            self.emit(2, "_fuel = _budget")
+        if not self.static:
+            self.emit(2, "_cost = 0")
+        if self.undef:
+            resets = " = ".join(self.slot(name) for name in sorted(self.undef))
+            self.emit(2, f"{resets} = _UNDEF")
+        return 2
+
+    def epilogue(self, depth: int, mark: int) -> None:
+        if self.static:
+            self._pad(mark, depth)
+            self.emit(1, f"_costs = [{self.pending}] * _n")
+        else:
+            self.emit(depth, f"_ca({self.elapsed()})")
+        self.pending = 0
+        for k, latency in self.latency.items():
+            self.emit(1, f"_l{k} = [{latency}] * _n")
+        # One shared all-true mask for the appended pids (consumers
+        # identity-check it for the fast all-notified scan).
+        self.emit(1, "_full = [True] * _n")
+        present = ", ".join(
+            f"{pid!r}: {'_full' if appends else f'_p{k}'}"
+            for pid, (k, appends, _) in self.pids.items()
+        )
+        values = ", ".join(f"{pid!r}: _v{k}" for pid, (k, _, _) in self.pids.items())
+        ncosts = ", ".join(f"{pid!r}: _l{k}" for pid, (k, _, _) in self.pids.items())
+        self.emit(1, f"return _costs, {{{present}}}, {{{values}}}, {{{ncosts}}}, _full")
 
 
 # -- results ----------------------------------------------------------------
@@ -907,7 +240,9 @@ class BatchResult:
     Per record ``i``: ``costs[i]`` is the exact Figure-2 run cost,
     ``present[pid][i]`` says whether the record's run broadcast on ``pid``
     and ``values[pid][i]`` / ``ncosts[pid][i]`` carry the broadcast value
-    and latency.  ``fallback`` records that the batch was executed per-row
+    and latency.  ``full_mask`` is the one all-true list that stands in as
+    ``present[pid]`` for every pid all records broadcast on (consumers
+    identity-check it).  ``fallback`` records that the batch was executed per-row
     through the compiled closures (a degradation, never an error) and
     ``fallback_reason`` says why.  No per-record env is materialised — the
     dataflow operators only consume notifications and costs, and skipping
@@ -915,7 +250,7 @@ class BatchResult:
     """
 
     __slots__ = (
-        "n", "costs", "present", "values", "_ncosts", "_lazy_ncosts",
+        "n", "costs", "present", "values", "ncosts",
         "full_mask", "fallback", "fallback_reason",
     )
 
@@ -929,37 +264,16 @@ class BatchResult:
         fallback: bool = False,
         fallback_reason: str = "",
         *,
-        lazy_ncosts: Optional[dict[str, int]] = None,
         full_mask: Optional[list[bool]] = None,
     ) -> None:
         self.n = n
         self.costs = costs
         self.present = present
         self.values = values
-        self._ncosts = ncosts
-        self._lazy_ncosts = lazy_ncosts or {}
+        self.ncosts = ncosts
         self.full_mask = full_mask
         self.fallback = fallback
         self.fallback_reason = fallback_reason
-
-    @property
-    def ncosts(self) -> dict[str, list[int]]:
-        """Per-pid notification-cost columns, materialised on first read.
-
-        A wholesale-committed pid's column is ``costs`` minus a constant
-        lag; the dataflow operators never read it, so the subtraction is
-        deferred to the consumers that do (oracles, tests, run_result).
-        """
-
-        lazy = self._lazy_ncosts
-        if lazy:
-            costs = self.costs
-            for pid, lag in lazy.items():
-                self._ncosts[pid] = (
-                    [c - lag for c in costs] if lag else list(costs)
-                )
-            self._lazy_ncosts = {}
-        return self._ncosts
 
     def notification(self, pid: str, i: int):
         """Record ``i``'s broadcast on ``pid`` (KeyError when it made none,
@@ -1007,13 +321,15 @@ def columns_from_records(program: Program, records: Sequence) -> dict[str, list]
 
 
 class VectorizedProgram:
-    """A program translated to column kernels, with a per-row safety net.
+    """A program lowered to a batch kernel, with a per-row safety net.
 
-    ``plan`` is ``None`` when the program never vectorizes (shape
-    ``unbounded``, translation failure, injected fault); every batch then
-    takes the per-row road immediately.  A plan that degrades mid-batch
-    abandons all uncommitted state and re-runs the whole batch per row, so
-    callers observe exactly the compiled backend's results and errors.
+    ``plan`` is the kernel ``_kern(_n, _budget, *columns)`` (``source``
+    keeps its generated Python for debugging), or ``None`` when the
+    program never vectorizes (shape ``unbounded``, translation failure,
+    injected fault); every batch then takes the per-row road immediately.
+    A kernel that raises mid-batch has committed nothing: the whole batch
+    re-runs per row, so callers observe exactly the compiled backend's
+    results and errors.
     """
 
     def __init__(
@@ -1022,9 +338,10 @@ class VectorizedProgram:
         functions: FunctionTable,
         cost_model: CostModel,
         shape: str,
-        plan: Optional[list],
+        plan: Optional[Callable],
         degraded_reason: str,
         *,
+        source: str = "",
         memoize_calls: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
         telemetry=None,
@@ -1035,6 +352,7 @@ class VectorizedProgram:
         self.shape = shape
         self.plan = plan
         self.degraded_reason = degraded_reason
+        self.source = source
         self.memoize_calls = memoize_calls
         self.max_steps = max_steps
         self.telemetry = telemetry
@@ -1043,6 +361,15 @@ class VectorizedProgram:
     @property
     def vectorized(self) -> bool:
         return self.plan is not None
+
+    def with_telemetry(self, telemetry) -> "VectorizedProgram":
+        """The same lowering counting into another sink (a fresh object:
+        a published program is never rebound)."""
+
+        clone = copy(self)
+        clone.telemetry = telemetry
+        clone._row_runner = None  # bound to the original's sink
+        return clone
 
     def row_runner(self) -> Callable[[Mapping[str, object]], RunResult]:
         """The per-row rung of the ladder (compiled, interp behind it)."""
@@ -1078,27 +405,13 @@ class VectorizedProgram:
             telemetry.histogram("vectorized_batch_size").observe(n)
         if self.plan is None:
             return self._run_rows(columns, n, self.degraded_reason, live)
-        state = _BatchState(n, self.max_steps, live)
         try:
-            env = {}
-            for p in self.program.params:
-                col = columns.get(p)
-                if col is None:
-                    raise _Degrade(f"missing argument column {p!r}")
-                env[p] = list(col)
-            top = _Frame(range(n), env)
-            _exec_ops(self.plan, top, state)
-            _flush(top, state)
-        except _Degrade as exc:
-            return self._run_rows(columns, n, str(exc), live)
-        if live and state.masks:
-            density = telemetry.histogram("vectorized_mask_density")
-            for value in state.masks:
-                density.observe(value)
-        return BatchResult(
-            n, state.costs, state.present, state.values, state.ncosts,
-            lazy_ncosts=state.lazy_ncosts, full_mask=state.full_mask,
-        )
+            costs, present, values, ncosts, full_mask = self.plan(
+                n, self.max_steps, *[columns[p] for p in self.program.params]
+            )
+        except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
+            return self._run_rows(columns, n, f"{type(exc).__name__}: {exc}", live)
+        return BatchResult(n, costs, present, values, ncosts, full_mask=full_mask)
 
     def _run_rows(
         self, columns: Mapping[str, Sequence], n: int, reason: str, live: bool
@@ -1141,14 +454,12 @@ def vectorize_program(
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
 ) -> VectorizedProgram:
-    """Translate ``program`` into a :class:`VectorizedProgram`.
+    """Lower ``program`` into a :class:`VectorizedProgram`.
 
     Never raises: an untranslatable program (unbounded shape, unknown
-    library function, unknown AST node, injected fault) yields a
-    plan-less program whose every batch degrades — recorded, not an error.
-    ``memoize_calls`` does not change kernel execution (library calls are
-    deterministic per the paper's assumptions and cost accounting never
-    depends on memoisation); it is honoured on the per-row fallback rung.
+    library function or AST node, nesting Python cannot compile, injected
+    fault) yields a kernel-less program whose every batch degrades —
+    recorded, not an error.
     """
 
     try:
@@ -1157,7 +468,8 @@ def vectorize_program(
         shape = classify_shape(program, functions, cost_model)
     except Exception:  # noqa: BLE001 - classification must never block execution
         shape = "unbounded"
-    plan: Optional[list] = None
+    plan: Optional[Callable] = None
+    source = ""
     reason = ""
     if shape == "unbounded":
         reason = "shape classified unbounded; static trip-count bound unavailable"
@@ -1165,15 +477,13 @@ def vectorize_program(
         try:
             if FAULT_HOOK is not None:
                 FAULT_HOOK("vectorize.translate", program)
-            plan = _build_ops(
-                program.body, functions, cost_model, _static_var_sorts(program)
-            )
-            if plan and isinstance(plan[-1], _OpStraight):
-                plan[-1].tail = True
-        except VectorizeError as exc:
-            reason = str(exc)
-        except Exception as exc:  # noqa: BLE001 - translation bugs degrade
-            reason = f"kernel translation crashed: {type(exc).__name__}: {exc}"
+            emitter = _KernelEmitter(functions, cost_model, *_row_facts(program))
+            source = emitter.build(program)
+            namespace = dict(emitter.bindings)
+            exec(compile(source, f"<kernel {program.pid}>", "exec"), namespace)  # noqa: S102
+            plan = namespace["_kern"]
+        except Exception as exc:  # noqa: BLE001 - translation failures degrade
+            reason = f"kernel translation failed: {type(exc).__name__}: {exc}"
     vectorized = VectorizedProgram(
         program,
         functions,
@@ -1181,6 +491,7 @@ def vectorize_program(
         shape,
         plan,
         reason,
+        source=source,
         memoize_calls=memoize_calls,
         max_steps=max_steps,
         telemetry=telemetry,
@@ -1192,9 +503,6 @@ def vectorize_program(
     return vectorized
 
 
-# One cache bucket per function table (weak, like the compile cache), keyed
-# by structural program identity and cost model — a consolidated plan served
-# repeatedly by the service vectorizes once, not once per run.
 _CACHE: "weakref.WeakKeyDictionary[FunctionTable, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -1207,16 +515,15 @@ def vectorize_cached(
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
 ) -> VectorizedProgram:
-    """Memoising front end to :func:`vectorize_program`."""
+    """Memoising front end to :func:`vectorize_program`.
 
-    per_table = _CACHE.get(functions)
-    if per_table is None:
-        per_table = _CACHE.setdefault(functions, {})
-    key = (program, cost_model, memoize_calls, max_steps)
-    vectorized = per_table.get(key)
-    live = telemetry is not None and telemetry.enabled
-    if vectorized is None or FAULT_HOOK is not None:
-        vectorized = vectorize_program(
+    The lowering is shared across runs; the telemetry sink is per run.  A
+    cached program is never rebound: a lookup under another sink gets a
+    fresh :meth:`VectorizedProgram.with_telemetry` view of it.
+    """
+
+    def build() -> VectorizedProgram:
+        return vectorize_program(
             program,
             functions,
             cost_model,
@@ -1224,16 +531,16 @@ def vectorize_cached(
             max_steps=max_steps,
             telemetry=telemetry,
         )
-        per_table[key] = vectorized
-        if live:
-            telemetry.counter("vectorized_plan_cache_misses_total").inc()
-            if not vectorized.vectorized:
-                telemetry.counter("vectorized_unvectorizable_total").inc()
-    elif live:
-        telemetry.counter("vectorized_plan_cache_hits_total").inc()
-    # The plan is shared across runs; the telemetry sink is per run.  Rebind
-    # on every lookup so a cached plan never counts into a stale registry.
-    vectorized.telemetry = telemetry
+
+    key = (program, cost_model, memoize_calls, max_steps)
+    vectorized, missed = _cached(
+        _CACHE, functions, key, build, telemetry, "vectorized_plan_cache",
+        refresh=FAULT_HOOK is not None,
+    )
+    if missed and not vectorized.vectorized and telemetry is not None and telemetry.enabled:
+        telemetry.counter("vectorized_unvectorizable_total").inc()
+    if vectorized.telemetry is not telemetry:
+        vectorized = vectorized.with_telemetry(telemetry)
     return vectorized
 
 

@@ -77,9 +77,9 @@ class _Unit(NamedTuple):
     runner: Callable[[Mapping[str, object]], RunResult]
     #: Prefilter guard (None = run the UDF on every record).
     guard: Optional[PrefilterGuard]
-    #: Column kernel, under ``backend="vectorized"`` only.
+    #: Batch kernel, under ``backend="vectorized"`` only.
     plan: Optional[VectorizedProgram]
-    #: The column-mask form of ``guard`` (None = evaluate it per row).
+    #: The batch form of ``guard`` (None = evaluate it per row).
     vguard: Optional[VectorizedProgram]
 
 
@@ -89,8 +89,8 @@ def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> Iterable[
     One scan of the mask and value columns, with row-mode error
     parity: ``result.notification(pid)`` raises ``KeyError`` on a
     record that never notified, so the scan does too — at the same
-    record position the row-at-a-time loop would.  A wholesale-
-    committed pid shares the batch's all-true mask (identity check),
+    record position the row-at-a-time loop would.  A pid every record
+    broadcasts on shares the batch's all-true mask (identity check),
     where the scan collapses to a C-level compress."""
 
     mask = batch.present.get(pid)
@@ -191,7 +191,7 @@ class _UdfOperator(Vertex):
         functions: FunctionTable,
         cost_model: CostModel,
     ) -> Optional[VectorizedProgram]:
-        """The column-mask form of a prefilter guard (None = use per-row)."""
+        """The batch form of a prefilter guard (None = use per-row)."""
 
         try:
             wrapper = prefilter_program(guard.prefilter, program)

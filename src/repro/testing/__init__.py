@@ -23,7 +23,14 @@ replayable machinery:
 * :mod:`repro.testing.fuzz` — the fuzzing driver behind ``repro fuzz``.
 """
 
-from .generator import SCHEMAS, CaseSpec, case_inputs, generate_case, schema_dataset
+from .generator import (
+    SCHEMAS,
+    CaseSpec,
+    case_inputs,
+    drop_arm_assignment,
+    generate_case,
+    schema_dataset,
+)
 from .oracles import BatteryResult, Discrepancy, run_battery
 from .faults import (
     compile_cache_miss,
@@ -45,6 +52,7 @@ __all__ = [
     "SCHEMAS",
     "CaseSpec",
     "generate_case",
+    "drop_arm_assignment",
     "case_inputs",
     "schema_dataset",
     "BatteryResult",

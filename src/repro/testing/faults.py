@@ -235,66 +235,35 @@ def vectorize_crash():
         _vectorize.clear_vectorize_cache()
 
 
-def _negate_kernel(kern):
-    inner = kern.fn
-
-    def flipped(n, *cols):
-        return [not v for v in inner(n, *cols)]
-
-    return _vectorize._Kernel(flipped, kern.srcs, kern.cost)
-
-
-def _negate_straight_kernel(kern, n_notifies):
-    """Flip every notify column of a fused straight-line kernel, leaving
-    the materialised variable columns behind them untouched."""
-
-    inner = kern.fn
-
-    def flipped(n, *cols):
-        res = inner(n, *cols)
-        return tuple(
-            [not v for v in col] if i < n_notifies else col
-            for i, col in enumerate(res)
-        )
-
-    return _vectorize._Kernel(flipped, kern.srcs, kern.cost)
-
-
 def _mismask_first_branch(vectorized):
-    """The default mis-mask: negate the first If's condition column, so
-    every record takes the wrong arm (falling back to flipping the first
-    notify's values on branchless plans)."""
+    """The default kernel corruption: negate the first pid's value column
+    of everything the kernel returns."""
 
-    def walk(ops):
-        for op in ops:
-            if isinstance(op, _vectorize._OpIf):
-                op.kern = _negate_kernel(op.kern)
-                return True
-            if isinstance(op, _vectorize._OpWhile) and walk(op.body_ops):
-                return True
-        for op in ops:
-            if isinstance(op, _vectorize._OpNotify):
-                op.kern = _negate_kernel(op.kern)
-                return True
-            if isinstance(op, _vectorize._OpStraight) and op.notifies:
-                op.kern = _negate_straight_kernel(op.kern, len(op.notifies))
-                return True
-        return False
+    inner = vectorized.plan
+    if inner is None:
+        return vectorized
 
-    if vectorized.plan is not None:
-        walk(vectorized.plan)
+    def corrupted(n, budget, *columns):
+        result = inner(n, budget, *columns)
+        values = result[2]
+        if values:
+            first = min(values)
+            values[first] = [not v for v in values[first]]
+        return result
+
+    vectorized.plan = corrupted
     return vectorized
 
 
 @contextmanager
 def vectorize_mismask(transform=None):
-    """Deliberately mis-mask every vectorized plan (default: wrong If arm).
+    """Deliberately corrupt every batch kernel (default: flip a pid's values).
 
     Like :func:`miscompile`, this is the harness testing itself: the
     three-way differential oracle must report ``vectorized`` discrepancies
-    while this fault is active — a silent pass would mean mask bugs in the
-    column kernels could ship undetected.  The cache is cleared on entry
-    *and* exit so a corrupted plan cannot outlive its fault window.
+    while this fault is active — a silent pass would mean a wrong kernel
+    could ship undetected.  The cache is cleared on entry *and* exit so a
+    corrupted kernel cannot outlive its fault window.
     """
 
     transform = transform or _mismask_first_branch

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 from ..datasets.records import Dataset
 from ..lang.ast import (
+    SKIP,
     Arg,
     Assign,
     BinOp,
@@ -46,7 +47,9 @@ from ..lang.ast import (
     Var,
     While,
     seq,
+    statements,
 )
+from ..lang.visitors import expr_vars, stmt_exprs
 
 __all__ = [
     "Accessor",
@@ -54,6 +57,7 @@ __all__ = [
     "SCHEMAS",
     "CaseSpec",
     "generate_case",
+    "drop_arm_assignment",
     "case_inputs",
     "schema_dataset",
 ]
@@ -353,6 +357,33 @@ def generate_case(
         gen = _ProgramGen(rng, sch, size)
         programs.append(gen.build(f"q{i}"))
     return programs
+
+
+def drop_arm_assignment(program: Program, row: int) -> Program | None:
+    """The one-path-only-assignment mutant of ``program`` (None: no site).
+
+    :func:`generate_case` only builds definitely-assigned programs, so no
+    fuzzed run ever reads an unbound local — and a backend that mishandles
+    one (say, a batch kernel whose Python locals keep the *previous* row's
+    value) passes every oracle.  The mutant takes the first top-level
+    ``x := e`` that a later statement reads, as
+    ``if (@row = <row>) {x := e} else {x := e}``, and drops the else arm's
+    assignment: ``x`` is bound on the record ``row`` only, and a read on any
+    other record is an ``unbound variable`` error that every backend must
+    report alike.  Deterministic, so replayable like the batch itself; not
+    well-formed for consolidation, so only the backend oracles'
+    error-class comparison runs it.
+    """
+
+    stmts = list(statements(program.body))
+    for i, s in enumerate(stmts):
+        rest = seq(*stmts[i + 1 :])
+        if isinstance(s, Assign) and any(s.var in expr_vars(e) for e in stmt_exprs(rest)):
+            guard = Cmp("=", Arg(program.params[0]), IntConst(row))
+            return Program(
+                program.pid, program.params, seq(*stmts[:i], If(guard, s, SKIP), rest)
+            )
+    return None
 
 
 def case_inputs(schema: str, limit: int = 6) -> list[dict[str, object]]:

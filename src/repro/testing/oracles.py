@@ -58,6 +58,7 @@ from ..lang.compile import make_runner
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.interp import Interpreter
 from ..naiad.linq import run_where_consolidated, run_where_many
+from .generator import drop_arm_assignment
 
 __all__ = ["Discrepancy", "BatteryResult", "run_battery"]
 
@@ -446,9 +447,13 @@ def _check_vectorized(
     interpreter raises first (the per-row fallback replays records in
     order, so the first erroring record wins on both paths).  A batch
     that silently *returns* where the interpreter errors is exactly how a
-    mis-masked kernel shows up.  Bucket level: the dataflow engine runs
-    the batch under ``backend="vectorized"`` and must match the compiled
-    run's buckets and exact UDF cost for whereMany and (reusing the
+    mis-masked kernel shows up.  Each program's one-path-only-assignment
+    mutant (:func:`~repro.testing.generator.drop_arm_assignment`, bound on
+    the first record only) rides the same comparison, so unbound-variable
+    reads — which the generator never builds — are fuzzed too.  Bucket
+    level: the dataflow engine runs the batch under
+    ``backend="vectorized"`` and must match the compiled run's buckets and
+    exact UDF cost for whereMany and (reusing the
     already-consolidated merged program) whereConsolidated.
     """
 
@@ -459,6 +464,9 @@ def _check_vectorized(
     targets = list(programs)
     if report is not None:
         targets.append(report.program)
+    if rows and isinstance(rows[0], int):
+        mutants = (drop_arm_assignment(program, rows[0]) for program in programs)
+        targets.extend(m for m in mutants if m is not None)
     for program in targets:
         wants = []
         first_err = None

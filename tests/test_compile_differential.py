@@ -168,6 +168,17 @@ class TestErrorParity:
         with pytest.raises(InterpError, match="unbound variable 'mystery'"):
             compiled.run({})
 
+    def test_one_path_only_assignment_reports_the_same_unbound_variable(self):
+        """CPython leaves ``UnboundLocalError.name`` unset on some versions;
+        the compiled closure must still name the source variable."""
+
+        p = program("p", ("n",), if_(lt(arg("n"), lift(0)), assign("v", lift(1)), block()), notify("p", eq(var("v"), lift(1))))
+        with pytest.raises(InterpError) as want:
+            Interpreter(FT).run(p, {"n": 3})
+        with pytest.raises(InterpError) as got:
+            compile_program(p, FT).run({"n": 3})
+        assert str(got.value) == str(want.value) == "unbound variable 'v'"
+
     def test_arithmetic_type_error(self):
         p = program("p", ("n",), assign("x", add(eq(arg("n"), lift(1)), lift(2))))
         assert run_both(p, {"n": 1}) == ("error", InterpError)

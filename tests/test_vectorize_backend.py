@@ -16,6 +16,7 @@ import pytest
 from repro import datasets as ds
 from repro.config import ExecutionConfig
 from repro.lang import parse_program
+from repro.lang.ast import SKIP, Arg, BoolConst, Cmp, If, IntConst, Notify, Program
 from repro.lang.compile import make_runner
 from repro.lang.vectorize import (
     clear_vectorize_cache,
@@ -173,6 +174,34 @@ class TestFallbackLadder:
         assert reg.histogram("vectorized_batch_size").count > 0
         assert reg.counter("vectorized_fallbacks_total").value == 0
 
+    def test_nesting_python_cannot_compile_takes_the_per_row_rung(self, domain_datasets, caplog):
+        """A 120-deep ``if`` chain is past CPython's 100-level indentation
+        limit: no kernel (recorded reason, counted), and the compiled
+        closure behind it fails the same way, so the rows reach the
+        interpreter — never an error."""
+
+        dataset = domain_datasets["weather"]
+        body = Notify("deep", BoolConst(True))
+        for level in range(120):
+            body = If(Cmp("<", IntConst(level), Arg("row")), body, SKIP)
+        program = Program("deep", ("row",), body)
+        clear_vectorize_cache()
+        telemetry = Telemetry.capture()
+        vp = vectorize_cached(program, dataset.functions, telemetry=telemetry)
+        assert not vp.vectorized
+        assert "kernel translation failed" in vp.degraded_reason
+        assert telemetry.counter("vectorized_unvectorizable_total").value == 1
+        rows = [500, 60, 500]
+        with caplog.at_level("WARNING", logger="repro.lang.compile"):
+            batch = vp.run_batch(columns_from_records(program, rows), len(rows))
+        assert batch.fallback
+        assert batch.fallback_reason == vp.degraded_reason
+        assert telemetry.counter("vectorized_fallback_records_total").value == 3
+        assert telemetry.counter("compile_fallbacks_total").value == 1
+        assert [batch.notifications_at(i) for i in range(3)] == [
+            {"deep": True}, {}, {"deep": True},
+        ]
+
 
 class TestPlanCache:
     def test_hit_and_miss_are_counted(self, domain_datasets):
@@ -190,6 +219,20 @@ class TestPlanCache:
         assert again is first
         assert telemetry.counter("vectorized_plan_cache_misses_total").value == 1
         assert telemetry.counter("vectorized_plan_cache_hits_total").value == 1
+
+    def test_cached_plan_counts_into_the_sink_that_built_the_query(self, domain_datasets):
+        """Two queries over one program under two sinks share the lowering,
+        not the sink: running the first must not count into the second."""
+
+        dataset = domain_datasets["weather"]
+        batch = DOMAIN_QUERIES["weather"].make_batch(dataset, "Q1", n=2, seed=7)
+        c1 = ExecutionConfig(backend="vectorized", telemetry=Telemetry.capture())
+        c2 = ExecutionConfig(backend="vectorized", telemetry=Telemetry.capture())
+        q1 = from_collection(dataset.rows[:20], c1).where_many(batch, dataset.functions)
+        from_collection(dataset.rows[:20], c2).where_many(batch, dataset.functions)
+        q1.run()
+        assert c1.telemetry.counter("vectorized_batches_total").value > 0
+        assert c2.telemetry.counter("vectorized_batches_total").value == 0
 
     def test_unvectorizable_is_counted(self, domain_datasets):
         dataset = domain_datasets["weather"]
