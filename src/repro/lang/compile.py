@@ -52,7 +52,9 @@ from __future__ import annotations
 import logging
 import re
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from threading import Lock
 from time import perf_counter
 from typing import Callable, Mapping, TypeVar
 
@@ -663,8 +665,18 @@ def compile_program(
 _T = TypeVar("_T")
 
 
+# Lowered programs kept per function table.  A ``QueryRegistry`` that churns
+# lowers one new merged plan per patch; without a cap the table's bucket grew
+# by that plan for the life of the table.  Comfortably above a 50-UDF
+# ``whereMany`` plus its plans.
+_LOWERED_LIMIT = 512
+# Mark-on-hit and insert-then-evict are compound; dataflow workers share the
+# buckets.
+_LOWERED_LOCK = Lock()
+
+
 def _cached(
-    cache: "weakref.WeakKeyDictionary[FunctionTable, dict]",
+    cache: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]",
     functions: FunctionTable,
     key: tuple,
     build: Callable[[], _T],
@@ -681,21 +693,37 @@ def _cached(
     consolidated plan the service runs repeatedly lowers once.  Traffic is
     counted into ``<series>_hits_total`` / ``<series>_misses_total``;
     ``refresh`` forces a miss (fault injection).
+
+    A bucket is a second-chance LRU: an entry is ``[value, used]``, a hit
+    only sets ``used``, and eviction gives the oldest entry one more round
+    if it was used since it last came up.  Re-ordering on every hit
+    (``move_to_end``) would hash the key — the whole program — a second
+    time, and a run looks up every UDF it executes.
     """
 
-    per_table = cache.get(functions)
-    if per_table is None:
-        per_table = cache.setdefault(functions, {})
-    value = None if refresh else per_table.get(key)
-    missed = value is None
+    with _LOWERED_LOCK:
+        per_table = cache.get(functions)
+        if per_table is None:
+            per_table = cache.setdefault(functions, OrderedDict())
+        entry = None if refresh else per_table.get(key)
+        if entry is not None:
+            entry[1] = True
+    missed = entry is None
     if missed:
-        value = per_table[key] = build()
+        entry = [build(), False]
+        with _LOWERED_LOCK:
+            per_table[key] = entry
+            while len(per_table) > _LOWERED_LIMIT:
+                oldest_key, oldest = per_table.popitem(last=False)
+                if oldest[1]:
+                    oldest[1] = False
+                    per_table[oldest_key] = oldest
     if telemetry is not None and telemetry.enabled:
         telemetry.counter(f"{series}_{'misses' if missed else 'hits'}_total").inc()
-    return value, missed
+    return entry[0], missed
 
 
-_CACHE: "weakref.WeakKeyDictionary[FunctionTable, dict]" = weakref.WeakKeyDictionary()
+_CACHE: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
 def compile_cached(

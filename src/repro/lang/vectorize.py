@@ -52,6 +52,7 @@ interpreter and the compiled backend on every fuzzed batch.
 from __future__ import annotations
 
 import weakref
+from collections import OrderedDict
 from copy import copy
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -503,7 +504,7 @@ def vectorize_program(
     return vectorized
 
 
-_CACHE: "weakref.WeakKeyDictionary[FunctionTable, dict]" = weakref.WeakKeyDictionary()
+_CACHE: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]" = weakref.WeakKeyDictionary()
 
 
 def vectorize_cached(

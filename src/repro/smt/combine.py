@@ -13,7 +13,9 @@ mostly-equational problems consolidation produces:
    congruence class (classes merged with a numeral use the numeral),
 3. run the LIA refutation engine,
 4. probe LIA-implied equalities between interface atoms and feed them back
-   to the closure, repeating until a fixpoint or a conflict.
+   to the closure, repeating until a fixpoint or a conflict,
+5. on ``sat``, read a candidate model — the *witness* — off the closure and
+   the LIA elimination trail of the accepted round; nothing is solved twice.
 
 Because integer arithmetic is non-convex, step 4's pairwise probing is not
 complete in general; it is, however, *sound* — every propagated equality is
@@ -26,15 +28,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
+from typing import Any, Optional, Union
 
 from .euf import CongruenceClosure
-from .lia import LinCon, lia_check
+from .lia import LiaTrail, LinCon, Var, lia_check
 from .terms import App, Eq, Formula, Le, Lin, Num, Sym, Term, _atom_key, as_linear, from_linear
 
-__all__ = ["TheoryLiteral", "TheoryResult", "check_literals", "minimize_core"]
+__all__ = [
+    "TheoryLiteral", "TheoryResult", "Witness", "WitnessKey", "check_literals", "minimize_core",
+]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoryLiteral:
     """An assigned theory atom: ``kind`` in {'eq','le','ne'} applied to term=0."""
 
@@ -43,23 +48,41 @@ class TheoryLiteral:
 
     @staticmethod
     def from_formula(f: Formula, positive: bool) -> "TheoryLiteral":
-        if isinstance(f, Eq):
-            return TheoryLiteral("eq" if positive else "ne", f.term)
-        if isinstance(f, Le):
-            if positive:
-                return TheoryLiteral("le", f.term)
-            # not (t <= 0)  ==  1 - t <= 0 ; fnot() normally rewrites this
-            # away, but assignments from the SAT core may still expose it.
-            const, coeffs = as_linear(f.term)
-            flipped = from_linear(1 - const, {a: -c for a, c in coeffs.items()})
-            return TheoryLiteral("le", flipped)
-        raise TypeError(f"not a theory atom: {f!r}")
+        """The literal of atom ``f`` under ``positive``.
+
+        Both literals of an atom are built once and kept on the node, so the
+        literal sets of successive checks (and the memo keys made of them)
+        share their objects.
+        """
+
+        if not isinstance(f, (Le, Eq)):
+            raise TypeError(f"not a theory atom: {f!r}")
+        lits = f._lits
+        if lits is None:
+            if isinstance(f, Eq):
+                lits = TheoryLiteral("eq", f.term), TheoryLiteral("ne", f.term)
+            else:
+                # not (t <= 0)  ==  1 - t <= 0 ; fnot() normally rewrites this
+                # away, but assignments from the SAT core may still expose it.
+                const, coeffs = as_linear(f.term)
+                flipped = from_linear(1 - const, {a: -c for a, c in coeffs.items()})
+                lits = TheoryLiteral("le", f.term), TheoryLiteral("le", flipped)
+            object.__setattr__(f, "_lits", lits)
+        literal: TheoryLiteral = lits[0] if positive else lits[1]
+        return literal
+
+
+# A candidate interpretation, flat: ``(key, value, key, value, ...)`` where a
+# key is a variable name or ``(function, argument values...)``.  Entries whose
+# value is 0 are left out: whatever is absent reads as 0.
+WitnessKey = Union[str, tuple[Any, ...]]
+Witness = tuple[Any, ...]
 
 
 @dataclass
 class TheoryResult:
     status: str  # 'sat' | 'unsat' | 'unknown'
-    core: tuple[TheoryLiteral, ...] = ()
+    witness: Optional[Witness] = None  # with 'sat', unless construction failed
 
 
 _MAX_PROPAGATION_ROUNDS = 6
@@ -76,21 +99,21 @@ def _equality_sides(term: Term) -> tuple[Term, Term]:
     return lhs, rhs
 
 
-def _collect_atoms(term: Term, out: set[Term]) -> None:
-    """All Sym/App atoms of ``term``, including those nested in App args."""
+def _collect_apps(term: Term, out: dict[App, None]) -> None:
+    """All applications in ``term`` (nested ones included), first occurrence
+    first — an insertion-ordered ``dict``, never a ``set``: what is iterated
+    here decides which candidate pairs survive the cut below."""
 
-    if isinstance(term, Sym):
-        out.add(term)
-    elif isinstance(term, App):
-        out.add(term)
+    if isinstance(term, App):
+        out[term] = None  # an existing key keeps its place
         for a in term.args:
-            _collect_atoms(a, out)
+            _collect_apps(a, out)
     elif isinstance(term, Lin):
         for atom, _coef in term.coeffs:
-            _collect_atoms(atom, out)
+            _collect_apps(atom, out)
 
 
-def _lin_over_classes(term: Term, cc: CongruenceClosure) -> tuple[dict[object, int], int]:
+def _lin_over_classes(term: Term, cc: CongruenceClosure) -> tuple[dict[Var, int], int]:
     """Flatten ``term`` to LIA coefficients over congruence-class handles.
 
     An atom whose class contains a numeral contributes that constant; other
@@ -101,7 +124,7 @@ def _lin_over_classes(term: Term, cc: CongruenceClosure) -> tuple[dict[object, i
     """
 
     const, coeffs = as_linear(term)
-    out: dict[object, int] = {}
+    out: dict[Var, int] = {}
     total = const
     for atom, coef in coeffs.items():
         c = cc.constant_of(atom)
@@ -116,13 +139,19 @@ def _lin_over_classes(term: Term, cc: CongruenceClosure) -> tuple[dict[object, i
 # The theory memo is process-wide on purpose: replay, re-registration and
 # the core-minimisation loop re-ask literal sets that an earlier Solver (one
 # per pair merge) already decided.  It is an LRU so that a long-running
-# ``repro serve`` plateaus at a few batches' worth of entries (a benchmark
-# consolidate leaves 800-900, about 2.7 KB each) instead of growing by one
-# batch per fresh set of query ids and then, once full, refusing every new
-# entry.  Hits are recent: a 50-query News-BC consolidate (12 186 distinct
-# literal sets) loses none of them at a cap of 1 024.
-_CHECK_CACHE: OrderedDict[frozenset, str] = OrderedDict()
-_CHECK_CACHE_LIMIT = 4_096
+# ``repro serve`` plateaus at a few batches' worth of entries instead of
+# growing by one batch per fresh set of query ids and then, once full,
+# refusing every new entry.  Hits are recent: a 50-query News-BC consolidate
+# (12 186 distinct literal sets) loses none of them at a cap of 1 024.
+#
+# A value is the status, or — for 'sat' — the witness itself: a replayer
+# riding the writer's warm memo starts from the writer's witnesses instead of
+# re-deriving every check the writer answered from one.  The cap counts
+# entries, and what pins bytes is the term graphs of the batches they span;
+# a benchmark consolidate now leaves 120-440 entries (370-940 before forced
+# conflicts and witnesses), so 2 048 spans what 4 096 did (DESIGN.md §14).
+_CHECK_CACHE: OrderedDict[frozenset[TheoryLiteral], Union[str, Witness]] = OrderedDict()
+_CHECK_CACHE_LIMIT = 2_048
 # Hit-then-refresh and insert-then-evict are compound; ``executor="thread"``
 # shares this table between workers.
 _CHECK_CACHE_LOCK = Lock()
@@ -141,10 +170,10 @@ def check_literals(literals: list[TheoryLiteral]) -> TheoryResult:
         cached = _CHECK_CACHE.get(key)
         if cached is not None:
             _CHECK_CACHE.move_to_end(key)
-            return TheoryResult(cached, tuple(literals) if cached == "unsat" else ())
+            return TheoryResult(cached) if isinstance(cached, str) else TheoryResult("sat", cached)
     result = _check_literals_uncached(literals)
     with _CHECK_CACHE_LOCK:
-        _CHECK_CACHE[key] = result.status
+        _CHECK_CACHE[key] = result.status if result.witness is None else result.witness
         if len(_CHECK_CACHE) > _CHECK_CACHE_LIMIT:
             _CHECK_CACHE.popitem(last=False)
     return result
@@ -162,7 +191,7 @@ def _check_literals_uncached(literals: list[TheoryLiteral]) -> TheoryResult:
 
     for _round in range(_MAX_PROPAGATION_ROUNDS):
         if cc.has_constant_conflict():
-            return TheoryResult("unsat", tuple(literals))
+            return TheoryResult("unsat")
 
         # 2. Build the LIA problem over class handles.
         eqs: list[LinCon] = []
@@ -179,9 +208,10 @@ def _check_literals_uncached(literals: list[TheoryLiteral]) -> TheoryResult:
                 nes.append(con)
         # Classes merged with numerals already substituted; classes holding
         # two merged atoms share a handle, so CC equalities are implicit.
-        status = lia_check(eqs, les, nes)
+        trail = LiaTrail()
+        status = lia_check(eqs, les, nes, trail)
         if status == "unsat":
-            return TheoryResult("unsat", tuple(literals))
+            return TheoryResult("unsat")
 
         # 3. Probe for LIA-implied equalities between *relevant* pairs and
         #    feed them back (Nelson-Oppen propagation, sound but partial).
@@ -198,15 +228,52 @@ def _check_literals_uncached(literals: list[TheoryLiteral]) -> TheoryResult:
             diff = dict(ca)
             for v, c in cb.items():
                 diff[v] = diff.get(v, 0) - c
-            witness = LinCon.make(diff, consta - constb)
-            if lia_check(eqs, les, nes + [witness]) == "unsat":
+            probe = LinCon.make(diff, consta - constb)
+            if lia_check(eqs, les, nes + [probe]) == "unsat":
                 proved.append((a, b))
         if not proved:
-            return TheoryResult("sat" if status == "sat" else "unknown")
+            if status != "sat":
+                return TheoryResult("unknown")
+            # The closure and the elimination trail of *this* round are the
+            # model: nothing is solved a second time to exhibit it.
+            return TheoryResult("sat", _witness(cc, trail))
         for a, b in proved:
             cc.assert_equal(a, b)
 
     return TheoryResult("unknown")
+
+
+def _witness(cc: CongruenceClosure, trail: LiaTrail) -> Optional[Witness]:
+    """The interpretation read off a satisfiable round: every atom takes its
+    class numeral or the LIA value of its class handle, every application
+    becomes one table row.  ``None`` when integer rounding or functionality
+    (two rows with equal arguments, different values) defeats it.
+
+    A candidate only — :class:`repro.smt.solver.Solver` evaluates the whole
+    formula under it before relying on it.
+    """
+
+    values = trail.model()
+    if values is None:
+        return None
+
+    def value_of(t: Term) -> int:
+        if isinstance(t, Num):
+            return t.value
+        if isinstance(t, Lin):
+            return t.const + sum(c * value_of(a) for a, c in t.coeffs)
+        constant = cc.constant_of(t)
+        return values.get(cc.root_id(t), 0) if constant is None else constant
+
+    entries: dict[WitnessKey, int] = {}
+    for t in cc.terms():
+        if isinstance(t, Sym):
+            entries[t.name] = value_of(t)
+        elif isinstance(t, App):
+            value = value_of(t)
+            if entries.setdefault((t.func, *map(value_of, t.args)), value) != value:
+                return None
+    return tuple(x for item in entries.items() if item[1] for x in item)
 
 
 _MAX_CANDIDATE_PAIRS = 40
@@ -218,14 +285,11 @@ def _congruence_candidate_pairs(
     """Argument pairs whose equality could merge two applications."""
 
     by_func: dict[tuple[str, int], list[App]] = {}
-    seen_apps: set[App] = set()
-    atoms: set[Term] = set()
+    apps: dict[App, None] = {}
     for lit in literals:
-        _collect_atoms(lit.term, atoms)
-    for atom in atoms:
-        if isinstance(atom, App) and atom not in seen_apps:
-            seen_apps.add(atom)
-            by_func.setdefault((atom.func, len(atom.args)), []).append(atom)
+        _collect_apps(lit.term, apps)
+    for atom in apps:
+        by_func.setdefault((atom.func, len(atom.args)), []).append(atom)
     pairs: list[tuple[Term, Term]] = []
     seen_pairs: set[tuple[Term, Term]] = set()
     for group in by_func.values():

@@ -20,7 +20,7 @@ Only ground reasoning is needed — the fragment is quantifier free.
 
 from __future__ import annotations
 
-from .terms import App, Lin, Num, Sym, Term, as_linear
+from .terms import App, Lin, Num, Sym, Term
 
 __all__ = ["CongruenceClosure"]
 
@@ -42,17 +42,20 @@ class CongruenceClosure:
         self._rank: list[int] = []
         self._members: list[list[int]] = []  # class members (at representative)
         self._uses: list[list[int]] = []  # parent applications (at representative)
-        self._sig: dict[tuple, int] = {}  # signature -> node id
+        self._sig: dict[tuple[str, tuple[int, ...]], int] = {}  # signature -> node id
         self._children: list[tuple[str, tuple[int, ...]] | None] = []
         self._pending: list[tuple[int, int]] = []
+        self._const: list[int | None] = []  # the class numeral (at representative)
+        self._conflict = False  # two distinct numerals were merged
 
     # -- term registration -----------------------------------------------------
 
     def add_term(self, t: Term) -> int:
         """Intern ``t`` (and all subterms) into the DAG; returns its node id."""
 
-        if t in self._ids:
-            return self._ids[t]
+        known = self._ids.get(t)
+        if known is not None:
+            return known
         if isinstance(t, (Num, Sym)):
             node = self._new_node(t, None)
         elif isinstance(t, App):
@@ -83,6 +86,7 @@ class CongruenceClosure:
         self._members.append([node])
         self._uses.append([])
         self._children.append(children)
+        self._const.append(t.value if isinstance(t, Num) else None)
         return node
 
     def _install_signature(self, node: int) -> None:
@@ -120,6 +124,13 @@ class CongruenceClosure:
         self._parent[rb] = ra
         self._members[ra].extend(self._members[rb])
         self._members[rb] = []
+        moved = self._const[rb]
+        if moved is not None:
+            kept = self._const[ra]
+            if kept is None:
+                self._const[ra] = moved
+            elif kept != moved:
+                self._conflict = True
         affected = self._uses[rb]
         self._uses[rb] = []
         for node in affected:
@@ -182,19 +193,17 @@ class CongruenceClosure:
         root = self._find(node)
         return [self._terms[i] for i in self._members[root]]
 
+    def terms(self) -> list[Term]:
+        """Every interned term (subterms included), in registration order."""
+
+        return self._terms
+
     def has_constant_conflict(self) -> bool:
         """Whether two distinct numerals ended up in the same class."""
 
-        for cls in self.equivalence_classes():
-            nums = {term.value for term in cls if isinstance(term, Num)}
-            if len(nums) > 1:
-                return True
-        return False
+        return self._conflict
 
     def constant_of(self, t: Term) -> int | None:
         """The numeral merged with ``t``'s class, if any."""
 
-        for member in self.class_of(t):
-            if isinstance(member, Num):
-                return member.value
-        return None
+        return self._const[self._find(self.add_term(t))]

@@ -16,16 +16,21 @@ lazy theory combination:
 
 Constraints are kept as ``coeffs . vars + const (<=|=|!=) 0`` with
 coefficient maps keyed by arbitrary hashable variable handles (the combiner
-uses term atoms directly).
+uses congruence-class root ids).
+
+There is one elimination engine.  A caller that may want an integer *model*
+of a ``sat`` answer passes a :class:`LiaTrail`; the engine notes in it what
+it eliminated (references to lists it builds anyway), and
+:meth:`LiaTrail.model` back-substitutes only when asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
 
-__all__ = ["LinCon", "LiaStatus", "lia_check", "lia_implies_eq"]
+__all__ = ["LinCon", "LiaStatus", "LiaTrail", "lia_check", "lia_implies_eq"]
 
 Var = Hashable
 
@@ -39,8 +44,8 @@ class LinCon:
 
     @staticmethod
     def make(coeffs: dict[Var, int], const: int) -> "LinCon":
-        items = tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0), key=lambda p: repr(p[0])))
-        return LinCon(items, const)
+        items = sorted(((v, c) for v, c in coeffs.items() if c != 0), key=lambda p: repr(p[0]))
+        return LinCon(tuple(items), const)
 
     def coeff_map(self) -> dict[Var, int]:
         return dict(self.coeffs)
@@ -98,7 +103,69 @@ class _Budget(Exception):
     """Internal signal: resource budget exhausted; answer 'unknown'."""
 
 
-def _substitute(con: LinCon, var: Var, replacement: dict[Var, int], rep_const: int) -> tuple[dict[Var, int], int]:
+class LiaTrail:
+    """What one ``sat`` run of :func:`lia_check` eliminated, in order.
+
+    ``pivots`` holds ``(variable, replacement, constant)`` per Gaussian step,
+    ``bounds`` holds ``(variable, upper-bound rows, lower-bound rows)`` per
+    Fourier–Motzkin step of the branch that was accepted.
+    """
+
+    __slots__ = ("pivots", "bounds")
+
+    def __init__(self) -> None:
+        self.pivots: list[tuple[Var, dict[Var, int], int]] = []
+        self.bounds: list[tuple[Var, list[LinCon], list[LinCon]]] = []
+
+    def model(self) -> Optional[dict[Var, int]]:
+        """Integer values by back-substitution (a variable that is absent is
+        0), or None when rounding leaves a variable no integer in its bounds.
+
+        Fourier–Motzkin proves *rational* satisfiability, so the result is a
+        candidate: callers verify it against what they asked.
+        """
+
+        values: dict[Var, int] = {}
+        for var, uppers, lowers in reversed(self.bounds):
+            low: Optional[int] = None
+            high: Optional[int] = None
+            for con in uppers:  # a * var + rest <= 0 with a > 0
+                a, rest = _split(con, var, values)
+                bound = -rest // a
+                high = bound if high is None else min(high, bound)
+            for con in lowers:  # a < 0: var >= rest / -a, rounded up
+                a, rest = _split(con, var, values)
+                bound = -(-rest // -a)
+                low = bound if low is None else max(low, bound)
+            if low is not None and high is not None and low > high:
+                return None
+            # 0 clamped into the bounds: absent entries of a witness read as 0.
+            if low is not None and low > 0:
+                values[var] = low
+            elif high is not None and high < 0:
+                values[var] = high
+            else:
+                values[var] = 0
+        for pivot, replacement, const in reversed(self.pivots):
+            values[pivot] = const + sum(c * values.get(v, 0) for v, c in replacement.items())
+        return values
+
+
+def _split(con: LinCon, var: Var, values: dict[Var, int]) -> tuple[int, int]:
+    """``(coefficient of var, value of the rest of the row)`` under ``values``."""
+
+    a, rest = 0, con.const
+    for v, c in con.coeffs:
+        if v == var:
+            a = c
+        else:
+            rest += c * values.get(v, 0)
+    return a, rest
+
+
+def _substitute(
+    con: LinCon, var: Var, replacement: dict[Var, int], rep_const: int
+) -> tuple[dict[Var, int], int]:
     """Replace ``var`` by ``replacement + rep_const`` inside ``con``."""
 
     coeffs = con.coeff_map()
@@ -112,18 +179,16 @@ def _substitute(con: LinCon, var: Var, replacement: dict[Var, int], rep_const: i
 
 
 def _eliminate_equalities(
-    eqs: list[LinCon], les: list[LinCon], diseqs: list[LinCon]
-) -> tuple[list[LinCon], list[LinCon], list[LinCon]]:
-    """Gaussian elimination using unit-coefficient pivots.
+    eqs: list[LinCon], les: list[LinCon], diseqs: list[LinCon], trail: Optional[LiaTrail]
+) -> tuple[list[LinCon], list[LinCon]]:
+    """Gaussian elimination using unit-coefficient pivots; returns the
+    remaining ``(les, diseqs)``.
 
     Equalities without a unit coefficient are deferred: they are turned into
     opposing inequalities at the end (sound; loses only some integer-level
     refutation power, which the gcd checks partially recover).
     """
 
-    eqs = list(eqs)
-    les = list(les)
-    diseqs = list(diseqs)
     progress = True
     while progress:
         progress = False
@@ -136,6 +201,8 @@ def _eliminate_equalities(
             # pivot = (-const - rest) / k with k = +-1
             replacement = {v: -c * k for v, c in coeffs.items()}
             rep_const = -eq.const * k
+            if trail is not None:
+                trail.pivots.append((pivot, replacement, rep_const))
             new_eqs: list[LinCon] = []
             for j, other in enumerate(eqs):
                 if j == i:
@@ -166,11 +233,15 @@ def _eliminate_equalities(
     for eq in eqs:
         les.append(LinCon(eq.coeffs, eq.const))
         les.append(LinCon(tuple((v, -c) for v, c in eq.coeffs), -eq.const))
-    return [], les, diseqs
+    return les, diseqs
 
 
-def _fourier_motzkin(les: list[LinCon]) -> None:
-    """Refute or accept a conjunction of ``<= 0`` constraints; raises on unsat."""
+def _fourier_motzkin(les: list[LinCon], trail: Optional[LiaTrail]) -> None:
+    """Refute or accept a conjunction of ``<= 0`` constraints; raises on unsat.
+
+    On acceptance the elimination order and each variable's bound rows are
+    left in ``trail.bounds``.
+    """
 
     # Deduplicate.
     current: set[LinCon] = set()
@@ -179,8 +250,9 @@ def _fourier_motzkin(les: list[LinCon]) -> None:
         if norm is not None:
             current.add(norm)
     total = len(current)
+    bounds: list[tuple[Var, list[LinCon], list[LinCon]]] = []
 
-    while True:
+    while current:
         variables: dict[Var, tuple[int, int]] = {}
         for con in current:
             for v, c in con.coeffs:
@@ -189,13 +261,15 @@ def _fourier_motzkin(les: list[LinCon]) -> None:
                     variables[v] = (pos + 1, neg)
                 else:
                     variables[v] = (pos, neg + 1)
-        if not variables:
-            return  # only constant constraints remained, all satisfied
         # Pick the variable minimising the number of generated combinations.
         var = min(variables, key=lambda v: variables[v][0] * variables[v][1])
-        pos_cons = [c for c in current if dict(c.coeffs).get(var, 0) > 0]
-        neg_cons = [c for c in current if dict(c.coeffs).get(var, 0) < 0]
-        rest = [c for c in current if dict(c.coeffs).get(var, 0) == 0]
+        pos_cons: list[LinCon] = []
+        neg_cons: list[LinCon] = []
+        rest: list[LinCon] = []
+        for con in current:
+            k = next((c for v, c in con.coeffs if v == var), 0)
+            (pos_cons if k > 0 else neg_cons if k < 0 else rest).append(con)
+        bounds.append((var, pos_cons, neg_cons))
         new: set[LinCon] = set(rest)
         for p in pos_cons:
             pc = p.coeff_map()
@@ -217,14 +291,16 @@ def _fourier_motzkin(les: list[LinCon]) -> None:
         if total > _FM_CONSTRAINT_BUDGET:
             raise _Budget()
         current = new
-        if not current:
-            return
+    if trail is not None:
+        trail.bounds = bounds
 
 
-def _check_conjunction(les: list[LinCon], diseqs: list[LinCon], depth: int) -> LiaStatus:
+def _check_conjunction(
+    les: list[LinCon], diseqs: list[LinCon], depth: int, trail: Optional[LiaTrail]
+) -> LiaStatus:
     if not diseqs:
         try:
-            _fourier_motzkin(les)
+            _fourier_motzkin(les, trail)
             return "sat"
         except _Unsat:
             return "unsat"
@@ -232,40 +308,42 @@ def _check_conjunction(les: list[LinCon], diseqs: list[LinCon], depth: int) -> L
             return "unknown"
     if depth >= _DISEQ_SPLIT_LIMIT:
         # Too many splits: drop remaining disequalities (weakens toward SAT).
-        status = _check_conjunction(les, [], depth)
+        status = _check_conjunction(les, [], depth, trail)
         return "unknown" if status == "sat" else status
     head, *tail = diseqs
     # t != 0  ==>  t <= -1  or  t >= 1 ; each branch may itself be refuted
-    # during normalisation, which refutes only that branch.
-    results: list[LiaStatus] = []
+    # during normalisation, which refutes only that branch.  The first
+    # satisfiable branch decides (and its eliminations stay on the trail).
+    verdict: LiaStatus = "unsat"
     branches = (
         (head.coeff_map(), head.const + 1),
         ({v: -c for v, c in head.coeffs}, -head.const + 1),
     )
     for coeffs, const in branches:
         try:
-            extra = _normalize_le(dict(coeffs), const)
+            extra = _normalize_le(coeffs, const)
         except _Unsat:
-            results.append("unsat")
             continue
-        branch = list(les) + ([extra] if extra is not None else [])
-        results.append(_check_conjunction(branch, tail, depth + 1))
-    if "sat" in results:
-        return "sat"
-    if "unknown" in results:
-        return "unknown"
-    return "unsat"
+        branch = les + ([extra] if extra is not None else [])
+        status = _check_conjunction(branch, tail, depth + 1, trail)
+        if status == "sat":
+            return "sat"
+        if status == "unknown":
+            verdict = "unknown"
+    return verdict
 
 
 def lia_check(
     eqs: Iterable[LinCon],
     les: Iterable[LinCon],
     diseqs: Iterable[LinCon] = (),
+    trail: Optional[LiaTrail] = None,
 ) -> LiaStatus:
     """Decide ``/\\ eqs = 0  /\\ les <= 0  /\\ diseqs != 0``.
 
     Returns ``'unsat'`` only with a valid refutation; ``'sat'`` / ``'unknown'``
-    otherwise (see module docstring for the asymmetry rationale).
+    otherwise (see module docstring for the asymmetry rationale).  After a
+    ``'sat'`` answer, ``trail.model()`` is a candidate integer model.
     """
 
     try:
@@ -287,8 +365,8 @@ def lia_check(
                     return "unsat"
                 continue
             norm_dis.append(LinCon.make(coeffs, d.const))
-        _, les2, dis2 = _eliminate_equalities(norm_eqs, norm_les, norm_dis)
-        return _check_conjunction(les2, dis2, 0)
+        les2, dis2 = _eliminate_equalities(norm_eqs, norm_les, norm_dis, trail)
+        return _check_conjunction(les2, dis2, 0, trail)
     except _Unsat:
         return "unsat"
     except _Budget:

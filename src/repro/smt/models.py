@@ -1,33 +1,31 @@
-"""Best-effort model extraction for satisfiable formulas.
+"""Witnesses: evaluating formulas under an interpretation, and model views.
 
 The solver's primary contract is refutation (an ``unsat`` answer is a
 proof); ``sat`` answers are used by the optimiser only as "no entailment".
-For diagnostics, tests, and the invariant engine it is still useful to
-*exhibit* satisfying assignments.  This module constructs them:
+A satisfiable check nevertheless leaves a *witness* behind at no extra
+solving cost — the congruence closure and the Fourier–Motzkin trail of the
+accepted theory round (:func:`repro.smt.combine.check_literals`) — and
+:class:`repro.smt.solver.Solver` answers later queries from it.  This module
+holds what reads a witness:
 
-* :func:`lia_model` — a model of a linear integer constraint system, via
-  equality substitution, disequality branch search, and Fourier–Motzkin
-  elimination with back-substitution;
-* :func:`literals_model` — a model of a conjunction of theory literals,
-  assigning congruence classes through the LIA model and synthesising
-  function interpretations from the application atoms;
-* :meth:`repro.smt.solver.Solver.model` (implemented here as
-  :func:`formula_model`) — a model of an arbitrary formula.
+* :func:`holds` — truth of a formula under an interpretation, atom truths
+  memoised per interpretation.  An interpretation is *total*: whatever it
+  does not mention (a variable, a function at some arguments) reads as 0.
+* :func:`lia_model`, :func:`literals_model`, :func:`formula_model` — thin
+  views that run the one engine and present its witness as dictionaries,
+  for diagnostics and tests.
 
-Everything returned is **verified** against the original constraints
-before being handed out; when rounding or the non-convex corners defeat
-the construction, the functions return ``None`` rather than a wrong model
-— callers treat that as "satisfiable, but no witness available".
+Everything handed out is **verified** against what was asked; when rounding
+or the non-convex corners defeat the construction, the views return ``None``
+rather than a wrong model — "satisfiable, but no witness available".
 """
 
 from __future__ import annotations
 
-from math import ceil, floor
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .combine import TheoryLiteral, _equality_sides, _lin_over_classes
-from .euf import CongruenceClosure
-from .lia import LinCon, _Unsat, _eliminate_equalities, _normalize_le
+from .combine import TheoryLiteral, Witness, WitnessKey, check_literals
+from .lia import LiaTrail, LinCon, Var, lia_check
 from .terms import (
     App,
     Eq,
@@ -42,8 +40,13 @@ from .terms import (
     Num,
     Sym,
     Term,
-    as_linear,
+    Token,
+    _term_tokens,
+    free_syms,
 )
+
+if TYPE_CHECKING:
+    from .solver import Solver
 
 __all__ = [
     "lia_model",
@@ -52,376 +55,163 @@ __all__ = [
     "evaluate_term",
     "evaluate_formula",
     "formula_model",
+    "holds",
+    "interpretation",
 ]
 
-_DISEQ_BRANCH_LIMIT = 64
+Interpretation = Mapping[WitnessKey, int]
+Tables = Mapping[str, Mapping[tuple[int, ...], int]]
+Model = tuple[dict[str, int], dict[str, dict[tuple[int, ...], int]]]
 
 
-def evaluate_lincon(con: LinCon, assignment: dict) -> int:
+def interpretation(witness: Witness) -> dict[WitnessKey, int]:
+    """The lookup form of a flat ``(key, value, key, value, ...)`` witness."""
+
+    return dict(zip(witness[::2], witness[1::2]))
+
+
+def _value(t: Term, w: Interpretation) -> int:
+    if isinstance(t, Sym):
+        return w.get(t.name, 0)
+    if isinstance(t, Lin):
+        total = t.const
+        for atom, coef in t.coeffs:
+            total += coef * _value(atom, w)
+        return total
+    if isinstance(t, Num):
+        return t.value
+    if isinstance(t, App):
+        return w.get((t.func, *[_value(a, w) for a in t.args]), 0)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def holds(f: Formula, w: Interpretation, truths: dict[Formula, bool]) -> bool:
+    """Whether ``f`` is true under ``w``; ``truths`` memoises the atoms of
+    this one interpretation (successive queries share most of their Ψ)."""
+
+    if isinstance(f, (Le, Eq)):
+        known = truths.get(f)
+        if known is None:
+            value = _value(f.term, w)
+            known = truths[f] = value <= 0 if isinstance(f, Le) else value == 0
+        return known
+    if isinstance(f, FAnd):
+        return all(holds(g, w, truths) for g in f.args)
+    if isinstance(f, FOr):
+        return any(holds(g, w, truths) for g in f.args)
+    if isinstance(f, FNot):
+        return not holds(f.operand, w, truths)
+    if isinstance(f, FTrue):
+        return True
+    if isinstance(f, FFalse):
+        return False
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Dictionary views (diagnostics, tests)
+# ---------------------------------------------------------------------------
+
+
+def _merged(variables: Mapping[str, int], functions: Optional[Tables]) -> dict[WitnessKey, int]:
+    w: dict[WitnessKey, int] = {name: value for name, value in variables.items()}
+    for func, table in (functions or {}).items():
+        for args, value in table.items():
+            w[(func, *args)] = value
+    return w
+
+
+def evaluate_term(t: Term, variables: Mapping[str, int], functions: Optional[Tables] = None) -> int:
+    """Evaluate a term under a model (missing entries default to 0)."""
+
+    return _value(t, _merged(variables, functions))
+
+
+def evaluate_formula(
+    f: Formula, variables: Mapping[str, int], functions: Optional[Tables] = None
+) -> bool:
+    """Evaluate a formula under a model (missing entries default to 0)."""
+
+    return holds(f, _merged(variables, functions), {})
+
+
+def evaluate_lincon(con: LinCon, assignment: Mapping[Var, int]) -> int:
     """The value of the linear form under ``assignment`` (missing vars = 0)."""
 
     return con.const + sum(c * assignment.get(v, 0) for v, c in con.coeffs)
 
 
-def _fm_with_trail(les: list[LinCon]) -> list[tuple[object, list[LinCon]]] | None:
-    """Fourier–Motzkin elimination recording, per variable, its bound set.
-
-    Returns the elimination trail (variable, constraints-mentioning-it) in
-    elimination order, or None when the system is refuted.
-    """
-
-    current: set[LinCon] = set()
-    for con in les:
-        try:
-            norm = _normalize_le(con.coeff_map(), con.const)
-        except _Unsat:
-            return None
-        if norm is not None:
-            current.add(norm)
-
-    trail: list[tuple[object, list[LinCon]]] = []
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            return None
-        variables: set = set()
-        for con in current:
-            for v, _c in con.coeffs:
-                variables.add(v)
-        if not variables:
-            return trail
-        var = min(variables, key=repr)
-        with_var = [c for c in current if dict(c.coeffs).get(var, 0) != 0]
-        rest = [c for c in current if dict(c.coeffs).get(var, 0) == 0]
-        trail.append((var, with_var))
-        new: set[LinCon] = set(rest)
-        pos = [c for c in with_var if dict(c.coeffs)[var] > 0]
-        neg = [c for c in with_var if dict(c.coeffs)[var] < 0]
-        for p in pos:
-            a = dict(p.coeffs)[var]
-            for n in neg:
-                b = -dict(n.coeffs)[var]
-                combined: dict = {}
-                for v, c in p.coeffs:
-                    if v != var:
-                        combined[v] = combined.get(v, 0) + b * c
-                for v, c in n.coeffs:
-                    if v != var:
-                        combined[v] = combined.get(v, 0) + a * c
-                try:
-                    norm = _normalize_le(combined, b * p.const + a * n.const)
-                except _Unsat:
-                    return None
-                if norm is not None:
-                    new.add(norm)
-        if len(new) > 4000:
-            return None
-        current = new
-
-
-def _assign_from_trail(trail) -> dict | None:
-    """Assign variables in reverse elimination order within their bounds."""
-
-    assignment: dict = {}
-    for var, constraints in reversed(trail):
-        lower = None
-        upper = None
-        for con in constraints:
-            coeffs = dict(con.coeffs)
-            a = coeffs.pop(var)
-            rest = con.const + sum(c * assignment.get(v, 0) for v, c in coeffs.items())
-            # a*var + rest <= 0
-            if a > 0:
-                # v <= floor(-rest / a)
-                bound = floor(-rest / a)
-                upper = bound if upper is None else min(upper, bound)
-            else:
-                # v >= ceil(rest / -a)
-                bound = ceil(rest / (-a))
-                lower = bound if lower is None else max(lower, bound)
-        if lower is not None and upper is not None and lower > upper:
-            return None
-        if lower is not None and upper is not None:
-            value = 0 if lower <= 0 <= upper else lower
-        elif lower is not None:
-            value = max(lower, 0)
-        elif upper is not None:
-            value = min(upper, 0)
-        else:
-            value = 0
-        assignment[var] = value
-    return assignment
-
-
 def lia_model(
-    eqs: Iterable[LinCon],
-    les: Iterable[LinCon],
-    diseqs: Iterable[LinCon] = (),
-    _depth: int = 0,
-) -> dict | None:
+    eqs: Iterable[LinCon], les: Iterable[LinCon], diseqs: Iterable[LinCon] = ()
+) -> Optional[dict[Var, int]]:
     """A verified integer model of the constraint system, or None."""
 
     eqs, les, diseqs = list(eqs), list(les), list(diseqs)
-    try:
-        _none, les2, dis2 = _eliminate_equalities(list(eqs), list(les), list(diseqs))
-    except _Unsat:
+    trail = LiaTrail()
+    if lia_check(eqs, les, diseqs, trail) != "sat":
         return None
-
-    def finish(assignment: dict | None) -> dict | None:
-        if assignment is None:
-            return None
-        # Give every equality-eliminated variable its implied value by
-        # solving the original equalities greedily.
-        for _round in range(len(eqs) + 1):
-            progress = False
-            for eq in eqs:
-                unknown = [v for v, _c in eq.coeffs if v not in assignment]
-                if len(unknown) != 1:
-                    continue
-                v = unknown[0]
-                coeffs = dict(eq.coeffs)
-                a = coeffs.pop(v)
-                rest = eq.const + sum(c * assignment.get(u, 0) for u, c in coeffs.items())
-                if rest % a != 0:
-                    return None
-                assignment[v] = -rest // a
-                progress = True
-            if not progress:
-                break
-        for eq in eqs:
-            for v, _c in eq.coeffs:
-                assignment.setdefault(v, 0)
-        # Final verification against everything.
-        for eq in eqs:
-            if evaluate_lincon(eq, assignment) != 0:
-                return None
-        for le in les:
-            if evaluate_lincon(le, assignment) > 0:
-                return None
-        for ne in diseqs:
-            if evaluate_lincon(ne, assignment) == 0:
-                return None
-        return assignment
-
-    if not dis2:
-        trail = _fm_with_trail(les2)
-        if trail is None:
-            return None
-        return finish(_assign_from_trail(trail))
-
-    if _depth > _DISEQ_BRANCH_LIMIT:
+    values = trail.model()
+    if values is None:
         return None
-    head, *tail = dis2
-    for sign in (1, -1):
-        # head != 0 as head <= -1 (sign=1) or -head <= -1 (sign=-1)
-        coeffs = {v: sign * c for v, c in head.coeffs}
-        branch = LinCon.make(coeffs, sign * head.const + 1)
-        candidate = lia_model([], les2 + [branch], tail, _depth + 1)
-        if candidate is not None:
-            result = finish(candidate)
-            if result is not None:
-                return result
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Models for theory-literal conjunctions (EUF + LIA)
-# ---------------------------------------------------------------------------
-
-
-def literals_model(literals: list[TheoryLiteral]) -> tuple[dict, dict] | None:
-    """A verified model ``(variable values, function tables)`` or None.
-
-    Function tables map ``func -> {arg tuple -> value}``; applications not
-    forced by the constraints are absent (interpret as any default).
-    """
-
-    cc = CongruenceClosure()
-    for lit in literals:
-        cc.add_term(lit.term)
-        if lit.kind == "eq":
-            lhs, rhs = _equality_sides(lit.term)
-            cc.assert_equal(lhs, rhs)
-    if cc.has_constant_conflict():
+    for con in (*eqs, *les, *diseqs):
+        for v, _c in con.coeffs:
+            values.setdefault(v, 0)
+    if (
+        any(evaluate_lincon(eq, values) != 0 for eq in eqs)
+        or any(evaluate_lincon(le, values) > 0 for le in les)
+        or any(evaluate_lincon(ne, values) == 0 for ne in diseqs)
+    ):
         return None
+    return values
 
-    eqs: list[LinCon] = []
-    les: list[LinCon] = []
-    nes: list[LinCon] = []
-    for lit in literals:
-        coeffs, const = _lin_over_classes(lit.term, cc)
-        con = LinCon.make(coeffs, const)
-        if lit.kind == "eq":
-            eqs.append(con)
-        elif lit.kind == "le":
-            les.append(con)
+
+def _view(w: Interpretation, names: Iterable[str]) -> Model:
+    """``(variable values, function tables)``; every name in ``names`` gets a
+    row (0 when the witness left it out).  Function tables map
+    ``func -> {arg tuple -> value}``; rows not forced by the constraints are
+    absent (they read as 0)."""
+
+    variables = {name: 0 for name in names}
+    functions: dict[str, dict[tuple[int, ...], int]] = {}
+    for key, value in w.items():
+        if isinstance(key, str):
+            variables[key] = value
         else:
-            nes.append(con)
-    handle_values = lia_model(eqs, les, nes)
-    if handle_values is None:
-        return None
-
-    # Value of every atom = value of its class handle (or its numeral).
-    atoms: set[Term] = set()
-
-    def collect(t: Term) -> None:
-        if isinstance(t, Sym):
-            atoms.add(t)
-        elif isinstance(t, App):
-            atoms.add(t)
-            for a in t.args:
-                collect(a)
-        elif isinstance(t, Lin):
-            for a, _c in t.coeffs:
-                collect(a)
-
-    for lit in literals:
-        collect(lit.term)
-
-    def class_value(atom: Term) -> int:
-        c = cc.constant_of(atom)
-        if c is not None:
-            return c
-        return handle_values.get(cc.root_id(atom), 0)
-
-    variables: dict[str, int] = {}
-    functions: dict[str, dict[tuple, int]] = {}
-    for atom in atoms:
-        if isinstance(atom, Sym):
-            variables[atom.name] = class_value(atom)
-    # Function tables need argument *values*; compute innermost-first.
-    def term_value(t: Term) -> int:
-        if isinstance(t, Num):
-            return t.value
-        if isinstance(t, Sym):
-            return variables.get(t.name, class_value(t))
-        if isinstance(t, App):
-            return class_value(t)
-        if isinstance(t, Lin):
-            return t.const + sum(c * term_value(a) for a, c in t.coeffs)
-        raise TypeError(t)
-
-    for atom in atoms:
-        if isinstance(atom, App):
-            key = tuple(term_value(a) for a in atom.args)
-            table = functions.setdefault(atom.func, {})
-            value = class_value(atom)
-            if key in table and table[key] != value:
-                return None  # functionality violated: no witness available
-            table[key] = value
-
-    # Final verification of every literal under the constructed model.
-    for lit in literals:
-        value = _eval_term_model(lit.term, variables, functions)
-        if value is None:
-            return None
-        if lit.kind == "eq" and value != 0:
-            return None
-        if lit.kind == "le" and value > 0:
-            return None
-        if lit.kind == "ne" and value == 0:
-            return None
+            functions.setdefault(key[0], {})[key[1:]] = value
     return variables, functions
 
 
-def _eval_term_model(t: Term, variables: dict, functions: dict) -> int | None:
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Sym):
-        return variables.get(t.name, 0)
-    if isinstance(t, App):
-        args = []
-        for a in t.args:
-            v = _eval_term_model(a, variables, functions)
-            if v is None:
-                return None
-            args.append(v)
-        table = functions.get(t.func, {})
-        return table.get(tuple(args), 0)
-    if isinstance(t, Lin):
-        total = t.const
-        for atom, coef in t.coeffs:
-            v = _eval_term_model(atom, variables, functions)
-            if v is None:
-                return None
-            total += coef * v
-        return total
-    return None
+def literals_model(literals: list[TheoryLiteral]) -> Optional[Model]:
+    """A verified model of a conjunction of theory literals, or None."""
+
+    witness = check_literals(literals).witness
+    if witness is None:
+        return None
+    w = interpretation(witness)
+    tokens: set[Token] = set()
+    for lit in literals:
+        value = _value(lit.term, w)
+        if (value != 0) if lit.kind == "eq" else (value > 0) if lit.kind == "le" else (value == 0):
+            return None
+        _term_tokens(lit.term, tokens)
+    return _view(w, sorted(token for token in tokens if isinstance(token, str)))
 
 
-def evaluate_term(t: Term, variables: dict, functions: dict | None = None) -> int:
-    """Evaluate a term under a model (missing entries default to 0)."""
-
-    value = _eval_term_model(t, variables, functions or {})
-    assert value is not None
-    return value
-
-
-def evaluate_formula(f: Formula, variables: dict, functions: dict | None = None) -> bool:
-    """Evaluate a formula under a model."""
-
-    functions = functions or {}
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, Le):
-        return evaluate_term(f.term, variables, functions) <= 0
-    if isinstance(f, Eq):
-        return evaluate_term(f.term, variables, functions) == 0
-    if isinstance(f, FNot):
-        return not evaluate_formula(f.operand, variables, functions)
-    if isinstance(f, FAnd):
-        return all(evaluate_formula(g, variables, functions) for g in f.args)
-    if isinstance(f, FOr):
-        return any(evaluate_formula(g, variables, functions) for g in f.args)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def formula_model(formula: Formula, solver=None) -> tuple[dict, dict] | None:
+def formula_model(formula: Formula, solver: Optional["Solver"] = None) -> Optional[Model]:
     """A verified model of ``formula``, or None.
 
-    Runs the DPLL(T) loop; on the satisfying propositional assignment,
-    constructs a theory model from the sufficient literal set and verifies
-    the *whole formula* under it.
+    Runs the solver's DPLL(T) loop and verifies the *whole formula* under
+    the witness of the accepted theory round.
     """
 
-    from .cnf import CnfBuilder
-    from .sat import SatSolver
-    from .combine import check_literals, minimize_core
+    if solver is None:
+        from .solver import Solver
 
-    if isinstance(formula, FTrue):
-        return {}, {}
-    if isinstance(formula, FFalse):
+        solver = Solver()
+    _status, witness = solver._check(formula)
+    if witness is None:
         return None
-
-    sat = SatSolver()
-    builder = CnfBuilder(sat)
-    builder.assert_formula(formula)
-    for _ in range(200):
-        result = sat.solve()
-        if not result.is_sat:
-            return None
-        assignment = builder.sufficient_literals(result.model)
-        literals = [TheoryLiteral.from_formula(a, v) for a, v in assignment]
-        verdict = check_literals(literals)
-        if verdict.status == "sat":
-            model = literals_model(literals)
-            if model is not None and evaluate_formula(formula, *model):
-                return model
-            return None  # satisfiable, but witness construction failed
-        if verdict.status == "unknown":
-            return None
-        core = minimize_core(literals)
-        core_set = set(core)
-        block = []
-        for (atom, value), lit in zip(assignment, literals):
-            if lit in core_set:
-                var = builder.atom_vars[atom]
-                block.append(-var if value else var)
-        if not block:
-            return None
-        sat.reset_to_root()
-        sat.add_clause(block)
-    return None
+    w = interpretation(witness)
+    if not holds(formula, w, {}):
+        return None  # satisfiable, but witness construction failed
+    return _view(w, sorted(free_syms(formula)))

@@ -7,6 +7,12 @@ entry points are :meth:`Solver.is_sat`, :meth:`Solver.is_valid` and
 thousands of near-identical queries while walking two programs, and the
 cache is what keeps consolidation in the paper's sub-second regime.
 
+Most of those queries have one of two answers that need no search, and each
+has a cheap path (DESIGN.md §14): *not entailed* is read off one of the two
+most recent verified witnesses (:meth:`Solver._decide`), and a theory
+conflict among level-0 atoms closes ``unsat`` without core minimisation
+(:meth:`Solver._check`).
+
 Soundness contract (what the calculus relies on):
 
 * ``is_valid(f) == True``  only when ``not f`` was *refuted* by a valid
@@ -18,53 +24,53 @@ Soundness contract (what the calculus relies on):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from time import perf_counter
+from typing import Any, Callable, Optional
 
 from .cnf import CnfBuilder
-from .combine import TheoryLiteral, check_literals, minimize_core
+from .combine import TheoryLiteral, Witness, WitnessKey, check_literals, minimize_core
+from .models import Model, formula_model, holds, interpretation
 from .sat import SatSolver
-from .terms import (
-    Eq,
-    FALSE_F,
-    Formula,
-    Le,
-    TRUE_F,
-    fand,
-    fnot,
-    for_,
-)
+from .terms import FALSE_F, Formula, TRUE_F, fand, fnot, for_
 
 __all__ = ["Solver", "SolverStats", "CheckResult", "FAULT_HOOK"]
 
 CheckResult = str  # 'sat' | 'unsat' | 'unknown'
+# A remembered witness: its interpretation and the atom truths found under it.
+_Remembered = tuple[dict[WitnessKey, int], dict[Formula, bool]]
 
 # Fault-injection seam (see repro.testing.faults).  When set, the hook is
-# called as ``FAULT_HOOK("smt.check", formula)`` on every memo-miss check;
-# it may return a forced CheckResult ('unknown' models budget exhaustion),
-# raise (a solver crash escaping as an exception), or return None to let
-# the real check run.  ``None`` — the production value — costs one module
-# attribute read per uncached check.
-FAULT_HOOK = None
+# called as ``FAULT_HOOK("smt.check", formula)`` on every check that misses
+# the formula cache — before the witnesses are consulted, so which check a
+# counting hook forces does not depend on witness hits; it may return a
+# forced CheckResult ('unknown' models budget exhaustion), raise (a solver
+# crash escaping as an exception), or return None to let the real check run.
+# ``None`` — the production value — costs one module attribute read per
+# uncached check.
+FAULT_HOOK: Optional[Callable[[str, Formula], Optional[CheckResult]]] = None
 
 
 @dataclass
 class SolverStats:
-    """Counters for reporting and the scalability experiments."""
+    """Counters for reporting and the scalability experiments.
+
+    Of the ``checks`` asked, ``cache_hits`` were answered by the formula
+    cache and ``witness_hits`` by a remembered witness: neither ran the
+    search.  Of those that did, ``forced_unsat`` closed on a theory conflict
+    among level-0 atoms, without core minimisation or a second SAT call.
+    """
 
     checks: int = 0
     cache_hits: int = 0
     theory_rounds: int = 0
     sat_calls: int = 0
     unknowns: int = 0
+    witness_hits: int = 0
+    forced_unsat: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "checks": self.checks,
-            "cache_hits": self.cache_hits,
-            "theory_rounds": self.theory_rounds,
-            "sat_calls": self.sat_calls,
-            "unknowns": self.unknowns,
-        }
+        return asdict(self)
 
 
 class Solver:
@@ -80,14 +86,21 @@ class Solver:
         self,
         lemma_budget: int = 400,
         cache_size: int = 100_000,
-        telemetry=None,
+        telemetry: Any = None,
     ) -> None:
         self.lemma_budget = lemma_budget
         self.cache_size = cache_size
         self.stats = SolverStats()
         self._sat_cache: dict[Formula, CheckResult] = {}
+        # The two most recent verified witnesses, most recently useful first:
+        # ``(interpretation, atom truths under it)``.  Replaced as a whole,
+        # never mutated, so ``executor="thread"`` workers sharing the solver
+        # need no lock (a lost update loses a witness, never a verdict).
+        self._witnesses: tuple[_Remembered, ...] = ()
         if telemetry is None:
-            from ..telemetry import NULL_TELEMETRY as telemetry  # noqa: N811
+            from ..telemetry import NULL_TELEMETRY
+
+            telemetry = NULL_TELEMETRY
         self._telemetry = telemetry
 
     # -- public API ---------------------------------------------------------
@@ -101,15 +114,13 @@ class Solver:
             self.stats.cache_hits += 1
             return cached
         if self._telemetry.enabled:
-            from time import perf_counter
-
             started = perf_counter()
-            result = self._check(f)
+            result = self._decide(f)
             self._telemetry.histogram("smt_check_seconds").observe(
                 perf_counter() - started
             )
         else:
-            result = self._check(f)
+            result = self._decide(f)
         if result == "unknown":
             # Budget exhaustion / incompleteness: the caller treats this as
             # "cannot prove", skipping an optimisation.  Counted so batch
@@ -131,11 +142,9 @@ class Solver:
             return True
         return self.is_sat(fand(hypothesis, fnot(goal))) == "unsat"
 
-    def model(self, f: Formula):
+    def model(self, f: Formula) -> Optional[Model]:
         """A verified model of ``f`` — ``(variables, function tables)`` —
         or None when unsatisfiable / no witness constructible."""
-
-        from .models import formula_model
 
         return formula_model(f, self)
 
@@ -149,17 +158,55 @@ class Solver:
 
         return self.entails(hypothesis, for_(fand(a, b), fand(fnot(a), fnot(b))))
 
-    # -- the DPLL(T) loop ----------------------------------------------------
+    # -- a check that missed the formula cache --------------------------------
 
-    def _check(self, f: Formula) -> CheckResult:
+    def _decide(self, f: Formula) -> CheckResult:
+        """The fault hook, then the remembered witnesses, then the search.
+
+        A witness is a *total* interpretation, and ``f`` is evaluated under
+        it in full: a hit exhibits a model of ``f``, so it can only say
+        ``'sat'`` — "not entailed" — where the search might have given up
+        with ``'unknown'``.  It never produces an ``'unsat'``, which is the
+        only answer the calculus acts on.
+        """
+
         if FAULT_HOOK is not None:
             forced = FAULT_HOOK("smt.check", f)
             if forced is not None:
                 return forced
+        recent = self._witnesses
+        for position, (w, truths) in enumerate(recent):
+            if holds(f, w, truths):
+                self.stats.witness_hits += 1
+                if position:
+                    self._witnesses = (recent[position], *recent[:position])
+                return "sat"
+        status, witness = self._check(f)
+        if witness is not None:
+            fresh: _Remembered = (interpretation(witness), {})
+            if holds(f, *fresh):  # a candidate until the whole formula agrees
+                self._witnesses = (fresh, *recent[:1])
+        return status
+
+    # -- the DPLL(T) loop ----------------------------------------------------
+
+    def _check(self, f: Formula) -> tuple[CheckResult, Optional[Witness]]:
+        """``(status, candidate witness)`` from scratch: no cache, no hook.
+
+        Forced conflicts.  When the theory refutes an assignment whose atoms
+        were all assigned at SAT decision level 0, the answer is ``'unsat'``
+        at once.  Level-0 literals are unit consequences of the clauses, so
+        every propositional model contains this very literal set and the
+        theory has just refuted it; operationally, whatever core
+        minimisation returned, its blocking clause would be false at the
+        root and the next ``solve()`` would report ``'unsat'``.  Only a
+        conflict that involves a decision needs a (minimised) lemma.
+        """
+
         if isinstance(f, type(TRUE_F)):
-            return "sat"
+            return "sat", ()
         if isinstance(f, type(FALSE_F)):
-            return "unsat"
+            return "unsat", None
 
         sat = SatSolver()
         builder = CnfBuilder(sat)
@@ -168,10 +215,8 @@ class Solver:
         for _ in range(self.lemma_budget):
             self.stats.sat_calls += 1
             result = sat.solve()
-            if result.is_unsat:
-                return "unsat"
-            if result.status == "unknown":
-                return "unknown"
+            if result.status != "sat":
+                return result.status, None
 
             # Extract only the theory literals the model actually *needs*
             # (don't-care atoms would otherwise flood the theory solver
@@ -183,24 +228,21 @@ class Solver:
 
             self.stats.theory_rounds += 1
             verdict = check_literals(literals)
-            if verdict.status == "sat":
-                return "sat"
-            if verdict.status == "unknown":
-                return "unknown"
+            if verdict.status != "unsat":
+                return verdict.status, verdict.witness
+            atom_vars = builder.atom_vars
+            if not any(sat.level[atom_vars[atom]] for atom, _value in assignment):
+                self.stats.forced_unsat += 1
+                return "unsat", None
 
             # Theory conflict: block (at least) the offending sub-assignment.
-            core = minimize_core(literals)
-            core_set = set(core)
+            core_set = set(minimize_core(literals))
             block: list[int] = []
             for (atom, value), lit in zip(assignment, literals):
                 if lit in core_set:
-                    var = builder.atom_vars[atom]
+                    var = atom_vars[atom]
                     block.append(-var if value else var)
-            if not block:
-                # The conflict involves no atoms (cannot happen for a real
-                # core, but guard against an empty minimisation result).
-                return "unsat"
             sat.reset_to_root()
             sat.add_clause(block)
 
-        return "unknown"
+        return "unknown", None

@@ -23,8 +23,9 @@ usable as cache keys for entailment memoisation.
 
 Because nodes never change, facts derived from a node are computed once and
 kept *on the node* in non-compared, non-printed slots: the structural hash
-(``_hash``), the canonical sort key of an atom (``_key``, its ``repr``) and
-the interaction tokens of a formula (``_tokens``).  There is nothing to
+(``_hash``), the canonical sort key of an atom (``_key``, its ``repr``), the
+interaction tokens of a formula (``_tokens``) and the two theory literals of
+an atom (``_lits``, filled by :mod:`repro.smt.combine`).  There is nothing to
 invalidate, the caches die with the node, and they never leave the process
 (see :func:`_cached`).  Slot fills are idempotent — two threads racing on
 an empty slot store the same value — so ``executor="thread"`` needs no lock.
@@ -302,6 +303,7 @@ class Le(Formula):
     term: Term
     _hash: Optional[int] = _slot()
     _tokens: Optional[Tokens] = _slot()
+    _lits: Optional[tuple[Any, Any]] = _slot()
 
 
 @_cached
@@ -312,6 +314,7 @@ class Eq(Formula):
     term: Term
     _hash: Optional[int] = _slot()
     _tokens: Optional[Tokens] = _slot()
+    _lits: Optional[tuple[Any, Any]] = _slot()
 
 
 @_cached

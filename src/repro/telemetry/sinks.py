@@ -117,9 +117,11 @@ HELP_TEXTS = {
     "smt_cache_hits": "SMT validity checks answered from the formula cache.",
     "smt_check_seconds": "SMT validity check latency.",
     "smt_checks": "SMT validity checks issued.",
+    "smt_forced_unsat": "SMT checks closed on a level-0 theory conflict (no core minimisation).",
     "smt_sat_calls": "Underlying SAT search invocations.",
     "smt_theory_rounds": "Theory-propagation rounds across all checks.",
     "smt_unknowns": "SMT checks that returned unknown.",
+    "smt_witness_hits": "SMT checks answered 'sat' by a remembered witness (no search).",
 }
 
 

@@ -5,12 +5,22 @@ used before renaming became local: it rebuilds and re-canonicalises *every*
 node of the formula, touched or not.  It is O(|Ψ|) per call and must not be
 used by the product; it exists so that a property test can require the
 local :func:`repro.smt.terms.rename_syms` to return an equal formula.
+
+:func:`reference_check` is the DPLL(T) loop :class:`repro.smt.solver.Solver`
+ran before it had a cheap path per common answer: no formula cache, no
+witness, no theory memo, no interned literals, and *every* theory conflict —
+forced or not — is minimised, blocked and handed back to the SAT core.  A
+differential test requires the solver to agree with it on ``unsat`` versus
+not-``unsat``, the one distinction the calculus acts on.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from ..smt.cnf import CnfBuilder
+from ..smt.combine import TheoryLiteral, _check_literals_uncached
+from ..smt.sat import SatSolver
 from ..smt.terms import (
     App,
     Eq,
@@ -34,7 +44,7 @@ from ..smt.terms import (
     t_scale,
 )
 
-__all__ = ["rename_syms_full_walk", "rename_syms_term_full_walk"]
+__all__ = ["rename_syms_full_walk", "rename_syms_term_full_walk", "reference_check"]
 
 
 def rename_syms_term_full_walk(t: Term, mapping: Mapping[str, Term]) -> Term:
@@ -66,3 +76,57 @@ def rename_syms_full_walk(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     if isinstance(f, FOr):
         return for_(*(rename_syms_full_walk(g, mapping) for g in f.args))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _literal(atom: Formula, positive: bool) -> TheoryLiteral:
+    if isinstance(atom, Eq):
+        return TheoryLiteral("eq" if positive else "ne", atom.term)
+    if not isinstance(atom, Le):
+        raise TypeError(f"not a theory atom: {atom!r}")
+    if positive:
+        return TheoryLiteral("le", atom.term)
+    flipped = fnot(atom)  # not (t <= 0)  ==  1 - t <= 0
+    assert isinstance(flipped, Le)
+    return TheoryLiteral("le", flipped.term)
+
+
+def reference_check(f: Formula, lemma_budget: int = 400, core_budget: int = 12) -> str:
+    """``'sat'`` / ``'unsat'`` / ``'unknown'`` for ``f``, from scratch."""
+
+    if isinstance(f, FTrue):
+        return "sat"
+    if isinstance(f, FFalse):
+        return "unsat"
+    sat = SatSolver()
+    builder = CnfBuilder(sat)
+    builder.assert_formula(f)
+    for _ in range(lemma_budget):
+        result = sat.solve()
+        if result.status != "sat":
+            return result.status
+        assignment = builder.sufficient_literals(result.model)
+        literals = [_literal(atom, value) for atom, value in assignment]
+        status = _check_literals_uncached(literals).status
+        if status != "unsat":
+            return status
+        # Greedy deletion, as ``combine.minimize_core`` but never memoised.
+        core = list(literals)
+        if len(core) <= core_budget:
+            i = 0
+            for _check in range(core_budget):
+                if i >= len(core):
+                    break
+                candidate = core[:i] + core[i + 1 :]
+                if candidate and _check_literals_uncached(candidate).status == "unsat":
+                    core = candidate
+                else:
+                    i += 1
+        sat.reset_to_root()
+        sat.add_clause(
+            [
+                -builder.atom_vars[atom] if value else builder.atom_vars[atom]
+                for (atom, value), literal in zip(assignment, literals)
+                if literal in core
+            ]
+        )
+    return "unknown"

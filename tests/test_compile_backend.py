@@ -103,6 +103,46 @@ class TestCompileCache:
         assert compile_cached(p, FT) is not compile_cached(p, other)
 
 
+    def test_cache_is_bounded_and_keeps_admitting(self, monkeypatch):
+        """A churning registry lowers one new plan per patch: the bucket is
+        an LRU shared by both lowering caches, not a dict that only grows."""
+
+        from repro.lang import compile as compile_mod, vectorize as vectorize_mod
+        from repro.lang.vectorize import clear_vectorize_cache, vectorize_cached
+
+        cap = 6
+        monkeypatch.setattr(compile_mod, "_LOWERED_LIMIT", cap)
+        for cached, store, clear in (
+            (compile_cached, compile_mod._CACHE, clear_compile_cache),
+            (vectorize_cached, vectorize_mod._CACHE, clear_vectorize_cache),
+        ):
+            clear()
+            hot = cached(filt("hot", 1), FT)
+            for i in range(3 * cap):  # one new plan per patch ...
+                cached(filt(f"plan{i}", i), FT)
+                assert cached(filt("hot", 1), FT) is hot  # ... between runs of the hot one
+                assert len(store[FT]) <= cap
+            assert len(store[FT]) == cap
+            newest = filt(f"plan{3 * cap - 1}", 3 * cap - 1)
+            assert newest in {key[0] for key in store[FT]}  # admitted past the cap
+            assert filt("plan0", 0) not in {key[0] for key in store[FT]}  # evicted
+            clear()
+
+    def test_runs_hit_the_cache_as_before(self):
+        """``run_*`` lowers each UDF once however often it runs."""
+
+        from repro.telemetry import Telemetry
+
+        clear_compile_cache()
+        telemetry = Telemetry.capture()
+        config = ExecutionConfig(backend="compiled", telemetry=telemetry)
+        programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
+        for _ in range(3):
+            run_where_many(list(range(10)), programs, FT, config=config)
+        assert telemetry.counter("compile_cache_misses_total").value == len(programs)
+        assert telemetry.counter("compile_cache_hits_total").value >= 2 * len(programs)
+
+
 class TestOperatorsUnderBothBackends:
     def test_where_many_buckets_and_costs_match(self):
         rows = list(range(30))
