@@ -609,8 +609,6 @@ def _certify(
 ) -> tuple[bool, str]:
     """Discharge every live site condition as an SMT validity query."""
 
-    from ..provenance.render import clamp, format_formula
-
     owned = solver if solver is not None else Solver()
     for site in collector.live:
         assert site.condition is not None
@@ -626,12 +624,7 @@ def _certify(
             elapsed = time.perf_counter() - checked
             if recorder is not None:
                 recorder.entailment(
-                    "prefilter",
-                    clamp(format_formula(site.hypothesis)),
-                    clamp(expr_to_str(site.condition)),
-                    proved,
-                    elapsed,
-                    "smt",
+                    "prefilter", site.hypothesis, site.condition, proved, elapsed, "smt"
                 )
             if not proved:
                 return False, (
@@ -697,7 +690,6 @@ def compile_prefilter(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
     backend: str = DEFAULT_BACKEND,
-    memoize_calls: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> Optional[PrefilterGuard]:
     """Compile ``phi`` through the normal UDF backend, or None if trivial.
@@ -714,7 +706,6 @@ def compile_prefilter(
         functions,
         cost_model,
         backend=backend,
-        memoize_calls=memoize_calls,
         telemetry=telemetry,
     )
     return PrefilterGuard(prefilter, runner)
@@ -726,7 +717,6 @@ def make_guard(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
     backend: str = DEFAULT_BACKEND,
-    memoize_calls: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
     prefilter: Optional[Prefilter] = None,
 ) -> Optional[PrefilterGuard]:
@@ -748,8 +738,7 @@ def make_guard(
             functions,
             cost_model,
             backend=backend,
-            memoize_calls=memoize_calls,
-            telemetry=telemetry,
+                telemetry=telemetry,
         )
     except Exception:  # noqa: BLE001 - no guard is always sound
         return None

@@ -67,8 +67,6 @@ class ExecutionConfig:
         explicit table fall back to this one when it is omitted.
     ``io_cost_per_record`` / ``overhead_per_operator``
         The dataflow engine's virtual-clock charges.
-    ``memoize_calls``
-        Per-run memoisation of library calls in both backends.
     ``executor`` / ``max_workers``
         How the divide-and-conquer consolidation driver runs its pair
         merges: ``"serial"``, ``"thread"`` (the paper's structure; no
@@ -83,7 +81,7 @@ class ExecutionConfig:
         applications, entailments, rewrites, heuristics) onto
         ``ConsolidationReport.derivations``.  Off by default — recording
         follows the NULL-twin pattern, so the disabled path costs one
-        boolean check per decision point.
+        inert method call per decision point.
     ``prefilter``
         When True, ``consolidate_all`` synthesizes a sound reject-early
         guard (:func:`repro.analysis.prefilter.synthesize_prefilter`) for
@@ -123,7 +121,6 @@ class ExecutionConfig:
     functions: Optional[FunctionTable] = None
     io_cost_per_record: int = 25
     overhead_per_operator: int = 2
-    memoize_calls: bool = False
     executor: str = "serial"
     max_workers: int = 4
     telemetry: Telemetry = NULL_TELEMETRY

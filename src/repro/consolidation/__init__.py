@@ -9,7 +9,7 @@
 * :mod:`repro.consolidation.verify` — dynamic Theorem 1 checking.
 """
 
-from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator
+from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all, merge_pair
 from .incremental import PatchError, PatchResult, add_query, rebuild, remove_query
 from .simplifier import Context, fold_expr, ir_from_linear, ir_linear

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from ..analysis.invariants import loop_invariant
-from ..analysis.related import call_features, expr_features, is_trivial
-from ..lang.ast import Cmp, Var
-from ..lang.visitors import stmt_exprs, subexpressions, substitute
+from ..analysis.related import expr_features
 from ..analysis.sp import SpEngine
 from ..lang.ast import (
     Assign,
-    BoolConst,
+    Cmp,
     Expr,
     FALSE,
     If,
@@ -46,6 +45,7 @@ from ..lang.ast import (
     Skip,
     Stmt,
     TRUE,
+    Var,
     While,
     seq,
     seq_head,
@@ -55,20 +55,20 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 from ..lang.visitors import (
     assigned_vars,
-    expr_calls,
     expr_vars,
     notified_pids,
     rename_locals,
+    stmt_exprs,
     stmt_size,
-    stmt_vars,
+    subexpressions,
+    substitute,
 )
 from ..provenance.recorder import NULL_RECORDER
-from ..provenance.render import clamp, format_expr, format_formula
 from ..smt.solver import Solver
-from ..smt.terms import TRUE_F, cone_of_influence, fand, fiff, fnot
+from ..smt.terms import TRUE_F, Formula, cone_of_influence, fand, fiff, fnot
 from .simplifier import Context, SimplifyStats
 
-__all__ = ["ConsolidationOptions", "Consolidator", "ConsolidationError"]
+__all__ = ["ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRecord"]
 
 
 class ConsolidationError(Exception):
@@ -131,8 +131,45 @@ class ConsolidationOptions:
             raise ValueError(f"unknown if_rule_mode {self.if_rule_mode!r}")
 
 
+@dataclass
+class PairRecord:
+    """The one account of one pair merge; every report is a view over these.
+
+    :meth:`Consolidator.consolidate` fills in what the calculus knows:
+    the merged ``program``, the ``seconds`` Ω took, the ``rules`` it applied
+    in order, the pair's own entailment counters (``stats``), the static
+    ``validation`` certificate (``options.static_validate``) and the
+    ``derivation`` tree (a recording recorder).  The drivers add what only
+    they know: ``skip_reason`` when the merge raised and ``program`` is the
+    pair's sequential composition instead, and ``planner`` — the calibrated
+    planner's decision dict for this pair.
+    """
+
+    left: str
+    right: str
+    program: Program
+    seconds: float = 0.0
+    rules: tuple[str, ...] = ()
+    stats: SimplifyStats = field(default_factory=SimplifyStats)
+    validation: Any = None
+    derivation: Any = None
+    skip_reason: Optional[str] = None
+    planner: Optional[dict[str, Any]] = None
+
+    @property
+    def merged(self) -> bool:
+        """Whether the calculus produced ``program`` (the merge neither
+        failed nor was declined by the planner)."""
+
+        return self.planner["merged"] if self.planner else self.skip_reason is None
+
+
 class Consolidator:
-    """Merges programs pairwise; reusable (and cache-sharing) across pairs."""
+    """Merges programs pairwise; reusable (and cache-sharing) across pairs.
+
+    ``trace`` lists the rules applied to the last pair and ``record`` is
+    that pair's whole :class:`PairRecord`.
+    """
 
     def __init__(
         self,
@@ -140,19 +177,15 @@ class Consolidator:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         options: ConsolidationOptions | None = None,
         solver: Solver | None = None,
-        simplify_stats: SimplifyStats | None = None,
-        recorder=None,
+        recorder=NULL_RECORDER,
     ) -> None:
         self.functions = functions
         self.cost_model = cost_model
         self.options = options or ConsolidationOptions()
         self.solver = solver or Solver()
-        self.simplify_stats = simplify_stats or SimplifyStats()
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder = recorder
         self.trace: list[str] = []
-        self.last_duration: float = 0.0
-        self.last_validation = None
-        self.last_derivation = None
+        self.record: PairRecord | None = None
 
     # -- public API ---------------------------------------------------------
 
@@ -169,9 +202,7 @@ class Consolidator:
 
         started = time.perf_counter()
         self.trace = []
-        recorder = self.recorder
-        if recorder.enabled:
-            recorder.begin_pair(p1.pid, p2.pid)
+        self.recorder.begin_pair(p1.pid, p2.pid)
         # Establish the disjoint-locals precondition mechanically.
         q1 = rename_locals(p1)
         q2 = rename_locals(p2)
@@ -182,19 +213,16 @@ class Consolidator:
             cost_model=self.cost_model,
             psi=TRUE_F,
             use_smt=self.options.use_smt,
-            stats=self.simplify_stats,
-            recorder=recorder,
+            recorder=self.recorder,
         )
-        body = self._omega(ctx, q1.body, q2.body)
-        self.last_duration = time.perf_counter() - started
-        merged = Program(f"{p1.pid}&{p2.pid}", p1.params, body)
-        if recorder.enabled:
-            self.last_derivation = recorder.end_pair(merged.pid, self.last_duration)
-        self.last_validation = None
+        merged = Program(f"{p1.pid}&{p2.pid}", p1.params, self._omega(ctx, q1.body, q2.body))
+        seconds = time.perf_counter() - started
+        derivation = self.recorder.end_pair(merged.pid, seconds)
+        validation = None
         if self.options.static_validate:
             from ..analysis.static import validate_consolidation
 
-            self.last_validation = validate_consolidation(
+            validation = validate_consolidation(
                 [p1, p2],
                 merged,
                 self.functions,
@@ -202,14 +230,34 @@ class Consolidator:
                 engine=engine,
                 solver=self.solver,
             )
-            if self.last_validation.refuted:
+            if validation.refuted:
                 raise ConsolidationError(
-                    f"static validation refuted {merged.pid}: "
-                    f"{'; '.join(self.last_validation.details)}"
+                    f"static validation refuted {merged.pid}: {'; '.join(validation.details)}"
                 )
+        self.record = PairRecord(
+            p1.pid, p2.pid, merged, seconds, tuple(self.trace), ctx.stats, validation, derivation
+        )
         return merged
 
     # -- Ω′ ----------------------------------------------------------------------
+
+    def _rule(self, name: str, detail: str = "", *parts: object, scope: bool = False):
+        """Emit one rule application — on ``trace`` and to the recorder.
+
+        ``detail`` is a format template the recorder fills with its own
+        rendering of ``parts``.  ``scope=True`` opens a structural rule:
+        the sub-derivations run inside the returned context manager.
+        """
+
+        self.trace.append(name)
+        emit = self.recorder.rule if scope else self.recorder.leaf
+        return emit(name, detail, *parts)
+
+    def _rewrite(self, ctx: Context, site: str, before: Expr, after: Expr) -> None:
+        """Record one cross-simplification that changed an expression."""
+
+        if self.recorder.enabled and after != before:
+            self.recorder.rewrite(site, before, after, ctx.cost(before), ctx.cost(after))
 
     def _omega(self, ctx: Context, s: Stmt, r: Stmt) -> Stmt:
         """``Ω′``: consolidate two statements under context ``ctx``."""
@@ -219,33 +267,25 @@ class Consolidator:
             return SKIP
         # Line 5: first consumed — commute so the second gets simplified.
         if isinstance(s, Skip):
-            self.trace.append("Com")
-            if self.recorder.enabled:
-                self.recorder.leaf("Com", "first program exhausted")
+            self._rule("Com", "first program exhausted")
             return self._omega(ctx, r, SKIP)
 
         head, tail = seq_head(s), seq_tail(s)
 
         # Line 7: Assign rule — simplify, emit, absorb into the context.
         if isinstance(head, Assign):
-            self.trace.append("Assign")
             rhs = ctx.simplify_for_sort(head.expr)
-            if self.recorder.enabled:
-                self.recorder.leaf("Assign", f"{head.var} := {format_expr(rhs)}")
-                self._record_rewrite(ctx, "assign-rhs", head.expr, rhs)
+            self._rule("Assign", "{} := {}", head.var, rhs)
+            self._rewrite(ctx, "assign-rhs", head.expr, rhs)
             ctx.record_assign(head.var, rhs)
             rest = self._omega(ctx, tail, r)
             return seq(Assign(head.var, rhs), rest)
 
         # Line 8: Step over a notification (payload still cross-simplifies).
         if isinstance(head, Notify):
-            self.trace.append("Step")
             payload = ctx.simplify_bool(head.expr)
-            if self.recorder.enabled:
-                self.recorder.leaf(
-                    "Step", f"notify {head.pid} {format_expr(payload)}"
-                )
-                self._record_rewrite(ctx, "notify-payload", head.expr, payload)
+            self._rule("Step", "notify {} {}", head.pid, payload)
+            self._rewrite(ctx, "notify-payload", head.expr, payload)
             rest = self._omega(ctx, tail, r)
             return seq(Notify(head.pid, payload), rest)
 
@@ -261,93 +301,63 @@ class Consolidator:
 
     # -- conditionals --------------------------------------------------------------
 
-    def _record_rewrite(self, ctx: Context, site: str, before: Expr, after: Expr) -> None:
-        """Record one cross-simplification (recorder known to be enabled)."""
-
-        if after == before:
-            return
-        self.recorder.rewrite(
-            site,
-            format_expr(before),
-            format_expr(after),
-            ctx.cost(before),
-            ctx.cost(after),
-        )
-
     def _consolidate_if(self, ctx: Context, head: If, cont: Stmt, other: Stmt) -> Stmt:
         cond = head.cond
         recorder = self.recorder
 
         # If 1: the context proves the test — drop it and the dead branch.
         if ctx.entails_expr(cond):
-            self.trace.append("If1")
-            if recorder.enabled:
-                recorder.leaf("If1", f"Ψ proves {format_expr(cond)}")
+            self._rule("If1", "Ψ proves {}", cond)
             ctx.psi = ctx.assume(cond)
             ctx.observe(cond)
             return self._omega(ctx, seq(head.then, cont), other)
 
         # If 2: the context refutes the test.
         if ctx.entails_expr(cond, negate=True):
-            self.trace.append("If2")
-            if recorder.enabled:
-                recorder.leaf("If2", f"Ψ refutes {format_expr(cond)}")
+            self._rule("If2", "Ψ refutes {}", cond)
             ctx.psi = ctx.assume(cond, negate=True)
             ctx.observe(cond, negate=True)
             return self._omega(ctx, seq(head.orelse, cont), other)
 
         cond2 = ctx.simplify_bool(cond)
         if cond2 == TRUE:
-            self.trace.append("If1")
-            if recorder.enabled:
-                recorder.leaf("If1", f"test simplified to true: {format_expr(cond)}")
+            self._rule("If1", "test simplified to true: {}", cond)
             return self._omega(ctx.assuming(cond), seq(head.then, cont), other)
         if cond2 == FALSE:
-            self.trace.append("If2")
-            if recorder.enabled:
-                recorder.leaf("If2", f"test simplified to false: {format_expr(cond)}")
+            self._rule("If2", "test simplified to false: {}", cond)
             return self._omega(
                 ctx.assuming(cond, negate=True), seq(head.orelse, cont), other
             )
 
         # Rule selection: If 3 vs the derived If 4 / If 5 (lines 14-18).
         mode = self.options.if_rule_mode
+        max_embed = self.options.max_embed_size
         if mode == "always_if3":
             use_if3, use_if4 = True, False
         elif mode == "always_if5":
             use_if3, use_if4 = False, False
         else:
-            rel_cond = self._related(ctx, cond, other) if not isinstance(other, Skip) else False
-            rel_cont = self._related(ctx, cont, other) if not isinstance(other, Skip) else False
-            if recorder.enabled and not isinstance(other, Skip):
-                recorder.heuristic(
-                    "related",
-                    f"test {format_expr(cond)} vs other program",
-                    rel_cond,
-                )
+            rel_cond = rel_cont = False
+            if not isinstance(other, Skip):
+                rel_cond = self._related(ctx, cond, other)
+                rel_cont = self._related(ctx, cont, other)
+                recorder.heuristic("related", "test {} vs other program", rel_cond, cond)
                 recorder.heuristic("related", "continuation vs other program", rel_cont)
             # An empty continuation makes If 3 and If 4 coincide; report the
             # canonical (If 3) rule in that case.
             use_if3 = rel_cond and (rel_cont or isinstance(cont, Skip))
             use_if4 = rel_cond and not use_if3
         embedded_size = stmt_size(cont) + stmt_size(other)
-        if use_if3 and embedded_size > self.options.max_embed_size:
-            if recorder.enabled:
-                recorder.heuristic(
-                    "embed-guard",
-                    f"If3 downgraded: embedded size {embedded_size} > "
-                    f"max_embed_size {self.options.max_embed_size}",
-                    False,
-                )
+        too_big = "{} downgraded: {} size {} > max_embed_size {}"
+        if use_if3 and embedded_size > max_embed:
+            recorder.heuristic(
+                "embed-guard", too_big, False, "If3", "embedded", embedded_size, max_embed
+            )
             use_if3, use_if4 = False, True
-        if use_if4 and stmt_size(other) > self.options.max_embed_size:
-            if recorder.enabled:
-                recorder.heuristic(
-                    "embed-guard",
-                    f"If4 downgraded: other size {stmt_size(other)} > "
-                    f"max_embed_size {self.options.max_embed_size}",
-                    False,
-                )
+        if use_if4 and stmt_size(other) > max_embed:
+            recorder.heuristic(
+                "embed-guard", too_big, False, "If4", "other", stmt_size(other), max_embed
+            )
             use_if4 = False
 
         then_ctx = ctx.assuming(cond)
@@ -355,35 +365,24 @@ class Consolidator:
 
         if use_if3:
             # If 3: embed the remainder of *both* programs in the branches.
-            self.trace.append("If3")
-            with recorder.rule("If3", f"if ({format_expr(cond2)}) — embed both"):
-                if recorder.enabled:
-                    self._record_rewrite(ctx, "if-test", cond, cond2)
+            with self._rule("If3", "if ({}) — embed both", cond2, scope=True):
+                self._rewrite(ctx, "if-test", cond, cond2)
                 s1 = self._omega(then_ctx, seq(head.then, cont), other)
                 s2 = self._omega(else_ctx, seq(head.orelse, cont), other)
             return self._make_if(cond2, s1, s2)
 
-        if use_if4:
-            # If 4 (derived): embed the other program, keep our continuation out.
-            self.trace.append("If4")
-            with recorder.rule("If4", f"if ({format_expr(cond2)}) — embed other"):
-                if recorder.enabled:
-                    self._record_rewrite(ctx, "if-test", cond, cond2)
-                s1 = self._omega(then_ctx, head.then, other)
-                s2 = self._omega(else_ctx, head.orelse, other)
-            self._join_after(ctx, If(cond, head.then, head.orelse), other)
-            rest = self._omega(ctx, cont, SKIP)
-            return seq(self._make_if(cond2, s1, s2), rest)
-
+        # If 4 (derived): embed the other program, keep our continuation out.
         # If 5 (derived): simplify the test, keep everything else linear.
-        self.trace.append("If5")
-        with recorder.rule("If5", f"if ({format_expr(cond2)}) — test only"):
-            if recorder.enabled:
-                self._record_rewrite(ctx, "if-test", cond, cond2)
-            s1 = self._omega(then_ctx, head.then, SKIP)
-            s2 = self._omega(else_ctx, head.orelse, SKIP)
-        self._join_after(ctx, If(cond, head.then, head.orelse), SKIP)
-        rest = self._omega(ctx, cont, other)
+        if use_if4:
+            name, detail, embedded = "If4", "if ({}) — embed other", other
+        else:
+            name, detail, embedded = "If5", "if ({}) — test only", SKIP
+        with self._rule(name, detail, cond2, scope=True):
+            self._rewrite(ctx, "if-test", cond, cond2)
+            s1 = self._omega(then_ctx, head.then, embedded)
+            s2 = self._omega(else_ctx, head.orelse, embedded)
+        self._join_after(ctx, If(cond, head.then, head.orelse), embedded)
+        rest = self._omega(ctx, cont, SKIP if use_if4 else other)
         return seq(self._make_if(cond2, s1, s2), rest)
 
     @staticmethod
@@ -481,33 +480,21 @@ class Consolidator:
 
     def _consolidate_while(self, ctx: Context, head: While, cont: Stmt, other: Stmt) -> Stmt:
         other_head = seq_head(other)
-        other_tail = seq_tail(other)
-
         if isinstance(other_head, While):
             if self.options.enable_loop_rules and ctx.use_smt:
-                fused = self._try_loop_fusion(ctx, head, cont, other_head, other_tail)
+                fused = self._try_loop_fusion(ctx, head, cont, other_head, seq_tail(other))
                 if fused is not None:
                     return fused
             # Lines 29-31: no provable relation (or loop rules disabled) —
             # run the loops sequentially.
-            self.trace.append("Seq")
-            if self.recorder.enabled:
-                self.recorder.leaf("Seq", "loop pair not fusible — sequential")
-            emitted = self._emit_loop(ctx, head)
-            rest = self._omega(ctx, cont, other)
-            return seq(emitted, rest)
-
-        if isinstance(other, Skip):
-            emitted = self._emit_loop(ctx, head)
-            rest = self._omega(ctx, cont, SKIP)
-            return seq(emitted, rest)
-
-        # Line 32: only the first program starts with a loop — commute so the
-        # other side is absorbed into the context first.
-        self.trace.append("Com")
-        if self.recorder.enabled:
-            self.recorder.leaf("Com", "only first program starts with a loop")
-        return self._omega(ctx, other, seq(head, cont))
+            self._rule("Seq", "loop pair not fusible — sequential")
+        elif not isinstance(other, Skip):
+            # Line 32: only the first program starts with a loop — commute so
+            # the other side is absorbed into the context first.
+            self._rule("Com", "only first program starts with a loop")
+            return self._omega(ctx, other, seq(head, cont))
+        emitted = self._emit_loop(ctx, head)
+        return seq(emitted, self._omega(ctx, cont, other))
 
     def _try_loop_fusion(
         self,
@@ -535,82 +522,59 @@ class Consolidator:
         if enc1 is None or enc2 is None:
             return None
 
-        recorder = self.recorder
+        def proved(kind: str, psi_f: Formula, goal: Formula) -> bool:
+            """One fusion goal against the solver, timed for the recorder."""
 
-        def proved(kind: str, psi_f, goal) -> bool:
-            """One fusion goal against the solver, recorded when enabled."""
-
-            if not recorder.enabled:
-                return ctx.solver.entails(cone_of_influence(psi_f, goal), goal)
             started = time.perf_counter()
             verdict = ctx.solver.entails(cone_of_influence(psi_f, goal), goal)
-            recorder.entailment(
-                kind,
-                clamp(format_formula(psi_f)),
-                clamp(format_formula(goal)),
-                verdict,
-                time.perf_counter() - started,
-                "smt",
+            self.recorder.entailment(
+                kind, psi_f, goal, verdict, time.perf_counter() - started, "smt"
             )
             return verdict
 
-        # The env mirrors every direct Ψ replacement below: facts about the
-        # fused body's variables no longer hold mid-loop, so they are
-        # forgotten before the exit/body guard is observed.
-        fused_vars = assigned_vars(merged_body)
+        def fused(
+            rule: str,
+            detail: str,
+            guard: Expr,
+            enc: Formula,
+            bodies: tuple[Stmt, Stmt],
+            remainders: tuple[Stmt, Stmt],
+        ) -> Stmt:
+            """One fused loop ``while (guard) bodies``, then the remainders.
 
-        # Loop 2: Ψ1 |= e1 <-> e2 — both loops run the same number of times.
-        iff_goal = fiff(enc1, enc2)
-        if proved("loop2-iff", psi1, iff_goal):
-            self.trace.append("Loop2")
-            with recorder.rule("Loop2", f"while ({format_expr(e1)}) — fused bodies"):
-                body_ctx = ctx.branch(fand(psi1, enc1))
+            The env mirrors every direct Ψ replacement: facts about the
+            fused body's variables no longer hold mid-loop, so they are
+            forgotten before the body/exit guard is observed.
+            """
+
+            fused_vars = assigned_vars(merged_body)
+            with self._rule(rule, "while ({}) — " + detail, guard, scope=True):
+                body_ctx = ctx.branch(fand(psi1, enc))
                 body_ctx.bindings = {}
                 body_ctx.forget(fused_vars)
-                body_ctx.observe(e1)
-                body = self._omega(body_ctx, s1, s2)
-            ctx.psi = fand(psi1, fnot(enc1))
+                body_ctx.observe(guard)
+                body = self._omega(body_ctx, *bodies)
+            ctx.psi = fand(psi1, fnot(enc))
             ctx.bindings = {}
             ctx.forget(fused_vars)
-            ctx.observe(e1, negate=True)
-            rest = self._omega(ctx, cont1, cont2)
-            return seq(While(e1, body), rest)
+            ctx.observe(guard, negate=True)
+            return seq(While(guard, body), self._omega(ctx, *remainders))
+
+        # Loop 2: Ψ1 |= e1 <-> e2 — both loops run the same number of times.
+        if proved("loop2-iff", psi1, fiff(enc1, enc2)):
+            return fused("Loop2", "fused bodies", e1, enc1, (s1, s2), (cont1, cont2))
 
         exit_ctx = fand(psi1, fnot(fand(enc1, enc2)))
 
         # Loop 3: the first loop provably runs at least as long.
         if proved("loop3-exit", exit_ctx, enc1):
-            self.trace.append("Loop3")
-            with recorder.rule("Loop3", f"while ({format_expr(e2)}) — first runs longer"):
-                body_ctx = ctx.branch(fand(psi1, enc2))
-                body_ctx.bindings = {}
-                body_ctx.forget(fused_vars)
-                body_ctx.observe(e2)
-                body = self._omega(body_ctx, s1, s2)
-            ctx.psi = fand(psi1, fnot(enc2))
-            ctx.bindings = {}
-            ctx.forget(fused_vars)
-            ctx.observe(e2, negate=True)
             remainder = seq(s1, While(e1, s1), cont1)
-            rest = self._omega(ctx, remainder, cont2)
-            return seq(While(e2, body), rest)
+            return fused("Loop3", "first runs longer", e2, enc2, (s1, s2), (remainder, cont2))
 
         # Loop 3 with the arguments swapped (implicit Com, line 27-28).
         if proved("loop3-exit-swapped", exit_ctx, enc2):
-            self.trace.append("Loop3")
-            with recorder.rule("Loop3", f"while ({format_expr(e1)}) — second runs longer"):
-                body_ctx = ctx.branch(fand(psi1, enc1))
-                body_ctx.bindings = {}
-                body_ctx.forget(fused_vars)
-                body_ctx.observe(e1)
-                body = self._omega(body_ctx, s2, s1)
-            ctx.psi = fand(psi1, fnot(enc1))
-            ctx.bindings = {}
-            ctx.forget(fused_vars)
-            ctx.observe(e1, negate=True)
             remainder = seq(s2, While(e2, s2), cont2)
-            rest = self._omega(ctx, remainder, cont1)
-            return seq(While(e1, body), rest)
+            return fused("Loop3", "second runs longer", e1, enc1, (s2, s1), (remainder, cont1))
 
         return None
 
@@ -628,29 +592,22 @@ class Consolidator:
         # at all (its body cannot have executed first), so the whole loop —
         # including the first test — disappears (Loop-expand + If 2).
         if ctx.entails_expr(w.cond, negate=True):
-            self.trace.append("LoopDrop")
-            if self.recorder.enabled:
-                self.recorder.leaf(
-                    "LoopDrop", f"Ψ refutes guard {format_expr(w.cond)}"
-                )
+            self._rule("LoopDrop", "Ψ refutes guard {}", w.cond)
             return SKIP
 
         havocked = ctx.engine.havoc(ctx.psi, body_vars)
         inv_ctx = ctx.branch(havocked)
         inv_ctx.bindings = {}
         inv_ctx.forget(body_vars)
-        cond2 = inv_ctx.simplify_bool(w.cond)
+        guard = inv_ctx.simplify_bool(w.cond)
 
-        if cond2 == FALSE:
+        if guard == FALSE:
             # False at every reachable loop head (proved under the havoc
             # context, which the entry state satisfies too).
-            self.trace.append("LoopDrop")
-            if self.recorder.enabled:
-                self.recorder.leaf(
-                    "LoopDrop",
-                    f"guard false under havoc context: {format_expr(w.cond)}",
-                )
+            self._rule("LoopDrop", "guard false under havoc context: {}", w.cond)
             return SKIP
+        if guard == TRUE:
+            guard = w.cond
 
         if self.options.simplify_loop_bodies:
             body_ctx = inv_ctx.assuming(w.cond)
@@ -659,11 +616,8 @@ class Consolidator:
         else:
             body = w.body
 
-        self.trace.append("Step")
-        if self.recorder.enabled:
-            guard = cond2 if cond2 != TRUE else w.cond
-            self.recorder.leaf("Step", f"while ({format_expr(guard)})")
-            self._record_rewrite(inv_ctx, "loop-guard", w.cond, guard)
+        self._rule("Step", "while ({})", guard)
+        self._rewrite(inv_ctx, "loop-guard", w.cond, guard)
         ctx.psi = ctx.engine.post(ctx.psi, w)
         ctx.kill_vars(body_vars)
-        return While(cond2 if cond2 != TRUE else w.cond, body)
+        return While(guard, body)

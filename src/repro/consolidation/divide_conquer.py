@@ -23,12 +23,15 @@ policy* — which programs of a level meet, and which ride up unmerged:
   :class:`repro.profiling.planner.CalibratedPairing`, for the tree orders.
 
 Every pair the policy names goes through the one pair step,
-:func:`merge_pair`, which either returns the merged program with its
-evidence or raises.  Its three callers differ only in what a failure
-*means*: the batch driver keeps the pair unmerged (:func:`_sequential_pair`)
-and records the skip; the process-pool task lets it propagate, so the
-driver redoes the level serially; the incremental engine
+:func:`merge_pair`, which either returns the pair's
+:class:`~repro.consolidation.algorithm.PairRecord` — the merged program
+with all its evidence — or raises.  Its three callers differ only in what
+a failure *means*: the batch driver keeps the pair unmerged
+(:func:`_unmerged`, a record that says why); the process-pool task lets it
+propagate, so the driver redoes the level serially; the incremental engine
 (:mod:`repro.consolidation.incremental`) turns it into a ``PatchError``.
+Whichever executor produced a record, the driver thread folds it into the
+batch, and :class:`ConsolidationReport` is a set of views over the records.
 
 Every run-time knob comes from ``config`` (an
 :class:`repro.config.ExecutionConfig`) and nowhere else.
@@ -56,6 +59,7 @@ counters all land in the metrics registry; tracing adds
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
@@ -68,15 +72,17 @@ from ..lang.functions import FunctionTable, LibraryFunction
 from ..lang.visitors import notified_pids, rename_locals, stmt_exprs
 from ..profiling.model import CalibratedCostModel
 from ..profiling.planner import CalibratedPairing, Pairing
-from ..provenance.recorder import DerivationRecorder
+from ..provenance.recorder import NULL_RECORDER, DerivationRecorder
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator
+from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .simplifier import SimplifyStats
 
 __all__ = [
     "ConsolidationReport",
     "MergeNode",
+    "PairRecord",
+    "PairViews",
     "consolidate_all",
     "merge_pair",
     "FAULT_HOOK",
@@ -158,21 +164,57 @@ class MergeNode:
         }
 
 
+class PairViews:
+    """Read-only views over ``pairs``, the one list of records a report keeps."""
+
+    pairs: list[PairRecord]
+
+    @property
+    def validations(self) -> list[Any]:
+        """The static-validation certificates (``options.static_validate``)."""
+
+        return [r.validation for r in self.pairs if r.validation is not None]
+
+    @property
+    def derivations(self) -> list[Any]:
+        """One :class:`repro.provenance.DerivationTree` per recorded merge."""
+
+        return [r.derivation for r in self.pairs if r.derivation is not None]
+
+
 @dataclass
-class ConsolidationReport:
+class ConsolidationReport(PairViews):
     """What happened while merging a batch of UDFs.
+
+    ``pairs`` holds one :class:`PairRecord` per pair the pairing policy
+    named, in plan order — merged, kept unmerged after a failure, or
+    declined by the planner — and is the only per-pair state: the names
+    below are views over it.
+
+    ``pair_consolidations`` is its length.  ``validations`` holds one
+    static-validation certificate per pair when ``options.static_validate``
+    is on; ``derivations`` one :class:`repro.provenance.DerivationTree` per
+    successfully merged pair under ``config.provenance`` (then the
+    prefilter's), and is empty otherwise.
+
+    ``skipped_pairs`` lists every pair merge that failed mid-batch and
+    was replaced by the sequential composition of its two inputs (one
+    ``{"left", "right", "reason"}`` dict per skip).  ``planner_decisions``
+    has one dict per calibrated-planner decision: ``{"left", "right",
+    "merged", "predicted_savings_seconds", "observed_savings_seconds",
+    "mispredicted", "used_smt"}``.  A *skip* decision (``"merged": False``)
+    means the planner predicted zero cross-simplification value and
+    composed the pair sequentially without invoking the consolidator at
+    all — semantically the exact result a merge of unrelated programs
+    produces, minus its cost — or, with a ``"skip_reason"``, that the
+    merge it asked for failed.
 
     ``executor``/``max_workers`` record how the driver was configured, so
     scalability experiments can attribute a duration to the pool it used.
-
-    ``simplify_stats`` aggregates the entailment fast-path counters
-    (abstract-env pre-check skips, memo hits) over every pair;
-    ``validations`` holds one static-validation certificate per pair when
-    ``options.static_validate`` is on.
-
-    ``derivations`` holds one
-    :class:`repro.provenance.DerivationTree` per successfully merged pair
-    under ``config.provenance``; it is empty otherwise.
+    ``simplify_stats`` sums the pairs' entailment fast-path counters
+    (abstract-env pre-check skips, memo hits).  ``planner`` records the
+    pair-ordering strategy that ran (``"related"`` — the default heuristic
+    adjacency — or ``"calibrated"``).
 
     ``prefilter`` holds the :class:`repro.analysis.prefilter.Prefilter`
     synthesized for the merged program under ``config.prefilter``, and
@@ -180,29 +222,17 @@ class ConsolidationReport:
     ``duration`` (and spanned as ``consolidate.prefilter``) so guard
     synthesis can be banded apart from merge time.
 
-    ``planner`` records the pair-ordering strategy that ran (``"related"``
-    — the default heuristic adjacency — or ``"calibrated"``), and
-    ``planner_decisions`` one dict per calibrated-planner decision:
-    ``{"left", "right", "merged", "predicted_savings_seconds",
-    "observed_savings_seconds", "mispredicted", "used_smt"}``.  A *skip*
-    decision (``"merged": False``) means the planner predicted zero
-    cross-simplification value and composed the pair sequentially without
-    invoking the consolidator at all — semantically the exact result a
-    merge of unrelated programs produces, minus its cost.
-
-    ``skipped_pairs`` records every pair merge that failed mid-batch and
-    was replaced by the sequential composition of its two inputs (one
-    ``{"left", "right", "reason"}`` dict per skip); ``degradations`` is a
-    log of coarser fallbacks (a broken process pool redone serially, or the
-    :data:`SMT_UNKNOWN_NOTE` entry when the solver answered "unknown" and
-    rewrites were skipped conservatively).  The driver *never* raises for
-    these — the result is still a correct program, just less consolidated —
-    so callers must consult :attr:`degraded` when they care.
+    ``degradations`` is a log of coarser fallbacks than a skipped pair (a
+    broken process pool redone serially, or the :data:`SMT_UNKNOWN_NOTE`
+    entry when the solver answered "unknown" and rewrites were skipped
+    conservatively).  The driver *never* raises for these — the result is
+    still a correct program, just less consolidated — so callers must
+    consult :attr:`degraded` when they care.
     """
 
     program: Program
     num_inputs: int
-    pair_consolidations: int = 0
+    pairs: list[PairRecord] = field(default_factory=list)
     tree_depth: int = 0
     duration: float = 0.0
     prefilter: object = None
@@ -211,13 +241,30 @@ class ConsolidationReport:
     max_workers: int = 1
     executor: str = "serial"
     simplify_stats: dict[str, Any] = field(default_factory=dict)
-    validations: list[Any] = field(default_factory=list)
-    skipped_pairs: list[dict[str, str]] = field(default_factory=list)
     degradations: list[str] = field(default_factory=list)
-    derivations: list[Any] = field(default_factory=list)
     merge_tree: Optional[MergeNode] = None
     planner: str = "related"
-    planner_decisions: list[dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def pair_consolidations(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def derivations(self) -> list[Any]:
+        extra = getattr(self.prefilter, "derivation", None)
+        return super().derivations + ([extra] if extra is not None else [])
+
+    @property
+    def skipped_pairs(self) -> list[dict[str, str]]:
+        return [
+            {"left": r.left, "right": r.right, "reason": r.skip_reason}
+            for r in self.pairs
+            if r.skip_reason is not None
+        ]
+
+    @property
+    def planner_decisions(self) -> list[dict[str, Any]]:
+        return [r.planner for r in self.pairs if r.planner is not None]
 
     @property
     def all_certified(self) -> bool:
@@ -274,18 +321,20 @@ def _table_from_spec(spec: tuple[Any, ...]) -> FunctionTable:
     )
 
 
-def _sequential_pair(a: Program, b: Program) -> Program:
-    """The sequential baseline for one pair: run ``a`` then ``b`` unmerged.
+def _unmerged(a: Program, b: Program, reason: Optional[str] = None) -> PairRecord:
+    """The record of a pair kept as its sequential baseline: ``a`` then ``b``.
 
     This is exactly what the paper's Ω produces when no rule applies — the
     two bodies concatenated after the mechanical disjoint-locals renaming —
     so notifications are the disjoint union and the cost is the sum of the
-    originals, never worse than running the pair separately.  It is the
-    fallback the driver substitutes when a pair merge fails mid-batch.
+    originals, never worse than running the pair separately.  It is what
+    the planner asks for when it predicts nothing to share, and the
+    fallback for a merge that failed mid-batch (``reason`` says how).
     """
 
     qa, qb = rename_locals(a), rename_locals(b)
-    return Program(f"{a.pid}&{b.pid}", a.params, seq(qa.body, qb.body))
+    program = Program(f"{a.pid}&{b.pid}", a.params, seq(qa.body, qb.body))
+    return PairRecord(a.pid, b.pid, program, skip_reason=reason)
 
 
 def _adjacent(level: Sequence[Program]) -> Pairing:
@@ -306,10 +355,6 @@ def _first_two(level: Sequence[Program]) -> Pairing:
     return [(0, 1)], range(2, len(level))
 
 
-# What one pair merge yields: (merged, validation, derivation, trace, seconds).
-PairMerge = tuple[Program, Any, Any, tuple[str, ...], float]
-
-
 def merge_pair(
     a: Program,
     b: Program,
@@ -317,20 +362,18 @@ def merge_pair(
     cost_model: CostModel,
     options: ConsolidationOptions,
     solver: Solver,
-    stats: SimplifyStats | None = None,
     *,
     provenance: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
     site: str = "consolidate.pair",
     **span_attrs: object,
-) -> PairMerge:
+) -> PairRecord:
     """The one pair-merge step: consolidate ``a`` and ``b`` or raise.
 
-    A fresh Consolidator per pair keeps traces separate; the caller's
-    ``solver`` keeps the entailment cache warm across its pairs, and its
-    ``stats`` object aggregates fast-path counters.  The recorder is
-    per-pair too: its node stack is not re-entrant, and the thread
-    executor runs pairs concurrently.
+    A fresh Consolidator per pair keeps each record's rules and counters
+    its own; the caller's ``solver`` keeps the entailment cache warm across
+    its pairs.  The recorder is per-pair too: its node stack is not
+    re-entrant, and the thread executor runs pairs concurrently.
 
     Anything may escape — a solver crash, a refuted static validation, an
     injected fault (:data:`FAULT_HOOK` at ``site``).  What that means is
@@ -339,23 +382,19 @@ def merge_pair(
 
     if FAULT_HOOK is not None:
         FAULT_HOOK(site, (a, b))
-    recorder = DerivationRecorder() if provenance else None
-    worker = Consolidator(functions, cost_model, options, solver, stats, recorder=recorder)
+    recorder = DerivationRecorder() if provenance else NULL_RECORDER
+    worker = Consolidator(functions, cost_model, options, solver, recorder)
     with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
-        merged = worker.consolidate(a, b)
-    return (
-        merged,
-        worker.last_validation,
-        worker.last_derivation,
-        tuple(worker.trace),
-        worker.last_duration,
-    )
+        worker.consolidate(a, b)
+    assert worker.record is not None  # consolidate() returned
+    return worker.record
 
 
 def _merge_pair_task(
     payload: tuple[Program, Program, tuple[Any, ...], CostModel, ConsolidationOptions, bool],
-) -> tuple[PairMerge, SimplifyStats, dict[str, int]]:
-    """Top-level (hence picklable) pair-merge job for the process pool.
+) -> tuple[PairRecord, dict[str, int]]:
+    """Top-level (hence picklable) pair-merge job for the process pool:
+    the pair's record and what its private solver counted.
 
     A failure propagates: the driver treats the pool as broken and redoes
     the level in-process.  Derivation events are plain string/number
@@ -363,19 +402,18 @@ def _merge_pair_task(
     """
 
     a, b, spec, cost_model, options, provenance = payload
-    solver, stats = Solver(), SimplifyStats()
-    result = merge_pair(
+    solver = Solver()
+    record = merge_pair(
         a,
         b,
         _table_from_spec(spec),
         cost_model,
         options,
         solver,
-        stats,
         provenance=provenance,
         site="consolidate.worker",
     )
-    return result, stats, solver.stats.snapshot()
+    return record, solver.stats.snapshot()
 
 
 def consolidate_all(
@@ -444,67 +482,45 @@ def consolidate_all(
 
     solver = Solver(telemetry=telemetry)
     options = options or ConsolidationOptions()
+    records: list[PairRecord] = []
     stats = SimplifyStats()
-    validations: list[Any] = []
-    derivations: list[Any] = []
-    skipped: list[dict[str, str]] = []
     degradations: list[str] = []
-    extra_solver_stats: dict[str, int] = {}
+    pooled_solver_stats: Counter[str] = Counter()
     registry = telemetry.metrics
     pair_seconds = registry.histogram("consolidation_pair_seconds")
-    rule_counts: dict[str, int] = {}
+    rule_counts: Counter[str] = Counter()
     started = time.perf_counter()
 
-    def absorb(result: PairMerge) -> Program:
-        # Fold one successful pair merge into the batch state (list.append
-        # on the shared lists is atomic under the GIL, which is all the
-        # thread executor needs).
-        merged, validation, derivation, trace, duration = result
-        pair_seconds.observe(duration)
-        for rule in trace:
-            rule_counts[rule] = rule_counts.get(rule, 0) + 1
-        if validation is not None:
-            validations.append(validation)
-        if derivation is not None:
-            derivations.append(derivation)
-        return merged
-
-    def merge(a: Program, b: Program, pair_options: ConsolidationOptions = options) -> Program:
+    def attempt(
+        a: Program, b: Program, pair_options: ConsolidationOptions = options
+    ) -> PairRecord:
         # Here a failure keeps the pair unmerged (the sequential baseline
-        # is always correct) and records the skip; the batch never dies
-        # for one pair.
+        # is always correct) and says why; the batch never dies for one pair.
         try:
-            result = merge_pair(
+            return merge_pair(
                 a,
                 b,
                 functions,
                 cost_model,
                 pair_options,
                 solver,
-                stats,
                 provenance=cfg.provenance,
                 telemetry=telemetry,
             )
         except Exception as exc:  # noqa: BLE001 - degrade, never crash mid-batch
-            skipped.append(
-                {"left": a.pid, "right": b.pid, "reason": f"{type(exc).__name__}: {exc}"}
-            )
-            if telemetry.enabled:
-                registry.counter("consolidation_skipped_pairs_total").inc()
-            return _sequential_pair(a, b)
-        return absorb(result)
+            return _unmerged(a, b, f"{type(exc).__name__}: {exc}")
 
-    def absorb_task(result: tuple[PairMerge, SimplifyStats, dict[str, int]]) -> Program:
-        """Fold one :func:`_merge_pair_task` result into the batch state."""
-
-        pair, child_stats, child_solver = result
-        stats.entail_queries += child_stats.entail_queries
-        stats.smt_queries += child_stats.smt_queries
-        stats.precheck_skips += child_stats.precheck_skips
-        stats.memo_hits += child_stats.memo_hits
-        for key, value in child_solver.items():
-            extra_solver_stats[key] = extra_solver_stats.get(key, 0) + value
-        return absorb(pair)
+    def absorb(record: PairRecord) -> Program:
+        # Fold one pair's record into the batch.  Every executor's records
+        # come through here, on the driver thread, in plan order.
+        records.append(record)
+        stats.add(record.stats)
+        rule_counts.update(record.rules)
+        if record.merged:
+            pair_seconds.observe(record.seconds)
+        elif record.skip_reason is not None and telemetry.enabled:
+            registry.counter("consolidation_skipped_pairs_total").inc()
+        return record.program
 
     calibrated = None
     if cfg.planner == "calibrated":
@@ -514,19 +530,18 @@ def consolidate_all(
             or CalibratedCostModel.uniform(cost_model),
             options,
             cfg.smt_budget_seconds,
-            merge_step=merge,
-            compose=_sequential_pair,
-            derivations=derivations,
+            merge_step=attempt,
+            compose=_unmerged,
         )
     policy = calibrated or (_first_two if fold else _adjacent)
-    in_order = calibrated.merge if calibrated else merge
+    in_order = calibrated.merge if calibrated else attempt
     # Budget accounting needs plan order, so calibrated levels never pool.
     pooled = calibrated is None and executor != "serial"
     pool: Executor | None = None
     spec = _table_spec(functions) if executor == "process" else None
-    depth = pair_count = 0
+    depth = 0
 
-    def run(jobs: list[tuple[Program, Program]]) -> list[Program]:
+    def run(jobs: list[tuple[Program, Program]]) -> list[PairRecord]:
         nonlocal pool, pooled
         if not (pooled and len(jobs) > 1):
             return [in_order(a, b) for a, b in jobs]
@@ -534,17 +549,17 @@ def consolidate_all(
             pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
             pool = pool_cls(max_workers=cfg.max_workers)
         if executor == "thread":
-            return list(pool.map(lambda ab: merge(*ab), jobs))
+            return list(pool.map(lambda ab: attempt(*ab), jobs))
         payloads = [(a, b, spec, cost_model, options, cfg.provenance) for a, b in jobs]
         try:
-            # Drain the whole level before absorbing any result, so a
-            # failure absorbs nothing and the serial redo cannot
+            # Drain the whole level before counting any of it, so a
+            # failure counts nothing and the serial redo cannot
             # double-count stats.
             raw = list(pool.map(_merge_pair_task, payloads))
         except Exception as exc:  # noqa: BLE001 - dead worker / task crash
             # A worker died (BrokenProcessPool) or a task raised; the pool
             # is no longer trustworthy.  Redo this level in-process —
-            # merge() still degrades per pair — and stay serial for the
+            # attempt() still degrades per pair — and stay serial for the
             # remaining levels.
             degradations.append(
                 f"process pool failed at depth {depth} "
@@ -554,8 +569,10 @@ def consolidate_all(
                 registry.counter("consolidation_executor_degradations_total").inc()
             pool.shutdown(wait=False)
             pool, pooled = None, False
-            return [merge(a, b) for a, b in jobs]
-        return [absorb_task(r) for r in raw]
+            return [attempt(a, b) for a, b in jobs]
+        for _, child_solver in raw:
+            pooled_solver_stats.update(child_solver)
+        return [record for record, _ in raw]
 
     try:
         with telemetry.span("consolidate.batch", n=len(programs), order=order, executor=executor):
@@ -566,9 +583,8 @@ def consolidate_all(
                 depth += 1
                 pairs, carried = policy([node.program for node in level])
                 merged = run([(level[i].program, level[j].program) for i, j in pairs])
-                pair_count += len(pairs)
                 level = [
-                    MergeNode(m, level[i], level[j]) for (i, j), m in zip(pairs, merged)
+                    MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
                 ] + [level[i] for i in carried]
     finally:
         if pool is not None:
@@ -601,9 +617,9 @@ def consolidate_all(
                 f"prefilter degraded to true: {prefilter_obj.degraded_reason}"
             )
 
-    solver_stats = solver.stats.snapshot()
-    for key, value in extra_solver_stats.items():
-        solver_stats[key] = solver_stats.get(key, 0) + value
+    totals = Counter(solver.stats.snapshot())
+    totals.update(pooled_solver_stats)
+    solver_stats = dict(totals)
     simplify_snapshot = stats.snapshot()
 
     if solver_stats.get("unknowns"):
@@ -617,7 +633,7 @@ def consolidate_all(
 
     if telemetry.enabled:
         registry.counter("consolidation_batches_total").inc()
-        registry.counter("consolidation_pairs_total").inc(pair_count)
+        registry.counter("consolidation_pairs_total").inc(len(records))
         registry.counter("consolidation_seconds_total").inc(
             time.perf_counter() - started
         )
@@ -632,15 +648,12 @@ def consolidate_all(
             simplify_snapshot.get("memo_hit_rate", 0.0)
         )
         if calibrated is not None:
-            calibrated.export(registry)
-
-    if prefilter_obj is not None and prefilter_obj.derivation is not None:
-        derivations.append(prefilter_obj.derivation)
+            calibrated.export(registry, [r.planner for r in records if r.planner is not None])
 
     return ConsolidationReport(
         program=result,
         num_inputs=len(programs),
-        pair_consolidations=pair_count,
+        pairs=records,
         tree_depth=depth,
         duration=time.perf_counter() - started,
         prefilter=prefilter_obj,
@@ -649,11 +662,7 @@ def consolidate_all(
         max_workers=cfg.max_workers if executor != "serial" else 1,
         executor=executor,
         simplify_stats=simplify_snapshot,
-        validations=validations,
-        skipped_pairs=skipped,
         degradations=degradations,
-        derivations=derivations,
         merge_tree=level[0] if keep_tree else None,
         planner=cfg.planner,
-        planner_decisions=calibrated.decisions if calibrated else [],
     )

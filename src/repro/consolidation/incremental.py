@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..config import ExecutionConfig
 from ..lang.ast import Program
@@ -44,8 +44,14 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .algorithm import ConsolidationOptions
-from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all, merge_pair
+from .algorithm import ConsolidationOptions, PairRecord
+from .divide_conquer import (
+    ConsolidationReport,
+    MergeNode,
+    PairViews,
+    consolidate_all,
+    merge_pair,
+)
 
 __all__ = ["PatchError", "PatchResult", "add_query", "remove_query", "rebuild"]
 
@@ -60,28 +66,41 @@ class PatchError(Exception):
 
 
 @dataclass
-class PatchResult:
+class PatchResult(PairViews):
     """What one incremental tree mutation did.
 
-    ``pair_merges`` counts the pair consolidations the patch actually ran
-    (the quantity a full re-consolidation would have spent *n − 1* on);
-    ``derivations`` holds one provenance tree per merge when recording was
-    requested, so the claim is auditable from provenance records alone.
-    ``tree`` is ``None`` only when the last query was removed.
+    ``pairs`` holds the :class:`~repro.consolidation.algorithm.PairRecord`
+    of every pair consolidation the mutation ran — the patch's own merges,
+    or all of a ``fallback`` rebuild's — and the other per-pair names are
+    views over it: ``pair_merges`` is its length (the quantity a full
+    re-consolidation spends *n − 1* on, counted whether or not provenance
+    was recorded), ``validations`` and ``derivations`` are the records'
+    certificates and provenance trees.  ``tree`` is ``None`` only when the
+    last query was removed.
     """
 
     tree: Optional[MergeNode]
     action: str  # "add" | "remove" | "rebuild"
-    pair_merges: int = 0
     seconds: float = 0.0
-    validations: list[Any] = field(default_factory=list)
-    derivations: list[Any] = field(default_factory=list)
-    patched_pids: list[str] = field(default_factory=list)
+    pairs: list[PairRecord] = field(default_factory=list)
     fallback: Optional[str] = None
 
     @property
     def program(self) -> Optional[Program]:
         return self.tree.program if self.tree is not None else None
+
+    @property
+    def pair_merges(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def patched_pids(self) -> list[str]:
+        """Pids of the programs the mutation produced: one per patched
+        merge, or the new root alone after a fallback rebuild."""
+
+        if self.fallback is None:
+            return [r.program.pid for r in self.pairs]
+        return [self.tree.program.pid] if self.tree is not None else []
 
 
 def _patch_step(
@@ -105,7 +124,7 @@ def _patch_step(
 
     def merge(a: Program, b: Program) -> Program:
         try:
-            merged, validation, derivation, _, _ = merge_pair(
+            pair = merge_pair(
                 a,
                 b,
                 functions,
@@ -120,17 +139,12 @@ def _patch_step(
             raise PatchError(
                 f"pair merge {a.pid} ⊕ {b.pid} failed: {type(exc).__name__}: {exc}"
             ) from exc
-        result.pair_merges += 1
-        if validation is not None:
-            result.validations.append(validation)
-            if not validation.certified:
-                raise PatchError(
-                    f"pair merge {a.pid} ⊕ {b.pid} refuted by the static validator"
-                )
-        if derivation is not None:
-            result.derivations.append(derivation)
-        result.patched_pids.append(merged.pid)
-        return merged
+        result.pairs.append(pair)
+        if pair.validation is not None and not pair.validation.certified:
+            raise PatchError(
+                f"pair merge {a.pid} ⊕ {b.pid} refuted by the static validator"
+            )
+        return pair.program
 
     return merge
 

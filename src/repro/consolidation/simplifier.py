@@ -23,8 +23,8 @@ cost function, exactly as the (Int) rule demands.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable
 
 from ..analysis.costmodel import expr_cost
 from ..analysis.sp import SpEngine
@@ -47,9 +47,8 @@ from ..lang.ast import (
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.visitors import expr_vars, subexpressions
 from ..provenance.recorder import NULL_RECORDER
-from ..provenance.render import clamp, format_expr, format_formula
 from ..smt.solver import Solver
-from ..smt.terms import Formula, TRUE_F, cone_of_influence, eq_f, fiff, fnot
+from ..smt.terms import Formula, TRUE_F, cone_of_influence, eq_f, fiff
 from ..lang.functions import BOOL
 
 __all__ = ["Context", "SimplifyStats", "fold_expr", "ir_linear", "ir_from_linear"]
@@ -228,6 +227,12 @@ class SimplifyStats:
     precheck_skips: int = 0
     memo_hits: int = 0
 
+    def add(self, other: "SimplifyStats") -> None:
+        """Fold another pair's counters into these."""
+
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
     def snapshot(self) -> dict:
         total = self.entail_queries
         return {
@@ -274,15 +279,6 @@ class Context:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _record_entail(
-        self, kind: str, query: str, verdict: bool, seconds: float, source: str
-    ) -> None:
-        """Push one entailment event (caller checked ``recorder.enabled``)."""
-
-        self.recorder.entailment(
-            kind, clamp(format_formula(self.psi)), query, verdict, seconds, source
-        )
-
     def branch(self, psi: Formula) -> "Context":
         return replace(
             self,
@@ -314,58 +310,68 @@ class Context:
     def cost(self, e: Expr) -> int:
         return expr_cost(e, self.engine.functions, self.cost_model)
 
-    def entails_expr(self, e: Expr, *, negate: bool = False) -> bool:
-        """``Ψ |= e`` (or ``Ψ |= ¬e``), False when outside the fragment.
+    def _decide(
+        self,
+        kind: str,
+        key: tuple,
+        query: object,
+        precheck: Callable[[], bool | None],
+        encode: Callable[[], Formula | None],
+        negate: bool = False,
+    ) -> bool:
+        """The one entailment ladder behind the three judgments below.
 
-        The hypothesis is pruned to the goal's cone of influence: sound
-        (only weakening), and it keeps queries small and cacheable however
-        large the accumulated context has grown.
-
-        Two fast paths run first: a ``(Ψ, e, negate)`` memo, and the
-        abstract environment — when ``env`` decides ``e`` either way, the
-        answer follows without SMT (env truth of ``e`` proves the goal or
-        shows it unprovable, because env over-approximates Ψ's states).
+        ``(Ψ, *key)`` memo, then the abstract environment (``precheck``:
+        env over-approximates Ψ's states, so what it decides needs no SMT),
+        then the encoding (``None``: outside the fragment, not entailed),
+        then the solver on the goal's cone of influence — pruning the
+        hypothesis is sound (only weakening) and keeps queries small and
+        cacheable however large the accumulated context has grown.
         """
+
+        self.stats.entail_queries += 1
+        key = (self.psi, *key)
+        seconds = 0.0
+        result = self.entail_memo.get(key)
+        if result is not None:
+            self.stats.memo_hits += 1
+            source = "memo"
+        elif (result := precheck()) is not None:
+            self.stats.precheck_skips += 1
+            source = "precheck"
+        elif (goal := encode()) is None:
+            result, source = False, "syntactic"
+        else:
+            self.stats.smt_queries += 1
+            started = time.perf_counter()
+            hyp = cone_of_influence(self.psi, goal)
+            prove = self.solver.entails_not if negate else self.solver.entails
+            result, source = prove(hyp, goal), "smt"
+            seconds = time.perf_counter() - started
+        if source != "memo":
+            self.entail_memo[key] = result
+        self.recorder.entailment(kind, self.psi, query, result, seconds, source)
+        return result
+
+    def entails_expr(self, e: Expr, *, negate: bool = False) -> bool:
+        """``Ψ |= e`` (or ``Ψ |= ¬e``), False when outside the fragment."""
 
         if not self.use_smt:
             return False
-        rec = self.recorder
-        kind = "entails-not" if negate else "entails"
-        self.stats.entail_queries += 1
-        key = (self.psi, e, negate)
-        cached = self.entail_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            if rec.enabled:
-                self._record_entail(kind, format_expr(e), cached, 0.0, "memo")
-            return cached
-        value = self.env.eval_bool(e)
-        if value is not None:
-            self.stats.precheck_skips += 1
-            result = (value is True) if not negate else (value is False)
-            self.entail_memo[key] = result
-            if rec.enabled:
-                self._record_entail(kind, format_expr(e), result, 0.0, "precheck")
-            return result
-        enc = self.engine.encode_bool(e)
-        if enc is None:
-            self.entail_memo[key] = False
-            if rec.enabled:
-                self._record_entail(kind, format_expr(e), False, 0.0, "syntactic")
-            return False
-        self.stats.smt_queries += 1
-        started = time.perf_counter() if rec.enabled else 0.0
-        hyp = cone_of_influence(self.psi, enc)
-        if negate:
-            result = self.solver.entails_not(hyp, enc)
-        else:
-            result = self.solver.entails(hyp, enc)
-        self.entail_memo[key] = result
-        if rec.enabled:
-            self._record_entail(
-                kind, format_expr(e), result, time.perf_counter() - started, "smt"
-            )
-        return result
+
+        def precheck() -> bool | None:
+            # Env truth of ``e`` proves the goal or shows it unprovable.
+            value = self.env.eval_bool(e)
+            return None if value is None else value != negate
+
+        return self._decide(
+            "entails-not" if negate else "entails",
+            (e, negate),
+            e,
+            precheck,
+            lambda: self.engine.encode_bool(e),
+            negate,
+        )
 
     def provably_equal(self, a: Expr, b: Expr) -> bool:
         """``Ψ |= a = b`` for two integer/string-sorted expressions."""
@@ -374,40 +380,14 @@ class Context:
             return True
         if not self.use_smt:
             return False
-        rec = self.recorder
-        query = f"{format_expr(a)} = {format_expr(b)}" if rec.enabled else ""
-        self.stats.entail_queries += 1
-        key = (self.psi, "=", a, b)
-        cached = self.entail_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            if rec.enabled:
-                self._record_entail("equal", query, cached, 0.0, "memo")
-            return cached
-        result = self._precheck_equal(a, b)
-        if result is not None:
-            self.stats.precheck_skips += 1
-            self.entail_memo[key] = result
-            if rec.enabled:
-                self._record_entail("equal", query, result, 0.0, "precheck")
-            return result
-        ta = self.engine.encode_int(a)
-        tb = self.engine.encode_int(b)
-        if ta is None or tb is None:
-            self.entail_memo[key] = False
-            if rec.enabled:
-                self._record_entail("equal", query, False, 0.0, "syntactic")
-            return False
-        self.stats.smt_queries += 1
-        started = time.perf_counter() if rec.enabled else 0.0
-        goal = eq_f(ta, tb)
-        result = self.solver.entails(cone_of_influence(self.psi, goal), goal)
-        self.entail_memo[key] = result
-        if rec.enabled:
-            self._record_entail(
-                "equal", query, result, time.perf_counter() - started, "smt"
-            )
-        return result
+
+        def encode() -> Formula | None:
+            ta, tb = self.engine.encode_int(a), self.engine.encode_int(b)
+            return None if ta is None or tb is None else eq_f(ta, tb)
+
+        return self._decide(
+            "equal", ("=", a, b), ("{} = {}", a, b), lambda: self._precheck_equal(a, b), encode
+        )
 
     def _precheck_equal(self, a: Expr, b: Expr) -> bool | None:
         """Env-decided equality: constant intervals or disjoint ranges/sets."""
@@ -667,41 +647,16 @@ class Context:
             return True
         if not self.use_smt:
             return False
-        rec = self.recorder
-        query = f"{format_expr(a)} <-> {format_expr(b)}" if rec.enabled else ""
-        self.stats.entail_queries += 1
-        key = (self.psi, "<->", a, b)
-        cached = self.entail_memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            if rec.enabled:
-                self._record_entail("iff", query, cached, 0.0, "memo")
-            return cached
-        va = self.env.eval_bool(a)
-        vb = self.env.eval_bool(b)
-        if va is not None and vb is not None:
-            self.stats.precheck_skips += 1
-            self.entail_memo[key] = va == vb
-            if rec.enabled:
-                self._record_entail("iff", query, va == vb, 0.0, "precheck")
-            return va == vb
-        fa = self.engine.encode_bool(a)
-        fb = self.engine.encode_bool(b)
-        if fa is None or fb is None:
-            self.entail_memo[key] = False
-            if rec.enabled:
-                self._record_entail("iff", query, False, 0.0, "syntactic")
-            return False
-        self.stats.smt_queries += 1
-        started = time.perf_counter() if rec.enabled else 0.0
-        goal = fiff(fa, fb)
-        result = self.solver.entails(cone_of_influence(self.psi, goal), goal)
-        self.entail_memo[key] = result
-        if rec.enabled:
-            self._record_entail(
-                "iff", query, result, time.perf_counter() - started, "smt"
-            )
-        return result
+
+        def precheck() -> bool | None:
+            va, vb = self.env.eval_bool(a), self.env.eval_bool(b)
+            return None if va is None or vb is None else va == vb
+
+        def encode() -> Formula | None:
+            fa, fb = self.engine.encode_bool(a), self.engine.encode_bool(b)
+            return None if fa is None or fb is None else fiff(fa, fb)
+
+        return self._decide("iff", ("<->", a, b), ("{} <-> {}", a, b), precheck, encode)
 
     def simplify_bool(self, e: Expr) -> Expr:
         # Bool 1 / Bool 2: the whole predicate is decided by the context.

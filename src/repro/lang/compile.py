@@ -89,7 +89,7 @@ from .interp import (
     StepLimitExceeded,
 )
 from .printer import expr_to_str, stmt_to_str
-from .runtime import make_lib_call, make_memo_call, unbound_error
+from .runtime import make_lib_call, unbound_error
 from .visitors import stmt_size
 
 __all__ = [
@@ -215,12 +215,9 @@ class _Emitter:
     :meth:`commit_notify` and :meth:`bind_call`.
     """
 
-    def __init__(
-        self, functions: FunctionTable, cost_model: CostModel, memoize_calls: bool
-    ) -> None:
+    def __init__(self, functions: FunctionTable, cost_model: CostModel) -> None:
         self.functions = functions
         self.cm = cost_model
-        self.memoize = memoize_calls
         self.lines: list[str] = []
         # Globals bound into the exec namespace of the generated function.
         self.bindings: dict[str, object] = {
@@ -261,7 +258,7 @@ class _Emitter:
         """The callable a ``Call`` node invokes (wrapped: failures surface
         as :class:`InterpError`, exactly as ``Interpreter._eval_call``)."""
 
-        return make_memo_call(func, fn) if self.memoize else make_lib_call(func, fn)
+        return make_lib_call(func, fn)
 
     def caller(self, func: str) -> tuple[str, int]:
         entry = self.callers.get(func)
@@ -387,8 +384,7 @@ class _Emitter:
                 parts.append(py)
                 cost += c
             name, call_cost = self.caller(e.func)
-            args = ", ".join(["_cache", *parts] if self.memoize else parts)
-            return f"{name}({args})", cost + call_cost, None
+            return f"{name}({', '.join(parts)})", cost + call_cost, None
         if isinstance(e, BinOp):
             lpy, lc, ls = self.expr(e.left, depth)
             rpy, rc, rs = self.expr(e.right, depth)
@@ -557,8 +553,6 @@ class _Emitter:
         self.emit(1, "_nots = {}")
         self.emit(1, "_ncosts = {}")
         self.emit(1, "_cost = 0")
-        if self.memoize:
-            self.emit(1, "_cache = {}")
         self.emit(1, "try:")
         return 2
 
@@ -627,7 +621,6 @@ def compile_program(
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
-    memoize_calls: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> CompiledProgram:
     """Translate ``program`` into a specialised Python closure.
@@ -639,7 +632,7 @@ def compile_program(
 
     if FAULT_HOOK is not None:
         FAULT_HOOK("compile.translate", program)
-    emitter = _Emitter(functions, cost_model, memoize_calls)
+    emitter = _Emitter(functions, cost_model)
     try:
         source = emitter.build(program)
         code = compile(source, f"<compiled {program.pid}>", "exec")
@@ -731,7 +724,6 @@ def compile_cached(
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
-    memoize_calls: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
 ) -> CompiledProgram:
@@ -744,18 +736,12 @@ def compile_cached(
 
     def build() -> CompiledProgram:
         started = perf_counter()
-        compiled = compile_program(
-            program,
-            functions,
-            cost_model,
-            memoize_calls=memoize_calls,
-            max_steps=max_steps,
-        )
+        compiled = compile_program(program, functions, cost_model, max_steps=max_steps)
         if telemetry is not None and telemetry.enabled:
             telemetry.histogram("compile_seconds").observe(perf_counter() - started)
         return compiled
 
-    key = (program, cost_model, memoize_calls, max_steps)
+    key = (program, cost_model, max_steps)
     refresh = FAULT_HOOK is not None and bool(FAULT_HOOK("compile.cache_lookup", program))
     return _cached(_CACHE, functions, key, build, telemetry, "compile_cache", refresh=refresh)[0]
 
@@ -792,7 +778,6 @@ def make_runner(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
     backend: str = DEFAULT_BACKEND,
-    memoize_calls: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
     profiler=None,
@@ -833,12 +818,7 @@ def make_runner(
         try:
             return _hook(
                 compile_cached(
-                    program,
-                    functions,
-                    cost_model,
-                    memoize_calls=memoize_calls,
-                    max_steps=max_steps,
-                    telemetry=telemetry,
+                    program, functions, cost_model, max_steps=max_steps, telemetry=telemetry
                 ).run,
                 "compiled",
             )
@@ -851,9 +831,7 @@ def make_runner(
                 exc,
                 _diagnose_compile_failure(program, functions),
             )
-    interp = Interpreter(
-        functions, cost_model, max_steps=max_steps, memoize_calls=memoize_calls
-    )
+    interp = Interpreter(functions, cost_model, max_steps=max_steps)
 
     def _run(args: Mapping[str, object]) -> RunResult:
         return interp.run(program, args)

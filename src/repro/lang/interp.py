@@ -12,10 +12,7 @@ program identifier raises :class:`NotificationClash`, because consolidated
 programs must broadcast each constituent's result exactly once.
 
 Library calls are resolved through a :class:`~repro.lang.functions
-.FunctionTable`; optionally the interpreter memoises calls *within a single
-run* purely for wall-clock efficiency of the host — memoisation does **not**
-alter the accounted cost, so measured costs always reflect the paper's
-semantics.
+.FunctionTable`.
 """
 
 from __future__ import annotations
@@ -109,10 +106,6 @@ class Interpreter:
     max_steps:
         A fuel budget guarding against runaway loops (each statement or
         expression node evaluated consumes one step).
-    memoize_calls:
-        When true, repeated library calls with identical arguments within a
-        single ``run`` reuse the Python-level result.  Cost accounting is
-        unaffected; this only speeds up the host interpreter.
     """
 
     def __init__(
@@ -120,29 +113,24 @@ class Interpreter:
         functions: FunctionTable,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         max_steps: int = 2_000_000,
-        memoize_calls: bool = False,
     ) -> None:
         self.functions = functions
         self.cost_model = cost_model
         self.max_steps = max_steps
-        self.memoize_calls = memoize_calls
         self._steps = 0
-        self._call_cache: dict[tuple, Value] = {}
         self._elapsed = 0
         self._notification_costs: dict[str, int] = {}
 
     # -- public API ---------------------------------------------------------
 
     def _reset(self) -> None:
-        """Clear all per-run state (fuel, memo cache, latency bookkeeping).
+        """Clear all per-run state (fuel, latency bookkeeping).
 
         Shared by :meth:`run` and :meth:`eval_expr` so both entry points
-        start from the same blank slate — in particular the call-memo cache
-        never leaks values from one evaluation into the next.
+        start from the same blank slate.
         """
 
         self._steps = 0
-        self._call_cache.clear()
         self._elapsed = 0
         self._notification_costs = {}
 
@@ -243,16 +231,10 @@ class Interpreter:
             vals.append(v)
             argcost += c
         lib = self.functions[e.func]
-        key = (e.func, tuple(vals)) if self.memoize_calls else None
-        if key is not None and key in self._call_cache:
-            result = self._call_cache[key]
-        else:
-            try:
-                result = lib.fn(*vals)
-            except Exception as exc:  # noqa: BLE001 - surface as InterpError
-                raise InterpError(f"library call {e.func} failed: {exc}") from exc
-            if key is not None:
-                self._call_cache[key] = result
+        try:
+            result = lib.fn(*vals)
+        except Exception as exc:  # noqa: BLE001 - surface as InterpError
+            raise InterpError(f"library call {e.func} failed: {exc}") from exc
         return result, argcost + lib.cost
 
     # -- statements ----------------------------------------------------------

@@ -3,10 +3,10 @@
 :mod:`repro.lang.compile` turns a Figure-1 program into Python source and
 ``exec``s it into a closure.  The emitted code cannot carry arbitrary
 objects in its text, so everything it needs at run time — library-call
-wrappers that preserve the interpreter's error contract, memoising call
-wrappers, and the translation of a Python ``UnboundLocalError`` back into
-the language-level "unbound variable" error — is bound into the closure's
-global namespace from this module.
+wrappers that preserve the interpreter's error contract, and the
+translation of a Python ``UnboundLocalError`` back into the language-level
+"unbound variable" error — is bound into the closure's global namespace
+from this module.
 
 Keeping these helpers separate from the compiler also keeps the import
 graph acyclic: the compiler imports the runtime, never the reverse.
@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 from .interp import InterpError
 
-__all__ = ["make_lib_call", "make_memo_call", "unbound_error"]
+__all__ = ["make_lib_call", "unbound_error"]
 
 _QUOTED = re.compile(r"'(\w+)'")
 
@@ -36,29 +36,6 @@ def make_lib_call(name: str, fn: Callable[..., object]) -> Callable[..., object]
             return fn(*vals)
         except Exception as exc:  # noqa: BLE001 - surface as InterpError
             raise InterpError(f"library call {name} failed: {exc}") from exc
-
-    return _call
-
-
-def make_memo_call(name: str, fn: Callable[..., object]) -> Callable[..., object]:
-    """A library-call wrapper memoising results within one run.
-
-    The cache dict is created afresh by the compiled prologue on every run,
-    matching the per-run scope of ``Interpreter``'s ``memoize_calls``.
-    Cost accounting is unaffected: the compiler folds the call's declared
-    cost in as a constant whether or not the value was cached.
-    """
-
-    def _call(cache: dict, *vals: object) -> object:
-        key = (name, vals)
-        if key in cache:
-            return cache[key]
-        try:
-            result = fn(*vals)
-        except Exception as exc:  # noqa: BLE001 - surface as InterpError
-            raise InterpError(f"library call {name} failed: {exc}") from exc
-        cache[key] = result
-        return result
 
     return _call
 

@@ -133,10 +133,7 @@ class _KernelEmitter(_Emitter):
         notify_counts: Mapping[str, tuple[int, int]],
         undef: frozenset[str],
     ) -> None:
-        # Memoising calls never changes results or costs (library calls are
-        # deterministic per the paper's assumptions); it is honoured on the
-        # per-row rung only.
-        super().__init__(functions, cost_model, memoize_calls=False)
+        super().__init__(functions, cost_model)
         self.bindings["_UNDEF"] = _UNDEF
         self.undef = undef
         self.static = False  # no If/While: cost and latencies are constants
@@ -343,7 +340,6 @@ class VectorizedProgram:
         degraded_reason: str,
         *,
         source: str = "",
-        memoize_calls: bool = False,
         max_steps: int = DEFAULT_MAX_STEPS,
         telemetry=None,
     ) -> None:
@@ -354,7 +350,6 @@ class VectorizedProgram:
         self.plan = plan
         self.degraded_reason = degraded_reason
         self.source = source
-        self.memoize_calls = memoize_calls
         self.max_steps = max_steps
         self.telemetry = telemetry
         self._row_runner: Optional[Callable] = None
@@ -382,7 +377,6 @@ class VectorizedProgram:
                 self.functions,
                 self.cost_model,
                 backend="compiled",
-                memoize_calls=self.memoize_calls,
                 max_steps=self.max_steps,
                 telemetry=self.telemetry,
             )
@@ -451,7 +445,6 @@ def vectorize_program(
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
-    memoize_calls: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
 ) -> VectorizedProgram:
@@ -493,7 +486,6 @@ def vectorize_program(
         plan,
         reason,
         source=source,
-        memoize_calls=memoize_calls,
         max_steps=max_steps,
         telemetry=telemetry,
     )
@@ -512,7 +504,6 @@ def vectorize_cached(
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
-    memoize_calls: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry=None,
 ) -> VectorizedProgram:
@@ -525,15 +516,10 @@ def vectorize_cached(
 
     def build() -> VectorizedProgram:
         return vectorize_program(
-            program,
-            functions,
-            cost_model,
-            memoize_calls=memoize_calls,
-            max_steps=max_steps,
-            telemetry=telemetry,
+            program, functions, cost_model, max_steps=max_steps, telemetry=telemetry
         )
 
-    key = (program, cost_model, memoize_calls, max_steps)
+    key = (program, cost_model, max_steps)
     vectorized, missed = _cached(
         _CACHE, functions, key, build, telemetry, "vectorized_plan_cache",
         refresh=FAULT_HOOK is not None,

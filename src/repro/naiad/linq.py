@@ -72,7 +72,6 @@ class Query:
         return {
             "cost_model": cfg.cost_model,
             "backend": cfg.backend,
-            "memoize_calls": cfg.memoize_calls,
             "telemetry": cfg.telemetry,
             "prefilter": cfg.prefilter,
             "profiler": cfg.profiler,

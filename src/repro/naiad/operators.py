@@ -135,7 +135,6 @@ class _UdfOperator(Vertex):
         emits: bool,
         functions: FunctionTable,
         cost_model: CostModel,
-        memoize_calls: bool,
         backend: str,
         telemetry: Optional[Telemetry],
         prefilter: bool,
@@ -166,7 +165,6 @@ class _UdfOperator(Vertex):
                 functions,
                 cost_model,
                 backend=backend,
-                memoize_calls=memoize_calls,
                 telemetry=telemetry,
                 profiler=profiler,
             )
@@ -177,8 +175,7 @@ class _UdfOperator(Vertex):
                     program,
                     functions,
                     cost_model,
-                    memoize_calls=memoize_calls,
-                    telemetry=telemetry,
+                        telemetry=telemetry,
                 )
                 if guard is not None:
                     vguard = self._vector_guard(guard, program, functions, cost_model)
@@ -341,7 +338,6 @@ class Where(_UdfOperator):
         program: Program,
         functions: FunctionTable,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
@@ -349,7 +345,7 @@ class Where(_UdfOperator):
     ) -> None:
         super().__init__(
             f"where[{program.pid}]", [(program, [program.pid])], True,
-            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter, profiler,
         )
 
 
@@ -361,7 +357,6 @@ class WhereMany(_UdfOperator):
         programs: Sequence[Program],
         functions: FunctionTable,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
@@ -371,7 +366,7 @@ class WhereMany(_UdfOperator):
             raise ValueError("whereMany needs at least one UDF")
         super().__init__(
             f"whereMany[{len(programs)}]", [(p, [p.pid]) for p in programs], False,
-            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter, profiler,
         )
 
 
@@ -384,7 +379,6 @@ class WhereConsolidated(_UdfOperator):
         pids: Sequence[str],
         functions: FunctionTable,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        memoize_calls: bool = False,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
@@ -392,7 +386,7 @@ class WhereConsolidated(_UdfOperator):
     ) -> None:
         super().__init__(
             f"whereConsolidated[{len(pids)}]", [(merged, pids)], False,
-            functions, cost_model, memoize_calls, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter, profiler,
         )
 
 

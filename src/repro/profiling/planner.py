@@ -60,7 +60,7 @@ from .features import LOOP_UNROLL
 from .model import CalibratedCostModel
 
 if TYPE_CHECKING:
-    from ..consolidation.algorithm import ConsolidationOptions
+    from ..consolidation.algorithm import ConsolidationOptions, PairRecord
     from ..telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -274,27 +274,29 @@ def plan_level(
 class CalibratedPairing:
     """The calibrated planner as the merge driver's pairing policy.
 
-    Calling it plans one level; :meth:`merge` then runs one planned pair:
-    a pair predicted to save nothing is composed sequentially (``compose``)
-    without touching the consolidator, the others go through the driver's
-    pair step (``merge_step``) highest predicted savings first, with the
-    SMT budget spent down that ranking.  Sequential by construction:
-    budget accounting needs the order.
+    Calling it plans one level; :meth:`merge` then runs one planned pair
+    and returns its record (a
+    :class:`repro.consolidation.algorithm.PairRecord`) with the decision
+    written on it: a pair predicted to save nothing is kept as its
+    sequential composition (``compose``) without touching the consolidator,
+    the others go through the driver's pair step (``merge_step``) highest
+    predicted savings first, with the SMT budget spent down that ranking.
+    Sequential by construction: budget accounting needs the order.
 
-    ``decisions`` holds one dict per decision, in execution order (see
-    :class:`repro.consolidation.ConsolidationReport`); ``derivations`` is
-    the batch's provenance list, onto whose newest tree a recorded merge's
-    decision is noted as a ``planner`` heuristic.
+    A decision is one dict (see
+    :class:`repro.consolidation.ConsolidationReport`), stored as the
+    record's ``planner`` and — when the merge was recorded — noted on its
+    derivation tree as a ``planner`` heuristic.  A merge that failed reads
+    ``merged: False`` with the record's ``skip_reason``: nothing was
+    observed, so nothing was mispredicted.
     """
 
     functions: Optional[FunctionTable]
     model: CalibratedCostModel
     options: "ConsolidationOptions"
     smt_budget_seconds: Optional[float]
-    merge_step: Callable[[Program, Program, "ConsolidationOptions"], Program]
-    compose: Callable[[Program, Program], Program]
-    derivations: List[Any]
-    decisions: List[Dict[str, Any]] = field(init=False, default_factory=list)
+    merge_step: Callable[[Program, Program, "ConsolidationOptions"], "PairRecord"]
+    compose: Callable[[Program, Program], "PairRecord"]
     _planned: Dict[Tuple[str, str], PlannedPair] = field(init=False, default_factory=dict)
     _smt_spent: float = field(init=False, default=0.0)
     _budget_exhausted: int = field(init=False, default=0)
@@ -306,8 +308,8 @@ class CalibratedPairing:
         }
         return [(d.left, d.right) for d in plan.decisions], plan.carried
 
-    def merge(self, a: Program, b: Program) -> Program:
-        """Execute the decision planned for ``(a, b)`` and record it."""
+    def merge(self, a: Program, b: Program) -> "PairRecord":
+        """Execute the decision planned for ``(a, b)`` and write it on the record."""
 
         decision = self._planned[a.pid, b.pid]
         entry = {
@@ -319,9 +321,10 @@ class CalibratedPairing:
             "mispredicted": False,
             "used_smt": False,
         }
-        self.decisions.append(entry)
         if not decision.merge:
-            return self.compose(a, b)
+            record = self.compose(a, b)
+            record.planner = entry
+            return record
         options = self.options
         if (
             options.use_smt
@@ -330,11 +333,14 @@ class CalibratedPairing:
         ):
             options = replace(options, use_smt=False)
             self._budget_exhausted += 1
-        recorded = len(self.derivations)
         started = time.perf_counter()
-        merged = self.merge_step(a, b, options)
+        record = self.merge_step(a, b, options)
+        record.planner = entry
         if options.use_smt:
             self._smt_spent += time.perf_counter() - started
+        if record.skip_reason is not None:
+            entry.update(merged=False, skip_reason=record.skip_reason)
+            return record
         # Realized savings under the same model: predicted cost of the two
         # inputs minus the merged program's.  A positive prediction that
         # realizes nothing is a misprediction — flagged, counted, rendered
@@ -343,7 +349,7 @@ class CalibratedPairing:
         observed = (
             predict(a, self.functions)
             + predict(b, self.functions)
-            - predict(merged, self.functions)
+            - predict(record.program, self.functions)
         )
         mispredicted = decision.predicted_savings > 0.0 and observed <= 0.0
         entry.update(
@@ -351,29 +357,30 @@ class CalibratedPairing:
             mispredicted=mispredicted,
             used_smt=options.use_smt,
         )
-        if len(self.derivations) > recorded:
+        if record.derivation is not None:
             detail = f"predicted={decision.predicted_savings:.3e}s observed={observed:.3e}s"
             if not options.use_smt:
                 detail += " (smt budget exhausted)"
             if mispredicted:
                 detail += " MISPREDICTED"
-            self.derivations[-1].root.heuristics.append(
+            record.derivation.root.heuristics.append(
                 Heuristic("planner", detail, not mispredicted)
             )
-        return merged
+        return record
 
-    def export(self, registry: "MetricsRegistry") -> None:
-        """The batch's ``planner_*`` / ``calibration_*`` telemetry."""
+    def export(self, registry: "MetricsRegistry", decisions: Sequence[Dict[str, Any]]) -> None:
+        """The batch's ``planner_*`` / ``calibration_*`` telemetry, from the
+        decisions its records carry."""
 
-        merges = sum(1 for d in self.decisions if d["merged"])
+        merges = sum(1 for d in decisions if d["merged"])
         registry.counter("planner_pairs_total").inc(merges)
-        registry.counter("planner_skips_total").inc(len(self.decisions) - merges)
+        registry.counter("planner_skips_total").inc(len(decisions) - merges)
         registry.counter("planner_mispredictions_total").inc(
-            sum(1 for d in self.decisions if d["mispredicted"])
+            sum(1 for d in decisions if d["mispredicted"])
         )
         registry.counter("planner_smt_budget_exhausted_total").inc(self._budget_exhausted)
         registry.gauge("planner_predicted_savings_seconds").set(
-            sum(d["predicted_savings_seconds"] for d in self.decisions)
+            sum(d["predicted_savings_seconds"] for d in decisions)
         )
         registry.gauge("calibration_staleness_seconds").set(self.model.staleness_seconds())
         registry.gauge("calibration_r2").set(self.model.r2)

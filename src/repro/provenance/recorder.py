@@ -18,10 +18,12 @@ single pair merge, everything the calculus decided:
   ``max_embed_size`` guard, commutativity.
 
 Recording follows the repository's NULL-twin pattern
-(:mod:`repro.telemetry.noop`): the shared :data:`NULL_RECORDER` exposes
-``enabled = False`` and inert methods, and every producer guards event
-construction behind that flag, so the default path allocates **zero**
-derivation objects (asserted by ``tests/test_provenance.py``).
+(:mod:`repro.telemetry.noop`): producers hand the recorder the
+``Expr``/``Formula`` objects they decided on and the recorder renders
+them (bounded, :mod:`repro.provenance.render`), so a call site is one
+unguarded line and the shared :data:`NULL_RECORDER` — inert methods,
+``enabled = False`` — renders and allocates **nothing** (asserted by
+``tests/test_provenance.py``).
 
 Everything recorded is a plain string/number dataclass: trees pickle
 across the process-pool executor and serialise with ``to_dict`` for the
@@ -31,6 +33,10 @@ JSON/HTML reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..lang.ast import Expr
+from ..smt.terms import Formula
+from .render import MAX_TEXT, format_expr, format_formula
 
 __all__ = [
     "Entailment",
@@ -43,6 +49,29 @@ __all__ = [
     "NULL_RECORDER",
     "derivation_summary",
 ]
+
+
+def _text(x: object) -> str:
+    """Render one event argument.
+
+    Text passes through; an expression or formula is rendered up to the
+    shared report clamp; ``(template, *parts)`` is ``str.format`` over the
+    rendered parts.
+    """
+
+    if isinstance(x, str):
+        return x
+    if isinstance(x, Expr):
+        return format_expr(x)
+    if isinstance(x, Formula):
+        return format_formula(x, MAX_TEXT)
+    if isinstance(x, tuple):
+        return _fill(x[0], x[1:])
+    return str(x)
+
+
+def _fill(template: str, parts: tuple) -> str:
+    return template.format(*map(_text, parts)) if parts else template
 
 
 @dataclass
@@ -298,20 +327,24 @@ class DerivationRecorder:
 
     # -- rule events ---------------------------------------------------------
 
-    def rule(self, name: str, detail: str = "") -> _RuleScope:
-        """Open a structural rule scope; sub-derivations nest under it."""
+    def rule(self, name: str, detail: str = "", *parts: object) -> _RuleScope:
+        """Open a structural rule scope; sub-derivations nest under it.
 
-        node = RuleNode(name, detail)
+        ``detail`` is a ``str.format`` template over ``parts`` (see
+        :func:`_text`), here and on :meth:`leaf` / :meth:`heuristic`.
+        """
+
+        node = RuleNode(name, _fill(detail, parts))
         if self._stack:
             self._stack[-1].children.append(node)
         self._stack.append(node)
         return _RuleScope(self)
 
-    def leaf(self, name: str, detail: str = "") -> None:
+    def leaf(self, name: str, detail: str = "", *parts: object) -> None:
         """Record a non-structural rule application (Assign/Step/Com/…)."""
 
         if self._stack:
-            self._stack[-1].children.append(RuleNode(name, detail))
+            self._stack[-1].children.append(RuleNode(name, _fill(detail, parts)))
 
     def _pop(self) -> None:
         if len(self._stack) > 1:
@@ -322,8 +355,8 @@ class DerivationRecorder:
     def entailment(
         self,
         kind: str,
-        psi: str,
-        query: str,
+        psi: object,
+        query: object,
         verdict: bool,
         seconds: float,
         source: str,
@@ -331,20 +364,22 @@ class DerivationRecorder:
         node = self.current
         if node is not None:
             node.entailments.append(
-                Entailment(kind, psi, query, bool(verdict), seconds, source)
+                Entailment(kind, _text(psi), _text(query), bool(verdict), seconds, source)
             )
 
     def rewrite(
-        self, site: str, before: str, after: str, cost_before: int, cost_after: int
+        self, site: str, before: object, after: object, cost_before: int, cost_after: int
     ) -> None:
         node = self.current
         if node is not None:
-            node.rewrites.append(Rewrite(site, before, after, cost_before, cost_after))
+            node.rewrites.append(
+                Rewrite(site, _text(before), _text(after), cost_before, cost_after)
+            )
 
-    def heuristic(self, kind: str, detail: str, accepted: bool) -> None:
+    def heuristic(self, kind: str, detail: str, accepted: bool, *parts: object) -> None:
         node = self.current
         if node is not None:
-            node.heuristics.append(Heuristic(kind, detail, accepted))
+            node.heuristics.append(Heuristic(kind, _fill(detail, parts), accepted))
 
 
 class _NullScope:
@@ -363,10 +398,9 @@ _NULL_SCOPE = _NullScope()
 class NullRecorder:
     """The zero-cost twin: every hook is inert, ``enabled`` is False.
 
-    Producers guard event *construction* (string rendering, timing) on
-    ``enabled``, so with this recorder the only cost per decision point
-    is one attribute read — the same discipline
-    :mod:`repro.telemetry.noop` enforces for metrics.
+    Rendering happens inside the real recorder, so with this one a
+    decision point costs one method call and nothing else — the same
+    discipline :mod:`repro.telemetry.noop` enforces for metrics.
     """
 
     __slots__ = ()
@@ -380,10 +414,10 @@ class NullRecorder:
     def end_pair(self, merged, seconds) -> None:
         return None
 
-    def rule(self, name, detail="") -> _NullScope:
+    def rule(self, name, detail="", *parts) -> _NullScope:
         return _NULL_SCOPE
 
-    def leaf(self, name, detail="") -> None:
+    def leaf(self, name, detail="", *parts) -> None:
         pass
 
     def entailment(self, kind, psi, query, verdict, seconds, source) -> None:
@@ -392,7 +426,7 @@ class NullRecorder:
     def rewrite(self, site, before, after, cost_before, cost_after) -> None:
         pass
 
-    def heuristic(self, kind, detail, accepted) -> None:
+    def heuristic(self, kind, detail, accepted, *parts) -> None:
         pass
 
 

@@ -88,7 +88,21 @@ def _comparison(t: Term, op: str) -> str:
     return f"{format_term(t)} {op} 0"
 
 
-def format_formula(f: Formula) -> str:
+def format_formula(f: Formula, limit: int | None = None) -> str:
+    """``f`` in infix notation; with ``limit``, cut like :func:`clamp`.
+
+    ``format_formula(f, limit) == clamp(format_formula(f), limit)``, but the
+    parts of a top-level conjunction are rendered only until the limit is
+    passed: a recorded ``Ψ`` of thousands of conjuncts costs O(``limit``),
+    not O(``|Ψ|``), per event.
+    """
+
+    if limit is not None:
+        return clamp(_render(f, limit), limit)
+    return _render(f, None)
+
+
+def _render(f: Formula, limit: int | None) -> str:
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, FFalse):
@@ -104,10 +118,16 @@ def format_formula(f: Formula) -> str:
         if isinstance(inner, Eq):
             return _comparison(inner.term, "!=")
         return f"!({format_formula(inner)})"
-    if isinstance(f, FAnd):
-        return " & ".join(_nest(a) for a in f.args)
-    if isinstance(f, FOr):
-        return " | ".join(_nest(a) for a in f.args)
+    if isinstance(f, (FAnd, FOr)):
+        separator = " & " if isinstance(f, FAnd) else " | "
+        parts: list[str] = []
+        size = -len(separator)
+        for arg in f.args:
+            parts.append(_nest(arg))
+            size += len(separator) + len(parts[-1])
+            if limit is not None and size > limit:
+                break
+        return separator.join(parts)
     return repr(f)
 
 

@@ -345,6 +345,15 @@ class QueryRegistry:
             return
         started = time.perf_counter()
         try:
+            # A root graft makes the tree one level deeper: decide the
+            # rebalance before merging, so a registration pays the graft or
+            # the rebuild, never both.
+            depth = self._tree.depth() + 1 if self._tree is not None else 1
+            if self._needs_rebalance(depth):
+                raise PatchError(
+                    f"rebalance: depth {depth} exceeded the "
+                    f"policy bound for {len(self._queries)} queries"
+                )
             patch = add_query(
                 self._tree,
                 program,
@@ -359,12 +368,6 @@ class QueryRegistry:
         else:
             if patch.pair_merges:
                 self._count_patch(patch)
-            if self._needs_rebalance(patch.tree):
-                patch = self._fallback_rebuild(
-                    "add",
-                    f"rebalance: depth {patch.tree.depth()} exceeded the "
-                    f"policy bound for {len(self._queries)} queries",
-                )
         patch.seconds = time.perf_counter() - started
         self._install(patch)
 
@@ -417,15 +420,7 @@ class QueryRegistry:
             self.telemetry.counter("service_pair_merges_total").inc(
                 report.pair_consolidations
             )
-        return PatchResult(
-            tree=tree,
-            action=action,
-            pair_merges=report.pair_consolidations,
-            validations=list(report.validations),
-            derivations=list(report.derivations),
-            patched_pids=[tree.program.pid] if tree is not None else [],
-            fallback=reason,
-        )
+        return PatchResult(tree=tree, action=action, pairs=report.pairs, fallback=reason)
 
     def _count_patch(self, patch: PatchResult) -> None:
         self.stats["incremental_patches"] += 1
@@ -443,14 +438,12 @@ class QueryRegistry:
         if self.telemetry.enabled:
             self.telemetry.histogram("service_patch_seconds").observe(patch.seconds)
 
-    def _needs_rebalance(self, tree: Optional[MergeNode]) -> bool:
-        if tree is None:
-            return False
+    def _needs_rebalance(self, depth: int) -> bool:
         n = len(self._queries)
         if n < 4:
             return False
         bound = self.service.rebalance_factor * math.ceil(math.log2(n)) + 1
-        return tree.depth() > bound
+        return depth > bound
 
     # -- reads -------------------------------------------------------------
 

@@ -94,7 +94,7 @@ class TestCompileCache:
         base = compile_cached(filt("q0", 10), FT)
         assert compile_cached(filt("q0", 11), FT) is not base
         assert compile_cached(filt("q1", 10), FT) is not base
-        assert compile_cached(filt("q0", 10), FT, memoize_calls=True) is not base
+        assert compile_cached(filt("q0", 10), FT, max_steps=1_000) is not base
 
     def test_cache_discriminates_function_tables(self):
         clear_compile_cache()

@@ -48,7 +48,7 @@ _POINTS = st.lists(
 )
 
 
-def run_both(p, args, functions=FT, memoize=False, max_steps=2_000_000):
+def run_both(p, args, functions=FT, max_steps=2_000_000):
     """Run ``p`` under both backends; return their outcomes as comparable pairs.
 
     An outcome is ``("ok", (env, notifications, cost, notification_costs))``
@@ -57,14 +57,14 @@ def run_both(p, args, functions=FT, memoize=False, max_steps=2_000_000):
     several dynamic errors race inside one expression).
     """
 
-    interp = Interpreter(functions, memoize_calls=memoize, max_steps=max_steps)
+    interp = Interpreter(functions, max_steps=max_steps)
     try:
         r = interp.run(p, args)
         expected = ("ok", (r.env, r.notifications, r.cost, r.notification_costs))
     except InterpError as exc:
         expected = ("error", type(exc))
 
-    compiled = compile_program(p, functions, memoize_calls=memoize, max_steps=max_steps)
+    compiled = compile_program(p, functions, max_steps=max_steps)
     try:
         r = compiled.run(args)
         actual = ("ok", (r.env, r.notifications, r.cost, r.notification_costs))
@@ -85,16 +85,6 @@ class TestRandomPrograms:
     def test_compiled_matches_interpreter(self, p, points):
         for a, b in points:
             run_both(p, {"a": a, "b": b})
-
-    @given(udf_programs("q1"), _POINTS)
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-    )
-    def test_compiled_matches_interpreter_with_memoisation(self, p, points):
-        for a, b in points:
-            run_both(p, {"a": a, "b": b}, memoize=True)
 
     @given(udf_programs("q1"), udf_programs("q2"), _POINTS)
     @settings(
@@ -205,9 +195,6 @@ class TestErrorParity:
         )
         run_both(p, {"n": 4}, functions=ft)
         # interpreter + compiled each evaluated the call exactly once
-        assert calls == [4, 4]
-        calls.clear()
-        run_both(p, {"n": 4}, functions=ft, memoize=True)
         assert calls == [4, 4]
 
     def test_failing_library_call(self):

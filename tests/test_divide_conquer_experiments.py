@@ -1,12 +1,16 @@
 """Tests for the n-UDF driver and the experiment harnesses."""
 
+import ast
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 pytestmark = pytest.mark.slow
 
 from repro.config import ExecutionConfig
 from repro.consolidation import ConsolidationOptions, check_soundness, consolidate_all
-from repro.datasets import generate_news, generate_stocks
+from repro.datasets import generate_news, generate_stocks, generate_weather
 from repro.experiments import (
     SoundnessError,
     run_experiment,
@@ -100,6 +104,91 @@ class TestDivideConquer:
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             consolidate_all([filt("q0", 5)], FT, order="zigzag")
+
+
+class TestPairAccount:
+    """One PairRecord per pair merge; every report name is a view over them."""
+
+    @pytest.fixture(scope="class")
+    def weather(self):
+        dataset = generate_weather(cities=12)
+        return dataset, DOMAIN_QUERIES["weather"].make_batch(dataset, "Mix", n=8, seed=1)
+
+    def test_the_account_does_not_depend_on_the_executor(self, weather):
+        dataset, programs = weather
+        options = ConsolidationOptions(static_validate=True)
+
+        def account(executor):
+            report = consolidate_all(
+                programs,
+                dataset.functions,
+                options=options,
+                config=ExecutionConfig(executor=executor, max_workers=2, provenance=True),
+            )
+            assert not report.degraded, (executor, report.skipped_pairs, report.degradations)
+            return (
+                report.simplify_stats,
+                Counter(rule for r in report.pairs for rule in r.rules),
+                report.pair_consolidations,
+                len(report.validations),
+                len(report.derivations),
+                [(r.left, r.right) for r in report.pairs],
+            )
+
+        serial = account("serial")
+        assert serial[2:5] == (7, 7, 7) and serial[0]["entail_queries"] > 0
+        assert account("thread") == serial
+        assert account("process") == serial
+
+    def test_every_view_lines_up_with_the_records(self, weather):
+        from repro.testing import consolidation_pair_crash
+
+        dataset, programs = weather
+        with consolidation_pair_crash(after=2):
+            report = consolidate_all(
+                programs,
+                dataset.functions,
+                options=ConsolidationOptions(static_validate=True),
+                config=ExecutionConfig(provenance=True, prefilter=True, planner="calibrated"),
+            )
+        pairs = report.pairs
+        assert report.pair_consolidations == len(pairs) == 7
+        assert report.validations == [r.validation for r in pairs if r.validation]
+        assert report.derivations == [r.derivation for r in pairs if r.derivation] + [
+            report.prefilter.derivation
+        ]
+        assert report.planner_decisions == [r.planner for r in pairs]
+        skipped = [r for r in pairs if r.skip_reason is not None]
+        assert skipped and any(r.merged for r in pairs)
+        assert report.skipped_pairs == [
+            {"left": r.left, "right": r.right, "reason": r.skip_reason} for r in skipped
+        ]
+        for r in pairs:
+            assert (r.planner["left"], r.planner["right"]) == (r.left, r.right)
+            assert r.merged == r.planner["merged"]
+            assert r.program.pid == f"{r.left}&{r.right}"
+            if r.merged:
+                tree = r.derivation
+                assert (tree.left, tree.right, tree.merged) == (r.left, r.right, r.program.pid)
+                assert Counter(r.rules) == Counter(tree.rule_counts())
+                assert r.validation.merged_pid == r.program.pid
+            else:
+                assert r.derivation is r.validation is None and r.rules == ()
+        totals = Counter()
+        for r in pairs:
+            totals.update(vars(r.stats))
+        assert {k: report.simplify_stats[k] for k in totals} == dict(totals)
+
+    @pytest.mark.parametrize("module", ["algorithm", "simplifier"])
+    def test_the_calculus_leaves_rendering_to_the_recorder(self, module):
+        import repro.consolidation
+
+        source = Path(repro.consolidation.__file__).with_name(f"{module}.py").read_text()
+        imported = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)]
+        assert imported
+        for node in imported:
+            assert "render" not in (node.module or ""), ast.unparse(node)
+            assert not {a.name for a in node.names} & {"format_expr", "format_formula", "clamp"}
 
 
 class TestHarness:

@@ -188,35 +188,6 @@ class TestCostAccounting:
         body_cost = 1 + 0 + cm.arith + cm.assign
         assert r.cost == init + 3 * test + 2 * body_cost
 
-    def test_memoization_does_not_change_cost(self):
-        calls = []
-        ft = FunctionTable([LibraryFunction("f", lambda x: calls.append(x) or x, cost=100)])
-        p = program("p", ("n",), assign("a", call("f", arg("n"))), assign("b", call("f", arg("n"))), notify("p", eq(var("a"), var("b"))))
-        r_plain = run_program(p, {"n": 1}, ft)
-        calls.clear()
-        r_memo = run_program(p, {"n": 1}, ft, memoize_calls=True)
-        assert len(calls) == 1  # second call served from cache
-        assert r_memo.cost == r_plain.cost  # accounting unchanged
-
-    def test_eval_expr_resets_memo_cache_between_evaluations(self):
-        """Back-to-back ``eval_expr`` calls must not share the memo cache.
-
-        Regression test: ``eval_expr`` used to reset only the step counter,
-        so a memoised call could return a stale value after the library
-        function's behaviour changed between evaluations.
-        """
-
-        calls = []
-        ft = FunctionTable(
-            [LibraryFunction("f", lambda x: calls.append(x) or len(calls), cost=10)]
-        )
-        interp = Interpreter(ft, memoize_calls=True)
-        v1, c1 = interp.eval_expr(call("f", 7), {})
-        v2, c2 = interp.eval_expr(call("f", 7), {})
-        assert calls == [7, 7]  # the second evaluation re-ran the function
-        assert (v1, v2) == (1, 2)
-        assert c1 == c2  # accounting identical either way
-
     def test_eval_expr_resets_elapsed_latency_state(self, ft):
         interp = Interpreter(ft)
         p = program("p", (), assign("x", 1), notify("p", lt(var("x"), 2)))

@@ -450,6 +450,38 @@ class TestPlannerEndToEnd:
         assert heuristics, "no planner heuristic recorded on any derivation"
         assert all("predicted=" in h.detail for h in heuristics)
 
+    def test_failed_merge_is_skipped_not_mispredicted(self, weather):
+        """A planned merge that raised observed nothing, so it mispredicted
+        nothing: its decision is a skip that carries the reason."""
+
+        from repro.consolidation import divide_conquer
+        from repro.telemetry import Telemetry
+        from repro.testing.faults import fault_hook
+
+        def crash(site, payload):
+            if site == "consolidate.pair":
+                raise RuntimeError("injected pair-merge crash")
+
+        programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Q1", n=2, seed=2)
+        telemetry = Telemetry.capture()
+        with fault_hook(divide_conquer, crash):
+            report = consolidate_all(
+                programs,
+                weather.functions,
+                config=ExecutionConfig(planner="calibrated", telemetry=telemetry),
+            )
+        (skip,) = report.skipped_pairs
+        (decision,) = report.planner_decisions
+        assert decision["predicted_savings_seconds"] > 0  # the planner asked for this merge
+        assert decision["merged"] is False
+        assert decision["mispredicted"] is False
+        assert decision["skip_reason"] == skip["reason"]
+        assert (decision["left"], decision["right"]) == (skip["left"], skip["right"])
+        counter = telemetry.metrics.counter
+        assert counter("planner_mispredictions_total").value == 0
+        assert counter("planner_skips_total").value == 1
+        assert counter("consolidation_skipped_pairs_total").value == 1
+
     def test_explain_carries_planner_section(self, weather):
         from repro.provenance import explain_batch, render_text
 

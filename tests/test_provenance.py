@@ -4,8 +4,10 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.provenance.recorder as recorder_mod
+import repro.provenance.render as render_mod
 from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
@@ -14,8 +16,13 @@ from repro.provenance import (
     DerivationRecorder,
     attribute_costs,
 )
+from repro.lang.builder import add, lift, var
 from repro.provenance.recorder import _strip_timings
+from repro.provenance.render import MAX_TEXT, clamp, format_formula
 from repro.queries import DOMAIN_QUERIES
+from repro.smt.terms import TRUE_F, Num, Sym, fand, le_f
+
+from .test_smt_node_caches import formulas
 
 RECORDING = ExecutionConfig(provenance=True)
 
@@ -73,6 +80,27 @@ class TestRecorderUnit:
             "inner": [{"seconds": 0.0, "keep": 7}],
         }
 
+    def test_recorder_renders_what_it_is_handed(self):
+        """Producers pass expressions and formulas; text is the recorder's job."""
+
+        rec = DerivationRecorder()
+        rec.begin_pair("a", "b")
+        x, psi = var("x"), le_f(Sym("m1"), Num(12))
+        with rec.rule("If5", "if ({}) — test only", x):
+            rec.leaf("Assign", "{} := {}", "x", add(x, 1))
+            rec.entailment("equal", psi, ("{} = {}", x, lift(1)), True, 0.0, "memo")
+            rec.entailment("loop2-iff", TRUE_F, psi, False, 0.0, "smt")
+            rec.rewrite("assign-rhs", add(x, 0), x, 3, 1)
+            rec.heuristic("embed-guard", "size {} > {}", False, 200, 160)
+        (if5,) = rec.end_pair("a&b", 0.0).root.children
+        assert if5.detail == "if (x) — test only"
+        assert if5.children[0].detail == "x := x + 1"
+        first, second = if5.entailments
+        assert (first.psi, first.query) == ("m1 <= 12", "x = 1")
+        assert (second.psi, second.query) == ("true", "m1 <= 12")
+        assert (if5.rewrites[0].before, if5.rewrites[0].after) == ("x + 0", "x")
+        assert if5.heuristics[0].detail == "size 200 > 160"
+
     def test_null_recorder_is_inert(self):
         assert NULL_RECORDER.enabled is False
         NULL_RECORDER.begin_pair("a", "b")
@@ -82,6 +110,35 @@ class TestRecorderUnit:
         assert NULL_RECORDER.end_pair("x", 0.0) is None
         assert NULL_RECORDER.trees == ()
         assert NULL_RECORDER.current is None
+
+
+class TestBoundedRendering:
+    @given(formulas, st.integers(1, 80))
+    def test_bounded_equals_clamp_of_the_full_rendering(self, f, limit):
+        assert format_formula(f, limit) == clamp(format_formula(f), limit)
+
+    def test_a_huge_context_costs_the_limit_not_its_size(self, monkeypatch):
+        """A recorded Ψ is cut at MAX_TEXT characters; rendering must stop
+        there too instead of walking all 5 000 conjuncts per event."""
+
+        psi = fand(*(le_f(Sym(f"x{i}"), Num(i)) for i in range(5000)))
+        expected = clamp(format_formula(psi))
+        assert len(expected) == MAX_TEXT and expected.endswith("…")
+
+        visited = []
+        comparison = render_mod._comparison
+        monkeypatch.setattr(
+            render_mod, "_comparison", lambda t, op: visited.append(t) or comparison(t, op)
+        )
+        assert format_formula(psi, MAX_TEXT) == expected
+        assert 0 < len(visited) <= MAX_TEXT
+
+        del visited[:]
+        rec = DerivationRecorder()
+        rec.begin_pair("a", "b")
+        rec.entailment("entails", psi, var("x"), False, 0.0, "smt")
+        assert rec.end_pair("a&b", 0.0).root.entailments[0].psi == expected
+        assert 0 < len(visited) <= MAX_TEXT
 
 
 class TestRecordedConsolidation:

@@ -232,6 +232,41 @@ def test_rebalance_triggers_recorded_rebuild(weather):
     assert registry.tree.depth() <= 1.0 * 3 + 1 or rebuilt.fallback
 
 
+def test_rebalancing_register_merges_once(weather):
+    # The depth of a root graft is known before merging: the registration
+    # that trips the bound pays the rebuild's n - 1 merges, not a graft the
+    # rebuild then throws away.
+    registry = QueryRegistry(
+        weather.functions, service=ServiceConfig(rebalance_factor=1.0)
+    )
+    for program in weather_batch(weather, n=8, family="Q2"):
+        before = dict(registry.stats)
+        registry.register(program)
+        patch = registry.last_patch
+        if patch.fallback is not None:
+            break
+    assert patch.fallback.startswith("rebalance: depth 4 exceeded")
+    n = len(registry)
+    assert registry.stats["pair_merges_total"] - before["pair_merges_total"] == n - 1
+    assert registry.stats["incremental_patches"] == before["incremental_patches"]
+    assert registry.stats["full_rebuilds"] == before["full_rebuilds"] + 1
+    assert patch.pair_merges == len(patch.pairs) == n - 1
+    assert patch.patched_pids == [registry.tree.program.pid]
+
+
+def test_pair_merges_are_counted_without_provenance(weather):
+    registry = QueryRegistry(
+        weather.functions, service=ServiceConfig(record_derivations=False)
+    )
+    for program in weather_batch(weather, n=3):
+        registry.register(program)
+    patch = registry.last_patch
+    assert patch.derivations == []
+    assert patch.pair_merges == len(patch.pairs) == 1
+    assert patch.patched_pids == [registry.tree.program.pid]
+    assert registry.stats["pair_merges_total"] == 2
+
+
 def test_explain_shape(weather):
     registry = QueryRegistry(weather.functions)
     for program in weather_batch(weather, n=3):
