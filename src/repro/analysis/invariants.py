@@ -12,11 +12,12 @@ in Example 6), so we use a guess-and-check scheme:
 2. **Affine candidates** — for every pair of integer variables of interest
    the entry context is probed for an entailed difference ``u - v = c``
    (``c`` drawn from a small constant pool seeded by the program text).
-3. **Inductiveness check** — every candidate that passes initiation is
-   checked for preservation through one symbolic execution of the body
-   (:class:`~repro.analysis.sp.SpEngine`); candidates may support each
-   other, so failing candidates are retried once against the conjunction
-   of those already proved.
+3. **Inductiveness check** — the candidates that pass initiation are
+   assumed together and checked for preservation through one symbolic
+   execution of the body (:class:`~repro.analysis.sp.SpEngine`) per round;
+   the ones the solver does not re-prove are dropped and the round repeats
+   until none drops (the Houdini fixpoint), so candidates may support each
+   other and what is left is the greatest inductive subset.
 
 Everything reported is *proved* inductive by the SMT solver, so the loop
 rules can rely on it; a missed invariant merely means the loops are run
@@ -238,19 +239,15 @@ def loop_invariant(
     for e in conds:
         entry_guard = fand(entry_guard, engine.encode_bool(e) or TRUE_F)
 
-    proven: list[Formula] = []
-    pending = list(candidates)
-    for _round in range(2):
-        still_pending: list[Formula] = []
-        for cand in pending:
-            pre = fand(stable, *proven, cand, entry_guard)
-            post = engine.post(pre, body)
-            if solver.entails(cone_of_influence(post, cand), cand):
-                proven.append(cand)
-            else:
-                still_pending.append(cand)
-        if not still_pending or len(still_pending) == len(pending):
+    # Houdini: assume every surviving candidate at once, execute the body
+    # once, drop what the solver does not re-prove, repeat until none drops.
+    # What survives is inductive as a set — the greatest such subset.
+    proven = candidates
+    while proven:
+        post = engine.post(fand(stable, *proven, entry_guard), body)
+        kept = [c for c in proven if solver.entails(cone_of_influence(post, c), c)]
+        if len(kept) == len(proven):
             break
-        pending = still_pending
+        proven = kept
 
     return fand(stable, *proven)

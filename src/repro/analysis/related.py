@@ -18,10 +18,31 @@ query families.
 
 from __future__ import annotations
 
-from ..lang.ast import Arg, BoolConst, Call, Cmp, Expr, IntConst, Stmt, StrConst, Var
-from ..lang.visitors import stmt_exprs, subexpressions
+from typing import Iterable, NamedTuple, Union
 
-__all__ = ["related", "comparison_subjects", "expr_features", "is_trivial"]
+from ..lang.ast import (
+    Arg,
+    BoolConst,
+    Call,
+    Cmp,
+    Expr,
+    IntConst,
+    Stmt,
+    StrConst,
+    Var,
+    operands,
+    stmt_parts,
+)
+from ..nodeslots import derived, union
+
+__all__ = [
+    "Features",
+    "related",
+    "call_features",
+    "comparison_subjects",
+    "expr_features",
+    "is_trivial",
+]
 
 
 def is_trivial(e: Expr) -> bool:
@@ -30,68 +51,90 @@ def is_trivial(e: Expr) -> bool:
     return isinstance(e, (IntConst, StrConst, BoolConst, Var, Arg))
 
 
-_is_trivial = is_trivial
+class Features(NamedTuple):
+    """What ``related`` compares: the sharing signals of one fragment.
 
-
-def comparison_subjects(exprs) -> set[Expr]:
-    """Expressions used as comparison operands that carry a sharing signal.
-
-    Non-trivial operands always qualify; a bare *argument* operand does too
-    (two programs comparing the same shared input, as in Figure 6's
-    ``x > a`` vs ``x <= a``).  Constants and bare locals do not — locals
-    are renamed per program, so a syntactic match is impossible anyway
-    (semantic variable matches are probed separately by the algorithm).
-    """
-
-    subjects: set[Expr] = set()
-    for e in exprs:
-        for sub in subexpressions(e):
-            if isinstance(sub, Cmp):
-                for side in (sub.left, sub.right):
-                    if isinstance(side, Arg) or not _is_trivial(side):
-                        subjects.add(side)
-    return subjects
-
-
-def call_features(exprs) -> set:
-    """Sharing signatures of the calls in ``exprs``.
-
-    A call whose arguments are all ground (arguments/constants) contributes
-    its *full* expression — ``has_direct(row, 0, 5)`` and
+    ``calls`` — a call whose arguments are all ground (arguments/constants)
+    contributes its *full* expression: ``has_direct(row, 0, 5)`` and
     ``has_direct(row, 0, 2)`` can share nothing, so a bare name match would
     trigger If 3 embedding (and exponential growth) across a whole batch of
     disjoint routes.  A call with variable arguments contributes only its
     name: whether two such calls coincide is then a semantic question the
     cross-simplifier settles, and loop fusion needs the optimistic signal.
+
+    ``subjects`` — comparison operands that carry a sharing signal.
+    Non-trivial operands always qualify; a bare *argument* operand does too
+    (two programs comparing the same shared input, as in Figure 6's
+    ``x > a`` vs ``x <= a``).  Constants and bare locals do not — locals
+    are renamed per program, so a syntactic match is impossible anyway.
+
+    ``compared_vars`` — the bare locals among the comparison operands: they
+    can match only semantically, which the algorithm probes separately.
     """
 
-    keys: set = set()
-    for e in exprs:
-        for sub in subexpressions(e):
-            if isinstance(sub, Call):
-                if all(isinstance(a, (Arg, IntConst, StrConst, BoolConst)) for a in sub.args):
-                    keys.add(sub)
-                else:
-                    keys.add(sub.func)
-    return keys
+    calls: frozenset[Union[Call, str]]
+    subjects: frozenset[Expr]
+    compared_vars: frozenset[str]
+
+    def overlap(self, other: "Features") -> bool:
+        """Whether the two fragments share a call signature or a comparison subject."""
+
+        return not (self.calls.isdisjoint(other.calls) and self.subjects.isdisjoint(other.subjects))
 
 
-def expr_features(x: Expr | Stmt) -> tuple[set, set[Expr]]:
-    """(call signatures, comparison subjects) of an expr or stmt."""
+_GROUND = (Arg, IntConst, StrConst, BoolConst)
+_NONE: frozenset = frozenset()
+_NO_FEATURES = Features(_NONE, _NONE, _NONE)
 
-    if isinstance(x, Expr):
-        return call_features([x]), comparison_subjects([x])
-    exprs = list(stmt_exprs(x))
-    return call_features(exprs), comparison_subjects(exprs)
+
+@derived("_features")
+def expr_features(x: Expr | Stmt) -> Features:
+    """The :class:`Features` of an expression or statement.
+
+    Read off the node: the features of a fragment are its own contribution
+    plus its children's, so each node is visited once however many ``If``s
+    ask about the program around it.
+    """
+
+    if is_trivial(x):
+        return _NO_FEATURES
+    if isinstance(x, Stmt):
+        exprs, subs = stmt_parts(x)
+        children: tuple[Expr | Stmt, ...] = (*exprs, *subs)
+    else:
+        children = operands(x)
+    parts = [inner for inner in map(expr_features, children) if inner is not _NO_FEATURES]
+    if isinstance(x, Call):
+        # An equal twin, not ``x``: the set ends up in ``x``'s own slot, and
+        # a node that reaches itself is freed only by the cycle collector.
+        ground = all(isinstance(a, _GROUND) for a in x.args)
+        signature = frozenset((Call(x.func, x.args) if ground else x.func,))
+        parts.append(Features(signature, _NONE, _NONE))
+    elif isinstance(x, Cmp):
+        sides = (x.left, x.right)
+        subjects = frozenset(s for s in sides if isinstance(s, Arg) or not is_trivial(s))
+        compared = frozenset(s.name for s in sides if isinstance(s, Var))
+        if subjects or compared:
+            parts.append(Features(_NONE, subjects, compared))
+    if len(parts) > 1:
+        return Features(*map(union, zip(*parts)))
+    # One contributor: the parent shares its features, sets and tuple.
+    return parts[0] if parts else _NO_FEATURES
+
+
+def call_features(exprs: Iterable[Expr]) -> frozenset[Union[Call, str]]:
+    """Sharing signatures of the calls in ``exprs`` (:attr:`Features.calls`)."""
+
+    return union(expr_features(e).calls for e in exprs)
+
+
+def comparison_subjects(exprs: Iterable[Expr]) -> frozenset[Expr]:
+    """Signal-carrying comparison operands in ``exprs`` (:attr:`Features.subjects`)."""
+
+    return union(expr_features(e).subjects for e in exprs)
 
 
 def related(a: Expr | Stmt, b: Expr | Stmt) -> bool:
     """Heuristic: is cross-simplification between ``a`` and ``b`` plausible?"""
 
-    calls_a, subjects_a = expr_features(a)
-    calls_b, subjects_b = expr_features(b)
-    if calls_a & calls_b:
-        return True
-    if subjects_a & subjects_b:
-        return True
-    return False
+    return expr_features(a).overlap(expr_features(b))

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..analysis.invariants import loop_invariant
-from ..analysis.related import expr_features
+from ..analysis.related import Features, expr_features
 from ..analysis.sp import SpEngine
 from ..lang.ast import (
     Assign,
-    Cmp,
     Expr,
     FALSE,
     If,
@@ -60,7 +59,7 @@ from ..lang.visitors import (
     rename_locals,
     stmt_exprs,
     stmt_size,
-    subexpressions,
+    stmt_vars,
     substitute,
 )
 from ..provenance.recorder import NULL_RECORDER
@@ -73,16 +72,6 @@ __all__ = ["ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRe
 
 class ConsolidationError(Exception):
     """The inputs violate a precondition of consolidation."""
-
-
-def _comparison_vars(e):
-    """Bare variables used as comparison operands in ``e``."""
-
-    for sub in subexpressions(e):
-        if isinstance(sub, Cmp):
-            for side in (sub.left, sub.right):
-                if isinstance(side, Var):
-                    yield side.name
 
 
 @dataclass
@@ -201,11 +190,16 @@ class Consolidator:
             raise ConsolidationError(f"programs share notification ids: {pids1 & pids2}")
 
         started = time.perf_counter()
-        self.trace = []
-        self.recorder.begin_pair(p1.pid, p2.pid)
-        # Establish the disjoint-locals precondition mechanically.
+        # Establish the disjoint-locals precondition mechanically.  Prefixing
+        # separates any two pids but a dotted one and its dotted prefix
+        # (``q1``'s local ``a.x`` and ``q1.a``'s local ``x``).
         q1 = rename_locals(p1)
         q2 = rename_locals(p2)
+        shared = stmt_vars(q1.body) & stmt_vars(q2.body)
+        if shared:
+            raise ConsolidationError(f"programs share locals after renaming: {sorted(shared)}")
+        self.trace = []
+        self.recorder.begin_pair(p1.pid, p2.pid)
         engine = SpEngine(self.functions)
         ctx = Context(
             engine=engine,
@@ -403,55 +397,54 @@ class Consolidator:
 
         ``q1.t -> q0.t -> has_direct(@row, 0, 1)`` must expand all the way
         for the sharing signal to surface after cross-rewrites chained
-        variables together.
+        variables together.  Costs what ``e`` mentions, not what ``ctx`` has
+        defined; an ``e`` mentioning no defined variable is returned as is.
         """
 
         for _ in range(depth):
-            mapping = {
-                Var(n): d for n, d in ctx.defs.items() if n in expr_vars(e)
+            mapping: dict[Expr, Expr] = {
+                Var(n): ctx.defs[n] for n in expr_vars(e) if n in ctx.defs
             }
             if not mapping:
-                return e
-            expanded = substitute(e, mapping)
-            if expanded == e:
-                return e
-            e = expanded
+                break
+            e = substitute(e, mapping)
         return e
 
-    def _features(self, ctx: Context, x: Expr | Stmt) -> tuple[set, set[Expr], set[str]]:
+    def _features(self, ctx: Context, x: Expr | Stmt) -> Features:
         """``related`` features of ``x``, expanded through consumed definitions.
 
         After ``name := toLower(airline(@fi))`` has been consumed, a later
         test on ``name`` must still count as related to another program that
         calls ``toLower`` — the definition table restores that visibility.
-        Returns (call signatures, comparison subjects, bare-var subjects).
         """
 
-        exprs = [x] if isinstance(x, Expr) else list(stmt_exprs(x))
-        expanded = [self._expand_defs(ctx, e) for e in exprs]
-        calls, subjects = expr_features(x)
-        for e in expanded:
-            more_calls, more_subjects = expr_features(e)
-            calls |= more_calls
-            subjects |= more_subjects
-        var_subjects: set[str] = set()
+        features = expr_features(x)
+        if isinstance(x, Expr):
+            exprs, mentioned = iter([x]), expr_vars(x)
+        else:
+            exprs, mentioned = stmt_exprs(x), stmt_vars(x)
+        if ctx.defs.keys().isdisjoint(mentioned):
+            return features
+        calls, subjects, compared_vars = features
         for e in exprs:
-            for sub in _comparison_vars(e):
-                var_subjects.add(sub)
-        return calls, subjects, var_subjects
+            expanded = self._expand_defs(ctx, e)
+            if expanded is not e:
+                more = expr_features(expanded)
+                calls |= more.calls
+                subjects |= more.subjects
+        return Features(calls, subjects, compared_vars)
 
     def _related(self, ctx: Context, a: Expr | Stmt, b: Expr | Stmt) -> bool:
-        calls_a, subjects_a, vars_a = self._features(ctx, a)
-        calls_b, subjects_b, vars_b = self._features(ctx, b)
-        if (calls_a & calls_b) or (subjects_a & subjects_b):
+        fa, fb = self._features(ctx, a), self._features(ctx, b)
+        if fa.overlap(fb):
             return True
         # Variables compared against bounds on both sides may be equal only
         # semantically (an invariant proved them so); probe a few pairs.
-        if ctx.use_smt and vars_a and vars_b:
+        if ctx.use_smt and fa.compared_vars and fb.compared_vars:
             pairs = [
                 (u, v)
-                for u in sorted(vars_a)
-                for v in sorted(vars_b)
+                for u in sorted(fa.compared_vars)
+                for v in sorted(fb.compared_vars)
                 if u != v
             ][:6]
             for u, v in pairs:

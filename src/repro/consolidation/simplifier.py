@@ -410,7 +410,13 @@ class Context:
     # -- table maintenance ------------------------------------------------------
 
     def kill_var(self, name: str) -> None:
-        """Drop bindings invalidated by an assignment to ``name``."""
+        """Drop bindings invalidated by an assignment to ``name``.
+
+        A scan of the tables, each test one membership probe on the
+        expression's ``_vars`` slot.  A variable → dependants index would
+        make the kill cost what it kills, but :meth:`branch` — taken at
+        every conditional — would have to copy it.
+        """
 
         dead = [
             k

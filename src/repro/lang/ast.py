@@ -24,12 +24,23 @@ own examples:
 
 All nodes are immutable (frozen dataclasses) and compare structurally, so
 they can be used as dictionary keys, memoised, and shared freely.
+
+Because nodes never change, the facts the calculus keeps asking of them are
+attributes of the node, not walks beside it.  Every composite node carries
+lazily filled slots (:mod:`repro.nodeslots`: not compared, not printed, not
+constructor arguments, never pickled) for its structural hash, the names it
+mentions, its ``related`` features and its size; the readers are the
+collectors of :mod:`repro.lang.visitors` and
+:func:`repro.analysis.related.expr_features`.  Leaves carry none: their
+facts are one field away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional, Union
+
+from ..nodeslots import cached, slot
 
 __all__ = [
     "Expr",
@@ -63,6 +74,8 @@ __all__ = [
     "seq_head",
     "seq_tail",
     "statements",
+    "operands",
+    "stmt_parts",
 ]
 
 ARITH_OPS = ("+", "-", "*")
@@ -131,7 +144,20 @@ class Var(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Call(Expr):
+class _CompositeExpr(Expr):
+    """An expression with operands, and the slots for what is derived from them."""
+
+    _hash: Optional[int] = slot()
+    _vars: Optional[frozenset[str]] = slot()  # visitors.expr_vars
+    _args: Optional[frozenset[str]] = slot()  # visitors.expr_args
+    _calls: Optional[frozenset[str]] = slot()  # visitors.expr_calls
+    _features: Optional[Any] = slot()  # analysis.related.expr_features
+    _size: Optional[int] = slot()  # visitors.expr_size
+
+
+@cached
+@dataclass(frozen=True, slots=True)
+class Call(_CompositeExpr):
     """A call ``f(e1, ..., ek)`` to an externally provided library function.
 
     Library functions are deterministic and side-effect free (the paper's
@@ -146,8 +172,9 @@ class Call(Expr):
         object.__setattr__(self, "args", tuple(self.args))
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class BinOp(Expr):
+class BinOp(_CompositeExpr):
     """An arithmetic operation ``e1 (.) e2`` with ``(.)`` in ``+ - *``."""
 
     op: str
@@ -171,8 +198,9 @@ class BoolConst(Expr):
     value: bool
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class Cmp(Expr):
+class Cmp(_CompositeExpr):
     """A comparison ``e1 (<=|<|=) e2``.
 
     Only the paper's three comparison operators exist in the core syntax;
@@ -189,15 +217,17 @@ class Cmp(Expr):
             raise ValueError(f"not a comparison operator: {self.op!r}")
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class Not(Expr):
+class Not(_CompositeExpr):
     """Boolean negation."""
 
     operand: Expr
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class BoolOp(Expr):
+class BoolOp(_CompositeExpr):
     """A binary boolean connective (``and`` / ``or``)."""
 
     op: str
@@ -230,15 +260,28 @@ class Skip(Stmt):
 
 
 @dataclass(frozen=True, slots=True)
-class Assign(Stmt):
+class _CompositeStmt(Stmt):
+    """A statement with parts, and the slots for what is derived from them."""
+
+    _hash: Optional[int] = slot()
+    _vars: Optional[frozenset[str]] = slot()  # visitors.stmt_vars
+    _assigned: Optional[frozenset[str]] = slot()  # visitors.assigned_vars
+    _features: Optional[Any] = slot()  # analysis.related.expr_features
+    _size: Optional[int] = slot()  # visitors.stmt_size
+
+
+@cached
+@dataclass(frozen=True, slots=True)
+class Assign(_CompositeStmt):
     """An assignment ``x := e`` to a local variable."""
 
     var: str
     expr: Expr
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class Notify(Stmt):
+class Notify(_CompositeStmt):
     """``notify_i e`` — broadcast the value of ``e`` on behalf of program i.
 
     The paper's semantics collects broadcasts into a notification
@@ -250,8 +293,9 @@ class Notify(Stmt):
     expr: Expr
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class Seq(Stmt):
+class Seq(_CompositeStmt):
     """A sequence of statements ``S1; ...; Sn``.
 
     Sequences are kept *flat*: no element of ``stmts`` is itself a ``Seq``,
@@ -270,8 +314,9 @@ class Seq(Stmt):
                 raise ValueError("Seq must be flat; use seq() to construct")
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class If(Stmt):
+class If(_CompositeStmt):
     """A conditional ``S1 (+)e S2``: run ``then`` if ``cond`` holds."""
 
     cond: Expr
@@ -279,8 +324,9 @@ class If(Stmt):
     orelse: Stmt
 
 
+@cached
 @dataclass(frozen=True, slots=True)
-class While(Stmt):
+class While(_CompositeStmt):
     """A while loop."""
 
     cond: Expr
@@ -343,11 +389,40 @@ def statements(s: Stmt) -> Iterator[Stmt]:
         yield s
 
 
+def operands(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``e``, in syntactic order."""
+
+    if isinstance(e, (BinOp, Cmp, BoolOp)):
+        return (e.left, e.right)
+    if isinstance(e, Call):
+        return e.args
+    if isinstance(e, Not):
+        return (e.operand,)
+    return ()
+
+
+def stmt_parts(s: Stmt) -> tuple[tuple[Expr, ...], tuple[Stmt, ...]]:
+    """The expressions ``s`` evaluates itself, and its direct sub-statements."""
+
+    if isinstance(s, (Assign, Notify)):
+        return (s.expr,), ()
+    if isinstance(s, Seq):
+        return (), s.stmts
+    if isinstance(s, If):
+        return (s.cond,), (s.then, s.orelse)
+    if isinstance(s, While):
+        return (s.cond,), (s.body,)
+    if isinstance(s, Skip):
+        return (), ()
+    raise TypeError(f"not a statement: {s!r}")
+
+
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
 
 
+@cached
 @dataclass(frozen=True, slots=True)
 class Program(Node):
     """A program ``Pi_i = lambda a1...ak. S``.
@@ -360,6 +435,7 @@ class Program(Node):
     pid: str
     params: tuple[str, ...]
     body: Stmt
+    _hash: Optional[int] = slot()  # the lowering caches key on whole programs
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))

@@ -689,9 +689,11 @@ def _cached(
 
     A bucket is a second-chance LRU: an entry is ``[value, used]``, a hit
     only sets ``used``, and eviction gives the oldest entry one more round
-    if it was used since it last came up.  Re-ordering on every hit
-    (``move_to_end``) would hash the key — the whole program — a second
-    time, and a run looks up every UDF it executes.
+    if it was used since it last came up.  A hit therefore writes one list
+    cell and never re-links the bucket — a run looks up every UDF it
+    executes.  Hashing the key is no part of that cost: a ``Program`` keeps
+    its structural hash in its ``_hash`` slot (:mod:`repro.nodeslots`), so
+    the probe is a slot read however large the program.
     """
 
     with _LOWERED_LOCK:

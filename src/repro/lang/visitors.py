@@ -5,12 +5,19 @@ algorithm: variable/call collection, capture-free substitution (the language
 has no binders below the lambda, so substitution is structural), local
 renaming to enforce the disjoint-locals precondition of consolidation, and
 expression typing.
+
+The collectors the calculus keeps asking (``expr_vars``/``expr_args``/``expr_calls``/
+``expr_size``, ``stmt_vars``/``assigned_vars``/``stmt_size``) are attributes of the node:
+the recursive definition over the children, made a slot read by :func:`repro.nodeslots.derived`.
+A node is visited once however often it is asked; the ``frozenset`` is shared by every caller.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Callable, Iterator
 
+from ..nodeslots import derived, union
 from .ast import (
     Arg,
     Assign,
@@ -31,7 +38,9 @@ from .ast import (
     StrConst,
     Var,
     While,
+    operands,
     seq,
+    stmt_parts,
 )
 from .functions import BOOL, INT, STR, FunctionTable, Sort
 
@@ -57,7 +66,6 @@ __all__ = [
     "check_program",
 ]
 
-
 # ---------------------------------------------------------------------------
 # Collection
 # ---------------------------------------------------------------------------
@@ -67,110 +75,97 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
     """All subexpressions of ``e``, including ``e`` itself (pre-order)."""
 
     yield e
-    if isinstance(e, Call):
-        for a in e.args:
-            yield from subexpressions(a)
-    elif isinstance(e, (BinOp, Cmp, BoolOp)):
-        yield from subexpressions(e.left)
-        yield from subexpressions(e.right)
-    elif isinstance(e, Not):
-        yield from subexpressions(e.operand)
+    for sub in operands(e):
+        yield from subexpressions(sub)
 
 
-def expr_vars(e: Expr) -> set[str]:
+@derived("_vars")
+def expr_vars(e: Expr) -> frozenset[str]:
     """Local-variable names read by ``e``."""
 
-    return {sub.name for sub in subexpressions(e) if isinstance(sub, Var)}
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    return union(map(expr_vars, operands(e)))
 
 
-def expr_args(e: Expr) -> set[str]:
+@derived("_args")
+def expr_args(e: Expr) -> frozenset[str]:
     """Argument names read by ``e``."""
 
-    return {sub.name for sub in subexpressions(e) if isinstance(sub, Arg)}
+    if isinstance(e, Arg):
+        return frozenset((e.name,))
+    return union(map(expr_args, operands(e)))
 
 
-def expr_calls(e: Expr) -> set[str]:
+@derived("_calls")
+def expr_calls(e: Expr) -> frozenset[str]:
     """Names of library functions called by ``e``."""
 
-    return {sub.func for sub in subexpressions(e) if isinstance(sub, Call)}
+    inner = union(map(expr_calls, operands(e)))
+    return inner | {e.func} if isinstance(e, Call) else inner
 
 
 def stmt_exprs(s: Stmt) -> Iterator[Expr]:
     """All expressions occurring in ``s`` in syntactic order."""
 
-    if isinstance(s, (Skip,)):
-        return
-    if isinstance(s, Assign):
-        yield s.expr
-    elif isinstance(s, Notify):
-        yield s.expr
-    elif isinstance(s, Seq):
-        for sub in s.stmts:
-            yield from stmt_exprs(sub)
-    elif isinstance(s, If):
-        yield s.cond
-        yield from stmt_exprs(s.then)
-        yield from stmt_exprs(s.orelse)
-    elif isinstance(s, While):
-        yield s.cond
-        yield from stmt_exprs(s.body)
+    exprs, subs = stmt_parts(s)
+    yield from exprs
+    for sub in subs:
+        yield from stmt_exprs(sub)
 
 
-def stmt_vars(s: Stmt) -> set[str]:
+@derived("_vars")
+def stmt_vars(s: Stmt) -> frozenset[str]:
     """Local-variable names read or written anywhere in ``s``."""
 
-    names: set[str] = set(assigned_vars(s))
-    for e in stmt_exprs(s):
-        names |= expr_vars(e)
-    return names
+    exprs, subs = stmt_parts(s)
+    written = [assigned_vars(s)] if isinstance(s, Assign) else []
+    return union([*written, *map(expr_vars, exprs), *map(stmt_vars, subs)])
 
 
-def stmt_args(s: Stmt) -> set[str]:
-    names: set[str] = set()
-    for e in stmt_exprs(s):
-        names |= expr_args(e)
-    return names
+def stmt_args(s: Stmt) -> frozenset[str]:
+    """Argument names read anywhere in ``s``."""
+
+    return union(map(expr_args, stmt_exprs(s)))
 
 
-def stmt_calls(s: Stmt) -> set[str]:
-    names: set[str] = set()
-    for e in stmt_exprs(s):
-        names |= expr_calls(e)
-    return names
+def stmt_calls(s: Stmt) -> frozenset[str]:
+    """Names of library functions called anywhere in ``s``."""
+
+    return union(map(expr_calls, stmt_exprs(s)))
 
 
-def assigned_vars(s: Stmt) -> set[str]:
+@derived("_assigned")
+def assigned_vars(s: Stmt) -> frozenset[str]:
     """Local-variable names assigned anywhere in ``s``."""
 
     if isinstance(s, Assign):
-        return {s.var}
-    if isinstance(s, Seq):
-        out: set[str] = set()
-        for sub in s.stmts:
-            out |= assigned_vars(sub)
-        return out
-    if isinstance(s, If):
-        return assigned_vars(s.then) | assigned_vars(s.orelse)
-    if isinstance(s, While):
-        return assigned_vars(s.body)
-    return set()
+        return frozenset((s.var,))
+    return union(map(assigned_vars, stmt_parts(s)[1]))
 
 
-def notified_pids(s: Stmt) -> set[str]:
+def notified_pids(s: Stmt) -> frozenset[str]:
     """Program identifiers that ``s`` may notify."""
 
-    if isinstance(s, Notify):
-        return {s.pid}
-    if isinstance(s, Seq):
-        out: set[str] = set()
-        for sub in s.stmts:
-            out |= notified_pids(sub)
-        return out
-    if isinstance(s, If):
-        return notified_pids(s.then) | notified_pids(s.orelse)
-    if isinstance(s, While):
-        return notified_pids(s.body)
-    return set()
+    nested = [s]
+    for st in nested:  # a worklist: it grows while it is read
+        nested.extend(stmt_parts(st)[1])
+    return frozenset(st.pid for st in nested if isinstance(st, Notify))
+
+
+@derived("_size")
+def expr_size(e: Expr) -> int:
+    """Number of AST nodes in ``e``."""
+
+    return 1 + sum(map(expr_size, operands(e)))
+
+
+@derived("_size")
+def stmt_size(s: Stmt) -> int:
+    """Number of AST nodes in ``s`` (statements and expressions)."""
+
+    exprs, subs = stmt_parts(s)
+    return 1 + sum(map(expr_size, exprs)) + sum(map(stmt_size, subs))
 
 
 # ---------------------------------------------------------------------------
@@ -178,67 +173,84 @@ def notified_pids(s: Stmt) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
+def _map_operands(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """``e`` with each operand through ``f``; ``e`` itself, not a copy, when none changed."""
+
+    old = operands(e)
+    new = tuple(map(f, old))
+    if all(map(is_, new, old)):
+        return e
+    if isinstance(e, Call):
+        return Call(e.func, new)
+    if isinstance(e, Not):
+        return Not(*new)
+    assert isinstance(e, (BinOp, Cmp, BoolOp))
+    return type(e)(e.op, *new)
+
+
 def substitute(e: Expr, mapping: dict[Expr, Expr]) -> Expr:
     """Replace occurrences of the *keys* of ``mapping`` (whole subtrees).
 
     Substitution is outside-in: once a subtree matches a key it is replaced
     wholesale and not re-visited, so mappings may safely mention each other.
+    Subtrees holding no key are returned by identity.
     """
 
-    if e in mapping:
-        return mapping[e]
-    if isinstance(e, Call):
-        return Call(e.func, tuple(substitute(a, mapping) for a in e.args))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Not):
-        return Not(substitute(e.operand, mapping))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    return e
+    def walk(sub: Expr) -> Expr:
+        hit = mapping.get(sub)
+        return _map_operands(sub, walk) if hit is None else hit
+
+    return walk(e)
+
+
+def _map_parts(s: Stmt, on_expr: Callable[[Expr], Expr], on_stmt: Callable[[Stmt], Stmt]) -> Stmt:
+    """``s`` with its expressions through ``on_expr`` and its sub-statements through ``on_stmt``."""
+
+    if isinstance(s, Skip):
+        return s
+    if isinstance(s, Assign):
+        return Assign(s.var, on_expr(s.expr))
+    if isinstance(s, Notify):
+        return Notify(s.pid, on_expr(s.expr))
+    if isinstance(s, Seq):
+        return seq(*map(on_stmt, s.stmts))
+    if isinstance(s, If):
+        return If(on_expr(s.cond), on_stmt(s.then), on_stmt(s.orelse))
+    if isinstance(s, While):
+        return While(on_expr(s.cond), on_stmt(s.body))
+    raise TypeError(f"not a statement: {s!r}")
 
 
 def map_exprs(s: Stmt, f: Callable[[Expr], Expr]) -> Stmt:
     """Rebuild ``s`` with every embedded expression passed through ``f``."""
 
-    if isinstance(s, Skip):
-        return s
-    if isinstance(s, Assign):
-        return Assign(s.var, f(s.expr))
-    if isinstance(s, Notify):
-        return Notify(s.pid, f(s.expr))
-    if isinstance(s, Seq):
-        return seq(*(map_exprs(sub, f) for sub in s.stmts))
-    if isinstance(s, If):
-        return If(f(s.cond), map_exprs(s.then, f), map_exprs(s.orelse, f))
-    if isinstance(s, While):
-        return While(f(s.cond), map_exprs(s.body, f))
-    raise TypeError(f"not a statement: {s!r}")
+    return _map_parts(s, f, lambda sub: map_exprs(sub, f))
 
 
 def rename_vars(s: Stmt, renaming: dict[str, str]) -> Stmt:
-    """Rename local variables in reads and writes according to ``renaming``."""
+    """Rename local variables in reads and writes according to ``renaming``.
+
+    Identity-preservation contract (as :func:`repro.smt.terms.rename_syms`):
+    only what mentions a renamed variable is rebuilt.  Every other
+    sub-statement and subexpression — and ``s`` itself when nothing is
+    touched — is returned as the *same object*, slots filled.
+    """
+
+    renamed = {old: Var(new) for old, new in renaming.items()}
 
     def on_expr(e: Expr) -> Expr:
-        mapping: dict[Expr, Expr] = {
-            Var(old): Var(new) for old, new in renaming.items()
-        }
-        return substitute(e, mapping)
+        if isinstance(e, Var):
+            return renamed.get(e.name, e)
+        if expr_vars(e).isdisjoint(renaming):
+            return e
+        return _map_operands(e, on_expr)
 
     def walk(st: Stmt) -> Stmt:
+        if stmt_vars(st).isdisjoint(renaming):
+            return st
         if isinstance(st, Assign):
             return Assign(renaming.get(st.var, st.var), on_expr(st.expr))
-        if isinstance(st, Notify):
-            return Notify(st.pid, on_expr(st.expr))
-        if isinstance(st, Seq):
-            return seq(*(walk(sub) for sub in st.stmts))
-        if isinstance(st, If):
-            return If(on_expr(st.cond), walk(st.then), walk(st.orelse))
-        if isinstance(st, While):
-            return While(on_expr(st.cond), walk(st.body))
-        return st
+        return _map_parts(st, on_expr, walk)
 
     return walk(s)
 
@@ -249,36 +261,23 @@ def rename_locals(p: Program, prefix: str | None = None) -> Program:
     Consolidation requires the two programs' locals to be disjoint
     (Figure 1 labels locals with the program index); applying this to each
     input establishes the precondition mechanically.
+
+    A local already carrying the prefix keeps its name (idempotence).  The
+    parser accepts dotted identifiers, so ``x`` and ``q1.x`` can both be
+    locals of ``q1``; to stay injective ``x`` then takes the first of
+    ``q1.x``, ``q1.q1.x``, ... that is no local of ``p`` — and no other
+    local's new name either: that local would carry the prefix and be kept.
     """
 
-    tag = prefix if prefix is not None else p.pid
+    tag = f"{prefix if prefix is not None else p.pid}."
     names = stmt_vars(p.body)
-    renaming = {n: f"{tag}.{n}" for n in names if not n.startswith(f"{tag}.")}
+    renaming: dict[str, str] = {}
+    for n in names:
+        if not n.startswith(tag):
+            renaming[n] = tag + n
+            while renaming[n] in names:
+                renaming[n] = tag + renaming[n]
     return Program(p.pid, p.params, rename_vars(p.body, renaming))
-
-
-def expr_size(e: Expr) -> int:
-    """Number of AST nodes in ``e``."""
-
-    return sum(1 for _ in subexpressions(e))
-
-
-def stmt_size(s: Stmt) -> int:
-    """Number of AST nodes in ``s`` (statements and expressions)."""
-
-    if isinstance(s, Skip):
-        return 1
-    if isinstance(s, Assign):
-        return 1 + expr_size(s.expr)
-    if isinstance(s, Notify):
-        return 1 + expr_size(s.expr)
-    if isinstance(s, Seq):
-        return 1 + sum(stmt_size(sub) for sub in s.stmts)
-    if isinstance(s, If):
-        return 1 + expr_size(s.cond) + stmt_size(s.then) + stmt_size(s.orelse)
-    if isinstance(s, While):
-        return 1 + expr_size(s.cond) + stmt_size(s.body)
-    raise TypeError(f"not a statement: {s!r}")
 
 
 # ---------------------------------------------------------------------------

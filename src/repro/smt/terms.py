@@ -27,15 +27,18 @@ kept *on the node* in non-compared, non-printed slots: the structural hash
 interaction tokens of a formula (``_tokens``) and the two theory literals of
 an atom (``_lits``, filled by :mod:`repro.smt.combine`).  There is nothing to
 invalidate, the caches die with the node, and they never leave the process
-(see :func:`_cached`).  Slot fills are idempotent — two threads racing on
-an empty slot store the same value — so ``executor="thread"`` needs no lock.
+(see :func:`repro.nodeslots.cached`, which :mod:`repro.lang.ast` shares).
+Slot fills are idempotent — two threads racing on an empty slot store the
+same value — so ``executor="thread"`` needs no lock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Iterator, Mapping, Optional, TypeVar, Union
+from typing import Any, Iterator, Mapping, Optional, Union
+
+from ..nodeslots import cached as _cached, slot as _slot
 
 __all__ = [
     "Term",
@@ -82,44 +85,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
-
-
-_T = TypeVar("_T")
-
-
-def _slot() -> Any:
-    """A lazily filled cache slot: not an ``__init__`` argument, not compared,
-    not hashed, not printed."""
-
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-def _cached(cls: type[_T]) -> type[_T]:
-    """Cache the dataclass's structural hash in the node's ``_hash`` slot.
-
-    Also pickles the node through its constructor, so no cache slot crosses
-    a process boundary: ``str`` hashes are salted per interpreter, and a
-    hash cached by a ``executor="process"`` worker would poison every dict
-    lookup on the receiving side.
-    """
-
-    node: Any = cls
-    structural_hash: Callable[[Any], int] = node.__hash__
-    init_names = tuple(f.name for f in fields(node) if f.init)
-
-    def cached_hash(self: Any) -> int:
-        h: Optional[int] = self._hash
-        if h is None:
-            h = structural_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def reduce(self: Any) -> tuple[Any, ...]:
-        return cls, tuple(getattr(self, name) for name in init_names)
-
-    setattr(cls, "__hash__", cached_hash)
-    setattr(cls, "__reduce__", reduce)
-    return cls
 
 
 class Term:

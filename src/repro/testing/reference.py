@@ -12,12 +12,19 @@ witness, no theory memo, no interned literals, and *every* theory conflict —
 forced or not — is minimised, blocked and handed back to the SAT core.  A
 differential test requires the solver to agree with it on ``unsat`` versus
 not-``unsat``, the one distinction the calculus acts on.
+
+The ``*_full_walk`` collectors over :mod:`repro.lang.ast` are what
+:mod:`repro.lang.visitors` and :mod:`repro.analysis.related` computed before
+their answers became slots of the node: every call walks the whole fragment
+and reads no slot, so a property test can require the slot-backed collectors
+to agree with them on nodes whose slots are empty, partly filled or full.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
+from ..lang import ast
 from ..smt.cnf import CnfBuilder
 from ..smt.combine import TheoryLiteral, _check_literals_uncached
 from ..smt.sat import SatSolver
@@ -44,7 +51,19 @@ from ..smt.terms import (
     t_scale,
 )
 
-__all__ = ["rename_syms_full_walk", "rename_syms_term_full_walk", "reference_check"]
+__all__ = [
+    "rename_syms_full_walk",
+    "rename_syms_term_full_walk",
+    "reference_check",
+    "expr_vars_full_walk",
+    "expr_args_full_walk",
+    "expr_calls_full_walk",
+    "expr_size_full_walk",
+    "stmt_vars_full_walk",
+    "assigned_vars_full_walk",
+    "stmt_size_full_walk",
+    "expr_features_full_walk",
+]
 
 
 def rename_syms_term_full_walk(t: Term, mapping: Mapping[str, Term]) -> Term:
@@ -130,3 +149,86 @@ def reference_check(f: Formula, lemma_budget: int = 400, core_budget: int = 12) 
             ]
         )
     return "unknown"
+
+
+def _subexpressions(e: ast.Expr) -> Iterator[ast.Expr]:
+    yield e
+    if isinstance(e, ast.Call):
+        for a in e.args:
+            yield from _subexpressions(a)
+    elif isinstance(e, (ast.BinOp, ast.Cmp, ast.BoolOp)):
+        yield from _subexpressions(e.left)
+        yield from _subexpressions(e.right)
+    elif isinstance(e, ast.Not):
+        yield from _subexpressions(e.operand)
+
+
+def _substatements(s: ast.Stmt) -> Iterator[ast.Stmt]:
+    yield s
+    if isinstance(s, ast.Seq):
+        for sub in s.stmts:
+            yield from _substatements(sub)
+    elif isinstance(s, ast.If):
+        yield from _substatements(s.then)
+        yield from _substatements(s.orelse)
+    elif isinstance(s, ast.While):
+        yield from _substatements(s.body)
+
+
+def _stmt_exprs(s: ast.Stmt) -> Iterator[ast.Expr]:
+    for sub in _substatements(s):
+        if isinstance(sub, (ast.Assign, ast.Notify)):
+            yield sub.expr
+        elif isinstance(sub, (ast.If, ast.While)):
+            yield sub.cond
+
+
+def expr_vars_full_walk(e: ast.Expr) -> set[str]:
+    return {sub.name for sub in _subexpressions(e) if isinstance(sub, ast.Var)}
+
+
+def expr_args_full_walk(e: ast.Expr) -> set[str]:
+    return {sub.name for sub in _subexpressions(e) if isinstance(sub, ast.Arg)}
+
+
+def expr_calls_full_walk(e: ast.Expr) -> set[str]:
+    return {sub.func for sub in _subexpressions(e) if isinstance(sub, ast.Call)}
+
+
+def expr_size_full_walk(e: ast.Expr) -> int:
+    return sum(1 for _ in _subexpressions(e))
+
+
+def assigned_vars_full_walk(s: ast.Stmt) -> set[str]:
+    return {sub.var for sub in _substatements(s) if isinstance(sub, ast.Assign)}
+
+
+def stmt_vars_full_walk(s: ast.Stmt) -> set[str]:
+    names = assigned_vars_full_walk(s)
+    for e in _stmt_exprs(s):
+        names |= expr_vars_full_walk(e)
+    return names
+
+
+def stmt_size_full_walk(s: ast.Stmt) -> int:
+    return sum(1 for _ in _substatements(s)) + sum(map(expr_size_full_walk, _stmt_exprs(s)))
+
+
+def expr_features_full_walk(x: ast.Expr | ast.Stmt) -> tuple[set[object], set[ast.Expr], set[str]]:
+    """``(call signatures, comparison subjects, bare compared locals)`` of ``x``."""
+
+    ground = (ast.Arg, ast.IntConst, ast.StrConst, ast.BoolConst)
+    calls: set[object] = set()
+    subjects: set[ast.Expr] = set()
+    compared: set[str] = set()
+    for e in [x] if isinstance(x, ast.Expr) else _stmt_exprs(x):
+        for sub in _subexpressions(e):
+            if isinstance(sub, ast.Call):
+                calls.add(sub if all(isinstance(a, ground) for a in sub.args) else sub.func)
+            elif isinstance(sub, ast.Cmp):
+                for side in (sub.left, sub.right):
+                    if isinstance(side, ast.Var):
+                        compared.add(side.name)
+                    elif not isinstance(side, (ast.IntConst, ast.StrConst, ast.BoolConst)):
+                        subjects.add(side)
+    return calls, subjects, compared

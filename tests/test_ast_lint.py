@@ -1,0 +1,96 @@
+"""``tools/ast_lint.py``: the checks themselves, and the files held to them.
+
+The linter is a stdlib stand-in for the ``static-checks`` CI job where
+``ruff``/``mypy`` are not installed; the job stays authoritative.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("ast_lint", ROOT / "tools" / "ast_lint.py")
+ast_lint = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ast_lint)
+
+# The files PR 21 rewrote; add a file here when it is brought up to the bar.
+CLEAN = (
+    "src/repro/nodeslots.py",
+    "src/repro/lang/ast.py",
+    "src/repro/lang/visitors.py",
+    "src/repro/analysis/related.py",
+    "src/repro/analysis/invariants.py",
+    "tools/ast_lint.py",
+)
+
+
+def codes(source: str, limit: int = 100) -> list[tuple[int, str]]:
+    return [(line, code) for line, code, _message in ast_lint.lint_source(source, limit)]
+
+
+@pytest.mark.parametrize("path", CLEAN)
+def test_rewritten_files_are_clean(path):
+    findings = ast_lint.lint_source((ROOT / path).read_text(), ast_lint.line_length())
+    assert findings == [], "\n".join(f"{path}:{line}: {code} {msg}" for line, code, msg in findings)
+
+
+def test_line_length_comes_from_pyproject():
+    assert ast_lint.line_length() == 100
+    assert codes("x = 1  # " + "." * 100 + "\n") == [(1, "E501")]
+    assert codes("x = 1  # " + "." * 100 + "\n", limit=200) == []
+
+
+def test_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys, json as js\n"
+        "from typing import Any, Optional\n"
+        "from .ast import Call, Var, seq\n"
+        "from .other import kept  # noqa: F401\n"
+        "__all__ = ['seq']\n"
+        "def f(x: 'Optional[Call]') -> Any:\n"
+        "    return sys.argv, x\n"
+    )
+    assert codes(source) == [(2, "F401"), (3, "F401"), (5, "F401")]
+    messages = [m for _l, _c, m in ast_lint.lint_source(source, 100)]
+    assert messages == [
+        "'os' imported but unused",
+        "'json' imported but unused",
+        "'Var' imported but unused",
+    ]
+
+
+def test_unannotated_public_defs():
+    source = (
+        "def public(a, b: int = 0, *rest, **kw) -> int: ...\n"
+        "def no_return(a: int): ...\n"
+        "def _private(a): ...\n"
+        "def fine(a: int, *rest: int, flag: bool = False) -> None:\n"
+        "    def nested(x): ...\n"
+        "class Shown:\n"
+        "    def method(self, x) -> None: ...\n"
+        "    def ok(self, x: int) -> None: ...\n"
+        "    @staticmethod\n"
+        "    def helper(x) -> None: ...\n"
+        "    def __len__(self): ...\n"
+        "class _Hidden:\n"
+        "    def method(self, x): ...\n"
+    )
+    found = ast_lint.lint_source(source, 100)
+    assert [(line, message) for line, _code, message in found] == [
+        (1, "public: unannotated a, rest, kw"),
+        (2, "no_return: unannotated return"),
+        (7, "method: unannotated x"),
+        (10, "helper: unannotated x"),
+        (11, "__len__: unannotated return"),
+    ]
+
+
+def test_command_line_exit_status(tmp_path, capsys):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import os\n")
+    assert ast_lint.main([str(bad)]) == 1
+    assert capsys.readouterr().out == f"{bad}:1: F401 'os' imported but unused\n"
+    assert ast_lint.main([str(ROOT / "src/repro/nodeslots.py")]) == 0

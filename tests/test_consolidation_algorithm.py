@@ -7,6 +7,7 @@ from repro.consolidation import (
     ConsolidationOptions,
     Consolidator,
     check_soundness,
+    consolidate_all,
 )
 from repro.lang import (
     FunctionTable,
@@ -64,6 +65,30 @@ class TestPreconditions:
         p2 = program("b", ("x",), notify("a", False))
         with pytest.raises(ConsolidationError):
             Consolidator(ft).consolidate(p1, p2)
+
+    def test_dotted_pid_and_its_prefix_do_not_share_a_renamed_local(self, ft):
+        """``q1``'s ``a.x`` and ``q1.a``'s ``x`` both prefix to ``q1.a.x``:
+        merged, ``q1.a``'s assignment embedded in ``q1``'s branches clobbered
+        the local ``q1`` reads afterwards (certified, and wrong)."""
+
+        p1 = program(
+            "q1",
+            ("r",),
+            assign("a.x", 1),
+            if_(lt(call("f", arg("r")), 3), assign("t", 1), assign("t", 2)),
+            notify("q1", lt(var("a.x"), 2)),
+        )
+        p2 = program(
+            "q1.a", ("r",), assign("x", 5), ite_notify("q1.a", lt(call("f", arg("r")), 3))
+        )
+        with pytest.raises(ConsolidationError, match="share locals"):
+            Consolidator(ft).consolidate(p1, p2)
+        # The driver keeps such a pair as its sequential composition.
+        report = consolidate_all([p1, p2], ft)
+        assert [skip["reason"] for skip in report.skipped_pairs] == [
+            "ConsolidationError: programs share locals after renaming: ['q1.a.x']"
+        ]
+        assert check_soundness([p1, p2], report.program, ft, [{"r": i} for i in range(6)]).ok
 
     def test_locals_renamed_apart(self, ft):
         """Same local name in both programs must not collide."""

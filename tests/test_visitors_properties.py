@@ -8,13 +8,15 @@ would be vacuous.  These properties pin the contract:
 * renaming with an injective map is invertible and touches exactly the
   mapped names;
 * ``rename_locals`` is semantics-preserving (same notifications, same
-  cost) and idempotent;
+  cost), idempotent and injective — also on programs whose locals already
+  look prefixed (the parser accepts dotted identifiers);
 * ``substitute`` replaces outside-in, so mutually-referential mappings
   (a swap) do not cascade.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.lang import (
     FunctionTable,
     LibraryFunction,
@@ -34,6 +36,7 @@ from repro.lang import (
 )
 from repro.lang.ast import BoolOp, Cmp, Not, Var
 from repro.lang.interp import Interpreter
+from repro.lang.parser import parse_program
 from repro.lang.visitors import (
     rename_locals,
     rename_vars,
@@ -160,6 +163,42 @@ def test_rename_locals_idempotent(body):
     p = program("q", ("a",), body)
     once = rename_locals(p)
     assert rename_locals(once) == once
+
+
+DOTTED = ("x", "q.x", "q.q.x", "y", "q.y", "r.x")
+
+
+@given(st.lists(st.sampled_from(DOTTED), min_size=1, unique=True), st.integers(-5, 5))
+def test_rename_locals_is_injective_on_dotted_locals(names, a):
+    """Distinct locals stay distinct, whatever prefix they already carry."""
+
+    body = block(
+        *(assign(n, add(arg("a"), lift(i))) for i, n in enumerate(names)),
+        *(notify(f"p{i}", lt(var(n), lift(2))) for i, n in enumerate(names)),
+    )
+    p = program("q", ("a",), body)
+    renamed = rename_locals(p)
+    assert len(stmt_vars(renamed.body)) == len(names)
+    assert all(n.startswith("q.") for n in stmt_vars(renamed.body))
+    assert rename_locals(renamed) == renamed
+    interp = Interpreter(FT)
+    assert interp.run(renamed, {"a": a}).notifications == interp.run(p, {"a": a}).notifications
+
+
+def test_consolidation_keeps_a_local_named_like_a_prefixed_one():
+    """``x`` and ``q1.x`` both became ``q1.x``: the merged program notified
+    ``q1 false``, certified, where the original says ``true``."""
+
+    q1 = parse_program(
+        "program q1(row) { x := 1; q1.x := 2;"
+        " if (x < q1.x) { notify q1 true; } else { notify q1 false; } }"
+    )
+    q2 = parse_program("program q2(row) { notify q2 true; }")
+    report = api.consolidate([q1, q2], FT, options=api.ConsolidationOptions(static_validate=True))
+    interp = Interpreter(FT)
+    assert interp.run(q1, {"row": 0}).notifications == {"q1": True}
+    assert interp.run(report.program, {"row": 0}).notifications == {"q1": True, "q2": True}
+    assert report.all_certified
 
 
 def test_rename_covers_notify_nested_while_and_call_args():
