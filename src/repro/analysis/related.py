@@ -18,7 +18,7 @@ query families.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import Any, Iterable, NamedTuple, Union
 
 from ..lang.ast import (
     Arg,
@@ -83,7 +83,7 @@ class Features(NamedTuple):
 
 
 _GROUND = (Arg, IntConst, StrConst, BoolConst)
-_NONE: frozenset = frozenset()
+_NONE: frozenset[Any] = frozenset()
 _NO_FEATURES = Features(_NONE, _NONE, _NONE)
 
 

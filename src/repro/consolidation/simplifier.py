@@ -48,7 +48,7 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.visitors import expr_vars, subexpressions
 from ..provenance.recorder import NULL_RECORDER
 from ..smt.solver import Solver
-from ..smt.terms import Formula, TRUE_F, cone_of_influence, eq_f, fiff
+from ..smt.terms import Formula, TRUE_F, cone_of_influence, eq_f, fand, fiff, fnot
 from ..lang.functions import BOOL
 
 __all__ = ["Context", "SimplifyStats", "fold_expr", "ir_linear", "ir_from_linear"]
@@ -258,9 +258,11 @@ class Context:
     too, so ``env`` always over-approximates the states satisfying the path
     condition.  That makes two solver fast paths sound: an env-decided
     predicate settles ``Ψ ⊨ e`` without SMT, and env-decided truth of ``e``
-    means ``Ψ ⊨ ¬e`` is hopeless (and vice versa).  ``stats`` and
-    ``entail_memo`` are shared by reference across :meth:`branch` — the
-    memo keys include ``psi``, so sharing across branches stays sound.
+    means ``Ψ ⊨ ¬e`` is hopeless (and vice versa).  ``stats``,
+    ``entail_memo``, ``query_memo`` and ``cost_memo`` are shared by reference
+    across :meth:`branch` — the first two key on ``psi`` and the function
+    table and cost model are fixed for a pair, so sharing across branches
+    stays sound.
     """
 
     engine: SpEngine
@@ -275,6 +277,11 @@ class Context:
     env: StaticEnv = field(default_factory=StaticEnv)
     stats: SimplifyStats = field(default_factory=SimplifyStats)
     entail_memo: dict = field(default_factory=dict)
+    # (Ψ, e) -> what ``entails_expr`` asks the solver: both polarities read it.
+    query_memo: dict[tuple[Formula, Expr], tuple[Formula, Formula] | None] = field(
+        default_factory=dict
+    )
+    cost_memo: dict[Expr, int] = field(default_factory=dict)
     recorder: object = NULL_RECORDER
 
     # -- plumbing -------------------------------------------------------------
@@ -308,7 +315,17 @@ class Context:
         return out
 
     def cost(self, e: Expr) -> int:
-        return expr_cost(e, self.engine.functions, self.cost_model)
+        known = self.cost_memo.get(e)
+        if known is None:
+            known = self.cost_memo[e] = expr_cost(e, self.engine.functions, self.cost_model)
+        return known
+
+    def _query(self, goal: Formula | None) -> tuple[Formula, Formula] | None:
+        """``(goal, Ψ's cone of influence for it)`` — pruning the hypothesis
+        is sound (only weakening) and keeps queries small and cacheable
+        however large the accumulated context has grown."""
+
+        return None if goal is None else (goal, cone_of_influence(self.psi, goal))
 
     def _decide(
         self,
@@ -316,17 +333,15 @@ class Context:
         key: tuple,
         query: object,
         precheck: Callable[[], bool | None],
-        encode: Callable[[], Formula | None],
+        encode: Callable[[], tuple[Formula, Formula] | None],
         negate: bool = False,
     ) -> bool:
         """The one entailment ladder behind the three judgments below.
 
         ``(Ψ, *key)`` memo, then the abstract environment (``precheck``:
         env over-approximates Ψ's states, so what it decides needs no SMT),
-        then the encoding (``None``: outside the fragment, not entailed),
-        then the solver on the goal's cone of influence — pruning the
-        hypothesis is sound (only weakening) and keeps queries small and
-        cacheable however large the accumulated context has grown.
+        then the encoding (:meth:`_query`; ``None``: outside the fragment,
+        not entailed), then the solver on the goal's cone of influence.
         """
 
         self.stats.entail_queries += 1
@@ -339,12 +354,12 @@ class Context:
         elif (result := precheck()) is not None:
             self.stats.precheck_skips += 1
             source = "precheck"
-        elif (goal := encode()) is None:
+        elif (asked := encode()) is None:
             result, source = False, "syntactic"
         else:
             self.stats.smt_queries += 1
             started = time.perf_counter()
-            hyp = cone_of_influence(self.psi, goal)
+            goal, hyp = asked
             prove = self.solver.entails_not if negate else self.solver.entails
             result, source = prove(hyp, goal), "smt"
             seconds = time.perf_counter() - started
@@ -364,13 +379,16 @@ class Context:
             value = self.env.eval_bool(e)
             return None if value is None else value != negate
 
+        def encode() -> tuple[Formula, Formula] | None:
+            # If 1 / If 2 and Bool 1 / Bool 2 ask both polarities back to
+            # back: one encoding and one cone serve the two.
+            key = (self.psi, e)
+            if key not in self.query_memo:
+                self.query_memo[key] = self._query(self.engine.encode_bool(e))
+            return self.query_memo[key]
+
         return self._decide(
-            "entails-not" if negate else "entails",
-            (e, negate),
-            e,
-            precheck,
-            lambda: self.engine.encode_bool(e),
-            negate,
+            "entails-not" if negate else "entails", (e, negate), e, precheck, encode, negate
         )
 
     def provably_equal(self, a: Expr, b: Expr) -> bool:
@@ -381,9 +399,9 @@ class Context:
         if not self.use_smt:
             return False
 
-        def encode() -> Formula | None:
+        def encode() -> tuple[Formula, Formula] | None:
             ta, tb = self.engine.encode_int(a), self.engine.encode_int(b)
-            return None if ta is None or tb is None else eq_f(ta, tb)
+            return self._query(None if ta is None or tb is None else eq_f(ta, tb))
 
         return self._decide(
             "equal", ("=", a, b), ("{} = {}", a, b), lambda: self._precheck_equal(a, b), encode
@@ -490,7 +508,11 @@ class Context:
             self.call_sites.setdefault(call_atom.func, []).append((derived, call_atom))
 
     def assume(self, e: Expr, *, negate: bool = False) -> Formula:
-        return self.engine.assume(self.psi, e, negate=negate)
+        asked = self.query_memo.get((self.psi, e))
+        if asked is None:  # not asked under this Ψ, or outside the fragment
+            return self.engine.assume(self.psi, e, negate=negate)
+        # If 1-5 assume the test they have just asked about: same encoding.
+        return fand(self.psi, fnot(asked[0]) if negate else asked[0])
 
     # -- the (Int) judgment:  Ψ ⊢i e : e' ---------------------------------------
 
@@ -658,9 +680,9 @@ class Context:
             va, vb = self.env.eval_bool(a), self.env.eval_bool(b)
             return None if va is None or vb is None else va == vb
 
-        def encode() -> Formula | None:
+        def encode() -> tuple[Formula, Formula] | None:
             fa, fb = self.engine.encode_bool(a), self.engine.encode_bool(b)
-            return None if fa is None or fb is None else fiff(fa, fb)
+            return self._query(None if fa is None or fb is None else fiff(fa, fb))
 
         return self._decide("iff", ("<->", a, b), ("{} <-> {}", a, b), precheck, encode)
 

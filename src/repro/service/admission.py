@@ -7,10 +7,11 @@ A tenant submits a query as one of
 * restricted-Python source (``def notify(row): …``), translated by the
   existing frontend.
 
-Admission then runs, in order: parsing/translation, the frontend type
-checker (:func:`repro.lang.visitors.check_program`) and the full static
-linter (:mod:`repro.analysis.static.lint`).  Any *error*-severity finding
-rejects the query with an :class:`~repro.service.errors.AdmissionError`
+Admission then runs, in order: parsing/translation, the query-id check
+(no ``.``: see :func:`_dotted_pid`), the frontend type checker
+(:func:`repro.lang.visitors.check_program`) and the full static linter
+(:mod:`repro.analysis.static.lint`).  Any *error*-severity finding rejects
+the query with an :class:`~repro.service.errors.AdmissionError`
 whose ``diagnostics`` is the same SARIF 2.1.0 document ``repro lint
 --format sarif`` emits — one vocabulary for offline linting and online
 rejection.  Warnings are admitted (the registry's policy knob
@@ -109,6 +110,28 @@ def _parse(source: str, functions: FunctionTable, pid: str | None) -> Program:
         ) from exc
 
 
+def _dotted_pid(pid: str) -> Finding:
+    """Why a query id may not contain ``.``.
+
+    Consolidation makes the locals of two queries disjoint by renaming each
+    local ``x`` of query ``p`` to ``p.x``.  That separates any two ids but a
+    dotted one and its dotted prefix, and such a pair would silently stay
+    sequential at merge time (:meth:`Consolidator.consolidate` refuses it).
+    """
+
+    head, _, tail = pid.partition(".")
+    return Finding(
+        rule="dotted-pid",
+        severity="error",
+        message=(
+            f"query id {pid!r} contains '.': locals are renamed to '<id>.<local>', so "
+            f"query {head!r}'s local '{tail}.x' and query {pid!r}'s local 'x' would both "
+            f"become '{pid}.x' and the two could never be merged; use an id without dots"
+        ),
+        program=pid,
+    )
+
+
 def admit(
     query: Program | str,
     functions: FunctionTable,
@@ -126,6 +149,8 @@ def admit(
     program = query if isinstance(query, Program) else _parse(query, functions, pid)
 
     findings: list[Finding] = []
+    if "." in program.pid:
+        findings.append(_dotted_pid(program.pid))
     try:
         check_program(program, functions)
     except TypeError_ as exc:

@@ -16,13 +16,26 @@ two places:
   calls must return the same value under the current context.
 
 Only ground reasoning is needed — the fragment is quantifier free.
+
+The closure is *backtrackable*: :meth:`CongruenceClosure.push` sets a mark
+and :meth:`CongruenceClosure.pop` undoes everything done since — unions,
+signature-table writes, use-list entries and the registration of nodes — so
+the theory checker keeps one closure under its assertion stack instead of
+building one per check (DESIGN.md §14).  ``_find`` does no path compression:
+with union by rank the chains are logarithmic, and a parent pointer that is
+only ever written by a union is what makes a union undoable in O(its size).
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from .terms import App, Lin, Num, Sym, Term
 
 __all__ = ["CongruenceClosure"]
+
+# Undo-trail entry kinds (first element of the entry).
+_SIG, _USE, _UNION = 0, 1, 2
 
 
 class CongruenceClosure:
@@ -33,6 +46,11 @@ class CongruenceClosure:
     the interpreted symbol ``@lin`` applied to its atoms — so
     ``x = y  ==>  x + 1 = y + 1`` is derived congruentially, while deeper
     arithmetic consequences are left to the LIA engine.
+
+    Node ids are registration order and roots are decided by union order and
+    rank alone, so a closure popped back to a mark and extended is
+    indistinguishable — same node ids, same ``root_id``s — from one built
+    from scratch by the surviving operations followed by the new ones.
     """
 
     def __init__(self) -> None:
@@ -47,6 +65,8 @@ class CongruenceClosure:
         self._pending: list[tuple[int, int]] = []
         self._const: list[int | None] = []  # the class numeral (at representative)
         self._conflict = False  # two distinct numerals were merged
+        self._trail: list[tuple[Any, ...]] = []  # how to undo, oldest first
+        self._marks: list[tuple[int, int]] = []  # (trail length, node count) per push
 
     # -- term registration -----------------------------------------------------
 
@@ -90,43 +110,57 @@ class CongruenceClosure:
         return node
 
     def _install_signature(self, node: int) -> None:
+        for root in self._file(node):
+            self._uses[root].append(node)
+            self._trail.append((_USE, root))
+
+    def _file(self, node: int) -> tuple[int, ...]:
+        """Enter application ``node`` in the signature table under the current
+        roots of its arguments (returned) — or, if another class already owns
+        that signature, queue the congruence."""
+
         children = self._children[node]
         assert children is not None
         func, arg_ids = children
-        sig = (func, tuple(self._find(a) for a in arg_ids))
+        roots = tuple(map(self._find, arg_ids))
+        sig = (func, roots)
         existing = self._sig.get(sig)
         if existing is not None and self._find(existing) != self._find(node):
             self._pending.append((existing, node))
         else:
+            self._trail.append((_SIG, sig, existing))
             self._sig[sig] = node
-        for a in arg_ids:
-            self._uses[self._find(a)].append(node)
+        return roots
 
     # -- union-find --------------------------------------------------------------
 
     def _find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
+        parent = self._parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
     def _union(self, a: int, b: int) -> None:
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
+        bumped = False
         if self._rank[ra] < self._rank[rb]:
             ra, rb = rb, ra
         elif self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
+            bumped = True
+        members, uses = self._members[ra], self._uses[ra]
+        kept = self._const[ra]
+        self._trail.append(
+            (_UNION, ra, rb, bumped, kept, self._conflict, len(members), len(uses))
+        )
         # Move rb's class into ra and re-hash the applications using rb.
         self._parent[rb] = ra
-        self._members[ra].extend(self._members[rb])
+        members.extend(self._members[rb])
         self._members[rb] = []
         moved = self._const[rb]
         if moved is not None:
-            kept = self._const[ra]
             if kept is None:
                 self._const[ra] = moved
             elif kept != moved:
@@ -134,21 +168,61 @@ class CongruenceClosure:
         affected = self._uses[rb]
         self._uses[rb] = []
         for node in affected:
-            children = self._children[node]
-            assert children is not None
-            func, arg_ids = children
-            sig = (func, tuple(self._find(x) for x in arg_ids))
-            existing = self._sig.get(sig)
-            if existing is not None and self._find(existing) != self._find(node):
-                self._pending.append((existing, node))
-            else:
-                self._sig[sig] = node
-            self._uses[ra].append(node)
+            self._file(node)
+            uses.append(node)
 
     def _flush(self) -> None:
         while self._pending:
             a, b = self._pending.pop()
             self._union(a, b)
+
+    # -- backtracking ------------------------------------------------------------
+
+    def push(self) -> None:
+        """Set a mark: the next :meth:`pop` returns the closure to this state."""
+
+        self._marks.append((len(self._trail), len(self._terms)))
+
+    def pop(self) -> None:
+        """Undo every assertion *and registration* since the matching
+        :meth:`push`: classes, numerals, the conflict flag, the signature
+        table and the node table are as they were."""
+
+        trail_length, nodes = self._marks.pop()
+        trail = self._trail
+        while len(trail) > trail_length:
+            entry = trail.pop()
+            kind = entry[0]
+            if kind == _SIG:
+                _, sig, previous = entry
+                if previous is None:
+                    del self._sig[sig]
+                else:
+                    self._sig[sig] = previous
+            elif kind == _USE:
+                self._uses[entry[1]].pop()
+            else:
+                _, ra, rb, bumped, const, conflict, n_members, n_uses = entry
+                # Whatever followed the union is already undone, so the tails
+                # are exactly what the union moved, in the order it moved them.
+                members, uses = self._members[ra], self._uses[ra]
+                self._members[rb] = members[n_members:]
+                del members[n_members:]
+                self._uses[rb] = uses[n_uses:]
+                del uses[n_uses:]
+                self._const[ra] = const
+                self._conflict = conflict
+                self._parent[rb] = rb
+                if bumped:
+                    self._rank[ra] -= 1
+        if len(self._terms) > nodes:
+            for t in self._terms[nodes:]:
+                del self._ids[t]
+            for column in (
+                self._terms, self._parent, self._rank, self._members,
+                self._uses, self._children, self._const,
+            ):
+                del column[nodes:]
 
     # -- public API ---------------------------------------------------------------
 
@@ -171,6 +245,13 @@ class CongruenceClosure:
         """The union-find root id of ``t``'s class (stable between unions)."""
 
         return self._find(self.add_term(t))
+
+    def handle(self, t: Term) -> tuple[int, int | None]:
+        """``(root_id(t), constant_of(t))`` in one lookup: what the LIA rows
+        are built from, asked once per atom per literal per check."""
+
+        root = self._find(self.add_term(t))
+        return root, self._const[root]
 
     def representative(self, t: Term) -> Term:
         """A canonical member of ``t``'s class (stable within one closure)."""

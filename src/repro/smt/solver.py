@@ -11,12 +11,23 @@ Most of those queries have one of two answers that need no search, and each
 has a cheap path (DESIGN.md §14): *not entailed* is read off one of the two
 most recent verified witnesses (:meth:`Solver._decide`), and a theory
 conflict among level-0 atoms closes ``unsat`` without core minimisation
-(:meth:`Solver._check`).
+(:meth:`Solver._search`).
+
+The queries that do search are ``Ψ ∧ ¬e`` with Ψ a conjunction that is mostly
+— usually entirely — theory literals, shared with the query before.  The
+literal conjuncts never reach CNF or SAT: they are asserted on a
+backtrackable :class:`~repro.smt.combine.TheoryStack` the solver keeps
+between checks, each check re-asserting only what differs from its
+predecessor, and only conjuncts with boolean structure get a ``SatSolver``.
 
 Soundness contract (what the calculus relies on):
 
 * ``is_valid(f) == True``  only when ``not f`` was *refuted* by a valid
   derivation (SAT resolution + theory lemmas that are themselves theorems).
+  A literal conjunct is a unit clause, so asserting it to the theory directly
+  is that same derivation with the unit propagation done by hand; what the
+  stack holds when a check starts is never trusted — the check pops to the
+  prefix that *is* (by identity) its own literal list and asserts the rest.
 * Any budget exhaustion or incompleteness surfaces as ``'unknown'`` /
   ``False``, which makes the optimiser skip an opportunity — never
   mis-transform.
@@ -29,10 +40,10 @@ from time import perf_counter
 from typing import Any, Callable, Optional
 
 from .cnf import CnfBuilder
-from .combine import TheoryLiteral, Witness, WitnessKey, check_literals, minimize_core
+from .combine import TheoryLiteral, TheoryStack, Witness, WitnessKey, check_literals, minimize_core
 from .models import Model, formula_model, holds, interpretation
 from .sat import SatSolver
-from .terms import FALSE_F, Formula, TRUE_F, fand, fnot, for_
+from .terms import Eq, FALSE_F, FAnd, FNot, Formula, Le, TRUE_F, fand, fnot, for_
 
 __all__ = ["Solver", "SolverStats", "CheckResult", "FAULT_HOOK"]
 
@@ -59,6 +70,11 @@ class SolverStats:
     cache and ``witness_hits`` by a remembered witness: neither ran the
     search.  Of those that did, ``forced_unsat`` closed on a theory conflict
     among level-0 atoms, without core minimisation or a second SAT call.
+    ``sat_calls`` counts ``SatSolver.solve()`` calls — none for a check whose
+    conjuncts are all literals — and ``theory_rounds`` theory checks asked
+    (memoised or not).  ``literals_asserted`` / ``literals_reused`` are the
+    assertion stack's: literals pushed, and literals a check wanted and
+    found already asserted (both count theory-memo misses only).
     """
 
     checks: int = 0
@@ -68,6 +84,8 @@ class SolverStats:
     unknowns: int = 0
     witness_hits: int = 0
     forced_unsat: int = 0
+    literals_asserted: int = 0
+    literals_reused: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return asdict(self)
@@ -97,6 +115,9 @@ class Solver:
         # never mutated, so ``executor="thread"`` workers sharing the solver
         # need no lock (a lost update loses a witness, never a verdict).
         self._witnesses: tuple[_Remembered, ...] = ()
+        # Assertion stacks nobody is checking on (see ``_check``): one, unless
+        # threads share this solver.
+        self._idle: list[TheoryStack] = []
         if telemetry is None:
             from ..telemetry import NULL_TELEMETRY
 
@@ -191,54 +212,107 @@ class Solver:
     # -- the DPLL(T) loop ----------------------------------------------------
 
     def _check(self, f: Formula) -> tuple[CheckResult, Optional[Witness]]:
-        """``(status, candidate witness)`` from scratch: no cache, no hook.
+        """``(status, candidate witness)`` by search: no cache, no hook.
 
-        Forced conflicts.  When the theory refutes an assignment whose atoms
-        were all assigned at SAT decision level 0, the answer is ``'unsat'``
-        at once.  Level-0 literals are unit consequences of the clauses, so
-        every propositional model contains this very literal set and the
-        theory has just refuted it; operationally, whatever core
-        minimisation returned, its blocking clause would be false at the
-        root and the next ``solve()`` would report ``'unsat'``.  Only a
-        conflict that involves a decision needs a (minimised) lemma.
+        The search runs on an assertion stack this solver keeps between
+        checks.  The stack is *taken* for the duration (``list.pop`` is
+        atomic): a thread that finds none idle starts a fresh one, so two
+        ``executor="thread"`` workers never assert on the same stack and a
+        lost race loses reuse, never a verdict.
         """
 
         if isinstance(f, type(TRUE_F)):
             return "sat", ()
         if isinstance(f, type(FALSE_F)):
             return "unsat", None
+        try:
+            stack = self._idle.pop()
+        except IndexError:
+            stack = TheoryStack()
+        outcome = self._search(f, stack)
+        self.stats.literals_asserted += stack.asserted
+        self.stats.literals_reused += stack.reused
+        stack.asserted = stack.reused = 0
+        self._idle.append(stack)  # not reached if the search raised: the stack is dropped
+        return outcome
 
-        sat = SatSolver()
-        builder = CnfBuilder(sat)
-        builder.assert_formula(f)
+    def _search(self, f: Formula, stack: TheoryStack) -> tuple[CheckResult, Optional[Witness]]:
+        """Lazy DPLL(T) over the top-level conjuncts of ``f``.
+
+        Literal conjuncts are the *base*: they hold in every propositional
+        model, so they go to the theory as they are, first, and never reach
+        CNF or SAT (two complementary ones are ``'unsat'`` on the spot).
+        Only conjuncts with boolean structure are Tseitin-encoded; each round
+        the SAT core picks a model of those and the theory checks the base
+        plus the literals that model needs.  With no structured conjunct
+        there is nothing to pick: one round, no ``SatSolver``.
+
+        Forced conflicts.  When the theory refutes a round none of whose
+        chosen atoms was assigned above SAT decision level 0, the answer is
+        ``'unsat'`` at once.  Level-0 literals are unit consequences of the
+        clauses, so every propositional model contains this very literal set
+        and the theory has just refuted it; operationally, whatever core
+        minimisation returned, its blocking clause would be false at the
+        root and the next ``solve()`` would report ``'unsat'``.  Only a
+        conflict that involves a decision needs a (minimised) lemma.
+        """
+
+        fixed: dict[Formula, bool] = {}  # atom -> polarity, per literal conjunct
+        structured: list[Formula] = []
+        for g in f.args if isinstance(f, FAnd) else (f,):
+            if isinstance(g, (Le, Eq)):
+                atom, positive = g, True
+            elif isinstance(g, FNot) and isinstance(g.operand, (Le, Eq)):
+                atom, positive = g.operand, False
+            else:
+                structured.append(g)
+                continue
+            if fixed.setdefault(atom, positive) != positive:
+                return "unsat", None
+        base = [TheoryLiteral.from_formula(atom, value) for atom, value in fixed.items()]
+
+        if structured:
+            sat = SatSolver()
+            builder = CnfBuilder(sat)
+            for g in structured:
+                builder.assert_formula(g)
+            atom_vars = builder.atom_vars
+            # What the base fixes is a unit for the atoms the search can see.
+            for atom, value in fixed.items():
+                var = atom_vars.get(atom)
+                if var is not None:
+                    sat.add_clause([var if value else -var])
 
         for _ in range(self.lemma_budget):
-            self.stats.sat_calls += 1
-            result = sat.solve()
-            if result.status != "sat":
-                return result.status, None
-
-            # Extract only the theory literals the model actually *needs*
-            # (don't-care atoms would otherwise flood the theory solver
-            # with meaningless disequalities).
-            assignment = builder.sufficient_literals(result.model)
-            literals = [
-                TheoryLiteral.from_formula(atom, value) for atom, value in assignment
-            ]
+            chosen: list[tuple[Formula, bool]] = []
+            if structured:
+                self.stats.sat_calls += 1
+                result = sat.solve()
+                if result.status != "sat":
+                    return result.status, None
+                # Extract only the theory literals the model actually *needs*
+                # (don't-care atoms would otherwise flood the theory solver
+                # with meaningless disequalities).
+                chosen = [
+                    pair for pair in builder.sufficient_literals(result.model)
+                    if pair[0] not in fixed
+                ]
+            picked = [TheoryLiteral.from_formula(atom, value) for atom, value in chosen]
+            literals = base + picked
 
             self.stats.theory_rounds += 1
-            verdict = check_literals(literals)
+            verdict = check_literals(literals, stack)
             if verdict.status != "unsat":
                 return verdict.status, verdict.witness
-            atom_vars = builder.atom_vars
-            if not any(sat.level[atom_vars[atom]] for atom, _value in assignment):
+            if not any(sat.level[atom_vars[atom]] for atom, _value in chosen):
                 self.stats.forced_unsat += 1
                 return "unsat", None
 
             # Theory conflict: block (at least) the offending sub-assignment.
-            core_set = set(minimize_core(literals))
+            # The base holds in every model, so only chosen literals appear.
+            core_set = set(minimize_core(literals, stack=stack))
             block: list[int] = []
-            for (atom, value), lit in zip(assignment, literals):
+            for (atom, value), lit in zip(chosen, picked):
                 if lit in core_set:
                     var = atom_vars[atom]
                     block.append(-var if value else var)

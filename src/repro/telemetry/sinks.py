@@ -118,6 +118,8 @@ HELP_TEXTS = {
     "smt_check_seconds": "SMT validity check latency.",
     "smt_checks": "SMT validity checks issued.",
     "smt_forced_unsat": "SMT checks closed on a level-0 theory conflict (no core minimisation).",
+    "smt_literals_asserted": "Theory literals pushed onto the solver's assertion stack.",
+    "smt_literals_reused": "Theory literals a check found already asserted (shared prefix).",
     "smt_sat_calls": "Underlying SAT search invocations.",
     "smt_theory_rounds": "Theory-propagation rounds across all checks.",
     "smt_unknowns": "SMT checks that returned unknown.",

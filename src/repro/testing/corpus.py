@@ -22,8 +22,10 @@ non-comment line is a sequence of programs in the concrete syntax of
 * ``fault`` — a fault context from :mod:`repro.testing.faults` to replay
   under (default ``none``);
 * ``expect`` — ``pass`` (default; the battery must report *zero*
-  discrepancies) or ``discrepancy`` (the battery must catch at least one:
-  these cases pin down that the oracle detects a bug class);
+  discrepancies), ``discrepancy`` (the battery must catch at least one:
+  these cases pin down that the oracle detects a bug class) or ``reject``
+  (the service's admission pipeline must refuse at least one of the
+  programs: the batch is stopped at the door, the battery is not run);
 * ``inputs`` — JSON list of row handles to drive the oracles with
   (default: the standard spread of the schema's dataset);
 * ``seed``/``size``/``name``/``note`` — provenance, free-form.
@@ -61,7 +63,7 @@ class CorpusCase:
     programs: list[Program]
     name: str = ""
     fault: str = "none"
-    expect: str = "pass"  # 'pass' | 'discrepancy'
+    expect: str = "pass"  # 'pass' | 'discrepancy' | 'reject'
     inputs: list[int] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -157,9 +159,25 @@ def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial", "thread"
     """
 
     from .generator import schema_dataset
-    from .oracles import run_battery
+    from .oracles import BatteryResult, Discrepancy, run_battery
 
     dataset = schema_dataset(case.schema)
+    if case.expect == "reject":
+        from ..service.admission import admit
+        from ..service.errors import AdmissionError
+
+        refused = BatteryResult()
+        for program in case.programs:
+            try:
+                admit(program, dataset.functions)
+            except AdmissionError as exc:
+                refused.discrepancies.append(Discrepancy("admission", str(exc)))
+        if refused.ok:
+            raise AssertionError(
+                f"corpus case {case.name!r} expected admission to refuse a program, "
+                "but every one was admitted"
+            )
+        return refused
     param = case.programs[0].params[0]
     inputs = None
     if case.inputs is not None:

@@ -8,9 +8,11 @@ local :func:`repro.smt.terms.rename_syms` to return an equal formula.
 
 :func:`reference_check` is the DPLL(T) loop :class:`repro.smt.solver.Solver`
 ran before it had a cheap path per common answer: no formula cache, no
-witness, no theory memo, no interned literals, and *every* theory conflict —
-forced or not — is minimised, blocked and handed back to the SAT core.  A
-differential test requires the solver to agree with it on ``unsat`` versus
+witness, no theory memo, no interned literals, the *whole* formula goes
+through CNF and SAT (no literal base), every theory check is asserted on a
+stack of its own, and *every* theory conflict — forced or not — is
+minimised, blocked and handed back to the SAT core.  A differential test
+requires the solver to agree with it on ``unsat`` versus
 not-``unsat``, the one distinction the calculus acts on.
 
 The ``*_full_walk`` collectors over :mod:`repro.lang.ast` are what
@@ -26,7 +28,7 @@ from typing import Iterator, Mapping
 
 from ..lang import ast
 from ..smt.cnf import CnfBuilder
-from ..smt.combine import TheoryLiteral, _check_literals_uncached
+from ..smt.combine import TheoryLiteral, TheoryStack
 from ..smt.sat import SatSolver
 from ..smt.terms import (
     App,
@@ -109,6 +111,14 @@ def _literal(atom: Formula, positive: bool) -> TheoryLiteral:
     return TheoryLiteral("le", flipped.term)
 
 
+def _decide_alone(literals: list[TheoryLiteral]) -> str:
+    """The theory's status for ``literals`` on a stack nothing else touched."""
+
+    stack = TheoryStack()
+    stack.assert_exactly(literals)
+    return stack.check().status
+
+
 def reference_check(f: Formula, lemma_budget: int = 400, core_budget: int = 12) -> str:
     """``'sat'`` / ``'unsat'`` / ``'unknown'`` for ``f``, from scratch."""
 
@@ -125,7 +135,7 @@ def reference_check(f: Formula, lemma_budget: int = 400, core_budget: int = 12) 
             return result.status
         assignment = builder.sufficient_literals(result.model)
         literals = [_literal(atom, value) for atom, value in assignment]
-        status = _check_literals_uncached(literals).status
+        status = _decide_alone(literals)
         if status != "unsat":
             return status
         # Greedy deletion, as ``combine.minimize_core`` but never memoised.
@@ -136,7 +146,7 @@ def reference_check(f: Formula, lemma_budget: int = 400, core_budget: int = 12) 
                 if i >= len(core):
                     break
                 candidate = core[:i] + core[i + 1 :]
-                if candidate and _check_literals_uncached(candidate).status == "unsat":
+                if candidate and _decide_alone(candidate) == "unsat":
                     core = candidate
                 else:
                     i += 1

@@ -3,7 +3,8 @@
 Each file pins one minimized bug class: either the pipeline must handle it
 cleanly (``expect: pass``) or the oracle battery must still *catch* it
 (``expect: discrepancy`` — these cases guard the harness's own detection
-power, e.g. that a deliberate miscompile cannot slip through unnoticed).
+power, e.g. that a deliberate miscompile cannot slip through unnoticed), or
+the service's admission must refuse it (``expect: reject``).
 """
 
 from pathlib import Path
@@ -30,6 +31,9 @@ def test_corpus_case_replays(path):
     result = replay_case(case)
     if case.expect == "pass":
         assert result.ok
+    elif case.expect == "reject":
+        # Refused at the door: nothing but admission spoke.
+        assert {d.oracle for d in result.discrepancies} == {"admission"}
     else:
         assert not result.ok
 

@@ -92,6 +92,26 @@ def test_admission_rejects_lint_error_with_sarif(weather):
     assert any(r["ruleId"] == "use-before-def" for r in results)
 
 
+def test_admission_rejects_a_dotted_pid_naming_the_collision(weather):
+    source = "program q1.a(row) { notify q1.a (@row > 1); }"
+    with pytest.raises(AdmissionError) as excinfo:
+        admit(source, weather.functions)
+    assert "query 'q1''s local 'a.x' and query 'q1.a''s local 'x'" in str(excinfo.value)
+    results = excinfo.value.diagnostics["runs"][0]["results"]
+    assert [r["ruleId"] for r in results] == ["dotted-pid"]
+    # The id a Python-source submission is given is checked the same way.
+    with pytest.raises(AdmissionError):
+        admit("def notify(row):\n    return row > 1\n", weather.functions, pid="t.q")
+    # Library callers bypass admission; the consolidator keeps its own refusal.
+    from repro.consolidation import ConsolidationError, Consolidator
+    from repro.lang.parser import parse_program
+
+    left = parse_program("program q1(row) { a.x := 1; notify q1 (a.x > @row); }")
+    right = parse_program("program q1.a(row) { x := 2; notify q1.a (x > @row); }")
+    with pytest.raises(ConsolidationError, match="share locals after renaming"):
+        Consolidator(weather.functions).consolidate(left, right)
+
+
 def test_admission_accepts_python_source(weather):
     decision = admit(
         "def notify(row):\n    return monthly_avg_temp(row, 3) > 50\n",

@@ -144,15 +144,15 @@ class TestTheoryMemoIsBounded:
 
         cap = 8
         uncached_calls = []
-        real = combine._check_literals_uncached
+        real = combine.TheoryStack.check
 
-        def counting(literals):
-            uncached_calls.append(frozenset(literals))
-            return real(literals)
+        def counting(stack):
+            uncached_calls.append(frozenset(stack.literals))
+            return real(stack)
 
         monkeypatch.setattr(combine, "_CHECK_CACHE", OrderedDict())
         monkeypatch.setattr(combine, "_CHECK_CACHE_LIMIT", cap)
-        monkeypatch.setattr(combine, "_check_literals_uncached", counting)
+        monkeypatch.setattr(combine.TheoryStack, "check", counting)
 
         def key(i):
             return [TheoryLiteral("le", t_sub(x, num(i)))]

@@ -1,10 +1,11 @@
 """The solver's two cheap answers, and the one engine that feeds them.
 
 * A theory conflict among level-0 atoms closes ``unsat`` without core
-  minimisation or a second SAT call; one that involves a decision still
+  minimisation or a second SAT call — and when every conjunct is a literal,
+  without a ``SatSolver`` at all; one that involves a decision still
   minimises.
 * A query that evaluates true under a remembered, verified witness is
-  answered ``sat`` without the search.
+  answered ``sat`` without the search: nothing is asserted on the stack.
 
 Neither may change an entailment verdict: the solver is compared with the
 from-scratch loop in :mod:`repro.testing.reference` on generated formulas
@@ -27,7 +28,7 @@ import repro
 from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.smt import combine, solver as solver_mod
-from repro.smt.combine import TheoryLiteral
+from repro.smt.combine import TheoryLiteral, TheoryStack
 from repro.smt.euf import CongruenceClosure
 from repro.smt.lia import LiaTrail, LinCon, lia_check
 from repro.smt.models import evaluate_lincon, holds, interpretation
@@ -169,31 +170,69 @@ def test_every_query_of_a_golden_family_agrees_with_the_reference(
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of ``minimize_core`` (as the solver sees it) and ``solve``."""
+    """Calls of ``minimize_core`` (as the solver sees it) and ``solve``,
+    ``SatSolver`` constructions and literals asserted on any stack."""
 
-    calls = {"minimize_core": 0, "solve": 0}
+    calls = {"minimize_core": 0, "solve": 0, "sat_solvers": 0, "asserted": 0}
     real_minimize, real_solve = solver_mod.minimize_core, SatSolver.solve
+    real_init, real_assert = SatSolver.__init__, TheoryStack.assert_literal
 
-    def minimize(literals, *args):
+    def minimize(literals, *args, **kwargs):
         calls["minimize_core"] += 1
-        return real_minimize(literals, *args)
+        return real_minimize(literals, *args, **kwargs)
 
     def solve(self, *args):
         calls["solve"] += 1
         return real_solve(self, *args)
 
+    def init(self, *args, **kwargs):
+        calls["sat_solvers"] += 1
+        real_init(self, *args, **kwargs)
+
+    def assert_literal(self, lit):
+        calls["asserted"] += 1
+        real_assert(self, lit)
+
     monkeypatch.setattr(solver_mod, "minimize_core", minimize)
     monkeypatch.setattr(SatSolver, "solve", solve)
+    monkeypatch.setattr(SatSolver, "__init__", init)
+    monkeypatch.setattr(TheoryStack, "assert_literal", assert_literal)
     return calls
 
 
-def test_a_level_zero_conflict_closes_without_minimising(counted):
+def test_a_level_zero_conflict_closes_without_minimising(counted, fresh_memo):
     solver = Solver()
-    # Both atoms are unit clauses: assigned at level 0, refuted by the theory.
+    # Both conjuncts are literals: the base alone, refuted by the theory.
     assert solver.is_sat(fand(le_f(x, num(0)), le_f(num(1), x))) == "unsat"
-    assert counted == {"minimize_core": 0, "solve": 1}
+    assert counted == {"minimize_core": 0, "solve": 0, "sat_solvers": 0, "asserted": 2}
     assert solver.stats.forced_unsat == 1
-    assert solver.stats.sat_calls == 1 and solver.stats.theory_rounds == 1
+    assert solver.stats.sat_calls == 0 and solver.stats.theory_rounds == 1
+    # A satisfiable one: still one round, and nothing propositional.
+    assert solver.is_sat(fand(le_f(x, num(0)), eq_f(app("f", x), y))) == "sat"
+    assert counted["sat_solvers"] == 0 and solver.stats.theory_rounds == 2
+    # Complementary literals close before the theory is asked.
+    assert solver.is_sat(fand(eq_f(x, y), le_f(z, x), ne_f(x, y))) == "unsat"
+    assert solver.stats.theory_rounds == 2 and solver.stats.forced_unsat == 1
+
+
+def test_only_structured_conjuncts_reach_the_sat_core(counted, fresh_memo):
+    solver = Solver()
+    psi = [le_f(num(1), x), le_f(num(1), y), eq_f(app("f", x), z)]
+    f = fand(*psi, for_(le_f(x, num(0)), le_f(y, num(0)), le_f(num(1), x)))
+    encoded = []
+    real = solver_mod.CnfBuilder.assert_formula
+
+    def recording(self, g):
+        encoded.append(g)
+        real(self, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod.CnfBuilder, "assert_formula", recording)
+        assert solver.is_sat(f) == "sat"
+    assert encoded == [f.args[-1]], "a literal conjunct of Ψ was Tseitin-encoded"
+    assert counted["sat_solvers"] == 1
+    # ``1 <= x`` is fixed by the base: the model's pick adds nothing to assert.
+    assert solver.stats.sat_calls == 1 and counted["asserted"] == 3
 
 
 def test_a_conflict_that_involves_a_decision_still_minimises(counted):
@@ -203,8 +242,8 @@ def test_a_conflict_that_involves_a_decision_still_minimises(counted):
     # other disjunct at the root, whose conflict is then closed directly.
     f = fand(for_(le_f(x, num(0)), le_f(y, num(0))), le_f(num(1), x), le_f(num(1), y))
     assert solver.is_sat(f) == "unsat"
-    assert counted == {"minimize_core": 1, "solve": 2}
-    assert solver.stats.forced_unsat == 1
+    assert (counted["minimize_core"], counted["solve"], counted["sat_solvers"]) == (1, 2, 1)
+    assert solver.stats.forced_unsat == 1 and solver.stats.sat_calls == 2
     assert reference_check(f) == "unsat"
 
 
@@ -213,15 +252,19 @@ def test_a_witness_hit_runs_no_search_and_still_counts_the_check(counted, fresh_
     assert solver.is_sat(fand(le_f(num(3), x), lt_f(x, y))) == "sat"
     searched = dict(counted)
     memo_before = dict(fresh_memo)
+    (stack,) = solver._idle
+    held = list(stack.literals)
     # True under the witness just kept (x = 3, y = 4).
     assert solver.is_sat(fand(le_f(num(1), x), le_f(x, y), ne_f(x, y))) == "sat"
-    assert counted == searched, "a witness hit ran the SAT core"
+    assert counted == searched, "a witness hit asserted a literal or ran the SAT core"
+    assert solver._idle == [stack] and stack.literals == held
     assert solver.stats.witness_hits == 1
     assert solver.stats.checks == 2 and solver.stats.cache_hits == 0
+    assert solver.stats.literals_asserted == 2 and solver.stats.literals_reused == 0
     assert dict(fresh_memo) == memo_before, "a witness hit wrote to the theory memo"
     # A query the witness falsifies falls through to the search.
     assert solver.is_sat(fand(le_f(x, num(0)), le_f(y, x))) == "sat"
-    assert counted["solve"] == searched["solve"] + 1
+    assert counted["asserted"] == searched["asserted"] + 2 and counted["sat_solvers"] == 0
     assert solver.stats.checks == 3 and solver.stats.witness_hits == 1
     _assert_witnesses_verify(solver)
 
@@ -288,10 +331,10 @@ def test_a_memo_hit_returns_a_witness_that_verifies(fresh_memo, monkeypatch):
             for lit in key:
                 assert holds(_as_formula(lit), w, {})
 
-    def no_solving(literals):
+    def no_solving(stack):
         raise AssertionError("the replayer re-derived a memoised theory check")
 
-    monkeypatch.setattr(combine, "_check_literals_uncached", no_solving)
+    monkeypatch.setattr(combine.TheoryStack, "check", no_solving)
     replayer = Solver()  # e.g. the registry replaying the writer's log
     assert replayer.is_sat(f) == "sat"
     assert replayer._witnesses and holds(f, replayer._witnesses[0][0], {})
@@ -315,7 +358,9 @@ def test_memo_entries_match_a_fresh_decision(fresh_memo):
     assert fresh_memo
     for key, value in fresh_memo.items():
         status = value if isinstance(value, str) else "sat"
-        assert combine._check_literals_uncached(list(key)).status == status
+        stack = combine.TheoryStack()
+        stack.assert_exactly(list(key))
+        assert stack.check().status == status
 
 
 # -- interned literals -------------------------------------------------------------

@@ -4,13 +4,16 @@
 ``ruff`` and ``mypy --strict`` are the authoritative checks (the
 ``static-checks`` job of ``.github/workflows/ci.yml``), but neither is
 installed in the build container, so a PR written there ships unverified.
-This covers the three findings those tools most often report on a rewrite,
-with nothing but :mod:`ast`:
+This covers the findings those tools most often report on a rewrite, with
+nothing but :mod:`ast` and :mod:`tokenize`:
 
 * ``E501`` — a line longer than ``tool.ruff.line-length`` in ``pyproject.toml``;
 * ``F401`` — a name imported and never used (nor listed in ``__all__``);
 * ``ANN``  — a public ``def`` (module level, or a method of a public class)
-  with an unannotated parameter or no return annotation.
+  with an unannotated parameter or no return annotation;
+* ``type-arg`` — a bare generic in an annotation (``dict``, ``list``,
+  ``Callable`` … without parameters), which ``mypy --strict`` rejects;
+* ``type-ignore`` — a ``# type: ignore`` comment: the ratchet files carry none.
 
 usage: ``python tools/ast_lint.py FILE [FILE ...]``; exit status 1 on findings.
 A line carrying ``# noqa`` is skipped.
@@ -19,8 +22,10 @@ A line carrying ``# noqa`` is skipped.
 from __future__ import annotations
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -44,25 +49,35 @@ def long_lines(source: str, limit: int) -> Iterator[Finding]:
             yield number, "E501", f"line too long ({len(line)} > {limit})"
 
 
-def _annotation_names(tree: ast.AST) -> Iterator[str]:
-    """Names inside string annotations (``x: "Call"``), which are not ``Name`` nodes."""
+def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
+    """Every annotation expression, and the parse of every quoted part of one
+    (``x: "Call"`` holds a string, not a ``Name``), at the annotation's line."""
 
     for node in ast.walk(tree):
-        annotations: list[Optional[ast.expr]] = []
+        annotation: Optional[ast.expr] = None
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for annotation in annotations:
-            for sub in ast.walk(annotation) if annotation is not None else ():
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    try:
-                        quoted = ast.parse(sub.value, mode="eval")
-                    except SyntaxError:
-                        continue
-                    yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        if annotation is None:
+            continue
+        yield annotation
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    quoted = ast.parse(sub.value, mode="eval").body
+                except SyntaxError:
+                    continue
+                for inner in ast.walk(quoted):
+                    ast.copy_location(inner, sub)
+                yield quoted
+
+
+def _annotation_names(tree: ast.AST) -> Iterator[str]:
+    """Names inside string annotations, which ``ast.walk(tree)`` does not see."""
+
+    for annotation in _annotations(tree):
+        yield from (n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
 
 
 def unused_imports(tree: ast.Module) -> Iterator[Finding]:
@@ -117,10 +132,37 @@ def unannotated_public_defs(tree: ast.Module) -> Iterator[Finding]:
     yield from scan(tree.body, method=False)
 
 
+# What ``mypy --strict`` (``disallow_any_generics``) wants parameters for.
+GENERICS = frozenset(
+    "dict list set frozenset tuple type Dict List Set FrozenSet Tuple Type Callable "
+    "Iterable Iterator Sequence Mapping MutableMapping Generator Counter OrderedDict "
+    "defaultdict deque".split()
+)
+
+
+def bare_generics(tree: ast.Module) -> Iterator[Finding]:
+    for annotation in _annotations(tree):
+        subscripted = {
+            id(node.value) for node in ast.walk(annotation) if isinstance(node, ast.Subscript)
+        }
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Name) and node.id in GENERICS and id(node) not in subscripted:
+                yield node.lineno, "type-arg", f"bare generic {node.id!r} in an annotation"
+
+
+def type_ignores(source: str) -> Iterator[Finding]:
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT and re.match(r"#\s*type:\s*ignore", token.string):
+            yield token.start[0], "type-ignore", "'# type: ignore' in a ratchet file"
+
+
 def lint_source(source: str, limit: int) -> list[Finding]:
     tree = ast.parse(source)
     lines = source.splitlines()
-    findings = [*long_lines(source, limit), *unused_imports(tree), *unannotated_public_defs(tree)]
+    findings = [
+        *long_lines(source, limit), *unused_imports(tree), *unannotated_public_defs(tree),
+        *bare_generics(tree), *type_ignores(source),
+    ]
     return sorted(f for f in findings if "# noqa" not in lines[f[0] - 1])
 
 
