@@ -1,23 +1,17 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the ablation benchmarks (``bench_ablation_*.py``).
 
 Datasets are generated once per session at a reduced (but structurally
-faithful) scale so that ``pytest benchmarks/ --benchmark-only`` completes
-in minutes; speedups are ratios and therefore scale-independent.  The
-paper-scale cardinalities are the generator defaults (see
-``repro.datasets``) and can be restored with ``--bench-scale=1.0``.
+faithful) scale so that ``pytest benchmarks/bench_ablation_*.py
+--benchmark-only`` completes in minutes; the ablations compare cost-unit
+ratios, which are scale-independent.  The paper-scale cardinalities are
+the generator defaults (see ``repro.datasets``) and can be restored with
+``--bench-scale=1.0``.
 """
 
 import pytest
 
-from repro.datasets import (
-    generate_flights,
-    generate_news,
-    generate_stocks,
-    generate_twitter,
-    generate_weather,
-)
+from repro.datasets import generate_news, generate_stocks, generate_weather
 
-BENCH_N_UDFS = 20  # UDFs per family batch (50 in the paper; ratio-stable)
 BENCH_SEED = 1
 
 
@@ -41,18 +35,8 @@ def weather_ds(bench_scale):
 
 
 @pytest.fixture(scope="session")
-def flight_ds(bench_scale):
-    return generate_flights(airlines=max(30, int(500 * bench_scale)))
-
-
-@pytest.fixture(scope="session")
 def news_ds(bench_scale):
     return generate_news(articles=max(100, int(19043 * bench_scale)))
-
-
-@pytest.fixture(scope="session")
-def twitter_ds(bench_scale):
-    return generate_twitter(tweets=max(100, int(31152 * bench_scale)))
 
 
 @pytest.fixture(scope="session")
@@ -60,14 +44,3 @@ def stock_ds(bench_scale):
     return generate_stocks(
         companies=max(20, int(100 * bench_scale)), total_daily_rows=max(2000, int(377423 * bench_scale))
     )
-
-
-@pytest.fixture(scope="session")
-def datasets(weather_ds, flight_ds, news_ds, twitter_ds, stock_ds):
-    return {
-        "weather": weather_ds,
-        "flight": flight_ds,
-        "news": news_ds,
-        "twitter": twitter_ds,
-        "stock": stock_ds,
-    }

@@ -592,8 +592,8 @@ def consolidate_all(
     result = level[0].program
 
     # Prefilter synthesis runs on the final merged program, inside its own
-    # span and timed separately, so trajectory banding can tell guard
-    # synthesis apart from merge time.  It reuses the batch solver (before
+    # span and timed separately, so guard synthesis can be told apart
+    # from merge time.  It reuses the batch solver (before
     # the stats snapshot below, so its certificate queries are counted).
     prefilter_obj = None
     prefilter_seconds = 0.0

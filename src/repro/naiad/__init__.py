@@ -7,7 +7,16 @@
 
 from .dataflow import Dataflow, OperatorStats, RunMetrics, RunResult, Vertex, Worker
 from .linq import Query, from_collection, run_where_consolidated, run_where_many
-from .operators import Collect, Count, CountByKey, FlatMap, Select, Where, WhereConsolidated, WhereMany
+from .operators import (
+    Collect,
+    Count,
+    CountByKey,
+    FlatMap,
+    Select,
+    Where,
+    WhereConsolidated,
+    WhereMany,
+)
 
 
 __all__ = [

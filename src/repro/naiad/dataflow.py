@@ -25,9 +25,8 @@ worker subclass that times and counts around the same three calls,
 recording **per-operator** records in/out, wall time, UDF cost and
 notification counts onto ``RunMetrics.per_operator`` and into the registry
 (``dataflow_operator_*{operator=...}`` series); traced and untraced runs
-execute the same program, batch ingest included.  The plain worker's
-overhead over the pre-telemetry engine is bounded by
-``benchmarks/bench_telemetry_overhead.py`` (≤ 5%).
+execute the same program, batch ingest included.  With telemetry off the
+plain worker is the only one built (``tests/test_telemetry.py`` holds that).
 
 Determinism: given the same graph, input and worker count, a run produces
 identical costs and outputs — which is what makes the benchmark harness

@@ -27,7 +27,16 @@ from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
 from .dataflow import Dataflow, RunResult, Vertex, Worker
-from .operators import Collect, Count, CountByKey, FlatMap, Select, Where, WhereConsolidated, WhereMany
+from .operators import (
+    Collect,
+    Count,
+    CountByKey,
+    FlatMap,
+    Select,
+    Where,
+    WhereConsolidated,
+    WhereMany,
+)
 
 __all__ = ["Query", "from_collection", "run_where_many", "run_where_consolidated"]
 

@@ -442,7 +442,7 @@ class CountByKey(Vertex):
             worker.notify(self.bucket, partial)
 
     @staticmethod
-    def combine(partials: Iterable[dict]) -> dict:
+    def combine(partials: Iterable[dict[Any, int]]) -> dict[Any, int]:
         """Sum per-worker partial counts into the final table."""
 
         totals: dict[Any, int] = {}

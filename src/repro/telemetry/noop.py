@@ -14,9 +14,10 @@ The twins here guarantee that:
   overhead can hoist one boolean check and skip instrumentation wholesale
   (the dataflow engine's per-record loop does exactly this).
 
-``benchmarks/bench_telemetry_overhead.py`` pins the claim down: the
-telemetry-off whereMany[50] Weather run must stay within 5% of a bare
-re-implementation of the engine loop with no telemetry hooks at all.
+``tests/test_telemetry.py`` pins the mechanism down: a run with nothing
+switched on builds the plain worker, gets the unwrapped runner and
+allocates no per-operator stats.  What the instrumented paths cost on the
+clock is a ``benchmarks/e2e`` row still to be added (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ snapshot is what :meth:`repro.telemetry.core.Telemetry.snapshot` returns
 
 * :class:`InMemorySink` — keeps snapshots in a list (tests, notebooks);
 * :class:`JsonlFileSink` — appends one JSON document per line, the format
-  the CLI's ``--metrics-out`` artifact builds on and EXPERIMENTS.md
-  documents next to the ``BENCH_*.json`` files;
+  the CLI's ``--metrics-out`` artifact builds on (EXPERIMENTS.md documents it);
 * :class:`PrometheusTextSink` — renders the metrics half in the
   Prometheus text exposition format (version 0.0.4), so an operator can
   point a node-exporter-style textfile collector at the output.

@@ -14,28 +14,61 @@ spec = importlib.util.spec_from_file_location("ast_lint", ROOT / "tools" / "ast_
 ast_lint = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ast_lint)
 
-# The files PRs 21 and 22 rewrote; add a file here when it is brought up to the bar.
-CLEAN = (
+# Files ast_lint holds that the typed ratchet (ruff + mypy --strict in CI) does not cover.
+LINT_ONLY = (
     "src/repro/nodeslots.py",
     "src/repro/lang/ast.py",
     "src/repro/lang/visitors.py",
-    "src/repro/analysis/related.py",
-    "src/repro/analysis/invariants.py",
-    "src/repro/smt/euf.py",
-    "src/repro/smt/combine.py",
-    "src/repro/smt/solver.py",
     "tools/ast_lint.py",
 )
+
+# Ratchet files ast_lint still has findings in (55 between them; ROADMAP item 7d).
+NOT_YET = (
+    "src/repro/analysis/affine.py",
+    "src/repro/analysis/costmodel.py",
+    "src/repro/analysis/prefilter.py",
+    "src/repro/analysis/static/costbound.py",
+    "src/repro/analysis/static/domains.py",
+    "src/repro/analysis/static/lint.py",
+    "src/repro/analysis/static/validate.py",
+    "src/repro/analysis/static/values.py",
+    "src/repro/profiling/model.py",
+    "src/repro/profiling/planner.py",
+    "src/repro/profiling/trace.py",
+)
+
+
+def ratchet_files() -> list[str]:
+    """``tools/ratchet.txt`` — the list CI's static-checks job reads — file by file."""
+
+    files = []
+    for line in (ROOT / "tools" / "ratchet.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            path = ROOT / line
+            assert path.exists(), f"tools/ratchet.txt names {line}, which is gone"
+            found = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+            files.extend(str(f.relative_to(ROOT)) for f in found)
+    return files
+
+
+def findings(path: str) -> list[str]:
+    found = ast_lint.lint_source((ROOT / path).read_text(), ast_lint.line_length())
+    return [f"{path}:{line}: {code} {msg}" for line, code, msg in found]
 
 
 def codes(source: str, limit: int = 100) -> list[tuple[int, str]]:
     return [(line, code) for line, code, _message in ast_lint.lint_source(source, limit)]
 
 
-@pytest.mark.parametrize("path", CLEAN)
-def test_rewritten_files_are_clean(path):
-    findings = ast_lint.lint_source((ROOT / path).read_text(), ast_lint.line_length())
-    assert findings == [], "\n".join(f"{path}:{line}: {code} {msg}" for line, code, msg in findings)
+@pytest.mark.parametrize("path", [f for f in ratchet_files() if f not in NOT_YET] + list(LINT_ONLY))
+def test_held_files_are_clean(path):
+    found = findings(path)
+    assert not found, "\n".join(found)
+
+
+def test_an_exemption_lasts_only_while_its_file_has_findings():
+    assert set(NOT_YET) <= set(ratchet_files())
+    assert [path for path in NOT_YET if not findings(path)] == []
 
 
 def test_line_length_comes_from_pyproject():

@@ -119,6 +119,7 @@ class TestObservabilityFlags:
         names = {c["name"] for c in doc["metrics"]["counters"]}
         assert "dataflow_records_total" in names
         assert "smt_checks" in names
+        assert "consolidation_pairs_total" in names
         assert any(n.startswith("dataflow_operator_records_in") for n in names)
         assert any(n.startswith("compile_cache") for n in names)
         hists = {h["name"] for h in doc["metrics"]["histograms"]}
@@ -162,6 +163,33 @@ class TestObservabilityFlags:
         text = out.read_text()
         assert "# TYPE consolidation_pairs_total counter" in text
         assert "consolidation_pair_seconds_bucket" in text
+
+    def test_profile_then_calibrate_round_trip(self, tmp_path, capsys):
+        """Every backend samples into one trace, the fit loads back as a model."""
+
+        import json
+
+        from repro.profiling import CalibratedCostModel
+
+        trace, model_path = tmp_path / "trace.jsonl", tmp_path / "calibration.json"
+        for backend in ("interp", "compiled", "vectorized"):
+            rc = main(
+                ["--backend", backend, "profile", "--domain", "weather", "--family", "Q1"]
+                + ["--n", "2", "--rows", "40", "--sample-every", "4", "--trace-out", str(trace)]
+            )
+            assert rc == 0
+            assert f"on backend {backend}" in capsys.readouterr().err
+        rc = main(["calibrate", "--trace-in", str(trace), "--out", str(model_path), "--json"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        model = CalibratedCostModel.load(model_path)
+        assert model.to_dict() == printed
+        assert model.source == "fit" and model.samples > 0
+        assert set(model.backends) == {"interp", "compiled", "vectorized"}
+
+    def test_calibrate_refuses_an_empty_trace(self, tmp_path):
+        with pytest.raises(SystemExit, match="no usable samples"):
+            main(["calibrate", "--trace-in", str(tmp_path / "missing.jsonl")])
 
     def test_consolidate_executor_flag(self, tmp_path, capsys):
         rc = main(

@@ -31,7 +31,7 @@ from repro.lang.builder import (
 )
 from repro.lang.compile import make_runner
 from repro.lang.cost import DEFAULT_COST_MODEL, cost_model_from_weights
-from repro.naiad.linq import run_where_consolidated, run_where_many
+from repro.naiad.linq import from_collection, run_where_consolidated, run_where_many
 from repro.profiling import (
     NULL_PROFILER,
     OP_KINDS,
@@ -397,6 +397,29 @@ class TestPlannerEndToEnd:
                 "used_smt",
             }
 
+    def test_skipping_pairs_costs_the_merged_plan_nothing(self, weather):
+        """The planner's pitch in cost units: on the batch it was validated on
+        it declines pairs, and the merged plan runs no dearer than ``related``'s."""
+
+        programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Mix", n=24, seed=3)
+        pids = [p.pid for p in programs]
+        rows = list(weather.rows[:50])
+        many = run_where_many(rows, programs, weather.functions)
+        costs, reports = {}, {}
+        for planner in ("related", "calibrated"):
+            reports[planner] = consolidate_all(
+                programs, weather.functions, config=ExecutionConfig(planner=planner)
+            )
+            result = (
+                from_collection(rows)
+                .where_consolidated(reports[planner].program, pids, weather.functions)
+                .run()
+            )
+            assert result.buckets == many.buckets, planner
+            costs[planner] = result.metrics.udf_cost
+        assert any(not d["merged"] for d in reports["calibrated"].planner_decisions)
+        assert costs["calibrated"] <= costs["related"]
+
     def test_related_planner_records_no_decisions(self, weather):
         programs = DOMAIN_QUERIES["weather"].make_batch(
             weather, "Mix", n=4, seed=2
@@ -421,8 +444,6 @@ class TestPlannerEndToEnd:
         rows = list(weather.rows[:40])
         many = run_where_many(rows, programs, weather.functions)
         cfg = ExecutionConfig()
-        from repro.naiad.linq import from_collection
-
         result = (
             from_collection(rows, config=cfg)
             .where_consolidated(

@@ -5,6 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import ExecutionConfig
+from repro.datasets import generate_weather
+from repro.lang.compile import compile_cached, make_runner
+from repro.naiad import dataflow, run_where_many
+from repro.profiling import Profiler, TraceStore
+from repro.queries import DOMAIN_QUERIES
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     InMemorySink,
@@ -243,6 +249,34 @@ class TestNoop:
     def test_child_of_disabled_is_self(self):
         assert NULL_TELEMETRY.child() is NULL_TELEMETRY
         NULL_TELEMETRY.absorb(NULL_TELEMETRY)  # must not raise
+
+    def test_a_run_with_nothing_switched_on_takes_the_bare_path(self, monkeypatch, tmp_path):
+        """Off means not installed: the plain ``Worker``, no per-operator
+        stats, the compiled closure itself out of ``make_runner`` — and the
+        buckets of the traced and of the profiled run."""
+
+        weather = generate_weather(cities=15)
+        programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Mix", n=10, seed=1)
+        ft = weather.functions
+        traced = run_where_many(
+            weather.rows, programs, ft, ExecutionConfig(telemetry=Telemetry.capture(trace=True))
+        )
+        with TraceStore(tmp_path / "trace.jsonl") as store:
+            profiler = Profiler(store, domain="weather", sample_every=4)
+            profiled = run_where_many(weather.rows, programs, ft, ExecutionConfig(profiler=profiler))
+        assert profiler.samples_taken > 0
+        assert traced.metrics.per_operator
+
+        def no_traced_worker(*args):
+            raise AssertionError("a disabled run built the instrumented worker")
+
+        monkeypatch.setattr(dataflow, "_TracedWorker", no_traced_worker)
+        config = ExecutionConfig()
+        assert config.telemetry is NULL_TELEMETRY and config.profiler is None
+        bare = run_where_many(weather.rows, programs, ft, config)
+        assert bare.metrics.per_operator == {}
+        assert bare.buckets == traced.buckets == profiled.buckets
+        assert make_runner(programs[0], ft) == compile_cached(programs[0], ft).run
 
 
 class TestChildAbsorb:

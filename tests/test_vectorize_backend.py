@@ -160,6 +160,25 @@ class TestFallbackLadder:
             == len(rows)
         )
 
+    def test_one_unbounded_udf_among_eight_degrades_only_its_own_records(self, domain_datasets):
+        dataset = domain_datasets["weather"]
+        batch = DOMAIN_QUERIES["weather"].make_batch(dataset, "Q1", n=7, seed=7)
+        batch.append(parse_program(UNBOUNDED_SRC))
+        rows = dataset.rows
+        telemetry = Telemetry.capture()
+        got = run_where_many(
+            rows, batch, dataset.functions,
+            config=ExecutionConfig(backend="vectorized", telemetry=telemetry),
+        )
+        want = run_where_many(
+            rows, batch, dataset.functions, config=ExecutionConfig(backend="compiled")
+        )
+        assert _buckets(got) == _buckets(want)
+        assert got.metrics.udf_cost == want.metrics.udf_cost
+        # Fallback rate 1/8: the unbounded UDF's records and nobody else's.
+        assert telemetry.counter("vectorized_fallback_records_total").value == len(rows)
+        assert telemetry.counter("vectorized_records_total").value == 8 * len(rows)
+
     def test_vectorized_run_emits_batch_series(self, domain_datasets):
         dataset = domain_datasets["weather"]
         module = DOMAIN_QUERIES["weather"]
