@@ -122,7 +122,7 @@ PREFILTER_PID = "__prefilter__"
 MAX_PHI_SIZE = 400
 
 
-def _has_stmt(stmt: Stmt, kind: type) -> bool:
+def _has_stmt(stmt: Stmt, kind: type[Stmt]) -> bool:
     if isinstance(stmt, kind):
         return True
     if isinstance(stmt, Seq):

@@ -66,7 +66,9 @@ Commands
     samples — static per-operation units against observed wall seconds,
     tagged with backend and domain — to a JSONL trace
     (``--trace-out``).  ``--sample-every`` sets the sampling stride;
-    the chosen ``--backend`` decides which execution path is observed.
+    the chosen ``--backend`` decides the rung observed and the tag: whole
+    kernel batches under ``compiled`` / ``vectorized``, single records
+    under ``interp`` (and for any batch that degraded).
 
 ``calibrate``
     Fit a :class:`~repro.profiling.model.CalibratedCostModel` from a
@@ -665,10 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=DEFAULT_BACKEND,
-        help="UDF execution backend (default: %(default)s; 'compiled' falls "
-        "back to the interpreter, with a logged warning, if translation "
-        "fails; 'vectorized' executes column batches and degrades to the "
-        "compiled per-row path for programs the shape classifier can't bound)",
+        help="where UDF execution enters its ladder (default: %(default)s): "
+        "'compiled' and 'vectorized' both run whole partitions through the "
+        "batch kernel, degrading to the per-record compiled closure for "
+        "programs the shape classifier can't bound and from there, with a "
+        "logged warning, to the interpreter if translation fails; 'interp' "
+        "starts at the interpreter",
     )
     parser.add_argument(
         "--metrics-out",

@@ -52,11 +52,17 @@ class ExecutionConfig:
     """Everything a query run needs beyond the data and the programs.
 
     ``backend``
-        UDF execution backend: ``"compiled"`` (default), ``"interp"``, or
-        ``"vectorized"`` — whole batches run through one row-loop kernel
-        from the operators' flush path, per-row compiled fallback for
-        programs the shape classifier cannot bound (see
-        :mod:`repro.lang.vectorize`).
+        The rung of the execution ladder a run enters on.  The ``Where*``
+        operators have one path — whole partitions through one row-loop
+        kernel from the flush path, degrading to the per-record compiled
+        closure (programs the shape classifier cannot bound, a kernel
+        that raises) and from there to the interpreter (see
+        :mod:`repro.lang.vectorize`).  ``"compiled"`` (default) and
+        ``"vectorized"`` both enter at the kernel — two names for one
+        strategy until 5.0.0 drops one; ``"interp"`` enters at the
+        bottom rung, the tree-walking reference.  Per-record callers
+        (:func:`repro.lang.compile.make_runner`) get the compiled closure
+        or the interpreter.
     ``workers``
         Data-parallel dataflow shards.
     ``cost_model``
@@ -91,7 +97,7 @@ class ExecutionConfig:
         record, mirroring the telemetry discipline.
     ``profiler``
         Optional :class:`repro.profiling.Profiler`.  When set, the
-        backends sample executions (every Nth invocation / column batch)
+        ladder's rungs sample executions (every Nth column batch / invocation)
         into its trace store for offline calibration (``repro
         calibrate``).  ``None`` (the default) keeps every hot path
         unwrapped — the zero-cost-when-off discipline again.

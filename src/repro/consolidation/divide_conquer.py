@@ -62,7 +62,7 @@ import time
 from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
@@ -77,6 +77,9 @@ from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .simplifier import SimplifyStats
+
+if TYPE_CHECKING:
+    from ..analysis.prefilter import Prefilter
 
 __all__ = [
     "ConsolidationReport",
@@ -235,7 +238,7 @@ class ConsolidationReport(PairViews):
     pairs: list[PairRecord] = field(default_factory=list)
     tree_depth: int = 0
     duration: float = 0.0
-    prefilter: object = None
+    prefilter: Optional[Prefilter] = None
     prefilter_seconds: float = 0.0
     solver_stats: dict[str, int] = field(default_factory=dict)
     max_workers: int = 1
@@ -251,7 +254,7 @@ class ConsolidationReport(PairViews):
 
     @property
     def derivations(self) -> list[Any]:
-        extra = getattr(self.prefilter, "derivation", None)
+        extra = self.prefilter.derivation if self.prefilter is not None else None
         return super().derivations + ([extra] if extra is not None else [])
 
     @property

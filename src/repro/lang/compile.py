@@ -40,9 +40,10 @@ the same error classes (:class:`InterpError`, :class:`NotificationClash`,
 the common cases; when several dynamic errors race inside one expression
 the compiled code may report a different member of the same class.
 
-:func:`make_runner` is the backend selector used by the dataflow
-operators, the experiment harness and the CLI: ``backend="compiled"``
-(the default) compiles through the per-``(program, cost model, function
+:func:`make_runner` hands out the per-record closure: the rung the batch
+kernel degrades to, and the entry point for callers that run one record at
+a time (``repro run``, the latency experiment, the oracles, prefilter
+guards).  It compiles through the per-``(program, cost model, function
 table)`` cache so a job's UDFs compile once, not once per record, and any
 compilation failure logs a warning and falls back to the interpreter.
 """
@@ -56,7 +57,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from threading import Lock
 from time import perf_counter
-from typing import Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from .ast import (
     Arg,
@@ -91,6 +92,10 @@ from .interp import (
 from .printer import expr_to_str, stmt_to_str
 from .runtime import make_lib_call, unbound_error
 from .visitors import stmt_size
+
+if TYPE_CHECKING:
+    from ..profiling import Profiler
+    from ..telemetry import Telemetry
 
 __all__ = [
     "BACKENDS",
@@ -128,7 +133,12 @@ class CompileError(Exception):
     """The program cannot be translated; callers fall back to the interpreter."""
 
 
-def _contains(s: Stmt, kinds: type | tuple[type, ...]) -> bool:
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+
+
+def _contains(s: Stmt, kinds: type[Stmt] | tuple[type[Stmt], ...]) -> bool:
     if isinstance(s, kinds):
         return True
     if isinstance(s, Seq):
@@ -601,8 +611,12 @@ class CompiledProgram:
 
     program: Program
     source: str
+    #: ``_compiled_run(args, budget) -> (env, notifications, cost, notification_costs)``.
+    _fn: Callable[
+        [Mapping[str, object], int],
+        tuple[dict[str, object], dict[str, object], int, dict[str, int]],
+    ] = field(repr=False, compare=False)
     max_steps: int = DEFAULT_MAX_STEPS
-    _fn: Callable = field(default=None, repr=False, compare=False)
 
     def run(self, args: Mapping[str, object], max_steps: int | None = None) -> RunResult:
         env, notifications, cost, notification_costs = self._fn(
@@ -656,6 +670,10 @@ def compile_program(
 
 
 _T = TypeVar("_T")
+#: One bucket of lowered programs per function table; an entry is ``[value, used]``.
+_LoweringCache = weakref.WeakKeyDictionary[
+    FunctionTable, OrderedDict[tuple[object, ...], list[Any]]
+]
 
 
 # Lowered programs kept per function table.  A ``QueryRegistry`` that churns
@@ -669,11 +687,11 @@ _LOWERED_LOCK = Lock()
 
 
 def _cached(
-    cache: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]",
+    cache: _LoweringCache,
     functions: FunctionTable,
-    key: tuple,
+    key: tuple[object, ...],
     build: Callable[[], _T],
-    telemetry,
+    telemetry: Telemetry | None,
     series: str,
     *,
     refresh: bool = False,
@@ -718,7 +736,7 @@ def _cached(
     return entry[0], missed
 
 
-_CACHE: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]" = weakref.WeakKeyDictionary()
+_CACHE: _LoweringCache = weakref.WeakKeyDictionary()
 
 
 def compile_cached(
@@ -727,7 +745,7 @@ def compile_cached(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    telemetry=None,
+    telemetry: Telemetry | None = None,
 ) -> CompiledProgram:
     """Memoising front end to :func:`compile_program`.
 
@@ -781,42 +799,39 @@ def make_runner(
     *,
     backend: str = DEFAULT_BACKEND,
     max_steps: int = DEFAULT_MAX_STEPS,
-    telemetry=None,
-    profiler=None,
+    telemetry: Telemetry | None = None,
+    profiler: Profiler | None = None,
 ) -> Callable[[Mapping[str, object]], RunResult]:
-    """Return ``args -> RunResult`` for the chosen execution backend.
+    """Return ``args -> RunResult``: the per-row rungs of the execution ladder.
 
-    ``backend="compiled"`` (the default) uses the compile cache and falls
-    back to a private interpreter — with a logged warning and a
-    ``compile_fallbacks_total`` count — if compilation fails for any
-    reason, so callers always get a working runner.
+    The ``Where*`` operators execute partitions through the batch kernel
+    (:mod:`repro.lang.vectorize`) and come here only when a batch degrades;
+    callers that run one record at a time — ``repro run``,
+    ``experiments/latency.py``, the oracles, prefilter guards — come here
+    directly.  ``backend="compiled"`` (the default) and ``"vectorized"``
+    both mean the compiled closure — exactly what a one-row batch degrades
+    to: it uses the compile cache and falls back to a private interpreter —
+    with a logged warning and a ``compile_fallbacks_total`` count — if
+    compilation fails for any reason, so callers always get a working
+    runner.  ``backend="interp"`` is the interpreter alone.
 
     ``profiler`` (a :class:`repro.profiling.Profiler`) wraps the returned
-    runner with the sampling hook, tagged with the backend that actually
-    serves it (``compiled`` vs the interpreter fallback).  ``None`` — the
+    runner with the sampling hook, tagged with the rung that actually
+    serves it (``compiled`` vs the interpreter).  ``None`` — the
     default — returns the bare runner: the hook costs nothing when off
     because it is never installed.
     """
 
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    live = telemetry is not None and telemetry.enabled
-    profiled = profiler is not None and profiler.enabled
+    _check_backend(backend)
 
     def _hook(
         runner: Callable[[Mapping[str, object]], RunResult], served_by: str
     ) -> Callable[[Mapping[str, object]], RunResult]:
-        if not profiled:
+        if profiler is None or not profiler.enabled:
             return runner
         return profiler.wrap_runner(runner, program, functions, served_by)
 
-    if backend in ("compiled", "vectorized"):
-        # The vectorized backend is batch-oriented: its kernels live in
-        # repro.lang.vectorize and are driven from the dataflow operators'
-        # flush path.  Any caller asking for a *per-record*
-        # runner under backend="vectorized" (prefilter guards, harness
-        # probes, the fallback rung itself) gets the compiled closure —
-        # which is exactly what a one-row batch degrades to anyway.
+    if backend != "interp":
         try:
             return _hook(
                 compile_cached(
@@ -825,7 +840,7 @@ def make_runner(
                 "compiled",
             )
         except Exception as exc:  # noqa: BLE001 - fallback must be unconditional
-            if live:
+            if telemetry is not None and telemetry.enabled:
                 telemetry.counter("compile_fallbacks_total").inc()
             logger.warning(
                 "compiled backend unavailable for %s (%s); falling back to the interpreter%s",

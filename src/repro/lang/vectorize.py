@@ -1,12 +1,14 @@
-"""Batch-at-a-time ("vectorized") execution backend for Figure-1 programs.
+"""Batch-at-a-time execution of Figure-1 programs: the kernel every ``Where*`` runs on.
 
-The compiled backend (:mod:`repro.lang.compile`) removed the interpreter's
-per-*node* overhead but still pays per *record*: a closure call, an
-argument dict, env materialisation, a notifications dict and a
+The per-record closure (:mod:`repro.lang.compile`) removed the
+interpreter's per-*node* overhead but still pays per *record*: a closure
+call, an argument dict, env materialisation, a notifications dict and a
 ``RunResult``, times 4000 rows times 50 queries.  This module removes the
 per-record overhead by running a whole **batch** through one generated
-function — and it does so with the compiled backend's own lowering, not a
-second one:
+function — with the closure's own lowering, not a second one — and it is
+how the dataflow operators execute UDFs under the default
+``backend="compiled"`` and under ``"vectorized"`` alike (``"interp"``
+enters the ladder below at its bottom rung):
 
 * the kernel is ``_kern(_n, _budget, *columns)``: the body
   :class:`repro.lang.compile._Emitter` emits for the per-record closure,
@@ -45,23 +47,37 @@ limit).  Degradation is recorded (``BatchResult.fallback`` +
 ``vectorized_fallback*`` telemetry), never an error.
 
 The three-way differential oracle (:mod:`repro.testing.oracles`) holds
-this backend to *identical* notifications, costs and latencies against the
-interpreter and the compiled backend on every fuzzed batch.
+the kernel to *identical* notifications, costs and latencies against the
+interpreter and the per-record closure on every fuzzed batch.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from copy import copy
-from typing import Callable, Mapping, Optional, Sequence
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .ast import If, Program, Stmt, While
-from .compile import DEFAULT_MAX_STEPS, _cached, _contains, _Emitter, make_runner
+from .compile import (
+    DEFAULT_BACKEND,
+    DEFAULT_MAX_STEPS,
+    _cached,
+    _check_backend,
+    _contains,
+    _Emitter,
+    _LoweringCache,
+    make_runner,
+)
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .functions import FunctionTable
 from .interp import RunResult
 from .visitors import expr_args, expr_vars
+
+if TYPE_CHECKING:
+    from ..analysis.static.domains import AssignedState
+    from ..profiling import Profiler
+    from ..telemetry import Telemetry
 
 __all__ = [
     "VECTORIZED_BACKEND",
@@ -114,7 +130,7 @@ def _row_facts(program: Program) -> tuple[dict[str, tuple[int, int]], frozenset[
 
     undef: set[str] = set()
 
-    def visit(stmt: Stmt, state) -> None:
+    def visit(stmt: Stmt, state: AssignedState) -> None:
         e = stmt.cond if isinstance(stmt, (If, While)) else stmt.expr
         undef.update((expr_vars(e) | expr_args(e)) - state.assigned)
 
@@ -240,9 +256,9 @@ class BatchResult:
     and ``values[pid][i]`` / ``ncosts[pid][i]`` carry the broadcast value
     and latency.  ``full_mask`` is the one all-true list that stands in as
     ``present[pid]`` for every pid all records broadcast on (consumers
-    identity-check it).  ``fallback`` records that the batch was executed per-row
-    through the compiled closures (a degradation, never an error) and
-    ``fallback_reason`` says why.  No per-record env is materialised — the
+    identity-check it).  ``fallback`` records that the batch degraded to a
+    per-row rung (never an error) and ``fallback_reason`` says why.  No
+    per-record env is materialised — the
     dataflow operators only consume notifications and costs, and skipping
     env reconstruction is part of the backend's speedup.
     """
@@ -257,7 +273,7 @@ class BatchResult:
         n: int,
         costs: list[int],
         present: dict[str, list[bool]],
-        values: dict[str, list],
+        values: dict[str, list[Any]],
         ncosts: dict[str, list[int]],
         fallback: bool = False,
         fallback_reason: str = "",
@@ -273,7 +289,7 @@ class BatchResult:
         self.fallback = fallback
         self.fallback_reason = fallback_reason
 
-    def notification(self, pid: str, i: int):
+    def notification(self, pid: str, i: int) -> Any:
         """Record ``i``'s broadcast on ``pid`` (KeyError when it made none,
         matching :meth:`RunResult.notification`)."""
 
@@ -307,7 +323,7 @@ class BatchResult:
         )
 
 
-def columns_from_records(program: Program, records: Sequence) -> dict[str, list]:
+def columns_from_records(program: Program, records: Sequence[Any]) -> dict[str, list[Any]]:
     """Struct-of-arrays binding for the single-row-handle UDF convention."""
 
     if len(program.params) != 1:
@@ -317,17 +333,34 @@ def columns_from_records(program: Program, records: Sequence) -> dict[str, list]
 
 # -- the vectorized program -------------------------------------------------
 
+#: ``_kern(_n, _budget, *columns) -> (costs, present, values, ncosts, full_mask)``.
+Kernel = Callable[
+    ...,
+    tuple[
+        list[int], dict[str, list[bool]], dict[str, list[Any]], dict[str, list[int]], list[bool]
+    ],
+]
+
 
 class VectorizedProgram:
-    """A program lowered to a batch kernel, with a per-row safety net.
+    """One program's execution ladder: batch kernel, compiled closure, interpreter.
 
-    ``plan`` is the kernel ``_kern(_n, _budget, *columns)`` (``source``
-    keeps its generated Python for debugging), or ``None`` when the
-    program never vectorizes (shape ``unbounded``, translation failure,
-    injected fault); every batch then takes the per-row road immediately.
-    A kernel that raises mid-batch has committed nothing: the whole batch
-    re-runs per row, so callers observe exactly the compiled backend's
-    results and errors.
+    Every ``Where*`` operator runs its UDFs through :meth:`run_batch`;
+    ``backend`` only says on which rung a batch *enters*.  ``"compiled"``
+    (the default) and ``"vectorized"`` enter at ``plan``, the kernel
+    ``_kern(_n, _budget, *columns)`` (``source`` keeps its generated Python
+    for debugging).  ``plan`` is ``None`` when the program never vectorizes
+    (shape ``unbounded``, translation failure, injected fault —
+    ``degraded_reason`` says which); every batch then takes the per-row
+    road immediately, and a kernel that raises mid-batch has committed
+    nothing, so the whole batch re-runs per row: callers observe exactly
+    the per-record closure's results and errors.  ``"interp"`` enters at
+    the bottom rung — no kernel is lowered, nothing is degraded, every
+    record runs through the interpreter.
+
+    ``telemetry``, ``profiler`` and ``backend`` belong to the run, not to
+    the (cached, shared) lowering: :meth:`bound` gives another run its own
+    view.
     """
 
     def __init__(
@@ -336,12 +369,14 @@ class VectorizedProgram:
         functions: FunctionTable,
         cost_model: CostModel,
         shape: str,
-        plan: Optional[Callable],
+        plan: Optional[Kernel],
         degraded_reason: str,
         *,
         source: str = "",
         max_steps: int = DEFAULT_MAX_STEPS,
-        telemetry=None,
+        backend: str = DEFAULT_BACKEND,
+        telemetry: Optional[Telemetry] = None,
+        profiler: Optional[Profiler] = None,
     ) -> None:
         self.program = program
         self.functions = functions
@@ -351,24 +386,36 @@ class VectorizedProgram:
         self.degraded_reason = degraded_reason
         self.source = source
         self.max_steps = max_steps
+        self.backend = backend
         self.telemetry = telemetry
-        self._row_runner: Optional[Callable] = None
+        self.profiler = profiler
+        self._row_runner: Optional[Callable[[Mapping[str, object]], RunResult]] = None
 
     @property
     def vectorized(self) -> bool:
         return self.plan is not None
 
-    def with_telemetry(self, telemetry) -> "VectorizedProgram":
-        """The same lowering counting into another sink (a fresh object:
-        a published program is never rebound)."""
+    def bound(
+        self, backend: str, telemetry: Optional[Telemetry], profiler: Optional[Profiler]
+    ) -> VectorizedProgram:
+        """The same lowering serving another run (a fresh object: a
+        published program is never rebound)."""
 
         clone = copy(self)
+        clone.backend = backend
         clone.telemetry = telemetry
-        clone._row_runner = None  # bound to the original's sink
+        clone.profiler = profiler
+        clone._row_runner = None  # bound to the original's sink and profiler
         return clone
 
     def row_runner(self) -> Callable[[Mapping[str, object]], RunResult]:
-        """The per-row rung of the ladder (compiled, interp behind it)."""
+        """The per-row rungs: the compiled closure with the interpreter
+        behind it, or the interpreter alone under ``backend="interp"``.
+
+        Lowered on first use — a run whose batches all stay on the kernel
+        never builds a per-record closure.  A live profiler samples the
+        rows here, tagged with the rung that served them.
+        """
 
         runner = self._row_runner
         if runner is None:
@@ -376,20 +423,22 @@ class VectorizedProgram:
                 self.program,
                 self.functions,
                 self.cost_model,
-                backend="compiled",
+                backend=self.backend,
                 max_steps=self.max_steps,
                 telemetry=self.telemetry,
+                profiler=self.profiler,
             )
         return runner
 
-    def run_batch(
-        self, columns: Mapping[str, Sequence], n: int
-    ) -> BatchResult:
+    def run_batch(self, columns: Mapping[str, Sequence[Any]], n: int) -> BatchResult:
         """Execute ``n`` records held column-wise; exact Figure-2 costs.
 
         Never raises for *vectorization* reasons — only genuine program
-        errors (the same the compiled backend raises record by record)
-        propagate, from the per-row fallback, in record order.
+        errors (the same the per-record closure raises record by record)
+        propagate, from the per-row rungs, in record order.  With a live
+        profiler a kernel-served batch is one sampling candidate, tagged
+        with the run's backend: total seconds and total cost against
+        ``records × per-record`` units.
         """
 
         telemetry = self.telemetry
@@ -399,28 +448,36 @@ class VectorizedProgram:
             telemetry.counter("vectorized_records_total").inc(n)
             telemetry.histogram("vectorized_batch_size").observe(n)
         if self.plan is None:
-            return self._run_rows(columns, n, self.degraded_reason, live)
+            return self._run_rows(columns, n, self.degraded_reason)
+        started = perf_counter()
         try:
             costs, present, values, ncosts, full_mask = self.plan(
                 n, self.max_steps, *[columns[p] for p in self.program.params]
             )
         except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
-            return self._run_rows(columns, n, f"{type(exc).__name__}: {exc}", live)
+            return self._run_rows(columns, n, f"{type(exc).__name__}: {exc}")
+        profiler = self.profiler
+        if profiler is not None and profiler.enabled:
+            profiler.record_batch(
+                self.program, self.functions, self.backend,
+                perf_counter() - started, sum(costs), n,
+            )
         return BatchResult(n, costs, present, values, ncosts, full_mask=full_mask)
 
-    def _run_rows(
-        self, columns: Mapping[str, Sequence], n: int, reason: str, live: bool
-    ) -> BatchResult:
-        """Per-row fallback: recorded degradation with exact row semantics."""
+    def _run_rows(self, columns: Mapping[str, Sequence[Any]], n: int, reason: str) -> BatchResult:
+        """The per-row rungs, with exact row semantics.  A ``reason`` makes
+        it a recorded degradation; entering here (``backend="interp"``) has
+        none."""
 
-        if live:
-            self.telemetry.counter("vectorized_fallbacks_total").inc()
-            self.telemetry.counter("vectorized_fallback_records_total").inc(n)
+        telemetry = self.telemetry
+        if reason and telemetry is not None and telemetry.enabled:
+            telemetry.counter("vectorized_fallbacks_total").inc()
+            telemetry.counter("vectorized_fallback_records_total").inc(n)
         runner = self.row_runner()
         params = [p for p in self.program.params if p in columns]
         costs: list[int] = []
         present: dict[str, list[bool]] = {}
-        values: dict[str, list] = {}
+        values: dict[str, list[Any]] = {}
         ncosts: dict[str, list[int]] = {}
         for i in range(n):
             result = runner({p: columns[p][i] for p in params})
@@ -436,25 +493,14 @@ class VectorizedProgram:
                 ncosts[pid][i] = result.notification_costs.get(pid, result.cost)
         return BatchResult(
             n, costs, present, values, ncosts,
-            fallback=True, fallback_reason=reason,
+            fallback=bool(reason), fallback_reason=reason,
         )
 
 
-def vectorize_program(
-    program: Program,
-    functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    telemetry=None,
-) -> VectorizedProgram:
-    """Lower ``program`` into a :class:`VectorizedProgram`.
-
-    Never raises: an untranslatable program (unbounded shape, unknown
-    library function or AST node, nesting Python cannot compile, injected
-    fault) yields a kernel-less program whose every batch degrades —
-    recorded, not an error.
-    """
+def _lower(
+    program: Program, functions: FunctionTable, cost_model: CostModel
+) -> tuple[str, Optional[Kernel], str, str]:
+    """``(shape, kernel, source, degraded_reason)`` for one program."""
 
     try:
         from ..analysis.prefilter import classify_shape  # deferred: import cycle
@@ -462,22 +508,44 @@ def vectorize_program(
         shape = classify_shape(program, functions, cost_model)
     except Exception:  # noqa: BLE001 - classification must never block execution
         shape = "unbounded"
-    plan: Optional[Callable] = None
-    source = ""
-    reason = ""
     if shape == "unbounded":
-        reason = "shape classified unbounded; static trip-count bound unavailable"
-    else:
-        try:
-            if FAULT_HOOK is not None:
-                FAULT_HOOK("vectorize.translate", program)
-            emitter = _KernelEmitter(functions, cost_model, *_row_facts(program))
-            source = emitter.build(program)
-            namespace = dict(emitter.bindings)
-            exec(compile(source, f"<kernel {program.pid}>", "exec"), namespace)  # noqa: S102
-            plan = namespace["_kern"]
-        except Exception as exc:  # noqa: BLE001 - translation failures degrade
-            reason = f"kernel translation failed: {type(exc).__name__}: {exc}"
+        return shape, None, "", "shape classified unbounded; static trip-count bound unavailable"
+    source = ""
+    try:
+        if FAULT_HOOK is not None:
+            FAULT_HOOK("vectorize.translate", program)
+        emitter = _KernelEmitter(functions, cost_model, *_row_facts(program))
+        source = emitter.build(program)
+        namespace = dict(emitter.bindings)
+        exec(compile(source, f"<kernel {program.pid}>", "exec"), namespace)  # noqa: S102
+        return shape, namespace["_kern"], source, ""
+    except Exception as exc:  # noqa: BLE001 - translation failures degrade
+        return shape, None, source, f"kernel translation failed: {type(exc).__name__}: {exc}"
+
+
+def vectorize_program(
+    program: Program,
+    functions: FunctionTable,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    *,
+    backend: str = DEFAULT_BACKEND,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    telemetry: Optional[Telemetry] = None,
+    profiler: Optional[Profiler] = None,
+) -> VectorizedProgram:
+    """Build ``program``'s ladder, entered where ``backend`` says.
+
+    Never raises for a program's sake: an untranslatable one (unbounded
+    shape, unknown library function or AST node, nesting Python cannot
+    compile, injected fault) yields a kernel-less program whose every
+    batch degrades — recorded, not an error.  ``backend="interp"`` lowers
+    nothing at all.
+    """
+
+    _check_backend(backend)
+    shape, plan, source, reason = "", None, "", ""
+    if backend != "interp":
+        shape, plan, source, reason = _lower(program, functions, cost_model)
     vectorized = VectorizedProgram(
         program,
         functions,
@@ -487,7 +555,9 @@ def vectorize_program(
         reason,
         source=source,
         max_steps=max_steps,
+        backend=backend,
         telemetry=telemetry,
+        profiler=profiler,
     )
     if FAULT_HOOK is not None:
         transform = FAULT_HOOK("vectorize.finish", program)
@@ -496,7 +566,7 @@ def vectorize_program(
     return vectorized
 
 
-_CACHE: "weakref.WeakKeyDictionary[FunctionTable, OrderedDict]" = weakref.WeakKeyDictionary()
+_CACHE: _LoweringCache = weakref.WeakKeyDictionary()
 
 
 def vectorize_cached(
@@ -504,30 +574,40 @@ def vectorize_cached(
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
+    backend: str = DEFAULT_BACKEND,
     max_steps: int = DEFAULT_MAX_STEPS,
-    telemetry=None,
+    telemetry: Optional[Telemetry] = None,
+    profiler: Optional[Profiler] = None,
 ) -> VectorizedProgram:
     """Memoising front end to :func:`vectorize_program`.
 
-    The lowering is shared across runs; the telemetry sink is per run.  A
-    cached program is never rebound: a lookup under another sink gets a
-    fresh :meth:`VectorizedProgram.with_telemetry` view of it.
+    The lowering is shared across runs — ``"compiled"`` and
+    ``"vectorized"`` share one — while telemetry sink, profiler and the
+    backend label the profiler tags its samples with are per run.  A cached
+    program is never rebound: a lookup under another sink, or with a
+    profiler (the cache holds none), gets a fresh
+    :meth:`VectorizedProgram.bound` view of it.  An unprofiled view may
+    therefore carry whichever of the two synonyms lowered it first; nothing
+    reads the label then.
     """
 
     def build() -> VectorizedProgram:
+        # No profiler: the cache must not keep a run's trace store alive.
         return vectorize_program(
-            program, functions, cost_model, max_steps=max_steps, telemetry=telemetry
+            program, functions, cost_model,
+            backend=backend, max_steps=max_steps, telemetry=telemetry,
         )
 
-    key = (program, cost_model, max_steps)
+    _check_backend(backend)  # before the lookup: a hit would never look at it
+    key = (program, cost_model, max_steps, backend == "interp")
     vectorized, missed = _cached(
         _CACHE, functions, key, build, telemetry, "vectorized_plan_cache",
         refresh=FAULT_HOOK is not None,
     )
-    if missed and not vectorized.vectorized and telemetry is not None and telemetry.enabled:
+    if missed and vectorized.degraded_reason and telemetry is not None and telemetry.enabled:
         telemetry.counter("vectorized_unvectorizable_total").inc()
-    if vectorized.telemetry is not telemetry:
-        vectorized = vectorized.with_telemetry(telemetry)
+    if vectorized.telemetry is not telemetry or profiler is not None:
+        vectorized = vectorized.bound(backend, telemetry, profiler)
     return vectorized
 
 

@@ -201,7 +201,7 @@ class Worker:
 
         The stand-in for yielding from :meth:`Vertex.process`, and the only
         way to forward from :meth:`Vertex.on_flush`: batch-oriented
-        operators (the vectorized backend) buffer their partition and
+        operators (every ``Where*``) buffer their partition and
         produce outputs there, after the per-record push loop is over.
         """
 
@@ -337,7 +337,7 @@ class Dataflow:
     def _batch_path(self) -> list[Vertex] | None:
         """The route from a single root to a batch-buffering operator, if any.
 
-        A single batch-buffering root (the vectorized operators) takes its
+        A single batch-buffering root (the ``Where*`` operators) takes its
         partition in one call: same IO/overhead charges, no per-record push
         loop.  Identity pass-through roots (the linq source vertex) are
         walked over.

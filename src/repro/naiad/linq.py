@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+from ..analysis.prefilter import Prefilter
 from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
@@ -101,9 +102,17 @@ class Query:
         merged: Program,
         pids: Sequence[str],
         functions: Optional[FunctionTable] = None,
+        prefilter: Optional[Prefilter] = None,
     ) -> Query:
+        """``prefilter`` is the φ already synthesised for ``merged``
+        (``ConsolidationReport.prefilter``); under ``config.prefilter`` the
+        operator compiles its guard from it instead of synthesising again."""
+
         table = self._config.resolve_functions(functions)
-        return self._extend(WhereConsolidated(merged, pids, table, **self._udf_kwargs()))
+        kwargs = self._udf_kwargs()
+        if prefilter is not None and kwargs["prefilter"]:
+            kwargs["prefilter"] = prefilter
+        return self._extend(WhereConsolidated(merged, pids, table, **kwargs))
 
     def select(self, fn: Callable[[Any], Any], cost: int = 3) -> Query:
         return self._extend(Select(fn, cost))
@@ -161,5 +170,7 @@ def run_where_consolidated(
     table = cfg.resolve_functions(functions)
     report = consolidate_all(list(programs), table, options=options, config=cfg)
     pids = [p.pid for p in programs]
-    query = from_collection(records, cfg).where_consolidated(report.program, pids, table)
+    query = from_collection(records, cfg).where_consolidated(
+        report.program, pids, table, prefilter=report.prefilter
+    )
     return query.run(), report

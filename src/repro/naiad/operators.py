@@ -20,11 +20,12 @@ public classes are constructors over it.
 
 With ``prefilter=True`` the Where operators synthesize a sound
 reject-early guard (:mod:`repro.analysis.prefilter`) per UDF at
-construction time and evaluate it first on every record: a row the guard
-rejects provably notifies nobody, so the full UDF is skipped and only the
-guard's (much smaller) cost is charged.  Guards fail open — any synthesis
-or runtime problem means "no guard", never a changed bucket.  The
-rejection counts surface as ``prefilter_checked_total`` /
+construction time (``WhereConsolidated`` also takes the one the
+consolidation already synthesised) and evaluate it first on every record:
+a row the guard rejects provably notifies nobody, so the full UDF is
+skipped and only the guard's (much smaller) cost is charged.  Guards fail
+open — any synthesis or runtime problem means "no guard", never a changed
+bucket.  The rejection counts surface as ``prefilter_checked_total`` /
 ``prefilter_rejected_total`` counters and a ``prefilter_selectivity``
 gauge when telemetry is enabled.
 """
@@ -32,15 +33,19 @@ gauge when telemetry is enabled.
 from __future__ import annotations
 
 from itertools import compress
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ..analysis.prefilter import PREFILTER_PID, PrefilterGuard, make_guard, prefilter_program
+from ..analysis.prefilter import (
+    PREFILTER_PID,
+    Prefilter,
+    PrefilterGuard,
+    make_guard,
+    prefilter_program,
+)
 from ..lang.ast import Program
-from ..lang.compile import DEFAULT_BACKEND, make_runner
+from ..lang.compile import DEFAULT_BACKEND
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
-from ..lang.interp import RunResult
 from ..lang.vectorize import BatchResult, VectorizedProgram, columns_from_records, vectorize_cached
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dataflow import Vertex, Worker
@@ -74,11 +79,10 @@ class _Unit(NamedTuple):
     #: ``where`` / ``whereMany``, every merged query's pid for
     #: ``whereConsolidated``.
     pids: tuple[str, ...]
-    runner: Callable[[Mapping[str, object]], RunResult]
+    #: The program's execution ladder, entered where ``backend=`` says.
+    plan: VectorizedProgram
     #: Prefilter guard (None = run the UDF on every record).
     guard: Optional[PrefilterGuard]
-    #: Batch kernel, under ``backend="vectorized"`` only.
-    plan: Optional[VectorizedProgram]
     #: The batch form of ``guard`` (None = evaluate it per row).
     vguard: Optional[VectorizedProgram]
 
@@ -86,10 +90,10 @@ class _Unit(NamedTuple):
 def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> Iterable[Any]:
     """The records that broadcast a truthy value on ``pid``.
 
-    One scan of the mask and value columns, with row-mode error
-    parity: ``result.notification(pid)`` raises ``KeyError`` on a
-    record that never notified, so the scan does too — at the same
-    record position the row-at-a-time loop would.  A pid every record
+    One scan of the mask and value columns, with per-record error
+    parity: ``RunResult.notification(pid)`` raises ``KeyError`` on a
+    record that never notified, so the scan does too — at the record
+    position a record-at-a-time loop would.  A pid every record
     broadcasts on shares the batch's all-true mask (identity check),
     where the scan collapses to a C-level compress."""
 
@@ -119,14 +123,18 @@ class _UdfOperator(Vertex):
     one-program case that forwards accepted records downstream
     (``emits=True``) instead of notifying the per-query bucket.
 
-    Under ``backend="vectorized"`` the operator buffers its worker's
+    There is one execution path: the operator buffers its worker's
     partition (:meth:`process` / :meth:`ingest_batch`) and executes it as
-    one struct-of-arrays batch per unit from :meth:`on_flush` — which the
-    engine runs *before* capturing per-worker clocks, so batch-time charges
-    land in exactly the per-worker totals row-at-a-time execution produces.
-    IO and operator overhead are still charged per record by the engine, so
-    only UDF evaluation changes execution strategy.
+    one struct-of-arrays batch per unit from :meth:`on_flush`, through
+    :meth:`VectorizedProgram.run_batch` — the batch kernel, with the
+    per-record closure and the interpreter behind it; ``backend=`` picks
+    only the rung a batch enters on.  The engine flushes *before*
+    capturing per-worker clocks, so batch-time charges land in exactly the
+    per-worker totals record-at-a-time execution would produce.  IO and
+    operator overhead are charged per record by the engine.
     """
+
+    accepts_batches = True
 
     def __init__(
         self,
@@ -137,7 +145,7 @@ class _UdfOperator(Vertex):
         cost_model: CostModel,
         backend: str,
         telemetry: Optional[Telemetry],
-        prefilter: bool,
+        prefilter: bool | Prefilter,
         profiler: Optional[Profiler],
     ) -> None:
         super().__init__(name)
@@ -145,41 +153,24 @@ class _UdfOperator(Vertex):
             telemetry = NULL_TELEMETRY
         self._emits = emits
         self._telemetry = telemetry
-        # Profiling hook (None when off — the batch path then pays a single
-        # attribute check per flush, nothing per record).
-        self._profiler = profiler
-        self._functions = functions
-        self.accepts_batches = backend == "vectorized"
         self._pending: dict[int, list[Any]] = {}
         self._pre_checked = 0
         self._pre_rejected = 0
         self.units: list[_Unit] = []
         for program, pids in programs:
-            guard = (
-                make_guard(program, functions, cost_model, backend=backend, telemetry=telemetry)
-                if prefilter
-                else None
+            plan = vectorize_cached(
+                program, functions, cost_model,
+                backend=backend, telemetry=telemetry, profiler=profiler,
             )
-            runner = make_runner(
-                program,
-                functions,
-                cost_model,
-                backend=backend,
-                telemetry=telemetry,
-                profiler=profiler,
-            )
-            plan: Optional[VectorizedProgram] = None
-            vguard: Optional[VectorizedProgram] = None
-            if self.accepts_batches:
-                plan = vectorize_cached(
-                    program,
-                    functions,
-                    cost_model,
-                        telemetry=telemetry,
+            guard = vguard = None
+            if prefilter:
+                guard = make_guard(
+                    program, functions, cost_model, backend=backend, telemetry=telemetry,
+                    prefilter=prefilter if isinstance(prefilter, Prefilter) else None,
                 )
-                if guard is not None:
-                    vguard = self._vector_guard(guard, program, functions, cost_model)
-            self.units.append(_Unit(program, tuple(pids), runner, guard, plan, vguard))
+            if guard is not None:
+                vguard = self._vector_guard(guard, program, functions, cost_model, backend)
+            self.units.append(_Unit(program, tuple(pids), plan, guard, vguard))
 
     def _vector_guard(
         self,
@@ -187,17 +178,18 @@ class _UdfOperator(Vertex):
         program: Program,
         functions: FunctionTable,
         cost_model: CostModel,
+        backend: str,
     ) -> Optional[VectorizedProgram]:
         """The batch form of a prefilter guard (None = use per-row)."""
 
         try:
             wrapper = prefilter_program(guard.prefilter, program)
-            vg = vectorize_cached(wrapper, functions, cost_model, telemetry=self._telemetry)
+            vg = vectorize_cached(
+                wrapper, functions, cost_model, backend=backend, telemetry=self._telemetry
+            )
             return vg if vg.vectorized else None
         except Exception:  # noqa: BLE001 - the per-row guard still applies
             return None
-
-    # -- row at a time -------------------------------------------------------------
 
     def _reject(self, guard: PrefilterGuard, args: Mapping[str, Any], worker: Worker) -> bool:
         """Evaluate ``guard``; True when the record is provably a no-op."""
@@ -211,25 +203,8 @@ class _UdfOperator(Vertex):
         return True
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
-        if self.accepts_batches:
-            self._pending.setdefault(worker.index, []).append(record)
-            return ()
-        emits = self._emits
-        for program, pids, runner, guard, _, _ in self.units:
-            args = _bind_args(program, record)
-            if guard is not None and self._reject(guard, args, worker):
-                continue
-            result = runner(args)
-            worker.charge_udf(result.cost)
-            for pid in pids:
-                if result.notification(pid):
-                    if emits:
-                        worker.emit(self, record)
-                    else:
-                        worker.notify(pid, record)
+        self._pending.setdefault(worker.index, []).append(record)
         return ()
-
-    # -- a partition at a time -----------------------------------------------------
 
     def ingest_batch(self, records: Sequence[Any], worker: Worker) -> None:
         self._pending.setdefault(worker.index, []).extend(records)
@@ -240,9 +215,10 @@ class _UdfOperator(Vertex):
             emits = self._emits
             for unit in self.units:
                 kept = self._apply_guard(unit, records, worker)
-                batch = self._run_batch(unit, kept, worker)
-                if batch is None:
+                if not kept:
                     continue
+                batch = unit.plan.run_batch(columns_from_records(unit.program, kept), len(kept))
+                worker.charge_udf(sum(batch.costs))
                 for pid in unit.pids:
                     for record in _notified(batch, pid, kept):
                         if emits:
@@ -269,7 +245,7 @@ class _UdfOperator(Vertex):
         (kernel degrade *and* fallback error alike) re-runs the guard
         per row through :class:`PrefilterGuard`, whose fail-open contract
         then applies record by record.  Checked/rejected counts and the
-        charged guard cost are identical to row-at-a-time execution.
+        charged guard cost are identical either way.
         """
 
         program, guard, vguard = unit.program, unit.guard, unit.vguard
@@ -306,28 +282,6 @@ class _UdfOperator(Vertex):
             else:
                 self._pre_rejected += 1
         return keep
-
-    def _run_batch(self, unit: _Unit, records: list[Any], worker: Worker) -> Optional[BatchResult]:
-        """Execute one batch and charge its exact total UDF cost.
-
-        With a live profiler attached the whole batch is a sampling
-        candidate: one ``perf_counter`` span around the kernel run, total
-        seconds and total cost against ``records × per-record`` units
-        (see :meth:`repro.profiling.Profiler.record_batch`).
-        """
-
-        program, plan = unit.program, unit.plan
-        if plan is None or not records:  # only the vectorized backend buffers, and it has a plan
-            return None
-        started = perf_counter()
-        batch = plan.run_batch(columns_from_records(program, records), len(records))
-        elapsed = perf_counter() - started
-        cost = sum(batch.costs)
-        worker.charge_udf(cost)
-        profiler = self._profiler
-        if profiler is not None and profiler.enabled:
-            profiler.record_batch(program, self._functions, elapsed, cost, len(records))
-        return batch
 
 
 class Where(_UdfOperator):
@@ -371,7 +325,12 @@ class WhereMany(_UdfOperator):
 
 
 class WhereConsolidated(_UdfOperator):
-    """The consolidated operator: one merged UDF, all results broadcast."""
+    """The consolidated operator: one merged UDF, all results broadcast.
+
+    ``prefilter`` may be the :class:`Prefilter` already synthesised for
+    ``merged`` (``ConsolidationReport.prefilter``): the guard is compiled
+    from it instead of synthesising φ again at every construction.
+    """
 
     def __init__(
         self,
@@ -381,9 +340,11 @@ class WhereConsolidated(_UdfOperator):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
-        prefilter: bool = False,
+        prefilter: bool | Prefilter = False,
         profiler: Optional[Profiler] = None,
     ) -> None:
+        if isinstance(prefilter, Prefilter) and prefilter.pid != merged.pid:
+            raise ValueError(f"prefilter of {prefilter.pid!r} handed to UDF {merged.pid!r}")
         super().__init__(
             f"whereConsolidated[{len(pids)}]", [(merged, pids)], False,
             functions, cost_model, backend, telemetry, prefilter, profiler,

@@ -10,7 +10,9 @@ observe:
 * :mod:`repro.profiling.trace` — the schema-versioned JSONL trace store
   the sampling profiler appends to;
 * :mod:`repro.profiling.profiler` — the sampling micro-profiler hooked
-  into all three backends (interp / compiled / vectorized), with the
+  into every rung of the execution ladder (kernel / compiled closure /
+  interpreter; samples are tagged ``compiled`` / ``vectorized`` /
+  ``interp``), with the
   repository's NULL-twin discipline: :data:`NULL_PROFILER` costs nothing
   and the hooks are wired at *construction* time, never per record;
 * :mod:`repro.profiling.calibrate` — the offline least-squares fitter

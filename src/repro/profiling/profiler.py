@@ -1,15 +1,17 @@
-"""The sampling micro-profiler, hooked into all three backends.
+"""The sampling micro-profiler, hooked into every rung of the execution ladder.
 
 A :class:`Profiler` rides on :class:`repro.config.ExecutionConfig`
 (``profiler=``) and observes UDF execution at two grains:
 
-* **per-record runners** (interp and compiled backends):
-  :meth:`wrap_runner` is applied by :func:`repro.lang.compile.make_runner`
-  around the runner it returns, timing every ``sample_every``-th
-  invocation;
-* **column batches** (vectorized backend): the dataflow operators call
-  :meth:`record_batch` per flushed batch, which samples whole batches at
-  the same rate.
+* **column batches** (the kernel, where ``backend="compiled"`` and
+  ``"vectorized"`` run): :meth:`repro.lang.vectorize.VectorizedProgram.run_batch`
+  calls :meth:`record_batch` per kernel-served batch, tagged with the
+  run's configured backend, which samples whole batches;
+* **per-record runners** (``backend="interp"``, and the rows of a batch
+  that degraded): :meth:`wrap_runner` is applied by
+  :func:`repro.lang.compile.make_runner` around the runner it returns,
+  timing every ``sample_every``-th invocation at the same rate, tagged
+  with the rung that served it (``compiled`` closure or ``interp``).
 
 Every sample pairs the observed wall seconds with the program's static
 per-operation-kind unit vector (:func:`repro.profiling.features.program_units`)
@@ -17,7 +19,7 @@ and lands in the JSONL :class:`~repro.profiling.trace.TraceStore`.
 
 Zero-cost-when-off discipline (the telemetry/provenance NULL-twin
 pattern): the default config carries no profiler at all, so
-``make_runner`` returns the unwrapped runner and the operators skip the
+``make_runner`` returns the unwrapped runner and ``run_batch`` skips the
 batch hook after one attribute read — nothing per *record* changes.
 :data:`NULL_PROFILER` exists for call sites that want an always-valid
 handle; its hooks are inert and ``wrap_runner`` is the identity.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar, Union
 
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
@@ -36,10 +38,11 @@ from .trace import TraceSample, TraceStore
 
 __all__ = ["Profiler", "NullProfiler", "NULL_PROFILER"]
 
-# The runner signature make_runner hands back: args -> RunResult.  Typed
-# loosely because the interpreter's RunResult is a legacy (unchecked)
+# The runner signature make_runner hands back: args -> RunResult.  Generic
+# in the result because the interpreter's RunResult is a legacy (unchecked)
 # module; the profiler only reads ``.cost``.
-Runner = Callable[[Mapping[str, object]], object]
+_R = TypeVar("_R")
+Runner = Callable[[Mapping[str, object]], _R]
 
 
 class Profiler:
@@ -123,14 +126,14 @@ class Profiler:
 
     def wrap_runner(
         self,
-        runner: Runner,
+        runner: Runner[_R],
         program: Program,
         functions: Optional[FunctionTable],
         backend: str,
-    ) -> Runner:
+    ) -> Runner[_R]:
         """The per-record hook: time every ``sample_every``-th invocation."""
 
-        def _profiled(args: Mapping[str, object]) -> object:
+        def _profiled(args: Mapping[str, object]) -> _R:
             if not self._due():
                 return runner(args)
             started = time.perf_counter()
@@ -151,16 +154,16 @@ class Profiler:
         self,
         program: Program,
         functions: Optional[FunctionTable],
+        backend: str,
         seconds: float,
         cost_units: int,
         records: int,
     ) -> None:
-        """The vectorized hook: sample whole column batches at the same rate."""
+        """The kernel hook: sample whole column batches at the same rate,
+        tagged with the ``backend`` the run was configured with."""
 
         if records > 0 and self._due():
-            self.record(
-                program, functions, "vectorized", seconds, cost_units, records
-            )
+            self.record(program, functions, backend, seconds, cost_units, records)
 
 
 class NullProfiler:
@@ -188,17 +191,18 @@ class NullProfiler:
 
     def wrap_runner(
         self,
-        runner: Runner,
+        runner: Runner[_R],
         program: Program,
         functions: Optional[FunctionTable],
         backend: str,
-    ) -> Runner:
+    ) -> Runner[_R]:
         return runner
 
     def record_batch(
         self,
         program: Program,
         functions: Optional[FunctionTable],
+        backend: str,
         seconds: float,
         cost_units: int,
         records: int,

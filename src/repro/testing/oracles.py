@@ -32,9 +32,11 @@ is checked:
   the vectorized backend, and per record the notifications, *exact* cost
   and per-pid latencies must match the interpreter (closing the triangle:
   interp↔compiled is already checked above); then the whole batch runs
-  through the dataflow engine under ``backend="vectorized"`` and must
-  produce identical notification buckets and *exactly equal* UDF cost to
-  the compiled run, for whereMany and whereConsolidated alike.
+  through the dataflow engine on the kernel and must produce identical
+  notification buckets and *exactly equal* UDF cost to the run that
+  enters the ladder at the interpreter (``backend="interp"`` — the
+  default backend is the kernel too), for whereMany and
+  whereConsolidated alike.
 
 Every disagreement comes back as a :class:`Discrepancy`; an empty list is
 the oracle saying "all paths agree on this case".
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..config import ExecutionConfig
 from ..consolidation.divide_conquer import (
@@ -451,14 +453,13 @@ def _check_vectorized(
     mutant (:func:`~repro.testing.generator.drop_arm_assignment`, bound on
     the first record only) rides the same comparison, so unbound-variable
     reads — which the generator never builds — are fuzzed too.  Bucket
-    level: the dataflow engine runs the batch under
-    ``backend="vectorized"`` and must match the compiled run's buckets and
-    exact UDF cost for whereMany and (reusing the
+    level (:func:`_check_vectorized_dataflow`): the dataflow engine runs
+    the batch on the kernel and must match the interpreter-rung run's
+    buckets and exact UDF cost for whereMany and (reusing the
     already-consolidated merged program) whereConsolidated.
     """
 
     from ..lang.vectorize import columns_from_records, vectorize_program
-    from ..naiad.linq import from_collection
 
     interp = Interpreter(dataset.functions, cost_model)
     targets = list(programs)
@@ -527,70 +528,62 @@ def _check_vectorized(
                         dict(inputs[i]),
                     )
                 )
-    compiled_cfg = ExecutionConfig(cost_model=cost_model, backend="compiled")
-    vector_cfg = ExecutionConfig(cost_model=cost_model, backend="vectorized")
-    try:
-        many_c = run_where_many(rows, programs, dataset.functions, config=compiled_cfg)
-        many_v = run_where_many(rows, programs, dataset.functions, config=vector_cfg)
-    except Exception as exc:  # noqa: BLE001 - a crash in either path is a finding
-        out.append(
-            Discrepancy(
-                "vectorized", f"whereMany run raised {type(exc).__name__}: {exc}"
-            )
-        )
-        return
-    if many_c.buckets != many_v.buckets:
-        out.append(
-            Discrepancy(
-                "vectorized",
-                "whereMany buckets differ between compiled and vectorized",
-            )
-        )
-    elif many_c.metrics.udf_cost != many_v.metrics.udf_cost:
-        out.append(
-            Discrepancy(
-                "vectorized",
-                f"whereMany UDF cost differs: compiled "
-                f"{many_c.metrics.udf_cost} vs vectorized "
-                f"{many_v.metrics.udf_cost}",
-            )
-        )
-    if report is None:
-        return
+    _check_vectorized_dataflow(programs, report, dataset, rows, cost_model, out)
+
+
+def _check_vectorized_dataflow(
+    programs: Sequence[Program],
+    report: ConsolidationReport | None,
+    dataset: Dataset,
+    rows: Sequence[object],
+    cost_model: CostModel,
+    out: list[Discrepancy],
+) -> None:
+    """The bucket-level leg: kernel run vs interpreter run, through the engine.
+
+    Every ``Where*`` executes its partitions through the batch kernel
+    unless ``backend="interp"`` enters the ladder at the bottom rung, so
+    that run — no generated code at all — is the reference; comparing
+    against ``backend="compiled"`` would be kernel against kernel.
+    """
+
+    from ..naiad.linq import Query, from_collection
+
     pids = [p.pid for p in programs]
-    results = {}
-    for label, cfg in (("compiled", compiled_cfg), ("vectorized", vector_cfg)):
-        try:
-            results[label] = (
-                from_collection(rows, config=cfg)
-                .where_consolidated(report.program, pids, dataset.functions)
-                .run(cfg)
+    shapes: list[tuple[str, Callable[[Query], Query]]] = [
+        ("whereMany", lambda q: q.where_many(programs, dataset.functions))
+    ]
+    if report is not None:
+        merged = report.program
+        shapes.append(
+            ("whereConsolidated", lambda q: q.where_consolidated(merged, pids, dataset.functions))
+        )
+    for shape, build in shapes:
+        runs = []
+        for backend in ("interp", "vectorized"):
+            cfg = ExecutionConfig(cost_model=cost_model, backend=backend)
+            try:
+                runs.append(build(from_collection(rows, config=cfg)).run())
+            except Exception as exc:  # noqa: BLE001 - a crash in either path is a finding
+                out.append(
+                    Discrepancy(
+                        "vectorized", f"{shape}[{backend}] raised {type(exc).__name__}: {exc}"
+                    )
+                )
+                return
+        want, got = runs
+        if want.buckets != got.buckets:
+            out.append(
+                Discrepancy("vectorized", f"{shape} buckets differ between interp and vectorized")
             )
-        except Exception as exc:  # noqa: BLE001
+        elif want.metrics.udf_cost != got.metrics.udf_cost:
             out.append(
                 Discrepancy(
                     "vectorized",
-                    f"whereConsolidated[{label}] raised {type(exc).__name__}: {exc}",
+                    f"{shape} UDF cost differs: interp {want.metrics.udf_cost} "
+                    f"vs vectorized {got.metrics.udf_cost}",
                 )
             )
-            return
-    cons_c, cons_v = results["compiled"], results["vectorized"]
-    if cons_c.buckets != cons_v.buckets:
-        out.append(
-            Discrepancy(
-                "vectorized",
-                "whereConsolidated buckets differ between compiled and vectorized",
-            )
-        )
-    elif cons_c.metrics.udf_cost != cons_v.metrics.udf_cost:
-        out.append(
-            Discrepancy(
-                "vectorized",
-                f"whereConsolidated UDF cost differs: compiled "
-                f"{cons_c.metrics.udf_cost} vs vectorized "
-                f"{cons_v.metrics.udf_cost}",
-            )
-        )
 
 
 def run_battery(

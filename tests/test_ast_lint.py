@@ -26,7 +26,6 @@ LINT_ONLY = (
 NOT_YET = (
     "src/repro/analysis/affine.py",
     "src/repro/analysis/costmodel.py",
-    "src/repro/analysis/prefilter.py",
     "src/repro/analysis/static/costbound.py",
     "src/repro/analysis/static/domains.py",
     "src/repro/analysis/static/lint.py",

@@ -121,7 +121,7 @@ class TestObservabilityFlags:
         assert "smt_checks" in names
         assert "consolidation_pairs_total" in names
         assert any(n.startswith("dataflow_operator_records_in") for n in names)
-        assert any(n.startswith("compile_cache") for n in names)
+        assert any(n.startswith("vectorized_plan_cache") for n in names)
         hists = {h["name"] for h in doc["metrics"]["histograms"]}
         assert "smt_check_seconds" in hists
         # Every figure row carries its own per-experiment snapshot.

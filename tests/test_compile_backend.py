@@ -129,18 +129,22 @@ class TestCompileCache:
             clear()
 
     def test_runs_hit_the_cache_as_before(self):
-        """``run_*`` lowers each UDF once however often it runs."""
+        """``run_*`` lowers each UDF once however often it runs — to the
+        batch kernel, and to no per-record closure beside it."""
 
+        from repro.lang.vectorize import clear_vectorize_cache
         from repro.telemetry import Telemetry
 
         clear_compile_cache()
+        clear_vectorize_cache()
         telemetry = Telemetry.capture()
         config = ExecutionConfig(backend="compiled", telemetry=telemetry)
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
         for _ in range(3):
             run_where_many(list(range(10)), programs, FT, config=config)
-        assert telemetry.counter("compile_cache_misses_total").value == len(programs)
-        assert telemetry.counter("compile_cache_hits_total").value >= 2 * len(programs)
+        assert telemetry.counter("vectorized_plan_cache_misses_total").value == len(programs)
+        assert telemetry.counter("vectorized_plan_cache_hits_total").value >= 2 * len(programs)
+        assert telemetry.counter("compile_cache_misses_total").value == 0
 
 
 class TestOperatorsUnderBothBackends:

@@ -359,15 +359,15 @@ class TestTelemetryDifferential:
         assert result.metrics.per_operator == {}
 
     def test_smt_and_compile_metrics_recorded(self, weather, batch):
-        from repro.lang.compile import clear_compile_cache
+        from repro.lang.vectorize import clear_vectorize_cache
 
-        clear_compile_cache()
+        clear_vectorize_cache()
         cfg = ExecutionConfig(telemetry=Telemetry.capture())
         run_where_consolidated(weather.rows[:20], batch, weather.functions, config=cfg)
         reg = cfg.telemetry.metrics
         assert reg.counter("smt_checks").value > 0
         assert reg.histogram("smt_check_seconds").count > 0
-        assert reg.counter("compile_cache_misses_total").value > 0
+        assert reg.counter("vectorized_plan_cache_misses_total").value > 0
         assert reg.counter("consolidation_pairs_total").value == len(batch) - 1
         assert reg.histogram("consolidation_pair_seconds").count == len(batch) - 1
 

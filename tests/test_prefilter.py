@@ -280,6 +280,64 @@ class TestOperators:
         gauge = telemetry.metrics.gauge("prefilter_selectivity").value
         assert gauge == pytest.approx(1.0 - rejected / checked, abs=1e-12)
 
+    @pytest.fixture()
+    def syntheses(self, monkeypatch):
+        """The pids φ was synthesised for, through every name it is called by."""
+
+        import repro.analysis.prefilter as prefilter_module
+        import repro.service.registry as registry_module
+
+        calls = []
+
+        def counting(program, *args, **kwargs):
+            calls.append(program.pid)
+            return synthesize_prefilter(program, *args, **kwargs)
+
+        monkeypatch.setattr(prefilter_module, "synthesize_prefilter", counting)
+        monkeypatch.setattr(registry_module, "synthesize_prefilter", counting)
+        return calls
+
+    def test_consolidated_run_synthesises_phi_once(self, dataset, syntheses):
+        """``ConsolidationReport.prefilter`` reaches the operator: building
+        ``whereConsolidated`` does not synthesise it a second time."""
+
+        froid = [_froid(f"q{i}") for i in range(3)]
+        off, _ = run_where_consolidated(dataset.rows, froid, dataset.functions)
+        on, report = run_where_consolidated(
+            dataset.rows, froid, dataset.functions, config=ExecutionConfig(prefilter=True)
+        )
+        assert syntheses == [report.program.pid]
+        assert not report.prefilter.trivial
+        assert on.buckets == off.buckets
+        assert on.metrics.udf_cost < off.metrics.udf_cost  # and the guard is installed
+
+    def test_registry_synthesises_phi_once_per_plan(self, dataset, syntheses):
+        from repro.service import QueryRegistry
+
+        registry = QueryRegistry(dataset.functions, config=ExecutionConfig(prefilter=True))
+        for i in range(3):
+            registry.register(_froid(f"q{i}"))
+        runs = [registry.run(dataset.rows) for _ in range(3)]
+        assert syntheses == [registry.tree.program.pid]
+        assert runs[0].buckets == runs[1].buckets == runs[2].buckets
+        plain = QueryRegistry(dataset.functions)
+        for i in range(3):
+            plain.register(_froid(f"q{i}"))
+        assert runs[0].buckets == plain.run(dataset.rows).buckets
+        assert runs[0].metrics.udf_cost < plain.run(dataset.rows).metrics.udf_cost
+        # A new plan gets a new φ, once.
+        registry.register(_froid("q3"))
+        registry.run(dataset.rows)
+        registry.run(dataset.rows)
+        assert syntheses == [syntheses[0], registry.tree.program.pid]
+
+    def test_a_prefilter_of_another_program_is_refused(self, dataset):
+        from repro.naiad.operators import WhereConsolidated
+
+        pre = synthesize_prefilter(_froid("other"), dataset.functions)
+        with pytest.raises(ValueError, match="prefilter of 'other'"):
+            WhereConsolidated(_froid("q0"), ["q0"], dataset.functions, prefilter=pre)
+
     def test_disabled_prefilter_builds_no_guard(self, dataset, batch):
         from repro.naiad.operators import WhereMany
 

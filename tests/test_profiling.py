@@ -276,21 +276,55 @@ class TestProfiler:
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
         store = TraceStore(tmp_path / "t.jsonl")
         profiler = Profiler(store, domain="weather", sample_every=1)
-        profiler.record_batch(p, weather.functions, 0.5, 999, records=25)
+        profiler.record_batch(p, weather.functions, "compiled", 0.5, 999, records=25)
         store.close()
         (sample,), _ = read_trace(store.path)
         per_record = program_units(p, weather.functions)
-        assert sample.backend == "vectorized"
+        assert sample.backend == "compiled"  # the tag is the caller's, not a constant
         assert sample.records == 25
         assert sample.units[RECORD_KIND] == 25.0
         assert sample.units["call"] == per_record["call"] * 25
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled", "vectorized"])
+    def test_a_run_is_tagged_with_the_backend_it_was_configured_with(
+        self, tmp_path, weather, backend
+    ):
+        """One ladder, one tag per run: a kernel-served partition is one
+        batch sample under the run's backend, the interpreter rung samples
+        record by record."""
+
+        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
+        store = TraceStore(tmp_path / "t.jsonl")
+        profiler = Profiler(store, domain="weather", sample_every=1)
+        config = ExecutionConfig(backend=backend, workers=1, profiler=profiler)
+        run_where_many(weather.rows, [p], weather.functions, config=config)
+        store.close()
+        samples, _ = read_trace(store.path)
+        assert {s.backend for s in samples} == {backend}
+        per_sample = 1 if backend == "interp" else len(weather.rows)
+        assert [s.records for s in samples] == [per_sample] * (len(weather.rows) // per_sample)
+
+    def test_a_degraded_batch_is_tagged_with_the_rung_that_served_it(self, tmp_path, weather):
+        from repro.lang import parse_program
+
+        unbounded = parse_program(
+            "program ub(row) { s := 0; while (s < yearly_rainfall(@row)) { s := s + 7; }"
+            " notify ub (s > 20); }"
+        )
+        store = TraceStore(tmp_path / "t.jsonl")
+        profiler = Profiler(store, domain="weather", sample_every=1)
+        config = ExecutionConfig(backend="vectorized", workers=1, profiler=profiler)
+        run_where_many(weather.rows, [unbounded], weather.functions, config=config)
+        store.close()
+        samples, _ = read_trace(store.path)
+        assert [(s.backend, s.records) for s in samples] == [("compiled", 1)] * len(weather.rows)
 
     def test_null_twin_is_inert_and_identity(self, weather):
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
         runner = object()
         assert NULL_PROFILER.wrap_runner(runner, p, None, "interp") is runner
         assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.record_batch(p, None, 1.0, 1, 1)  # must not raise
+        NULL_PROFILER.record_batch(p, None, "compiled", 1.0, 1, 1)  # must not raise
         assert NULL_PROFILER.samples_taken == 0
         # make_runner with no profiler hands back the raw runner: a second
         # make_runner with the NULL twin must behave identically.

@@ -118,13 +118,13 @@ def test_one_sided_and_mixed_if_masks(threshold):
 @settings(max_examples=4)
 def test_all_masked_out_prefilter_batch(threshold):
     """A φ that rejects (or passes) every record must stay in lockstep with
-    the compiled backend under the same guard — including the degenerate
+    the interpreter rung under the same guard — including the degenerate
     batch where nothing survives compaction."""
 
     program = parse_program(GUARDED_SRC.format(threshold=threshold))
     compiled = run_where_many(
         ROWS, [program], WEATHER.functions,
-        config=ExecutionConfig(backend="compiled", prefilter=True),
+        config=ExecutionConfig(backend="interp", prefilter=True),
     )
     vectorized = run_where_many(
         ROWS, [program], WEATHER.functions,
