@@ -22,6 +22,7 @@ dropped), which weakens the context — always sound, merely less precise.
 from __future__ import annotations
 
 import itertools
+from typing import AbstractSet
 
 from ..lang.ast import Assign, Expr, If, Notify, Seq, Skip, Stmt, While
 from ..lang.functions import BOOL, FunctionTable, Sort
@@ -89,7 +90,7 @@ class SpEngine:
     def fresh_sym(self, name: str) -> Sym:
         return Sym(f"v!{name}#{next(self._fresh)}")
 
-    def havoc(self, psi: Formula, names: set[str]) -> Formula:
+    def havoc(self, psi: Formula, names: AbstractSet[str]) -> Formula:
         """Forget everything ``psi`` says about the given locals."""
 
         if not names:

@@ -27,8 +27,10 @@ on random programs.
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator, Optional
 
 from ..analysis.invariants import loop_invariant
 from ..analysis.related import Features, expr_features
@@ -40,12 +42,14 @@ from ..lang.ast import (
     If,
     Notify,
     Program,
+    QUALIFIER,
     SKIP,
     Skip,
     Stmt,
     TRUE,
     Var,
     While,
+    display_name,
     seq,
     seq_head,
     seq_tail,
@@ -56,13 +60,13 @@ from ..lang.visitors import (
     assigned_vars,
     expr_vars,
     notified_pids,
-    rename_locals,
+    qualify_locals,
     stmt_exprs,
     stmt_size,
     stmt_vars,
     substitute,
 )
-from ..provenance.recorder import NULL_RECORDER
+from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
 from ..smt.terms import TRUE_F, Formula, cone_of_influence, fand, fiff, fnot
 from .simplifier import Context, SimplifyStats
@@ -150,7 +154,34 @@ class PairRecord:
         """Whether the calculus produced ``program`` (the merge neither
         failed nor was declined by the planner)."""
 
-        return self.planner["merged"] if self.planner else self.skip_reason is None
+        return bool(self.planner["merged"]) if self.planner else self.skip_reason is None
+
+
+def _printed_locals(p: Program) -> set[str]:
+    """``p``'s locals as the printer spells them."""
+
+    return {display_name(n) for n in stmt_vars(p.body)}
+
+
+def _source_local(name: str) -> str:
+    """A qualified local's name in its leaf: ``q1/x`` -> ``x``."""
+
+    return name.rpartition(QUALIFIER)[2]
+
+
+def _probe_pairs(us: Iterable[str], vs: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """The ``(u, v)`` pairs of distinct locals ``related`` may probe, lazily.
+
+    Pairs with the same source local (``q0/t0``, ``q1/t0``) come first, so
+    which few are probed does not depend on how the qualifiers spell;
+    name order breaks ties.
+    """
+
+    us, vs = sorted(us), sorted(vs)
+    source = {n: _source_local(n) for n in (*us, *vs)}
+    same = ((u, v) for u in us for v in vs if u != v and source[u] == source[v])
+    rest = ((u, v) for u in us for v in vs if source[u] != source[v])
+    return chain(same, rest)
 
 
 class Consolidator:
@@ -166,7 +197,7 @@ class Consolidator:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         options: ConsolidationOptions | None = None,
         solver: Solver | None = None,
-        recorder=NULL_RECORDER,
+        recorder: DerivationRecorder | NullRecorder = NULL_RECORDER,
     ) -> None:
         self.functions = functions
         self.cost_model = cost_model
@@ -190,12 +221,12 @@ class Consolidator:
             raise ConsolidationError(f"programs share notification ids: {pids1 & pids2}")
 
         started = time.perf_counter()
-        # Establish the disjoint-locals precondition mechanically.  Prefixing
-        # separates any two pids but a dotted one and its dotted prefix
-        # (``q1``'s local ``a.x`` and ``q1.a``'s local ``x``).
-        q1 = rename_locals(p1)
-        q2 = rename_locals(p2)
-        shared = stmt_vars(q1.body) & stmt_vars(q2.body)
+        # A leaf handed in directly is qualified here; a merged program, or
+        # a leaf qualified where it entered a merge tree, comes back as is.
+        # The locals must be disjoint as printed: ``q1``'s ``a.x`` and
+        # ``q1.a``'s ``x`` both print as ``q1.a.x``.
+        q1, q2 = qualify_locals(p1), qualify_locals(p2)
+        shared = _printed_locals(q1) & _printed_locals(q2)
         if shared:
             raise ConsolidationError(f"programs share locals after renaming: {sorted(shared)}")
         self.trace = []
@@ -235,17 +266,22 @@ class Consolidator:
 
     # -- Ω′ ----------------------------------------------------------------------
 
-    def _rule(self, name: str, detail: str = "", *parts: object, scope: bool = False):
+    def _rule(self, name: str, detail: str = "", *parts: object) -> None:
         """Emit one rule application — on ``trace`` and to the recorder.
 
         ``detail`` is a format template the recorder fills with its own
-        rendering of ``parts``.  ``scope=True`` opens a structural rule:
-        the sub-derivations run inside the returned context manager.
+        rendering of ``parts``.
         """
 
         self.trace.append(name)
-        emit = self.recorder.rule if scope else self.recorder.leaf
-        return emit(name, detail, *parts)
+        self.recorder.leaf(name, detail, *parts)
+
+    def _scope(self, name: str, detail: str, *parts: object) -> AbstractContextManager[object]:
+        """Emit a structural rule, as :meth:`_rule` does: the
+        sub-derivations run inside the returned context manager."""
+
+        self.trace.append(name)
+        return self.recorder.rule(name, detail, *parts)
 
     def _rewrite(self, ctx: Context, site: str, before: Expr, after: Expr) -> None:
         """Record one cross-simplification that changed an expression."""
@@ -269,7 +305,7 @@ class Consolidator:
         # Line 7: Assign rule — simplify, emit, absorb into the context.
         if isinstance(head, Assign):
             rhs = ctx.simplify_for_sort(head.expr)
-            self._rule("Assign", "{} := {}", head.var, rhs)
+            self._rule("Assign", "{} := {}", Var(head.var), rhs)
             self._rewrite(ctx, "assign-rhs", head.expr, rhs)
             ctx.record_assign(head.var, rhs)
             rest = self._omega(ctx, tail, r)
@@ -359,7 +395,7 @@ class Consolidator:
 
         if use_if3:
             # If 3: embed the remainder of *both* programs in the branches.
-            with self._rule("If3", "if ({}) — embed both", cond2, scope=True):
+            with self._scope("If3", "if ({}) — embed both", cond2):
                 self._rewrite(ctx, "if-test", cond, cond2)
                 s1 = self._omega(then_ctx, seq(head.then, cont), other)
                 s2 = self._omega(else_ctx, seq(head.orelse, cont), other)
@@ -371,7 +407,7 @@ class Consolidator:
             name, detail, embedded = "If4", "if ({}) — embed other", other
         else:
             name, detail, embedded = "If5", "if ({}) — test only", SKIP
-        with self._rule(name, detail, cond2, scope=True):
+        with self._scope(name, detail, cond2):
             self._rewrite(ctx, "if-test", cond, cond2)
             s1 = self._omega(then_ctx, head.then, embedded)
             s2 = self._omega(else_ctx, head.orelse, embedded)
@@ -441,13 +477,8 @@ class Consolidator:
         # Variables compared against bounds on both sides may be equal only
         # semantically (an invariant proved them so); probe a few pairs.
         if ctx.use_smt and fa.compared_vars and fb.compared_vars:
-            pairs = [
-                (u, v)
-                for u in sorted(fa.compared_vars)
-                for v in sorted(fb.compared_vars)
-                if u != v
-            ][:6]
-            for u, v in pairs:
+            pairs = _probe_pairs(fa.compared_vars, fb.compared_vars)
+            for u, v in islice(pairs, 6):
                 if ctx.provably_equal(Var(u), Var(v)):
                     return True
         return False
@@ -541,7 +572,7 @@ class Consolidator:
             """
 
             fused_vars = assigned_vars(merged_body)
-            with self._rule(rule, "while ({}) — " + detail, guard, scope=True):
+            with self._scope(rule, "while ({}) — " + detail, guard):
                 body_ctx = ctx.branch(fand(psi1, enc))
                 body_ctx.bindings = {}
                 body_ctx.forget(fused_vars)

@@ -69,10 +69,10 @@ from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
 from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable, LibraryFunction
-from ..lang.visitors import notified_pids, rename_locals, stmt_exprs
+from ..lang.visitors import notified_pids, qualify_locals, stmt_exprs
 from ..profiling.model import CalibratedCostModel
 from ..profiling.planner import CalibratedPairing, Pairing
-from ..provenance.recorder import NULL_RECORDER, DerivationRecorder
+from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
@@ -118,9 +118,10 @@ FAULT_HOOK: Optional[Callable[[str, tuple[Program, Program]], object]] = None
 class MergeNode:
     """One node of the divide-and-conquer merge tree.
 
-    Leaves hold the original (unmerged) programs; an internal node holds
-    the program produced by consolidating its two children.  The tree is
-    treated as immutable: the incremental re-consolidation engine
+    Leaves hold the original (unmerged) programs, their locals qualified
+    with their pids; an internal node holds the program produced by
+    consolidating its two children.  The tree is treated as immutable: the
+    incremental re-consolidation engine
     (:mod:`repro.consolidation.incremental`) patches it by rebuilding only
     the nodes on the path it touched, sharing every untouched subtree.
     """
@@ -328,15 +329,14 @@ def _unmerged(a: Program, b: Program, reason: Optional[str] = None) -> PairRecor
     """The record of a pair kept as its sequential baseline: ``a`` then ``b``.
 
     This is exactly what the paper's Ω produces when no rule applies — the
-    two bodies concatenated after the mechanical disjoint-locals renaming —
-    so notifications are the disjoint union and the cost is the sum of the
+    two bodies concatenated, their locals already qualified by their leaves
+    — so notifications are the disjoint union and the cost is the sum of the
     originals, never worse than running the pair separately.  It is what
     the planner asks for when it predicts nothing to share, and the
     fallback for a merge that failed mid-batch (``reason`` says how).
     """
 
-    qa, qb = rename_locals(a), rename_locals(b)
-    program = Program(f"{a.pid}&{b.pid}", a.params, seq(qa.body, qb.body))
+    program = Program(f"{a.pid}&{b.pid}", a.params, seq(a.body, b.body))
     return PairRecord(a.pid, b.pid, program, skip_reason=reason)
 
 
@@ -385,7 +385,9 @@ def merge_pair(
 
     if FAULT_HOOK is not None:
         FAULT_HOOK(site, (a, b))
-    recorder = DerivationRecorder() if provenance else NULL_RECORDER
+    recorder: DerivationRecorder | NullRecorder = (
+        DerivationRecorder() if provenance else NULL_RECORDER
+    )
     worker = Consolidator(functions, cost_model, options, solver, recorder)
     with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
         worker.consolidate(a, b)
@@ -580,8 +582,9 @@ def consolidate_all(
     try:
         with telemetry.span("consolidate.batch", n=len(programs), order=order, executor=executor):
             # Every program of a level rides on a MergeNode, so each
-            # intermediate merged program lands in the tree.
-            level = [MergeNode(p) for p in programs]
+            # intermediate merged program lands in the tree.  A leaf's
+            # locals are qualified here, once; no merge renames them again.
+            level = [MergeNode(qualify_locals(p)) for p in programs]
             while len(level) > 1:
                 depth += 1
                 pairs, carried = policy([node.program for node in level])

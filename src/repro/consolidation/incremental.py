@@ -42,6 +42,7 @@ from ..config import ExecutionConfig
 from ..lang.ast import Program
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
+from ..lang.visitors import qualify_locals
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationOptions, PairRecord
@@ -163,21 +164,22 @@ def add_query(
     """Graft one new query onto the merge tree with a single pair merge.
 
     The old tree becomes the left child of a fresh root — every existing
-    intermediate program is reused untouched.  Raises :class:`PatchError`
-    when the merge fails or its validation is refuted; the caller should
-    then fall back to :func:`rebuild`.
+    intermediate program is reused untouched; the new leaf's locals are
+    qualified with its pid, as ``consolidate_all`` does.  Raises
+    :class:`PatchError` when the merge fails or its validation is refuted;
+    the caller should then fall back to :func:`rebuild`.
     """
 
     started = time.perf_counter()
     result = PatchResult(tree=tree, action="add")
-    leaf = MergeNode(program)
+    leaf = MergeNode(qualify_locals(program))
     if tree is None:
         result.tree = leaf
     else:
         merge = _patch_step(
             result, functions, cost_model, options, static_validate, record, telemetry
         )
-        result.tree = MergeNode(merge(tree.program, program), tree, leaf)
+        result.tree = MergeNode(merge(tree.program, leaf.program), tree, leaf)
     result.seconds = time.perf_counter() - started
     return result
 

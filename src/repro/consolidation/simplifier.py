@@ -455,7 +455,7 @@ class Context:
         self.recent_assigns = [(n, r) for n, r in self.recent_assigns if n != name]
         self.env.havoc((name,))
 
-    def kill_vars(self, names: set[str]) -> None:
+    def kill_vars(self, names: Iterable[str]) -> None:
         for n in names:
             self.kill_var(n)
 

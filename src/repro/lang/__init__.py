@@ -102,7 +102,7 @@ from .visitors import (
     expr_vars,
     map_exprs,
     notified_pids,
-    rename_locals,
+    qualify_locals,
     rename_vars,
     stmt_args,
     stmt_calls,

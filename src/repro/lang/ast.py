@@ -70,6 +70,8 @@ __all__ = [
     "ARITH_OPS",
     "CMP_OPS",
     "BOOL_OPS",
+    "QUALIFIER",
+    "display_name",
     "seq",
     "seq_head",
     "seq_tail",
@@ -135,12 +137,25 @@ class Arg(Expr):
 class Var(Expr):
     """A local variable ``x_{i,j}``.
 
-    Local variables of distinct programs are kept disjoint by prefixing the
-    program identifier to the name (``rename_locals`` in
-    :mod:`repro.lang.visitors` establishes this before consolidation).
+    Local variables of distinct programs are kept disjoint by qualifying
+    each name with its program's identifier, once, when the program first
+    enters a merge (``qualify_locals`` in :mod:`repro.lang.visitors`):
+    ``x`` of ``q1`` becomes ``q1/x`` (see :data:`QUALIFIER`).
     """
 
     name: str
+
+
+# Separator between a qualified local's leaf pid and its source name.  The
+# parser cannot produce it, so ``QUALIFIER in name`` tells whether a local
+# is qualified; the printer shows it as ``.`` (``q1/x`` prints as ``q1.x``).
+QUALIFIER = "/"
+
+
+def display_name(name: str) -> str:
+    """A local's name as printed: a qualified ``q1/x`` reads ``q1.x``."""
+
+    return name.replace(QUALIFIER, ".")
 
 
 @dataclass(frozen=True, slots=True)

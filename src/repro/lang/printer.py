@@ -1,7 +1,10 @@
 """Pretty printer for the consolidation language.
 
 Produces the concrete syntax accepted by :mod:`repro.lang.parser`, so
-``parse_stmt(to_str(s)) == s`` for every statement (round-trip tested).
+``parse_stmt(to_str(s)) == s`` for every statement the parser can produce
+(round-trip tested).  A qualified local prints with a ``.`` for its
+separator (:func:`repro.lang.ast.display_name`), so a merged program's
+locals print as identifiers the parser reads.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .ast import (
     StrConst,
     Var,
     While,
+    display_name,
 )
 
 __all__ = ["to_str", "expr_to_str", "stmt_to_str", "program_to_str"]
@@ -69,7 +73,7 @@ def _expr(e: Expr) -> tuple[str, int]:
     if isinstance(e, Arg):
         return f"@{e.name}", _ATOM
     if isinstance(e, Var):
-        return e.name, _ATOM
+        return display_name(e.name), _ATOM
     if isinstance(e, Call):
         args = ", ".join(expr_to_str(a) for a in e.args)
         return f"{e.func}({args})", _ATOM
@@ -94,7 +98,7 @@ def stmt_to_str(s: Stmt, indent: int = 0) -> str:
     if isinstance(s, Skip):
         return f"{pad}skip;"
     if isinstance(s, Assign):
-        return f"{pad}{s.var} := {expr_to_str(s.expr)};"
+        return f"{pad}{display_name(s.var)} := {expr_to_str(s.expr)};"
     if isinstance(s, Notify):
         return f"{pad}notify {s.pid} {expr_to_str(s.expr)};"
     if isinstance(s, Seq):

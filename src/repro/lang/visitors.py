@@ -3,8 +3,8 @@
 These are the workhorses shared by the analyses and the consolidation
 algorithm: variable/call collection, capture-free substitution (the language
 has no binders below the lambda, so substitution is structural), local
-renaming to enforce the disjoint-locals precondition of consolidation, and
-expression typing.
+qualification to enforce the disjoint-locals precondition of consolidation,
+and expression typing.
 
 The collectors the calculus keeps asking (``expr_vars``/``expr_args``/``expr_calls``/
 ``expr_size``, ``stmt_vars``/``assigned_vars``/``stmt_size``) are attributes of the node:
@@ -32,6 +32,7 @@ from .ast import (
     Not,
     Notify,
     Program,
+    QUALIFIER,
     Seq,
     Skip,
     Stmt,
@@ -58,7 +59,8 @@ __all__ = [
     "substitute",
     "map_exprs",
     "rename_vars",
-    "rename_locals",
+    "qualify_locals",
+    "requalify_locals",
     "expr_size",
     "stmt_size",
     "TypeError_",
@@ -255,29 +257,36 @@ def rename_vars(s: Stmt, renaming: dict[str, str]) -> Stmt:
     return walk(s)
 
 
-def rename_locals(p: Program, prefix: str | None = None) -> Program:
-    """Prefix every local of ``p`` with its pid, e.g. ``x`` -> ``q1.x``.
+def qualify_locals(p: Program) -> Program:
+    """Qualify every local of ``p`` with its pid, e.g. ``x`` -> ``q1/x``.
 
     Consolidation requires the two programs' locals to be disjoint
-    (Figure 1 labels locals with the program index); applying this to each
-    input establishes the precondition mechanically.
-
-    A local already carrying the prefix keeps its name (idempotence).  The
-    parser accepts dotted identifiers, so ``x`` and ``q1.x`` can both be
-    locals of ``q1``; to stay injective ``x`` then takes the first of
-    ``q1.x``, ``q1.q1.x``, ... that is no local of ``p`` — and no other
-    local's new name either: that local would carry the prefix and be kept.
+    (Figure 1 labels locals with the program index).  A leaf is qualified
+    once, when it first enters a merge; a merged program's locals keep
+    their leaves' qualifiers, so it is returned as is.  No parsed name
+    contains :data:`~repro.lang.ast.QUALIFIER`, so the map is injective.
     """
 
-    tag = f"{prefix if prefix is not None else p.pid}."
-    names = stmt_vars(p.body)
-    renaming: dict[str, str] = {}
-    for n in names:
-        if not n.startswith(tag):
-            renaming[n] = tag + n
-            while renaming[n] in names:
-                renaming[n] = tag + renaming[n]
+    tag = p.pid + QUALIFIER
+    renaming = {n: tag + n for n in stmt_vars(p.body) if QUALIFIER not in n}
+    if not renaming:
+        return p
     return Program(p.pid, p.params, rename_vars(p.body, renaming))
+
+
+def requalify_locals(s: Stmt, pid_map: dict[str, str]) -> Stmt:
+    """``s`` with each local qualified by a key of ``pid_map`` qualified by its value.
+
+    The plan cache serves a tree to queries that are alpha-equivalent to
+    its leaves but carry other pids; their locals move with the pids.
+    """
+
+    renaming: dict[str, str] = {}
+    for n in stmt_vars(s):
+        pid, sep, local = n.partition(QUALIFIER)
+        if sep and pid_map.get(pid, pid) != pid:
+            renaming[n] = pid_map[pid] + sep + local
+    return rename_vars(s, renaming)
 
 
 # ---------------------------------------------------------------------------

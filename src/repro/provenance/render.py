@@ -9,15 +9,17 @@ module renders them back into infix notation:
 >>> format_formula(Le(Lin(-12, ((Sym("m1"), 1),))))
 'm1 <= 12'
 
-Expressions reuse the language pretty-printer
-(:func:`repro.lang.printer.expr_to_str`); :func:`format_expr` merely adds
-the length clamp shared by every provenance surface, so one very large
-embedded program cannot bloat a report.
+A symbol spells its local's name as the language printer does (a
+qualified ``v!q1/x`` reads ``v!q1.x``).  Expressions reuse the language
+pretty-printer (:func:`repro.lang.printer.expr_to_str`);
+:func:`format_expr` merely adds the length clamp shared by every
+provenance surface, so one very large embedded program cannot bloat a
+report.
 """
 
 from __future__ import annotations
 
-from ..lang.ast import Expr
+from ..lang.ast import Expr, display_name
 from ..lang.printer import expr_to_str
 from ..smt.terms import (
     App,
@@ -52,7 +54,7 @@ def format_term(t: Term) -> str:
     if isinstance(t, Num):
         return str(t.value)
     if isinstance(t, Sym):
-        return t.name
+        return display_name(t.name)
     if isinstance(t, App):
         args = ", ".join(format_term(a) for a in t.args)
         return f"{t.func}({args})"

@@ -113,10 +113,11 @@ def _parse(source: str, functions: FunctionTable, pid: str | None) -> Program:
 def _dotted_pid(pid: str) -> Finding:
     """Why a query id may not contain ``.``.
 
-    Consolidation makes the locals of two queries disjoint by renaming each
-    local ``x`` of query ``p`` to ``p.x``.  That separates any two ids but a
-    dotted one and its dotted prefix, and such a pair would silently stay
-    sequential at merge time (:meth:`Consolidator.consolidate` refuses it).
+    Consolidation makes the locals of two queries disjoint by qualifying
+    each local ``x`` of query ``p`` with its id, and a plan prints it as
+    ``p.x``.  That separates any two ids but a dotted one and its dotted
+    prefix, and such a pair would silently stay sequential at merge time
+    (:meth:`Consolidator.consolidate` refuses it).
     """
 
     head, _, tail = pid.partition(".")
@@ -124,7 +125,7 @@ def _dotted_pid(pid: str) -> Finding:
         rule="dotted-pid",
         severity="error",
         message=(
-            f"query id {pid!r} contains '.': locals are renamed to '<id>.<local>', so "
+            f"query id {pid!r} contains '.': locals print as '<id>.<local>', so "
             f"query {head!r}'s local '{tail}.x' and query {pid!r}'s local 'x' would both "
             f"become '{pid}.x' and the two could never be merged; use an id without dots"
         ),

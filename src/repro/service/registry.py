@@ -15,7 +15,8 @@ replayable.  Mutations take one path::
   multiset of member fingerprints (:func:`repro.service.fingerprint.plan_key`).
   Re-registering an alpha-equivalent batch — same queries, new names or
   pids — reuses the prior merge tree wholesale; only the notify targets
-  are structurally renamed, no pair is re-consolidated.
+  and the locals' qualifiers are structurally renamed, no pair is
+  re-consolidated.
 * **Incremental patching** (:mod:`repro.consolidation.incremental`): a
   cache miss on add/remove of one query patches the merge tree instead of
   re-running ``consolidate_all``.  A failed or uncertified patch — and a
@@ -58,7 +59,7 @@ from ..consolidation.incremental import (
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
 from ..lang.printer import program_to_str
-from ..lang.visitors import notified_pids
+from ..lang.visitors import notified_pids, requalify_locals
 from ..naiad.linq import from_collection
 from .admission import admit
 from .errors import DuplicateQueryError, RegistryError, UnknownQueryError
@@ -120,15 +121,15 @@ def _relabel_tree(node: MergeNode, pid_map: dict[str, str]) -> MergeNode:
 
     Cached plans are keyed by canonical fingerprints, so a hit may serve
     a batch whose queries are alpha-equivalent but carry different pids.
-    Renaming every ``notify`` target (and each node's pid label) is a
-    pure tree rebuild — no consolidation, no SMT.
+    Renaming every ``notify`` target, every local's qualifier and each
+    node's pid label is a pure tree rebuild — no consolidation, no SMT.
     """
 
     program = node.program
     renamed = Program(
         "&".join(pid_map.get(p, p) for p in program.pid.split("&")),
         program.params,
-        rename_pids(program.body, pid_map),
+        rename_pids(requalify_locals(program.body, pid_map), pid_map),
     )
     return MergeNode(
         renamed,

@@ -18,7 +18,6 @@ spec.loader.exec_module(ast_lint)
 LINT_ONLY = (
     "src/repro/nodeslots.py",
     "src/repro/lang/ast.py",
-    "src/repro/lang/visitors.py",
     "tools/ast_lint.py",
 )
 

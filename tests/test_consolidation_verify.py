@@ -31,9 +31,9 @@ class TestDetection:
         p1, p2 = filt("a", 10), filt("b", 30)
         # A hand-built correct consolidation: run p1's body then p2's.
         from repro.lang import block, Program
-        from repro.lang.visitors import rename_locals
+        from repro.lang.visitors import qualify_locals
 
-        q1, q2 = rename_locals(p1), rename_locals(p2)
+        q1, q2 = qualify_locals(p1), qualify_locals(p2)
         merged = Program("m", ("row",), block(q1.body, q2.body))
         report = check_soundness([p1, p2], merged, FT, [{"row": r} for r in range(20)])
         assert report.ok

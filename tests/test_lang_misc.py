@@ -25,7 +25,8 @@ from repro.lang import (
     var,
     while_,
 )
-from repro.lang.visitors import TypeError_, expr_size, notified_pids, rename_locals, stmt_size
+from repro.lang.printer import program_to_str
+from repro.lang.visitors import TypeError_, expr_size, notified_pids, qualify_locals, stmt_size
 
 
 class TestFunctionTable:
@@ -140,7 +141,7 @@ class TestUtilities:
         s = block(assign("x", add(1, 2)), notify("q", True))
         assert stmt_size(s) > expr_size(e) - 3
 
-    def test_rename_locals_prefixes_everything(self):
+    def test_qualify_locals_prefixes_everything(self):
         p = program(
             "q7",
             ("r",),
@@ -148,16 +149,16 @@ class TestUtilities:
             while_(lt(var("x"), 10), assign("x", add(var("x"), 1))),
             ite_notify("q7", lt(var("x"), 99)),
         )
-        renamed = rename_locals(p)
+        qualified = qualify_locals(p)
         from repro.lang.visitors import stmt_vars
 
-        assert all(n.startswith("q7.") for n in stmt_vars(renamed.body))
+        assert stmt_vars(qualified.body) == {"q7/x"}
+        assert "q7.x := price(@r);" in program_to_str(qualified)
 
-    def test_rename_locals_idempotent(self):
+    def test_qualify_locals_returns_a_qualified_program_as_is(self):
         p = program("q", ("r",), assign("x", 1), notify("q", True))
-        once = rename_locals(p)
-        twice = rename_locals(once)
-        assert once == twice
+        once = qualify_locals(p)
+        assert qualify_locals(once) is once
 
     def test_notified_pids_through_control_flow(self):
         p = program(

@@ -35,7 +35,7 @@ from repro.lang import (
     program,
     var,
 )
-from repro.lang.visitors import rename_locals
+from repro.lang.visitors import qualify_locals
 
 FT = FunctionTable([LibraryFunction("val", lambda r: (r * 13) % 50, cost=15)])
 
@@ -52,7 +52,7 @@ def filt(pid, bound):
 class TestUnit:
     def test_certifies_a_correct_hand_merge(self):
         p1, p2 = filt("a", 10), filt("b", 30)
-        q1, q2 = rename_locals(p1), rename_locals(p2)
+        q1, q2 = qualify_locals(p1), qualify_locals(p2)
         merged = Program("m", ("row",), block(q1.body, q2.body))
         v = validate_consolidation([p1, p2], merged, FT)
         assert v.notify_verdict == PROVED
@@ -68,7 +68,7 @@ class TestUnit:
 
     def test_refutes_a_dropped_notification(self):
         p1, p2 = filt("a", 10), filt("b", 30)
-        only_a = rename_locals(p1)
+        only_a = qualify_locals(p1)
         v = validate_consolidation([p1, p2], Program("m", ("row",), only_a.body), FT)
         assert v.notify_verdict == REFUTED
         assert v.refuted
@@ -76,7 +76,7 @@ class TestUnit:
 
     def test_refutes_a_duplicated_notification(self):
         p1 = filt("a", 10)
-        q1 = rename_locals(p1)
+        q1 = qualify_locals(p1)
         doubled = Program("m", ("row",), block(q1.body, q1.body))
         v = validate_consolidation([p1], doubled, FT)
         assert v.notify_verdict == REFUTED
@@ -86,14 +86,14 @@ class TestUnit:
         stray = Program(
             "m",
             ("row",),
-            block(rename_locals(p1).body, notify("intruder", lt(arg("row"), arg("row")))),
+            block(qualify_locals(p1).body, notify("intruder", lt(arg("row"), arg("row")))),
         )
         v = validate_consolidation([p1], stray, FT)
         assert v.notify_verdict == REFUTED
 
     def test_conditional_notify_is_unknown_not_refuted(self):
         p1 = filt("a", 10)
-        q1 = rename_locals(p1)
+        q1 = qualify_locals(p1)
         from repro.lang import lift
 
         maybe = Program(
@@ -107,7 +107,7 @@ class TestUnit:
 
     def test_costlier_merge_is_unknown_never_refuted(self):
         p1 = filt("a", 10)
-        q1 = rename_locals(p1)
+        q1 = qualify_locals(p1)
         padded = Program(
             "m",
             ("row",),

@@ -1,15 +1,16 @@
 """Property-based tests for ``lang/visitors`` renaming and substitution.
 
-Consolidation's very first step is ``rename_locals`` — if renaming ever
-captured a variable or missed an occurrence inside ``Notify`` payloads,
-nested ``While`` bodies or ``Call`` arguments, every downstream theorem
-would be vacuous.  These properties pin the contract:
+A leaf's very first step into consolidation is ``qualify_locals`` — if
+renaming ever captured a variable or missed an occurrence inside ``Notify``
+payloads, nested ``While`` bodies or ``Call`` arguments, every downstream
+theorem would be vacuous.  These properties pin the contract:
 
 * renaming with an injective map is invertible and touches exactly the
   mapped names;
-* ``rename_locals`` is semantics-preserving (same notifications, same
-  cost), idempotent and injective — also on programs whose locals already
-  look prefixed (the parser accepts dotted identifiers);
+* ``qualify_locals`` is semantics-preserving (same notifications, same
+  cost), returns a qualified program as is and is injective — also on
+  programs whose locals already look prefixed (the parser accepts dotted
+  identifiers);
 * ``substitute`` replaces outside-in, so mutually-referential mappings
   (a swap) do not cascade.
 """
@@ -38,7 +39,7 @@ from repro.lang.ast import BoolOp, Cmp, Not, Var
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.visitors import (
-    rename_locals,
+    qualify_locals,
     rename_vars,
     stmt_vars,
     substitute,
@@ -135,10 +136,10 @@ def _distinct_pids(s, seen=None):
 
 @given(stmts(), st.integers(-5, 5))
 @settings(max_examples=60, deadline=None)
-def test_rename_locals_preserves_semantics(body, a):
+def test_qualify_locals_preserves_semantics(body, a):
     body = _distinct_pids(body)
     p = program("q", ("a",), body)
-    renamed = rename_locals(p)
+    renamed = qualify_locals(p)
     interp = Interpreter(FT)
     r1 = interp.run(p, {"a": a})
     r2 = interp.run(renamed, {"a": a})
@@ -158,18 +159,18 @@ def test_rename_vars_injective_roundtrip(body):
 
 @given(stmts())
 @settings(max_examples=40, deadline=None)
-def test_rename_locals_idempotent(body):
+def test_qualify_locals_returns_a_qualified_program_as_is(body):
     body = _distinct_pids(body)
     p = program("q", ("a",), body)
-    once = rename_locals(p)
-    assert rename_locals(once) == once
+    once = qualify_locals(p)
+    assert qualify_locals(once) is once
 
 
 DOTTED = ("x", "q.x", "q.q.x", "y", "q.y", "r.x")
 
 
 @given(st.lists(st.sampled_from(DOTTED), min_size=1, unique=True), st.integers(-5, 5))
-def test_rename_locals_is_injective_on_dotted_locals(names, a):
+def test_qualify_locals_is_injective_on_dotted_locals(names, a):
     """Distinct locals stay distinct, whatever prefix they already carry."""
 
     body = block(
@@ -177,10 +178,9 @@ def test_rename_locals_is_injective_on_dotted_locals(names, a):
         *(notify(f"p{i}", lt(var(n), lift(2))) for i, n in enumerate(names)),
     )
     p = program("q", ("a",), body)
-    renamed = rename_locals(p)
-    assert len(stmt_vars(renamed.body)) == len(names)
-    assert all(n.startswith("q.") for n in stmt_vars(renamed.body))
-    assert rename_locals(renamed) == renamed
+    renamed = qualify_locals(p)
+    assert stmt_vars(renamed.body) == {f"q/{n}" for n in names}
+    assert qualify_locals(renamed) is renamed
     interp = Interpreter(FT)
     assert interp.run(renamed, {"a": a}).notifications == interp.run(p, {"a": a}).notifications
 

@@ -6,6 +6,10 @@ compares byte for byte.  The file was generated at the commit *before* the
 driver was collapsed to one level loop (PR 14), so it pins that rewrite —
 and any later one — to the pairing decisions, merge order and merged
 programs of the forked driver it replaced.
+It was regenerated once since, when a leaf's locals came to be qualified
+once instead of re-prefixed at every tree level: only the spelling of the
+locals changed — with locals α-renamed, every plan and incremental step
+equals the one it replaced.
 
 Per domain, one mixed family at n=8 is consolidated under
 
