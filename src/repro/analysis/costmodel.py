@@ -67,13 +67,16 @@ def expr_cost(
             call_cost = _DEFAULT_CALL_COST
         return call_cost + sum(expr_cost(a, functions, cm) for a in e.args)
     if isinstance(e, BinOp):
-        return cm.arith_cost(e.op) + expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        return cm.arith_cost(e.op) + sides
     if isinstance(e, Cmp):
-        return cm.cmp_cost(e.op) + expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        return cm.cmp_cost(e.op) + sides
     if isinstance(e, Not):
         return cm.neg + expr_cost(e.operand, functions, cm)
     if isinstance(e, BoolOp):
-        return cm.logic_cost(e.op) + expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
+        return cm.logic_cost(e.op) + sides
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -54,13 +54,11 @@ def consolidate(
 
     The report carries the merged program, cost/validation evidence,
     degradation ladder and (under ``config.provenance``) per-pair
-    derivations.  ``functions`` falls back to ``config.functions``.
+    derivations.  ``functions`` defaults to an empty table.
     """
 
-    cfg = config or ExecutionConfig()
-    return consolidate_all(
-        list(programs), cfg.resolve_functions(functions), options=options, config=cfg
-    )
+    table = FunctionTable() if functions is None else functions
+    return consolidate_all(list(programs), table, options=options, config=config)
 
 
 def run(
@@ -82,7 +80,7 @@ def run(
     """
 
     cfg = config or ExecutionConfig()
-    table = cfg.resolve_functions(functions)
+    table = FunctionTable() if functions is None else functions
     programs = list(programs)
     pids = [p.pid for p in programs]
     query = from_collection(rows, config=cfg)

@@ -138,13 +138,23 @@ def _config_from_args(args) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
         executor=getattr(args, "executor", None) or "serial",
-        max_workers=getattr(args, "max_workers", None) or 4,
         telemetry=telemetry,
         profiler=getattr(args, "_profiler", None),
         planner=getattr(args, "planner", None) or "related",
         calibration=_calibration_from_args(args),
-        smt_budget_seconds=getattr(args, "smt_budget", None),
     )
+
+
+def _executor_list(text: str) -> tuple[str, ...]:
+    """``--executors``: comma-separated names, each one of ``EXECUTORS``."""
+
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in EXECUTORS:
+            raise argparse.ArgumentTypeError(
+                f"invalid executor {name!r} (choose from {', '.join(EXECUTORS)})"
+            )
+    return names
 
 
 def _domain_dataset(name: str | None):
@@ -590,7 +600,7 @@ def cmd_fuzz(args) -> int:
         size=args.size,
         time_budget=args.time_budget,
         emit_corpus=args.emit_corpus,
-        executors=tuple(args.executors.split(",")),
+        executors=args.executors,
         shrink=not args.no_shrink,
         progress=lambda line: print(line, file=sys.stderr),
     )
@@ -732,16 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default=None,
-        help="how pair merges run: serial (default), thread, or process",
-    )
-    p.add_argument("--max-workers", type=int, default=None, help="pool size for thread/process executors")
-    p.add_argument(
-        "--smt-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="calibrated planner only: total SMT wall-time budget, spent on "
-        "the highest-predicted-savings pairs first",
+        help="how pair merges run: serial (default) or process",
     )
     p.set_defaults(fn=cmd_consolidate)
 
@@ -934,7 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--executors",
-        default="serial,thread",
+        type=_executor_list,
+        default="serial",
         help="comma-separated consolidate_all executors to cross-check "
         "(default: %(default)s)",
     )
@@ -1001,7 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="how full-rebuild pair merges run (default: serial)",
     )
-    p.add_argument("--max-workers", type=int, default=None)
     p.set_defaults(fn=cmd_serve)
 
     return parser

@@ -13,15 +13,13 @@ the experiment harness and the CLI.
 It is the only way to set a run-time knob: the keywords were deprecated
 through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
-``consolidate_all`` reads ``cost_model``, ``executor``, ``max_workers``,
-``telemetry``, ``provenance``, ``prefilter``, ``planner``, ``calibration``
-and ``smt_budget_seconds`` from its ``config`` and from nowhere else.
+``consolidate_all`` reads ``cost_model``, ``executor``, ``telemetry``,
+``provenance``, ``prefilter``, ``planner`` and ``calibration`` from its
+``config`` and from nowhere else.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
-reports into (default: the no-op ``NULL_TELEMETRY``), and ``sink`` is an
-optional :class:`repro.telemetry.sinks.TelemetrySink` that
-:meth:`flush_telemetry` exports snapshots to.
+reports into (default: the no-op ``NULL_TELEMETRY``).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Any, Optional
 
 from .lang.compile import BACKENDS, DEFAULT_BACKEND
 from .lang.cost import DEFAULT_COST_MODEL, CostModel
-from .lang.functions import FunctionTable
 from .telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
@@ -41,7 +38,7 @@ __all__ = [
     "PLANNERS",
 ]
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 # Consolidation pair-ordering strategies (see repro.profiling.planner for
 # the calibrated one).
@@ -68,19 +65,16 @@ class ExecutionConfig:
     ``cost_model``
         The Figure-2 cost model used by interpreter, compiler and
         consolidator alike.
-    ``functions``
-        Optional default :class:`FunctionTable`; entry points that take an
-        explicit table fall back to this one when it is omitted.
     ``io_cost_per_record`` / ``overhead_per_operator``
         The dataflow engine's virtual-clock charges.
-    ``executor`` / ``max_workers``
+    ``executor``
         How the divide-and-conquer consolidation driver runs its pair
-        merges: ``"serial"``, ``"thread"`` (the paper's structure; no
-        CPython speedup) or ``"process"`` (actually uses cores — programs
-        are picklable ASTs).  Only the ``related`` planner's levels pool;
+        merges: ``"serial"`` or ``"process"`` (a pool of
+        ``min(os.cpu_count(), pairs in the level)`` workers — programs are
+        picklable ASTs).  Only the ``related`` planner's levels pool;
         calibrated levels run in-process, in plan order.
-    ``telemetry`` / ``sink``
-        The observability handle and an optional export target.
+    ``telemetry``
+        The observability handle.
     ``provenance``
         When True, the consolidation driver records a full
         :class:`repro.provenance.DerivationTree` per pair merge (rule
@@ -105,38 +99,28 @@ class ExecutionConfig:
         Consolidation pair-ordering strategy: ``"related"`` (the paper's
         heuristic, default) or ``"calibrated"`` — rank candidate pairs by
         predicted wall-seconds saved under ``calibration``, skip pairs
-        predicted unprofitable, and spend ``smt_budget_seconds`` on the
-        highest-savings merges first (see
-        :mod:`repro.profiling.planner`).  It plans tree levels, so
+        predicted unprofitable, and merge the highest-savings pairs first
+        (see :mod:`repro.profiling.planner`).  It plans tree levels, so
         ``consolidate_all`` refuses it with ``order="fold"``/``"priority"``.
     ``calibration``
         Optional :class:`repro.profiling.CalibratedCostModel` backing the
         calibrated planner.  When the planner is ``"calibrated"`` and no
         model is supplied, the driver falls back to
         ``CalibratedCostModel.uniform()`` (static Figure-2 priors).
-    ``smt_budget_seconds``
-        Wall-time budget for SMT-backed pair merges per
-        ``consolidate_all`` call under the calibrated planner; once
-        exhausted, the remaining (lower-savings) pairs merge without the
-        solver.  ``None`` = unbudgeted.
     """
 
     backend: str = DEFAULT_BACKEND
     workers: int = 4
     cost_model: CostModel = DEFAULT_COST_MODEL
-    functions: Optional[FunctionTable] = None
     io_cost_per_record: int = 25
     overhead_per_operator: int = 2
     executor: str = "serial"
-    max_workers: int = 4
     telemetry: Telemetry = NULL_TELEMETRY
-    sink: object = None
     provenance: bool = False
     prefilter: bool = False
     profiler: object = None
     planner: str = "related"
     calibration: object = None
-    smt_budget_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -147,39 +131,15 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown planner {self.planner!r}; choose from {PLANNERS}"
             )
-        if self.smt_budget_seconds is not None and self.smt_budget_seconds < 0:
-            raise ValueError(
-                f"smt_budget_seconds must be >= 0 (or None for unbudgeted), "
-                f"got {self.smt_budget_seconds!r}"
-            )
         if self.workers < 1:
             raise ValueError(
                 f"workers must be an integer >= 1, got {self.workers!r}"
-            )
-        if self.max_workers < 1:
-            raise ValueError(
-                f"max_workers must be an integer >= 1, got {self.max_workers!r}"
             )
 
     def evolve(self, **changes: Any) -> "ExecutionConfig":
         """A copy with ``changes`` applied (the config is immutable)."""
 
         return replace(self, **changes)
-
-    def resolve_functions(self, functions: Optional[FunctionTable]) -> FunctionTable:
-        """The explicit table if given, else the config's, else empty."""
-
-        if functions is not None:
-            return functions
-        if self.functions is not None:
-            return self.functions
-        return FunctionTable()
-
-    def flush_telemetry(self) -> None:
-        """Export one snapshot to ``sink`` (no-op without a sink)."""
-
-        if self.sink is not None:
-            self.telemetry.export(self.sink)
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,6 @@ class ConsolidationOptions:
         a branch; once programs grow past this size, cross-call sharing is
         already captured by the Assign rule (value numbering survives an
         If 5 join), so only cheap test elimination is forgone.
-    ``simplify_loop_bodies``:
-        Self-simplify loop bodies under their havoc context when a loop is
-        stepped over.
     ``static_validate``:
         Run the abstract-interpretation translation validator
         (:func:`repro.analysis.static.validate_consolidation`) over every
@@ -115,7 +112,6 @@ class ConsolidationOptions:
     enable_loop_rules: bool = True
     use_smt: bool = True
     max_embed_size: int = 160
-    simplify_loop_bodies: bool = True
     invariant_engine: str = "probe"  # 'probe' | 'karr' | 'both'
     static_validate: bool = False
 
@@ -633,12 +629,10 @@ class Consolidator:
         if guard == TRUE:
             guard = w.cond
 
-        if self.options.simplify_loop_bodies:
-            body_ctx = inv_ctx.assuming(w.cond)
-            body_ctx.bindings = {}
-            body = self._omega(body_ctx, w.body, SKIP)
-        else:
-            body = w.body
+        # A stepped-over loop's body is self-simplified under its havoc context.
+        body_ctx = inv_ctx.assuming(w.cond)
+        body_ctx.bindings = {}
+        body = self._omega(body_ctx, w.body, SKIP)
 
         self._rule("Step", "while ({})", guard)
         self._rewrite(inv_ctx, "loop-guard", w.cond, guard)

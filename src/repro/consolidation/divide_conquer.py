@@ -38,17 +38,16 @@ Every run-time knob comes from ``config`` (an
 ``config.executor`` selects how a level's pair merges run:
 
 * ``"serial"`` (default) — inline, one after the other;
-* ``"thread"`` — a thread pool, mirroring the paper's parallel driver
-  structure (CPython threads cannot speed up this CPU-bound work, but the
-  measured *tree depth* is what the scalability experiment reports);
-* ``"process"`` — a process pool that actually uses multiple cores:
-  programs are picklable ASTs, and consolidation never calls the library
-  *implementations* (it is a static transformation), so each worker gets a
-  callable-free copy of the function table.  Child-process counters are
-  folded back into the parent's report; per-query SMT latency histograms
-  are process-local and therefore only recorded for serial/thread runs.
+* ``"process"`` — a process pool of ``min(os.cpu_count(), pairs in the
+  widest pooled level)`` workers, the paper's parallel driver on real
+  cores: programs are picklable ASTs, and consolidation never calls the
+  library *implementations* (it is a static transformation), so each
+  worker gets a callable-free copy of the function table.  Child-process
+  counters are folded back into the parent's report; per-query SMT latency
+  histograms are process-local and therefore only recorded for serial runs.
 
-:class:`ConsolidationReport.executor` records which executor was configured.
+:class:`ConsolidationReport.executor` records which executor was
+configured, ``max_workers`` how many processes the pool started.
 
 Telemetry (``config.telemetry``): per-pair merge time histogram, calculus
 rule application counts, SMT query counters and the entailment fast-path
@@ -58,9 +57,10 @@ counters all land in the metrics registry; tracing adds
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
 
@@ -213,8 +213,10 @@ class ConsolidationReport(PairViews):
     produces, minus its cost — or, with a ``"skip_reason"``, that the
     merge it asked for failed.
 
-    ``executor``/``max_workers`` record how the driver was configured, so
-    scalability experiments can attribute a duration to the pool it used.
+    ``executor`` records how the driver was configured and
+    ``max_workers`` the size of the process pool it started (1 when no
+    level pooled), so scalability experiments can attribute a duration to
+    the pool it used.
     ``simplify_stats`` sums the pairs' entailment fast-path counters
     (abstract-env pre-check skips, memo hits).  ``planner`` records the
     pair-ordering strategy that ran (``"related"`` — the default heuristic
@@ -376,7 +378,7 @@ def merge_pair(
     A fresh Consolidator per pair keeps each record's rules and counters
     its own; the caller's ``solver`` keeps the entailment cache warm across
     its pairs.  The recorder is per-pair too: its node stack is not
-    re-entrant, and the thread executor runs pairs concurrently.
+    re-entrant.
 
     Anything may escape — a solver crash, a refuted static validation, an
     injected fault (:data:`FAULT_HOOK` at ``site``).  What that means is
@@ -436,9 +438,8 @@ def consolidate_all(
     ``order`` picks the pairing policy (see the module docstring);
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
-    run-time knobs — ``cost_model``, ``executor`` / ``max_workers``,
-    ``telemetry``, ``provenance``, ``prefilter``, ``planner``,
-    ``calibration``, ``smt_budget_seconds`` — documented on
+    run-time knobs — ``cost_model``, ``executor``, ``telemetry``,
+    ``provenance``, ``prefilter``, ``planner``, ``calibration`` — documented on
     :class:`repro.config.ExecutionConfig`.
 
     ``keep_tree=True`` keeps the divide-and-conquer structure itself on
@@ -496,9 +497,7 @@ def consolidate_all(
     rule_counts: Counter[str] = Counter()
     started = time.perf_counter()
 
-    def attempt(
-        a: Program, b: Program, pair_options: ConsolidationOptions = options
-    ) -> PairRecord:
+    def attempt(a: Program, b: Program) -> PairRecord:
         # Here a failure keeps the pair unmerged (the sequential baseline
         # is always correct) and says why; the batch never dies for one pair.
         try:
@@ -507,7 +506,7 @@ def consolidate_all(
                 b,
                 functions,
                 cost_model,
-                pair_options,
+                options,
                 solver,
                 provenance=cfg.provenance,
                 telemetry=telemetry,
@@ -534,27 +533,27 @@ def consolidate_all(
             cast("CalibratedCostModel | None", cfg.calibration)
             or CalibratedCostModel.uniform(cost_model),
             options,
-            cfg.smt_budget_seconds,
             merge_step=attempt,
             compose=_unmerged,
         )
     policy = calibrated or (_first_two if fold else _adjacent)
     in_order = calibrated.merge if calibrated else attempt
-    # Budget accounting needs plan order, so calibrated levels never pool.
-    pooled = calibrated is None and executor != "serial"
-    pool: Executor | None = None
-    spec = _table_spec(functions) if executor == "process" else None
+    # The planner decides each pair in the driver (a skip never reaches a
+    # worker), so calibrated levels never pool.
+    pooled = calibrated is None and executor == "process"
+    pool: ProcessPoolExecutor | None = None
+    workers = 1
+    spec = _table_spec(functions) if pooled else None
     depth = 0
 
     def run(jobs: list[tuple[Program, Program]]) -> list[PairRecord]:
-        nonlocal pool, pooled
+        nonlocal pool, pooled, workers
         if not (pooled and len(jobs) > 1):
             return [in_order(a, b) for a, b in jobs]
         if pool is None:
-            pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-            pool = pool_cls(max_workers=cfg.max_workers)
-        if executor == "thread":
-            return list(pool.map(lambda ab: attempt(*ab), jobs))
+            # Levels only narrow, so the first pooled level sizes the pool.
+            workers = min(os.cpu_count() or 1, len(jobs))
+            pool = ProcessPoolExecutor(max_workers=workers)
         payloads = [(a, b, spec, cost_model, options, cfg.provenance) for a, b in jobs]
         try:
             # Drain the whole level before counting any of it, so a
@@ -665,7 +664,7 @@ def consolidate_all(
         prefilter=prefilter_obj,
         prefilter_seconds=prefilter_seconds,
         solver_stats=solver_stats,
-        max_workers=cfg.max_workers if executor != "serial" else 1,
+        max_workers=workers,
         executor=executor,
         simplify_stats=simplify_snapshot,
         degradations=degradations,

@@ -42,6 +42,10 @@ from .operators import (
 __all__ = ["Query", "from_collection", "run_where_many", "run_where_consolidated"]
 
 
+def _table(functions: Optional[FunctionTable]) -> FunctionTable:
+    return FunctionTable() if functions is None else functions
+
+
 class _Source(Vertex):
     passthrough = True  # identity: the engine may forward batches past it
 
@@ -53,8 +57,8 @@ class Query:
     """A fluent builder: each call appends one operator to the graph.
 
     The query carries its :class:`ExecutionConfig`; operator methods take
-    the function table explicitly (or from ``config.functions``) and read
-    every other knob from the config.
+    the function table explicitly (default: an empty table) and read every
+    other knob from the config.
     """
 
     def __init__(
@@ -88,14 +92,12 @@ class Query:
         }
 
     def where(self, program: Program, functions: Optional[FunctionTable] = None) -> Query:
-        table = self._config.resolve_functions(functions)
-        return self._extend(Where(program, table, **self._udf_kwargs()))
+        return self._extend(Where(program, _table(functions), **self._udf_kwargs()))
 
     def where_many(
         self, programs: Sequence[Program], functions: Optional[FunctionTable] = None
     ) -> Query:
-        table = self._config.resolve_functions(functions)
-        return self._extend(WhereMany(programs, table, **self._udf_kwargs()))
+        return self._extend(WhereMany(programs, _table(functions), **self._udf_kwargs()))
 
     def where_consolidated(
         self,
@@ -108,11 +110,10 @@ class Query:
         (``ConsolidationReport.prefilter``); under ``config.prefilter`` the
         operator compiles its guard from it instead of synthesising again."""
 
-        table = self._config.resolve_functions(functions)
         kwargs = self._udf_kwargs()
         if prefilter is not None and kwargs["prefilter"]:
             kwargs["prefilter"] = prefilter
-        return self._extend(WhereConsolidated(merged, pids, table, **kwargs))
+        return self._extend(WhereConsolidated(merged, pids, _table(functions), **kwargs))
 
     def select(self, fn: Callable[[Any], Any], cost: int = 3) -> Query:
         return self._extend(Select(fn, cost))
@@ -167,7 +168,7 @@ def run_where_consolidated(
     """Consolidate the batch, execute ``whereConsolidated``, report both."""
 
     cfg = config or ExecutionConfig()
-    table = cfg.resolve_functions(functions)
+    table = _table(functions)
     report = consolidate_all(list(programs), table, options=options, config=cfg)
     pids = [p.pid for p in programs]
     query = from_collection(records, cfg).where_consolidated(

@@ -11,7 +11,7 @@ not printed — and filled at most once:
 
 There is nothing to invalidate and no table beside the nodes: the caches die
 with the node.  Fills are idempotent — two threads racing on an empty slot
-store the same value — so ``executor="thread"`` needs no lock.
+store the same value — so threads sharing nodes need no lock.
 """
 
 from __future__ import annotations

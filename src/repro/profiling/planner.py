@@ -17,8 +17,8 @@ call a 40-unit library function are predicted to save roughly
 ``40 · weight("call")`` seconds per record if consolidation dedups the
 call; two that merely compare the same subexpression save one
 ``cmp``-weight.  The ranking is what matters: :class:`CalibratedPairing`
-spends the SMT budget down this order, so mispredictions cost budget
-allocation, never correctness.
+merges down this order and skips what it predicts saves nothing, so a
+misprediction costs a missed or a wasted merge, never correctness.
 
 Determinism: profiles are accumulated in first-seen order, candidate
 ties break on ``(i, j)``, and the greedy match is a plain sort — the
@@ -28,14 +28,12 @@ this).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.related import is_trivial
 from ..lang.ast import (
     Arg,
-    Assign,
     BinOp,
     BoolConst,
     BoolOp,
@@ -45,7 +43,6 @@ from ..lang.ast import (
     If,
     IntConst,
     Not,
-    Notify,
     Program,
     Seq,
     Stmt,
@@ -280,8 +277,7 @@ class CalibratedPairing:
     written on it: a pair predicted to save nothing is kept as its
     sequential composition (``compose``) without touching the consolidator,
     the others go through the driver's pair step (``merge_step``) highest
-    predicted savings first, with the SMT budget spent down that ranking.
-    Sequential by construction: budget accounting needs the order.
+    predicted savings first.
 
     A decision is one dict (see
     :class:`repro.consolidation.ConsolidationReport`), stored as the
@@ -294,12 +290,9 @@ class CalibratedPairing:
     functions: Optional[FunctionTable]
     model: CalibratedCostModel
     options: "ConsolidationOptions"
-    smt_budget_seconds: Optional[float]
-    merge_step: Callable[[Program, Program, "ConsolidationOptions"], "PairRecord"]
+    merge_step: Callable[[Program, Program], "PairRecord"]
     compose: Callable[[Program, Program], "PairRecord"]
     _planned: Dict[Tuple[str, str], PlannedPair] = field(init=False, default_factory=dict)
-    _smt_spent: float = field(init=False, default=0.0)
-    _budget_exhausted: int = field(init=False, default=0)
 
     def __call__(self, level: Sequence[Program]) -> Pairing:
         plan = plan_level(level, self.functions, self.model)
@@ -325,19 +318,8 @@ class CalibratedPairing:
             record = self.compose(a, b)
             record.planner = entry
             return record
-        options = self.options
-        if (
-            options.use_smt
-            and self.smt_budget_seconds is not None
-            and self._smt_spent >= self.smt_budget_seconds
-        ):
-            options = replace(options, use_smt=False)
-            self._budget_exhausted += 1
-        started = time.perf_counter()
-        record = self.merge_step(a, b, options)
+        record = self.merge_step(a, b)
         record.planner = entry
-        if options.use_smt:
-            self._smt_spent += time.perf_counter() - started
         if record.skip_reason is not None:
             entry.update(merged=False, skip_reason=record.skip_reason)
             return record
@@ -355,12 +337,10 @@ class CalibratedPairing:
         entry.update(
             observed_savings_seconds=observed,
             mispredicted=mispredicted,
-            used_smt=options.use_smt,
+            used_smt=self.options.use_smt,
         )
         if record.derivation is not None:
             detail = f"predicted={decision.predicted_savings:.3e}s observed={observed:.3e}s"
-            if not options.use_smt:
-                detail += " (smt budget exhausted)"
             if mispredicted:
                 detail += " MISPREDICTED"
             record.derivation.root.heuristics.append(
@@ -378,7 +358,6 @@ class CalibratedPairing:
         registry.counter("planner_mispredictions_total").inc(
             sum(1 for d in decisions if d["mispredicted"])
         )
-        registry.counter("planner_smt_budget_exhausted_total").inc(self._budget_exhausted)
         registry.gauge("planner_predicted_savings_seconds").set(
             sum(d["predicted_savings_seconds"] for d in decisions)
         )

@@ -176,7 +176,7 @@ def explain_batch(
 
     if telemetry is None or not getattr(telemetry, "enabled", False):
         telemetry = Telemetry()
-    cfg = ExecutionConfig(telemetry=telemetry, functions=dataset.functions)
+    cfg = ExecutionConfig(telemetry=telemetry)
     report = consolidate_all(
         selected,
         dataset.functions,
@@ -200,11 +200,13 @@ def explain_batch(
     # live telemetry (the NULL path skips the bookkeeping entirely).
     records = dataset.rows if rows is None else dataset.rows[: max(rows, 1)]
     many_run = (
-        from_collection(records, config=cfg).where_many(selected).run(cfg)
+        from_collection(records, config=cfg)
+        .where_many(selected, dataset.functions)
+        .run(cfg)
     )
     cons_run = (
         from_collection(records, config=cfg)
-        .where_consolidated(report.program, list(pids))
+        .where_consolidated(report.program, list(pids), dataset.functions)
         .run(cfg)
     )
 
@@ -309,7 +311,7 @@ def render_text(report: ExplainReport, include_timings: bool = True) -> str:
             action = "merge" if d["merged"] else "skip "
             flags = " MISPREDICTED" if d["mispredicted"] else ""
             if d["merged"] and not d["used_smt"]:
-                flags += " (no smt: budget exhausted)"
+                flags += " (no smt)"
             out.append(
                 f"  {action} {d['left']} ⊗ {d['right']}: "
                 f"predicted {d['predicted_savings_seconds']:.3e}s, "

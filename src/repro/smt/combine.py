@@ -177,8 +177,8 @@ def _lin_over_classes(term: Term, cc: CongruenceClosure) -> tuple[dict[Var, int]
 # conflicts and witnesses), so 2 048 spans what 4 096 did (DESIGN.md §14).
 _CHECK_CACHE: OrderedDict[frozenset[TheoryLiteral], Union[str, Witness]] = OrderedDict()
 _CHECK_CACHE_LIMIT = 2_048
-# Hit-then-refresh and insert-then-evict are compound; ``executor="thread"``
-# shares this table between workers.
+# Hit-then-refresh and insert-then-evict are compound, and every thread of the
+# process (the service's request threads, say) shares this table.
 _CHECK_CACHE_LOCK = Lock()
 
 

@@ -112,8 +112,9 @@ class Solver:
         self._sat_cache: dict[Formula, CheckResult] = {}
         # The two most recent verified witnesses, most recently useful first:
         # ``(interpretation, atom truths under it)``.  Replaced as a whole,
-        # never mutated, so ``executor="thread"`` workers sharing the solver
-        # need no lock (a lost update loses a witness, never a verdict).
+        # never mutated, so threads sharing the solver (the service's request
+        # threads, callers passing one ``Consolidator(solver=…)``) need no
+        # lock (a lost update loses a witness, never a verdict).
         self._witnesses: tuple[_Remembered, ...] = ()
         # Assertion stacks nobody is checking on (see ``_check``): one, unless
         # threads share this solver.
@@ -217,7 +218,7 @@ class Solver:
         The search runs on an assertion stack this solver keeps between
         checks.  The stack is *taken* for the duration (``list.pop`` is
         atomic): a thread that finds none idle starts a fresh one, so two
-        ``executor="thread"`` workers never assert on the same stack and a
+        threads sharing the solver never assert on the same stack and a
         lost race loses reuse, never a verdict.
         """
 

@@ -29,7 +29,7 @@ an atom (``_lits``, filled by :mod:`repro.smt.combine`).  There is nothing to
 invalidate, the caches die with the node, and they never leave the process
 (see :func:`repro.nodeslots.cached`, which :mod:`repro.lang.ast` shares).
 Slot fills are idempotent — two threads racing on an empty slot store the
-same value — so ``executor="thread"`` needs no lock.
+same value — so threads sharing terms need no lock.
 """
 
 from __future__ import annotations

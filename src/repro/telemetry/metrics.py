@@ -155,8 +155,8 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry of instruments, keyed by ``(name, labels)``.
 
-    Creation is locked (the thread-pool consolidation driver shares one
-    registry across workers); the instruments themselves rely on the GIL
+    Creation is locked (the service's request threads share one registry);
+    the instruments themselves rely on the GIL
     for their single add, the same contract ``collections.Counter`` has.
     """
 

@@ -95,7 +95,6 @@ HELP_TEXTS = {
     "planner_pairs_total": "Pair merges executed by the calibrated planner.",
     "planner_predicted_savings_seconds": "Total predicted savings of the last planned batch.",
     "planner_skips_total": "Pairs the calibrated planner composed sequentially without merging.",
-    "planner_smt_budget_exhausted_total": "Planned merges demoted to no-SMT after the budget ran out.",
     "dataflow_operator_records_in_total": "Records entering each operator.",
     "dataflow_operator_records_out_total": "Records leaving each operator.",
     "dataflow_operator_seconds_total": "Wall time spent inside each operator.",

@@ -14,8 +14,8 @@ mirroring the call structure::
 
 The :class:`Tracer` owns the forest and the open-span stack.  It is
 deliberately *not* thread-safe — a tracer belongs to one logical execution
-(the thread/process-pool consolidation drivers keep their tracer on the
-driving thread and record pool work through the metrics registry instead).
+(the process-pool consolidation driver keeps its tracer on the driving
+thread and records pool work through the metrics registry instead).
 
 Use :class:`repro.telemetry.noop.NullTracer` when tracing is off; its
 ``span`` returns a shared no-op context manager and the hot path pays one

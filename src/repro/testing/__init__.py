@@ -10,7 +10,7 @@ replayable machinery:
   case is a replayable ``(seed, schema, size)`` triple;
 * :mod:`repro.testing.oracles` — the differential oracle battery:
   interpreter vs compiled backend, ``whereMany`` vs ``whereConsolidated``,
-  serial vs thread vs process ``consolidate_all``, exact cost accounting
+  serial vs process ``consolidate_all``, exact cost accounting
   and the cost-never-worse bound, with the static validator as cross-check;
 * :mod:`repro.testing.faults` — context-manager fault injection into the
   SMT solver, the compile pipeline and the consolidation driver, asserting

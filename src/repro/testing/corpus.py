@@ -150,7 +150,7 @@ def write_case(path: str | Path, case: CorpusCase) -> Path:
     return path
 
 
-def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial", "thread")):
+def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial",)):
     """Run the oracle battery on a corpus case under its declared fault.
 
     Returns the :class:`~repro.testing.oracles.BatteryResult`; raises

@@ -58,7 +58,7 @@ def run_fuzz(
     size: int = 3,
     time_budget: float | None = None,
     emit_corpus: str | None = None,
-    executors: Sequence[str] = ("serial", "thread"),
+    executors: Sequence[str] = ("serial",),
     shrink: bool = True,
     progress=None,
 ) -> FuzzReport:

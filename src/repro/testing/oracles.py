@@ -12,17 +12,16 @@ is checked:
   engine both unconsolidated and consolidated; the per-pid result buckets
   must be identical and the consolidated UDF cost must obey the
   cost-never-worse bound (Theorem 2);
-* **serial vs thread vs process** — ``consolidate_all`` is deterministic,
-  so all executors must produce the *structurally identical* merged
-  program;
+* **serial vs process** — ``consolidate_all`` is deterministic, so both
+  executors must produce the *structurally identical* merged program;
 * **check_soundness** — Definition 1 re-checked directly on the merged
   program (notification equality + cost bound per input);
 * **validate_consolidation** — the static validator must not *refute* the
   merge (``unknown`` is acceptable: it is the validator giving up, not a
   counterexample);
 * **calibrated planner parity** — the batch is consolidated again under
-  the cost-driven planner (uniform fallback model); reordered, skipped or
-  budget-demoted merges must leave the notification buckets identical to
+  the cost-driven planner (uniform fallback model); reordered or skipped
+  merges must leave the notification buckets identical to
   ``whereMany`` and keep the consolidated cost never worse;
 * **prefilter soundness** — every program (and the merged program) gets a
   synthesized reject-early guard; a row the guard rejects must produce no
@@ -377,9 +376,9 @@ def _check_planner(
 ) -> None:
     """Calibrated-planner parity: planning must never change semantics.
 
-    The cost-driven planner reorders merges, skips predicted-unprofitable
-    pairs (composing them sequentially) and may demote merges to no-SMT
-    under budget — all of which must be *plan*-level decisions only.  The
+    The cost-driven planner reorders merges and skips predicted-unprofitable
+    pairs (composing them sequentially) — both must be *plan*-level
+    decisions only.  The
     batch is consolidated again under ``planner="calibrated"`` (with the
     uniform fallback model, so the check needs no trace) and its dataflow
     run must reproduce the ``whereMany`` baseline's buckets exactly,
@@ -591,15 +590,16 @@ def run_battery(
     dataset: Dataset,
     inputs: Sequence[Mapping[str, object]] | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    executors: Sequence[str] = ("serial", "thread"),
+    executors: Sequence[str] = ("serial",),
     check_validator: bool = True,
     deadline: float | None = None,
 ) -> BatteryResult:
     """Run every differential oracle over one batch; collect disagreements.
 
     ``inputs`` defaults to a spread of the dataset's rows.  ``executors``
-    controls the ``consolidate_all`` parity check (pass all three of
-    ``("serial", "thread", "process")`` for the full, slower sweep).
+    controls the ``consolidate_all`` parity check (pass
+    ``("serial", "process")`` to run it; one executor has nothing to
+    compare).
     ``deadline`` is an absolute :func:`time.perf_counter` instant; it is
     re-checked between oracle stages, so one slow battery cannot overrun a
     fuzzing time budget by a whole five-stage run.  A battery cut short

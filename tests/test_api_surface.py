@@ -4,10 +4,12 @@
 these golden tests make any signature change an explicit, reviewed act —
 the diff shows exactly which verb moved.  The 2.0-removal tests pin that
 every pre-config keyword argument is gone (a ``TypeError``, not a silent
-shim) and the config validation errors (they must enumerate the valid
-values).
+shim), the 5.0.0-removal tests that the dropped ``ExecutionConfig``
+fields and the thread executor are gone, and the config validation errors
+(they must enumerate the valid values).
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -176,8 +178,35 @@ def test_execution_config_executor_error_enumerates_choices():
 def test_execution_config_worker_errors_state_the_valid_range():
     with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 0"):
         ExecutionConfig(workers=0)
-    with pytest.raises(ValueError, match=r"max_workers must be an integer >= 1"):
-        ExecutionConfig(max_workers=-2)
+
+
+# ---------------------------------------------------------------------------
+# the 5.0.0 removals: four ExecutionConfig fields and the thread executor
+
+
+@pytest.mark.parametrize("keyword", ["max_workers", "smt_budget_seconds", "functions", "sink"])
+def test_removed_execution_config_field_raises_type_error(keyword):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        ExecutionConfig(**{keyword: None})
+
+
+def test_execution_config_has_twelve_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 12
+    for name in ("resolve_functions", "flush_telemetry"):
+        assert not hasattr(ExecutionConfig, name)
+
+
+def test_thread_executor_is_gone():
+    assert EXECUTORS == ("serial", "process")
+    with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+        ExecutionConfig(executor="thread")
+
+
+def test_simplify_loop_bodies_option_is_gone():
+    from repro.consolidation import ConsolidationOptions
+
+    with pytest.raises(TypeError, match="unexpected keyword argument 'simplify_loop_bodies'"):
+        ConsolidationOptions(simplify_loop_bodies=False)
 
 
 def test_service_config_validation_errors_enumerate_values():

@@ -193,11 +193,41 @@ class TestObservabilityFlags:
 
     def test_consolidate_executor_flag(self, tmp_path, capsys):
         rc = main(
-            ["consolidate", "--domain", "weather", "--executor", "thread"]
+            ["consolidate", "--domain", "weather", "--executor", "process"]
             + _two_progs(tmp_path)
         )
         assert rc == 0
-        assert "executor thread" in capsys.readouterr().err
+        assert "executor process" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--executor thread", "--max-workers 2", "--smt-budget 5"])
+    def test_removed_consolidate_flags_exit_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["consolidate", *flag.split(), *_two_progs(tmp_path)])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--executor thread", "--max-workers 2"])
+    def test_removed_serve_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", *flag.split()])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("executors, bad", [("serial,bogus", "bogus"), ("serial,thread", "thread")])
+    def test_fuzz_rejects_an_unknown_executor_at_parse_time(self, capsys, executors, bad):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--seed", "0", "--cases", "2", "--executors", executors])
+        assert excinfo.value.code == 2
+        assert f"invalid executor '{bad}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            ([], ("serial",)),
+            (["--executors", "process"], ("process",)),
+            (["--executors", "serial,process"], ("serial", "process")),
+        ],
+    )
+    def test_fuzz_executors_parse_to_a_tuple(self, argv, parsed):
+        assert build_parser().parse_args(["fuzz", *argv]).executors == parsed
 
 
 def _two_progs(tmp_path):

@@ -1,10 +1,11 @@
 """ExecutionConfig API: validation, executors, telemetry.
 
 The contract under test: the ``config=`` object is the one way to set
-run-time knobs; telemetry never changes observable outputs; both pool
-executors produce the same merged program as the serial driver.
+run-time knobs; telemetry never changes observable outputs; the process
+pool produces the same merged program as the serial driver.
 """
 
+import os
 import pickle
 
 import pytest
@@ -46,8 +47,6 @@ class TestExecutionConfig:
             ExecutionConfig(executor="fiber")
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(max_workers=0)
 
     def test_frozen_and_evolve(self):
         cfg = ExecutionConfig()
@@ -56,27 +55,38 @@ class TestExecutionConfig:
         assert cfg.evolve(workers=8).workers == 8
         assert cfg.workers == 4
 
-    def test_resolve_functions(self, weather):
-        cfg = ExecutionConfig(functions=weather.functions)
-        assert cfg.resolve_functions(None) is weather.functions
-        other = weather.functions
-        assert cfg.resolve_functions(other) is other
-        assert len(ExecutionConfig().resolve_functions(None)) == 0
+    def test_omitted_functions_mean_an_empty_table(self, weather):
+        # The config carries no function table: a call-free batch runs
+        # without one, and a batch that calls a UDF cannot.
+        from repro import api
+        from repro.lang.functions import FunctionTable
+
+        call_free = [
+            parse_program("program p(row) { notify p @row < 0; }"),
+            parse_program("program q(row) { notify q 2 < @row; }"),
+        ]
+        rows = [-2, -1, 0, 3, 5]
+        explicit = api.run(rows, call_free, FunctionTable())
+        assert api.run(rows, call_free).buckets == explicit.buckets
+        assert (
+            api.consolidate(call_free).program
+            == api.consolidate(call_free, FunctionTable()).program
+        )
+        with pytest.raises(KeyError, match="monthly_avg_temp"):
+            api.run(weather.rows[:5], [parse_program(PROGRAM_SRC)], consolidated=False)
 
 
 class TestExecutors:
-    """thread/process pools must reproduce the serial driver's output."""
+    """The process pool must reproduce the serial driver's output."""
 
     def test_programs_are_picklable(self, batch):
         assert pickle.loads(pickle.dumps(batch[0])) == batch[0]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pool_matches_serial(self, weather, batch, executor):
         serial = consolidate_all(batch, weather.functions)
         pooled = consolidate_all(
-            batch,
-            weather.functions,
-            config=ExecutionConfig(executor=executor, max_workers=2),
+            batch, weather.functions, config=ExecutionConfig(executor=executor)
         )
         assert pooled.executor == executor
         assert pooled.program == serial.program
@@ -85,10 +95,40 @@ class TestExecutors:
 
     def test_executor_recorded_in_report(self, weather, batch):
         report = consolidate_all(
-            batch, weather.functions, config=ExecutionConfig(executor="thread")
+            batch, weather.functions, config=ExecutionConfig(executor="process")
         )
-        assert report.executor == "thread"
+        assert report.executor == "process"
         assert report.max_workers >= 1
+
+    @pytest.mark.parametrize(
+        "executor, planner, order, cpus, expected",
+        [
+            ("process", "related", "clustered", 1, 1),
+            ("process", "related", "clustered", 2, 2),
+            # Six programs: the widest level has three pairs.
+            ("process", "related", "clustered", 64, 3),
+            ("process", "related", "clustered", None, 1),
+            # One pair per level never starts a pool.
+            ("process", "related", "fold", 64, 1),
+            # Calibrated levels run in-process.
+            ("process", "calibrated", "clustered", 64, 1),
+            ("serial", "related", "clustered", 64, 1),
+        ],
+    )
+    def test_pool_size_is_cores_capped_by_pairs(
+        self, weather, batch, monkeypatch, executor, planner, order, cpus, expected
+    ):
+        serial = consolidate_all(
+            batch, weather.functions, order=order,
+            config=ExecutionConfig(planner=planner),
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = consolidate_all(
+            batch, weather.functions, order=order,
+            config=ExecutionConfig(executor=executor, planner=planner),
+        )
+        assert report.max_workers == expected
+        assert report.program == serial.program
 
     def test_unknown_executor_rejected(self):
         # ExecutionConfig owns the check; consolidate_all has no executor
@@ -96,13 +136,8 @@ class TestExecutors:
         with pytest.raises(ValueError, match="executor"):
             ExecutionConfig(executor="gpu")
 
-    def test_config_supplies_executor(self, weather, batch):
-        cfg = ExecutionConfig(executor="thread", max_workers=2)
-        report = consolidate_all(batch, weather.functions, config=cfg)
-        assert report.executor == "thread"
-
     def test_end_to_end_process_executor(self, weather, batch):
-        cfg = ExecutionConfig(executor="process", max_workers=2)
+        cfg = ExecutionConfig(executor="process")
         serial, _ = run_where_consolidated(
             weather.rows[:60], batch, weather.functions
         )
@@ -173,11 +208,11 @@ class TestExecutorBackendMatrix:
     def reference(self, weather, batch):
         return run_where_consolidated(weather.rows[:40], batch, weather.functions)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("backend", ["interp", "compiled", "vectorized"])
     def test_consolidated_parity(self, weather, batch, reference, executor, backend):
         baseline, _ = reference
-        cfg = ExecutionConfig(executor=executor, backend=backend, max_workers=2)
+        cfg = ExecutionConfig(executor=executor, backend=backend)
         result, report = run_where_consolidated(
             weather.rows[:40], batch, weather.functions, config=cfg
         )

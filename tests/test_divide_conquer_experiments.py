@@ -1,6 +1,7 @@
 """Tests for the n-UDF driver and the experiment harnesses."""
 
 import ast
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -79,23 +80,22 @@ class TestDivideConquer:
     def test_parallel_matches_serial(self):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(6)]
         serial = consolidate_all(programs, FT)
-        parallel = consolidate_all(
-            programs, FT, config=ExecutionConfig(executor="thread", max_workers=3)
-        )
+        parallel = consolidate_all(programs, FT, config=ExecutionConfig(executor="process"))
         assert serial.program == parallel.program
         assert serial.pair_consolidations == parallel.pair_consolidations == 5
         assert serial.tree_depth == parallel.tree_depth
 
-    def test_report_records_pool_configuration(self):
+    def test_report_records_pool_configuration(self, monkeypatch):
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(4)]
-        serial = consolidate_all(
-            programs, FT, config=ExecutionConfig(executor="serial", max_workers=8)
-        )
+        serial = consolidate_all(programs, FT, config=ExecutionConfig(executor="serial"))
         assert (serial.executor, serial.max_workers) == ("serial", 1)
-        parallel = consolidate_all(
-            programs, FT, config=ExecutionConfig(executor="thread", max_workers=2)
-        )
-        assert (parallel.executor, parallel.max_workers) == ("thread", 2)
+        # The pool is min(cores, pairs in the widest level): two pairs of four.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        parallel = consolidate_all(programs, FT, config=ExecutionConfig(executor="process"))
+        assert (parallel.executor, parallel.max_workers) == ("process", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        single = consolidate_all(programs, FT, config=ExecutionConfig(executor="process"))
+        assert (single.executor, single.max_workers) == ("process", 1)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ class TestPairAccount:
                 programs,
                 dataset.functions,
                 options=options,
-                config=ExecutionConfig(executor=executor, max_workers=2, provenance=True),
+                config=ExecutionConfig(executor=executor, provenance=True),
             )
             assert not report.degraded, (executor, report.skipped_pairs, report.degradations)
             return (
@@ -137,7 +137,6 @@ class TestPairAccount:
 
         serial = account("serial")
         assert serial[2:5] == (7, 7, 7) and serial[0]["entail_queries"] > 0
-        assert account("thread") == serial
         assert account("process") == serial
 
     def test_every_view_lines_up_with_the_records(self, weather):

@@ -6,9 +6,8 @@ to one level loop over a pairing policy (and regenerated, α-equivalent,
 when locals stopped being re-prefixed per level).  Every row is replayed through the
 current driver and must come out byte for byte: the merged program's text,
 the pair count and depth, the merge tree's shape and the calibrated
-planner's decisions.  The ``related`` rows are replayed on all three
-executors — pairing and merge order inside a level may not depend on which
-one runs them.
+planner's decisions.  Every row is replayed on both executors — pairing
+and merge order inside a level may not depend on which one runs them.
 """
 
 import importlib.util
@@ -35,20 +34,18 @@ def batches():
 
 def _replays():
     for row in GOLDEN["plans"]:
-        # Calibrated levels run in-process whatever the executor, so one
-        # executor covers them.
-        executors = ("serial", "thread", "process") if row["planner"] == "related" else ("serial",)
-        for executor in executors:
-            budget = row["smt_budget_seconds"]
+        # Calibrated levels run in-process whatever the executor; their
+        # process replay pins that configuring a pool changes no decision.
+        for executor in ("serial", "process"):
             name = f"{row['domain']}-{row['order']}-{row['planner']}"
-            yield pytest.param(
-                row, executor, id=f"{name}{'' if budget is None else '-budget0'}-{executor}"
-            )
+            yield pytest.param(row, executor, id=f"{name}-{executor}")
 
 
 def test_golden_file_covers_the_matrix():
     assert GOLDEN["families"] == gen.MIXED_FAMILY
-    assert len(GOLDEN["plans"]) == len(gen.MIXED_FAMILY) * (len(gen.ORDERS) + 4)
+    assert len(GOLDEN["plans"]) == len(gen.MIXED_FAMILY) * (
+        len(gen.ORDERS) + len(gen.TREE_ORDERS)
+    )
     assert any(
         not merged for row in GOLDEN["plans"] for _, _, merged, _ in row["planner_decisions"]
     ), "no golden row exercises a planner skip"
@@ -62,7 +59,6 @@ def test_plan_replays_byte_for_byte(batches, row, executor):
         functions,
         row["order"],
         row["planner"],
-        row["smt_budget_seconds"],
         executor=executor,
     )
     for key in RECORDED:

@@ -261,7 +261,7 @@ def test_merged_batch_is_equal_under_serial_and_process():
     batch = DOMAIN_QUERIES["weather"].make_batch(weather, "Q1", 6, 0)
     serial = consolidate_all(batch, weather.functions)
     pooled = consolidate_all(
-        batch, weather.functions, config=ExecutionConfig(executor="process", max_workers=2)
+        batch, weather.functions, config=ExecutionConfig(executor="process")
     )
     assert pooled.executor == "process"
     assert pooled.program == serial.program

@@ -462,19 +462,23 @@ class TestPlannerEndToEnd:
         assert report.planner == "related"
         assert report.planner_decisions == []
 
-    def test_smt_budget_zero_demotes_all_merges(self, weather):
+    def test_no_smt_options_merge_without_the_solver(self, weather):
+        from repro.consolidation import ConsolidationOptions
+
         programs = DOMAIN_QUERIES["weather"].make_batch(
             weather, "Mix", n=8, seed=2
         )
         report = consolidate_all(
             programs,
             weather.functions,
-            config=ExecutionConfig(planner="calibrated", smt_budget_seconds=0.0),
+            options=ConsolidationOptions(use_smt=False),
+            config=ExecutionConfig(planner="calibrated"),
         )
         merges = [d for d in report.planner_decisions if d["merged"]]
         assert merges
         assert all(not d["used_smt"] for d in merges)
-        # A demoted merge is still a sound merge.
+        assert report.solver_stats["checks"] == 0
+        # A syntactic-only merge is still a sound merge.
         rows = list(weather.rows[:40])
         many = run_where_many(rows, programs, weather.functions)
         cfg = ExecutionConfig()
@@ -560,8 +564,6 @@ class TestPlannerEndToEnd:
         assert PLANNERS == ("related", "calibrated")
         with pytest.raises(ValueError):
             ExecutionConfig(planner="bogus")
-        with pytest.raises(ValueError):
-            ExecutionConfig(smt_budget_seconds=-1.0)
 
     @pytest.mark.parametrize("order", ["fold", "priority"])
     def test_calibrated_planner_rejects_fold_orders(self, weather, order):

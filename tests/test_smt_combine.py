@@ -174,7 +174,7 @@ class TestTheoryMemoIsBounded:
         assert len(combine._CHECK_CACHE) == cap
 
     def test_thread_workers_share_it_safely(self, monkeypatch):
-        """``executor="thread"`` workers hit, refresh and evict concurrently."""
+        """Threads (the service's request threads) hit, refresh and evict concurrently."""
 
         import sys
         import threading

@@ -479,7 +479,7 @@ def test_candidate_pair_cut_is_the_same_under_two_hash_seeds():
     assert seen[0] == seen[1], "which pairs survive the cut depends on PYTHONHASHSEED"
 
 
-# -- one solver shared by sixteen threads (executor="thread") ----------------------
+# -- one solver shared by sixteen threads (e.g. the service's request threads) ----
 
 
 def test_sixteen_threads_share_one_solver(fresh_memo):

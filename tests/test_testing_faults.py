@@ -180,7 +180,7 @@ class TestWorkerDeath:
             report = consolidate_all(
                 list(PROGRAMS),
                 WEATHER.functions,
-                config=ExecutionConfig(executor="process", max_workers=2),
+                config=ExecutionConfig(executor="process"),
             )
         assert report.degradations, "the broken pool must be recorded"
         assert any("process pool failed" in d for d in report.degradations)

@@ -52,6 +52,33 @@ def test_battery_deadline_checked_between_stages():
     assert complete.report is not None
 
 
+def test_battery_cross_checks_serial_against_process(monkeypatch):
+    """The executor oracle runs only when two executors are named; serial
+    and process must then agree on every generated batch."""
+
+    from repro.testing import oracles
+    from repro.testing.generator import case_inputs, generate_case, schema_dataset
+
+    seen = []
+    real = oracles.consolidate_all
+
+    def spy(*args, config=None, **kwargs):
+        seen.append(config.executor if config else "serial")
+        return real(*args, config=config, **kwargs)
+
+    monkeypatch.setattr(oracles, "consolidate_all", spy)
+    dataset = schema_dataset("weather")
+    inputs = case_inputs("weather")
+    for seed in range(3):
+        programs = generate_case(seed, "weather", 3)
+        result = oracles.run_battery(
+            programs, dataset, inputs=inputs, executors=("serial", "process"),
+            check_validator=False,
+        )
+        assert result.ok, [str(d) for d in result.discrepancies]
+    assert seen.count("process") == 3
+
+
 def test_fuzz_timed_out_case_not_counted():
     """A case whose battery is cut off mid-way does not count as run."""
 

@@ -6,18 +6,18 @@ compares byte for byte.  The file was generated at the commit *before* the
 driver was collapsed to one level loop (PR 14), so it pins that rewrite —
 and any later one — to the pairing decisions, merge order and merged
 programs of the forked driver it replaced.
-It was regenerated once since, when a leaf's locals came to be qualified
-once instead of re-prefixed at every tree level: only the spelling of the
+It was regenerated twice since: when a leaf's locals came to be qualified
+once instead of re-prefixed at every tree level (only the spelling of the
 locals changed — with locals α-renamed, every plan and incremental step
-equals the one it replaced.
+equals the one it replaced), and when the SMT budget went (its
+``smt_budget_seconds=0`` rows and key were dropped; every other row is
+unchanged).
 
 Per domain, one mixed family at n=8 is consolidated under
 
 * ``order`` ∈ {clustered, tree, fold, priority} with the ``related`` planner;
 * ``order`` ∈ {clustered, tree} with the ``calibrated`` planner on the
-  static-prior ``uniform()`` model, unbudgeted and with
-  ``smt_budget_seconds=0`` (any positive budget would make the
-  ``use_smt`` demotion depend on the clock);
+  static-prior ``uniform()`` model;
 
 and one add/remove script runs through ``repro.consolidation.incremental``.
 Every recorded field is a pure function of the inputs: program text, pair
@@ -60,10 +60,8 @@ MIXED_FAMILY = {
 N_UDFS = 8
 BATCH_SEED = 3
 ORDERS = ("clustered", "tree", "fold", "priority")
-# (planner, smt_budget_seconds) per order kind; the calibrated planner
-# applies to the tree orders only.
-RELATED = [("related", None)]
-CALIBRATED = [("calibrated", None), ("calibrated", 0.0)]
+# The calibrated planner applies to the tree orders only.
+TREE_ORDERS = ("clustered", "tree")
 
 
 def batches() -> dict:
@@ -88,15 +86,13 @@ def priority_of(programs) -> list:
     return [programs[-1].pid, programs[2].pid]
 
 
-def plan_record(programs, functions, order, planner, budget, executor="serial") -> dict:
+def plan_record(programs, functions, order, planner, executor="serial") -> dict:
     """Consolidate one batch and project the report onto its plan."""
 
     config = ExecutionConfig(
         executor=executor,
-        max_workers=3,
         planner=planner,
         calibration=CalibratedCostModel.uniform() if planner == "calibrated" else None,
-        smt_budget_seconds=budget,
     )
     report = consolidate_all(
         list(programs),
@@ -157,15 +153,14 @@ def build() -> dict:
     incremental = {}
     for domain, (programs, functions) in batches().items():
         for order in ORDERS:
-            variants = RELATED + (CALIBRATED if order in ("clustered", "tree") else [])
-            for planner, budget in variants:
+            planners = ("related", "calibrated") if order in TREE_ORDERS else ("related",)
+            for planner in planners:
                 plans.append(
                     {
                         "domain": domain,
                         "order": order,
                         "planner": planner,
-                        "smt_budget_seconds": budget,
-                        **plan_record(programs, functions, order, planner, budget),
+                        **plan_record(programs, functions, order, planner),
                     }
                 )
         incremental[domain] = incremental_record(programs, functions)
