@@ -8,16 +8,13 @@
   the vectorizability shape classifier.
 """
 
-from .affine import AffineState, affine_loop_invariant
 from .costmodel import expr_cost, stmt_cost_bounds
 from .invariants import loop_invariant, stable_conjuncts
 from .prefilter import (
     PREFILTER_PID,
     SHAPES,
     Prefilter,
-    PrefilterGuard,
     classify_shape,
-    compile_prefilter,
     make_guard,
     synthesize_prefilter,
 )
@@ -25,8 +22,6 @@ from .related import comparison_subjects, expr_features, related
 from .sp import SpEngine
 
 __all__ = [
-    "AffineState",
-    "affine_loop_invariant",
     "expr_cost",
     "stmt_cost_bounds",
     "loop_invariant",
@@ -34,9 +29,7 @@ __all__ = [
     "PREFILTER_PID",
     "SHAPES",
     "Prefilter",
-    "PrefilterGuard",
     "classify_shape",
-    "compile_prefilter",
     "make_guard",
     "synthesize_prefilter",
     "comparison_subjects",

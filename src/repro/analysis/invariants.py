@@ -175,23 +175,14 @@ def loop_invariant(
     psi: Formula,
     conds: list[Expr],
     body: Stmt,
-    mode: str = "probe",
 ) -> Formula:
     """Infer an inductive invariant of ``while (/\\ conds) do body`` from ``psi``.
 
-    ``mode`` selects the equality-candidate generator:
-
-    * ``'probe'`` — SMT-entailed pairwise differences (guess-and-check);
-    * ``'karr'``  — the affine-equality abstract domain
-      (:mod:`repro.analysis.affine`);
-    * ``'both'``  — the union of the two.
-
-    Candidates from every mode go through the same SMT inductiveness check,
-    so the choice affects completeness/cost, never soundness.
+    Candidates are SMT-entailed pairwise differences and guard bounds
+    (guess-and-check); only those the solver re-proves through the body
+    are kept, so a missed candidate costs completeness, never soundness.
     """
 
-    if mode not in ("probe", "karr", "both"):
-        raise ValueError(f"unknown invariant mode {mode!r}")
     modified = assigned_vars(body)
     stable = stable_conjuncts(psi, modified)
 
@@ -199,23 +190,14 @@ def loop_invariant(
     syms = _candidate_syms(engine, body, conds)
     pool = _program_constants(body, conds)
     candidates: list[Formula] = []
-    if mode in ("probe", "both"):
-        for u, v in _candidate_pairs(engine, syms, conds, body):
-            for c in pool:
-                cand = eq_f(t_sub(u, v), Num(c))
-                if cand == TRUE_F:
-                    break
-                if solver.entails(cone_of_influence(psi, cand), cand):
-                    candidates.append(cand)
-                    break
-    if mode in ("karr", "both"):
-        from .affine import affine_loop_invariant
-
-        karr = affine_loop_invariant(engine, psi, body)
-        karr_parts = karr.args if isinstance(karr, FAnd) else (karr,)
-        for part in karr_parts:
-            if part != TRUE_F and part not in candidates:
-                candidates.append(part)
+    for u, v in _candidate_pairs(engine, syms, conds, body):
+        for c in pool:
+            cand = eq_f(t_sub(u, v), Num(c))
+            if cand == TRUE_F:
+                break
+            if solver.entails(cone_of_influence(psi, cand), cand):
+                candidates.append(cand)
+                break
 
     # Bound candidates ``u <= c`` / ``c <= u`` for guard variables: these
     # are what lets Loop 3 conclude that the longer loop's guard is still

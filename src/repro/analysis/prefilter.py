@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from ..lang.ast import (
     Arg,
@@ -82,10 +82,11 @@ from ..lang.ast import (
     While,
 )
 from ..lang.builder import conj, disj
-from ..lang.compile import DEFAULT_BACKEND, make_runner
+from ..lang.compile import DEFAULT_BACKEND
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 from ..lang.printer import expr_to_str
+from ..lang.vectorize import VectorizedProgram, vectorize_cached
 from ..lang.visitors import assigned_vars, expr_size
 from ..smt.solver import Solver
 from ..smt.terms import Formula, fand, fnot
@@ -104,10 +105,8 @@ __all__ = [
     "PREFILTER_PID",
     "MAX_PHI_SIZE",
     "Prefilter",
-    "PrefilterGuard",
     "classify_shape",
     "synthesize_prefilter",
-    "compile_prefilter",
     "make_guard",
     "prefilter_program",
 ]
@@ -641,39 +640,12 @@ def _certify(
 # ---------------------------------------------------------------------------
 
 
-class PrefilterGuard:
-    """A compiled prefilter: callable ``args -> (passes, charged_cost)``.
-
-    Any runtime error inside the guard (e.g. a fuzzed UDF whose filter
-    expression type-errors on an unusual row) fails *open*: the record is
-    passed through to the full UDF, preserving behaviour exactly.
-    """
-
-    __slots__ = ("prefilter", "_runner")
-
-    def __init__(
-        self,
-        prefilter: Prefilter,
-        runner: Callable[[Mapping[str, Any]], Any],
-    ) -> None:
-        self.prefilter = prefilter
-        self._runner = runner
-
-    def __call__(self, args: Mapping[str, Any]) -> tuple[bool, int]:
-        try:
-            result = self._runner(args)
-        except Exception:  # noqa: BLE001 - fail open: run the full UDF
-            return True, 0
-        return bool(result.notification(PREFILTER_PID)), int(result.cost)
-
-
 def prefilter_program(prefilter: Prefilter, program: Program) -> Program:
     """Wrap ``phi`` as a one-statement program broadcasting on the
     reserved :data:`PREFILTER_PID` channel.
 
-    Shared by :func:`compile_prefilter` (per-record guards) and the
-    vectorized Where operators, which run the same wrapper program as a
-    whole-column mask kernel compacting batches before the UDF kernels.
+    The Where operators run it as a whole-column mask compacting each batch
+    before the UDF runs; the soundness oracle runs it per record.
     """
 
     return Program(
@@ -681,34 +653,6 @@ def prefilter_program(prefilter: Prefilter, program: Program) -> Program:
         params=program.params,
         body=Notify(PREFILTER_PID, prefilter.phi),
     )
-
-
-def compile_prefilter(
-    prefilter: Prefilter,
-    program: Program,
-    functions: FunctionTable,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    *,
-    backend: str = DEFAULT_BACKEND,
-    telemetry: Telemetry = NULL_TELEMETRY,
-) -> Optional[PrefilterGuard]:
-    """Compile ``phi`` through the normal UDF backend, or None if trivial.
-
-    The filter rides the existing compile cache, cost model and backend
-    selection unchanged (see :func:`prefilter_program`).
-    """
-
-    if prefilter.trivial:
-        return None
-    wrapper = prefilter_program(prefilter, program)
-    runner = make_runner(
-        wrapper,
-        functions,
-        cost_model,
-        backend=backend,
-        telemetry=telemetry,
-    )
-    return PrefilterGuard(prefilter, runner)
 
 
 def make_guard(
@@ -719,26 +663,24 @@ def make_guard(
     backend: str = DEFAULT_BACKEND,
     telemetry: Telemetry = NULL_TELEMETRY,
     prefilter: Optional[Prefilter] = None,
-) -> Optional[PrefilterGuard]:
-    """Synthesize (unless given) and compile a guard; None when trivial.
+) -> Optional[VectorizedProgram]:
+    """Synthesize φ (unless given) and lower its :func:`prefilter_program`.
 
-    This is the operator-facing entry point: it never raises, returning
-    None — "no guard, run everything" — on any failure.
+    The guard is the wrapper's execution ladder, lowered through the UDF
+    lowering cache with the run's backend.  This is the operator-facing
+    entry point: it never raises, returning None — "no guard, run
+    everything" — when φ is trivial or anything fails.
     """
 
     try:
         pre = prefilter
         if pre is None:
-            pre = synthesize_prefilter(
-                program, functions, cost_model, telemetry=telemetry
-            )
-        return compile_prefilter(
-            pre,
-            program,
-            functions,
-            cost_model,
-            backend=backend,
-                telemetry=telemetry,
+            pre = synthesize_prefilter(program, functions, cost_model, telemetry=telemetry)
+        if pre.trivial:
+            return None
+        return vectorize_cached(
+            prefilter_program(pre, program), functions, cost_model,
+            backend=backend, telemetry=telemetry,
         )
     except Exception:  # noqa: BLE001 - no guard is always sound
         return None

@@ -90,7 +90,7 @@ def _delta_of_assign(var: str, expr: Expr, v: str):
     return _UNKNOWN
 
 
-def _net_deltas(s: Stmt, v: str) -> set:
+def _net_deltas(s: Stmt, v: str) -> set[object]:
     """Possible net changes to ``v`` across one execution of ``s``.
 
     The set is capped: once it contains _UNKNOWN or grows past a handful

@@ -115,7 +115,7 @@ class IntervalConstDomain(Domain[StaticEnv]):
 class AssignedState:
     """``assigned`` = locals written on *every* path reaching this point."""
 
-    assigned: frozenset
+    assigned: frozenset[str]
     reachable: bool = True
 
 
@@ -174,7 +174,7 @@ class NotifyCounts:
     and saturation is what makes loop fixpoints converge.
     """
 
-    counts: tuple  # sorted tuple of (pid, lo, hi)
+    counts: tuple[tuple[str, int, int], ...]  # sorted by pid
     reachable: bool = True
 
     @staticmethod

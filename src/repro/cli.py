@@ -106,8 +106,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
-from .config import EXECUTORS, ExecutionConfig
+from .config import EXECUTORS, ExecutionConfig, ServiceConfig
 from .consolidation import ConsolidationOptions, check_soundness, consolidate_all
 from .lang import FunctionTable, parse_program, program_to_str
 from .lang.compile import BACKENDS, DEFAULT_BACKEND, make_runner
@@ -155,6 +156,35 @@ def _executor_list(text: str) -> tuple[str, ...]:
                 f"invalid executor {name!r} (choose from {', '.join(EXECUTORS)})"
             )
     return names
+
+
+def _sweep(text: str) -> tuple[int, ...]:
+    """``--sweep``: comma-separated positive batch sizes."""
+
+    try:
+        points = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        points = ()
+    if not points or min(points) < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid sweep {text!r} (comma-separated positive integers)"
+        )
+    return points
+
+
+def _service_field(name: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A ``serve`` flag's ``type=``: ``convert``, then ``ServiceConfig``'s own
+    check of field ``name``, so a bad value is a usage error."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            ServiceConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _domain_dataset(name: str | None):
@@ -438,9 +468,8 @@ def cmd_figure10(args) -> int:
 
     from .experiments import render_figure10, run_figure10
 
-    sweep = tuple(int(x) for x in args.sweep.split(","))
     report = run_figure10(
-        sweep=sweep,
+        sweep=args.sweep,
         articles=args.articles,
         seed=args.seed,
         config=_config_from_args(args),
@@ -630,7 +659,6 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .config import ServiceConfig
     from .service import serve
 
     dataset = _domain_dataset(args.domain)
@@ -819,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_figure9)
 
     p = sub.add_parser("figure10", help="regenerate Figure 10", parents=[common])
-    p.add_argument("--sweep", default="10,25,50,100")
+    p.add_argument("--sweep", type=_sweep, default="10,25,50,100")
     p.add_argument("--articles", type=int, default=400)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_figure10)
@@ -978,14 +1006,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rebalance-factor",
-        type=float,
+        type=_service_field("rebalance_factor", float),
         default=2.0,
         help="rebuild the merge tree when its depth exceeds this multiple "
         "of the balanced depth (default: %(default)s)",
     )
     p.add_argument(
         "--plan-cache-size",
-        type=int,
+        type=_service_field("plan_cache_size", int),
         default=128,
         help="retained consolidated plans, LRU-evicted (0 disables)",
     )

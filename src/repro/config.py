@@ -24,6 +24,7 @@ reports into (default: the no-op ``NULL_TELEMETRY``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -163,7 +164,7 @@ class ServiceConfig:
         Incremental adds graft at the root and slowly grow a spine; when
         the tree's depth exceeds ``rebalance_factor × ⌈log₂ n⌉ + 1`` the
         registry rebuilds the balanced tree instead (a recorded rebuild,
-        not a failure).  Must be ≥ 1.0.
+        not a failure).  Must be finite and ≥ 1.0.
     ``plan_cache_size``
         Maximum retained consolidated plans, evicted least-recently-used.
         0 disables the cache.
@@ -187,9 +188,10 @@ class ServiceConfig:
                 f"port must be an integer in 0..65535 (0 = ephemeral), "
                 f"got {self.port!r}"
             )
-        if self.rebalance_factor < 1.0:
+        # Written so NaN fails too: a NaN factor never trips a rebalance.
+        if not 1.0 <= self.rebalance_factor < math.inf:
             raise ValueError(
-                f"rebalance_factor must be a float >= 1.0, got "
+                f"rebalance_factor must be a finite float >= 1.0, got "
                 f"{self.rebalance_factor!r}"
             )
         if self.plan_cache_size < 0:

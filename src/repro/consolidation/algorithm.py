@@ -112,7 +112,6 @@ class ConsolidationOptions:
     enable_loop_rules: bool = True
     use_smt: bool = True
     max_embed_size: int = 160
-    invariant_engine: str = "probe"  # 'probe' | 'karr' | 'both'
     static_validate: bool = False
 
     def __post_init__(self) -> None:
@@ -529,14 +528,7 @@ class Consolidator:
         e1, s1 = w1.cond, w1.body
         e2, s2 = w2.cond, w2.body
         merged_body = seq(s1, s2)
-        psi1 = loop_invariant(
-            ctx.engine,
-            ctx.solver,
-            ctx.psi,
-            [e1, e2],
-            merged_body,
-            mode=self.options.invariant_engine,
-        )
+        psi1 = loop_invariant(ctx.engine, ctx.solver, ctx.psi, [e1, e2], merged_body)
         enc1 = ctx.engine.encode_bool(e1)
         enc2 = ctx.engine.encode_bool(e2)
         if enc1 is None or enc2 is None:

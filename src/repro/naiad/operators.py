@@ -35,13 +35,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ..analysis.prefilter import (
-    PREFILTER_PID,
-    Prefilter,
-    PrefilterGuard,
-    make_guard,
-    prefilter_program,
-)
+from ..analysis.prefilter import PREFILTER_PID, Prefilter, make_guard
 from ..lang.ast import Program
 from ..lang.compile import DEFAULT_BACKEND
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -63,14 +57,6 @@ __all__ = [
 ]
 
 
-def _bind_args(program: Program, record: Any) -> dict[str, Any]:
-    """Bind a record to a single-parameter UDF (the row handle)."""
-
-    if len(program.params) != 1:
-        raise ValueError(f"UDF {program.pid} must take exactly the row handle")
-    return {program.params[0]: record}
-
-
 class _Unit(NamedTuple):
     """One UDF held by a :class:`_UdfOperator`, lowered once at construction."""
 
@@ -81,10 +67,8 @@ class _Unit(NamedTuple):
     pids: tuple[str, ...]
     #: The program's execution ladder, entered where ``backend=`` says.
     plan: VectorizedProgram
-    #: Prefilter guard (None = run the UDF on every record).
-    guard: Optional[PrefilterGuard]
-    #: The batch form of ``guard`` (None = evaluate it per row).
-    vguard: Optional[VectorizedProgram]
+    #: The φ wrapper's ladder (None = run the UDF on every record).
+    guard: Optional[VectorizedProgram]
 
 
 def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> Iterable[Any]:
@@ -113,6 +97,16 @@ def _scan(pid: str, records: Sequence[Any], mask: list[bool], values: list[Any])
             raise KeyError(pid)
         if value:
             yield record
+
+
+def _guard_row(run: Callable[[Mapping[str, Any]], Any], args: dict[str, Any]) -> tuple[bool, int]:
+    """One record's φ verdict and charged cost; a φ that raises passes, free."""
+
+    try:
+        result = run(args)
+    except Exception:  # noqa: BLE001 - fail open: run the full UDF
+        return True, 0
+    return bool(result.notification(PREFILTER_PID)), result.cost
 
 
 class _UdfOperator(Vertex):
@@ -162,45 +156,13 @@ class _UdfOperator(Vertex):
                 program, functions, cost_model,
                 backend=backend, telemetry=telemetry, profiler=profiler,
             )
-            guard = vguard = None
+            guard = None
             if prefilter:
                 guard = make_guard(
                     program, functions, cost_model, backend=backend, telemetry=telemetry,
                     prefilter=prefilter if isinstance(prefilter, Prefilter) else None,
                 )
-            if guard is not None:
-                vguard = self._vector_guard(guard, program, functions, cost_model, backend)
-            self.units.append(_Unit(program, tuple(pids), plan, guard, vguard))
-
-    def _vector_guard(
-        self,
-        guard: PrefilterGuard,
-        program: Program,
-        functions: FunctionTable,
-        cost_model: CostModel,
-        backend: str,
-    ) -> Optional[VectorizedProgram]:
-        """The batch form of a prefilter guard (None = use per-row)."""
-
-        try:
-            wrapper = prefilter_program(guard.prefilter, program)
-            vg = vectorize_cached(
-                wrapper, functions, cost_model, backend=backend, telemetry=self._telemetry
-            )
-            return vg if vg.vectorized else None
-        except Exception:  # noqa: BLE001 - the per-row guard still applies
-            return None
-
-    def _reject(self, guard: PrefilterGuard, args: Mapping[str, Any], worker: Worker) -> bool:
-        """Evaluate ``guard``; True when the record is provably a no-op."""
-
-        passes, cost = guard(args)
-        self._pre_checked += 1
-        worker.charge_udf(cost)
-        if passes:
-            return False
-        self._pre_rejected += 1
-        return True
+            self.units.append(_Unit(program, tuple(pids), plan, guard))
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         self._pending.setdefault(worker.index, []).append(record)
@@ -239,40 +201,25 @@ class _UdfOperator(Vertex):
             self._pre_rejected = 0
 
     def _apply_guard(self, unit: _Unit, records: list[Any], worker: Worker) -> list[Any]:
-        """φ as a batch-compacting mask, with the row guard's exact books.
+        """φ as a batch-compacting mask that fails open.
 
-        The vectorized φ wrapper runs over the whole batch; any problem
-        (kernel degrade *and* fallback error alike) re-runs the guard
-        per row through :class:`PrefilterGuard`, whose fail-open contract
-        then applies record by record.  Checked/rejected counts and the
-        charged guard cost are identical either way.
+        The φ wrapper's ladder runs over the whole batch (a kernel that
+        raises has already degraded to its per-row rungs).  When the batch
+        still raises — some row's φ is a genuine error — the rows re-run
+        one by one through the row runner, and a row that raises passes,
+        charged nothing: a guard problem never changes a bucket.
         """
 
-        program, guard, vguard = unit.program, unit.guard, unit.vguard
+        guard = unit.guard
         if guard is None:
             return records
-        verdicts: Optional[list[tuple[bool, int]]] = None
-        if vguard is not None:
-            try:
-                batch = vguard.run_batch(
-                    columns_from_records(program, records), len(records)
-                )
-                verdicts = []
-                for i in range(len(records)):
-                    try:
-                        verdicts.append(
-                            (bool(batch.notification(PREFILTER_PID, i)), batch.costs[i])
-                        )
-                    except KeyError:
-                        verdicts.append((True, 0))  # fail open, like the row guard
-            except Exception:  # noqa: BLE001 - guard problems fail open per row
-                verdicts = None
-        if verdicts is None:
-            return [
-                record
-                for record in records
-                if not self._reject(guard, _bind_args(program, record), worker)
-            ]
+        columns = columns_from_records(unit.program, records)
+        try:
+            batch = guard.run_batch(columns, len(records))
+            verdicts = [(bool(v), c) for v, c in zip(batch.values[PREFILTER_PID], batch.costs)]
+        except Exception:  # noqa: BLE001 - guard problems fail open per row
+            run, param = guard.row_runner(), unit.program.params[0]
+            verdicts = [_guard_row(run, {param: record}) for record in records]
         keep = []
         for record, (passes, cost) in zip(records, verdicts):
             self._pre_checked += 1

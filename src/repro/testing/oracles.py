@@ -327,7 +327,7 @@ def _check_prefilter(
     never raise (degradation to ``phi = true`` is its only failure mode).
     """
 
-    from ..analysis.prefilter import compile_prefilter, synthesize_prefilter
+    from ..analysis.prefilter import PREFILTER_PID, prefilter_program, synthesize_prefilter
 
     interp = Interpreter(dataset.functions, cost_model)
     targets = list(programs)
@@ -336,7 +336,9 @@ def _check_prefilter(
     for program in targets:
         try:
             prefilter = synthesize_prefilter(program, dataset.functions, cost_model)
-            guard = compile_prefilter(prefilter, program, dataset.functions, cost_model)
+            guard = None if prefilter.trivial else make_runner(
+                prefilter_program(prefilter, program), dataset.functions, cost_model
+            )
         except Exception as exc:  # noqa: BLE001 - "never raises" is the contract
             out.append(
                 Discrepancy(
@@ -348,7 +350,10 @@ def _check_prefilter(
         if guard is None:
             continue
         for args in inputs:
-            passes, _cost = guard(args)
+            try:
+                passes = guard(args).notification(PREFILTER_PID)
+            except Exception:  # noqa: BLE001 - a guard that raises fails open
+                passes = True
             if passes:
                 continue
             try:

@@ -99,6 +99,21 @@ class TestExample6:
         assert solver.entails(inv, fiff(e1, e2))
 
 
+class TestGuardBounds:
+    def test_shorter_loop_exit_keeps_longer_guard_true(self, engine, solver):
+        """The Loop 3 premise: when ``i < 6`` fails, ``j < 10`` still holds."""
+
+        psi = entry_context(engine, [("i", 0), ("j", 0)])
+        body = block(assign("i", add(var("i"), 1)), assign("j", add(var("j"), 1)))
+        conds = [lt(var("i"), 6), lt(var("j"), 10)]
+        inv = loop_invariant(engine, solver, psi, conds, body)
+        from repro.smt import fnot
+
+        assert solver.entails(inv, le_f(var_sym("i"), Num(6)))
+        exit_first = fand(inv, fnot(lt_f(var_sym("i"), Num(6))))
+        assert solver.entails(exit_first, lt_f(var_sym("j"), Num(10)))
+
+
 class TestParallelAccumulators:
     def test_equal_sums_invariant(self, engine, solver):
         psi = entry_context(
@@ -140,6 +155,16 @@ class TestNoFalseInvariants:
         inv = loop_invariant(engine, solver, psi, conds, body)
         cand = eq_f(t_sub(var_sym("x"), var_sym("y")), Num(0))
         assert not solver.entails(inv, cand)
+
+    def test_call_result_not_related(self, engine, solver):
+        """y is overwritten by a library call — no difference to x is invariant."""
+
+        psi = entry_context(engine, [("x", 0), ("y", 0)])
+        body = block(assign("x", add(var("x"), 1)), assign("y", call("f", var("y"))))
+        conds = [lt(var("x"), 10), lt(var("y"), 10)]
+        inv = loop_invariant(engine, solver, psi, conds, body)
+        for c in range(-2, 3):
+            assert not solver.entails(inv, eq_f(t_sub(var_sym("x"), var_sym("y")), Num(c)))
 
     def test_stable_facts_survive(self, engine, solver):
         psi = entry_context(engine, [("k", 42), ("i", 0)])

@@ -207,6 +207,14 @@ def test_simplify_loop_bodies_option_is_gone():
 
     with pytest.raises(TypeError, match="unexpected keyword argument 'simplify_loop_bodies'"):
         ConsolidationOptions(simplify_loop_bodies=False)
+    # One loop-invariant engine: Karr's affine domain and its selector are gone.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'invariant_engine'"):
+        ConsolidationOptions(invariant_engine="probe")
+    with pytest.raises(ModuleNotFoundError):
+        import repro.analysis.affine  # noqa: F401
+    from repro.analysis.invariants import loop_invariant
+
+    assert "mode" not in inspect.signature(loop_invariant).parameters
 
 
 def test_service_config_validation_errors_enumerate_values():

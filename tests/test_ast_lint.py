@@ -21,11 +21,8 @@ LINT_ONLY = (
     "tools/ast_lint.py",
 )
 
-# Ratchet files ast_lint still has findings in (49 between them; ROADMAP item 6d).
+# Ratchet files ast_lint still has findings in (37 between them; ROADMAP item 6d).
 NOT_YET = (
-    "src/repro/analysis/affine.py",
-    "src/repro/analysis/static/costbound.py",
-    "src/repro/analysis/static/domains.py",
     "src/repro/analysis/static/lint.py",
     "src/repro/analysis/static/validate.py",
     "src/repro/analysis/static/values.py",

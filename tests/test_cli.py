@@ -229,6 +229,37 @@ class TestObservabilityFlags:
     def test_fuzz_executors_parse_to_a_tuple(self, argv, parsed):
         assert build_parser().parse_args(["fuzz", *argv]).executors == parsed
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--rebalance-factor", "0.5"], "finite float >= 1.0"),
+            (["serve", "--rebalance-factor", "nan"], "finite float >= 1.0"),
+            (["serve", "--rebalance-factor", "inf"], "finite float >= 1.0"),
+            (["serve", "--rebalance-factor", "x"], "could not convert"),
+            (["serve", "--plan-cache-size", "-1"], "integer >= 0"),
+            (["serve", "--plan-cache-size", "1.5"], "invalid literal"),
+            (["figure10", "--sweep", "10,x"], "invalid sweep '10,x'"),
+            (["figure10", "--sweep", "0,10"], "invalid sweep '0,10'"),
+            (["figure10", "--sweep", ""], "invalid sweep ''"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv, message):
+        # Parse only: a value that got through would start a server.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]}: error: argument {argv[1]}" in err
+        assert message in err
+
+    def test_good_values_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--rebalance-factor", "1", "--plan-cache-size", "0"]
+        )
+        assert (args.rebalance_factor, args.plan_cache_size) == (1.0, 0)
+        assert build_parser().parse_args(["figure10"]).sweep == (10, 25, 50, 100)
+        assert build_parser().parse_args(["figure10", "--sweep", "2,4"]).sweep == (2, 4)
+
 
 def _two_progs(tmp_path):
     a = tmp_path / "x.prog"

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.config import ExecutionConfig
+from repro.config import ExecutionConfig, ServiceConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang import parse_program
@@ -74,6 +74,19 @@ class TestExecutionConfig:
         )
         with pytest.raises(KeyError, match="monthly_avg_temp"):
             api.run(weather.rows[:5], [parse_program(PROGRAM_SRC)], consolidated=False)
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5])
+    def test_rebalance_factor_must_be_finite_and_at_least_one(self, factor):
+        # NaN compares false both ways: a ``< 1.0`` check let it through,
+        # and the registry's depth bound then never tripped a rebalance.
+        with pytest.raises(ValueError, match=r"finite float >= 1\.0"):
+            ServiceConfig(rebalance_factor=factor)
+
+    def test_rebalance_factor_bounds_accepted(self):
+        assert ServiceConfig(rebalance_factor=1.0).rebalance_factor == 1.0
+        assert ServiceConfig(plan_cache_size=0).plan_cache_size == 0
 
 
 class TestExecutors:

@@ -152,9 +152,9 @@ class TestOperators:
         assert totals == {"x": 1, "y": 3, "z": 1}
 
     def test_multi_param_udf_rejected_as_row_filter(self):
-        from repro.naiad.operators import Where, _bind_args
         from repro.lang import notify
+        from repro.lang.vectorize import VectorizeError
 
         bad = program("q", ("a", "b"), notify("q", True))
-        with pytest.raises(ValueError):
-            _bind_args(bad, 1)
+        with pytest.raises(VectorizeError, match="exactly the row handle"):
+            from_collection([1]).where(bad).run()

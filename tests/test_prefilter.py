@@ -8,8 +8,8 @@ from repro.analysis.prefilter import (
     PREFILTER_PID,
     SHAPES,
     classify_shape,
-    compile_prefilter,
     make_guard,
+    prefilter_program,
     synthesize_prefilter,
 )
 from repro.cli import main
@@ -33,6 +33,7 @@ from repro.lang.ast import (
     SKIP,
     seq,
 )
+from repro.lang.compile import make_runner
 from repro.lang.cost import DEFAULT_COST_MODEL
 from repro.lang.interp import Interpreter
 from repro.lang.printer import expr_to_str
@@ -161,10 +162,12 @@ class TestSynthesis:
 
     def test_unknown_function_fails_open_at_compile_time(self):
         # Synthesis may still prove a phi that mentions the unknown call
-        # (it is a sound uninterpreted term); the compiled guard then hits
-        # the interpreter fallback, which raises at call time — and the
-        # guard must swallow that and pass the record through unfiltered.
+        # (it is a sound uninterpreted term); the guard's batch and its
+        # per-row rungs then raise at call time — and the operator must
+        # swallow that and pass the record through unfiltered.
         from repro.lang.functions import FunctionTable
+        from repro.naiad.dataflow import RunMetrics, RunResult, Worker
+        from repro.naiad.operators import WhereConsolidated
 
         program = Program(
             pid="p",
@@ -174,24 +177,55 @@ class TestSynthesis:
         functions = FunctionTable()
         pre = synthesize_prefilter(program, functions)  # must not raise
         assert pre.pid == "p"
-        guard = make_guard(program, functions, prefilter=pre)
-        if guard is not None:
-            assert guard({"row": 0}) == (True, 0)  # fail open, charge nothing
+        vertex = WhereConsolidated(program, ["p"], functions, prefilter=pre)
+        unit = vertex.units[0]
+        assert unit.guard is not None
+        worker = Worker(0, RunResult(RunMetrics(), {}), 0)
+        assert vertex._apply_guard(unit, [0, 1], worker) == [0, 1]  # fail open
+        assert worker.udf_clock == 0  # charge nothing
+
+    def test_raising_row_passes_while_other_rows_are_filtered(self):
+        # One row's φ raises, so the batch falls back to per-row verdicts:
+        # that row passes uncharged, the others keep their own verdicts.
+        from repro.lang.functions import FunctionTable, LibraryFunction
+        from repro.naiad.dataflow import RunMetrics, RunResult, Worker
+        from repro.naiad.operators import WhereConsolidated
+
+        def g(x):
+            if x < 0:
+                raise ValueError("negative row")
+            return x
+
+        functions = FunctionTable([LibraryFunction("g", g, cost=7)])
+        program = Program(
+            pid="p",
+            params=("row",),
+            body=Notify("p", Cmp("<", IntConst(5), Call("g", (Arg("row"),)))),
+        )
+        vertex = WhereConsolidated(program, ["p"], functions, prefilter=True)
+        unit = vertex.units[0]
+        assert unit.guard is not None
+        worker = Worker(0, RunResult(RunMetrics(), {}), 0)
+        assert vertex._apply_guard(unit, [-1, 1, 10], worker) == [-1, 10]
+        run = unit.guard.row_runner()
+        assert worker.udf_clock == run({"row": 1}).cost + run({"row": 10}).cost
+        assert (vertex._pre_checked, vertex._pre_rejected) == (3, 1)
 
 
 class TestGuardSoundness:
     def test_rejected_rows_notify_nobody(self, dataset, batch):
         interp = Interpreter(dataset.functions, DEFAULT_COST_MODEL)
         for program in batch:
-            guard = make_guard(program, dataset.functions)
-            if guard is None:
+            pre = synthesize_prefilter(program, dataset.functions)
+            if pre.trivial:
                 continue
+            guard = make_runner(prefilter_program(pre, program), dataset.functions)
             rejected = 0
             for row in dataset.rows:
                 args = {program.params[0]: row}
-                passes, cost = guard(args)
-                assert cost > 0
-                if passes:
+                verdict = guard(args)
+                assert verdict.cost > 0
+                if verdict.notification(PREFILTER_PID):
                     continue
                 rejected += 1
                 result = interp.run(program, args)
@@ -206,12 +240,20 @@ class TestGuardSoundness:
             dataset.functions,
         )
         assert pre.trivial
-        assert compile_prefilter(pre, _guarded_notify("p", 1), dataset.functions) is None
+        assert make_guard(_guarded_notify("p", 1), dataset.functions, prefilter=pre) is None
 
     def test_guard_broadcasts_on_reserved_pid_only(self, dataset):
         guard = make_guard(_guarded_notify("p", 42), dataset.functions)
         assert guard is not None
         assert PREFILTER_PID.startswith("__")
+        rows = dataset.rows
+        result = guard.run_batch({"row": rows}, len(rows))
+        assert list(result.present) == [PREFILTER_PID]
+        # The batch verdicts are the per-record runner's, cost for cost.
+        run = make_runner(guard.program, dataset.functions)
+        expected = [run({"row": row}) for row in rows]
+        assert result.values[PREFILTER_PID] == [r.notification(PREFILTER_PID) for r in expected]
+        assert result.costs == [r.cost for r in expected]
 
 
 class TestOperators:
