@@ -105,7 +105,7 @@ from .telemetry import (
     prometheus_text,
 )
 
-__version__ = "5.0.0"
+__version__ = "5.1.0"
 
 # ``parse`` is the friendly alias for the concrete-syntax parser.
 parse = parse_program

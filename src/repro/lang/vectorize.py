@@ -14,20 +14,22 @@ enters the ladder below at its bottom rung):
   :class:`repro.lang.compile._Emitter` emits for the per-record closure,
   inside ``for <param slots> in <columns>:``.  ``if`` / ``while`` are
   native per-row control flow, locals are Python locals, sort checks, cost
-  folding, latency capture and the fuel ledger are the emitter's — there
-  is one translator from Figure-1 to Python, and :class:`_KernelEmitter`
-  overrides only the three places where a batch differs from a record:
-  prologue/epilogue, what a ``notify`` commits to, how a library function
-  is bound;
-* results are struct-of-arrays — plain Python lists, no numpy: a cost
-  column and per-pid ``present`` / ``values`` / latency columns.  A pid
-  every run broadcasts on exactly once, whatever its path, appends to its
-  columns and shares the batch's all-true ``full_mask``; any other pid
-  stores at the row index, behind an inline clash check when some path
-  may broadcast twice;
-* a program with no ``if`` / ``while`` has a compile-time-constant cost
-  and per-pid latency, so its kernel keeps no ``_cost`` books at all and
-  returns ``[K] * _n`` columns;
+  folding and the fuel ledger are the emitter's — there is one translator
+  from Figure-1 to Python, and :class:`_KernelEmitter` overrides only the
+  three places where a batch differs from a record: prologue/epilogue,
+  what a ``notify`` commits to, how a library function is bound;
+* the output is sparse, so a row's bookkeeping scales with what it
+  notifies, not with pids × rows: a cost column, and per pid a *hit list*
+  of the rows that broadcast ``true`` (a ``notify`` value is a checked
+  bool; a literal ``false`` emits nothing).  A pid some run may broadcast
+  on zero or several times also keeps a presence mask, behind an inline
+  clash check when some path may broadcast twice.  No latency is
+  captured: nothing on the dataflow path reads it, and the per-record
+  frame (``make_runner``) is where ``repro latency`` and the oracles
+  observe it;
+* a program with no ``if`` / ``while`` has a compile-time-constant cost,
+  so its kernel keeps no ``_cost`` books at all and returns a
+  ``[K] * _n`` cost column;
 * Python locals outlive a row, so a local that some path may read before
   *this* row assigned it (:func:`_row_facts`) is reset to
   ``_UNDEF`` at the top of every row and read through a check — without
@@ -47,13 +49,15 @@ limit).  Degradation is recorded (``BatchResult.fallback`` +
 ``vectorized_fallback*`` telemetry), never an error.
 
 The three-way differential oracle (:mod:`repro.testing.oracles`) holds
-the kernel to *identical* notifications, costs and latencies against the
-interpreter and the per-record closure on every fuzzed batch.
+the kernel to *identical* notifications and per-record costs against the
+interpreter on every fuzzed batch, and the per-record closure to
+identical latencies too.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from copy import copy
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
@@ -152,67 +156,47 @@ class _KernelEmitter(_Emitter):
         super().__init__(functions, cost_model)
         self.bindings["_UNDEF"] = _UNDEF
         self.undef = undef
-        self.static = False  # no If/While: cost and latencies are constants
-        # A pid every run broadcasts on exactly once has its columns
-        # appended to, row by row, and shares the batch's all-true mask.
-        # Any other is stored at the row index — behind a clash check when
-        # some path may broadcast twice.
-        # pid -> (column id, appends, may clash).
+        self.static = False  # no If/While: every row costs the same constant
+        # Every pid keeps a hit list: the rows that broadcast ``true`` on it.
+        # A pid some run may broadcast on zero or several times also keeps a
+        # presence mask — behind a clash check when some path may broadcast
+        # twice.  pid -> (column id, broadcast exactly once, may clash).
         self.pids = {
             pid: (k, lo == hi == 1, hi > 1)
             for k, (pid, (lo, hi)) in enumerate(notify_counts.items())
         }
-        self.latency: dict[int, int] = {}  # appended column id -> constant latency
 
     def bind_call(self, func: str, fn: Callable[..., object]) -> Callable[..., object]:
         # Unwrapped: whatever it raises abandons the batch anyway.
         return fn
 
-    def elapsed(self) -> str:
-        return str(self.pending) if self.static else super().elapsed()
-
     def commit_notify(self, pid: str, py: str, depth: int) -> None:
-        k, appends, clashes = self.pids[pid]
-        if appends:
-            self.emit(depth, f"_v{k}a({py})")
-            if self.static:
-                self.latency[k] = self.pending
-            else:
-                self.emit(depth, f"_l{k}a({self.elapsed()})")
-            return
-        if clashes:
-            self._check(
-                depth,
-                f"_p{k}[_i]",
-                "_NotificationClash",
-                f"duplicate notification for {pid!r}",
-            )
-        self.emit(depth, f"_p{k}[_i] = True")
-        self.emit(depth, f"_v{k}[_i] = {py}")
-        self.emit(depth, f"_l{k}[_i] = {self.elapsed()}")
+        # ``py`` is a checked bool, so only a ``true`` leaves a trace.
+        k, once, clashes = self.pids[pid]
+        if not once:
+            if clashes:
+                self._check(
+                    depth, f"_p{k}[_i]", "_NotificationClash", f"duplicate notification for {pid!r}"
+                )
+            self.emit(depth, f"_p{k}[_i] = True")
+        if py == "True":
+            self.emit(depth, f"_h{k}a(_i)")
+        elif py != "False":
+            self.emit(depth, f"if {py}: _h{k}a(_i)")
 
     def prologue(self, program: Program) -> int:
         self.static = not _contains(program.body, (If, While))
-        targets = [self.slot(p) for p in program.params]
-        sources = [f"_g{i}" for i in range(len(targets))]
-        self.emit(0, f"def _kern({', '.join(['_n', '_budget', *sources])}):")
+        targets = ["_i", *(self.slot(p) for p in program.params)]
+        sources = ["range(_n)", *(f"_g{i}" for i in range(len(program.params)))]
+        self.emit(0, f"def _kern({', '.join(['_n', '_budget', *sources[1:]])}):")
         if not self.static:
             self.emit(1, "_costs = []")
             self.emit(1, "_ca = _costs.append")
-        for k, appends, _ in self.pids.values():
-            if not appends:
+        for k, once, _ in self.pids.values():
+            if not once:
                 self.emit(1, f"_p{k} = [False] * _n")
-                self.emit(1, f"_v{k} = [False] * _n")
-                self.emit(1, f"_l{k} = [0] * _n")
-                continue
-            for col in (f"_v{k}",) if self.static else (f"_v{k}", f"_l{k}"):
-                self.emit(1, f"{col} = []")
-                self.emit(1, f"{col}a = {col}.append")
-        if not all(appends for _, appends, _ in self.pids.values()):
-            targets.insert(0, "_i")
-            sources.insert(0, "range(_n)")
-        if not targets:
-            targets, sources = ["_"], ["range(_n)"]
+            self.emit(1, f"_h{k} = []")
+            self.emit(1, f"_h{k}a = _h{k}.append")
         rows = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
         self.emit(1, f"for {', '.join(targets)} in {rows}:")
         if _contains(program.body, While):
@@ -231,96 +215,66 @@ class _KernelEmitter(_Emitter):
         else:
             self.emit(depth, f"_ca({self.elapsed()})")
         self.pending = 0
-        for k, latency in self.latency.items():
-            self.emit(1, f"_l{k} = [{latency}] * _n")
-        # One shared all-true mask for the appended pids (consumers
-        # identity-check it for the fast all-notified scan).
-        self.emit(1, "_full = [True] * _n")
-        present = ", ".join(
-            f"{pid!r}: {'_full' if appends else f'_p{k}'}"
-            for pid, (k, appends, _) in self.pids.items()
+        hits = ", ".join(f"{pid!r}: _h{k}" for pid, (k, _, _) in self.pids.items())
+        partial = ", ".join(
+            f"{pid!r}: _p{k}" for pid, (k, once, _) in self.pids.items() if not once
         )
-        values = ", ".join(f"{pid!r}: _v{k}" for pid, (k, _, _) in self.pids.items())
-        ncosts = ", ".join(f"{pid!r}: _l{k}" for pid, (k, _, _) in self.pids.items())
-        self.emit(1, f"return _costs, {{{present}}}, {{{values}}}, {{{ncosts}}}, _full")
+        self.emit(1, f"return _costs, {{{hits}}}, {{{partial}}}")
 
 
 # -- results ----------------------------------------------------------------
 
 
 class BatchResult:
-    """The outcome of one batch execution, column-oriented.
+    """The outcome of one batch execution: a cost per record, hits per pid.
 
-    Per record ``i``: ``costs[i]`` is the exact Figure-2 run cost,
-    ``present[pid][i]`` says whether the record's run broadcast on ``pid``
-    and ``values[pid][i]`` / ``ncosts[pid][i]`` carry the broadcast value
-    and latency.  ``full_mask`` is the one all-true list that stands in as
-    ``present[pid]`` for every pid all records broadcast on (consumers
-    identity-check it).  ``fallback`` records that the batch degraded to a
-    per-row rung (never an error) and ``fallback_reason`` says why.  No
-    per-record env is materialised — the
-    dataflow operators only consume notifications and costs, and skipping
-    env reconstruction is part of the backend's speedup.
+    ``costs[i]`` is record ``i``'s exact Figure-2 run cost.  ``hits[pid]``
+    lists, in ascending order, the records whose run broadcast ``true`` on
+    ``pid``; a pid no record broadcast on may be absent.  A pid every run
+    broadcasts on exactly once needs nothing more.  For any other,
+    ``partial[pid][i]`` says whether record ``i`` broadcast on it at all.
+    ``fallback`` records that the batch degraded to a per-row rung (never
+    an error) and ``fallback_reason`` says why.  Neither per-record envs
+    nor notification latencies are kept: the dataflow operators consume
+    only hits and costs, and the per-record frame (``make_runner``) is
+    where latency is observed.
     """
 
-    __slots__ = (
-        "n", "costs", "present", "values", "ncosts",
-        "full_mask", "fallback", "fallback_reason",
-    )
+    __slots__ = ("n", "costs", "hits", "partial", "fallback", "fallback_reason")
 
     def __init__(
         self,
         n: int,
         costs: list[int],
-        present: dict[str, list[bool]],
-        values: dict[str, list[Any]],
-        ncosts: dict[str, list[int]],
+        hits: dict[str, list[int]],
+        partial: dict[str, list[bool]],
         fallback: bool = False,
         fallback_reason: str = "",
-        *,
-        full_mask: Optional[list[bool]] = None,
     ) -> None:
         self.n = n
         self.costs = costs
-        self.present = present
-        self.values = values
-        self.ncosts = ncosts
-        self.full_mask = full_mask
+        self.hits = hits
+        self.partial = partial
         self.fallback = fallback
         self.fallback_reason = fallback_reason
 
-    def notification(self, pid: str, i: int) -> Any:
+    def notification(self, pid: str, i: int) -> bool:
         """Record ``i``'s broadcast on ``pid`` (KeyError when it made none,
         matching :meth:`RunResult.notification`)."""
 
-        present = self.present.get(pid)
-        if present is None or not present[i]:
+        hits = self.hits.get(pid)
+        present = self.partial.get(pid)
+        if hits is None or (present is not None and not present[i]):
             raise KeyError(pid)
-        return self.values[pid][i]
+        k = bisect_left(hits, i)
+        return k < len(hits) and hits[k] == i
 
-    def notifications_at(self, i: int) -> dict[str, object]:
+    def notifications_at(self, i: int) -> dict[str, bool]:
         return {
-            pid: self.values[pid][i]
-            for pid, mask in self.present.items()
-            if mask[i]
+            pid: self.notification(pid, i)
+            for pid in self.hits
+            if pid not in self.partial or self.partial[pid][i]
         }
-
-    def notification_costs_at(self, i: int) -> dict[str, int]:
-        return {
-            pid: self.ncosts[pid][i]
-            for pid, mask in self.present.items()
-            if mask[i]
-        }
-
-    def run_result(self, i: int) -> RunResult:
-        """Record ``i`` as a :class:`RunResult` (env intentionally empty)."""
-
-        return RunResult(
-            env={},
-            notifications=self.notifications_at(i),
-            cost=self.costs[i],
-            notification_costs=self.notification_costs_at(i),
-        )
 
 
 def columns_from_records(program: Program, records: Sequence[Any]) -> dict[str, list[Any]]:
@@ -333,13 +287,8 @@ def columns_from_records(program: Program, records: Sequence[Any]) -> dict[str, 
 
 # -- the vectorized program -------------------------------------------------
 
-#: ``_kern(_n, _budget, *columns) -> (costs, present, values, ncosts, full_mask)``.
-Kernel = Callable[
-    ...,
-    tuple[
-        list[int], dict[str, list[bool]], dict[str, list[Any]], dict[str, list[int]], list[bool]
-    ],
-]
+#: ``_kern(_n, _budget, *columns) -> (costs, hits, partial)``.
+Kernel = Callable[..., tuple[list[int], dict[str, list[int]], dict[str, list[bool]]]]
 
 
 class VectorizedProgram:
@@ -451,7 +400,7 @@ class VectorizedProgram:
             return self._run_rows(columns, n, self.degraded_reason)
         started = perf_counter()
         try:
-            costs, present, values, ncosts, full_mask = self.plan(
+            costs, hits, partial = self.plan(
                 n, self.max_steps, *[columns[p] for p in self.program.params]
             )
         except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
@@ -462,7 +411,7 @@ class VectorizedProgram:
                 self.program, self.functions, self.backend,
                 perf_counter() - started, sum(costs), n,
             )
-        return BatchResult(n, costs, present, values, ncosts, full_mask=full_mask)
+        return BatchResult(n, costs, hits, partial)
 
     def _run_rows(self, columns: Mapping[str, Sequence[Any]], n: int, reason: str) -> BatchResult:
         """The per-row rungs, with exact row semantics.  A ``reason`` makes
@@ -476,25 +425,20 @@ class VectorizedProgram:
         runner = self.row_runner()
         params = [p for p in self.program.params if p in columns]
         costs: list[int] = []
+        hits: dict[str, list[int]] = {}
         present: dict[str, list[bool]] = {}
-        values: dict[str, list[Any]] = {}
-        ncosts: dict[str, list[int]] = {}
         for i in range(n):
             result = runner({p: columns[p][i] for p in params})
             costs.append(result.cost)
             for pid, value in result.notifications.items():
-                mask = present.get(pid)
-                if mask is None:
-                    mask = present[pid] = [False] * n
-                    values[pid] = [False] * n
-                    ncosts[pid] = [0] * n
-                mask[i] = True
-                values[pid][i] = value
-                ncosts[pid][i] = result.notification_costs.get(pid, result.cost)
-        return BatchResult(
-            n, costs, present, values, ncosts,
-            fallback=bool(reason), fallback_reason=reason,
-        )
+                if pid not in hits:
+                    hits[pid] = []
+                    present[pid] = [False] * n
+                present[pid][i] = True
+                if value:
+                    hits[pid].append(i)
+        partial = {pid: mask for pid, mask in present.items() if not all(mask)}
+        return BatchResult(n, costs, hits, partial, bool(reason), reason)
 
 
 def _lower(

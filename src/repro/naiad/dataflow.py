@@ -196,6 +196,12 @@ class Worker:
 
         self._run.buckets.setdefault(bucket, []).append(record)
 
+    def notify_all(self, bucket: str, records: Sequence[Any]) -> None:
+        """:meth:`notify` each of ``records``, in order, with one ``extend``."""
+
+        if records:
+            self._run.buckets.setdefault(bucket, []).extend(records)
+
     def emit(self, vertex: Vertex, record: Any) -> None:
         """Push ``record`` to ``vertex``'s downstream operators.
 
@@ -251,6 +257,11 @@ class _TracedWorker(Worker):
         super().notify(bucket, record)
         if self._op is not None:
             self._op.notifications += 1
+
+    def notify_all(self, bucket: str, records: Sequence[Any]) -> None:
+        super().notify_all(bucket, records)
+        if self._op is not None:
+            self._op.notifications += len(records)
 
     def emit(self, vertex: Vertex, record: Any) -> None:
         stats = self._stats[vertex.name]

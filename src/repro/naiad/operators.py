@@ -32,7 +32,7 @@ gauge when telemetry is enabled.
 
 from __future__ import annotations
 
-from itertools import compress
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..analysis.prefilter import PREFILTER_PID, Prefilter, make_guard
@@ -71,32 +71,23 @@ class _Unit(NamedTuple):
     guard: Optional[VectorizedProgram]
 
 
-def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> Iterable[Any]:
-    """The records that broadcast a truthy value on ``pid``.
+def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> tuple[list[Any], bool]:
+    """``(notified, complete)``: the records that broadcast ``true`` on ``pid``.
 
-    One scan of the mask and value columns, with per-record error
-    parity: ``RunResult.notification(pid)`` raises ``KeyError`` on a
-    record that never notified, so the scan does too — at the record
-    position a record-at-a-time loop would.  A pid every record
-    broadcasts on shares the batch's all-true mask (identity check),
-    where the scan collapses to a C-level compress."""
+    A walk of the pid's hit list, with per-record error parity:
+    ``RunResult.notification(pid)`` raises ``KeyError`` on a record that
+    never notified, so a record-at-a-time loop delivers the hits before
+    that record and then raises.  ``notified`` stops there too, and
+    ``complete`` is false when the caller must raise."""
 
-    mask = batch.present.get(pid)
-    if mask is None:
-        if records:
-            raise KeyError(pid)
-        return ()
-    if mask is batch.full_mask and len(records) == batch.n:
-        return compress(records, batch.values[pid])
-    return _scan(pid, records, mask, batch.values[pid])
-
-
-def _scan(pid: str, records: Sequence[Any], mask: list[bool], values: list[Any]) -> Iterable[Any]:
-    for record, hit, value in zip(records, mask, values):
-        if not hit:
-            raise KeyError(pid)
-        if value:
-            yield record
+    hits = batch.hits.get(pid)
+    if hits is None:
+        return [], not records
+    present = batch.partial.get(pid)
+    if present is None or False not in present:
+        return list(map(records.__getitem__, hits)), True
+    missing = present.index(False)
+    return list(map(records.__getitem__, hits[: bisect_left(hits, missing)])), False
 
 
 def _guard_row(run: Callable[[Mapping[str, Any]], Any], args: dict[str, Any]) -> tuple[bool, int]:
@@ -182,11 +173,14 @@ class _UdfOperator(Vertex):
                 batch = unit.plan.run_batch(columns_from_records(unit.program, kept), len(kept))
                 worker.charge_udf(sum(batch.costs))
                 for pid in unit.pids:
-                    for record in _notified(batch, pid, kept):
-                        if emits:
+                    notified, complete = _notified(batch, pid, kept)
+                    if emits:
+                        for record in notified:
                             worker.emit(self, record)
-                        else:
-                            worker.notify(pid, record)
+                    else:
+                        worker.notify_all(pid, notified)
+                    if not complete:
+                        raise KeyError(pid)
         telemetry = self._telemetry
         if telemetry.enabled and self._pre_checked:
             checked = telemetry.counter("prefilter_checked_total")
@@ -201,10 +195,12 @@ class _UdfOperator(Vertex):
             self._pre_rejected = 0
 
     def _apply_guard(self, unit: _Unit, records: list[Any], worker: Worker) -> list[Any]:
-        """φ as a batch-compacting mask that fails open.
+        """φ as a batch-compacting filter that fails open.
 
         The φ wrapper's ladder runs over the whole batch (a kernel that
-        raises has already degraded to its per-row rungs).  When the batch
+        raises has already degraded to its per-row rungs); the rows it
+        keeps are its ``PREFILTER_PID`` hits, and the batch's whole cost is
+        charged.  When the batch
         still raises — some row's φ is a genuine error — the rows re-run
         one by one through the row runner, and a row that raises passes,
         charged nothing: a guard problem never changes a bucket.
@@ -216,18 +212,20 @@ class _UdfOperator(Vertex):
         columns = columns_from_records(unit.program, records)
         try:
             batch = guard.run_batch(columns, len(records))
-            verdicts = [(bool(v), c) for v, c in zip(batch.values[PREFILTER_PID], batch.costs)]
+            passed = batch.hits[PREFILTER_PID]
         except Exception:  # noqa: BLE001 - guard problems fail open per row
             run, param = guard.row_runner(), unit.program.params[0]
-            verdicts = [_guard_row(run, {param: record}) for record in records]
-        keep = []
-        for record, (passes, cost) in zip(records, verdicts):
-            self._pre_checked += 1
-            worker.charge_udf(cost)
-            if passes:
-                keep.append(record)
-            else:
-                self._pre_rejected += 1
+            keep = []
+            for record in records:
+                passes, cost = _guard_row(run, {param: record})
+                worker.charge_udf(cost)
+                if passes:
+                    keep.append(record)
+        else:
+            worker.charge_udf(sum(batch.costs))
+            keep = list(map(records.__getitem__, passed))
+        self._pre_checked += len(records)
+        self._pre_rejected += len(records) - len(keep)
         return keep
 
 

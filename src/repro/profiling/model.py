@@ -32,6 +32,7 @@ from typing import Dict, Mapping, Optional, Union
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel, cost_model_from_weights
 from ..lang.functions import FunctionTable
 from .features import OP_KINDS, RECORD_KIND, program_units
+from .trace import finite
 
 # A forward reference would do, but the planner needs Program at runtime too.
 from ..lang.ast import Program
@@ -109,7 +110,7 @@ class CalibratedCostModel:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, object]:
         return {
             "schema": self.schema,
             "source": self.source,
@@ -152,27 +153,29 @@ class CalibratedCostModel:
         support = diag.get("support")
         backends = diag.get("backends")
         return cls(
-            weights={str(k): float(v) for k, v in weights.items()},
-            r2=float(diag.get("r2", 0.0)),  # type: ignore[arg-type]
-            residual_abs_mean=float(diag.get("residual_abs_mean", 0.0)),  # type: ignore[arg-type]
-            residual_abs_max=float(diag.get("residual_abs_max", 0.0)),  # type: ignore[arg-type]
+            weights={str(k): finite(v, f"weight {k!r}") for k, v in weights.items()},
+            r2=finite(diag.get("r2", 0.0), "r2"),
+            residual_abs_mean=finite(diag.get("residual_abs_mean", 0.0), "residual_abs_mean"),
+            residual_abs_max=finite(diag.get("residual_abs_max", 0.0), "residual_abs_max"),
+            # A standard error may be infinite (or NaN): the fitter's "no
+            # estimate" for a kind it could not pin down.
             stderr=(
                 {str(k): float(v) for k, v in stderr.items()}
                 if isinstance(stderr, dict)
                 else {}
             ),
             support=(
-                {str(k): int(v) for k, v in support.items()}
+                {str(k): int(finite(v, f"support {k!r}")) for k, v in support.items()}
                 if isinstance(support, dict)
                 else {}
             ),
-            samples=int(diag.get("samples", 0)),  # type: ignore[arg-type]
+            samples=int(finite(diag.get("samples", 0), "samples")),
             backends=(
-                {str(k): int(v) for k, v in backends.items()}
+                {str(k): int(finite(v, f"backends {k!r}")) for k, v in backends.items()}
                 if isinstance(backends, dict)
                 else {}
             ),
-            fitted_at=float(doc.get("fitted_at", 0.0)),  # type: ignore[arg-type]
+            fitted_at=finite(doc.get("fitted_at", 0.0), "fitted_at"),
             trace_fingerprint=str(doc.get("trace_fingerprint", "")),
             source=str(doc.get("source", "fit")),
         )

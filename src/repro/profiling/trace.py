@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,9 +28,26 @@ __all__ = [
     "TraceStore",
     "read_trace",
     "trace_fingerprint",
+    "finite",
 ]
 
 TRACE_SCHEMA_VERSION = 1
+
+
+def finite(value: object, what: str) -> float:
+    """``value`` as a finite float, or ``ValueError``.
+
+    The one gate every number read back from a trace or a saved model
+    passes: ``float()`` alone accepts ``"nan"`` and ``"inf"``, and a single
+    NaN sample turns a least-squares fit into all-zero weights.
+    """
+
+    if not isinstance(value, (int, float, str)):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,7 @@ class TraceSample:
     records: int = 1
     ts: float = 0.0
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, object]:
         return {
             "schema": TRACE_SCHEMA_VERSION,
             "pid": self.pid,
@@ -76,11 +94,11 @@ class TraceSample:
             pid=str(doc.get("pid", "")),
             backend=str(doc.get("backend", "")),
             domain=str(doc.get("domain", "")),
-            units={str(k): float(v) for k, v in units.items()},
-            cost_units=int(doc.get("cost_units", 0)),  # type: ignore[arg-type]
-            seconds=float(doc.get("seconds", 0.0)),  # type: ignore[arg-type]
-            records=int(doc.get("records", 1)),  # type: ignore[arg-type]
-            ts=float(doc.get("ts", 0.0)),  # type: ignore[arg-type]
+            units={str(k): finite(v, f"units[{k!r}]") for k, v in units.items()},
+            cost_units=int(finite(doc.get("cost_units", 0), "cost_units")),
+            seconds=finite(doc.get("seconds", 0.0), "seconds"),
+            records=int(finite(doc.get("records", 1), "records")),
+            ts=finite(doc.get("ts", 0.0), "ts"),
         )
 
 
@@ -120,10 +138,11 @@ class TraceStore:
 def read_trace(path: Union[str, Path]) -> Tuple[List[TraceSample], int]:
     """Load every compatible sample; return ``(samples, skipped_lines)``.
 
-    Lines that are not valid JSON objects, or whose ``schema`` differs
-    from :data:`TRACE_SCHEMA_VERSION`, are counted and skipped — a trace
-    half-written by a newer repro must degrade to "fewer samples", never
-    to a mis-fit.
+    Lines that are not valid JSON objects, whose ``schema`` differs from
+    :data:`TRACE_SCHEMA_VERSION`, or that carry a number :func:`finite`
+    refuses (``"nan"``, ``Infinity``) are counted and skipped — a trace
+    half-written by a newer repro, or corrupted, must degrade to "fewer
+    samples", never to a mis-fit.
     """
 
     samples: List[TraceSample] = []

@@ -236,20 +236,21 @@ def vectorize_crash():
 
 
 def _mismask_first_branch(vectorized):
-    """The default kernel corruption: negate the first pid's value column
-    of everything the kernel returns."""
+    """The default kernel corruption: complement the first pid's hit list
+    (within the rows that broadcast on it) in everything the kernel returns."""
 
     inner = vectorized.plan
     if inner is None:
         return vectorized
 
     def corrupted(n, budget, *columns):
-        result = inner(n, budget, *columns)
-        values = result[2]
-        if values:
-            first = min(values)
-            values[first] = [not v for v in values[first]]
-        return result
+        costs, hits, partial = inner(n, budget, *columns)
+        if hits:
+            first = min(hits)
+            present = partial.get(first, [True] * n)
+            was = set(hits[first])
+            hits[first] = [i for i in range(n) if present[i] and i not in was]
+        return costs, hits, partial
 
     vectorized.plan = corrupted
     return vectorized

@@ -21,13 +21,11 @@ LINT_ONLY = (
     "tools/ast_lint.py",
 )
 
-# Ratchet files ast_lint still has findings in (37 between them; ROADMAP item 6d).
+# Ratchet files ast_lint still has findings in (26 between them; ROADMAP item 6d).
 NOT_YET = (
     "src/repro/analysis/static/lint.py",
     "src/repro/analysis/static/validate.py",
     "src/repro/analysis/static/values.py",
-    "src/repro/profiling/model.py",
-    "src/repro/profiling/trace.py",
 )
 
 

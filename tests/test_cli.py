@@ -87,6 +87,20 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         assert "sequential_mean" in out
 
+    def test_latency_defaults_are_pinned(self, capsys):
+        """Latency is observed only in the per-record frame (the batch
+        kernel keeps none); the paper artefact it feeds must not move."""
+
+        assert main(["latency"]) == 0
+        assert capsys.readouterr().out == (
+            "sequential_mean          753.5\n"
+            "consolidated_mean        155.9\n"
+            "prioritized_mean         154.0\n"
+            "q7_sequential            1096.0\n"
+            "q7_consolidated          164.9\n"
+            "q7_prioritized           137.0\n"
+        )
+
     def test_figure10_command(self, capsys):
         rc = main(["figure10", "--sweep", "2,4", "--articles", "40"])
         assert rc == 0

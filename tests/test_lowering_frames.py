@@ -36,7 +36,7 @@ def _interp_rows(program, rows):
     out = []
     for row in rows:
         r = interp.run(program, {"row": row})
-        out.append((r.cost, r.notifications, r.notification_costs))
+        out.append((r.cost, r.notifications))
     return out
 
 
@@ -44,10 +44,7 @@ def _batch_rows(program, rows, telemetry=None):
     batch = vectorize_program(program, FT, telemetry=telemetry).run_batch(
         {"row": rows}, len(rows)
     )
-    per_record = [
-        (batch.costs[i], batch.notifications_at(i), batch.notification_costs_at(i))
-        for i in range(len(rows))
-    ]
+    per_record = [(batch.costs[i], batch.notifications_at(i)) for i in range(len(rows))]
     return batch, per_record
 
 
@@ -177,7 +174,8 @@ class TestConstantCostColumns:
         batch, per_record = _batch_rows(program, [0, 1, 5])
         assert not batch.fallback
         assert per_record == _interp_rows(program, [0, 1, 5])
-        assert batch.present["a"] is batch.full_mask
+        assert batch.partial == {}
+        assert batch.hits == {"a": [0, 1], "b": [0, 1]}
 
     def test_costs_differ_by_arm_and_still_match(self):
         program = parse_program(
@@ -191,8 +189,11 @@ class TestConstantCostColumns:
         assert per_record == _interp_rows(program, rows)
         assert len(set(batch.costs)) == 2
         # Every path broadcasts exactly once, so even a pid notified under
-        # an ``if`` shares the all-true mask.
-        assert batch.present["p"] is batch.full_mask
+        # an ``if`` keeps no presence mask; the literal ``false`` arm leaves
+        # no trace in the kernel at all.
+        assert batch.partial == {}
+        assert batch.hits == {"p": [0]}
+        assert "_h0a" not in vectorize_program(program, FT).source.split("else:")[1]
 
     def test_a_pid_some_path_skips_gets_its_own_mask(self):
         program = parse_program(
@@ -200,6 +201,6 @@ class TestConstantCostColumns:
         )
         batch, per_record = _batch_rows(program, [0, 5])
         assert not batch.fallback
-        assert batch.present["p"] == [True, False]
-        assert batch.present["p"] is not batch.full_mask
+        assert batch.partial == {"p": [True, False]}
+        assert batch.hits == {"p": [0]}
         assert per_record == _interp_rows(program, [0, 5])

@@ -248,11 +248,14 @@ class TestGuardSoundness:
         assert PREFILTER_PID.startswith("__")
         rows = dataset.rows
         result = guard.run_batch({"row": rows}, len(rows))
-        assert list(result.present) == [PREFILTER_PID]
+        assert list(result.hits) == [PREFILTER_PID]
+        assert result.partial == {}
         # The batch verdicts are the per-record runner's, cost for cost.
         run = make_runner(guard.program, dataset.functions)
         expected = [run({"row": row}) for row in rows]
-        assert result.values[PREFILTER_PID] == [r.notification(PREFILTER_PID) for r in expected]
+        assert result.hits[PREFILTER_PID] == [
+            i for i, r in enumerate(expected) if r.notification(PREFILTER_PID)
+        ]
         assert result.costs == [r.cost for r in expected]
 
 

@@ -149,6 +149,43 @@ class TestTraceStore:
         assert len(samples) == 1
         assert skipped == 3
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {"seconds": "nan"},
+            {"seconds": "inf"},
+            {"seconds": float("nan")},  # json writes the bare NaN literal
+            {"units": {"call": "nan", "arith": 1.0}},
+            {"ts": "-inf"},
+            {"seconds": [0.5]},
+        ],
+        ids=["nan-str", "inf-str", "nan-literal", "nan-unit", "inf-ts", "list"],
+    )
+    def test_non_finite_numbers_are_skipped_not_misfit(self, tmp_path, corrupt):
+        """One corrupt line costs one sample; it once zeroed every weight."""
+
+        clean = [
+            TraceSample(
+                pid=f"q{i}",
+                backend="compiled",
+                domain="synthetic",
+                units={"call": float(i % 7 + 1), "arith": float(i % 5 + 2)},
+                cost_units=0,
+                seconds=5e-7 * (i % 7 + 1) + 1e-7 * (i % 5 + 2),
+                ts=float(i),
+            )
+            for i in range(40)
+        ]
+        lines = [json.dumps(s.to_dict()) for s in clean]
+        lines.append(json.dumps(dict(clean[0].to_dict(), **corrupt)))
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        samples, skipped = read_trace(path)
+        assert (len(samples), skipped) == (40, 1)
+        model = fit_calibration(samples)
+        assert model.weights["call"] == pytest.approx(5e-7, rel=1e-3)
+        assert model.weights["arith"] == pytest.approx(1e-7, rel=1e-3)
+
     def test_missing_file_is_empty(self, tmp_path):
         samples, skipped = read_trace(tmp_path / "nope.jsonl")
         assert samples == [] and skipped == 0
@@ -222,6 +259,34 @@ class TestCalibration:
         loaded = CalibratedCostModel.load(path)
         assert loaded.to_json() == model.to_json()
         assert loaded.weights == dict(model.weights)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("weights", "call"), "nan"),
+            (("weights", "cmp"), "inf"),
+            (("diagnostics", "r2"), "nan"),
+            (("fitted_at",), "inf"),
+        ],
+    )
+    def test_non_finite_model_numbers_are_refused(self, path, value):
+        doc = json.loads(fit_calibration(_synthetic_trace()).to_json())
+        *parents, leaf = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        with pytest.raises(ValueError, match="not finite"):
+            CalibratedCostModel.from_dict(doc)
+
+    def test_an_infinite_stderr_still_loads(self):
+        """``stderr`` is the one field where infinity means something: no
+        estimate for that kind."""
+
+        doc = json.loads(fit_calibration(_synthetic_trace()).to_json())
+        doc["diagnostics"]["stderr"]["logic"] = float("inf")
+        model = CalibratedCostModel.from_dict(doc)
+        assert model.stderr["logic"] == float("inf")
 
     def test_empty_trace_is_rejected(self):
         with pytest.raises(ValueError):

@@ -28,10 +28,7 @@ ROWS = [args["row"] for args in case_inputs("weather", limit=12)]
 
 
 def _per_record(batch, n):
-    return [
-        (batch.costs[i], batch.notifications_at(i), batch.notification_costs_at(i))
-        for i in range(n)
-    ]
+    return [(batch.costs[i], batch.notifications_at(i)) for i in range(n)]
 
 
 def _interp_rows(program, rows):
@@ -44,7 +41,7 @@ def _interp_rows(program, rows):
             r = interp.run(program, {program.params[0]: row})
         except Exception:
             return None
-        out.append((r.cost, r.notifications, r.notification_costs))
+        out.append((r.cost, r.notifications))
     return out
 
 
@@ -82,7 +79,8 @@ def test_empty_batch_is_a_noop(seed):
         batch = vp.run_batch(columns_from_records(program, []), 0)
         assert batch.n == 0
         assert batch.costs == []
-        assert all(not any(mask) for mask in batch.present.values())
+        assert all(hits == [] for hits in batch.hits.values())
+        assert all(not any(mask) for mask in batch.partial.values())
 
 
 GUARDED_SRC = """
