@@ -158,8 +158,10 @@ class ServiceConfig:
         re-consolidation (recorded, never silent).
     ``record_derivations``
         Record one provenance :class:`~repro.provenance.DerivationTree`
-        per patched pair merge, so ``/v1/explain`` (and the equivalence
-        suite) can count pair merges from provenance records alone.
+        per patched pair merge, summarised by ``/v1/explain``.  Recording
+        keeps references to the nodes each event was handed and renders
+        their text only when a report reads it, so on by default costs a
+        patch little more than the event objects themselves.
     ``rebalance_factor``
         Incremental adds graft at the root and slowly grow a spine; when
         the tree's depth exceeds ``rebalance_factor × ⌈log₂ n⌉ + 1`` the

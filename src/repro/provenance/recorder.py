@@ -9,30 +9,30 @@ single pair merge, everything the calculus decided:
   family) nest their sub-derivations as children, mirroring the Ω′
   recursion, so the tree *is* the derivation of Figure 8;
 * every **entailment** the context was asked (``Ψ ⊨ e``, provable
-  equality/equivalence, the Loop 2/3 fusion goals) with the rendered
-  ``Ψ``, the rendered query, the verdict, the wall time, and which fast
-  path answered it (``smt`` / ``memo`` / ``precheck`` / ``syntactic``);
+  equality/equivalence, the Loop 2/3 fusion goals) with ``Ψ``, the
+  query, the verdict, the wall time, and which fast path answered it
+  (``smt`` / ``memo`` / ``precheck`` / ``syntactic``);
 * every **cross-simplification rewrite** that changed an expression,
-  with before/after text and the static cost delta;
+  with before/after and the static cost delta;
 * every **heuristic decision** — ``related`` accept/reject, the
   ``max_embed_size`` guard, commutativity.
 
 Recording follows the repository's NULL-twin pattern
-(:mod:`repro.telemetry.noop`): producers hand the recorder the
-``Expr``/``Formula`` objects they decided on and the recorder renders
-them (bounded, :mod:`repro.provenance.render`), so a call site is one
-unguarded line and the shared :data:`NULL_RECORDER` — inert methods,
-``enabled = False`` — renders and allocates **nothing** (asserted by
-``tests/test_provenance.py``).
-
-Everything recorded is a plain string/number dataclass: trees pickle
-across the process-pool executor and serialise with ``to_dict`` for the
-JSON/HTML reports.
+(:mod:`repro.telemetry.noop`): producers hand over the ``Expr``/``Formula``
+objects they decided on, so a call site is one unguarded line, and the
+shared :data:`NULL_RECORDER` (inert, ``enabled = False``) allocates
+**nothing**.  The real recorder keeps those immutable nodes by reference
+and renders text (bounded, :mod:`repro.provenance.render`) only when a
+report first reads a field, so a service that records every patch and
+never reads a report renders nothing.  An event pickles as its text:
+trees cross the process-pool executor as plain strings and numbers.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator
 
 from ..lang.ast import Expr
 from ..smt.terms import Formula
@@ -52,7 +52,7 @@ __all__ = [
 
 
 def _text(x: object) -> str:
-    """Render one event argument.
+    """Render one held event argument.
 
     Text passes through; an expression or formula is rendered up to the
     shared report clamp; ``(template, *parts)`` is ``str.format`` over the
@@ -70,12 +70,43 @@ def _text(x: object) -> str:
     return str(x)
 
 
-def _fill(template: str, parts: tuple) -> str:
+def _fill(template: str, parts: tuple[object, ...]) -> str:
     return template.format(*map(_text, parts)) if parts else template
 
 
-@dataclass
-class Entailment:
+def _rendered(slot: str) -> property:
+    """The text of ``slot``, which holds what a producer handed over until
+    the first read renders it (:func:`_text`) in place."""
+
+    def read(self: Any) -> str:
+        held = getattr(self, slot)
+        if not isinstance(held, str):
+            held = _text(held)
+            setattr(self, slot, held)
+        return held
+
+    return property(read)
+
+
+class _Event:
+    """A recorded event.  Its slots are its constructor's parameters; a
+    slot ``_x`` holds what the producer handed over and ``x`` reads it as
+    text (:func:`_rendered`)."""
+
+    __slots__: tuple[str, ...] = ()
+
+    def _fields(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in (s.lstrip("_") for s in self.__slots__)}
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Pickle the text, not the held nodes.
+        return type(self), tuple(self._fields().values())
+
+    def to_dict(self) -> dict[str, Any]:
+        return self._fields()
+
+
+class Entailment(_Event):
     """One semantic question asked of the context ``Ψ``.
 
     ``kind`` names the judgment (``entails`` / ``entails-not`` /
@@ -86,79 +117,85 @@ class Entailment:
     false).
     """
 
-    kind: str
-    psi: str
-    query: str
-    verdict: bool
-    seconds: float
-    source: str
+    __slots__ = ("kind", "_psi", "_query", "verdict", "seconds", "source")
+    psi = _rendered("_psi")
+    query = _rendered("_query")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "psi": self.psi,
-            "query": self.query,
-            "verdict": self.verdict,
-            "seconds": round(self.seconds, 6),
-            "source": self.source,
-        }
+    def __init__(
+        self, kind: str, psi: object, query: object, verdict: bool, seconds: float, source: str
+    ) -> None:
+        self.kind = kind
+        self._psi = psi
+        self._query = query
+        self.verdict = verdict
+        self.seconds = seconds
+        self.source = source
+
+    def to_dict(self) -> dict[str, Any]:
+        return {**self._fields(), "seconds": round(self.seconds, 6)}
 
 
-@dataclass
-class Rewrite:
+class Rewrite(_Event):
     """One accepted cross-simplification: ``before`` became ``after``."""
 
-    site: str
-    before: str
-    after: str
-    cost_before: int
-    cost_after: int
+    __slots__ = ("site", "_before", "_after", "cost_before", "cost_after")
+    before = _rendered("_before")
+    after = _rendered("_after")
+
+    def __init__(
+        self, site: str, before: object, after: object, cost_before: int, cost_after: int
+    ) -> None:
+        self.site = site
+        self._before = before
+        self._after = after
+        self.cost_before = cost_before
+        self.cost_after = cost_after
 
     @property
     def cost_delta(self) -> int:
         return self.cost_after - self.cost_before
 
-    def to_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "before": self.before,
-            "after": self.after,
-            "cost_before": self.cost_before,
-            "cost_after": self.cost_after,
-            "cost_delta": self.cost_delta,
-        }
+    def to_dict(self) -> dict[str, Any]:
+        return {**self._fields(), "cost_delta": self.cost_delta}
 
 
-@dataclass
-class Heuristic:
+class Heuristic(_Event):
     """One strategy decision that shaped the derivation (not its soundness)."""
 
-    kind: str
-    detail: str
-    accepted: bool
+    __slots__ = ("kind", "_detail", "accepted")
+    detail = _rendered("_detail")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail, "accepted": self.accepted}
+    def __init__(self, kind: str, detail: object, accepted: bool) -> None:
+        self.kind = kind
+        self._detail = detail
+        self.accepted = accepted
 
 
-@dataclass
 class RuleNode:
     """One calculus-rule application and everything decided under it."""
 
-    rule: str
-    detail: str = ""
-    entailments: list[Entailment] = field(default_factory=list)
-    rewrites: list[Rewrite] = field(default_factory=list)
-    heuristics: list[Heuristic] = field(default_factory=list)
-    children: list["RuleNode"] = field(default_factory=list)
+    __slots__ = ("rule", "_detail", "entailments", "rewrites", "heuristics", "children")
+    detail = _rendered("_detail")
 
-    def walk(self):
+    def __init__(self, rule: str, detail: object = "") -> None:
+        self.rule = rule
+        self._detail = detail
+        self.entailments: list[Entailment] = []
+        self.rewrites: list[Rewrite] = []
+        self.heuristics: list[Heuristic] = []
+        self.children: list[RuleNode] = []
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        # Pickle the detail's text, not the held nodes.
+        return None, {**{s: getattr(self, s) for s in self.__slots__}, "_detail": self.detail}
+
+    def walk(self) -> Iterator[RuleNode]:
         yield self
         for child in self.children:
             yield from child.walk()
 
-    def to_dict(self) -> dict:
-        doc: dict = {"rule": self.rule}
+    def to_dict(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {"rule": self.rule}
         if self.detail:
             doc["detail"] = self.detail
         if self.entailments:
@@ -184,7 +221,7 @@ class DerivationTree:
 
     # -- queries -------------------------------------------------------------
 
-    def nodes(self):
+    def nodes(self) -> Iterator[RuleNode]:
         yield from self.root.walk()
 
     def rule_counts(self) -> dict[str, int]:
@@ -195,22 +232,13 @@ class DerivationTree:
         return counts
 
     def entailments(self) -> list[Entailment]:
-        out: list[Entailment] = []
-        for node in self.nodes():
-            out.extend(node.entailments)
-        return out
+        return [e for node in self.nodes() for e in node.entailments]
 
     def rewrites(self) -> list[Rewrite]:
-        out: list[Rewrite] = []
-        for node in self.nodes():
-            out.extend(node.rewrites)
-        return out
+        return [r for node in self.nodes() for r in node.rewrites]
 
     def heuristics(self) -> list[Heuristic]:
-        out: list[Heuristic] = []
-        for node in self.nodes():
-            out.extend(node.heuristics)
-        return out
+        return [h for node in self.nodes() for h in node.heuristics]
 
     def slowest_entailments(self, n: int = 10) -> list[Entailment]:
         return sorted(self.entailments(), key=lambda e: -e.seconds)[:n]
@@ -218,7 +246,7 @@ class DerivationTree:
     def smt_seconds(self) -> float:
         return sum(e.seconds for e in self.entailments() if e.source == "smt")
 
-    def to_dict(self, include_timings: bool = True) -> dict:
+    def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
         doc = {
             "left": self.left,
             "right": self.right,
@@ -232,7 +260,7 @@ class DerivationTree:
         return doc
 
 
-def derivation_summary(trees) -> dict:
+def derivation_summary(trees: Iterable[DerivationTree]) -> dict[str, Any]:
     """Aggregate a batch of :class:`DerivationTree` into one JSON doc.
 
     The service's ``/v1/explain`` (and the equivalence suite) want a
@@ -240,18 +268,18 @@ def derivation_summary(trees) -> dict:
     rules fired, how much solver time — without shipping whole trees.
     """
 
-    trees = list(trees)
+    batch = list(trees)
     rules: dict[str, int] = {}
     entailments = rewrites = 0
     smt_seconds = 0.0
-    for tree in trees:
+    for tree in batch:
         for rule, count in tree.rule_counts().items():
             rules[rule] = rules.get(rule, 0) + count
         entailments += len(tree.entailments())
         rewrites += len(tree.rewrites())
         smt_seconds += tree.smt_seconds()
     return {
-        "pairs": len(trees),
+        "pairs": len(batch),
         "rules": dict(sorted(rules.items())),
         "entailments": entailments,
         "rewrites": rewrites,
@@ -259,32 +287,14 @@ def derivation_summary(trees) -> dict:
     }
 
 
-def _strip_timings(doc):
+def _strip_timings(doc: Any) -> Any:
     """Zero every ``seconds`` field (golden-file stability)."""
 
     if isinstance(doc, dict):
-        return {
-            k: (0.0 if k == "seconds" else _strip_timings(v)) for k, v in doc.items()
-        }
+        return {k: (0.0 if k == "seconds" else _strip_timings(v)) for k, v in doc.items()}
     if isinstance(doc, list):
         return [_strip_timings(v) for v in doc]
     return doc
-
-
-class _RuleScope:
-    """Context manager popping one structural rule node off the stack."""
-
-    __slots__ = ("_recorder",)
-
-    def __init__(self, recorder: "DerivationRecorder") -> None:
-        self._recorder = recorder
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._recorder._pop()
-        return False
 
 
 class DerivationRecorder:
@@ -292,9 +302,10 @@ class DerivationRecorder:
 
     The recorder keeps a stack of open :class:`RuleNode` scopes; the
     consolidator pushes a scope around each structural rule's
-    sub-derivation and appends leaf rules directly, so event producers
-    (the simplifier context, the loop-fusion prover) only ever talk to
-    ``current`` — they need no knowledge of tree shape.
+    sub-derivation (``with recorder.rule(...)``, the recorder being its
+    own context manager) and appends leaf rules directly, so event
+    producers (the simplifier context, the loop-fusion prover) need no
+    knowledge of tree shape.  Events keep their arguments as handed over.
     """
 
     enabled = True
@@ -327,106 +338,88 @@ class DerivationRecorder:
 
     # -- rule events ---------------------------------------------------------
 
-    def rule(self, name: str, detail: str = "", *parts: object) -> _RuleScope:
+    def rule(self, name: str, detail: str = "", *parts: object) -> DerivationRecorder:
         """Open a structural rule scope; sub-derivations nest under it.
 
-        ``detail`` is a ``str.format`` template over ``parts`` (see
-        :func:`_text`), here and on :meth:`leaf` / :meth:`heuristic`.
+        ``detail`` is a ``str.format`` template over ``parts``, filled
+        when it is read (see :func:`_text`), here and on :meth:`leaf` /
+        :meth:`heuristic`.
         """
 
-        node = RuleNode(name, _fill(detail, parts))
+        node = RuleNode(name, (detail, *parts) if parts else detail)
         if self._stack:
             self._stack[-1].children.append(node)
         self._stack.append(node)
-        return _RuleScope(self)
+        return self
+
+    def __enter__(self) -> DerivationRecorder:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if len(self._stack) > 1:
+            self._stack.pop()
 
     def leaf(self, name: str, detail: str = "", *parts: object) -> None:
         """Record a non-structural rule application (Assign/Step/Com/…)."""
 
         if self._stack:
-            self._stack[-1].children.append(RuleNode(name, _fill(detail, parts)))
-
-    def _pop(self) -> None:
-        if len(self._stack) > 1:
-            self._stack.pop()
+            self._stack[-1].children.append(RuleNode(name, (detail, *parts) if parts else detail))
 
     # -- decision events -----------------------------------------------------
 
     def entailment(
-        self,
-        kind: str,
-        psi: object,
-        query: object,
-        verdict: bool,
-        seconds: float,
-        source: str,
+        self, kind: str, psi: object, query: object, verdict: bool, seconds: float, source: str
     ) -> None:
-        node = self.current
-        if node is not None:
-            node.entailments.append(
-                Entailment(kind, _text(psi), _text(query), bool(verdict), seconds, source)
+        if self._stack:
+            self._stack[-1].entailments.append(
+                Entailment(kind, psi, query, bool(verdict), seconds, source)
             )
 
     def rewrite(
         self, site: str, before: object, after: object, cost_before: int, cost_after: int
     ) -> None:
-        node = self.current
-        if node is not None:
-            node.rewrites.append(
-                Rewrite(site, _text(before), _text(after), cost_before, cost_after)
-            )
+        if self._stack:
+            self._stack[-1].rewrites.append(Rewrite(site, before, after, cost_before, cost_after))
 
     def heuristic(self, kind: str, detail: str, accepted: bool, *parts: object) -> None:
-        node = self.current
-        if node is not None:
-            node.heuristics.append(Heuristic(kind, _fill(detail, parts), accepted))
+        if self._stack:
+            self._stack[-1].heuristics.append(
+                Heuristic(kind, (detail, *parts) if parts else detail, accepted)
+            )
 
 
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
+_NULL_SCOPE = nullcontext()
 
 
 class NullRecorder:
-    """The zero-cost twin: every hook is inert, ``enabled`` is False.
-
-    Rendering happens inside the real recorder, so with this one a
-    decision point costs one method call and nothing else — the same
-    discipline :mod:`repro.telemetry.noop` enforces for metrics.
-    """
+    """The zero-cost twin of :class:`DerivationRecorder`: every hook takes
+    the same events and is inert, ``enabled`` is False — the discipline
+    :mod:`repro.telemetry.noop` enforces for metrics."""
 
     __slots__ = ()
     enabled = False
-    trees: tuple = ()
+    trees: tuple[DerivationTree, ...] = ()
     current = None
 
-    def begin_pair(self, left, right) -> None:
+    def begin_pair(self, left: str, right: str) -> None:
         pass
 
-    def end_pair(self, merged, seconds) -> None:
+    def end_pair(self, merged: str, seconds: float) -> None:
         return None
 
-    def rule(self, name, detail="", *parts) -> _NullScope:
+    def rule(self, name: str, detail: str = "", *parts: object) -> nullcontext[None]:
         return _NULL_SCOPE
 
-    def leaf(self, name, detail="", *parts) -> None:
+    def leaf(self, name: str, detail: str = "", *parts: object) -> None:
         pass
 
-    def entailment(self, kind, psi, query, verdict, seconds, source) -> None:
+    def entailment(self, *event: object) -> None:
         pass
 
-    def rewrite(self, site, before, after, cost_before, cost_after) -> None:
+    def rewrite(self, *event: object) -> None:
         pass
 
-    def heuristic(self, kind, detail, accepted, *parts) -> None:
+    def heuristic(self, kind: str, detail: str, accepted: bool, *parts: object) -> None:
         pass
 
 

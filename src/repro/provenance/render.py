@@ -19,6 +19,8 @@ report.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..lang.ast import Expr, display_name
 from ..lang.printer import expr_to_str
 from ..smt.terms import (
@@ -94,50 +96,55 @@ def format_formula(f: Formula, limit: int | None = None) -> str:
     """``f`` in infix notation; with ``limit``, cut like :func:`clamp`.
 
     ``format_formula(f, limit) == clamp(format_formula(f), limit)``, but the
-    parts of a top-level conjunction are rendered only until the limit is
-    passed: a recorded ``Ψ`` of thousands of conjuncts costs O(``limit``),
-    not O(``|Ψ|``), per event.
+    rendering stops once the limit is passed, at any depth: a ``Ψ`` of
+    thousands of conjuncts, or one conjunct holding a thousand-way
+    disjunction, costs O(``limit``), not O(``|Ψ|``).
     """
 
-    if limit is not None:
-        return clamp(_render(f, limit), limit)
-    return _render(f, None)
+    if limit is None:
+        return "".join(_pieces(f))
+    taken: list[str] = []
+    size = 0
+    for piece in _pieces(f):
+        taken.append(piece)
+        size += len(piece)
+        if size > limit:
+            break
+    return clamp("".join(taken), limit)
 
 
-def _render(f: Formula, limit: int | None) -> str:
+def _pieces(f: Formula) -> Iterator[str]:
+    """The rendering of ``f``, lazily: stop consuming and the rest is unvisited."""
+
     if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FFalse):
-        return "false"
-    if isinstance(f, Le):
-        return _comparison(f.term, "<=")
-    if isinstance(f, Eq):
-        return _comparison(f.term, "=")
-    if isinstance(f, FNot):
-        inner = f.operand
-        if isinstance(inner, Le):
-            return _comparison(inner.term, ">")
-        if isinstance(inner, Eq):
-            return _comparison(inner.term, "!=")
-        return f"!({format_formula(inner)})"
-    if isinstance(f, (FAnd, FOr)):
+        yield "true"
+    elif isinstance(f, FFalse):
+        yield "false"
+    elif isinstance(f, Le):
+        yield _comparison(f.term, "<=")
+    elif isinstance(f, Eq):
+        yield _comparison(f.term, "=")
+    elif isinstance(f, FNot) and isinstance(f.operand, Le):
+        yield _comparison(f.operand.term, ">")
+    elif isinstance(f, FNot) and isinstance(f.operand, Eq):
+        yield _comparison(f.operand.term, "!=")
+    elif isinstance(f, FNot):
+        yield "!("
+        yield from _pieces(f.operand)
+        yield ")"
+    elif isinstance(f, (FAnd, FOr)):
         separator = " & " if isinstance(f, FAnd) else " | "
-        parts: list[str] = []
-        size = -len(separator)
-        for arg in f.args:
-            parts.append(_nest(arg))
-            size += len(separator) + len(parts[-1])
-            if limit is not None and size > limit:
-                break
-        return separator.join(parts)
-    return repr(f)
-
-
-def _nest(f: Formula) -> str:
-    text = format_formula(f)
-    if isinstance(f, (FAnd, FOr)):
-        return f"({text})"
-    return text
+        for index, arg in enumerate(f.args):
+            if index:
+                yield separator
+            nested = isinstance(arg, (FAnd, FOr))
+            if nested:
+                yield "("
+            yield from _pieces(arg)
+            if nested:
+                yield ")"
+    else:
+        yield repr(f)
 
 
 def format_expr(e: Expr, limit: int = MAX_TEXT) -> str:

@@ -554,13 +554,18 @@ class QueryRegistry:
             }
             if self.last_patch is not None:
                 patch = self.last_patch
+                validations = patch.validations
                 doc["last_patch"] = {
                     "action": patch.action,
                     "pair_merges": patch.pair_merges,
                     "patched_pids": patch.patched_pids,
                     "fallback": patch.fallback,
                     "seconds": round(patch.seconds, 6),
-                    "certified": all(v.certified for v in patch.validations),
+                    # null, not a vacuous true, when no merge was validated
+                    "certified": (
+                        all(v.certified for v in validations) if validations else None
+                    ),
+                    "validated": len(validations),
                     "derivations": derivation_summary(patch.derivations),
                 }
             return doc

@@ -133,6 +133,7 @@ class TestPairAccount:
                 len(report.validations),
                 len(report.derivations),
                 [(r.left, r.right) for r in report.pairs],
+                [t.to_dict(include_timings=False) for t in report.derivations],
             )
 
         serial = account("serial")

@@ -20,7 +20,7 @@ from repro.lang.builder import add, lift, var
 from repro.provenance.recorder import _strip_timings
 from repro.provenance.render import MAX_TEXT, clamp, format_formula
 from repro.queries import DOMAIN_QUERIES
-from repro.smt.terms import TRUE_F, Num, Sym, fand, le_f
+from repro.smt.terms import TRUE_F, Num, Sym, fand, fnot, for_, le_f
 
 from .test_smt_node_caches import formulas
 
@@ -140,6 +140,16 @@ class TestBoundedRendering:
         assert rec.end_pair("a&b", 0.0).root.entailments[0].psi == expected
         assert 0 < len(visited) <= MAX_TEXT
 
+        # The budget reaches below the top level: one conjunct holding a
+        # 3 000-way disjunction, and a negated 3 000-way conjunction.
+        wide = [le_f(Sym(f"y{i}"), Num(i)) for i in range(3000)]
+        for shape in (fand(le_f(Sym("a"), Num(0)), for_(*wide)), fnot(fand(*wide))):
+            expected = clamp(format_formula(shape))
+            assert len(expected) == MAX_TEXT
+            del visited[:]
+            assert format_formula(shape, MAX_TEXT) == expected
+            assert 0 < len(visited) <= MAX_TEXT
+
 
 class TestRecordedConsolidation:
     def test_derivations_land_on_report(self, weather):
@@ -180,6 +190,32 @@ class TestRecordedConsolidation:
         assert len(on.derivations) == 2  # two pair merges for a batch of 3
         clones = pickle.loads(pickle.dumps(on.derivations))
         assert [t.merged for t in clones] == [t.merged for t in on.derivations]
+        # A tree pickles as its text: the clone holds strings, no IR or SMT nodes.
+        assert [t.to_dict() for t in clones] == [t.to_dict() for t in on.derivations]
+        assert all(
+            isinstance(e._psi, str) and isinstance(e._query, str)
+            for tree in clones
+            for e in tree.entailments()
+        )
+
+    def test_recording_renders_nothing_until_read(self, weather, monkeypatch):
+        """Events keep the nodes they were handed; text comes on first read."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("rendered while recording")
+
+        monkeypatch.setattr(recorder_mod, "format_formula", boom)
+        monkeypatch.setattr(recorder_mod, "format_expr", boom)
+        dataset, programs = weather
+        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
+        assert not report.degraded
+        entailment = report.derivations[0].entailments()[0]
+        monkeypatch.undo()
+
+        held = entailment._psi
+        assert not isinstance(held, str)
+        assert entailment.psi == format_formula(held, MAX_TEXT)
+        assert entailment._psi is entailment.psi  # rendered once, kept
 
     def test_recording_off_allocates_no_event_objects(self, weather, monkeypatch):
         """The NULL-twin promise: with provenance off, not a single

@@ -225,6 +225,38 @@ def test_last_patch_describes_a_plan_cache_hit(weather):
     assert registry.stats["plan_cache_hits"] == 2
     last = registry.explain()["last_patch"]
     assert (last["action"], last["pair_merges"]) == ("remove", 0)
+    # A hit merges nothing, so it validates nothing: not a vacuous "certified".
+    assert (last["certified"], last["validated"]) == (None, 0)
+
+
+def test_explain_certifies_only_validated_patches(weather):
+    batch = weather_batch(weather, n=2)
+    registry = QueryRegistry(weather.functions)
+    for program in batch:
+        registry.register(program)
+    last = registry.explain()["last_patch"]
+    assert (last["pair_merges"], last["certified"], last["validated"]) == (1, True, 1)
+
+    unchecked = QueryRegistry(
+        weather.functions, service=ServiceConfig(static_validate_patches=False)
+    )
+    for program in batch:
+        unchecked.register(program)
+    last = unchecked.explain()["last_patch"]
+    assert (last["pair_merges"], last["certified"], last["validated"]) == (1, None, 0)
+
+
+def test_explain_does_not_certify_an_unvalidated_rebuild(weather):
+    registry = QueryRegistry(
+        weather.functions, service=ServiceConfig(rebalance_factor=1.0)
+    )
+    for program in weather_batch(weather, n=8, family="Q2"):
+        registry.register(program)
+        if registry.last_patch.fallback is not None:
+            break
+    last = registry.explain()["last_patch"]
+    assert last["fallback"].startswith("rebalance") and last["pair_merges"] > 1
+    assert (last["certified"], last["validated"]) == (None, 0)
 
 
 def test_plan_cache_capacity_zero_disables(weather):

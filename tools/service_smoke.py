@@ -11,9 +11,13 @@ What CI's ``service-smoke`` job runs:
 4. scrape ``/metrics`` twice — once as JSON, once with an ``Accept:
    text/plain`` header — and assert both content types serve the same
    counters (JSON document vs Prometheus text exposition);
-5. kill the server, start a fresh one over the same journal;
-6. assert the replayed registry serves byte-identical query and
-   plan-cache fingerprints and an identical consolidated program.
+5. GET ``/v1/explain`` and assert the last patch has at least one
+   recorded derivation and is certified (patches are validated by
+   default);
+6. kill the server, start a fresh one over the same journal;
+7. assert the replayed registry serves byte-identical query and
+   plan-cache fingerprints and an identical consolidated program, and
+   that its ``/v1/explain`` still reports a recorded, certified patch.
 
 Exit status 0 only when every assertion holds.
 
@@ -115,6 +119,17 @@ def check_metrics(port: int) -> None:
     print("  /metrics serves JSON by default and Prometheus text on Accept")
 
 
+def check_explain(client: Client, when: str) -> None:
+    """``/v1/explain`` accounts for the last patch: recorded and certified."""
+
+    last = client.explain()["last_patch"]
+    derivations = last["derivations"]
+    assert derivations["pairs"] >= 1, (when, last)
+    assert last["certified"] is True, (when, last)
+    print(f"  /v1/explain {when}: {last['action']} patch, {derivations['pairs']} "
+          f"recorded merge(s), {derivations['entailments']} entailments, certified")
+
+
 def main() -> int:
     dataset = generate_weather(cities=20)
     module = DOMAIN_QUERIES["weather"]
@@ -143,6 +158,7 @@ def main() -> int:
             print(f"run: buckets for {sorted(run.buckets)} (udf cost {run.udf_cost})")
             assert plan.queries == len(sources)
             check_metrics(port)
+            check_explain(client, "before the restart")
         finally:
             stop_server(proc)
         print("server killed; restarting over the journal")
@@ -164,6 +180,7 @@ def main() -> int:
             assert replayed_plan.program == plan.program, "merged program diverged"
             rerun = revived.run(list(dataset.rows[:50]))
             assert rerun.buckets == run.buckets, "notification buckets diverged"
+            check_explain(revived, "after the replay")
         finally:
             stop_server(proc)
 
