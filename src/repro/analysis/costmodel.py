@@ -7,37 +7,29 @@ it can be computed statically.  The cross-simplification judgments
 ``Ψ ⊢i e : e'`` and ``Ψ ⊢b e : e'`` require ``cost(e') <= cost(e)``; this
 module supplies that ``cost``.
 
-Statement costs *do* depend on control flow; :func:`stmt_cost_bounds`
-returns (best-case, worst-case) bounds, with ``None`` as the worst case for
-loops, which is what the ``related``/rule-selection heuristics need.
+Statement costs *do* depend on control flow; their worst case is
+:func:`repro.analysis.static.costbound.stmt_cost_upper`.
 """
 
 from __future__ import annotations
 
 from ..lang.ast import (
     Arg,
-    Assign,
     BinOp,
     BoolConst,
     BoolOp,
     Call,
     Cmp,
     Expr,
-    If,
     IntConst,
     Not,
-    Notify,
-    Seq,
-    Skip,
-    Stmt,
     StrConst,
     Var,
-    While,
 )
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 
-__all__ = ["expr_cost", "stmt_cost_bounds"]
+__all__ = ["expr_cost"]
 
 _DEFAULT_CALL_COST = 10
 
@@ -79,37 +71,3 @@ def expr_cost(
         return cm.logic_cost(e.op) + sides
     raise TypeError(f"not an expression: {e!r}")
 
-
-def stmt_cost_bounds(
-    s: Stmt,
-    functions: FunctionTable | None = None,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> tuple[int, int | None]:
-    """(min, max) execution cost of ``s``; max is ``None`` when unbounded."""
-
-    cm = cost_model
-    if isinstance(s, Skip):
-        return 0, 0
-    if isinstance(s, Assign):
-        c = expr_cost(s.expr, functions, cm) + cm.assign
-        return c, c
-    if isinstance(s, Notify):
-        c = expr_cost(s.expr, functions, cm) + cm.notify
-        return c, c
-    if isinstance(s, Seq):
-        lo_total, hi_total = 0, 0
-        for sub in s.stmts:
-            lo, hi = stmt_cost_bounds(sub, functions, cm)
-            lo_total += lo
-            hi_total = None if hi_total is None or hi is None else hi_total + hi
-        return lo_total, hi_total
-    if isinstance(s, If):
-        test = expr_cost(s.cond, functions, cm) + cm.branch
-        lo1, hi1 = stmt_cost_bounds(s.then, functions, cm)
-        lo2, hi2 = stmt_cost_bounds(s.orelse, functions, cm)
-        hi = None if hi1 is None or hi2 is None else test + max(hi1, hi2)
-        return test + min(lo1, lo2), hi
-    if isinstance(s, While):
-        test = expr_cost(s.cond, functions, cm) + cm.branch
-        return test, None
-    raise TypeError(f"not a statement: {s!r}")

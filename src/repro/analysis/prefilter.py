@@ -87,7 +87,7 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 from ..lang.printer import expr_to_str
 from ..lang.vectorize import VectorizedProgram, vectorize_cached
-from ..lang.visitors import assigned_vars, expr_size
+from ..lang.visitors import assigned_vars, contains_stmt, expr_size
 from ..smt.solver import Solver
 from ..smt.terms import Formula, fand, fnot
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -121,18 +121,6 @@ PREFILTER_PID = "__prefilter__"
 MAX_PHI_SIZE = 400
 
 
-def _has_stmt(stmt: Stmt, kind: type[Stmt]) -> bool:
-    if isinstance(stmt, kind):
-        return True
-    if isinstance(stmt, Seq):
-        return any(_has_stmt(s, kind) for s in stmt.stmts)
-    if isinstance(stmt, If):
-        return _has_stmt(stmt.then, kind) or _has_stmt(stmt.orelse, kind)
-    if isinstance(stmt, While):
-        return _has_stmt(stmt.body, kind)
-    return False
-
-
 def classify_shape(
     program: Program,
     functions: Optional[FunctionTable] = None,
@@ -152,10 +140,10 @@ def classify_shape(
         At least one loop the trip-count inference cannot bound.
     """
 
-    if _has_stmt(program.body, While):
+    if contains_stmt(program.body, While):
         bound = program_cost_upper(program, functions, cost_model)
         return "bounded-loop" if bound is not None else "unbounded"
-    if _has_stmt(program.body, If):
+    if contains_stmt(program.body, If):
         return "branch-free"
     return "straight-line"
 

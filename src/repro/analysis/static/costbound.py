@@ -1,9 +1,8 @@
 """Static worst-case cost bounds over the Figure-2 cost semantics.
 
-:func:`stmt_cost_bounds` in :mod:`repro.analysis.costmodel` already gives
-exact costs for loop-free code but surrenders (``None``) on any loop.
-This module adds the missing piece: a **trip-count inference** driven by
-the interval domain.  A loop
+:func:`stmt_cost_upper` gives exact costs for straight-line code, the
+heavier branch of an ``if``, and for loops a **trip-count inference**
+driven by the interval domain.  A loop
 
 .. code-block:: text
 

@@ -26,7 +26,7 @@ is why notify multiplicity is linted as strictly as type errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ...lang.ast import (
     Assign,
@@ -72,7 +72,7 @@ class Finding:
     program: str
     snippet: str = ""
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule,
             "severity": self.severity,
@@ -87,21 +87,21 @@ class LintReport:
     """All findings for one program, JSON-serialisable for ``repro lint``."""
 
     program: str
-    findings: tuple = ()
+    findings: tuple[Finding, ...] = ()
 
     @property
-    def errors(self) -> tuple:
+    def errors(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == ERROR)
 
     @property
-    def warnings(self) -> tuple:
+    def warnings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == WARNING)
 
     @property
     def has_errors(self) -> bool:
         return bool(self.errors)
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "program": self.program,
             "errors": len(self.errors),
@@ -125,7 +125,7 @@ def _stmt_reads(s: Stmt) -> Optional[Expr]:
     return None
 
 
-def _check_use_before_def(program: Program, out: list) -> None:
+def _check_use_before_def(program: Program, out: list[Finding]) -> None:
     domain = DefiniteAssignmentDomain()
     reported: set[tuple[str, str]] = set()
 
@@ -152,7 +152,7 @@ def _check_use_before_def(program: Program, out: list) -> None:
 
 
 def _check_types(
-    program: Program, functions: Optional[FunctionTable], out: list
+    program: Program, functions: Optional[FunctionTable], out: list[Finding]
 ) -> None:
     sorts: dict[str, Sort] = {}
 
@@ -226,7 +226,7 @@ def _check_types(
     walk(program.body)
 
 
-def _check_unreachable(program: Program, out: list) -> None:
+def _check_unreachable(program: Program, out: list[Finding]) -> None:
     domain = IntervalConstDomain.for_program(program)
 
     def visit(stmt: Stmt, env) -> None:
@@ -270,8 +270,8 @@ def _check_unreachable(program: Program, out: list) -> None:
 
 
 def _live_before(
-    s: Stmt, live_out: frozenset, dead: Optional[list]
-) -> frozenset:
+    s: Stmt, live_out: frozenset[str], dead: Optional[list[Assign]]
+) -> frozenset[str]:
     """Backward liveness; collects dead :class:`Assign` nodes into ``dead``."""
 
     if isinstance(s, Skip):
@@ -303,7 +303,7 @@ def _live_before(
     raise TypeError(f"not a statement: {s!r}")
 
 
-def _check_dead_stores(program: Program, out: list) -> None:
+def _check_dead_stores(program: Program, out: list[Finding]) -> None:
     dead: list[Assign] = []
     _live_before(program.body, frozenset(), dead)
     seen: set[str] = set()
@@ -323,7 +323,7 @@ def _check_dead_stores(program: Program, out: list) -> None:
         )
 
 
-def _check_notifications(program: Program, out: list) -> None:
+def _check_notifications(program: Program, out: list[Finding]) -> None:
     domain = NotificationDomain()
     final = analyze_program(domain, program)
     if domain.is_bottom(final):

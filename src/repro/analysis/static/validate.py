@@ -23,7 +23,7 @@ bound may be looser, not larger in reality).  The dynamic checker in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ...lang.ast import Arg, Expr, Program, Var, While
 from ...lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -32,10 +32,14 @@ from ...lang.visitors import expr_args, expr_vars, notified_pids, stmt_args, stm
 from ...smt.interface import arg_sym, var_sym
 from ...smt.terms import Eq, FAnd, Formula, Le, Num, as_linear, fand, le_f
 from ..invariants import loop_invariant
-from .costbound import stmt_cost_upper, trip_count_bound
+from .costbound import LoopBoundHook, stmt_cost_upper, trip_count_bound
 from .domains import IntervalConstDomain, NotificationDomain
 from .framework import analyze_program
 from .values import Interval, StaticEnv
+
+if TYPE_CHECKING:
+    from ...smt.solver import Solver
+    from ..sp import SpEngine
 
 __all__ = ["StaticValidation", "validate_consolidation"]
 
@@ -49,12 +53,12 @@ class StaticValidation:
     """The validator's certificate (or lack of one) for one consolidation."""
 
     merged_pid: str
-    original_pids: tuple
+    original_pids: tuple[str, ...]
     notify_verdict: str  # proved | unknown | refuted
     cost_verdict: str  # proved | unknown
     merged_cost_upper: Optional[int]
     originals_cost_upper: Optional[int]
-    details: tuple = ()
+    details: tuple[str, ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -66,7 +70,7 @@ class StaticValidation:
     def refuted(self) -> bool:
         return self.notify_verdict == REFUTED
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "merged": self.merged_pid,
             "originals": list(self.original_pids),
@@ -93,7 +97,7 @@ def _expected_pids(originals: Sequence[Program]) -> set[str]:
 
 
 def _check_notifications(
-    originals: Sequence[Program], merged: Program, details: list
+    originals: Sequence[Program], merged: Program, details: list[str]
 ) -> str:
     domain = NotificationDomain()
 
@@ -204,7 +208,7 @@ def _refine_env_from_invariant(env: StaticEnv, inv: Formula) -> StaticEnv:
     return refined
 
 
-def make_invariant_loop_bound(engine, solver):
+def make_invariant_loop_bound(engine: SpEngine, solver: Solver) -> LoopBoundHook:
     """A ``loop_bound_hook`` backed by :func:`repro.analysis.invariants.loop_invariant`.
 
     Encodes the entry abstract environment as Ψ, asks the guess-and-check
@@ -228,7 +232,7 @@ def _cost_upper(
     program: Program,
     functions: Optional[FunctionTable],
     cost_model: CostModel,
-    hook,
+    hook: Optional[LoopBoundHook],
 ) -> Optional[int]:
     domain = IntervalConstDomain.for_program(program)
     cost, _ = stmt_cost_upper(
@@ -242,8 +246,8 @@ def _check_cost(
     merged: Program,
     functions: Optional[FunctionTable],
     cost_model: CostModel,
-    hook,
-    details: list,
+    hook: Optional[LoopBoundHook],
+    details: list[str],
 ) -> tuple[str, Optional[int], Optional[int]]:
     merged_ub = _cost_upper(merged, functions, cost_model, hook)
     total: Optional[int] = 0
@@ -277,8 +281,8 @@ def validate_consolidation(
     merged: Program,
     functions: Optional[FunctionTable] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    engine=None,
-    solver=None,
+    engine: Optional[SpEngine] = None,
+    solver: Optional[Solver] = None,
 ) -> StaticValidation:
     """Statically certify ``merged`` against the ``originals`` it replaces.
 

@@ -104,8 +104,11 @@ class Interval:
     def meet(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
             return EMPTY
-        lo = self.lo if other.lo is None else (other.lo if self.lo is None else max(self.lo, other.lo))
-        hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
+        lo, hi = self.lo, self.hi
+        if other.lo is not None:
+            lo = other.lo if lo is None else max(lo, other.lo)
+        if other.hi is not None:
+            hi = other.hi if hi is None else min(hi, other.hi)
         return Interval.make(lo, hi)
 
     def leq(self, other: "Interval") -> bool:
@@ -214,8 +217,8 @@ def interval_of_const(v: int) -> Interval:
 # Boolean / string facts
 # ---------------------------------------------------------------------------
 
-BoolFact = frozenset  # subset of {True, False}
-StrFact = Union[frozenset, None]  # None = TOP (any string)
+BoolFact = frozenset[bool]  # subset of {True, False}
+StrFact = Union[frozenset[str], None]  # None = TOP (any string)
 
 TOP_BOOL: BoolFact = frozenset((True, False))
 TOP_STR: StrFact = None
@@ -251,7 +254,7 @@ class StaticEnv:
 
     ints: dict[Expr, Interval] = field(default_factory=dict)
     bools: dict[Expr, BoolFact] = field(default_factory=dict)
-    strs: dict[Expr, frozenset] = field(default_factory=dict)
+    strs: dict[Expr, frozenset[str]] = field(default_factory=dict)
     unreachable: bool = False
 
     # -- plumbing -------------------------------------------------------------
@@ -381,8 +384,8 @@ class StaticEnv:
             return
         # Evaluate the right-hand side *before* killing the target's old
         # facts — ``i := i + 1`` must see the old ``i``.
-        new_bool: Optional[frozenset] = None
-        new_str: Optional[frozenset] = None
+        new_bool: Optional[BoolFact] = None
+        new_str: Optional[frozenset[str]] = None
         new_int: Optional[Interval] = None
         if isinstance(rhs, BoolConst):
             new_bool = frozenset((rhs.value,))
@@ -468,7 +471,9 @@ class StaticEnv:
                     self.mark_unreachable()
                 else:
                     self.strs[left] = rest
-            elif isinstance(right, (Var, Arg)) and rs is not None and ls is not None and len(ls) == 1:
+            elif (
+                isinstance(right, (Var, Arg)) and rs is not None and ls is not None and len(ls) == 1
+            ):
                 rest = rs - ls
                 if not rest:
                     self.mark_unreachable()

@@ -140,7 +140,6 @@ def _config_from_args(args) -> ExecutionConfig:
         backend=args.backend,
         executor=getattr(args, "executor", None) or "serial",
         telemetry=telemetry,
-        profiler=getattr(args, "_profiler", None),
         planner=getattr(args, "planner", None) or "related",
         calibration=_calibration_from_args(args),
     )
@@ -156,6 +155,20 @@ def _executor_list(text: str) -> tuple[str, ...]:
                 f"invalid executor {name!r} (choose from {', '.join(EXECUTORS)})"
             )
     return names
+
+
+def _positive_int(text: str) -> int:
+    """A count flag's ``type=``: an integer >= 1."""
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid count {text!r} (a positive integer)"
+        )
+    return value
 
 
 def _sweep(text: str) -> tuple[int, ...]:
@@ -484,6 +497,11 @@ def cmd_latency(args) -> int:
     from .experiments import run_latency_experiment
     from .queries import DOMAIN_QUERIES
 
+    if not 0 <= args.priority_index < args.n_udfs:
+        args.usage_error(
+            f"argument --priority-index: must be in 0..{args.n_udfs - 1}, "
+            f"got {args.priority_index}"
+        )
     dataset = generate_stocks(companies=30, total_daily_rows=5000)
     programs = DOMAIN_QUERIES["stock"].make_batch(dataset, "Q1", n=args.n_udfs, seed=args.seed)
     priority = (programs[args.priority_index].pid,)
@@ -541,7 +559,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .naiad.linq import from_collection
     from .profiling import Profiler, TraceStore
     from .queries import DOMAIN_QUERIES
 
@@ -552,7 +569,6 @@ def cmd_profile(args) -> int:
     profiler = Profiler(
         store, domain=args.domain, sample_every=args.sample_every
     )
-    args._profiler = profiler
     cfg = _config_from_args(args)
     rows = list(dataset.rows[: args.rows])
     invocations = 0
@@ -560,10 +576,15 @@ def cmd_profile(args) -> int:
         for family in families:
             batch = module.make_batch(dataset, family, n=args.n, seed=args.seed)
             for program in batch:
-                query = from_collection(rows, config=cfg).where(
-                    program, dataset.functions
+                profiler.profile(
+                    program,
+                    dataset.functions,
+                    rows,
+                    backend=cfg.backend,
+                    workers=cfg.workers,
+                    cost_model=cfg.cost_model,
+                    telemetry=cfg.telemetry,
                 )
-                query.run(cfg)
                 invocations += len(rows)
     print(
         f"# profiled {invocations} UDF invocations across {len(families)} "
@@ -835,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("figure9", help="regenerate Figure 9", parents=[common])
-    p.add_argument("--n-udfs", type=int, default=50)
+    p.add_argument("--n-udfs", type=_positive_int, default=50)
     p.add_argument("--scale", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
@@ -853,10 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_figure10)
 
     p = sub.add_parser("latency", help="Section 8 latency experiment", parents=[common])
-    p.add_argument("--n-udfs", type=int, default=10)
+    p.add_argument("--n-udfs", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--priority-index", type=int, default=7)
-    p.set_defaults(fn=cmd_latency)
+    p.set_defaults(fn=cmd_latency, usage_error=p.error)
 
     p = sub.add_parser(
         "explain",
@@ -906,11 +927,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="queries per family")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
-        "--rows", type=int, default=500, help="dataset rows run per query"
+        "--rows", type=_positive_int, default=500, help="dataset rows run per query"
     )
     p.add_argument(
         "--sample-every",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="K",
         help="time every K-th invocation (default: %(default)s)",

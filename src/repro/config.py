@@ -90,12 +90,6 @@ class ExecutionConfig:
         full UDF, skipping rows that provably notify nobody.  Off by
         default — the disabled hot path costs one ``None`` check per
         record, mirroring the telemetry discipline.
-    ``profiler``
-        Optional :class:`repro.profiling.Profiler`.  When set, the
-        ladder's rungs sample executions (every Nth column batch / invocation)
-        into its trace store for offline calibration (``repro
-        calibrate``).  ``None`` (the default) keeps every hot path
-        unwrapped — the zero-cost-when-off discipline again.
     ``planner``
         Consolidation pair-ordering strategy: ``"related"`` (the paper's
         heuristic, default) or ``"calibrated"`` — rank candidate pairs by
@@ -119,7 +113,6 @@ class ExecutionConfig:
     telemetry: Telemetry = NULL_TELEMETRY
     provenance: bool = False
     prefilter: bool = False
-    profiler: object = None
     planner: str = "related"
     calibration: object = None
 

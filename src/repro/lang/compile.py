@@ -91,10 +91,9 @@ from .interp import (
 )
 from .printer import expr_to_str, stmt_to_str
 from .runtime import make_lib_call, unbound_error
-from .visitors import stmt_size
+from .visitors import contains_stmt, stmt_size
 
 if TYPE_CHECKING:
-    from ..profiling import Profiler
     from ..telemetry import Telemetry
 
 __all__ = [
@@ -136,18 +135,6 @@ class CompileError(Exception):
 def _check_backend(backend: str) -> None:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-
-
-def _contains(s: Stmt, kinds: type[Stmt] | tuple[type[Stmt], ...]) -> bool:
-    if isinstance(s, kinds):
-        return True
-    if isinstance(s, Seq):
-        return any(_contains(sub, kinds) for sub in s.stmts)
-    if isinstance(s, If):
-        return _contains(s.then, kinds) or _contains(s.orelse, kinds)
-    if isinstance(s, While):
-        return _contains(s.body, kinds)
-    return False
 
 
 def _collect_assigns(s: Stmt, out: list[tuple[str, Expr]]) -> None:
@@ -558,7 +545,7 @@ class _Emitter:
             )
             for p in params:
                 self.emit(1, f"{self.slot(p)} = _args[{p!r}]")
-        if _contains(program.body, While):
+        if contains_stmt(program.body, While):
             self.emit(1, "_fuel = _budget")
         self.emit(1, "_nots = {}")
         self.emit(1, "_ncosts = {}")
@@ -800,7 +787,6 @@ def make_runner(
     backend: str = DEFAULT_BACKEND,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry: Telemetry | None = None,
-    profiler: Profiler | None = None,
 ) -> Callable[[Mapping[str, object]], RunResult]:
     """Return ``args -> RunResult``: the per-row rungs of the execution ladder.
 
@@ -814,31 +800,14 @@ def make_runner(
     with a logged warning and a ``compile_fallbacks_total`` count — if
     compilation fails for any reason, so callers always get a working
     runner.  ``backend="interp"`` is the interpreter alone.
-
-    ``profiler`` (a :class:`repro.profiling.Profiler`) wraps the returned
-    runner with the sampling hook, tagged with the rung that actually
-    serves it (``compiled`` vs the interpreter).  ``None`` — the
-    default — returns the bare runner: the hook costs nothing when off
-    because it is never installed.
     """
 
     _check_backend(backend)
-
-    def _hook(
-        runner: Callable[[Mapping[str, object]], RunResult], served_by: str
-    ) -> Callable[[Mapping[str, object]], RunResult]:
-        if profiler is None or not profiler.enabled:
-            return runner
-        return profiler.wrap_runner(runner, program, functions, served_by)
-
     if backend != "interp":
         try:
-            return _hook(
-                compile_cached(
-                    program, functions, cost_model, max_steps=max_steps, telemetry=telemetry
-                ).run,
-                "compiled",
-            )
+            return compile_cached(
+                program, functions, cost_model, max_steps=max_steps, telemetry=telemetry
+            ).run
         except Exception as exc:  # noqa: BLE001 - fallback must be unconditional
             if telemetry is not None and telemetry.enabled:
                 telemetry.counter("compile_fallbacks_total").inc()
@@ -853,4 +822,4 @@ def make_runner(
     def _run(args: Mapping[str, object]) -> RunResult:
         return interp.run(program, args)
 
-    return _hook(_run, "interp")
+    return _run

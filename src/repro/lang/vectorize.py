@@ -59,7 +59,6 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from copy import copy
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from .ast import If, Program, Stmt, While
@@ -68,7 +67,6 @@ from .compile import (
     DEFAULT_MAX_STEPS,
     _cached,
     _check_backend,
-    _contains,
     _Emitter,
     _LoweringCache,
     make_runner,
@@ -76,11 +74,10 @@ from .compile import (
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .functions import FunctionTable
 from .interp import RunResult
-from .visitors import expr_args, expr_vars
+from .visitors import contains_stmt, expr_args, expr_vars
 
 if TYPE_CHECKING:
     from ..analysis.static.domains import AssignedState
-    from ..profiling import Profiler
     from ..telemetry import Telemetry
 
 __all__ = [
@@ -185,7 +182,7 @@ class _KernelEmitter(_Emitter):
             self.emit(depth, f"if {py}: _h{k}a(_i)")
 
     def prologue(self, program: Program) -> int:
-        self.static = not _contains(program.body, (If, While))
+        self.static = not contains_stmt(program.body, (If, While))
         targets = ["_i", *(self.slot(p) for p in program.params)]
         sources = ["range(_n)", *(f"_g{i}" for i in range(len(program.params)))]
         self.emit(0, f"def _kern({', '.join(['_n', '_budget', *sources[1:]])}):")
@@ -199,7 +196,7 @@ class _KernelEmitter(_Emitter):
             self.emit(1, f"_h{k}a = _h{k}.append")
         rows = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
         self.emit(1, f"for {', '.join(targets)} in {rows}:")
-        if _contains(program.body, While):
+        if contains_stmt(program.body, While):
             self.emit(2, "_fuel = _budget")
         if not self.static:
             self.emit(2, "_cost = 0")
@@ -307,9 +304,8 @@ class VectorizedProgram:
     the bottom rung — no kernel is lowered, nothing is degraded, every
     record runs through the interpreter.
 
-    ``telemetry``, ``profiler`` and ``backend`` belong to the run, not to
-    the (cached, shared) lowering: :meth:`bound` gives another run its own
-    view.
+    ``telemetry`` belongs to the run, not to the (cached, shared)
+    lowering: :meth:`bound` gives another run its own view.
     """
 
     def __init__(
@@ -325,7 +321,6 @@ class VectorizedProgram:
         max_steps: int = DEFAULT_MAX_STEPS,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         self.program = program
         self.functions = functions
@@ -337,24 +332,19 @@ class VectorizedProgram:
         self.max_steps = max_steps
         self.backend = backend
         self.telemetry = telemetry
-        self.profiler = profiler
         self._row_runner: Optional[Callable[[Mapping[str, object]], RunResult]] = None
 
     @property
     def vectorized(self) -> bool:
         return self.plan is not None
 
-    def bound(
-        self, backend: str, telemetry: Optional[Telemetry], profiler: Optional[Profiler]
-    ) -> VectorizedProgram:
+    def bound(self, telemetry: Optional[Telemetry]) -> VectorizedProgram:
         """The same lowering serving another run (a fresh object: a
         published program is never rebound)."""
 
         clone = copy(self)
-        clone.backend = backend
         clone.telemetry = telemetry
-        clone.profiler = profiler
-        clone._row_runner = None  # bound to the original's sink and profiler
+        clone._row_runner = None  # bound to the original's sink
         return clone
 
     def row_runner(self) -> Callable[[Mapping[str, object]], RunResult]:
@@ -362,8 +352,7 @@ class VectorizedProgram:
         behind it, or the interpreter alone under ``backend="interp"``.
 
         Lowered on first use — a run whose batches all stay on the kernel
-        never builds a per-record closure.  A live profiler samples the
-        rows here, tagged with the rung that served them.
+        never builds a per-record closure.
         """
 
         runner = self._row_runner
@@ -375,7 +364,6 @@ class VectorizedProgram:
                 backend=self.backend,
                 max_steps=self.max_steps,
                 telemetry=self.telemetry,
-                profiler=self.profiler,
             )
         return runner
 
@@ -384,10 +372,7 @@ class VectorizedProgram:
 
         Never raises for *vectorization* reasons — only genuine program
         errors (the same the per-record closure raises record by record)
-        propagate, from the per-row rungs, in record order.  With a live
-        profiler a kernel-served batch is one sampling candidate, tagged
-        with the run's backend: total seconds and total cost against
-        ``records × per-record`` units.
+        propagate, from the per-row rungs, in record order.
         """
 
         telemetry = self.telemetry
@@ -398,19 +383,12 @@ class VectorizedProgram:
             telemetry.histogram("vectorized_batch_size").observe(n)
         if self.plan is None:
             return self._run_rows(columns, n, self.degraded_reason)
-        started = perf_counter()
         try:
             costs, hits, partial = self.plan(
                 n, self.max_steps, *[columns[p] for p in self.program.params]
             )
         except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
             return self._run_rows(columns, n, f"{type(exc).__name__}: {exc}")
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            profiler.record_batch(
-                self.program, self.functions, self.backend,
-                perf_counter() - started, sum(costs), n,
-            )
         return BatchResult(n, costs, hits, partial)
 
     def _run_rows(self, columns: Mapping[str, Sequence[Any]], n: int, reason: str) -> BatchResult:
@@ -475,7 +453,6 @@ def vectorize_program(
     backend: str = DEFAULT_BACKEND,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry: Optional[Telemetry] = None,
-    profiler: Optional[Profiler] = None,
 ) -> VectorizedProgram:
     """Build ``program``'s ladder, entered where ``backend`` says.
 
@@ -501,7 +478,6 @@ def vectorize_program(
         max_steps=max_steps,
         backend=backend,
         telemetry=telemetry,
-        profiler=profiler,
     )
     if FAULT_HOOK is not None:
         transform = FAULT_HOOK("vectorize.finish", program)
@@ -521,22 +497,18 @@ def vectorize_cached(
     backend: str = DEFAULT_BACKEND,
     max_steps: int = DEFAULT_MAX_STEPS,
     telemetry: Optional[Telemetry] = None,
-    profiler: Optional[Profiler] = None,
 ) -> VectorizedProgram:
     """Memoising front end to :func:`vectorize_program`.
 
     The lowering is shared across runs — ``"compiled"`` and
-    ``"vectorized"`` share one — while telemetry sink, profiler and the
-    backend label the profiler tags its samples with are per run.  A cached
-    program is never rebound: a lookup under another sink, or with a
-    profiler (the cache holds none), gets a fresh
-    :meth:`VectorizedProgram.bound` view of it.  An unprofiled view may
-    therefore carry whichever of the two synonyms lowered it first; nothing
-    reads the label then.
+    ``"vectorized"`` share one — while the telemetry sink is per run.  A
+    cached program is never rebound: a lookup under another sink gets a
+    fresh :meth:`VectorizedProgram.bound` view of it.  A view may
+    therefore carry whichever of the two synonyms lowered it first; both
+    enter the same rungs.
     """
 
     def build() -> VectorizedProgram:
-        # No profiler: the cache must not keep a run's trace store alive.
         return vectorize_program(
             program, functions, cost_model,
             backend=backend, max_steps=max_steps, telemetry=telemetry,
@@ -550,8 +522,8 @@ def vectorize_cached(
     )
     if missed and vectorized.degraded_reason and telemetry is not None and telemetry.enabled:
         telemetry.counter("vectorized_unvectorizable_total").inc()
-    if vectorized.telemetry is not telemetry or profiler is not None:
-        vectorized = vectorized.bound(backend, telemetry, profiler)
+    if vectorized.telemetry is not telemetry:
+        vectorized = vectorized.bound(telemetry)
     return vectorized
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "stmt_calls",
     "assigned_vars",
     "notified_pids",
+    "contains_stmt",
     "substitute",
     "map_exprs",
     "rename_vars",
@@ -153,6 +154,20 @@ def notified_pids(s: Stmt) -> frozenset[str]:
     for st in nested:  # a worklist: it grows while it is read
         nested.extend(stmt_parts(st)[1])
     return frozenset(st.pid for st in nested if isinstance(st, Notify))
+
+
+def contains_stmt(s: Stmt, kinds: type[Stmt] | tuple[type[Stmt], ...]) -> bool:
+    """Whether ``s`` is, or nests, a statement of one of ``kinds``."""
+
+    if isinstance(s, kinds):
+        return True
+    if isinstance(s, Seq):
+        return any(contains_stmt(sub, kinds) for sub in s.stmts)
+    if isinstance(s, If):
+        return contains_stmt(s.then, kinds) or contains_stmt(s.orelse, kinds)
+    if isinstance(s, While):
+        return contains_stmt(s.body, kinds)
+    return False
 
 
 @derived("_size")

@@ -88,7 +88,6 @@ class Query:
             "backend": cfg.backend,
             "telemetry": cfg.telemetry,
             "prefilter": cfg.prefilter,
-            "profiler": cfg.profiler,
         }
 
     def where(self, program: Program, functions: Optional[FunctionTable] = None) -> Query:

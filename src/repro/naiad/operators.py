@@ -33,7 +33,7 @@ gauge when telemetry is enabled.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ..analysis.prefilter import PREFILTER_PID, Prefilter, make_guard
 from ..lang.ast import Program
@@ -43,9 +43,6 @@ from ..lang.functions import FunctionTable
 from ..lang.vectorize import BatchResult, VectorizedProgram, columns_from_records, vectorize_cached
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .dataflow import Vertex, Worker
-
-if TYPE_CHECKING:
-    from ..profiling import Profiler
 
 __all__ = [
     "Where",
@@ -131,7 +128,6 @@ class _UdfOperator(Vertex):
         backend: str,
         telemetry: Optional[Telemetry],
         prefilter: bool | Prefilter,
-        profiler: Optional[Profiler],
     ) -> None:
         super().__init__(name)
         if telemetry is None:
@@ -144,8 +140,7 @@ class _UdfOperator(Vertex):
         self.units: list[_Unit] = []
         for program, pids in programs:
             plan = vectorize_cached(
-                program, functions, cost_model,
-                backend=backend, telemetry=telemetry, profiler=profiler,
+                program, functions, cost_model, backend=backend, telemetry=telemetry
             )
             guard = None
             if prefilter:
@@ -240,11 +235,10 @@ class Where(_UdfOperator):
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         super().__init__(
             f"where[{program.pid}]", [(program, [program.pid])], True,
-            functions, cost_model, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter,
         )
 
 
@@ -259,13 +253,12 @@ class WhereMany(_UdfOperator):
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool = False,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         if not programs:
             raise ValueError("whereMany needs at least one UDF")
         super().__init__(
             f"whereMany[{len(programs)}]", [(p, [p.pid]) for p in programs], False,
-            functions, cost_model, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter,
         )
 
 
@@ -286,13 +279,12 @@ class WhereConsolidated(_UdfOperator):
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
         prefilter: bool | Prefilter = False,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         if isinstance(prefilter, Prefilter) and prefilter.pid != merged.pid:
             raise ValueError(f"prefilter of {prefilter.pid!r} handed to UDF {merged.pid!r}")
         super().__init__(
             f"whereConsolidated[{len(pids)}]", [(merged, pids)], False,
-            functions, cost_model, backend, telemetry, prefilter, profiler,
+            functions, cost_model, backend, telemetry, prefilter,
         )
 
 

@@ -9,12 +9,12 @@ observe:
   of a program (the regression features);
 * :mod:`repro.profiling.trace` — the schema-versioned JSONL trace store
   the sampling profiler appends to;
-* :mod:`repro.profiling.profiler` — the sampling micro-profiler hooked
-  into every rung of the execution ladder (kernel / compiled closure /
-  interpreter; samples are tagged ``compiled`` / ``vectorized`` /
-  ``interp``), with the
-  repository's NULL-twin discipline: :data:`NULL_PROFILER` costs nothing
-  and the hooks are wired at *construction* time, never per record;
+* :mod:`repro.profiling.profiler` — the sampling micro-profiler, a
+  driver that runs a program through the execution ladder's public
+  entry points and times every rung it reaches (kernel / compiled
+  closure / interpreter; samples are tagged ``compiled`` /
+  ``vectorized`` / ``interp``).  Nothing on the query run path knows
+  about it: a run that is not being profiled carries no hook;
 * :mod:`repro.profiling.calibrate` — the offline least-squares fitter
   (``repro calibrate``) with fit diagnostics;
 * :mod:`repro.profiling.model` — the serialized
@@ -31,7 +31,7 @@ from .calibrate import fit_calibration
 from .features import OP_KINDS, RECORD_KIND, op_units, program_units
 from .model import MODEL_SCHEMA_VERSION, CalibratedCostModel
 from .planner import LevelPlan, PlannedPair, pair_savings, plan_level
-from .profiler import NULL_PROFILER, NullProfiler, Profiler
+from .profiler import Profiler
 from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceSample,
@@ -51,8 +51,6 @@ __all__ = [
     "read_trace",
     "trace_fingerprint",
     "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "fit_calibration",
     "CalibratedCostModel",
     "MODEL_SCHEMA_VERSION",

@@ -21,7 +21,7 @@ Unit semantics, chosen so one regression covers heterogeneous programs:
 
 Control flow is resolved statically and deterministically: an ``If``
 contributes its test plus the *heavier* branch (worst case, matching the
-upper bound :func:`repro.analysis.costmodel.stmt_cost_bounds` reports);
+upper bound :func:`repro.analysis.static.costbound.stmt_cost_upper` reports);
 a ``While`` contributes its test plus :data:`LOOP_UNROLL` iterations of
 ``body + test``.  The approximation is deliberate — calibration is a
 regression over many samples, not an exact accounting.

@@ -1,54 +1,50 @@
-"""The sampling micro-profiler, hooked into every rung of the execution ladder.
+"""The sampling micro-profiler: a driver that runs the execution ladder and times it.
 
-A :class:`Profiler` rides on :class:`repro.config.ExecutionConfig`
-(``profiler=``) and observes UDF execution at two grains:
+A :class:`Profiler` is not a hook inside the query engine: nothing on
+the run path knows about it.  :meth:`Profiler.profile` calls the
+ladder's public entry points itself — it deals the rows into partitions
+the way the dataflow engine does, lowers the program once with
+:func:`repro.lang.vectorize.vectorize_cached`, and times what it runs at
+two grains:
 
 * **column batches** (the kernel, where ``backend="compiled"`` and
-  ``"vectorized"`` run): :meth:`repro.lang.vectorize.VectorizedProgram.run_batch`
-  calls :meth:`record_batch` per kernel-served batch, tagged with the
-  run's configured backend, which samples whole batches;
-* **per-record runners** (``backend="interp"``, and the rows of a batch
-  that degraded): :meth:`wrap_runner` is applied by
-  :func:`repro.lang.compile.make_runner` around the runner it returns,
-  timing every ``sample_every``-th invocation at the same rate, tagged
-  with the rung that served it (``compiled`` closure or ``interp``).
+  ``"vectorized"`` run): one :meth:`~repro.lang.vectorize.VectorizedProgram.run_batch`
+  per partition is one sampling candidate, tagged with the backend the
+  caller asked for;
+* **single records** (``backend="interp"``, programs with no kernel, and
+  a partition whose batch degraded): every record through
+  :meth:`~repro.lang.vectorize.VectorizedProgram.row_runner` is one
+  candidate, tagged with the rung that served it (``compiled`` closure
+  or ``interp``).
 
-Every sample pairs the observed wall seconds with the program's static
-per-operation-kind unit vector (:func:`repro.profiling.features.program_units`)
-and lands in the JSONL :class:`~repro.profiling.trace.TraceStore`.
-
-Zero-cost-when-off discipline (the telemetry/provenance NULL-twin
-pattern): the default config carries no profiler at all, so
-``make_runner`` returns the unwrapped runner and ``run_batch`` skips the
-batch hook after one attribute read — nothing per *record* changes.
-:data:`NULL_PROFILER` exists for call sites that want an always-valid
-handle; its hooks are inert and ``wrap_runner`` is the identity.
+One tick, shared by every ``profile`` call, keeps every
+``sample_every``-th candidate.  Every sample pairs the observed wall
+seconds with the program's static per-operation-kind unit vector
+(:func:`repro.profiling.features.program_units`) and lands in the JSONL
+:class:`~repro.profiling.trace.TraceStore`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Callable, Dict, Mapping, Optional, Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from ..lang.ast import Program
+from ..lang.compile import DEFAULT_BACKEND, CompiledProgram
+from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
+from ..lang.vectorize import VectorizedProgram, columns_from_records, vectorize_cached
 from .features import RECORD_KIND, program_units
 from .trace import TraceSample, TraceStore
 
-__all__ = ["Profiler", "NullProfiler", "NULL_PROFILER"]
+if TYPE_CHECKING:
+    from ..telemetry import Telemetry
 
-# The runner signature make_runner hands back: args -> RunResult.  Generic
-# in the result because the interpreter's RunResult is a legacy (unchecked)
-# module; the profiler only reads ``.cost``.
-_R = TypeVar("_R")
-Runner = Callable[[Mapping[str, object]], _R]
+__all__ = ["Profiler"]
 
 
 class Profiler:
     """Samples backend executions into a persistent trace store."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -66,45 +62,85 @@ class Profiler:
         self.sample_every = sample_every
         self.samples_taken = 0
         self._tick = 0
-        self._lock = threading.Lock()
-        # Keyed by id(program) with the program kept alive in the value,
-        # so a recycled id cannot alias a dead entry.
-        self._units: Dict[int, Tuple[Program, Dict[str, float]]] = {}
-
-    # -- sampling ------------------------------------------------------------
 
     def _due(self) -> bool:
-        # A benign race on the tick under threads only shifts which
-        # invocation gets sampled; the rate stays ~1/sample_every.
         self._tick += 1
         return self._tick % self.sample_every == 0
 
-    def units_for(
-        self, program: Program, functions: Optional[FunctionTable]
-    ) -> Dict[str, float]:
-        key = id(program)
-        cached = self._units.get(key)
-        if cached is not None and cached[0] is program:
-            return cached[1]
-        units = program_units(program, functions)
-        with self._lock:
-            self._units[key] = (program, units)
-        return units
-
-    def record(
+    def profile(
         self,
         program: Program,
-        functions: Optional[FunctionTable],
+        functions: FunctionTable,
+        rows: Sequence[Any],
+        *,
+        backend: str = DEFAULT_BACKEND,
+        workers: int = 1,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
+        """Run ``program`` over ``rows`` as a ``where`` query on ``workers``
+        partitions would, sampling what each rung of the ladder served."""
+
+        if workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        ladder = vectorize_cached(
+            program, functions, cost_model, backend=backend, telemetry=telemetry
+        )
+        units = program_units(program, functions)
+        for part in (rows[i::workers] for i in range(workers)):
+            if not part:
+                continue
+            columns = columns_from_records(program, part)
+            if ladder.plan is not None:
+                started = time.perf_counter()
+                batch = ladder.run_batch(columns, len(part))
+                elapsed = time.perf_counter() - started
+                if not batch.fallback:
+                    if self._due():
+                        self._record(
+                            program, units, backend, elapsed, sum(batch.costs), len(part)
+                        )
+                    continue
+            self._profile_rows(ladder, units, columns, len(part))
+
+    def _profile_rows(
+        self,
+        ladder: VectorizedProgram,
+        units: Dict[str, float],
+        columns: Mapping[str, Sequence[Any]],
+        n: int,
+    ) -> None:
+        runner = ladder.row_runner()
+        # make_runner hands back a compiled closure's bound ``run`` or,
+        # when there is none, an interpreter wrapper.
+        served_by = (
+            "compiled"
+            if isinstance(getattr(runner, "__self__", None), CompiledProgram)
+            else "interp"
+        )
+        for i in range(n):
+            args = {p: column[i] for p, column in columns.items()}
+            if not self._due():
+                runner(args)
+                continue
+            started = time.perf_counter()
+            result = runner(args)
+            elapsed = time.perf_counter() - started
+            self._record(ladder.program, units, served_by, elapsed, result.cost, 1)
+
+    def _record(
+        self,
+        program: Program,
+        per_record: Dict[str, float],
         backend: str,
         seconds: float,
         cost_units: int,
-        records: int = 1,
+        records: int,
     ) -> None:
         """Append one sample covering ``records`` executions of ``program``."""
 
-        per_record = self.units_for(program, functions)
         if records == 1:
-            units: Dict[str, float] = dict(per_record)
+            units = dict(per_record)
         else:
             units = {k: v * records for k, v in per_record.items()}
             units[RECORD_KIND] = float(records)
@@ -121,95 +157,3 @@ class Profiler:
                 ts=time.time(),
             )
         )
-
-    # -- backend hooks -------------------------------------------------------
-
-    def wrap_runner(
-        self,
-        runner: Runner[_R],
-        program: Program,
-        functions: Optional[FunctionTable],
-        backend: str,
-    ) -> Runner[_R]:
-        """The per-record hook: time every ``sample_every``-th invocation."""
-
-        def _profiled(args: Mapping[str, object]) -> _R:
-            if not self._due():
-                return runner(args)
-            started = time.perf_counter()
-            result = runner(args)
-            elapsed = time.perf_counter() - started
-            self.record(
-                program,
-                functions,
-                backend,
-                elapsed,
-                int(getattr(result, "cost", 0)),
-            )
-            return result
-
-        return _profiled
-
-    def record_batch(
-        self,
-        program: Program,
-        functions: Optional[FunctionTable],
-        backend: str,
-        seconds: float,
-        cost_units: int,
-        records: int,
-    ) -> None:
-        """The kernel hook: sample whole column batches at the same rate,
-        tagged with the ``backend`` the run was configured with."""
-
-        if records > 0 and self._due():
-            self.record(program, functions, backend, seconds, cost_units, records)
-
-
-class NullProfiler:
-    """The zero-cost twin: identity hooks, ``enabled`` is False."""
-
-    __slots__ = ()
-    enabled = False
-    samples_taken = 0
-
-    def units_for(
-        self, program: Program, functions: Optional[FunctionTable]
-    ) -> Dict[str, float]:
-        return {}
-
-    def record(
-        self,
-        program: Program,
-        functions: Optional[FunctionTable],
-        backend: str,
-        seconds: float,
-        cost_units: int,
-        records: int = 1,
-    ) -> None:
-        pass
-
-    def wrap_runner(
-        self,
-        runner: Runner[_R],
-        program: Program,
-        functions: Optional[FunctionTable],
-        backend: str,
-    ) -> Runner[_R]:
-        return runner
-
-    def record_batch(
-        self,
-        program: Program,
-        functions: Optional[FunctionTable],
-        backend: str,
-        seconds: float,
-        cost_units: int,
-        records: int,
-    ) -> None:
-        pass
-
-
-NULL_PROFILER = NullProfiler()
-
-AnyProfiler = Union[Profiler, NullProfiler]

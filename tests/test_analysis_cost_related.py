@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis import expr_cost, related, stmt_cost_bounds
+from repro.analysis import expr_cost, related
 from repro.analysis.related import call_features, comparison_subjects, is_trivial
+from repro.analysis.static.costbound import program_cost_upper
 from repro.lang import (
     CostModel,
     FunctionTable,
@@ -23,6 +24,7 @@ from repro.lang import (
     not_,
     notify,
     or_,
+    program,
     var,
     while_,
 )
@@ -69,25 +71,19 @@ class TestExprCost:
             assert expr_cost(e, ft) == dynamic
 
 
-class TestStmtCostBounds:
+class TestStmtCostUpper:
     def test_straight_line_exact(self, ft):
         s = block(assign("x", add(1, 2)), notify("q", lt(var("x"), 5)))
-        lo, hi = stmt_cost_bounds(s, ft)
-        assert lo == hi == (1 + 1) + (1 + 0 + 1 + 1)
+        assert program_cost_upper(program("q", ("r",), s), ft) == (1 + 1) + (1 + 0 + 1 + 1)
 
-    def test_branch_spread(self, ft):
+    def test_branch_takes_the_heavier_side(self, ft):
         s = if_(lt(arg("r"), 5), assign("x", call("pricey", arg("r"))), assign("x", 0))
-        lo, hi = stmt_cost_bounds(s, ft)
-        assert lo < hi
         test_cost = 1 + 0 + 1 + 2
-        assert lo == test_cost + 0 + 1
-        assert hi == test_cost + 101 + 1
+        assert program_cost_upper(program("q", ("r",), s), ft) == test_cost + 101 + 1
 
     def test_loop_unbounded(self, ft):
         s = while_(lt(var("i"), 10), assign("i", add(var("i"), 1)))
-        lo, hi = stmt_cost_bounds(s, ft)
-        assert hi is None
-        assert lo == 1 + 0 + 1 + 2  # one failed test
+        assert program_cost_upper(program("q", ("r",), s), ft) is None
 
 
 class TestRelated:

@@ -5,8 +5,9 @@ these golden tests make any signature change an explicit, reviewed act —
 the diff shows exactly which verb moved.  The 2.0-removal tests pin that
 every pre-config keyword argument is gone (a ``TypeError``, not a silent
 shim), the 5.0.0-removal tests that the dropped ``ExecutionConfig``
-fields and the thread executor are gone, and the config validation errors
-(they must enumerate the valid values).
+fields and the thread executor are gone, the 6.0.0-removal tests that
+the profiler is no longer threaded through a run, and the config
+validation errors (they must enumerate the valid values).
 """
 
 import dataclasses
@@ -26,7 +27,10 @@ from repro.experiments import (
     run_figure10,
     run_latency_experiment,
 )
-from repro.naiad import Query, from_collection, run_where_consolidated, run_where_many
+from repro.lang import FunctionTable, parse_program
+from repro.lang.compile import make_runner
+from repro.lang.vectorize import vectorize_cached
+from repro.naiad import Query, WhereMany, from_collection, run_where_consolidated, run_where_many
 
 # ---------------------------------------------------------------------------
 # the facade: frozen __all__ and golden signatures
@@ -190,10 +194,41 @@ def test_removed_execution_config_field_raises_type_error(keyword):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_twelve_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 12
+def test_execution_config_has_eleven_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 11
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
+
+
+# ---------------------------------------------------------------------------
+# the 6.0.0 removals: the profiler drives the ladder from outside a run
+
+
+_UDF = "program p(r) { notify p @r < 5; }"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda profiler: ExecutionConfig(profiler=profiler),
+        lambda profiler: make_runner(parse_program(_UDF), FunctionTable(), profiler=profiler),
+        lambda profiler: vectorize_cached(parse_program(_UDF), FunctionTable(), profiler=profiler),
+        lambda profiler: WhereMany([parse_program(_UDF)], FunctionTable(), profiler=profiler),
+    ],
+    ids=["ExecutionConfig", "make_runner", "vectorize_cached", "WhereMany"],
+)
+def test_profiler_keyword_is_gone(entry):
+    with pytest.raises(TypeError, match="'profiler'"):
+        entry(object())
+
+
+def test_profiler_null_twin_is_gone():
+    import repro.profiling
+
+    for name in ("NullProfiler", "NULL_PROFILER", "AnyProfiler"):
+        assert not hasattr(repro.profiling, name)
+    for name in ("wrap_runner", "record_batch", "units_for"):
+        assert not hasattr(repro.profiling.Profiler, name)
 
 
 def test_thread_executor_is_gone():

@@ -21,14 +21,6 @@ LINT_ONLY = (
     "tools/ast_lint.py",
 )
 
-# Ratchet files ast_lint still has findings in (26 between them; ROADMAP item 6d).
-NOT_YET = (
-    "src/repro/analysis/static/lint.py",
-    "src/repro/analysis/static/validate.py",
-    "src/repro/analysis/static/values.py",
-)
-
-
 def ratchet_files() -> list[str]:
     """``tools/ratchet.txt`` — the list CI's static-checks job reads — file by file."""
 
@@ -51,15 +43,10 @@ def codes(source: str, limit: int = 100) -> list[tuple[int, str]]:
     return [(line, code) for line, code, _message in ast_lint.lint_source(source, limit)]
 
 
-@pytest.mark.parametrize("path", [f for f in ratchet_files() if f not in NOT_YET] + list(LINT_ONLY))
+@pytest.mark.parametrize("path", ratchet_files() + list(LINT_ONLY))
 def test_held_files_are_clean(path):
     found = findings(path)
     assert not found, "\n".join(found)
-
-
-def test_an_exemption_lasts_only_while_its_file_has_findings():
-    assert set(NOT_YET) <= set(ratchet_files())
-    assert [path for path in NOT_YET if not findings(path)] == []
 
 
 def test_line_length_comes_from_pyproject():

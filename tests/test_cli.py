@@ -200,6 +200,62 @@ class TestObservabilityFlags:
         assert model.to_dict() == printed
         assert model.source == "fit" and model.samples > 0
         assert set(model.backends) == {"interp", "compiled", "vectorized"}
+        # The fitted model drives the calibrated planner through the CLI.
+        metrics = tmp_path / "metrics.json"
+        rc = main(
+            ["consolidate", "--domain", "weather", "--verify", "20", "--planner", "calibrated"]
+            + ["--calibration", str(model_path), "--metrics-out", str(metrics)]
+            + _two_progs(tmp_path)
+        )
+        assert rc == 0
+        assert "verification on 20 rows: OK" in capsys.readouterr().err
+        gauges = {g["name"]: g["value"] for g in json.loads(metrics.read_text())["metrics"]["gauges"]}
+        assert gauges["calibration_r2"] == model.r2
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"schema": 999}'])
+    def test_an_unloadable_calibration_model_exits(self, tmp_path, content):
+        model_path = tmp_path / "model.json"
+        if content is not None:
+            model_path.write_text(content)
+        with pytest.raises(SystemExit, match=f"cannot load calibration model {model_path}"):
+            main(
+                ["consolidate", "--domain", "weather", "--planner", "calibrated"]
+                + ["--calibration", str(model_path)] + _two_progs(tmp_path)
+            )
+
+    # Per-record unit vector of a weather Q1 program (n=2, seed=1).
+    _Q1_UNITS = {
+        "arg": 1.0, "assign": 1.0, "branch": 1.0, "call": 40.0, "cmp": 1.0,
+        "const": 3.0, "notify": 1.0, "record": 1.0, "var": 1.0,
+    }
+
+    @pytest.mark.parametrize(
+        "backend, grain",
+        [
+            # Every 4th of 2 × 40 records.
+            ("interp", [("q0", 1)] * 10 + [("q1", 1)] * 10),
+            # Every 4th of 2 × 4 partitions of 10 rows.
+            ("compiled", [("q0", 10), ("q1", 10)]),
+            ("vectorized", [("q0", 10), ("q1", 10)]),
+        ],
+    )
+    def test_profile_sampling_grain_is_pinned(self, tmp_path, capsys, backend, grain):
+        from repro.profiling import read_trace
+
+        trace = tmp_path / "trace.jsonl"
+        rc = main(
+            ["--backend", backend, "profile", "--domain", "weather", "--family", "Q1"]
+            + ["--n", "2", "--rows", "40", "--sample-every", "4", "--trace-out", str(trace)]
+        )
+        assert rc == 0
+        assert f"{len(grain)} samples appended" in capsys.readouterr().err
+        samples, skipped = read_trace(trace)
+        assert skipped == 0
+        assert [(s.pid, s.records) for s in samples] == grain
+        for sample in samples:
+            assert sample.backend == backend
+            assert sample.cost_units == 47 * sample.records
+            assert sample.units == {k: v * sample.records for k, v in self._Q1_UNITS.items()}
 
     def test_calibrate_refuses_an_empty_trace(self, tmp_path):
         with pytest.raises(SystemExit, match="no usable samples"):
@@ -255,6 +311,11 @@ class TestObservabilityFlags:
             (["figure10", "--sweep", "10,x"], "invalid sweep '10,x'"),
             (["figure10", "--sweep", "0,10"], "invalid sweep '0,10'"),
             (["figure10", "--sweep", ""], "invalid sweep ''"),
+            (["profile", "--sample-every", "0"], "invalid count '0'"),
+            (["profile", "--rows", "-5"], "invalid count '-5'"),
+            (["profile", "--rows", "x"], "invalid count 'x'"),
+            (["latency", "--n-udfs", "0"], "invalid count '0'"),
+            (["figure9", "--n-udfs", "0"], "invalid count '0'"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, argv, message):
@@ -265,6 +326,14 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert f"{argv[0]}: error: argument {argv[1]}" in err
         assert message in err
+
+    @pytest.mark.parametrize("argv", [["--priority-index", "99"], ["--n-udfs", "4"], ["--priority-index", "-1"]])
+    def test_latency_priority_index_outside_the_batch_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["latency", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "latency: error: argument --priority-index: must be in 0.." in err
 
     def test_good_values_parse(self):
         args = build_parser().parse_args(

@@ -4,7 +4,8 @@ semantics (beyond the per-module unit tests)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import expr_cost, stmt_cost_bounds
+from repro.analysis import expr_cost
+from repro.analysis.static.costbound import program_cost_upper
 from repro.lang import (
     FunctionTable,
     Interpreter,
@@ -48,18 +49,16 @@ FT = FunctionTable(
 )
 
 
-class TestCostBoundsBracketDynamicCost:
-    """``stmt_cost_bounds`` must bracket the interpreter's measured cost."""
+class TestCostUpperBoundCoversDynamicCost:
+    """``stmt_cost_upper`` must bound the interpreter's measured cost."""
 
     def _check(self, body, inputs):
         p = program("q", ("n",), body, notify("q", True))
-        lo, hi = stmt_cost_bounds(p.body, FT)
+        hi = program_cost_upper(p, FT)
+        assert hi is not None
         interp = Interpreter(FT)
         for n in inputs:
-            cost = interp.run(p, {"n": n}).cost
-            assert lo <= cost
-            if hi is not None:
-                assert cost <= hi
+            assert interp.run(p, {"n": n}).cost <= hi
 
     def test_straight_line(self):
         self._check(block(assign("x", call("f", arg("n"))), assign("y", add(var("x"), 1))), range(5))
@@ -80,12 +79,25 @@ class TestCostBoundsBracketDynamicCost:
         )
         self._check(body, range(10))
 
-    def test_loops_lower_bound_only(self):
+    def test_bounded_loops(self):
+        body = block(
+            assign("i", 0),
+            while_(
+                lt(var("i"), 5),
+                block(
+                    if_(lt(arg("n"), var("i")), assign("x", call("f", arg("n"))), assign("x", 0)),
+                    assign("i", add(var("i"), 1)),
+                ),
+            ),
+        )
+        self._check(body, range(8))
+
+    def test_a_loop_on_an_argument_has_no_bound(self):
         body = block(
             assign("i", 0),
             while_(lt(var("i"), arg("n")), assign("i", add(var("i"), 1))),
         )
-        self._check(body, range(5))
+        assert program_cost_upper(program("q", ("n",), body, notify("q", True)), FT) is None
 
 
 class TestConeOfInfluence:

@@ -1,8 +1,8 @@
 """The profiling → calibration → planner pipeline (repro.profiling).
 
 Covers the trace store's schema discipline, golden weight recovery and
-byte-identical determinism of the fitter, the NULL-twin zero-cost
-promise, sampling through both backend hooks, the cost-driven planner's
+byte-identical determinism of the fitter, the profiler driving every
+rung of the execution ladder, the cost-driven planner's
 features and decisions (including the loop-shape axis and the SMT
 budget), and semantics parity between planners end to end.
 """
@@ -33,7 +33,6 @@ from repro.lang.compile import make_runner
 from repro.lang.cost import DEFAULT_COST_MODEL, cost_model_from_weights
 from repro.naiad.linq import from_collection, run_where_consolidated, run_where_many
 from repro.profiling import (
-    NULL_PROFILER,
     OP_KINDS,
     RECORD_KIND,
     TRACE_SCHEMA_VERSION,
@@ -314,95 +313,110 @@ class TestCalibration:
 
 
 # ---------------------------------------------------------------------------
-# profiler hooks + NULL twin
+# the profiler drives the ladder
 # ---------------------------------------------------------------------------
 
 
+def _profile(tmp_path, program, rows, functions, *, sample_every=1, **kwargs):
+    store = TraceStore(tmp_path / "t.jsonl")
+    profiler = Profiler(store, domain="weather", sample_every=sample_every)
+    profiler.profile(program, functions, rows, **kwargs)
+    store.close()
+    samples, _ = read_trace(store.path)
+    assert profiler.samples_taken == len(samples)
+    return samples
+
+
 class TestProfiler:
-    def test_wrap_runner_samples_at_the_stride(self, tmp_path, weather):
+    def test_records_sample_at_the_stride(self, tmp_path, weather):
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
-        store = TraceStore(tmp_path / "t.jsonl")
-        profiler = Profiler(store, domain="weather", sample_every=2)
-        runner = make_runner(
-            p, weather.functions, backend="compiled", profiler=profiler
+        samples = _profile(
+            tmp_path, p, weather.rows[:6], weather.functions, sample_every=2, backend="interp"
         )
-        row = weather.rows[0]
-        for _ in range(6):
-            runner({"row": row})
-        store.close()
-        samples, _ = read_trace(store.path)
         assert len(samples) == 3  # every 2nd of 6
-        assert {s.backend for s in samples} <= {"compiled", "interp"}
+        assert {s.backend for s in samples} == {"interp"}
         assert all(s.domain == "weather" for s in samples)
         assert all(s.units[RECORD_KIND] == 1.0 for s in samples)
         assert all(s.cost_units > 0 for s in samples)
 
-    def test_record_batch_scales_units_by_records(self, tmp_path, weather):
+    def test_a_kernel_batch_scales_units_by_records(self, tmp_path, weather):
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
-        store = TraceStore(tmp_path / "t.jsonl")
-        profiler = Profiler(store, domain="weather", sample_every=1)
-        profiler.record_batch(p, weather.functions, "compiled", 0.5, 999, records=25)
-        store.close()
-        (sample,), _ = read_trace(store.path)
+        rows = weather.rows[:25]
+        (sample,) = _profile(tmp_path, p, rows, weather.functions, backend="compiled")
         per_record = program_units(p, weather.functions)
-        assert sample.backend == "compiled"  # the tag is the caller's, not a constant
+        runner = make_runner(p, weather.functions)
+        assert sample.backend == "compiled"
         assert sample.records == 25
         assert sample.units[RECORD_KIND] == 25.0
         assert sample.units["call"] == per_record["call"] * 25
+        assert sample.cost_units == sum(runner({"row": row}).cost for row in rows)
 
     @pytest.mark.parametrize("backend", ["interp", "compiled", "vectorized"])
-    def test_a_run_is_tagged_with_the_backend_it_was_configured_with(
-        self, tmp_path, weather, backend
-    ):
+    def test_samples_are_tagged_with_the_backend_asked_for(self, tmp_path, weather, backend):
         """One ladder, one tag per run: a kernel-served partition is one
-        batch sample under the run's backend, the interpreter rung samples
-        record by record."""
+        batch sample under the caller's backend, the interpreter rung
+        samples record by record."""
 
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
-        store = TraceStore(tmp_path / "t.jsonl")
-        profiler = Profiler(store, domain="weather", sample_every=1)
-        config = ExecutionConfig(backend=backend, workers=1, profiler=profiler)
-        run_where_many(weather.rows, [p], weather.functions, config=config)
-        store.close()
-        samples, _ = read_trace(store.path)
+        samples = _profile(tmp_path, p, weather.rows, weather.functions, backend=backend)
         assert {s.backend for s in samples} == {backend}
         per_sample = 1 if backend == "interp" else len(weather.rows)
         assert [s.records for s in samples] == [per_sample] * (len(weather.rows) // per_sample)
 
-    def test_a_degraded_batch_is_tagged_with_the_rung_that_served_it(self, tmp_path, weather):
+    def test_rows_are_dealt_round_robin_into_partitions(self, tmp_path, weather):
+        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
+        samples = _profile(tmp_path, p, weather.rows[:10], weather.functions, workers=3)
+        assert [s.records for s in samples] == [4, 3, 3]
+        # An empty partition is no sampling candidate.
+        (tmp_path / "empty").mkdir()
+        samples = _profile(tmp_path / "empty", p, weather.rows[:2], weather.functions, workers=4)
+        assert [s.records for s in samples] == [1, 1]
+
+    def test_one_tick_spans_profile_calls(self, tmp_path, weather):
+        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
+        store = TraceStore(tmp_path / "t.jsonl")
+        profiler = Profiler(store, sample_every=2)
+        profiler.profile(p, weather.functions, weather.rows)
+        assert profiler.samples_taken == 0
+        profiler.profile(p, weather.functions, weather.rows)
+        assert profiler.samples_taken == 1
+
+    def test_a_program_without_kernel_is_tagged_with_the_rung_that_served_it(
+        self, tmp_path, weather
+    ):
         from repro.lang import parse_program
 
         unbounded = parse_program(
             "program ub(row) { s := 0; while (s < yearly_rainfall(@row)) { s := s + 7; }"
             " notify ub (s > 20); }"
         )
-        store = TraceStore(tmp_path / "t.jsonl")
-        profiler = Profiler(store, domain="weather", sample_every=1)
-        config = ExecutionConfig(backend="vectorized", workers=1, profiler=profiler)
-        run_where_many(weather.rows, [unbounded], weather.functions, config=config)
-        store.close()
-        samples, _ = read_trace(store.path)
+        samples = _profile(
+            tmp_path, unbounded, weather.rows, weather.functions, backend="vectorized"
+        )
         assert [(s.backend, s.records) for s in samples] == [("compiled", 1)] * len(weather.rows)
 
-    def test_null_twin_is_inert_and_identity(self, weather):
-        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
-        runner = object()
-        assert NULL_PROFILER.wrap_runner(runner, p, None, "interp") is runner
-        assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.record_batch(p, None, "compiled", 1.0, 1, 1)  # must not raise
-        assert NULL_PROFILER.samples_taken == 0
-        # make_runner with no profiler hands back the raw runner: a second
-        # make_runner with the NULL twin must behave identically.
-        bare = make_runner(p, weather.functions, backend="compiled")
-        nulled = make_runner(
-            p, weather.functions, backend="compiled", profiler=NULL_PROFILER
-        )
-        row = weather.rows[0]
-        assert bare({"row": row}).cost == nulled({"row": row}).cost
+    def test_a_degraded_batch_is_sampled_record_by_record(self, tmp_path, weather, monkeypatch):
+        from repro.lang.vectorize import clear_vectorize_cache, vectorize_cached
 
-    def test_sample_every_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            Profiler(TraceStore(tmp_path / "t.jsonl"), sample_every=0)
+        def broken_kernel(*args):
+            raise RuntimeError("kernel bug")
+
+        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
+        clear_vectorize_cache()
+        monkeypatch.setattr(vectorize_cached(p, weather.functions), "plan", broken_kernel)
+        try:
+            samples = _profile(tmp_path, p, weather.rows[:5], weather.functions)
+        finally:
+            clear_vectorize_cache()
+        assert [(s.backend, s.records) for s in samples] == [("compiled", 1)] * 5
+
+    def test_validation(self, tmp_path, weather):
+        store = TraceStore(tmp_path / "t.jsonl")
+        with pytest.raises(ValueError, match="sample_every"):
+            Profiler(store, sample_every=0)
+        p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
+        with pytest.raises(ValueError, match="workers"):
+            Profiler(store).profile(p, weather.functions, weather.rows, workers=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.config import ExecutionConfig
 from repro.datasets import generate_weather
 from repro.lang.compile import compile_cached, make_runner
 from repro.naiad import dataflow, run_where_many
-from repro.profiling import Profiler, TraceStore
 from repro.queries import DOMAIN_QUERIES
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -250,10 +249,10 @@ class TestNoop:
         assert NULL_TELEMETRY.child() is NULL_TELEMETRY
         NULL_TELEMETRY.absorb(NULL_TELEMETRY)  # must not raise
 
-    def test_a_run_with_nothing_switched_on_takes_the_bare_path(self, monkeypatch, tmp_path):
+    def test_a_run_with_nothing_switched_on_takes_the_bare_path(self, monkeypatch):
         """Off means not installed: the plain ``Worker``, no per-operator
         stats, the compiled closure itself out of ``make_runner`` — and the
-        buckets of the traced and of the profiled run."""
+        buckets of the traced run."""
 
         weather = generate_weather(cities=15)
         programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Mix", n=10, seed=1)
@@ -261,10 +260,6 @@ class TestNoop:
         traced = run_where_many(
             weather.rows, programs, ft, ExecutionConfig(telemetry=Telemetry.capture(trace=True))
         )
-        with TraceStore(tmp_path / "trace.jsonl") as store:
-            profiler = Profiler(store, domain="weather", sample_every=4)
-            profiled = run_where_many(weather.rows, programs, ft, ExecutionConfig(profiler=profiler))
-        assert profiler.samples_taken > 0
         assert traced.metrics.per_operator
 
         def no_traced_worker(*args):
@@ -272,10 +267,10 @@ class TestNoop:
 
         monkeypatch.setattr(dataflow, "_TracedWorker", no_traced_worker)
         config = ExecutionConfig()
-        assert config.telemetry is NULL_TELEMETRY and config.profiler is None
+        assert config.telemetry is NULL_TELEMETRY
         bare = run_where_many(weather.rows, programs, ft, config)
         assert bare.metrics.per_operator == {}
-        assert bare.buckets == traced.buckets == profiled.buckets
+        assert bare.buckets == traced.buckets
         assert make_runner(programs[0], ft) == compile_cached(programs[0], ft).run
 
 
