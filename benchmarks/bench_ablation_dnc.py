@@ -2,13 +2,16 @@
 
 Section 6.1 amortises consolidation with a balanced pairwise tree.  A left
 fold consolidates the ever-growing accumulator against each new UDF — same
-final semantics, different consolidation-time profile.
+final semantics, different consolidation-time profile.  The batch holds
+16 distinct UDFs (the first 16 α-classes of a weather Q1 draw): an α-copy
+rides on its twin and takes no pair merge, so copies would hide the
+comparison.
 """
 
 import pytest
 
 from repro.consolidation import consolidate_all
-from repro.lang.visitors import notified_pids
+from repro.lang.visitors import canonicalize, notified_pids
 from repro.queries import DOMAIN_QUERIES
 
 from conftest import BENCH_SEED
@@ -16,12 +19,23 @@ from conftest import BENCH_SEED
 N = 16
 
 
+def distinct_batch(dataset):
+    """``N`` pairwise non-α-equivalent weather Q1 UDFs, in draw order."""
+
+    firsts = {}
+    for p in DOMAIN_QUERIES["weather"].make_batch(dataset, "Q1", n=4 * N, seed=BENCH_SEED):
+        firsts.setdefault(canonicalize(p), p)
+    programs = list(firsts.values())[:N]
+    assert len(programs) == N
+    return programs
+
+
 @pytest.mark.parametrize("order", ("clustered", "tree", "fold"))
-def test_ablation_dnc_order(benchmark, stock_ds, order):
-    programs = DOMAIN_QUERIES["stock"].make_batch(stock_ds, "Q1", n=N, seed=BENCH_SEED)
+def test_ablation_dnc_order(benchmark, weather_ds, order):
+    programs = distinct_batch(weather_ds)
 
     def consolidate():
-        return consolidate_all(programs, stock_ds.functions, order=order)
+        return consolidate_all(programs, weather_ds.functions, order=order)
 
     report = benchmark.pedantic(consolidate, rounds=1, iterations=1)
     assert notified_pids(report.program.body) == {p.pid for p in programs}
@@ -40,9 +54,9 @@ def test_ablation_dnc_order(benchmark, stock_ds, order):
     )
 
 
-def test_tree_is_shallower(stock_ds):
-    programs = DOMAIN_QUERIES["stock"].make_batch(stock_ds, "Q1", n=N, seed=BENCH_SEED)
-    tree = consolidate_all(programs, stock_ds.functions, order="tree")
-    fold = consolidate_all(programs, stock_ds.functions, order="fold")
+def test_tree_is_shallower(weather_ds):
+    programs = distinct_batch(weather_ds)
+    tree = consolidate_all(programs, weather_ds.functions, order="tree")
+    fold = consolidate_all(programs, weather_ds.functions, order="fold")
     assert tree.tree_depth < fold.tree_depth
     assert tree.pair_consolidations == fold.pair_consolidations == N - 1

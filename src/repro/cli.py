@@ -262,8 +262,8 @@ def cmd_consolidate(args) -> int:
     print(program_to_str(report.program))
     print(
         f"\n# consolidated {report.num_inputs} programs in {report.duration:.3f}s "
-        f"({report.pair_consolidations} pair merges, depth {report.tree_depth}, "
-        f"executor {report.executor})",
+        f"({report.pair_consolidations} pair merges, {len(report.rides)} rides, "
+        f"depth {report.tree_depth}, executor {report.executor})",
         file=sys.stderr,
     )
     if args.verify and dataset:

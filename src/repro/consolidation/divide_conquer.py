@@ -69,7 +69,16 @@ from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
 from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable, LibraryFunction
-from ..lang.visitors import notified_pids, qualify_locals, stmt_exprs
+from ..lang.visitors import (
+    canonicalize,
+    notified_pids,
+    pid_order,
+    qualify_locals,
+    rename_pids,
+    requalify_locals,
+    ride_notifies,
+    stmt_exprs,
+)
 from ..profiling.model import CalibratedCostModel
 from ..profiling.planner import CalibratedPairing, Pairing
 from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
@@ -88,6 +97,7 @@ __all__ = [
     "PairViews",
     "consolidate_all",
     "merge_pair",
+    "ride",
     "FAULT_HOOK",
     "SMT_UNKNOWN_NOTE",
 ]
@@ -120,8 +130,13 @@ class MergeNode:
 
     Leaves hold the original (unmerged) programs, their locals qualified
     with their pids; an internal node holds the program produced by
-    consolidating its two children.  The tree is treated as immutable: the
-    incremental re-consolidation engine
+    consolidating its two children — or, on a *ride node* (``ride`` set),
+    the left child's program with the right leaf riding on its
+    representative: ``ride`` maps the representative's pids to the
+    rider's, and every ``notify`` of one is followed by the same
+    ``notify`` of the other (:func:`ride`).  Ride nodes form a chain
+    above the calculus root, whose subtree holds no ride node.  The tree
+    is treated as immutable: the incremental re-consolidation engine
     (:mod:`repro.consolidation.incremental`) patches it by rebuilding only
     the nodes on the path it touched, sharing every untouched subtree.
     """
@@ -129,10 +144,39 @@ class MergeNode:
     program: Program
     left: Optional["MergeNode"] = None
     right: Optional["MergeNode"] = None
+    ride: Optional[dict[str, str]] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
+
+    @property
+    def representative(self) -> Optional[str]:
+        """On a ride node, the pid of the program the right leaf rides on."""
+
+        return next(iter(self.ride)) if self.ride else None
+
+    def relabel(
+        self,
+        pid_map: dict[str, str],
+        left: Optional["MergeNode"] = None,
+        right: Optional["MergeNode"] = None,
+    ) -> "MergeNode":
+        """This node over ``left`` and ``right``, each pid that is a key of
+        ``pid_map`` renamed to its value: ``notify`` targets, local
+        qualifiers, the label and the ride map.  A pure rebuild — α-renaming
+        a consolidated program needs no calculus."""
+
+        program = self.program
+        renamed = Program(
+            "&".join(pid_map.get(p, p) for p in program.pid.split("&")),
+            program.params,
+            rename_pids(requalify_locals(program.body, pid_map), pid_map),
+        )
+        ride = self.ride
+        if ride is not None:
+            ride = {pid_map.get(k, k): pid_map.get(v, v) for k, v in ride.items()}
+        return MergeNode(renamed, left, right, ride)
 
     def leaves(self) -> Iterator["MergeNode"]:
         """The leaf nodes in left-to-right order."""
@@ -147,25 +191,39 @@ class MergeNode:
     def leaf_pids(self) -> list[str]:
         return [leaf.program.pid for leaf in self.leaves()]
 
+    def riders(self) -> dict[str, str]:
+        """Each rider's pid and its representative's, riders nearest the
+        root first.  Riders ride in a chain above the calculus root."""
+
+        out: dict[str, str] = {}
+        node = self
+        while node.representative is not None:
+            assert node.left is not None and node.right is not None
+            out[node.right.program.pid] = node.representative
+            node = node.left
+        return out
+
     def depth(self) -> int:
-        """Height of the tree (a single leaf has depth 1)."""
+        """Height of the tree in pair merges (a single leaf has depth 1; the
+        ride chain adds nothing)."""
 
         if self.is_leaf:
             return 1
-        children = [c for c in (self.left, self.right) if c is not None]
-        return 1 + max(c.depth() for c in children)
+        if self.ride is not None:
+            assert self.left is not None
+            return self.left.depth()
+        return 1 + max(c.depth() for c in (self.left, self.right) if c is not None)
 
     def shape(self) -> object:
         """A JSON-friendly rendering of the tree's structure (pids only)."""
 
         if self.is_leaf:
             return self.program.pid
-        return {
-            "pid": self.program.pid,
-            "children": [
-                c.shape() for c in (self.left, self.right) if c is not None
-            ],
-        }
+        doc: dict[str, object] = {"pid": self.program.pid}
+        if self.ride is not None:
+            doc["rides_on"] = self.representative
+        doc["children"] = [c.shape() for c in (self.left, self.right) if c is not None]
+        return doc
 
 
 class PairViews:
@@ -193,7 +251,10 @@ class ConsolidationReport(PairViews):
     ``pairs`` holds one :class:`PairRecord` per pair the pairing policy
     named, in plan order — merged, kept unmerged after a failure, or
     declined by the planner — and is the only per-pair state: the names
-    below are views over it.
+    below are views over it.  ``rides`` holds one record per α-copy that
+    rode on its representative instead (``rules == ("Ride",)``, ``left``
+    the representative, ``right`` the rider); it is not a pair merge, and
+    :attr:`riders` maps each rider to its representative.
 
     ``pair_consolidations`` is its length.  ``validations`` holds one
     static-validation certificate per pair when ``options.static_validate``
@@ -239,6 +300,7 @@ class ConsolidationReport(PairViews):
     program: Program
     num_inputs: int
     pairs: list[PairRecord] = field(default_factory=list)
+    rides: list[PairRecord] = field(default_factory=list)
     tree_depth: int = 0
     duration: float = 0.0
     prefilter: Optional[Prefilter] = None
@@ -254,6 +316,12 @@ class ConsolidationReport(PairViews):
     @property
     def pair_consolidations(self) -> int:
         return len(self.pairs)
+
+    @property
+    def riders(self) -> dict[str, str]:
+        """Each rider's pid and the pid of the representative it rides on."""
+
+        return {r.right: r.left for r in self.rides}
 
     @property
     def derivations(self) -> list[Any]:
@@ -360,6 +428,48 @@ def _first_two(level: Sequence[Program]) -> Pairing:
     return [(0, 1)], range(2, len(level))
 
 
+def _alpha_classes(
+    leaves: list[MergeNode],
+) -> tuple[list[MergeNode], list[tuple[MergeNode, MergeNode]]]:
+    """Split ``leaves`` into representatives (the first leaf of each
+    α-class, in order) and ``(representative, rider)`` pairs for the rest."""
+
+    firsts: dict[Program, MergeNode] = {}
+    representatives: list[MergeNode] = []
+    riders: list[tuple[MergeNode, MergeNode]] = []
+    for leaf in leaves:
+        first = firsts.setdefault(canonicalize(leaf.program), leaf)
+        if first is leaf:
+            representatives.append(leaf)
+        else:
+            riders.append((first, leaf))
+    return representatives, riders
+
+
+def ride(
+    tree: MergeNode, rider: MergeNode, pid_map: dict[str, str]
+) -> tuple[MergeNode, PairRecord]:
+    """The ride node that puts leaf ``rider`` on ``tree``, and its record.
+
+    ``pid_map`` pairs the pids of a representative in ``tree`` with the
+    rider's (:func:`~repro.lang.visitors.pid_order`, position by
+    position).  The rider is α-equivalent to its representative, so it
+    notifies what the representative notifies: wherever ``tree``'s program
+    runs ``notify rep e``, the ride node's runs ``notify rider e`` right
+    after it.  No calculus runs and no local of the rider is used; the
+    record's one rule is ``Ride``.
+    """
+
+    started = time.perf_counter()
+    program = tree.program
+    body = ride_notifies(program.body, pid_map)
+    merged = Program(f"{program.pid}&{rider.program.pid}", program.params, body)
+    node = MergeNode(merged, tree, rider, ride=pid_map)
+    seconds = time.perf_counter() - started
+    rep = next(iter(pid_map))
+    return node, PairRecord(rep, rider.program.pid, merged, seconds, rules=("Ride",))
+
+
 def merge_pair(
     a: Program,
     b: Program,
@@ -442,6 +552,11 @@ def consolidate_all(
     ``provenance``, ``prefilter``, ``planner``, ``calibration`` — documented on
     :class:`repro.config.ExecutionConfig`.
 
+    Before the first level the qualified leaves are grouped by α-class
+    (:func:`~repro.lang.visitors.canonicalize`): only the first leaf of each
+    class in the driver's order enters the calculus, and every other member
+    rides on it (:func:`ride`) once the representatives are merged.
+
     ``keep_tree=True`` keeps the divide-and-conquer structure itself on
     ``report.merge_tree`` (a :class:`MergeNode` tree), which the incremental
     engine (:mod:`repro.consolidation.incremental`) patches on add/remove
@@ -489,6 +604,7 @@ def consolidate_all(
     solver = Solver(telemetry=telemetry)
     options = options or ConsolidationOptions()
     records: list[PairRecord] = []
+    rides: list[PairRecord] = []
     stats = SimplifyStats()
     degradations: list[str] = []
     pooled_solver_stats: Counter[str] = Counter()
@@ -580,10 +696,10 @@ def consolidate_all(
 
     try:
         with telemetry.span("consolidate.batch", n=len(programs), order=order, executor=executor):
-            # Every program of a level rides on a MergeNode, so each
+            # Every program of a level is held by a MergeNode, so each
             # intermediate merged program lands in the tree.  A leaf's
             # locals are qualified here, once; no merge renames them again.
-            level = [MergeNode(qualify_locals(p)) for p in programs]
+            level, riders = _alpha_classes([MergeNode(qualify_locals(p)) for p in programs])
             while len(level) > 1:
                 depth += 1
                 pairs, carried = policy([node.program for node in level])
@@ -591,10 +707,18 @@ def consolidate_all(
                 level = [
                     MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
                 ] + [level[i] for i in carried]
+            # Riders go on last to first, each right after its
+            # representative, so a class notifies in the driver's order.
+            root = level[0]
+            for first, leaf in reversed(riders):
+                pid_map = dict(zip(pid_order(first.program), pid_order(leaf.program)))
+                root, record = ride(root, leaf, pid_map)
+                rides.append(record)
+                rule_counts["Ride"] += 1
     finally:
         if pool is not None:
             pool.shutdown()
-    result = level[0].program
+    result = root.program
 
     # Prefilter synthesis runs on the final merged program, inside its own
     # span and timed separately, so guard synthesis can be told apart
@@ -659,6 +783,7 @@ def consolidate_all(
         program=result,
         num_inputs=len(programs),
         pairs=records,
+        rides=rides[::-1],
         tree_depth=depth,
         duration=time.perf_counter() - started,
         prefilter=prefilter_obj,
@@ -668,6 +793,6 @@ def consolidate_all(
         executor=executor,
         simplify_stats=simplify_snapshot,
         degradations=degradations,
-        merge_tree=level[0] if keep_tree else None,
+        merge_tree=root if keep_tree else None,
         planner=cfg.planner,
     )

@@ -17,6 +17,20 @@ instead:
   are re-merged, reusing every off-path intermediate program: ~log₂ *n*
   pair merges instead of *n − 1*.
 
+An α-copy of a live query takes no pair merge at all.  As in the batch
+driver, riders sit in a chain of ride nodes
+(:func:`~repro.consolidation.divide_conquer.ride`) above the calculus
+root, and each mutation rebuilds the chain over the root it leaves:
+
+* **add** of a copy — the caller names the live twin — puts one more ride
+  node on top; an ordinary add grafts onto the calculus root and rides
+  the chain again;
+* **remove** of a rider drops its link from the chain;
+* **remove** of a representative that still has riders hands its place to
+  the topmost of them: every node on the representative's calculus path
+  is renamed to that rider — pids and local qualifiers, as the plan cache
+  relabels a tree — and the class's other riders ride on it.
+
 Each patched pair merge can run the static translation validator
 (:mod:`repro.analysis.static.validate`); a refuted certificate — or any
 exception escaping the merge — raises :class:`PatchError`, and the caller
@@ -42,7 +56,7 @@ from ..config import ExecutionConfig
 from ..lang.ast import Program
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
-from ..lang.visitors import qualify_locals
+from ..lang.visitors import canonicalize, pid_order, qualify_locals
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationOptions, PairRecord
@@ -52,6 +66,7 @@ from .divide_conquer import (
     PairViews,
     consolidate_all,
     merge_pair,
+    ride,
 )
 
 __all__ = ["PatchError", "PatchResult", "add_query", "remove_query", "rebuild"]
@@ -76,8 +91,10 @@ class PatchResult(PairViews):
     views over it: ``pair_merges`` is its length (the quantity a full
     re-consolidation spends *n − 1* on, counted whether or not provenance
     was recorded), ``validations`` and ``derivations`` are the records'
-    certificates and provenance trees.  ``tree`` is ``None`` only when the
-    last query was removed.
+    certificates and provenance trees.  ``rides`` holds a ``("Ride",)``
+    record per ride node the mutation built (an added copy, or the chain
+    ridden again over a new calculus root); they are not pair merges.
+    ``tree`` is ``None`` only when the last query was removed.
     """
 
     tree: Optional[MergeNode]
@@ -85,6 +102,7 @@ class PatchResult(PairViews):
     seconds: float = 0.0
     pairs: list[PairRecord] = field(default_factory=list)
     fallback: Optional[str] = None
+    rides: list[PairRecord] = field(default_factory=list)
 
     @property
     def program(self) -> Optional[Program]:
@@ -150,6 +168,56 @@ def _patch_step(
     return merge
 
 
+def _unchain(tree: MergeNode) -> tuple[MergeNode, list[MergeNode]]:
+    """The calculus root below ``tree``'s ride chain, and the chain's ride
+    nodes, root first."""
+
+    links: list[MergeNode] = []
+    while tree.ride is not None:
+        assert tree.left is not None  # a ride node holds what it rides on
+        links.append(tree)
+        tree = tree.left
+    return tree, links
+
+
+def _rechain(
+    root: MergeNode, chain: list[tuple[MergeNode, dict[str, str]]], result: PatchResult
+) -> MergeNode:
+    """``root`` with each ``(rider, pid_map)`` of ``chain`` (root first)
+    riding on it again, bottom-up, so riders notify in the same order."""
+
+    for rider, pid_map in reversed(chain):
+        root, record = ride(root, rider, pid_map)
+        result.rides.append(record)
+    return root
+
+
+def _chain(links: list[MergeNode]) -> list[tuple[MergeNode, dict[str, str]]]:
+    out = []
+    for link in links:
+        assert link.right is not None and link.ride is not None
+        out.append((link.right, link.ride))
+    return out
+
+
+_Step = Callable[[MergeNode, MergeNode, MergeNode], MergeNode]
+
+
+def _replace_up(path: list[MergeNode], old: MergeNode, new: MergeNode, step: _Step) -> MergeNode:
+    """The root after ``new`` takes ``old``'s place below the last node of
+    ``path`` (root first): each node of ``path``, bottom-up, becomes
+    ``step(node, left, right)`` over its untouched child and the patched one."""
+
+    for ancestor in reversed(path):
+        if ancestor.left is old:
+            left, right = new, ancestor.right
+        else:
+            left, right = ancestor.left, new
+        assert left is not None and right is not None  # internal nodes have both
+        new, old = step(ancestor, left, right), ancestor
+    return new
+
+
 def add_query(
     tree: Optional[MergeNode],
     program: Program,
@@ -160,14 +228,19 @@ def add_query(
     static_validate: bool = True,
     record: bool = True,
     telemetry: Telemetry = NULL_TELEMETRY,
+    twin: Optional[str] = None,
 ) -> PatchResult:
     """Graft one new query onto the merge tree with a single pair merge.
 
-    The old tree becomes the left child of a fresh root — every existing
-    intermediate program is reused untouched; the new leaf's locals are
-    qualified with its pid, as ``consolidate_all`` does.  Raises
-    :class:`PatchError` when the merge fails or its validation is refuted;
-    the caller should then fall back to :func:`rebuild`.
+    The calculus root becomes the left child of a fresh one — every
+    existing intermediate program is reused untouched — and the riders
+    ride on it again; the new leaf's locals are qualified with its pid, as
+    ``consolidate_all`` does.  ``twin`` names a live query ``program`` is
+    an α-copy of (the registry knows it from fingerprints): the copy then
+    rides on that query's representative, with no pair merge.  Raises
+    :class:`PatchError` when the merge fails or its validation is refuted,
+    or when ``program`` is not an α-copy of ``twin``; the caller should
+    then fall back to :func:`rebuild`.
     """
 
     started = time.perf_counter()
@@ -175,11 +248,20 @@ def add_query(
     leaf = MergeNode(qualify_locals(program))
     if tree is None:
         result.tree = leaf
+    elif twin is not None:
+        path = _path_to_leaf(tree, tree.riders().get(twin, twin))
+        if path is None or canonicalize(path[-1].program) != canonicalize(leaf.program):
+            raise PatchError(f"query {program.pid!r} is not an α-copy of {twin!r}")
+        pid_map = dict(zip(pid_order(path[-1].program), pid_order(leaf.program)))
+        result.tree, ridden = ride(tree, leaf, pid_map)
+        result.rides.append(ridden)
     else:
         merge = _patch_step(
             result, functions, cost_model, options, static_validate, record, telemetry
         )
-        result.tree = MergeNode(merge(tree.program, leaf.program), tree, leaf)
+        root, links = _unchain(tree)
+        grafted = MergeNode(merge(root.program, leaf.program), root, leaf)
+        result.tree = _rechain(grafted, _chain(links), result)
     result.seconds = time.perf_counter() - started
     return result
 
@@ -199,16 +281,46 @@ def remove_query(
 
     The leaf's parent collapses into the sibling subtree; each ancestor
     above it is re-consolidated from its (one new, one untouched)
-    children, bottom-up.  Raises :class:`ValueError` when ``pid`` is not a
-    leaf of ``tree`` and :class:`PatchError` when a path merge fails.
+    children, bottom-up, and the riders ride on the new calculus root.  A
+    rider and a representative with riders leave with no pair merge (see
+    the module docstring).  Raises :class:`ValueError` when ``pid`` is not
+    a leaf of ``tree`` and :class:`PatchError` when a path merge fails.
     """
 
     started = time.perf_counter()
-    path = _path_to_leaf(tree, pid)
-    if path is None:
-        raise ValueError(f"query {pid!r} is not a leaf of the merge tree")
     result = PatchResult(tree=tree, action="remove")
-    if len(path) == 1:
+    root, links = _unchain(tree)
+    chain = _chain(links)
+    ridden = [rider.program.pid for rider, _ in chain]
+    heir = next((link for link in links if link.representative == pid), None)
+    path = _path_to_leaf(root, pid)
+    if pid in ridden:
+        # A rider leaves: the chain above its link rides again without it.
+        i = ridden.index(pid)
+        below = links[i].left
+        assert below is not None
+        result.tree = _rechain(below, chain[:i], result)
+    elif path is None:
+        raise ValueError(f"query {pid!r} is not a leaf of the merge tree")
+    elif heir is not None:
+        # The topmost rider takes the representative's place: its path is
+        # renamed, and the class's other riders ride on the heir.
+        pid_map = heir.ride
+        assert pid_map is not None
+        leaf = path[-1]
+        root = _replace_up(
+            path[:-1],
+            leaf,
+            leaf.relabel(pid_map),
+            lambda ancestor, left, right: ancestor.relabel(pid_map, left, right),
+        )
+        rest = [
+            (rider, {pid_map.get(k, k): v for k, v in rider_map.items()})
+            for rider, rider_map in chain
+            if rider is not heir.right
+        ]
+        result.tree = _rechain(root, rest, result)
+    elif len(path) == 1:
         # The tree was a single leaf; removing it empties the registry.
         result.tree = None
     else:
@@ -219,17 +331,15 @@ def remove_query(
         # the parent's place; every ancestor above is then re-merged
         # bottom-up from its untouched child and the patched subtree.
         parent = path[-2]
-        patched = parent.right if parent.left is path[-1] else parent.left
-        swapped = parent  # the node ``patched`` currently stands in for
-        for ancestor in reversed(path[:-2]):
-            if ancestor.left is swapped:
-                left, right = patched, ancestor.right
-            else:
-                left, right = ancestor.left, patched
-            assert left is not None and right is not None  # internal nodes have both
-            patched = MergeNode(merge(left.program, right.program), left, right)
-            swapped = ancestor
-        result.tree = patched
+        sibling = parent.right if parent.left is path[-1] else parent.left
+        assert sibling is not None
+        root = _replace_up(
+            path[:-2],
+            parent,
+            sibling,
+            lambda _, left, right: MergeNode(merge(left.program, right.program), left, right),
+        )
+        result.tree = _rechain(root, chain, result)
     result.seconds = time.perf_counter() - started
     return result
 

@@ -61,6 +61,7 @@ class Figure9Report:
         cons = [r.consolidation_seconds for r in self.results]
         frac = [r.consolidation_fraction for r in self.results]
         skips = sum(r.smt_skips for r in self.results)
+        wall = [r.total_speedup_wall for r in self.results]
         return {
             "smt_precheck_skips": skips,
             "udf_min": min(udf),
@@ -71,6 +72,11 @@ class Figure9Report:
             "total_avg": sum(total) / len(total),
             "consolidation_avg_s": sum(cons) / len(cons),
             "consolidation_frac_avg": sum(frac) / len(frac),
+            "total_wall_min": min(wall),
+            "total_wall_max": max(wall),
+            "total_wall_paying": sum(w >= 1.0 for w in wall),
+            "udfs": sum(r.n_udfs for r in self.results),
+            "distinct_udfs": sum(r.distinct_udfs for r in self.results),
         }
 
 

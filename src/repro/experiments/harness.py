@@ -57,6 +57,7 @@ class ExperimentResult:
     consolidation_seconds: float
     merged_program_size: int = 0
     pair_consolidations: int = 0
+    distinct_udfs: int = 0  # α-classes: the UDFs the calculus consolidated
     simplify_stats: dict = field(default_factory=dict)
     validations_certified: int = 0
     validations_total: int = 0
@@ -102,6 +103,9 @@ class ExperimentResult:
             "rows": self.rows,
             "udf_speedup": round(self.udf_speedup, 2),
             "total_speedup": round(self.total_speedup, 2),
+            "udf_speedup_wall": round(self.udf_speedup_wall, 2),
+            "total_speedup_wall": round(self.total_speedup_wall, 2),
+            "distinct": self.distinct_udfs,
             "consolidation_s": round(self.consolidation_seconds, 3),
             "consolidation_frac": round(self.consolidation_fraction, 4),
             "smt_skips": self.smt_skips,
@@ -169,6 +173,7 @@ def run_experiment(
         consolidation_seconds=report.duration,
         merged_program_size=stmt_size(report.program.body),
         pair_consolidations=report.pair_consolidations,
+        distinct_udfs=len(programs) - len(report.rides),
         simplify_stats=dict(report.simplify_stats),
         validations_certified=sum(1 for v in report.validations if v.certified),
         validations_total=len(report.validations),

@@ -33,6 +33,7 @@ from .ast import (
     Notify,
     Program,
     QUALIFIER,
+    SKIP,
     Seq,
     Skip,
     Stmt,
@@ -62,6 +63,11 @@ __all__ = [
     "rename_vars",
     "qualify_locals",
     "requalify_locals",
+    "rename_pids",
+    "pid_order",
+    "canonicalize",
+    "strip_notifies",
+    "ride_notifies",
     "expr_size",
     "stmt_size",
     "TypeError_",
@@ -302,6 +308,118 @@ def requalify_locals(s: Stmt, pid_map: dict[str, str]) -> Stmt:
         if sep and pid_map.get(pid, pid) != pid:
             renaming[n] = pid_map[pid] + sep + local
     return rename_vars(s, renaming)
+
+
+def _map_notifies(s: Stmt, on_notify: Callable[[Notify], Stmt]) -> Stmt:
+    """``s`` with every ``notify`` through ``on_notify``; what holds no
+    changed ``notify`` is returned by identity."""
+
+    if isinstance(s, Notify):
+        return on_notify(s)
+    if isinstance(s, Seq):
+        stmts = [_map_notifies(sub, on_notify) for sub in s.stmts]
+        return s if all(map(is_, stmts, s.stmts)) else seq(*stmts)
+    if isinstance(s, If):
+        then, orelse = _map_notifies(s.then, on_notify), _map_notifies(s.orelse, on_notify)
+        return s if then is s.then and orelse is s.orelse else If(s.cond, then, orelse)
+    if isinstance(s, While):
+        body = _map_notifies(s.body, on_notify)
+        return s if body is s.body else While(s.cond, body)
+    return s
+
+
+def rename_pids(s: Stmt, mapping: dict[str, str]) -> Stmt:
+    """Rebuild ``s`` with every ``notify`` target renamed via ``mapping``."""
+
+    def on_notify(n: Notify) -> Stmt:
+        pid = mapping.get(n.pid, n.pid)
+        return n if pid == n.pid else Notify(pid, n.expr)
+
+    return _map_notifies(s, on_notify)
+
+
+def strip_notifies(s: Stmt, pids: frozenset[str]) -> Stmt:
+    """``s`` without its ``notify`` statements for ``pids``.
+
+    Dropping a broadcast changes nothing but that broadcast: every other
+    pid is notified with the same value at no greater cost.
+    """
+
+    return _map_notifies(s, lambda n: SKIP if n.pid in pids else n)
+
+
+def ride_notifies(s: Stmt, mapping: dict[str, str]) -> Stmt:
+    """``s`` where each ``notify p e`` with ``p`` in ``mapping`` is followed
+    by ``notify mapping[p] e``: the second pid broadcasts what the first
+    does, at the same point, for one ``notify`` more."""
+
+    def on_notify(n: Notify) -> Stmt:
+        pid = mapping.get(n.pid)
+        return n if pid is None else seq(n, Notify(pid, n.expr))
+
+    return _map_notifies(s, on_notify)
+
+
+def _ordered_locals(s: Stmt, out: list[str], seen: set[str]) -> None:
+    """Collect local names in order of first appearance (reads first)."""
+
+    def from_expr(e: Expr) -> None:
+        for sub in subexpressions(e):
+            if isinstance(sub, Var) and sub.name not in seen:
+                seen.add(sub.name)
+                out.append(sub.name)
+
+    if isinstance(s, Assign):
+        from_expr(s.expr)
+        if s.var not in seen:
+            seen.add(s.var)
+            out.append(s.var)
+        return
+    exprs, subs = stmt_parts(s)
+    for e in exprs:
+        from_expr(e)
+    for sub in subs:
+        _ordered_locals(sub, out, seen)
+
+
+def _ordered_pids(s: Stmt, out: list[str]) -> None:
+    """Append the ``notify`` targets of ``s`` not yet in ``out``, in order."""
+
+    if isinstance(s, Notify):
+        if s.pid not in out:
+            out.append(s.pid)
+        return
+    for sub in stmt_parts(s)[1]:
+        _ordered_pids(sub, out)
+
+
+def pid_order(p: Program) -> list[str]:
+    """``p``'s pid, then its ``notify`` targets in order of first appearance.
+
+    Two alpha-equivalent programs pair their pids position by position.
+    """
+
+    out = [p.pid]
+    _ordered_pids(p.body, out)
+    return out
+
+
+def canonicalize(program: Program) -> Program:
+    """The alpha-renamed normal form: two programs are alpha-equivalent
+    exactly when their canonical forms are equal.
+
+    Locals become ``_c0, _c1, …`` in order of first syntactic appearance
+    (reads before the write in an assignment, matching evaluation order),
+    pids ``_p0, _p1, …`` in :func:`pid_order`.  The renamings are applied
+    simultaneously, so canonical names may collide with source names
+    without corruption.
+    """
+
+    names: list[str] = []
+    _ordered_locals(program.body, names, set())
+    body = rename_vars(program.body, {n: f"_c{i}" for i, n in enumerate(names)})
+    pid_map = {p: f"_p{i}" for i, p in enumerate(pid_order(program))}
+    return Program(pid_map[program.pid], program.params, rename_pids(body, pid_map))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ class ExplainReport:
     udf_cost_consolidated: int = 0
     planner: str = "related"
     planner_decisions: list[dict] = field(default_factory=list)
+    riders: dict[str, str] = field(default_factory=dict)
 
     def slowest_entailments(self, count: int = 10, by_time: bool = True):
         """The hotspot list.  ``by_time=False`` orders lexicographically —
@@ -118,6 +119,10 @@ class ExplainReport:
             # explain documents keep their pre-planner schema.
             doc["planner"] = self.planner
             doc["planner_decisions"] = self.planner_decisions
+        if self.riders:
+            # An α-copy rides on its representative and has no derivation;
+            # emitted only then, so other documents keep their schema.
+            doc["riders"] = self.riders
         if not include_timings:
             doc = _strip_timings(doc)
         return doc
@@ -245,6 +250,7 @@ def explain_batch(
         udf_cost_consolidated=cons_run.metrics.udf_cost,
         planner=report.planner,
         planner_decisions=list(report.planner_decisions),
+        riders=report.riders,
     )
 
 
@@ -289,6 +295,11 @@ def render_text(report: ExplainReport, include_timings: bool = True) -> str:
     if include_timings:
         out.append(f"consolidation time: {report.consolidation_seconds * 1000:.1f}ms")
     out.append("")
+    if report.riders:
+        out.append("riders (α-copies; no calculus run):")
+        for rider, representative in report.riders.items():
+            out.append(f"  {rider} rides on {representative}")
+        out.append("")
     out.append("rule applications:")
     for rule, count in sorted(report.rule_counts.items(), key=lambda kv: (-kv[1], kv[0])):
         out.append(f"  {rule:<10} {count}")
@@ -461,6 +472,10 @@ def render_html(report: ExplainReport) -> str:
     )
     validation = report.validation or {}
     stats = report.simplify_stats
+    riders = "".join(
+        f"<p>{_esc(rider)} rides on {_esc(rep)} (α-copy; no calculus run)</p>"
+        for rider, rep in report.riders.items()
+    )
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
 <title>repro explain — {_esc(report.domain)}/{_esc(report.family)}</title>
@@ -480,7 +495,7 @@ cost <b>{_esc(validation.get("cost", "-"))}</b>.</p>
 <h2>Rule applications</h2>
 <table><tr><th>rule</th><th>count</th></tr>{rule_rows}</table>
 <h2>Derivations</h2>
-{trees}
+{riders}{trees}
 <h2>Slowest SMT entailments</h2>
 <table><tr><th>ms</th><th>kind</th><th>source</th><th>Ψ context</th>
 <th>query</th><th>verdict</th></tr>{hotspot_rows}</table>

@@ -3,18 +3,13 @@
 Two queries that differ only in local-variable names or in their program
 identifier are the *same* query to the consolidator — the merge it
 produces is identical up to the same renaming.  The plan cache therefore
-keys on a canonical form:
-
-* locals are alpha-renamed to ``_c0, _c1, …`` in order of first syntactic
-  appearance (reads before the write in an assignment, matching the
-  evaluation order);
-* program identifiers (the program's own pid and every ``notify`` target)
-  are renamed to ``_p0, _p1, …`` in order of first appearance, the
-  program's own pid always first;
-* the canonical program is printed to concrete syntax and hashed together
-  with the cost-model identifier — the same program consolidated under a
-  different cost model may merge differently, so it must not share a
-  cache line.
+keys on the canonical form :func:`repro.lang.visitors.canonicalize` builds
+(locals renamed ``_c0, _c1, …`` and pids ``_p0, _p1, …`` in order of first
+appearance), printed to concrete syntax and hashed together with the
+cost-model identifier — the same program consolidated under a different
+cost model may merge differently, so it must not share a cache line.  The
+consolidation driver groups a batch by the same form (its α-classes ride
+on one calculus run), which is why it lives in :mod:`repro.lang`.
 
 :func:`plan_key` folds a whole registry's member fingerprints into one
 order-independent key: a batch containing the same multiset of canonical
@@ -28,21 +23,10 @@ import hashlib
 from dataclasses import asdict
 from typing import Iterable
 
-from ..lang.ast import (
-    Assign,
-    If,
-    Notify,
-    Program,
-    Seq,
-    Skip,
-    Stmt,
-    Var,
-    While,
-    seq,
-)
+from ..lang.ast import Program
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.printer import program_to_str
-from ..lang.visitors import rename_vars, subexpressions
+from ..lang.visitors import canonicalize, rename_pids
 
 __all__ = [
     "canonicalize",
@@ -51,87 +35,6 @@ __all__ = [
     "plan_key",
     "rename_pids",
 ]
-
-
-def _ordered_locals(s: Stmt, out: list[str], seen: set[str]) -> None:
-    """Collect local names in order of first appearance (reads first)."""
-
-    def from_expr(e) -> None:
-        for sub in subexpressions(e):
-            if isinstance(sub, Var) and sub.name not in seen:
-                seen.add(sub.name)
-                out.append(sub.name)
-
-    if isinstance(s, Assign):
-        from_expr(s.expr)
-        if s.var not in seen:
-            seen.add(s.var)
-            out.append(s.var)
-    elif isinstance(s, Notify):
-        from_expr(s.expr)
-    elif isinstance(s, Seq):
-        for sub in s.stmts:
-            _ordered_locals(sub, out, seen)
-    elif isinstance(s, If):
-        from_expr(s.cond)
-        _ordered_locals(s.then, out, seen)
-        _ordered_locals(s.orelse, out, seen)
-    elif isinstance(s, While):
-        from_expr(s.cond)
-        _ordered_locals(s.body, out, seen)
-
-
-def _ordered_pids(s: Stmt, out: list[str], seen: set[str]) -> None:
-    """Collect notify targets in order of first appearance."""
-
-    if isinstance(s, Notify):
-        if s.pid not in seen:
-            seen.add(s.pid)
-            out.append(s.pid)
-    elif isinstance(s, Seq):
-        for sub in s.stmts:
-            _ordered_pids(sub, out, seen)
-    elif isinstance(s, If):
-        _ordered_pids(s.then, out, seen)
-        _ordered_pids(s.orelse, out, seen)
-    elif isinstance(s, While):
-        _ordered_pids(s.body, out, seen)
-
-
-def rename_pids(s: Stmt, mapping: dict[str, str]) -> Stmt:
-    """Rebuild ``s`` with every ``notify`` target renamed via ``mapping``."""
-
-    if isinstance(s, Notify):
-        return Notify(mapping.get(s.pid, s.pid), s.expr)
-    if isinstance(s, Seq):
-        return seq(*(rename_pids(sub, mapping) for sub in s.stmts))
-    if isinstance(s, If):
-        return If(s.cond, rename_pids(s.then, mapping), rename_pids(s.orelse, mapping))
-    if isinstance(s, While):
-        return While(s.cond, rename_pids(s.body, mapping))
-    if isinstance(s, (Assign, Skip)):
-        return s
-    return s
-
-
-def canonicalize(program: Program) -> Program:
-    """The alpha-renamed normal form used for fingerprinting.
-
-    The renamings are applied simultaneously (the substitution machinery
-    replaces whole subtrees in one pass), so canonical target names may
-    collide with source names without corruption.
-    """
-
-    names: list[str] = []
-    _ordered_locals(program.body, names, set())
-    body = rename_vars(program.body, {n: f"_c{i}" for i, n in enumerate(names)})
-
-    pids: list[str] = [program.pid]
-    _ordered_pids(program.body, pids, {program.pid})
-    pid_map = {p: f"_p{i}" for i, p in enumerate(pids)}
-    body = rename_pids(body, pid_map)
-    return Program(pid_map[program.pid], program.params, body)
-
 
 def cost_model_id(cost_model: CostModel = DEFAULT_COST_MODEL) -> str:
     """A short stable identifier for one cost model's weights."""

@@ -19,9 +19,11 @@ replayable.  Mutations take one path::
   re-consolidated.
 * **Incremental patching** (:mod:`repro.consolidation.incremental`): a
   cache miss on add/remove of one query patches the merge tree instead of
-  re-running ``consolidate_all``.  A failed or uncertified patch — and a
-  tree grown too spindly by repeated root grafts — falls back to a full
-  rebuild, recorded on the patch result and counted in telemetry.
+  re-running ``consolidate_all``; an α-copy of a live query rides on it
+  with no pair merge, and ``explain()`` names each rider's
+  representative.  A failed or uncertified patch — and a tree grown too
+  spindly by repeated root grafts — falls back to a full rebuild,
+  recorded on the patch result and counted in telemetry.
 * **Event log** (:mod:`repro.service.events`): every applied mutation is
   journalled first; a registry constructed over an existing journal
   replays it through this same path, so restart recovers byte-identical
@@ -59,12 +61,12 @@ from ..consolidation.incremental import (
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
 from ..lang.printer import program_to_str
-from ..lang.visitors import notified_pids, requalify_locals
+from ..lang.visitors import notified_pids
 from ..naiad.linq import from_collection
 from .admission import admit
 from .errors import DuplicateQueryError, RegistryError, UnknownQueryError
 from .events import EventLog
-from .fingerprint import fingerprint, plan_key, rename_pids
+from .fingerprint import fingerprint, plan_key
 
 __all__ = ["RegisteredQuery", "PlanSnapshot", "QueryRegistry"]
 
@@ -125,14 +127,8 @@ def _relabel_tree(node: MergeNode, pid_map: dict[str, str]) -> MergeNode:
     node's pid label is a pure tree rebuild — no consolidation, no SMT.
     """
 
-    program = node.program
-    renamed = Program(
-        "&".join(pid_map.get(p, p) for p in program.pid.split("&")),
-        program.params,
-        rename_pids(requalify_locals(program.body, pid_map), pid_map),
-    )
-    return MergeNode(
-        renamed,
+    return node.relabel(
+        pid_map,
         _relabel_tree(node.left, pid_map) if node.left is not None else None,
         _relabel_tree(node.right, pid_map) if node.right is not None else None,
     )
@@ -252,7 +248,7 @@ class QueryRegistry:
             entry = RegisteredQuery(program.pid, tenant, program, fp, seq)
             self._queries[program.pid] = entry
             try:
-                self._apply_add(program)
+                self._apply_add(program, fp)
             except Exception:
                 # The plan must never desynchronise from the membership.
                 del self._queries[program.pid]
@@ -341,7 +337,7 @@ class QueryRegistry:
         self._cache_store()
         return True
 
-    def _apply_add(self, program: Program) -> None:
+    def _apply_add(self, program: Program, fp: str) -> None:
         if self._cache_probe():
             # A hit is the patch that produced the live tree — one with no
             # pair merges — so last_patch never describes an older plan.
@@ -351,9 +347,13 @@ class QueryRegistry:
         try:
             # A root graft makes the tree one level deeper: decide the
             # rebalance before merging, so a registration pays the graft or
-            # the rebuild, never both.
+            # the rebuild, never both.  An α-copy of a live query — the
+            # fingerprint is the α-class key — rides on it and deepens
+            # nothing; add_query refuses a twin whose canonical form differs.
             depth = self._tree.depth() + 1 if self._tree is not None else 1
-            if self._needs_rebalance(depth):
+            twins = (q.pid for q in self._queries.values() if q.fingerprint == fp)
+            twin = next((pid for pid in twins if pid != program.pid), None)
+            if twin is None and self._needs_rebalance(depth):
                 raise PatchError(
                     f"rebalance: depth {depth} exceeded the "
                     f"policy bound for {len(self._queries)} queries"
@@ -366,11 +366,12 @@ class QueryRegistry:
                 static_validate=self.service.static_validate_patches,
                 record=self.service.record_derivations,
                 telemetry=self.telemetry,
+                twin=twin,
             )
         except PatchError as exc:
             patch = self._fallback_rebuild("add", str(exc))
         else:
-            if patch.pair_merges:
+            if patch.pair_merges or patch.rides:
                 self._count_patch(patch)
         patch.seconds = time.perf_counter() - started
         self._install(patch)
@@ -544,6 +545,7 @@ class QueryRegistry:
                 "queries": len(self._queries),
                 "plan_fingerprint": self._current_key() if self._queries else None,
                 "tree": self._tree.shape() if self._tree is not None else None,
+                "riders": self._tree.riders() if self._tree is not None else {},
                 "depth": self._tree.depth() if self._tree is not None else 0,
                 "cache": {
                     "size": len(self._plan_cache),
@@ -558,6 +560,7 @@ class QueryRegistry:
                 doc["last_patch"] = {
                     "action": patch.action,
                     "pair_merges": patch.pair_merges,
+                    "rides": len(patch.rides),
                     "patched_pids": patch.patched_pids,
                     "fallback": patch.fallback,
                     "seconds": round(patch.seconds, 6),

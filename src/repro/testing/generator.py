@@ -49,7 +49,7 @@ from ..lang.ast import (
     seq,
     statements,
 )
-from ..lang.visitors import expr_vars, stmt_exprs
+from ..lang.visitors import expr_vars, pid_order, rename_pids, rename_vars, stmt_exprs, stmt_vars
 
 __all__ = [
     "Accessor",
@@ -57,6 +57,7 @@ __all__ = [
     "SCHEMAS",
     "CaseSpec",
     "generate_case",
+    "alpha_copy",
     "drop_arm_assignment",
     "case_inputs",
     "schema_dataset",
@@ -357,6 +358,20 @@ def generate_case(
         gen = _ProgramGen(rng, sch, size)
         programs.append(gen.build(f"q{i}"))
     return programs
+
+
+def alpha_copy(program: Program, pid: str) -> Program:
+    """``program`` under the new pid ``pid``, every local renamed.
+
+    The copy is α-equivalent to ``program`` — the query the paper's batches
+    repeat when two users pick the same popular constant — so consolidation
+    must answer it exactly as ``program`` answers, under its own pid.  A
+    second notified pid ``p`` becomes ``<pid>_<k>``.
+    """
+
+    pids = {p: pid if k == 0 else f"{pid}_{k}" for k, p in enumerate(pid_order(program))}
+    body = rename_vars(program.body, {n: f"{n}_{pid}" for n in stmt_vars(program.body)})
+    return Program(pid, program.params, rename_pids(body, pids))
 
 
 def drop_arm_assignment(program: Program, row: int) -> Program | None:

@@ -12,6 +12,10 @@ is checked:
   engine both unconsolidated and consolidated; the per-pid result buckets
   must be identical and the consolidated UDF cost must obey the
   cost-never-worse bound (Theorem 2);
+* **α-copy** — the batch runs again with an α-copy of its first program
+  (a new pid, every local renamed): the copy must ride on its class's
+  representative, leave the calculus's merges untouched, get its
+  original's bucket, and keep whereMany's buckets and cost bound;
 * **serial vs process** — ``consolidate_all`` is deterministic, so both
   executors must produce the *structurally identical* merged program;
 * **check_soundness** — Definition 1 re-checked directly on the merged
@@ -58,8 +62,9 @@ from ..lang.ast import Program
 from ..lang.compile import make_runner
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.interp import Interpreter
+from ..lang.visitors import notified_pids, strip_notifies
 from ..naiad.linq import run_where_consolidated, run_where_many
-from .generator import drop_arm_assignment
+from .generator import alpha_copy, drop_arm_assignment
 
 __all__ = ["Discrepancy", "BatteryResult", "run_battery"]
 
@@ -68,7 +73,9 @@ __all__ = ["Discrepancy", "BatteryResult", "run_battery"]
 class Discrepancy:
     """One disagreement between two execution paths that must agree."""
 
-    oracle: str  # 'backend' | 'dataflow' | 'executor' | 'soundness' | 'validator' | 'planner' | 'prefilter' | 'vectorized'
+    # 'backend' | 'dataflow' | 'riders' | 'executor' | 'soundness' | 'validator'
+    # | 'planner' | 'prefilter' | 'vectorized'
+    oracle: str
     detail: str
     args: dict = field(default_factory=dict)
 
@@ -204,6 +211,62 @@ def _check_dataflow(
             )
         )
     return report
+
+
+def _check_riders(
+    programs: Sequence[Program],
+    report: ConsolidationReport,
+    dataset: Dataset,
+    rows: Sequence[object],
+    cost_model: CostModel,
+    out: list[Discrepancy],
+) -> None:
+    """The batch plus an α-copy of its first program, against whereMany.
+
+    The copy's pid extends its original's, so it sorts after it and the
+    class keeps its representative: stripping the copy's ``notify``
+    statements must give back the copy-free plan exactly.
+    """
+
+    original = programs[0]
+    taken = {p.pid for p in programs}.union(*(notified_pids(p.body) for p in programs))
+    pid = original.pid + "_alpha"
+    while pid in taken or any(t.startswith(pid + "_") for t in taken):
+        pid += "_"
+    copy = alpha_copy(original, pid)
+    batch = [*programs, copy]
+    config = ExecutionConfig(cost_model=cost_model)
+    try:
+        many = run_where_many(rows, batch, dataset.functions, config=config)
+        ridden, with_copy = run_where_consolidated(rows, batch, dataset.functions, config=config)
+    except Exception as exc:  # noqa: BLE001 - a crash in either path is a finding
+        out.append(Discrepancy("riders", f"run with an α-copy raised {type(exc).__name__}: {exc}"))
+        return
+
+    for p in [q.pid for q in programs] + [pid]:
+        a, b = many.buckets.get(p, []), ridden.buckets.get(p, [])
+        if a != b:
+            out.append(
+                Discrepancy(
+                    "riders",
+                    f"bucket {p!r} differs with an α-copy: whereMany {a!r} "
+                    f"vs whereConsolidated {b!r}",
+                )
+            )
+    if ridden.buckets.get(pid, []) != ridden.buckets.get(original.pid, []):
+        out.append(Discrepancy("riders", f"α-copy {pid!r} and {original.pid!r} notify differently"))
+    if pid not in with_copy.riders:
+        out.append(Discrepancy("riders", f"α-copy {pid!r} entered the calculus"))
+    elif strip_notifies(with_copy.program.body, notified_pids(copy.body)) != report.program.body:
+        out.append(Discrepancy("riders", f"α-copy {pid!r} changed the calculus's plan"))
+    if ridden.metrics.udf_cost > many.metrics.udf_cost:
+        out.append(
+            Discrepancy(
+                "riders",
+                "cost-never-worse violated with an α-copy: consolidated UDF cost "
+                f"{ridden.metrics.udf_cost} > whereMany {many.metrics.udf_cost}",
+            )
+        )
 
 
 def _check_executors(
@@ -624,6 +687,10 @@ def run_battery(
     result.report = report
     if expired():
         return result
+    if report is not None:
+        _check_riders(programs, report, dataset, rows, cost_model, out)
+        if expired():
+            return result
     _check_executors(programs, dataset, cost_model, executors, out)
     if report is not None:
         if expired():

@@ -12,6 +12,8 @@ validation errors (they must enumerate the valid values).
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +269,16 @@ def test_service_config_is_frozen_and_evolvable():
         config.port = 1234  # type: ignore[misc]
     assert config.evolve(port=0).port == 0
     assert config.port == 8765
+
+
+# ---------------------------------------------------------------------------
+# one version
+
+
+def test_package_version_matches_pyproject():
+    """``repro.__version__`` and ``pyproject.toml`` announce one release."""
+
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert declared is not None
+    assert repro.__version__ == declared.group(1)

@@ -94,10 +94,10 @@ class TestExperimentCommands:
         assert main(["latency"]) == 0
         assert capsys.readouterr().out == (
             "sequential_mean          753.5\n"
-            "consolidated_mean        155.9\n"
-            "prioritized_mean         154.0\n"
+            "consolidated_mean        150.8\n"
+            "prioritized_mean         146.0\n"
             "q7_sequential            1096.0\n"
-            "q7_consolidated          164.9\n"
+            "q7_consolidated          159.9\n"
             "q7_prioritized           137.0\n"
         )
 

@@ -3,7 +3,8 @@
 ``tests/golden/consolidation_plans.json`` was written by
 ``tools/gen_golden_plans.py`` at the commit before the driver was collapsed
 to one level loop over a pairing policy (and regenerated, α-equivalent,
-when locals stopped being re-prefixed per level).  Every row is replayed through the
+when locals stopped being re-prefixed per level, and for its weather rows
+when α-copies came to ride on their representative).  Every row is replayed through the
 current driver and must come out byte for byte: the merged program's text,
 the pair count and depth, the merge tree's shape and the calibrated
 planner's decisions.  Every row is replayed on both executors — pairing

@@ -10,21 +10,24 @@ Key claims under test:
 * so re-walking an already-merged program asks formulas the batch solver
   has already answered (its cache hits);
 * the ``related`` probe order does not depend on how qualifiers spell
-  (the weather Mix golden batch's root merge applies If 3);
+  (the weather Mix golden batch's root merge applies If 3 when its
+  α-copy ``q7`` meets the calculus);
 * a plan-cache hit moves the qualifiers with the pids, so a later
   registration reusing an old pid patches instead of rebuilding.
 """
 
 import pytest
 
-from repro.consolidation import add_query, consolidate_all
+from repro.consolidation import ConsolidationOptions, add_query, consolidate_all, merge_pair
 from repro.datasets import generate_twitter, generate_weather
 from repro.lang import visitors
 from repro.lang.ast import QUALIFIER
+from repro.lang.cost import DEFAULT_COST_MODEL
 from repro.lang.printer import program_to_str
-from repro.lang.visitors import stmt_vars
+from repro.lang.visitors import canonicalize, qualify_locals, stmt_vars
 from repro.queries import DOMAIN_QUERIES
 from repro.service import QueryRegistry
+from repro.smt.solver import Solver
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +38,12 @@ def twitter_q2():
     return DOMAIN_QUERIES["twitter"].make_batch(dataset, "Q2", 8, 0), dataset.functions
 
 
-def test_each_leaf_is_qualified_once_per_batch(twitter_q2, monkeypatch):
-    programs, functions = twitter_q2
+def test_each_leaf_is_qualified_once_per_batch(monkeypatch):
+    # Family seed 7 draws eight distinct UDFs: every leaf meets the calculus.
+    dataset = generate_twitter(tweets=400)
+    programs = DOMAIN_QUERIES["twitter"].make_batch(dataset, "Q2", 8, 7)
+    functions = dataset.functions
+    assert len({canonicalize(p) for p in programs}) == len(programs)
     assert all(stmt_vars(p.body) for p in programs)
     renames = []
     real = visitors.rename_vars
@@ -45,7 +52,10 @@ def test_each_leaf_is_qualified_once_per_batch(twitter_q2, monkeypatch):
     )
     report = consolidate_all(programs, functions)
     assert report.pair_consolidations == 7
-    assert len(renames) == len(programs)
+    # The α-grouping canonicalizes each leaf once (locals → _c0, _c1, …).
+    canonical = [r for r in renames if r == {n: f"_c{i}" for i, n in enumerate(r)}]
+    assert len(canonical) == len(programs)
+    assert len(renames) - len(canonical) == len(programs)
 
     # A graft qualifies its one new leaf, and renames nothing else.
     tree = consolidate_all(programs[:7], functions, keep_tree=True).merge_tree
@@ -76,14 +86,30 @@ def test_solver_cache_answers_the_rewalk_of_a_merged_program(twitter_q2):
 
 
 def test_weather_mix_root_merge_applies_if3():
-    """The golden weather Mix batch (clustered, ``related``): probing the
-    six ``related`` pairs in name order alone picked If 4 at the root."""
+    """The golden weather Mix batch (clustered, ``related``): with its
+    α-copy ``q7`` merged by the calculus, probing the six ``related``
+    pairs in name order alone picked If 4 at the root.  The driver now
+    rides ``q7`` on ``q1``; the calculus plan it replaced is rebuilt here
+    pair by pair."""
 
     dataset = generate_weather(cities=20)
     programs = DOMAIN_QUERIES["weather"].make_batch(dataset, "Mix", n=8, seed=3)
     report = consolidate_all(programs, dataset.functions)
-    root_if_rules = [r for r in report.pairs[-1].rules if r.startswith("If")]
-    assert root_if_rules[0] == "If3"
+    assert report.riders == {"q7": "q1"}
+    assert [r for r in report.pairs[-1].rules if r.startswith("If")][0] == "If4"
+
+    leaf = {p.pid: qualify_locals(p) for p in programs}
+    solver = Solver()
+
+    def merge(a, b):
+        options = ConsolidationOptions()
+        return merge_pair(a, b, dataset.functions, DEFAULT_COST_MODEL, options, solver)
+
+    def quad(w, x, y, z):
+        return merge(merge(leaf[w], leaf[x]).program, merge(leaf[y], leaf[z]).program).program
+
+    root = merge(quad("q1", "q4", "q5", "q7"), quad("q2", "q3", "q6", "q0"))
+    assert [r for r in root.rules if r.startswith("If")][0] == "If3"
 
 
 def test_plan_cache_relabel_moves_the_qualifiers():

@@ -28,6 +28,7 @@ from repro.service import (
     UnknownQueryError,
     serve,
 )
+from repro.testing.generator import alpha_copy
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,17 @@ def test_run_returns_buckets_and_costs(client, weather):
     doc = client.explain()
     assert doc["queries"] == 3
     assert doc["last_patch"]["pair_merges"] == 1
+
+
+def test_explain_names_riders_over_the_wire(client, weather):
+    batch = DOMAIN_QUERIES["weather"].make_batch(weather, "Q1", n=2, seed=3)
+    for program in batch:
+        client.register(program_to_str(program))
+    twin = alpha_copy(batch[0], "twin")
+    assert client.register(program_to_str(twin)).patch.pair_merges == 0
+    assert client.explain()["riders"] == {"twin": batch[0].pid}
+    buckets = client.run(list(weather.rows[:40])).buckets
+    assert buckets.get("twin", []) == buckets.get(batch[0].pid, [])
 
 
 def test_python_source_registration(client):

@@ -9,9 +9,11 @@ programs of the forked driver it replaced.
 It was regenerated twice since: when a leaf's locals came to be qualified
 once instead of re-prefixed at every tree level (only the spelling of the
 locals changed — with locals α-renamed, every plan and incremental step
-equals the one it replaced), and when the SMT budget went (its
+equals the one it replaced), when the SMT budget went (its
 ``smt_budget_seconds=0`` rows and key were dropped; every other row is
-unchanged).
+unchanged), and when α-copies came to ride on their representative
+instead of entering the calculus (only the weather rows changed: ``q7``
+is an α-copy of ``q1``, the only copy in the five batches).
 
 Per domain, one mixed family at n=8 is consolidated under
 
@@ -43,6 +45,7 @@ from repro.config import ExecutionConfig  # noqa: E402
 from repro.consolidation import add_query, consolidate_all, rebuild, remove_query  # noqa: E402
 from repro.experiments.figure9 import make_datasets  # noqa: E402
 from repro.lang.printer import program_to_str  # noqa: E402
+from repro.lang.visitors import canonicalize  # noqa: E402
 from repro.profiling import CalibratedCostModel  # noqa: E402
 from repro.queries import DOMAIN_QUERIES  # noqa: E402
 
@@ -115,8 +118,9 @@ def plan_record(programs, functions, order, planner, executor="serial") -> dict:
 
 
 def incremental_record(programs, functions) -> list:
-    """Rebuild over the first five queries, graft the other three, then
-    unlink a deep leaf, a shallow leaf and the newest graft."""
+    """Rebuild over the first five queries, graft the other three (an
+    α-copy rides on its twin), then unlink a deep leaf, a shallow leaf and
+    the newest graft."""
 
     steps = []
 
@@ -137,8 +141,11 @@ def incremental_record(programs, functions) -> list:
 
     tree, report = rebuild(list(programs[:5]), functions)
     step("rebuild", None, tree, report.pair_consolidations)
-    for program in programs[5:]:
-        patch = add_query(tree, program, functions)
+    for i, program in enumerate(programs[5:], start=5):
+        # An α-copy names its twin, as the registry does from fingerprints.
+        key = canonicalize(program)
+        twin = next((p.pid for p in programs[:i] if canonicalize(p) == key), None)
+        patch = add_query(tree, program, functions, twin=twin)
         tree = patch.tree
         step("add", program.pid, tree, patch.pair_merges)
     for pid in (programs[1].pid, programs[4].pid, programs[7].pid):

@@ -14,10 +14,16 @@ What CI's ``service-smoke`` job runs:
 5. GET ``/v1/explain`` and assert the last patch has at least one
    recorded derivation and is certified (patches are validated by
    default);
-6. kill the server, start a fresh one over the same journal;
-7. assert the replayed registry serves byte-identical query and
-   plan-cache fingerprints and an identical consolidated program, and
-   that its ``/v1/explain`` still reports a recorded, certified patch.
+6. register an α-copy of the first query (new pid, locals renamed) and
+   assert it rides on it — no pair merge, named in ``/v1/explain``'s
+   ``riders``, the same bucket; unregister the original (the copy takes
+   its place), register it again (it now rides on the copy), then one
+   query no live query is a copy of (a certified merge);
+7. kill the server, start a fresh one over the same journal;
+8. assert the replayed registry serves byte-identical query and
+   plan-cache fingerprints and an identical consolidated program, the
+   same riders and the copy's bucket, and that its ``/v1/explain`` still
+   reports a recorded, certified patch.
 
 Exit status 0 only when every assertion holds.
 
@@ -45,6 +51,7 @@ from repro.datasets import generate_weather  # noqa: E402
 from repro.lang.printer import program_to_str  # noqa: E402
 from repro.queries import DOMAIN_QUERIES  # noqa: E402
 from repro.service import Client  # noqa: E402
+from repro.testing.generator import alpha_copy  # noqa: E402
 
 SERVE_PATTERN = re.compile(r"serving on http://[\d.]+:(\d+)")
 
@@ -130,6 +137,41 @@ def check_explain(client: Client, when: str) -> None:
           f"recorded merge(s), {derivations['entailments']} entailments, certified")
 
 
+def check_alpha_copy(client: Client, module, dataset, first, fingerprints: dict) -> str:
+    """Step 6: an α-copy rides, outlives its original, and is ridden on.
+
+    Returns the copy's pid; ``fingerprints`` gains every query registered.
+    """
+
+    rows = list(dataset.rows[:50])
+    before = client.run(rows).buckets.get(first.pid, [])
+    twin = alpha_copy(first, f"{first.pid}_twin")
+    result = client.register(program_to_str(twin))
+    fingerprints[twin.pid] = result.query.fingerprint
+    assert result.query.fingerprint == fingerprints[first.pid], "copy fingerprint differs"
+    assert result.patch.pair_merges == 0, result.patch
+    assert client.explain()["riders"] == {twin.pid: first.pid}
+    assert client.run(rows).buckets.get(twin.pid, []) == before
+    print(f"  {twin.pid} rides on {first.pid}: no pair merge, same bucket")
+
+    client.unregister(first.pid)
+    assert client.explain()["riders"] == {}
+    assert client.run(rows).buckets.get(twin.pid, []) == before
+    client.register(program_to_str(first))
+    assert client.explain()["riders"] == {first.pid: twin.pid}
+    print(f"  {first.pid} left and came back: it now rides on {twin.pid}")
+
+    for program in module.make_batch(dataset, "Mix", n=8, seed=5):
+        if program.pid not in fingerprints:
+            result = client.register(program_to_str(program))
+            if result.patch.pair_merges:
+                fingerprints[program.pid] = result.query.fingerprint
+                print(f"  registered {program.pid}: {result.patch.pair_merges} merge(s)")
+                return twin.pid
+            client.unregister(program.pid)
+    raise AssertionError("no query that is not a copy of a live one")
+
+
 def main() -> int:
     dataset = generate_weather(cities=20)
     module = DOMAIN_QUERIES["weather"]
@@ -159,6 +201,13 @@ def main() -> int:
             assert plan.queries == len(sources)
             check_metrics(port)
             check_explain(client, "before the restart")
+            first = module.make_batch(dataset, module.FAMILY_NAMES[0], n=1, seed=4)[0]
+            twin = check_alpha_copy(client, module, dataset, first, fingerprints)
+            riders = client.explain()["riders"]
+            check_explain(client, "after the α-copy")
+            plan = client.plan()
+            run = client.run(list(dataset.rows[:50]))
+            assert run.buckets.get(twin, []) == run.buckets.get(first.pid, [])
         finally:
             stop_server(proc)
         print("server killed; restarting over the journal")
@@ -166,7 +215,7 @@ def main() -> int:
         proc, port = start_server(event_log)
         try:
             revived = Client(port=port)
-            assert revived.health().queries == len(sources), "membership lost"
+            assert revived.health().queries == len(fingerprints), "membership lost"
             replayed = {q.pid: q.fingerprint for q in revived.queries()}
             assert replayed == fingerprints, (
                 f"query fingerprints diverged after replay:\n"
@@ -180,6 +229,8 @@ def main() -> int:
             assert replayed_plan.program == plan.program, "merged program diverged"
             rerun = revived.run(list(dataset.rows[:50]))
             assert rerun.buckets == run.buckets, "notification buckets diverged"
+            assert revived.explain()["riders"] == riders, "riders diverged"
+            assert rerun.buckets.get(twin, []) == rerun.buckets.get(first.pid, [])
             check_explain(revived, "after the replay")
         finally:
             stop_server(proc)
