@@ -21,6 +21,12 @@ matching the compiled backend's accounting.
 When the interval argument fails, callers may supply ``loop_bound_hook``
 — the translation validator plugs the SMT-backed invariant inference of
 :mod:`repro.analysis.invariants` in through it.
+
+:func:`classify_shape` places a program on the vectorizability ladder
+``straight-line < branch-free < bounded-loop < unbounded`` ("branch-free"
+means free of loop back-edges: ``If``-only programs are if-convertible to
+predicated straight-line code).  It is a cost-bound question: a program
+whose worst-case cost is finite has only bounded loops.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ...lang.ast import (
 )
 from ...lang.cost import DEFAULT_COST_MODEL, CostModel
 from ...lang.functions import FunctionTable
-from ...lang.visitors import assigned_vars, expr_vars
+from ...lang.visitors import assigned_vars, contains_stmt, expr_vars
 from ..costmodel import expr_cost
 from .domains import IntervalConstDomain
 from .framework import loop_invariant_state
@@ -56,6 +62,8 @@ __all__ = [
     "trip_count_bound",
     "stmt_cost_upper",
     "program_cost_upper",
+    "classify_shape",
+    "SHAPES",
     "MAX_TRIP_COUNT",
 ]
 
@@ -290,3 +298,33 @@ def program_cost_upper(
         program.body, functions, cost_model, StaticEnv(), domain, loop_bound_hook
     )
     return cost
+
+
+SHAPES = ("straight-line", "branch-free", "bounded-loop", "unbounded")
+
+
+def classify_shape(
+    program: Program,
+    functions: Optional[FunctionTable] = None,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+) -> str:
+    """Place ``program`` on the vectorizability ladder (:data:`SHAPES`).
+
+    ``straight-line``
+        No control flow at all — directly vectorizable.
+    ``branch-free``
+        No loop back-edges; ``If``-only programs are if-convertible into
+        predicated straight-line code.
+    ``bounded-loop``
+        Every loop has a finite inferred trip count (the program's
+        worst-case cost bound is finite) — unrollable.
+    ``unbounded``
+        At least one loop the trip-count inference cannot bound.
+    """
+
+    if contains_stmt(program.body, While):
+        bound = program_cost_upper(program, functions, cost_model)
+        return "bounded-loop" if bound is not None else "unbounded"
+    if contains_stmt(program.body, If):
+        return "branch-free"
+    return "straight-line"

@@ -13,8 +13,7 @@ viewers) without a bespoke adapter.  The mapping is deliberately small:
   pass recorded one, appended to the message.
 
 Severity mapping: linter ``error`` → SARIF ``error``, ``warning`` →
-``warning``, anything else (the informational prefilter findings) →
-``note``.
+``warning``, anything else (an informational finding) → ``note``.
 """
 
 from __future__ import annotations

@@ -22,18 +22,8 @@ Commands
     ``--format json``; ``sarif`` emits a SARIF 2.1.0 document for
     code-scanning UIs); ``--validate`` additionally consolidates each
     batch and runs the abstract-interpretation translation validator over
-    every merged pair; ``--prefilter`` synthesizes the reject-early guard
-    for every program and reports its shape and certificate (a guard that
-    *degraded* surfaces as a warning).  Exit status: 0 clean, 1 warnings
-    only, 2 errors or a refuted validation.
-
-``prefilter``
-    Prefilter synthesis report (:mod:`repro.analysis.prefilter`): place
-    every generated query of a domain on the vectorizability ladder
-    (straight-line / branch-free / bounded-loop / unbounded), synthesize
-    its sound reject-early guard and print the certified ``phi`` per
-    program.  ``--consolidate`` additionally merges each family batch and
-    synthesizes the guard for the consolidated program.
+    every merged pair.  Exit status: 0 clean, 1 warnings only, 2 errors or
+    a refuted validation.
 
 ``figure9`` / ``figure10``
     Regenerate the paper's evaluation figures (textual rendering).
@@ -105,6 +95,7 @@ Two top-level flags work on every command:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Callable
 
@@ -157,16 +148,35 @@ def _executor_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _positive_int(text: str) -> int:
-    """A count flag's ``type=``: an integer >= 1."""
+def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
+    """A count flag's ``type=``: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"invalid count {text!r} ({expected})")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_count = _int_at_least(0, "an integer >= 0")
+
+
+def _positive_float(text: str) -> float:
+    """A scale flag's ``type=``: a finite number > 0."""
 
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"invalid count {text!r} (a positive integer)"
+            f"invalid scale {text!r} (a finite number > 0)"
         )
     return value
 
@@ -280,41 +290,6 @@ def cmd_consolidate(args) -> int:
     return 0
 
 
-def _prefilter_findings(batch, functions):
-    """One informational (or degraded-warning) lint finding per program."""
-
-    from .analysis.prefilter import synthesize_prefilter
-    from .analysis.static import Finding
-    from .lang.printer import expr_to_str
-
-    findings = []
-    for program in batch:
-        pre = synthesize_prefilter(program, functions)
-        if pre.certificate == "degraded":
-            findings.append(
-                Finding(
-                    rule="prefilter-degraded",
-                    severity="warning",
-                    message=f"prefilter degraded to true: {pre.degraded_reason}",
-                    program=program.pid,
-                    snippet=f"shape={pre.shape}",
-                )
-            )
-        else:
-            findings.append(
-                Finding(
-                    rule="prefilter",
-                    severity="note",
-                    message=(
-                        f"shape={pre.shape} certificate={pre.certificate} "
-                        f"phi={expr_to_str(pre.phi)}"
-                    ),
-                    program=program.pid,
-                )
-            )
-    return findings
-
-
 def cmd_lint(args) -> int:
     import json
 
@@ -341,13 +316,7 @@ def cmd_lint(args) -> int:
 
     reports = []
     for batch in batches:
-        batch_reports = lint_programs(batch, functions)
-        if args.prefilter:
-            for report, finding in zip(
-                batch_reports, _prefilter_findings(batch, functions)
-            ):
-                report.findings = report.findings + (finding,)
-        reports.extend(batch_reports)
+        reports.extend(lint_programs(batch, functions))
 
     validations = []
     if args.validate:
@@ -391,50 +360,6 @@ def cmd_lint(args) -> int:
         return 2
     if warnings:
         return 1
-    return 0
-
-
-def cmd_prefilter(args) -> int:
-    import json
-
-    from .analysis.prefilter import synthesize_prefilter
-    from .queries import DOMAIN_QUERIES
-
-    dataset = _domain_dataset(args.domain)
-    module = DOMAIN_QUERIES[args.domain]
-    families = [args.family] if args.family else list(module.FAMILY_NAMES)
-    rows: list[dict] = []
-    for family in families:
-        batch = module.make_batch(dataset, family, n=args.n, seed=args.seed)
-        targets = list(batch)
-        if args.consolidate and len(batch) >= 2:
-            merged = consolidate_all(
-                batch, dataset.functions, config=_config_from_args(args)
-            )
-            targets.append(merged.program)
-        for program in targets:
-            pre = synthesize_prefilter(program, dataset.functions)
-            row = pre.to_dict()
-            row["family"] = family
-            rows.append(row)
-    if args.json:
-        print(json.dumps({"domain": args.domain, "rows": rows}, indent=2))
-    else:
-        for row in rows:
-            line = (
-                f"{row['family']:>8s}  {row['pid']:16s} {row['shape']:13s} "
-                f"{row['certificate']:8s} phi = {row['phi']}"
-            )
-            if row["degraded_reason"]:
-                line += f"  ({row['degraded_reason']})"
-            print(line)
-        useful = sum(1 for r in rows if not r["trivial"])
-        print(
-            f"# synthesized {len(rows)} prefilters for {args.domain}: "
-            f"{useful} non-trivial",
-            file=sys.stderr,
-        )
-    args._artifact["rows"] = rows
     return 0
 
 
@@ -786,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--if-rule-mode", default="heuristic", choices=["heuristic", "always_if3", "always_if5"])
     p.add_argument("--no-loops", action="store_true", help="disable Loop 2/3 fusion")
     p.add_argument("--no-smt", action="store_true", help="syntactic value numbering only")
-    p.add_argument("--verify", type=int, default=0, metavar="N", help="check Theorem 1 on N rows")
+    p.add_argument("--verify", type=_count, default=0, metavar="N", help="check Theorem 1 on N rows")
     p.add_argument(
         "--executor",
         choices=EXECUTORS,
@@ -799,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*")
     p.add_argument("--domain", help="evaluation domain supplying library functions")
     p.add_argument("--family", help="lint one generated family (default: all)")
-    p.add_argument("--n", type=int, default=50, help="queries per generated family")
+    p.add_argument("--n", type=_positive_int, default=50, help="queries per generated family")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--format",
@@ -818,36 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also consolidate each batch and statically validate every pair",
     )
-    p.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="synthesize the reject-early guard per program and report its "
-        "shape/certificate (degraded guards become warnings)",
-    )
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser(
-        "prefilter",
-        help="prefilter synthesis + vectorizability report",
-        parents=[common],
-    )
-    p.add_argument(
-        "--domain",
-        required=True,
-        choices=["weather", "flight", "news", "twitter", "stock"],
-        help="evaluation domain supplying the query batches",
-    )
-    p.add_argument("--family", help="one generated family (default: all)")
-    p.add_argument("--n", type=int, default=6, help="queries per family")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--consolidate",
-        action="store_true",
-        help="also consolidate each family batch and synthesize the merged "
-        "program's guard",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_prefilter)
 
     p = sub.add_parser("run", help="run one program", parents=[common])
     p.add_argument("file")
@@ -857,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure9", help="regenerate Figure 9", parents=[common])
     p.add_argument("--n-udfs", type=_positive_int, default=50)
-    p.add_argument("--scale", type=float, default=0.05)
+    p.add_argument("--scale", type=_positive_float, default=0.05)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--domain",
@@ -869,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure10", help="regenerate Figure 10", parents=[common])
     p.add_argument("--sweep", type=_sweep, default="10,25,50,100")
-    p.add_argument("--articles", type=int, default=400)
+    p.add_argument("--articles", type=_positive_int, default=400)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_figure10)
 
@@ -892,10 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pair", default="0,1", help="two batch indices, e.g. 0,1")
     p.add_argument("--family", default="Mix", help="query family (default: %(default)s)")
-    p.add_argument("--n", type=int, default=8, help="batch size to draw the pair from")
+    p.add_argument("--n", type=_positive_int, default=8, help="batch size to draw the pair from")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
-        "--rows", type=int, default=200, help="dataset rows for the instrumented run"
+        "--rows", type=_positive_int, default=200, help="dataset rows for the instrumented run"
     )
     p.add_argument(
         "--format",
@@ -961,14 +857,14 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", help="differential fuzzing of the whole pipeline", parents=[common]
     )
     p.add_argument("--seed", type=int, default=0, help="base seed (case i uses seed+i)")
-    p.add_argument("--cases", type=int, default=100, help="number of generated batches")
+    p.add_argument("--cases", type=_positive_int, default=100, help="number of generated batches")
     p.add_argument(
         "--schema",
         action="append",
         choices=["weather", "flight", "news", "twitter", "stock"],
         help="restrict to one schema (repeatable; default: round-robin all five)",
     )
-    p.add_argument("--size", type=int, default=3, help="base program size knob")
+    p.add_argument("--size", type=_positive_int, default=3, help="base program size knob")
     p.add_argument(
         "--time-budget",
         type=float,

@@ -14,8 +14,8 @@ It is the only way to set a run-time knob: the keywords were deprecated
 through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
 ``consolidate_all`` reads ``cost_model``, ``executor``, ``telemetry``,
-``provenance``, ``prefilter``, ``planner`` and ``calibration`` from its
-``config`` and from nowhere else.
+``provenance``, ``planner`` and ``calibration`` from its ``config`` and
+from nowhere else.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -83,13 +83,6 @@ class ExecutionConfig:
         ``ConsolidationReport.derivations``.  Off by default — recording
         follows the NULL-twin pattern, so the disabled path costs one
         inert method call per decision point.
-    ``prefilter``
-        When True, ``consolidate_all`` synthesizes a sound reject-early
-        guard (:func:`repro.analysis.prefilter.synthesize_prefilter`) for
-        the merged program and the Where operators evaluate it before the
-        full UDF, skipping rows that provably notify nobody.  Off by
-        default — the disabled hot path costs one ``None`` check per
-        record, mirroring the telemetry discipline.
     ``planner``
         Consolidation pair-ordering strategy: ``"related"`` (the paper's
         heuristic, default) or ``"calibrated"`` — rank candidate pairs by
@@ -112,7 +105,6 @@ class ExecutionConfig:
     executor: str = "serial"
     telemetry: Telemetry = NULL_TELEMETRY
     provenance: bool = False
-    prefilter: bool = False
     planner: str = "related"
     calibration: object = None
 

@@ -62,7 +62,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
+from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
@@ -86,9 +86,6 @@ from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .simplifier import SimplifyStats
-
-if TYPE_CHECKING:
-    from ..analysis.prefilter import Prefilter
 
 __all__ = [
     "ConsolidationReport",
@@ -259,8 +256,8 @@ class ConsolidationReport(PairViews):
     ``pair_consolidations`` is its length.  ``validations`` holds one
     static-validation certificate per pair when ``options.static_validate``
     is on; ``derivations`` one :class:`repro.provenance.DerivationTree` per
-    successfully merged pair under ``config.provenance`` (then the
-    prefilter's), and is empty otherwise.
+    successfully merged pair under ``config.provenance``, and is empty
+    otherwise.
 
     ``skipped_pairs`` lists every pair merge that failed mid-batch and
     was replaced by the sequential composition of its two inputs (one
@@ -283,12 +280,6 @@ class ConsolidationReport(PairViews):
     pair-ordering strategy that ran (``"related"`` — the default heuristic
     adjacency — or ``"calibrated"``).
 
-    ``prefilter`` holds the :class:`repro.analysis.prefilter.Prefilter`
-    synthesized for the merged program under ``config.prefilter``, and
-    ``prefilter_seconds`` its synthesis time — reported separately from
-    ``duration`` (and spanned as ``consolidate.prefilter``) so guard
-    synthesis can be banded apart from merge time.
-
     ``degradations`` is a log of coarser fallbacks than a skipped pair (a
     broken process pool redone serially, or the :data:`SMT_UNKNOWN_NOTE`
     entry when the solver answered "unknown" and rewrites were skipped
@@ -303,8 +294,6 @@ class ConsolidationReport(PairViews):
     rides: list[PairRecord] = field(default_factory=list)
     tree_depth: int = 0
     duration: float = 0.0
-    prefilter: Optional[Prefilter] = None
-    prefilter_seconds: float = 0.0
     solver_stats: dict[str, int] = field(default_factory=dict)
     max_workers: int = 1
     executor: str = "serial"
@@ -322,11 +311,6 @@ class ConsolidationReport(PairViews):
         """Each rider's pid and the pid of the representative it rides on."""
 
         return {r.right: r.left for r in self.rides}
-
-    @property
-    def derivations(self) -> list[Any]:
-        extra = self.prefilter.derivation if self.prefilter is not None else None
-        return super().derivations + ([extra] if extra is not None else [])
 
     @property
     def skipped_pairs(self) -> list[dict[str, str]]:
@@ -549,7 +533,7 @@ def consolidate_all(
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
     run-time knobs — ``cost_model``, ``executor``, ``telemetry``,
-    ``provenance``, ``prefilter``, ``planner``, ``calibration`` — documented on
+    ``provenance``, ``planner``, ``calibration`` — documented on
     :class:`repro.config.ExecutionConfig`.
 
     Before the first level the qualified leaves are grouped by α-class
@@ -720,32 +704,6 @@ def consolidate_all(
             pool.shutdown()
     result = root.program
 
-    # Prefilter synthesis runs on the final merged program, inside its own
-    # span and timed separately, so guard synthesis can be told apart
-    # from merge time.  It reuses the batch solver (before
-    # the stats snapshot below, so its certificate queries are counted).
-    prefilter_obj = None
-    prefilter_seconds = 0.0
-    if cfg.prefilter:
-        from ..analysis.prefilter import synthesize_prefilter
-
-        recorder = DerivationRecorder() if cfg.provenance else None
-        prefilter_started = time.perf_counter()
-        with telemetry.span("consolidate.prefilter", program=result.pid):
-            prefilter_obj = synthesize_prefilter(
-                result,
-                functions,
-                cost_model,
-                solver=solver,
-                recorder=recorder,
-                telemetry=telemetry,
-            )
-        prefilter_seconds = time.perf_counter() - prefilter_started
-        if prefilter_obj.certificate == "degraded":
-            degradations.append(
-                f"prefilter degraded to true: {prefilter_obj.degraded_reason}"
-            )
-
     totals = Counter(solver.stats.snapshot())
     totals.update(pooled_solver_stats)
     solver_stats = dict(totals)
@@ -786,8 +744,6 @@ def consolidate_all(
         rides=rides[::-1],
         tree_depth=depth,
         duration=time.perf_counter() - started,
-        prefilter=prefilter_obj,
-        prefilter_seconds=prefilter_seconds,
         solver_stats=solver_stats,
         max_workers=workers,
         executor=executor,

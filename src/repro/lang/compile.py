@@ -42,10 +42,10 @@ the compiled code may report a different member of the same class.
 
 :func:`make_runner` hands out the per-record closure: the rung the batch
 kernel degrades to, and the entry point for callers that run one record at
-a time (``repro run``, the latency experiment, the oracles, prefilter
-guards).  It compiles through the per-``(program, cost model, function
-table)`` cache so a job's UDFs compile once, not once per record, and any
-compilation failure logs a warning and falls back to the interpreter.
+a time (``repro run``, the latency experiment, the oracles).  It compiles
+through the per-``(program, cost model, function table)`` cache so a job's
+UDFs compile once, not once per record, and any compilation failure logs a
+warning and falls back to the interpreter.
 """
 
 from __future__ import annotations
@@ -793,7 +793,7 @@ def make_runner(
     The ``Where*`` operators execute partitions through the batch kernel
     (:mod:`repro.lang.vectorize`) and come here only when a batch degrades;
     callers that run one record at a time — ``repro run``,
-    ``experiments/latency.py``, the oracles, prefilter guards — come here
+    ``experiments/latency.py``, the oracles — come here
     directly.  ``backend="compiled"`` (the default) and ``"vectorized"``
     both mean the compiled closure — exactly what a one-row batch degrades
     to: it uses the compile cache and falls back to a private interpreter —

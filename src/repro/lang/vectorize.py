@@ -42,10 +42,11 @@ kernel computes is visible until it returns, so *any* exception inside it
 unwrapped), a notification clash, an unassigned local, fuel exhaustion, a
 bug — abandons the batch and re-runs every record through the compiled
 closure, which reproduces the interpreter's exact result or error, in
-record order.  Programs the PR-7 shape classifier marks ``unbounded``
-never get a kernel and take the per-row road from the start, as do
-programs Python cannot compile (control flow nested past its indentation
-limit).  Degradation is recorded (``BatchResult.fallback`` +
+record order.  Programs the shape classifier
+(:func:`repro.analysis.static.costbound.classify_shape`) marks
+``unbounded`` never get a kernel and take the per-row road from the
+start, as do programs Python cannot compile (control flow nested past its
+indentation limit).  Degradation is recorded (``BatchResult.fallback`` +
 ``vectorized_fallback*`` telemetry), never an error.
 
 The three-way differential oracle (:mod:`repro.testing.oracles`) holds
@@ -425,7 +426,7 @@ def _lower(
     """``(shape, kernel, source, degraded_reason)`` for one program."""
 
     try:
-        from ..analysis.prefilter import classify_shape  # deferred: import cycle
+        from ..analysis.static.costbound import classify_shape  # deferred: import cycle
 
         shape = classify_shape(program, functions, cost_model)
     except Exception:  # noqa: BLE001 - classification must never block execution

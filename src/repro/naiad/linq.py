@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..analysis.prefilter import Prefilter
 from ..config import ExecutionConfig
 from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
@@ -87,7 +86,6 @@ class Query:
             "cost_model": cfg.cost_model,
             "backend": cfg.backend,
             "telemetry": cfg.telemetry,
-            "prefilter": cfg.prefilter,
         }
 
     def where(self, program: Program, functions: Optional[FunctionTable] = None) -> Query:
@@ -103,16 +101,10 @@ class Query:
         merged: Program,
         pids: Sequence[str],
         functions: Optional[FunctionTable] = None,
-        prefilter: Optional[Prefilter] = None,
     ) -> Query:
-        """``prefilter`` is the φ already synthesised for ``merged``
-        (``ConsolidationReport.prefilter``); under ``config.prefilter`` the
-        operator compiles its guard from it instead of synthesising again."""
-
-        kwargs = self._udf_kwargs()
-        if prefilter is not None and kwargs["prefilter"]:
-            kwargs["prefilter"] = prefilter
-        return self._extend(WhereConsolidated(merged, pids, _table(functions), **kwargs))
+        return self._extend(
+            WhereConsolidated(merged, pids, _table(functions), **self._udf_kwargs())
+        )
 
     def select(self, fn: Callable[[Any], Any], cost: int = 3) -> Query:
         return self._extend(Select(fn, cost))
@@ -170,7 +162,5 @@ def run_where_consolidated(
     table = _table(functions)
     report = consolidate_all(list(programs), table, options=options, config=cfg)
     pids = [p.pid for p in programs]
-    query = from_collection(records, cfg).where_consolidated(
-        report.program, pids, table, prefilter=report.prefilter
-    )
+    query = from_collection(records, cfg).where_consolidated(report.program, pids, table)
     return query.run(), report

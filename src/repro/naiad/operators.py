@@ -17,25 +17,13 @@ so downstream consumers cannot tell them apart — equivalence is asserted by
 the test-suite and the harness.  They are the same operator
 (:class:`_UdfOperator`) differing only in how many programs it holds; the
 public classes are constructors over it.
-
-With ``prefilter=True`` the Where operators synthesize a sound
-reject-early guard (:mod:`repro.analysis.prefilter`) per UDF at
-construction time (``WhereConsolidated`` also takes the one the
-consolidation already synthesised) and evaluate it first on every record:
-a row the guard rejects provably notifies nobody, so the full UDF is
-skipped and only the guard's (much smaller) cost is charged.  Guards fail
-open — any synthesis or runtime problem means "no guard", never a changed
-bucket.  The rejection counts surface as ``prefilter_checked_total`` /
-``prefilter_rejected_total`` counters and a ``prefilter_selectivity``
-gauge when telemetry is enabled.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from ..analysis.prefilter import PREFILTER_PID, Prefilter, make_guard
 from ..lang.ast import Program
 from ..lang.compile import DEFAULT_BACKEND
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -64,8 +52,6 @@ class _Unit(NamedTuple):
     pids: tuple[str, ...]
     #: The program's execution ladder, entered where ``backend=`` says.
     plan: VectorizedProgram
-    #: The φ wrapper's ladder (None = run the UDF on every record).
-    guard: Optional[VectorizedProgram]
 
 
 def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> tuple[list[Any], bool]:
@@ -85,16 +71,6 @@ def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> tuple[lis
         return list(map(records.__getitem__, hits)), True
     missing = present.index(False)
     return list(map(records.__getitem__, hits[: bisect_left(hits, missing)])), False
-
-
-def _guard_row(run: Callable[[Mapping[str, Any]], Any], args: dict[str, Any]) -> tuple[bool, int]:
-    """One record's φ verdict and charged cost; a φ that raises passes, free."""
-
-    try:
-        result = run(args)
-    except Exception:  # noqa: BLE001 - fail open: run the full UDF
-        return True, 0
-    return bool(result.notification(PREFILTER_PID)), result.cost
 
 
 class _UdfOperator(Vertex):
@@ -127,28 +103,22 @@ class _UdfOperator(Vertex):
         cost_model: CostModel,
         backend: str,
         telemetry: Optional[Telemetry],
-        prefilter: bool | Prefilter,
     ) -> None:
         super().__init__(name)
         if telemetry is None:
             telemetry = NULL_TELEMETRY
         self._emits = emits
-        self._telemetry = telemetry
         self._pending: dict[int, list[Any]] = {}
-        self._pre_checked = 0
-        self._pre_rejected = 0
-        self.units: list[_Unit] = []
-        for program, pids in programs:
-            plan = vectorize_cached(
-                program, functions, cost_model, backend=backend, telemetry=telemetry
+        self.units: list[_Unit] = [
+            _Unit(
+                program,
+                tuple(pids),
+                vectorize_cached(
+                    program, functions, cost_model, backend=backend, telemetry=telemetry
+                ),
             )
-            guard = None
-            if prefilter:
-                guard = make_guard(
-                    program, functions, cost_model, backend=backend, telemetry=telemetry,
-                    prefilter=prefilter if isinstance(prefilter, Prefilter) else None,
-                )
-            self.units.append(_Unit(program, tuple(pids), plan, guard))
+            for program, pids in programs
+        ]
 
     def process(self, record: Any, worker: Worker) -> Iterable[Any]:
         self._pending.setdefault(worker.index, []).append(record)
@@ -159,69 +129,20 @@ class _UdfOperator(Vertex):
 
     def on_flush(self, worker: Worker) -> None:
         records = self._pending.pop(worker.index, None)
-        if records:
-            emits = self._emits
-            for unit in self.units:
-                kept = self._apply_guard(unit, records, worker)
-                if not kept:
-                    continue
-                batch = unit.plan.run_batch(columns_from_records(unit.program, kept), len(kept))
-                worker.charge_udf(sum(batch.costs))
-                for pid in unit.pids:
-                    notified, complete = _notified(batch, pid, kept)
-                    if emits:
-                        for record in notified:
-                            worker.emit(self, record)
-                    else:
-                        worker.notify_all(pid, notified)
-                    if not complete:
-                        raise KeyError(pid)
-        telemetry = self._telemetry
-        if telemetry.enabled and self._pre_checked:
-            checked = telemetry.counter("prefilter_checked_total")
-            rejected = telemetry.counter("prefilter_rejected_total")
-            checked.inc(self._pre_checked)
-            rejected.inc(self._pre_rejected)
-            # Set from the counters just advanced, not from this partition's
-            # counts: every worker flushes, and the last one to do so must
-            # not overwrite the run's selectivity with its own.
-            telemetry.gauge("prefilter_selectivity").set(1.0 - rejected.value / checked.value)
-            self._pre_checked = 0
-            self._pre_rejected = 0
-
-    def _apply_guard(self, unit: _Unit, records: list[Any], worker: Worker) -> list[Any]:
-        """φ as a batch-compacting filter that fails open.
-
-        The φ wrapper's ladder runs over the whole batch (a kernel that
-        raises has already degraded to its per-row rungs); the rows it
-        keeps are its ``PREFILTER_PID`` hits, and the batch's whole cost is
-        charged.  When the batch
-        still raises — some row's φ is a genuine error — the rows re-run
-        one by one through the row runner, and a row that raises passes,
-        charged nothing: a guard problem never changes a bucket.
-        """
-
-        guard = unit.guard
-        if guard is None:
-            return records
-        columns = columns_from_records(unit.program, records)
-        try:
-            batch = guard.run_batch(columns, len(records))
-            passed = batch.hits[PREFILTER_PID]
-        except Exception:  # noqa: BLE001 - guard problems fail open per row
-            run, param = guard.row_runner(), unit.program.params[0]
-            keep = []
-            for record in records:
-                passes, cost = _guard_row(run, {param: record})
-                worker.charge_udf(cost)
-                if passes:
-                    keep.append(record)
-        else:
+        if not records:
+            return
+        for unit in self.units:
+            batch = unit.plan.run_batch(columns_from_records(unit.program, records), len(records))
             worker.charge_udf(sum(batch.costs))
-            keep = list(map(records.__getitem__, passed))
-        self._pre_checked += len(records)
-        self._pre_rejected += len(records) - len(keep)
-        return keep
+            for pid in unit.pids:
+                notified, complete = _notified(batch, pid, records)
+                if self._emits:
+                    for record in notified:
+                        worker.emit(self, record)
+                else:
+                    worker.notify_all(pid, notified)
+                if not complete:
+                    raise KeyError(pid)
 
 
 class Where(_UdfOperator):
@@ -234,11 +155,10 @@ class Where(_UdfOperator):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
-        prefilter: bool = False,
     ) -> None:
         super().__init__(
             f"where[{program.pid}]", [(program, [program.pid])], True,
-            functions, cost_model, backend, telemetry, prefilter,
+            functions, cost_model, backend, telemetry,
         )
 
 
@@ -252,23 +172,17 @@ class WhereMany(_UdfOperator):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
-        prefilter: bool = False,
     ) -> None:
         if not programs:
             raise ValueError("whereMany needs at least one UDF")
         super().__init__(
             f"whereMany[{len(programs)}]", [(p, [p.pid]) for p in programs], False,
-            functions, cost_model, backend, telemetry, prefilter,
+            functions, cost_model, backend, telemetry,
         )
 
 
 class WhereConsolidated(_UdfOperator):
-    """The consolidated operator: one merged UDF, all results broadcast.
-
-    ``prefilter`` may be the :class:`Prefilter` already synthesised for
-    ``merged`` (``ConsolidationReport.prefilter``): the guard is compiled
-    from it instead of synthesising φ again at every construction.
-    """
+    """The consolidated operator: one merged UDF, all results broadcast."""
 
     def __init__(
         self,
@@ -278,13 +192,10 @@ class WhereConsolidated(_UdfOperator):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
-        prefilter: bool | Prefilter = False,
     ) -> None:
-        if isinstance(prefilter, Prefilter) and prefilter.pid != merged.pid:
-            raise ValueError(f"prefilter of {prefilter.pid!r} handed to UDF {merged.pid!r}")
         super().__init__(
             f"whereConsolidated[{len(pids)}]", [(merged, pids)], False,
-            functions, cost_model, backend, telemetry, prefilter,
+            functions, cost_model, backend, telemetry,
         )
 
 

@@ -68,7 +68,6 @@ class ExplainReport:
     solver_stats: dict = field(default_factory=dict)
     simplify_stats: dict = field(default_factory=dict)
     validation: Optional[dict] = None
-    prefilter: Optional[dict] = None
     attributions: list[OperatorAttribution] = field(default_factory=list)
     rows: int = 0
     consolidation_seconds: float = 0.0
@@ -102,7 +101,6 @@ class ExplainReport:
             "solver_stats": self.solver_stats,
             "simplify_stats": self.simplify_stats,
             "validation": self.validation,
-            "prefilter": self.prefilter,
             "udf_cost": {
                 "whereMany": self.udf_cost_many,
                 "whereConsolidated": self.udf_cost_consolidated,
@@ -186,16 +184,8 @@ def explain_batch(
         selected,
         dataset.functions,
         options=options,
-        config=cfg.evolve(
-            provenance=True, prefilter=True, planner=planner, calibration=calibration
-        ),
+        config=cfg.evolve(provenance=True, planner=planner, calibration=calibration),
     )
-    prefilter_summary = None
-    if report.prefilter is not None:
-        prefilter_summary = report.prefilter.to_dict()
-        # Rename for the golden-file timing strip (`_strip_timings` zeroes
-        # keys literally named "seconds").
-        prefilter_summary["seconds"] = prefilter_summary.pop("synthesis_seconds")
 
     validation = validate_consolidation(
         selected, report.program, dataset.functions
@@ -242,7 +232,6 @@ def explain_batch(
         solver_stats=dict(report.solver_stats),
         simplify_stats=dict(report.simplify_stats),
         validation=validation.to_dict(),
-        prefilter=prefilter_summary,
         attributions=attributions,
         rows=len(records),
         consolidation_seconds=report.duration,
@@ -304,18 +293,6 @@ def render_text(report: ExplainReport, include_timings: bool = True) -> str:
     for rule, count in sorted(report.rule_counts.items(), key=lambda kv: (-kv[1], kv[0])):
         out.append(f"  {rule:<10} {count}")
     out.append("")
-    if report.prefilter is not None:
-        pre = report.prefilter
-        out.append("synthesized prefilter:")
-        out.append(f"  phi = {pre['phi']}")
-        out.append(
-            f"  shape {pre['shape']}  certificate {pre['certificate']}"
-            f"  sites {pre['live_sites']}/{pre['sites']} live"
-            f" ({pre['dead_sites']} dead, {pre['dropped_conjuncts']} conjuncts dropped)"
-        )
-        if pre["degraded_reason"]:
-            out.append(f"  degraded: {pre['degraded_reason']}")
-        out.append("")
     if report.planner_decisions:
         out.append(f"planner ({report.planner}):")
         for d in report.planner_decisions:
@@ -423,21 +400,6 @@ def _node_html(node: RuleNode) -> str:
     return "".join(parts)
 
 
-def _prefilter_html(pre: Optional[dict]) -> str:
-    if pre is None:
-        return ""
-    degraded = (
-        f" Degraded: {_esc(pre['degraded_reason'])}." if pre["degraded_reason"] else ""
-    )
-    return (
-        f"<h2>Synthesized prefilter</h2><p><code>{_esc(pre['phi'])}</code><br>"
-        f"shape <b>{_esc(pre['shape'])}</b>, certificate "
-        f"<b>{_esc(pre['certificate'])}</b>, sites {pre['live_sites']}/{pre['sites']}"
-        f" live ({pre['dead_sites']} dead, {pre['dropped_conjuncts']} conjuncts "
-        f"dropped).{degraded}</p>"
-    )
-
-
 def render_html(report: ExplainReport) -> str:
     """One self-contained HTML document (saved as the CI artifact)."""
 
@@ -491,7 +453,6 @@ Entailment queries: {stats.get("entail_queries", 0)}
 precheck {stats.get("precheck_skips", 0)}).
 Static validation: notify <b>{_esc(validation.get("notify", "-"))}</b>,
 cost <b>{_esc(validation.get("cost", "-"))}</b>.</p>
-{_prefilter_html(report.prefilter)}
 <h2>Rule applications</h2>
 <table><tr><th>rule</th><th>count</th></tr>{rule_rows}</table>
 <h2>Derivations</h2>

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from threading import RLock
 from typing import Iterable, Optional, Sequence
 
-from ..analysis.prefilter import Prefilter, synthesize_prefilter
 from ..config import ExecutionConfig, ServiceConfig
 from ..consolidation.divide_conquer import MergeNode
 from ..consolidation.incremental import (
@@ -152,8 +151,6 @@ class QueryRegistry:
         self._queries: "OrderedDict[str, RegisteredQuery]" = OrderedDict()
         self._tree: Optional[MergeNode] = None
         self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
-        # φ of the plan `run` last guarded, kept with the tree it was synthesised for.
-        self._prefilter: Optional[tuple[MergeNode, Prefilter]] = None
         self._lock = RLock()
         self._seq = 0
         self._log: Optional[EventLog] = None
@@ -493,26 +490,11 @@ class QueryRegistry:
         with self._lock:
             if self._tree is None:
                 raise RegistryError("no queries are registered; nothing to run")
-            tree, pids = self._tree, list(self._queries)
-            prefilter = self._plan_prefilter(tree)
+            program, pids = self._tree.program, list(self._queries)
         query = from_collection(rows, config=self.config).where_consolidated(
-            tree.program, pids, self.functions, prefilter=prefilter
+            program, pids, self.functions
         )
         return query.run(self.config)
-
-    def _plan_prefilter(self, tree: MergeNode) -> Optional[Prefilter]:
-        """φ for ``tree`` under ``config.prefilter``: synthesised by the
-        first run after the plan changed, reused by every run until the next."""
-
-        if not self.config.prefilter:
-            return None
-        cached = self._prefilter
-        if cached is None or cached[0] is not tree:
-            pre = synthesize_prefilter(
-                tree.program, self.functions, self.config.cost_model, telemetry=self.telemetry
-            )
-            cached = self._prefilter = (tree, pre)
-        return cached[1]
 
     def metrics_doc(self) -> dict:
         """The ``/metrics`` document: counters plus planner/calibration info.

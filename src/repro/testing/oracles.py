@@ -27,9 +27,6 @@ is checked:
   the cost-driven planner (uniform fallback model); reordered or skipped
   merges must leave the notification buckets identical to
   ``whereMany`` and keep the consolidated cost never worse;
-* **prefilter soundness** — every program (and the merged program) gets a
-  synthesized reject-early guard; a row the guard rejects must produce no
-  truthy notification when the full UDF runs;
 * **interp vs compiled vs vectorized** — the three-way backend oracle:
   every program (and the merged program) runs as one column batch under
   the vectorized backend, and per record the notifications, *exact* cost
@@ -74,7 +71,7 @@ class Discrepancy:
     """One disagreement between two execution paths that must agree."""
 
     # 'backend' | 'dataflow' | 'riders' | 'executor' | 'soundness' | 'validator'
-    # | 'planner' | 'prefilter' | 'vectorized'
+    # | 'planner' | 'vectorized'
     oracle: str
     detail: str
     args: dict = field(default_factory=dict)
@@ -372,69 +369,6 @@ def _check_validator(
         )
 
 
-def _check_prefilter(
-    programs: Sequence[Program],
-    report: ConsolidationReport | None,
-    dataset: Dataset,
-    inputs: Sequence[Mapping[str, object]],
-    cost_model: CostModel,
-    out: list[Discrepancy],
-) -> None:
-    """Prefilter soundness: a rejected row must notify nobody (truthily).
-
-    Every program in the batch — and the merged program, when dataflow
-    produced one — gets a synthesized guard; for each input the guard
-    rejects, the full UDF is run under the interpreter and must yield no
-    truthy notification.  A full run that *raises* notifies nobody, so a
-    rejection there is correct, not a discrepancy.  Synthesis itself must
-    never raise (degradation to ``phi = true`` is its only failure mode).
-    """
-
-    from ..analysis.prefilter import PREFILTER_PID, prefilter_program, synthesize_prefilter
-
-    interp = Interpreter(dataset.functions, cost_model)
-    targets = list(programs)
-    if report is not None:
-        targets.append(report.program)
-    for program in targets:
-        try:
-            prefilter = synthesize_prefilter(program, dataset.functions, cost_model)
-            guard = None if prefilter.trivial else make_runner(
-                prefilter_program(prefilter, program), dataset.functions, cost_model
-            )
-        except Exception as exc:  # noqa: BLE001 - "never raises" is the contract
-            out.append(
-                Discrepancy(
-                    "prefilter",
-                    f"{program.pid}: synthesis raised {type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        if guard is None:
-            continue
-        for args in inputs:
-            try:
-                passes = guard(args).notification(PREFILTER_PID)
-            except Exception:  # noqa: BLE001 - a guard that raises fails open
-                passes = True
-            if passes:
-                continue
-            try:
-                result = interp.run(program, args)
-            except Exception:  # noqa: BLE001 - a crashing UDF notifies nobody
-                continue
-            truthy = [pid for pid, value in result.notifications.items() if value]
-            if truthy:
-                out.append(
-                    Discrepancy(
-                        "prefilter",
-                        f"{program.pid}: prefilter rejected a row that "
-                        f"notifies {truthy}",
-                        dict(args),
-                    )
-                )
-
-
 def _check_planner(
     programs: Sequence[Program],
     dataset: Dataset,
@@ -703,9 +637,6 @@ def run_battery(
     if expired():
         return result
     _check_planner(programs, dataset, rows, cost_model, out)
-    if expired():
-        return result
-    _check_prefilter(programs, report, dataset, inputs, cost_model, out)
     if expired():
         return result
     _check_vectorized(programs, report, dataset, rows, inputs, cost_model, out)

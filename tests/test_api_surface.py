@@ -6,8 +6,9 @@ the diff shows exactly which verb moved.  The 2.0-removal tests pin that
 every pre-config keyword argument is gone (a ``TypeError``, not a silent
 shim), the 5.0.0-removal tests that the dropped ``ExecutionConfig``
 fields and the thread executor are gone, the 6.0.0-removal tests that
-the profiler is no longer threaded through a run, and the config
-validation errors (they must enumerate the valid values).
+the profiler is no longer threaded through a run, the 7.0.0-removal
+tests that the prefilter is gone, and the config validation errors (they
+must enumerate the valid values).
 """
 
 import dataclasses
@@ -32,7 +33,15 @@ from repro.experiments import (
 from repro.lang import FunctionTable, parse_program
 from repro.lang.compile import make_runner
 from repro.lang.vectorize import vectorize_cached
-from repro.naiad import Query, WhereMany, from_collection, run_where_consolidated, run_where_many
+from repro.naiad import (
+    Query,
+    Where,
+    WhereConsolidated,
+    WhereMany,
+    from_collection,
+    run_where_consolidated,
+    run_where_many,
+)
 
 # ---------------------------------------------------------------------------
 # the facade: frozen __all__ and golden signatures
@@ -101,7 +110,7 @@ _RUN_KNOBS = ("cost_model", "workers", "io_cost_per_record", "backend")
 REMOVED_KEYWORDS = [
     (Query.where, ("cost_model", "backend")),
     (Query.where_many, ("cost_model", "backend")),
-    (Query.where_consolidated, ("cost_model", "backend")),
+    (Query.where_consolidated, ("cost_model", "backend", "prefilter")),
     (Query.run, ("workers",)),
     (from_collection, ("io_cost_per_record", "overhead_per_operator")),
     (run_where_many, _RUN_KNOBS),
@@ -110,6 +119,11 @@ REMOVED_KEYWORDS = [
     (run_figure9, ("workers", "backend")),
     (run_figure10, ("workers", "backend")),
     (run_latency_experiment, ("cost_model", "backend")),
+    # 7.0.0: the prefilter is gone.
+    (ExecutionConfig, ("prefilter",)),
+    (Where, ("prefilter",)),
+    (WhereMany, ("prefilter",)),
+    (WhereConsolidated, ("prefilter",)),
     (
         consolidate_all,
         (
@@ -196,8 +210,8 @@ def test_removed_execution_config_field_raises_type_error(keyword):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_eleven_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 11
+def test_execution_config_has_ten_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 10
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
 
@@ -252,6 +266,38 @@ def test_simplify_loop_bodies_option_is_gone():
     from repro.analysis.invariants import loop_invariant
 
     assert "mode" not in inspect.signature(loop_invariant).parameters
+
+
+def test_prefilter_report_fields_are_gone():
+    for name in ("prefilter", "prefilter_seconds"):
+        assert name not in ConsolidationReport.__dataclass_fields__
+
+
+def test_consolidation_leaves_no_prefilter_trace():
+    # No φ derivation, no `consolidate.prefilter` span, no `prefilter_*`
+    # counter: a traced, provenance-recording consolidation shows none.
+    from repro.datasets import generate_weather
+    from repro.queries import DOMAIN_QUERIES
+    from repro.telemetry import Telemetry
+
+    dataset = generate_weather(cities=10)
+    batch = DOMAIN_QUERIES["weather"].make_batch(dataset, "Q1", n=3, seed=2)
+    telemetry = Telemetry.capture(trace=True)
+    config = ExecutionConfig(provenance=True, telemetry=telemetry)
+    report = consolidate_all(batch, dataset.functions, config=config)
+    assert report.derivations
+    assert not any("φ" in d.merged for d in report.derivations)
+
+    def names(spans):
+        for span in spans:
+            yield span["name"]
+            yield from names(span.get("children", ()))
+
+    spans = set(names(telemetry.tracer.to_dicts()))
+    assert "consolidate" in {name.split(".")[0] for name in spans}
+    assert not any("prefilter" in name for name in spans)
+    assert len(telemetry.metrics) > 0
+    assert not any("prefilter" in metric.name for metric in telemetry.metrics)
 
 
 def test_service_config_validation_errors_enumerate_values():

@@ -281,6 +281,37 @@ class TestObservabilityFlags:
             main(["serve", "--port", "0", *flag.split()])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prefilter", "--domain", "weather", "--family", "Q1", "--n", "2"],
+            ["lint", "--domain", "weather", "--family", "Q1", "--n", "2", "--prefilter"],
+        ],
+        ids=["prefilter-command", "lint-prefilter-flag"],
+    )
+    def test_removed_prefilter_surface_exits_2(self, argv):
+        # 7.0.0: the `prefilter` subcommand and `lint --prefilter` are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("domain", ["flight", "news", "stock", "twitter", "weather"])
+    def test_lint_sarif_of_a_generated_domain(self, capsys, domain):
+        # The command CI uploads as an artifact: findings may be warnings
+        # (exit 1), never errors, and no rule is the prefilter's.
+        import json
+
+        rc = main(["lint", "--domain", domain, "--n", "2", "--format", "sarif"])
+        assert rc in (0, 1)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == "2.1.0"
+        run = doc["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        levels = {r["level"] for r in run["results"]}
+        assert levels <= {"note", "warning"}
+        assert (rc == 1) == ("warning" in levels)
+        assert all(r["ruleId"] != "prefilter" for r in run["results"])
+
     @pytest.mark.parametrize("executors, bad", [("serial,bogus", "bogus"), ("serial,thread", "thread")])
     def test_fuzz_rejects_an_unknown_executor_at_parse_time(self, capsys, executors, bad):
         with pytest.raises(SystemExit) as excinfo:
@@ -316,6 +347,22 @@ class TestObservabilityFlags:
             (["profile", "--rows", "x"], "invalid count 'x'"),
             (["latency", "--n-udfs", "0"], "invalid count '0'"),
             (["figure9", "--n-udfs", "0"], "invalid count '0'"),
+            (["lint", "--n", "0"], "invalid count '0'"),
+            (["lint", "--n", "-1"], "invalid count '-1'"),
+            (["fuzz", "--cases", "-2"], "invalid count '-2'"),
+            (["fuzz", "--size", "-5"], "invalid count '-5'"),
+            (["fuzz", "--size", "0"], "invalid count '0'"),
+            (["figure9", "--scale", "0"], "invalid scale '0'"),
+            (["figure9", "--scale", "-1"], "invalid scale '-1'"),
+            (["figure9", "--scale", "inf"], "invalid scale 'inf'"),
+            (["figure9", "--scale", "nan"], "invalid scale 'nan'"),
+            (["figure10", "--articles", "0"], "invalid count '0'"),
+            (["figure10", "--articles", "-3"], "invalid count '-3'"),
+            (["explain", "--n", "0"], "invalid count '0'"),
+            (["explain", "--rows", "0"], "invalid count '0'"),
+            (["explain", "--rows", "-1"], "invalid count '-1'"),
+            (["consolidate", "--verify", "-1", "q0.prog", "q1.prog"], "invalid count '-1'"),
+            (["consolidate", "--verify", "x", "q0.prog"], "invalid count 'x'"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, argv, message):
@@ -342,6 +389,8 @@ class TestObservabilityFlags:
         assert (args.rebalance_factor, args.plan_cache_size) == (1.0, 0)
         assert build_parser().parse_args(["figure10"]).sweep == (10, 25, 50, 100)
         assert build_parser().parse_args(["figure10", "--sweep", "2,4"]).sweep == (2, 4)
+        assert build_parser().parse_args(["consolidate", "--verify", "0", "a"]).verify == 0
+        assert build_parser().parse_args(["figure9", "--scale", "0.5"]).scale == 0.5
 
 
 def _two_progs(tmp_path):

@@ -295,17 +295,19 @@ class TestTelemetryDifferential:
             for name, op in result.metrics.per_operator.items()
         }
 
-    @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
+    @pytest.mark.parametrize("spans", [False, True], ids=["metrics", "spans"])
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("backend", ["interp", "compiled", "vectorized"])
     def test_traced_run_is_the_untraced_run(
-        self, weather, batch, merged, backend, workers, shape, prefilter
+        self, weather, batch, merged, backend, workers, shape, spans
     ):
-        config = ExecutionConfig(backend=backend, workers=workers, prefilter=prefilter)
+        config = ExecutionConfig(backend=backend, workers=workers)
         plain = self._run(shape, weather, batch, merged, config)
-        live = config.evolve(telemetry=Telemetry.capture())
+        live = config.evolve(telemetry=Telemetry.capture(trace=spans))
         traced = self._run(shape, weather, batch, merged, live)
+        names = [span["name"] for span in live.telemetry.tracer.to_dicts()]
+        assert names == (["dataflow.run"] if spans else [])
 
         assert plain.buckets == traced.buckets  # same rows in the same order
         assert plain.metrics.udf_cost == traced.metrics.udf_cost

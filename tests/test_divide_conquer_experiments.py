@@ -149,14 +149,12 @@ class TestPairAccount:
                 programs,
                 dataset.functions,
                 options=ConsolidationOptions(static_validate=True),
-                config=ExecutionConfig(provenance=True, prefilter=True, planner="calibrated"),
+                config=ExecutionConfig(provenance=True, planner="calibrated"),
             )
         pairs = report.pairs
         assert report.pair_consolidations == len(pairs) == 7
         assert report.validations == [r.validation for r in pairs if r.validation]
-        assert report.derivations == [r.derivation for r in pairs if r.derivation] + [
-            report.prefilter.derivation
-        ]
+        assert report.derivations == [r.derivation for r in pairs if r.derivation]
         assert report.planner_decisions == [r.planner for r in pairs]
         skipped = [r for r in pairs if r.skip_reason is not None]
         assert skipped and any(r.merged for r in pairs)

@@ -28,11 +28,8 @@ class TestExplainBatch:
     def test_report_shape(self, report):
         assert report.pair_pids == ("q0", "q1")
         assert report.merged_pid == "q0&q1"
-        # One pair derivation plus the prefilter synthesis derivation.
-        assert len(report.derivations) == 2
-        assert report.derivations[-1].merged == "φ[q0&q1]"
-        assert report.prefilter is not None
-        assert report.prefilter["certificate"] in ("proved", "trivial")
+        assert len(report.derivations) == 1
+        assert report.derivations[0].merged == "q0&q1"
         assert report.rule_counts and all(v > 0 for v in report.rule_counts.values())
         assert report.validation["merged"] == "q0&q1"
         operators = {a.operator for a in report.attributions}

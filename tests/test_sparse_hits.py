@@ -5,8 +5,8 @@ instead of per-row value and latency columns, and ``_UdfOperator`` hands
 each pid's records to ``Worker.notify_all`` in one call.  These tests pin
 what a record-at-a-time loop would observe: the error a record that never
 notified raises, the traced run's per-operator notification counts, and
-the prefilter's checked / rejected counters.  The expected numbers were
-read off the per-column kernel this output replaced.
+a merged run's buckets and cost.  The expected numbers were read off the
+per-column kernel this output replaced.
 """
 
 import pytest
@@ -65,12 +65,6 @@ def test_traced_notification_counts(weather, family, workers):
     assert sum(map(len, many.buckets.values())) == want
 
 
-PARTIAL_SRC = """
-program g{k}(row) {{
-  if ({th} < monthly_avg_temp(@row, 1)) {{ notify g{k} true; }} else {{ skip; }}
-}}
-"""
-
 TOTAL_SRC = """
 program f{k}(row) {{
   t := monthly_avg_temp(@row, 1);
@@ -79,30 +73,12 @@ program f{k}(row) {{
 """
 
 
-def _prefiltered(run, src, weather, workers):
-    programs = [parse_program(src.format(k=k, th=th)) for k, th in enumerate((40, 55, 70))]
-    cfg = ExecutionConfig(telemetry=Telemetry.capture(), workers=workers, prefilter=True)
-    result = run(weather.rows, programs, weather.functions, config=cfg)
-    if isinstance(result, tuple):
-        result = result[0]
-    counters = tuple(
-        cfg.telemetry.counter(f"prefilter_{name}_total").value for name in ("checked", "rejected")
-    )
-    return counters, {pid: len(rows) for pid, rows in result.buckets.items()}, result.metrics.udf_cost
-
-
 @pytest.mark.parametrize("workers", [1, 3])
-def test_prefilter_counters_where_many(weather, workers):
-    """φ rejects exactly the rows whose run would skip the notify: the
-    partial pids run only on rows that notify them."""
+def test_total_pids_where_consolidated(weather, workers):
+    """Every pid notifies on every row; ``false`` keeps a row out of its bucket."""
 
-    assert _prefiltered(run_where_many, PARTIAL_SRC, weather, workers) == (
-        (45, 24), {"g0": 10, "g1": 7, "g2": 4}, 2880,
-    )
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_prefilter_counters_where_consolidated(weather, workers):
-    assert _prefiltered(run_where_consolidated, TOTAL_SRC, weather, workers) == (
-        (15, 7), {"f0": 8, "f1": 6, "f2": 2}, 6391,
-    )
+    programs = [parse_program(TOTAL_SRC.format(k=k, th=th)) for k, th in enumerate((40, 55, 70))]
+    cfg = ExecutionConfig(workers=workers)
+    result, _ = run_where_consolidated(weather.rows, programs, weather.functions, config=cfg)
+    assert {pid: len(rows) for pid, rows in result.buckets.items()} == {"f0": 8, "f1": 6, "f2": 2}
+    assert result.metrics.udf_cost == 926

@@ -251,6 +251,23 @@ class TestLintCLI:
         assert rc == 1  # warnings only
         assert doc["reports"][0]["findings"][0]["rule"]
 
+    def test_sarif_output(self, tmp_path, capsys):
+        f = tmp_path / "bad.prog"
+        f.write_text(
+            "program q(row) {\n"
+            "  x := 1;\n"
+            "  x := 2;\n"
+            "  if (x > 0) { notify q true; } else { notify q false; }\n"
+            "}\n"
+        )
+        rc = main(["lint", str(f), "--format", "sarif"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1  # warnings only
+        assert doc["version"] == "2.1.0"
+        run = doc["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        assert {r["level"] for r in run["results"]} == {"warning"}
+
     def test_generated_family_with_validation(self, capsys):
         rc = main(
             ["lint", "--domain", "weather", "--family", "Q1", "--n", "4", "--validate"]

@@ -4,8 +4,8 @@ The kernel's contract is *bit-identical observability*: for any program
 batch, a run that enters the ladder at the kernel (``backend="compiled"``,
 the default, and ``"vectorized"``) must produce exactly the buckets and
 exactly the Figure-2 costs of the run that enters at the interpreter
-(``backend="interp"``) — including on merged ``whereConsolidated`` plans,
-under prefilter guards, and after every rung of the fallback ladder.
+(``backend="interp"``) — including on merged ``whereConsolidated`` plans
+and after every rung of the fallback ladder.
 These tests pin that contract per domain family, exercise the recorded
 (never raised) degradations, hold the operator to its one execution path,
 and hold the fault seams to their documented behaviour: a
@@ -100,9 +100,8 @@ def test_whereconsolidated_per_record_cost_parity(domain, domain_datasets):
 
 
 @pytest.mark.parametrize("domain", sorted(_MAKERS))
-def test_wheremany_parity_with_prefilter(domain, domain_datasets):
-    """The φ-guard composes: guard verdicts become the kept rows, and the
-    compacted batch still reproduces the interpreter+prefilter run exactly."""
+def test_wheremany_per_record_cost_parity(domain, domain_datasets):
+    """The sequential baseline reproduces the interpreter run exactly, per worker."""
 
     dataset = domain_datasets[domain]
     module = DOMAIN_QUERIES[domain]
@@ -111,11 +110,11 @@ def test_wheremany_parity_with_prefilter(domain, domain_datasets):
     rows = dataset.rows[:30]
     compiled = run_where_many(
         rows, batch, dataset.functions,
-        config=ExecutionConfig(backend="interp", prefilter=True),
+        config=ExecutionConfig(backend="interp"),
     )
     vectorized = run_where_many(
         rows, batch, dataset.functions,
-        config=ExecutionConfig(backend="vectorized", prefilter=True),
+        config=ExecutionConfig(backend="vectorized"),
     )
     assert _buckets(vectorized) == _buckets(compiled)
     assert vectorized.metrics.udf_cost == compiled.metrics.udf_cost

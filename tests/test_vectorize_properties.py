@@ -114,19 +114,18 @@ def test_one_sided_and_mixed_if_masks(threshold):
 
 @given(threshold=st.sampled_from([-(10 ** 6), 10 ** 6]))
 @settings(max_examples=4)
-def test_all_masked_out_prefilter_batch(threshold):
-    """A φ that rejects (or passes) every record must stay in lockstep with
-    the interpreter rung under the same guard — including the degenerate
-    batch where nothing survives compaction."""
+def test_all_masked_out_where_many_batch(threshold):
+    """A guard that is false (or true) on every record keeps the operator
+    in lockstep with the interpreter rung."""
 
     program = parse_program(GUARDED_SRC.format(threshold=threshold))
     compiled = run_where_many(
         ROWS, [program], WEATHER.functions,
-        config=ExecutionConfig(backend="interp", prefilter=True),
+        config=ExecutionConfig(backend="interp"),
     )
     vectorized = run_where_many(
         ROWS, [program], WEATHER.functions,
-        config=ExecutionConfig(backend="vectorized", prefilter=True),
+        config=ExecutionConfig(backend="vectorized"),
     )
     assert {p: list(map(repr, rs)) for p, rs in vectorized.buckets.items()} == {
         p: list(map(repr, rs)) for p, rs in compiled.buckets.items()
