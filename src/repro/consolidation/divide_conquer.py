@@ -60,9 +60,8 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
@@ -86,6 +85,9 @@ from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .simplifier import SimplifyStats
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ConsolidationReport",
@@ -651,6 +653,7 @@ def consolidate_all(
         if not (pooled and len(jobs) > 1):
             return [in_order(a, b) for a, b in jobs]
         if pool is None:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
             # Levels only narrow, so the first pooled level sizes the pool.
             workers = min(os.cpu_count() or 1, len(jobs))
             pool = ProcessPoolExecutor(max_workers=workers)

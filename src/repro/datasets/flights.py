@@ -17,12 +17,13 @@ from __future__ import annotations
 import random
 
 from ..lang.functions import FunctionTable, LibraryFunction
-from .records import Dataset
+from .records import Dataset, check_size
 
 __all__ = ["generate_flights"]
 
 
 def generate_flights(airlines: int = 500, cities: int = 10, seed: int = 2013) -> Dataset:
+    check_size("airlines", airlines)
     rng = random.Random(seed)
 
     # Which city pairs each airline serves directly.

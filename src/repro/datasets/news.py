@@ -14,9 +14,10 @@ containment family samples from.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from ..lang.functions import FunctionTable, LibraryFunction
-from .records import Dataset, zipf_sample
+from .records import Dataset, check_size, zipf_cdf
 
 __all__ = ["generate_news", "QUERY_WORDS"]
 
@@ -30,13 +31,18 @@ QUERY_WORDS = [
 _VOCABULARY = 5000
 
 
-def _word_length(word_id: int, rng: random.Random) -> int:
+def _word_length(word_id: int) -> int:
     # Common (low-id) words are short, rare words longer — as in English.
     return 2 + (word_id % 5) + (1 if word_id > 200 else 0) + (word_id % 7 == 0) * 3
 
 
 def generate_news(articles: int = 19043, seed: int = 21578) -> Dataset:
+    check_size("articles", articles)
     rng = random.Random(seed)
+    draw = rng.random
+    cdf = zipf_cdf(_VOCABULARY)
+    last = _VOCABULARY - 1
+    length_of = [_word_length(w) for w in range(_VOCABULARY)]
 
     word_ids = {w: i * 37 % _VOCABULARY for i, w in enumerate(QUERY_WORDS, start=3)}
     contains: list[set[int]] = []
@@ -47,22 +53,14 @@ def generate_news(articles: int = 19043, seed: int = 21578) -> Dataset:
 
     for _ in range(articles):
         n_words = max(20, int(rng.gauss(130, 60)))
-        seen: set[int] = set()
-        sequence: list[int] = []
-        total_len = 0
-        longest = 0
-        for _ in range(n_words):
-            w = zipf_sample(rng, _VOCABULARY)
-            seen.add(w)
-            sequence.append(w)
-            length = _word_length(w, rng)
-            total_len += length
-            longest = max(longest, length)
-        contains.append(seen)
+        # One Zipf draw per word, in the order `zipf_sample` would make them.
+        sequence = [bisect_left(cdf, draw(), 0, last) for _ in range(n_words)]
+        lengths = [length_of[w] for w in sequence]
+        contains.append(set(sequence))
         words.append(sequence)
         word_counts.append(n_words)
-        avg_len_x10.append(round(total_len / n_words * 10))
-        max_len.append(longest)
+        avg_len_x10.append(round(sum(lengths) / n_words * 10))
+        max_len.append(max(lengths))
 
     functions = FunctionTable(
         [

@@ -16,7 +16,7 @@ import math
 import random
 
 from ..lang.functions import FunctionTable, LibraryFunction
-from .records import Dataset
+from .records import Dataset, check_size
 
 __all__ = ["generate_stocks"]
 
@@ -24,8 +24,9 @@ __all__ = ["generate_stocks"]
 def generate_stocks(
     companies: int = 100, total_daily_rows: int = 377423, seed: int = 100
 ) -> Dataset:
+    check_size("companies", companies)
     rng = random.Random(seed)
-    days = max(2, total_daily_rows // companies)
+    days = max(2, total_daily_rows // max(1, companies))
 
     avg_volume: list[int] = []
     max_close: list[int] = []

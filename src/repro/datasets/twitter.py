@@ -11,9 +11,10 @@ id, mirroring "a list of common sentiments, e.g. happiness".
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from ..lang.functions import FunctionTable, LibraryFunction
-from .records import Dataset
+from .records import Dataset, check_size
 
 __all__ = ["generate_twitter", "SENTIMENTS", "TOPICS", "LANGUAGES"]
 
@@ -21,8 +22,12 @@ SENTIMENTS = ["happiness", "anger", "sadness", "surprise", "fear", "joy"]
 TOPICS = ["movies", "sports", "politics", "music", "tech", "food", "travel"]
 LANGUAGES = ["en", "es", "pt"]
 
+# en / es / pt shares; `rng.choices` draws the same from these as from weights.
+_LANGUAGE_CUM_WEIGHTS = list(accumulate([0.6, 0.25, 0.15]))
+
 
 def generate_twitter(tweets: int = 31152, seed: int = 1152) -> Dataset:
+    check_size("tweets", tweets)
     rng = random.Random(seed)
 
     smileys: list[int] = []
@@ -37,7 +42,7 @@ def generate_twitter(tweets: int = 31152, seed: int = 1152) -> Dataset:
         while rng.random() < 0.35 and s < 6:
             s += 1
         smileys.append(s)
-        language.append(rng.choices(range(3), weights=[0.6, 0.25, 0.15])[0])
+        language.append(rng.choices(range(3), cum_weights=_LANGUAGE_CUM_WEIGHTS)[0])
         lengths.append(rng.randrange(10, 141))
         # Scores in [0, 100]; each tweet leans toward one sentiment/topic.
         lean_s = rng.randrange(len(SENTIMENTS))

@@ -16,7 +16,7 @@ import math
 import random
 
 from ..lang.functions import FunctionTable, LibraryFunction
-from .records import Dataset
+from .records import Dataset, check_size
 
 __all__ = ["generate_weather", "MONTHS"]
 
@@ -28,6 +28,7 @@ _HOURS_PER_MONTH = 30 * 24
 def generate_weather(cities: int = 500, years: int = 2, seed: int = 2014) -> Dataset:
     """Deterministic weather dataset with per-month / per-year aggregates."""
 
+    check_size("cities", cities)
     rng = random.Random(seed)
     monthly_temp: dict[tuple[int, int], int] = {}
     monthly_rain: dict[tuple[int, int], int] = {}

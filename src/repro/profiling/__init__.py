@@ -27,11 +27,12 @@ observe:
 
 from __future__ import annotations
 
-from .calibrate import fit_calibration
+from importlib import import_module
+from typing import Any
+
 from .features import OP_KINDS, RECORD_KIND, op_units, program_units
 from .model import MODEL_SCHEMA_VERSION, CalibratedCostModel
 from .planner import LevelPlan, PlannedPair, pair_savings, plan_level
-from .profiler import Profiler
 from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceSample,
@@ -39,6 +40,16 @@ from .trace import (
     read_trace,
     trace_fingerprint,
 )
+
+# The profiler and the fitter load on first use: consolidation reaches this
+# package only for the cost model and the pair planner.
+_LAZY = {"Profiler": "profiler", "fit_calibration": "calibrate"}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "OP_KINDS",

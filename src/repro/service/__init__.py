@@ -36,17 +36,10 @@ Over the wire::
     client.register(source, tenant="acme")
 """
 
+from importlib import import_module
+from typing import Any
+
 from .admission import AdmissionDecision, admit
-from .client import (
-    Client,
-    HealthInfo,
-    PatchInfo,
-    PlanInfo,
-    QueryInfo,
-    RegisterResult,
-    RunInfo,
-    UnregisterResult,
-)
 from .errors import (
     AdmissionError,
     DuplicateQueryError,
@@ -58,7 +51,19 @@ from .errors import (
 from .events import Event, EventLog
 from .fingerprint import canonicalize, fingerprint, plan_key
 from .registry import PlanSnapshot, QueryRegistry, RegisteredQuery
-from .server import ConsolidationServer, serve
+
+# The HTTP transport loads on first use: it pulls in ``http``, ``ssl``,
+# ``email`` and ``socketserver``, which an in-process registry never touches.
+_LAZY = dict.fromkeys(
+    ["Client", "HealthInfo", "PatchInfo", "PlanInfo", "QueryInfo", "RegisterResult",
+     "RunInfo", "UnregisterResult"], "client"
+) | {"ConsolidationServer": "server", "serve": "server"}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 __all__ = [
     "AdmissionDecision",

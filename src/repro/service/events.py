@@ -14,7 +14,9 @@ CI ``service-smoke`` job asserts exactly this).  Programs are serialised
 as concrete Figure-1 syntax; the parser/printer round-trip is exact.
 
 Appends are flushed and fsync'd before the mutation is acknowledged, the
-usual write-ahead discipline.
+usual write-ahead discipline.  A line and its newline go in one ``write``,
+so a final segment with no newline was never acknowledged: reading skips
+it, opening truncates it.  Any other bad line is a ``RegistryError``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
+
+from .errors import RegistryError
 
 __all__ = ["Event", "EventLog"]
 
@@ -61,26 +65,35 @@ class EventLog:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._next_seq = 1
-        existing = self.read(self.path)
-        if existing:
-            self._next_seq = existing[-1].seq + 1
+        # The acknowledged events found on open, for the registry to replay.
+        self.existing = self.read(self.path)
+        self._next_seq = self.existing[-1].seq + 1 if self.existing else 1
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab+") as raw:
+            size = raw.tell()
+            raw.seek(max(0, size - 1))
+            if size and raw.read(1) != b"\n":
+                raw.seek(0)
+                raw.truncate(raw.read().rfind(b"\n") + 1)
         self._handle = open(self.path, "a", encoding="utf-8")
 
     @staticmethod
     def read(path: str | Path) -> list[Event]:
-        """Every event currently in the journal (missing file → empty)."""
+        """Every acknowledged event in the journal (missing file → empty)."""
 
         path = Path(path)
         if not path.exists():
             return []
         events = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    events.append(Event.from_json(line))
+        # The last segment is empty after a complete append, else torn.
+        for number, line in enumerate(path.read_bytes().split(b"\n")[:-1], start=1):
+            if line.strip():
+                try:
+                    events.append(Event.from_json(line.decode("utf-8")))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise RegistryError(
+                        f"event log {path} is corrupt at line {number}: {exc}"
+                    ) from None
         return events
 
     def append(

@@ -172,10 +172,8 @@ class QueryRegistry:
         }
         log_path = event_log if event_log is not None else self.service.event_log
         if log_path is not None:
-            existing = EventLog.read(log_path)
             self._log = EventLog(log_path)
-            if existing:
-                self._replay(existing)
+            self._replay(self._log.existing)
 
     # -- replay ------------------------------------------------------------
 

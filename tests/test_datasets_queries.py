@@ -80,6 +80,31 @@ class TestGenerators:
         assert counts[0] > counts[2000]
         assert counts[1] > counts[3000]
 
+    @pytest.mark.parametrize("vocabulary, s", [(1, 1.1), (2, 1.1), (7, 0.5), (5000, 1.1)])
+    def test_zipf_sample_is_the_reference_binary_search(self, vocabulary, s):
+        """The C-level bisect makes the draws the Python search it replaced made,
+        including the clamp to the last index when ``u`` exceeds the CDF."""
+
+        import random
+
+        from repro.datasets.records import zipf_cdf, zipf_sample
+
+        def reference(rng):
+            cdf, u = zipf_cdf(vocabulary, s), rng.random()
+            lo, hi = 0, vocabulary - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cdf[mid] < u:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
+
+        mine, theirs = random.Random(7), random.Random(7)
+        draws = [zipf_sample(mine, vocabulary, s) for _ in range(3000)]
+        assert draws == [reference(theirs) for _ in range(3000)]
+        assert zipf_cdf(vocabulary, s)[-1] == pytest.approx(1.0)
+
     def test_news_avg_word_length_positive(self):
         ds = generate_news(articles=50)
         avg = ds.functions["avg_word_length"]
@@ -107,6 +132,22 @@ class TestGenerators:
         )
         assert inspect.signature(generate_weather).parameters["cities"].default == 500
         assert inspect.signature(generate_flights).parameters["airlines"].default == 500
+
+    @pytest.mark.parametrize(
+        "generate, size",
+        [
+            (generate_weather, "cities"),
+            (generate_flights, "airlines"),
+            (generate_news, "articles"),
+            (generate_twitter, "tweets"),
+            (generate_stocks, "companies"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_size_zero_is_empty_and_negative_is_refused(self, generate, size):
+        assert len(generate(**{size: 0})) == 0
+        with pytest.raises(ValueError, match=f"{size} must be >= 0"):
+            generate(**{size: -3})
 
 
 class TestQueryFamilies:

@@ -8,10 +8,13 @@ Key claims under test:
   ``repro lint --format sarif``;
 * re-registering an alpha-renamed batch hits the plan cache — *zero* new
   pair merges, verified by provenance-backed counters;
-* the event log replays to byte-identical plan fingerprints;
+* the event log replays to byte-identical plan fingerprints, drops a torn
+  final append and refuses corruption anywhere else;
 * a spindly tree (adds graft at the root) trips the rebalance policy and
   the registry performs a recorded full rebuild, never a silent one.
 """
+
+import json
 
 import pytest
 
@@ -366,6 +369,55 @@ def test_event_log_survives_multiple_generations(tmp_path, weather):
     third = QueryRegistry(weather.functions, service=service)
     assert sorted(third.pids()) == ["g1", "g2"]
     assert third.plan().fingerprint == second.plan().fingerprint
+
+
+TORN_APPEND = '{"seq": 4, "op": "regis'
+
+
+def _journal_three(log, weather):
+    registry = QueryRegistry(weather.functions, event_log=str(log))
+    for program in weather_batch(weather, n=3):
+        registry.register(program)
+    return {q.pid: q.fingerprint for q in registry.queries()}, registry.plan().fingerprint
+
+
+def test_event_log_drops_a_torn_final_append(tmp_path, weather):
+    log = tmp_path / "events.jsonl"
+    entries, plan = _journal_three(log, weather)
+    acknowledged = log.read_bytes()
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(TORN_APPEND)
+
+    replayed = QueryRegistry(weather.functions, event_log=str(log))
+    assert {q.pid: q.fingerprint for q in replayed.queries()} == entries
+    assert replayed.plan().fingerprint == plan
+    assert log.read_bytes() == acknowledged
+
+
+def test_event_log_appends_cleanly_after_a_torn_tail(tmp_path, weather):
+    log = tmp_path / "events.jsonl"
+    entries, _ = _journal_three(log, weather)
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(TORN_APPEND)
+
+    second = QueryRegistry(weather.functions, event_log=str(log))
+    second.register("program g9(row) { notify g9 (@row > 5); }")
+    third = QueryRegistry(weather.functions, event_log=str(log))
+    assert sorted(third.pids()) == sorted([*entries, "g9"])
+    assert third.plan().fingerprint == second.plan().fingerprint
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["seq"] for line in lines] == [1, 2, 3, 4]
+
+
+def test_event_log_refuses_corruption_before_the_tail(tmp_path, weather):
+    log = tmp_path / "events.jsonl"
+    _journal_three(log, weather)
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    log.write_text("".join(lines), encoding="utf-8")
+
+    with pytest.raises(RegistryError, match="line 2"):
+        QueryRegistry(weather.functions, event_log=str(log))
 
 
 def test_admission_failure_leaves_no_state(tmp_path, weather):

@@ -19,11 +19,14 @@ What CI's ``service-smoke`` job runs:
    ``riders``, the same bucket; unregister the original (the copy takes
    its place), register it again (it now rides on the copy), then one
    query no live query is a copy of (a certified merge);
-7. kill the server, start a fresh one over the same journal;
+7. kill the server, append a torn line (an append that crashed before it
+   was acknowledged) to the journal, start a fresh server over it;
 8. assert the replayed registry serves byte-identical query and
    plan-cache fingerprints and an identical consolidated program, the
    same riders and the copy's bucket, and that its ``/v1/explain`` still
-   reports a recorded, certified patch.
+   reports a recorded, certified patch;
+9. register one more query and assert every journal line parses: the torn
+   tail was cut away, not built on.
 
 Exit status 0 only when every assertion holds.
 
@@ -54,6 +57,7 @@ from repro.service import Client  # noqa: E402
 from repro.testing.generator import alpha_copy  # noqa: E402
 
 SERVE_PATTERN = re.compile(r"serving on http://[\d.]+:(\d+)")
+TORN_APPEND = '{"seq": 99, "op": "regis'
 
 
 def start_server(event_log: str) -> tuple[subprocess.Popen, int]:
@@ -210,7 +214,9 @@ def main() -> int:
             assert run.buckets.get(twin, []) == run.buckets.get(first.pid, [])
         finally:
             stop_server(proc)
-        print("server killed; restarting over the journal")
+        with open(event_log, "a", encoding="utf-8") as handle:
+            handle.write(TORN_APPEND)
+        print("server killed; torn append added; restarting over the journal")
 
         proc, port = start_server(event_log)
         try:
@@ -232,6 +238,12 @@ def main() -> int:
             assert revived.explain()["riders"] == riders, "riders diverged"
             assert rerun.buckets.get(twin, []) == rerun.buckets.get(first.pid, [])
             check_explain(revived, "after the replay")
+            revived.register("program late(row) { notify late (@row > 5); }")
+            with open(event_log, encoding="utf-8") as handle:
+                journal = [json.loads(line) for line in handle]
+            assert journal[-1]["pid"] == "late", journal[-1]
+            print("  registered late after the torn tail: "
+                  f"all {len(journal)} journal lines parse")
         finally:
             stop_server(proc)
 
