@@ -30,7 +30,7 @@ import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..analysis.invariants import loop_invariant
 from ..analysis.related import Features, expr_features
@@ -71,11 +71,32 @@ from ..smt.solver import Solver
 from ..smt.terms import TRUE_F, Formula, cone_of_influence, fand, fiff, fnot
 from .simplifier import Context, SimplifyStats
 
-__all__ = ["ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRecord"]
+__all__ = [
+    "ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRecord", "check_batch",
+]
 
 
 class ConsolidationError(Exception):
     """The inputs violate a precondition of consolidation."""
+
+
+def check_batch(programs: Sequence[Program]) -> None:
+    """Refuse a batch whose programs take different inputs or share a
+    notification id — it has no per-query buckets to fill (``consolidate_all``
+    and ``whereMany`` alike)."""
+
+    seen_pids: dict[str, str] = {}
+    for p in programs:
+        if p.params != programs[0].params:
+            raise ConsolidationError(
+                f"programs take different inputs: {programs[0].params} vs {p.params}"
+            )
+        for pid in notified_pids(p.body):
+            if pid in seen_pids:
+                raise ConsolidationError(
+                    f"programs {seen_pids[pid]!r} and {p.pid!r} share notification id {pid!r}"
+                )
+            seen_pids[pid] = p.pid
 
 
 @dataclass

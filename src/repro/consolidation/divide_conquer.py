@@ -70,7 +70,6 @@ from ..lang.cost import CostModel
 from ..lang.functions import FunctionTable, LibraryFunction
 from ..lang.visitors import (
     canonicalize,
-    notified_pids,
     pid_order,
     qualify_locals,
     rename_pids,
@@ -83,7 +82,7 @@ from ..profiling.planner import CalibratedPairing, Pairing
 from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
+from .algorithm import ConsolidationOptions, Consolidator, PairRecord, check_batch
 from .simplifier import SimplifyStats
 
 if TYPE_CHECKING:
@@ -568,18 +567,7 @@ def consolidate_all(
             f"planner='calibrated' plans tree levels and cannot drive order={order!r}; "
             "use order='tree' or 'clustered', or planner='related'"
         )
-    seen_pids: dict[str, str] = {}
-    for p in programs:
-        if p.params != programs[0].params:
-            raise ConsolidationError(
-                f"programs take different inputs: {programs[0].params} vs {p.params}"
-            )
-        for pid in notified_pids(p.body):
-            if pid in seen_pids:
-                raise ConsolidationError(
-                    f"programs {seen_pids[pid]!r} and {p.pid!r} share notification id {pid!r}"
-                )
-            seen_pids[pid] = p.pid
+    check_batch(programs)
 
     if order == "priority":
         rank = {pid: i for i, pid in enumerate(priority or [])}

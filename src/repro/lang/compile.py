@@ -24,8 +24,9 @@ and emits Python source for a specialised closure instead:
   zero per-node overhead.  Each back-edge burns the static node count of
   one iteration, which bounds runaway loops within a small constant factor
   of the interpreter's per-node budget;
-* a dynamic sort check on a parameter the program never assigns is emitted
-  once per dominating point, not once per read.
+* a dynamic sort check on a parameter or local is emitted once per
+  dominating point, not once per read: a passed check (or an assignment of
+  known sort) proves the name's sort until the name is assigned again.
 
 :class:`_Emitter` is the only translator from Figure-1 to Python.  It has
 two *frames* around the same lowered body: the per-record closure built
@@ -91,7 +92,7 @@ from .interp import (
 )
 from .printer import expr_to_str, stmt_to_str
 from .runtime import make_lib_call, unbound_error
-from .visitors import contains_stmt, stmt_size
+from .visitors import assigned_vars, contains_stmt, stmt_size
 
 if TYPE_CHECKING:
     from ..telemetry import Telemetry
@@ -126,6 +127,9 @@ DEFAULT_BACKEND = "compiled"
 DEFAULT_MAX_STEPS = 2_000_000
 
 _ATOM = re.compile(r"^(?:[_A-Za-z]\w*|-?\d+)$")
+#: What a passed ordering check proves: int or bool (enough to order, not
+#: enough for arithmetic, which needs int and not bool).
+_ORDERED = "ordered"
 
 
 class CompileError(Exception):
@@ -224,13 +228,13 @@ class _Emitter:
             "_unbound_error": unbound_error,
         }
         self.slots: dict[str, str] = {}  # source name -> mangled local
+        self._nslots = 0
         self.callers: dict[str, tuple[str, int]] = {}  # func -> (global, cost)
         self.var_sorts: dict[str, str | None] = {}
-        # Dominated-check elimination: ``known[p]`` is the sort a check
-        # emitted at a point dominating the current one proved for ``p``.
-        # Only parameters the program never assigns (``stable``) qualify —
-        # ``row := "s"`` makes ``@row`` mutable and every check must stay.
-        self.stable: frozenset[str] = frozenset()
+        # Dominated-check elimination: ``known[v]`` is the sort that a check
+        # passed, or an assignment of known sort made, at a point dominating
+        # the current one.  An assignment to ``v`` replaces the fact, and an
+        # ``If`` or loop body that assigns ``v`` kills it (see ``_forget``).
         self.known: dict[str, str] = {}
         # Names whose reads go through an ``_UNDEF`` check (batch frame: a
         # Python local outlives its row; here Python's own unbound-local
@@ -247,8 +251,8 @@ class _Emitter:
     def slot(self, name: str) -> str:
         mangled = self.slots.get(name)
         if mangled is None:
-            mangled = f"_u{len(self.slots)}"
-            self.slots[name] = mangled
+            mangled = self.slots[name] = f"_u{self._nslots}"
+            self._nslots += 1
         return mangled
 
     def bind_call(self, func: str, fn: Callable[..., object]) -> Callable[..., object]:
@@ -320,8 +324,12 @@ class _Emitter:
         self.emit(depth + 1, f"raise {exc}({message!r})")
 
     def _learn(self, operand: Expr, sort: str) -> None:
-        if isinstance(operand, (Arg, Var)) and operand.name in self.stable:
+        if isinstance(operand, (Arg, Var)):
             self.known[operand.name] = sort
+
+    def _forget(self, s: Stmt) -> None:
+        for name in assigned_vars(s):
+            self.known.pop(name, None)
 
     def _check_int(self, name: str, operand: Expr, e: Expr, depth: int) -> None:
         # Matches the interpreter's arithmetic requirement: int but not bool.
@@ -333,7 +341,7 @@ class _Emitter:
         )
         self._learn(operand, INT)
 
-    def _check_ordered(self, name: str, e: Expr, depth: int) -> None:
+    def _check_ordered(self, name: str, operand: Expr, e: Expr, depth: int) -> None:
         # The interpreter's ordering check admits bools (they are ints).
         self._check(
             depth,
@@ -341,6 +349,7 @@ class _Emitter:
             "_InterpError",
             f"ordering on non-integers: {expr_to_str(e)}",
         )
+        self._learn(operand, _ORDERED)
 
     def _check_bool(self, name: str, operand: Expr, message: str, depth: int) -> None:
         self._check(depth, f"not isinstance({name}, bool)", "_InterpError", message)
@@ -372,7 +381,7 @@ class _Emitter:
                     depth, f"{py} is _UNDEF", "_InterpError", f"unbound variable {e.name!r}"
                 )
             cost = cm.arg if isinstance(e, Arg) else cm.var
-            return py, cost, self.known.get(e.name) or self.var_sorts.get(e.name)
+            return py, cost, self.var_sorts.get(e.name) or self.known.get(e.name)
         if isinstance(e, Call):
             parts: list[str] = []
             cost = 0
@@ -404,14 +413,15 @@ class _Emitter:
                 # interpreter stores.  Sort stays unknown so downstream
                 # boolean contexts re-check, as the interpreter does.
                 return f"({lpy} == {rpy})", cost, None
-            if ls not in (INT, BOOL):
+            ordered = (INT, BOOL, _ORDERED)
+            if ls not in ordered:
                 lpy = self.materialize(lpy, depth)
-            if rs not in (INT, BOOL):
+            if rs not in ordered:
                 rpy = self.materialize(rpy, depth)
-            if ls not in (INT, BOOL):
-                self._check_ordered(lpy, e, depth)
-            if rs not in (INT, BOOL):
-                self._check_ordered(rpy, e, depth)
+            if ls not in ordered:
+                self._check_ordered(lpy, e.left, e, depth)
+            if rs not in ordered:
+                self._check_ordered(rpy, e.right, e, depth)
             return f"({lpy} {e.op} {rpy})", cost, BOOL
         if isinstance(e, Not):
             opy, oc, osort = self.expr(e.operand, depth)
@@ -461,9 +471,12 @@ class _Emitter:
         if isinstance(s, Skip):
             return
         if isinstance(s, Assign):
-            py, cost, _sort = self.expr(s.expr, depth)
+            py, cost, sort = self.expr(s.expr, depth)
             self.emit(depth, f"{self.slot(s.var)} = {py}")
             self.pending += cost + cm.assign
+            self.known.pop(s.var, None)
+            if sort is not None:
+                self.known[s.var] = sort
             return
         if isinstance(s, Notify):
             py, cost, sort = self.expr(s.expr, depth)
@@ -490,10 +503,12 @@ class _Emitter:
             self._block(s.then, depth + 1, entry)
             self.emit(depth, "else:")
             self._block(s.orelse, depth + 1, entry)
+            self._forget(s)
             self.pending = 0
             return
         if isinstance(s, While):
             self.flush(depth)
+            self._forget(s)  # the condition is re-tested after the body ran
             fuel = stmt_size(s)  # one iteration's worth of interpreter ticks
             self.emit(depth, "while True:")
             d = depth + 1
@@ -576,14 +591,23 @@ class _Emitter:
             mangled: src for src, mangled in self.slots.items()
         }
 
-    def build(self, program: Program) -> str:
+    def enter(self, program: Program, depth: int) -> None:
+        """Start ``program``'s body at ``depth``, with its own sort facts."""
+
         assigns: list[tuple[str, Expr]] = []
         _collect_assigns(program.body, assigns)
         self.var_sorts = _static_var_sorts(program.params, assigns)
-        self.stable = frozenset(program.params) - {name for name, _ in assigns}
-        depth = self.prologue(program)
+        self.known = {}
+
+    def build(self, *programs: Program) -> str:
+        """The frame around each program's body in turn (the batch frame
+        takes several; the per-record frame one)."""
+
+        depth = self.prologue(programs[0])
         mark = len(self.lines)
-        self.stmt(program.body, depth)
+        for program in programs:
+            self.enter(program, depth)
+            self.stmt(program.body, depth)
         self.epilogue(depth, mark)
         return "\n".join(self.lines) + "\n"
 

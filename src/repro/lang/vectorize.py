@@ -75,7 +75,7 @@ from .compile import (
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .functions import FunctionTable
 from .interp import RunResult
-from .visitors import contains_stmt, expr_args, expr_vars
+from .visitors import assigned_vars, contains_stmt, expr_args, expr_vars
 
 if TYPE_CHECKING:
     from ..analysis.static.domains import AssignedState
@@ -93,7 +93,8 @@ __all__ = [
     "FAULT_HOOK",
 ]
 
-# Fault-injection seam (see repro.testing.faults).  Sites:
+# Fault-injection seam (see repro.testing.faults).  Sites (``program`` is a
+# tuple for a fused batch):
 #   ("vectorize.translate", program) — may raise to force the per-row
 #                                      compiled fallback (recorded, never
 #                                      an error);
@@ -142,27 +143,31 @@ def _row_facts(program: Program) -> tuple[dict[str, tuple[int, int]], frozenset[
 
 
 class _KernelEmitter(_Emitter):
-    """The batch frame: the compiled closure's body inside a row loop."""
+    """The batch frame: each program's compiled-closure body, in turn, inside
+    one row loop (``whereMany`` fuses its n UDFs; one program is n = 1)."""
 
     def __init__(
-        self,
-        functions: FunctionTable,
-        cost_model: CostModel,
-        notify_counts: Mapping[str, tuple[int, int]],
-        undef: frozenset[str],
+        self, functions: FunctionTable, cost_model: CostModel, programs: Sequence[Program]
     ) -> None:
         super().__init__(functions, cost_model)
         self.bindings["_UNDEF"] = _UNDEF
-        self.undef = undef
-        self.static = False  # no If/While: every row costs the same constant
+        self.last = programs[-1]
+        # No If/While anywhere: every row costs the same constant.
+        self.static = not any(contains_stmt(p.body, (If, While)) for p in programs)
+        self.rows: dict[str, str] = {}  # parameter -> the row loop's variable
         # Every pid keeps a hit list: the rows that broadcast ``true`` on it.
         # A pid some run may broadcast on zero or several times also keeps a
         # presence mask — behind a clash check when some path may broadcast
         # twice.  pid -> (column id, broadcast exactly once, may clash).
-        self.pids = {
-            pid: (k, lo == hi == 1, hi > 1)
-            for k, (pid, (lo, hi)) in enumerate(notify_counts.items())
-        }
+        self.pids: dict[str, tuple[int, bool, bool]] = {}
+        self.undefs: list[frozenset[str]] = []  # per program, in order
+        for program in programs:
+            counts, undef = _row_facts(program)
+            self.undefs.append(undef)
+            for pid, (lo, hi) in counts.items():
+                if pid in self.pids:
+                    raise VectorizeError(f"programs share notification id {pid!r}")
+                self.pids[pid] = (len(self.pids), lo == hi == 1, hi > 1)
 
     def bind_call(self, func: str, fn: Callable[..., object]) -> Callable[..., object]:
         # Unwrapped: whatever it raises abandons the batch anyway.
@@ -183,8 +188,8 @@ class _KernelEmitter(_Emitter):
             self.emit(depth, f"if {py}: _h{k}a(_i)")
 
     def prologue(self, program: Program) -> int:
-        self.static = not contains_stmt(program.body, (If, While))
         targets = ["_i", *(self.slot(p) for p in program.params)]
+        self.rows = dict(self.slots)
         sources = ["range(_n)", *(f"_g{i}" for i in range(len(program.params)))]
         self.emit(0, f"def _kern({', '.join(['_n', '_budget', *sources[1:]])}):")
         if not self.static:
@@ -197,14 +202,25 @@ class _KernelEmitter(_Emitter):
             self.emit(1, f"_h{k}a = _h{k}.append")
         rows = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
         self.emit(1, f"for {', '.join(targets)} in {rows}:")
-        if contains_stmt(program.body, While):
-            self.emit(2, "_fuel = _budget")
         if not self.static:
             self.emit(2, "_cost = 0")
+        return 2
+
+    def enter(self, program: Program, depth: int) -> None:
+        # Locals, fuel and ``_UNDEF`` resets are per program.  A program that
+        # assigns a parameter works on a copy of the row while others follow.
+        super().enter(program, depth)
+        shared = program is self.last or not assigned_vars(program.body) & set(program.params)
+        self.slots = dict(self.rows) if shared else {}
+        for p in program.params:
+            if p not in self.slots:
+                self.emit(depth, f"{self.slot(p)} = {self.rows[p]}")
+        if contains_stmt(program.body, While):
+            self.emit(depth, "_fuel = _budget")
+        self.undef = self.undefs.pop(0)
         if self.undef:
             resets = " = ".join(self.slot(name) for name in sorted(self.undef))
-            self.emit(2, f"{resets} = _UNDEF")
-        return 2
+            self.emit(depth, f"{resets} = _UNDEF")
 
     def epilogue(self, depth: int, mark: int) -> None:
         if self.static:
@@ -307,11 +323,18 @@ class VectorizedProgram:
 
     ``telemetry`` belongs to the run, not to the (cached, shared)
     lowering: :meth:`bound` gives another run its own view.
+
+    A *fused* ladder holds several ``programs`` (``program`` is the first)
+    taking the same parameters: one kernel runs each in turn per row, and a
+    row's cost is their sum.  It has no per-row rung of its own — a batch
+    its kernel cannot run comes back empty with ``fallback`` set, for the
+    caller to run each program's own ladder — and it counts each batch once
+    per program, as those ladders would.
     """
 
     def __init__(
         self,
-        program: Program,
+        programs: tuple[Program, ...],
         functions: FunctionTable,
         cost_model: CostModel,
         shape: str,
@@ -323,7 +346,8 @@ class VectorizedProgram:
         backend: str = DEFAULT_BACKEND,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        self.program = program
+        self.programs = programs
+        self.program = programs[0]
         self.functions = functions
         self.cost_model = cost_model
         self.shape = shape
@@ -376,21 +400,29 @@ class VectorizedProgram:
         propagate, from the per-row rungs, in record order.
         """
 
+        reason = self.degraded_reason
+        if self.plan is not None:
+            try:
+                costs, hits, partial = self.plan(
+                    n, self.max_steps, *[columns[p] for p in self.program.params]
+                )
+            except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
+                reason = f"{type(exc).__name__}: {exc}"
+            else:
+                self._count(n)
+                return BatchResult(n, costs, hits, partial)
+        if len(self.programs) > 1:
+            return BatchResult(n, [], {}, {}, True, reason)
+        self._count(n)
+        return self._run_rows(columns, n, reason)
+
+    def _count(self, n: int) -> None:
         telemetry = self.telemetry
-        live = telemetry is not None and telemetry.enabled
-        if live:
-            telemetry.counter("vectorized_batches_total").inc()
-            telemetry.counter("vectorized_records_total").inc(n)
-            telemetry.histogram("vectorized_batch_size").observe(n)
-        if self.plan is None:
-            return self._run_rows(columns, n, self.degraded_reason)
-        try:
-            costs, hits, partial = self.plan(
-                n, self.max_steps, *[columns[p] for p in self.program.params]
-            )
-        except Exception as exc:  # noqa: BLE001 - nothing is committed: any failure degrades
-            return self._run_rows(columns, n, f"{type(exc).__name__}: {exc}")
-        return BatchResult(n, costs, hits, partial)
+        if telemetry is not None and telemetry.enabled:
+            telemetry.counter("vectorized_batches_total").inc(len(self.programs))
+            telemetry.counter("vectorized_records_total").inc(len(self.programs) * n)
+            for _ in self.programs:
+                telemetry.histogram("vectorized_batch_size").observe(n)
 
     def _run_rows(self, columns: Mapping[str, Sequence[Any]], n: int, reason: str) -> BatchResult:
         """The per-row rungs, with exact row semantics.  A ``reason`` makes
@@ -421,14 +453,14 @@ class VectorizedProgram:
 
 
 def _lower(
-    program: Program, functions: FunctionTable, cost_model: CostModel
+    programs: tuple[Program, ...], functions: FunctionTable, cost_model: CostModel
 ) -> tuple[str, Optional[Kernel], str, str]:
-    """``(shape, kernel, source, degraded_reason)`` for one program."""
+    """``(shape, kernel, source, degraded_reason)``; the widest shape of a fused batch."""
 
     try:
-        from ..analysis.static.costbound import classify_shape  # deferred: import cycle
+        from ..analysis.static.costbound import SHAPES, classify_shape  # deferred: import cycle
 
-        shape = classify_shape(program, functions, cost_model)
+        shape = max((classify_shape(p, functions, cost_model) for p in programs), key=SHAPES.index)
     except Exception:  # noqa: BLE001 - classification must never block execution
         shape = "unbounded"
     if shape == "unbounded":
@@ -436,18 +468,19 @@ def _lower(
     source = ""
     try:
         if FAULT_HOOK is not None:
-            FAULT_HOOK("vectorize.translate", program)
-        emitter = _KernelEmitter(functions, cost_model, *_row_facts(program))
-        source = emitter.build(program)
+            FAULT_HOOK("vectorize.translate", programs if len(programs) > 1 else programs[0])
+        emitter = _KernelEmitter(functions, cost_model, programs)
+        source = emitter.build(*programs)
         namespace = dict(emitter.bindings)
-        exec(compile(source, f"<kernel {program.pid}>", "exec"), namespace)  # noqa: S102
+        name = "+".join(p.pid for p in programs)
+        exec(compile(source, f"<kernel {name}>", "exec"), namespace)  # noqa: S102
         return shape, namespace["_kern"], source, ""
     except Exception as exc:  # noqa: BLE001 - translation failures degrade
         return shape, None, source, f"kernel translation failed: {type(exc).__name__}: {exc}"
 
 
 def vectorize_program(
-    program: Program,
+    program: Program | tuple[Program, ...],
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
@@ -461,15 +494,17 @@ def vectorize_program(
     shape, unknown library function or AST node, nesting Python cannot
     compile, injected fault) yields a kernel-less program whose every
     batch degrades — recorded, not an error.  ``backend="interp"`` lowers
-    nothing at all.
+    nothing at all.  A tuple of programs builds one fused ladder; it gets
+    no kernel unless every member would.
     """
 
     _check_backend(backend)
+    programs = program if isinstance(program, tuple) else (program,)
     shape, plan, source, reason = "", None, "", ""
     if backend != "interp":
-        shape, plan, source, reason = _lower(program, functions, cost_model)
+        shape, plan, source, reason = _lower(programs, functions, cost_model)
     vectorized = VectorizedProgram(
-        program,
+        programs,
         functions,
         cost_model,
         shape,
@@ -491,7 +526,7 @@ _CACHE: _LoweringCache = weakref.WeakKeyDictionary()
 
 
 def vectorize_cached(
-    program: Program,
+    program: Program | tuple[Program, ...],
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,

@@ -22,8 +22,10 @@ public classes are constructors over it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
+from ..consolidation.algorithm import check_batch
 from ..lang.ast import Program
 from ..lang.compile import DEFAULT_BACKEND
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -43,15 +45,16 @@ __all__ = [
 
 
 class _Unit(NamedTuple):
-    """One UDF held by a :class:`_UdfOperator`, lowered once at construction."""
+    """One UDF held by a :class:`_UdfOperator`."""
 
     program: Program
     #: The notification channels to demultiplex: the program's own pid for
     #: ``where`` / ``whereMany``, every merged query's pid for
     #: ``whereConsolidated``.
     pids: tuple[str, ...]
-    #: The program's execution ladder, entered where ``backend=`` says.
-    plan: VectorizedProgram
+    #: The program's execution ladder, entered where ``backend=`` says;
+    #: ``None`` under a fused kernel until a batch falls back to it.
+    plan: Optional[VectorizedProgram]
 
 
 def _notified(batch: BatchResult, pid: str, records: Sequence[Any]) -> tuple[list[Any], bool]:
@@ -82,14 +85,18 @@ class _UdfOperator(Vertex):
     (``emits=True``) instead of notifying the per-query bucket.
 
     There is one execution path: the operator buffers its worker's
-    partition (:meth:`process` / :meth:`ingest_batch`) and executes it as
-    one struct-of-arrays batch per unit from :meth:`on_flush`, through
-    :meth:`VectorizedProgram.run_batch` — the batch kernel, with the
-    per-record closure and the interpreter behind it; ``backend=`` picks
-    only the rung a batch enters on.  The engine flushes *before*
-    capturing per-worker clocks, so batch-time charges land in exactly the
-    per-worker totals record-at-a-time execution would produce.  IO and
-    operator overhead are charged per record by the engine.
+    partition (:meth:`process` / :meth:`ingest_batch`) and executes it from
+    :meth:`on_flush` through :meth:`VectorizedProgram.run_batch` — the
+    batch kernel, with the per-record closure and the interpreter behind
+    it; ``backend=`` picks only the rung a batch enters on.  Several units
+    (``whereMany``, which never emits) share one fused kernel that reads
+    each record once and runs every UDF on it in turn; a batch it cannot
+    run, or whose hits cannot all be delivered, re-runs unit by unit, each
+    on its own ladder, which reproduces the exact errors, notifications and
+    charges.  The engine flushes *before* capturing per-worker clocks, so
+    batch-time charges land in exactly the per-worker totals
+    record-at-a-time execution would produce.  IO and operator overhead are
+    charged per record by the engine.
     """
 
     accepts_batches = True
@@ -109,14 +116,16 @@ class _UdfOperator(Vertex):
             telemetry = NULL_TELEMETRY
         self._emits = emits
         self._pending: dict[int, list[Any]] = {}
+        self._lower = partial(
+            vectorize_cached, functions=functions, cost_model=cost_model,
+            backend=backend, telemetry=telemetry,
+        )
+        fused: Optional[VectorizedProgram] = None
+        if len(programs) > 1 and backend != "interp":
+            fused = self._lower(tuple(program for program, _ in programs))
+        self._fused = fused if fused is not None and fused.vectorized else None
         self.units: list[_Unit] = [
-            _Unit(
-                program,
-                tuple(pids),
-                vectorize_cached(
-                    program, functions, cost_model, backend=backend, telemetry=telemetry
-                ),
-            )
+            _Unit(program, tuple(pids), None if self._fused else self._lower(program))
             for program, pids in programs
         ]
 
@@ -131,8 +140,19 @@ class _UdfOperator(Vertex):
         records = self._pending.pop(worker.index, None)
         if not records:
             return
+        fused = self._fused
+        if fused is not None:
+            batch = fused.run_batch(columns_from_records(fused.program, records), len(records))
+            if not batch.fallback:
+                walks = {pid: _notified(batch, pid, records) for u in self.units for pid in u.pids}
+                if all(complete for _, complete in walks.values()):
+                    worker.charge_udf(sum(batch.costs))
+                    for pid, (notified, _) in walks.items():
+                        worker.notify_all(pid, notified)
+                    return
         for unit in self.units:
-            batch = unit.plan.run_batch(columns_from_records(unit.program, records), len(records))
+            plan = unit.plan or self._lower(unit.program)
+            batch = plan.run_batch(columns_from_records(unit.program, records), len(records))
             worker.charge_udf(sum(batch.costs))
             for pid in unit.pids:
                 notified, complete = _notified(batch, pid, records)
@@ -175,6 +195,7 @@ class WhereMany(_UdfOperator):
     ) -> None:
         if not programs:
             raise ValueError("whereMany needs at least one UDF")
+        check_batch(programs)
         super().__init__(
             f"whereMany[{len(programs)}]", [(p, [p.pid]) for p in programs], False,
             functions, cost_model, backend, telemetry,

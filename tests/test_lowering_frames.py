@@ -7,8 +7,9 @@ loop keeps Python locals alive from one row to the next — and the two
 optimisations that live in the shared emitter, counted in the generated
 source rather than timed:
 
-* (B) dominated-check elimination: a sort check on a parameter the program
-  never assigns is emitted once per dominating point, in both frames;
+* (B) dominated-check elimination: a sort check on a parameter or local is
+  emitted once per dominating point until the name is assigned again, in
+  both frames;
 * (C) constant cost columns: a control-flow-free kernel keeps no ``_cost``
   books at all.
 """
@@ -97,6 +98,10 @@ def _row_checks(source):
     return sum("isinstance(_u0, int)" in line for line in source.splitlines())
 
 
+def _checks(source):
+    return sum("isinstance(" in line for line in source.splitlines())
+
+
 class TestDominatedChecks:
     def test_one_check_per_parameter_in_both_frames(self):
         program = parse_program(
@@ -158,6 +163,44 @@ class TestDominatedChecks:
             compile_program(program, FT).run({"row": 1})
         with pytest.raises(InterpError, match="arithmetic on non-integers"):
             _batch_rows(program, [1, 2])
+
+
+    def test_a_local_read_three_times_is_checked_once(self):
+        program = parse_program(
+            "program p(row) { x := @row; a := x + 1; b := x * 2; c := x - 3;"
+            " notify p (a + b < c); }"
+        )
+        compiled, kernel = _sources(program)
+        assert _checks(compiled) == _checks(kernel) == 1
+        batch, per_record = _batch_rows(program, [1, 5])
+        assert not batch.fallback
+        assert per_record == _interp_rows(program, [1, 5])
+
+    @pytest.mark.parametrize(
+        "reassign, checks",
+        [
+            ("x := (@row == 1);", 2),
+            ('if (a < 5) { x := "s"; } else { skip; }', 2),
+            ('i := 0; while (i < 2) { a := x + 1; x := "s"; i := i + 1; }', 3),
+        ],
+        ids=["unknown-sort", "if-arm", "loop-body"],
+    )
+    def test_a_reassignment_is_checked_again(self, reassign, checks):
+        """A check before ``x := e`` says nothing about ``x`` after it, nor
+        after an arm, or in a later iteration, that assigned it."""
+
+        program = parse_program(
+            f"program p(row) {{ x := @row; a := x + 1; {reassign} b := x + 2;"
+            " notify p (a < b); }"
+        )
+        compiled, kernel = _sources(program)
+        assert _checks(compiled) == _checks(kernel) == checks
+        with pytest.raises(InterpError, match="arithmetic on non-integers"):
+            Interpreter(FT).run(program, {"row": 1})
+        with pytest.raises(InterpError, match="arithmetic on non-integers"):
+            compile_program(program, FT).run({"row": 1})
+        with pytest.raises(InterpError, match="arithmetic on non-integers"):
+            _batch_rows(program, [1])
 
 
 # -- (C) constant cost columns -----------------------------------------------
