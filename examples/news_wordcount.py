@@ -19,7 +19,7 @@ from repro.queries.families import expr_to_program
 
 def main() -> None:
     # One config object carries every run-time knob (workers, backend,
-    # executor) plus a live telemetry capturing metrics for the whole job.
+    # cost model) plus a live telemetry capturing metrics for the whole job.
     cfg = ExecutionConfig(workers=4, telemetry=Telemetry.capture())
     dataset = generate_news(articles=800)
     word_ids = dataset.meta["word_ids"]

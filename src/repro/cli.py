@@ -70,7 +70,7 @@ Commands
 ``fuzz``
     Differential fuzzing (:mod:`repro.testing`): generate random typed UDF
     batches and run the oracle battery (interpreter vs compiled backend,
-    ``whereMany`` vs ``whereConsolidated``, executor parity, cost bounds,
+    ``whereMany`` vs ``whereConsolidated``, cost bounds,
     static validation) on each.  Failures are delta-debugged to minimal
     reproducers; ``--emit-corpus DIR`` writes them as replayable corpus
     files.  Exit status: 0 when every case passes, 1 otherwise.
@@ -99,7 +99,7 @@ import math
 import sys
 from typing import Any, Callable
 
-from .config import EXECUTORS, ExecutionConfig, ServiceConfig
+from .config import ExecutionConfig, ServiceConfig
 from .consolidation import ConsolidationOptions, check_soundness, consolidate_all
 from .lang import FunctionTable, parse_program, program_to_str
 from .lang.compile import BACKENDS, DEFAULT_BACKEND, make_runner
@@ -129,23 +129,10 @@ def _config_from_args(args) -> ExecutionConfig:
     telemetry = getattr(args, "_telemetry", NULL_TELEMETRY)
     return ExecutionConfig(
         backend=args.backend,
-        executor=getattr(args, "executor", None) or "serial",
         telemetry=telemetry,
         planner=getattr(args, "planner", None) or "related",
         calibration=_calibration_from_args(args),
     )
-
-
-def _executor_list(text: str) -> tuple[str, ...]:
-    """``--executors``: comma-separated names, each one of ``EXECUTORS``."""
-
-    names = tuple(text.split(","))
-    for name in names:
-        if name not in EXECUTORS:
-            raise argparse.ArgumentTypeError(
-                f"invalid executor {name!r} (choose from {', '.join(EXECUTORS)})"
-            )
-    return names
 
 
 def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
@@ -273,7 +260,7 @@ def cmd_consolidate(args) -> int:
     print(
         f"\n# consolidated {report.num_inputs} programs in {report.duration:.3f}s "
         f"({report.pair_consolidations} pair merges, {len(report.rides)} rides, "
-        f"depth {report.tree_depth}, executor {report.executor})",
+        f"depth {report.tree_depth})",
         file=sys.stderr,
     )
     if args.verify and dataset:
@@ -396,7 +383,7 @@ def cmd_figure9(args) -> int:
     )
     print(render_figure9(report))
     args._artifact["rows"] = [
-        dict(r.row(), executor=r.executor, metrics=r.metrics) for r in report.results
+        dict(r.row(), metrics=r.metrics) for r in report.results
     ]
     return 0
 
@@ -575,7 +562,6 @@ def cmd_fuzz(args) -> int:
         size=args.size,
         time_budget=args.time_budget,
         emit_corpus=args.emit_corpus,
-        executors=args.executors,
         shrink=not args.no_shrink,
         progress=lambda line: print(line, file=sys.stderr),
     )
@@ -712,12 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-loops", action="store_true", help="disable Loop 2/3 fusion")
     p.add_argument("--no-smt", action="store_true", help="syntactic value numbering only")
     p.add_argument("--verify", type=_count, default=0, metavar="N", help="check Theorem 1 on N rows")
-    p.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="how pair merges run: serial (default) or process",
-    )
     p.set_defaults(fn=cmd_consolidate)
 
     p = sub.add_parser("lint", help="static UDF linter (+ optional translation validation)", parents=[common])
@@ -879,13 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each minimized failure as a corpus file into DIR",
     )
     p.add_argument(
-        "--executors",
-        type=_executor_list,
-        default="serial",
-        help="comma-separated consolidate_all executors to cross-check "
-        "(default: %(default)s)",
-    )
-    p.add_argument(
         "--no-shrink",
         action="store_true",
         help="report failures raw, without delta-debugging them first",
@@ -941,12 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="how full-rebuild pair merges run (default: serial)",
     )
     p.set_defaults(fn=cmd_serve)
 

@@ -25,29 +25,21 @@ policy* — which programs of a level meet, and which ride up unmerged:
 Every pair the policy names goes through the one pair step,
 :func:`merge_pair`, which either returns the pair's
 :class:`~repro.consolidation.algorithm.PairRecord` — the merged program
-with all its evidence — or raises.  Its three callers differ only in what
+with all its evidence — or raises.  Its two callers differ only in what
 a failure *means*: the batch driver keeps the pair unmerged
-(:func:`_unmerged`, a record that says why); the process-pool task lets it
-propagate, so the driver redoes the level serially; the incremental engine
+(:func:`_unmerged`, a record that says why); the incremental engine
 (:mod:`repro.consolidation.incremental`) turns it into a ``PatchError``.
-Whichever executor produced a record, the driver thread folds it into the
-batch, and :class:`ConsolidationReport` is a set of views over the records.
+The driver folds each record into the batch in plan order, and
+:class:`ConsolidationReport` is a set of views over the records.
 
 Every run-time knob comes from ``config`` (an
-:class:`repro.config.ExecutionConfig`) and nowhere else.
-``config.executor`` selects how a level's pair merges run:
-
-* ``"serial"`` (default) — inline, one after the other;
-* ``"process"`` — a process pool of ``min(os.cpu_count(), pairs in the
-  widest pooled level)`` workers, the paper's parallel driver on real
-  cores: programs are picklable ASTs, and consolidation never calls the
-  library *implementations* (it is a static transformation), so each
-  worker gets a callable-free copy of the function table.  Child-process
-  counters are folded back into the parent's report; per-query SMT latency
-  histograms are process-local and therefore only recorded for serial runs.
-
-:class:`ConsolidationReport.executor` records which executor was
-configured, ``max_workers`` how many processes the pool started.
+:class:`repro.config.ExecutionConfig`) and nowhere else.  Each level's
+pairs run in plan order, in-process, sharing one warm solver.  The
+paper's driver merges a level's pairs in parallel; a process pool did so
+here through 7.x and was removed in 8.0.0: the merge tree's critical
+path caps any pool well below the core count, and on a measured batch
+two workers never reached 1.3× of this loop (CHANGES.md has the
+measurements).
 
 Telemetry (``config.telemetry``): per-pair merge time histogram, calculus
 rule application counts, SMT query counters and the entailment fast-path
@@ -57,17 +49,16 @@ counters all land in the metrics registry; tracing adds
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Optional, Sequence, cast
+from typing import Any, Callable, Iterator, Optional, Sequence, cast
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
 from ..lang.cost import CostModel
-from ..lang.functions import FunctionTable, LibraryFunction
+from ..lang.functions import FunctionTable
 from ..lang.visitors import (
     canonicalize,
     pid_order,
@@ -85,9 +76,6 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationOptions, Consolidator, PairRecord, check_batch
 from .simplifier import SimplifyStats
 
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
-
 __all__ = [
     "ConsolidationReport",
     "MergeNode",
@@ -101,24 +89,17 @@ __all__ = [
 ]
 
 # Prefix of the ConsolidationReport.degradations entry recording that the
-# SMT solver answered "unknown" during the batch.  Unlike a skipped pair or
-# a broken pool, this degradation is deterministic (the same batch always
-# produces it) and purely a precision loss, so differential checks that
-# compare executors can recognise and ignore it.
+# SMT solver answered "unknown" during the batch.  Unlike a skipped pair,
+# this degradation is deterministic (the same batch always produces it) and
+# purely a precision loss, so differential checks can recognise and ignore
+# it.
 SMT_UNKNOWN_NOTE = "SMT solver returned unknown"
 
-# Fault-injection seam (see repro.testing.faults), consulted by merge_pair.
-# Sites:
-#   ("consolidate.pair", (a, b))   — consulted before each in-process pair
-#                                    merge; raising simulates a mid-batch
-#                                    failure, which must *degrade* (keep the
-#                                    pair unmerged), never escape;
-#   ("consolidate.worker", (a, b)) — consulted inside the process-pool
-#                                    worker; raising (or ``os._exit``-ing,
-#                                    which kills the worker and breaks the
-#                                    pool) must make the driver redo the
-#                                    level serially.
-# None — the production value — costs one attribute read per pair.
+# Fault-injection seam (see repro.testing.faults), consulted by merge_pair
+# at site "consolidate.pair" with the pair (a, b) before each pair merge;
+# raising simulates a mid-batch failure, which must *degrade* (keep the
+# pair unmerged), never escape.  None — the production value — costs one
+# attribute read per pair.
 FAULT_HOOK: Optional[Callable[[str, tuple[Program, Program]], object]] = None
 
 
@@ -272,21 +253,16 @@ class ConsolidationReport(PairViews):
     produces, minus its cost — or, with a ``"skip_reason"``, that the
     merge it asked for failed.
 
-    ``executor`` records how the driver was configured and
-    ``max_workers`` the size of the process pool it started (1 when no
-    level pooled), so scalability experiments can attribute a duration to
-    the pool it used.
     ``simplify_stats`` sums the pairs' entailment fast-path counters
     (abstract-env pre-check skips, memo hits).  ``planner`` records the
     pair-ordering strategy that ran (``"related"`` — the default heuristic
     adjacency — or ``"calibrated"``).
 
-    ``degradations`` is a log of coarser fallbacks than a skipped pair (a
-    broken process pool redone serially, or the :data:`SMT_UNKNOWN_NOTE`
-    entry when the solver answered "unknown" and rewrites were skipped
-    conservatively).  The driver *never* raises for these — the result is
-    still a correct program, just less consolidated — so callers must
-    consult :attr:`degraded` when they care.
+    ``degradations`` is a log of coarser fallbacks than a skipped pair (the
+    :data:`SMT_UNKNOWN_NOTE` entry when the solver answered "unknown" and
+    rewrites were skipped conservatively).  The driver *never* raises for
+    these — the result is still a correct program, just less consolidated
+    — so callers must consult :attr:`degraded` when they care.
     """
 
     program: Program
@@ -296,8 +272,6 @@ class ConsolidationReport(PairViews):
     tree_depth: int = 0
     duration: float = 0.0
     solver_stats: dict[str, int] = field(default_factory=dict)
-    max_workers: int = 1
-    executor: str = "serial"
     simplify_stats: dict[str, Any] = field(default_factory=dict)
     degradations: list[str] = field(default_factory=list)
     merge_tree: Optional[MergeNode] = None
@@ -333,7 +307,7 @@ class ConsolidationReport(PairViews):
 
     @property
     def degraded(self) -> bool:
-        """True when any pair was kept unmerged or any executor fell back."""
+        """True when any pair was kept unmerged or the solver answered unknown."""
 
         return bool(self.skipped_pairs or self.degradations)
 
@@ -355,29 +329,6 @@ def _cluster_by_features(programs: list[Program]) -> list[Program]:
         return "|".join(keys)
 
     return sorted(programs, key=lambda p: (signature(p), p.pid))
-
-
-# ---------------------------------------------------------------------------
-# Process-pool plumbing.  Consolidation never *calls* library functions, so
-# the child rebuilds the table from a picklable (name, cost, sorts) spec
-# with a stub callable — lambdas and closures in the real table would not
-# survive pickling.
-# ---------------------------------------------------------------------------
-
-
-def _stub_fn(*_args: object) -> NoReturn:  # pragma: no cover - consolidation never calls it
-    raise RuntimeError("library implementations are not shipped to consolidation workers")
-
-
-def _table_spec(functions: FunctionTable) -> tuple[Any, ...]:
-    return tuple((f.name, f.cost, f.result_sort, f.arg_sorts) for f in functions)
-
-
-def _table_from_spec(spec: tuple[Any, ...]) -> FunctionTable:
-    return FunctionTable(
-        LibraryFunction(name, _stub_fn, cost=cost, result_sort=sort, arg_sorts=args)
-        for name, cost, sort, args in spec
-    )
 
 
 def _unmerged(a: Program, b: Program, reason: Optional[str] = None) -> PairRecord:
@@ -465,7 +416,6 @@ def merge_pair(
     *,
     provenance: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
-    site: str = "consolidate.pair",
     **span_attrs: object,
 ) -> PairRecord:
     """The one pair-merge step: consolidate ``a`` and ``b`` or raise.
@@ -476,12 +426,12 @@ def merge_pair(
     re-entrant.
 
     Anything may escape — a solver crash, a refuted static validation, an
-    injected fault (:data:`FAULT_HOOK` at ``site``).  What that means is
+    injected fault (:data:`FAULT_HOOK`).  What that means is
     the caller's business; see the module docstring.
     """
 
     if FAULT_HOOK is not None:
-        FAULT_HOOK(site, (a, b))
+        FAULT_HOOK("consolidate.pair", (a, b))
     recorder: DerivationRecorder | NullRecorder = (
         DerivationRecorder() if provenance else NULL_RECORDER
     )
@@ -490,32 +440,6 @@ def merge_pair(
         worker.consolidate(a, b)
     assert worker.record is not None  # consolidate() returned
     return worker.record
-
-
-def _merge_pair_task(
-    payload: tuple[Program, Program, tuple[Any, ...], CostModel, ConsolidationOptions, bool],
-) -> tuple[PairRecord, dict[str, int]]:
-    """Top-level (hence picklable) pair-merge job for the process pool:
-    the pair's record and what its private solver counted.
-
-    A failure propagates: the driver treats the pool as broken and redoes
-    the level in-process.  Derivation events are plain string/number
-    dataclasses, so the tree pickles back to the parent unchanged.
-    """
-
-    a, b, spec, cost_model, options, provenance = payload
-    solver = Solver()
-    record = merge_pair(
-        a,
-        b,
-        _table_from_spec(spec),
-        cost_model,
-        options,
-        solver,
-        provenance=provenance,
-        site="consolidate.worker",
-    )
-    return record, solver.stats.snapshot()
 
 
 def consolidate_all(
@@ -533,7 +457,7 @@ def consolidate_all(
     ``order`` picks the pairing policy (see the module docstring);
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
-    run-time knobs — ``cost_model``, ``executor``, ``telemetry``,
+    run-time knobs — ``cost_model``, ``telemetry``,
     ``provenance``, ``planner``, ``calibration`` — documented on
     :class:`repro.config.ExecutionConfig`.
 
@@ -552,11 +476,11 @@ def consolidate_all(
     """
 
     cfg = config or ExecutionConfig()
-    cost_model, executor, telemetry = cfg.cost_model, cfg.executor, cfg.telemetry
+    cost_model, telemetry = cfg.cost_model, cfg.telemetry
 
     # Batch-level preconditions are checked up front so misuse still raises
     # eagerly; once they hold, any *mid-batch* failure (solver crash, refuted
-    # validation, dead worker) degrades to the sequential baseline instead.
+    # validation) degrades to the sequential baseline instead.
     if not programs:
         raise ValueError("need at least one program")
     if order not in ("clustered", "tree", "fold", "priority"):
@@ -581,7 +505,6 @@ def consolidate_all(
     rides: list[PairRecord] = []
     stats = SimplifyStats()
     degradations: list[str] = []
-    pooled_solver_stats: Counter[str] = Counter()
     registry = telemetry.metrics
     pair_seconds = registry.histogram("consolidation_pair_seconds")
     rule_counts: Counter[str] = Counter()
@@ -605,8 +528,7 @@ def consolidate_all(
             return _unmerged(a, b, f"{type(exc).__name__}: {exc}")
 
     def absorb(record: PairRecord) -> Program:
-        # Fold one pair's record into the batch.  Every executor's records
-        # come through here, on the driver thread, in plan order.
+        # Fold one pair's record into the batch, in plan order.
         records.append(record)
         stats.add(record.stats)
         rule_counts.update(record.rules)
@@ -627,77 +549,32 @@ def consolidate_all(
             compose=_unmerged,
         )
     policy = calibrated or (_first_two if fold else _adjacent)
-    in_order = calibrated.merge if calibrated else attempt
-    # The planner decides each pair in the driver (a skip never reaches a
-    # worker), so calibrated levels never pool.
-    pooled = calibrated is None and executor == "process"
-    pool: ProcessPoolExecutor | None = None
-    workers = 1
-    spec = _table_spec(functions) if pooled else None
+    merge = calibrated.merge if calibrated else attempt
     depth = 0
 
-    def run(jobs: list[tuple[Program, Program]]) -> list[PairRecord]:
-        nonlocal pool, pooled, workers
-        if not (pooled and len(jobs) > 1):
-            return [in_order(a, b) for a, b in jobs]
-        if pool is None:
-            from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
-            # Levels only narrow, so the first pooled level sizes the pool.
-            workers = min(os.cpu_count() or 1, len(jobs))
-            pool = ProcessPoolExecutor(max_workers=workers)
-        payloads = [(a, b, spec, cost_model, options, cfg.provenance) for a, b in jobs]
-        try:
-            # Drain the whole level before counting any of it, so a
-            # failure counts nothing and the serial redo cannot
-            # double-count stats.
-            raw = list(pool.map(_merge_pair_task, payloads))
-        except Exception as exc:  # noqa: BLE001 - dead worker / task crash
-            # A worker died (BrokenProcessPool) or a task raised; the pool
-            # is no longer trustworthy.  Redo this level in-process —
-            # attempt() still degrades per pair — and stay serial for the
-            # remaining levels.
-            degradations.append(
-                f"process pool failed at depth {depth} "
-                f"({type(exc).__name__}: {exc}); completed serially"
-            )
-            if telemetry.enabled:
-                registry.counter("consolidation_executor_degradations_total").inc()
-            pool.shutdown(wait=False)
-            pool, pooled = None, False
-            return [attempt(a, b) for a, b in jobs]
-        for _, child_solver in raw:
-            pooled_solver_stats.update(child_solver)
-        return [record for record, _ in raw]
-
-    try:
-        with telemetry.span("consolidate.batch", n=len(programs), order=order, executor=executor):
-            # Every program of a level is held by a MergeNode, so each
-            # intermediate merged program lands in the tree.  A leaf's
-            # locals are qualified here, once; no merge renames them again.
-            level, riders = _alpha_classes([MergeNode(qualify_locals(p)) for p in programs])
-            while len(level) > 1:
-                depth += 1
-                pairs, carried = policy([node.program for node in level])
-                merged = run([(level[i].program, level[j].program) for i, j in pairs])
-                level = [
-                    MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
-                ] + [level[i] for i in carried]
-            # Riders go on last to first, each right after its
-            # representative, so a class notifies in the driver's order.
-            root = level[0]
-            for first, leaf in reversed(riders):
-                pid_map = dict(zip(pid_order(first.program), pid_order(leaf.program)))
-                root, record = ride(root, leaf, pid_map)
-                rides.append(record)
-                rule_counts["Ride"] += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with telemetry.span("consolidate.batch", n=len(programs), order=order):
+        # Every program of a level is held by a MergeNode, so each
+        # intermediate merged program lands in the tree.  A leaf's
+        # locals are qualified here, once; no merge renames them again.
+        level, riders = _alpha_classes([MergeNode(qualify_locals(p)) for p in programs])
+        while len(level) > 1:
+            depth += 1
+            pairs, carried = policy([node.program for node in level])
+            merged = [merge(level[i].program, level[j].program) for i, j in pairs]
+            level = [
+                MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
+            ] + [level[i] for i in carried]
+        # Riders go on last to first, each right after its
+        # representative, so a class notifies in the driver's order.
+        root = level[0]
+        for first, leaf in reversed(riders):
+            pid_map = dict(zip(pid_order(first.program), pid_order(leaf.program)))
+            root, record = ride(root, leaf, pid_map)
+            rides.append(record)
+            rule_counts["Ride"] += 1
     result = root.program
 
-    totals = Counter(solver.stats.snapshot())
-    totals.update(pooled_solver_stats)
-    solver_stats = dict(totals)
+    solver_stats = solver.stats.snapshot()
     simplify_snapshot = stats.snapshot()
 
     if solver_stats.get("unknowns"):
@@ -736,8 +613,6 @@ def consolidate_all(
         tree_depth=depth,
         duration=time.perf_counter() - started,
         solver_stats=solver_stats,
-        max_workers=workers,
-        executor=executor,
         simplify_stats=simplify_snapshot,
         degradations=degradations,
         merge_tree=root if keep_tree else None,

@@ -61,7 +61,6 @@ class ExperimentResult:
     simplify_stats: dict = field(default_factory=dict)
     validations_certified: int = 0
     validations_total: int = 0
-    executor: str = "serial"
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -177,6 +176,5 @@ def run_experiment(
         simplify_stats=dict(report.simplify_stats),
         validations_certified=sum(1 for v in report.validations if v.certified),
         validations_total=len(report.validations),
-        executor=report.executor,
         metrics=metrics_snapshot,
     )

@@ -13,7 +13,7 @@ points implement the operators of Section 6.1:
 
 Configuration travels as ONE object: every entry point takes an
 :class:`repro.config.ExecutionConfig` (``config=``) carrying backend,
-workers, cost model, default function table, executor and telemetry.
+workers, cost model, default function table and telemetry.
 There are no per-call knobs beside it.
 """
 

@@ -38,8 +38,8 @@ def cached(cls: type[_T]) -> type[_T]:
 
     Also pickles the node through its constructor, so no cache slot crosses
     a process boundary: ``str`` hashes are salted per interpreter, and a
-    hash cached by a ``executor="process"`` worker would poison every dict
-    lookup on the receiving side.
+    hash cached in one process would poison every dict lookup in the
+    process that unpickles the node.
     """
 
     node: Any = cls

@@ -24,8 +24,7 @@ shared :data:`NULL_RECORDER` (inert, ``enabled = False``) allocates
 **nothing**.  The real recorder keeps those immutable nodes by reference
 and renders text (bounded, :mod:`repro.provenance.render`) only when a
 report first reads a field, so a service that records every patch and
-never reads a report renders nothing.  An event pickles as its text:
-trees cross the process-pool executor as plain strings and numbers.
+never reads a report renders nothing.
 """
 
 from __future__ import annotations
@@ -97,10 +96,6 @@ class _Event:
 
     def _fields(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in (s.lstrip("_") for s in self.__slots__)}
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Pickle the text, not the held nodes.
-        return type(self), tuple(self._fields().values())
 
     def to_dict(self) -> dict[str, Any]:
         return self._fields()
@@ -184,10 +179,6 @@ class RuleNode:
         self.rewrites: list[Rewrite] = []
         self.heuristics: list[Heuristic] = []
         self.children: list[RuleNode] = []
-
-    def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        # Pickle the detail's text, not the held nodes.
-        return None, {**{s: getattr(self, s) for s in self.__slots__}, "_detail": self.detail}
 
     def walk(self) -> Iterator[RuleNode]:
         yield self

@@ -29,10 +29,8 @@ replayable.  Mutations take one path::
   replays it through this same path, so restart recovers byte-identical
   plan fingerprints.
 
-All public methods are safe under concurrent callers (one re-entrant
-lock serialises mutations and plan reads — consolidation itself is the
-expensive part and is already parallelised internally via
-``ExecutionConfig.executor``).
+All public methods are safe under concurrent callers: one re-entrant
+lock serialises mutations and plan reads.
 
 Telemetry lands under ``service_*``: registrations, admission rejects,
 plan-cache hits/misses, incremental patches, fallbacks, rebuilds, pair

@@ -12,10 +12,9 @@ Design constraints, in order:
 * **cheap** — ``Counter.inc`` is one attribute add; ``Histogram.observe``
   one ``bisect`` plus two adds.  The no-op twins in
   :mod:`repro.telemetry.noop` make the disabled path cheaper still;
-* **mergeable** — per-experiment and per-process registries are folded
+* **mergeable** — per-experiment registries are folded
   into a parent with :meth:`MetricsRegistry.merge`, which is what lets the
-  experiment harness give every Figure-9 row its own snapshot and the
-  process-pool consolidation driver report child-process counters;
+  experiment harness give every Figure-9 row its own snapshot;
 * **snapshot-able** — :meth:`MetricsRegistry.snapshot` returns plain
   JSON-able dicts; the sinks (:mod:`repro.telemetry.sinks`) render those
   to JSONL or Prometheus text exposition.

@@ -79,7 +79,6 @@ HELP_TEXTS = {
     "compile_seconds": "Wall time spent translating programs to closures.",
     "consolidation_batches_total": "Divide-and-conquer consolidation batches run.",
     "consolidation_entail_queries": "Semantic entailment questions asked of the context.",
-    "consolidation_executor_degradations_total": "Pool failures redone serially.",
     "consolidation_memo_hit_rate": "Fraction of entailment queries answered by the memo.",
     "consolidation_memo_hits": "Entailment queries answered by the (psi, e) memo.",
     "consolidation_pair_seconds": "Wall time per pair consolidation.",

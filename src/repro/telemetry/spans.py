@@ -13,9 +13,7 @@ mirroring the call structure::
       dataflow.run {operator: whereConsolidated[50]}
 
 The :class:`Tracer` owns the forest and the open-span stack.  It is
-deliberately *not* thread-safe — a tracer belongs to one logical execution
-(the process-pool consolidation driver keeps its tracer on the driving
-thread and records pool work through the metrics registry instead).
+deliberately *not* thread-safe — a tracer belongs to one logical execution.
 
 Use :class:`repro.telemetry.noop.NullTracer` when tracing is off; its
 ``span`` returns a shared no-op context manager and the hot path pays one

@@ -42,7 +42,6 @@ from .faults import (
     smt_unknown,
     vectorize_crash,
     vectorize_mismask,
-    worker_death,
 )
 from .shrinker import shrink_batch
 from .corpus import CorpusCase, corpus_files, read_case, replay_case, write_case
@@ -65,7 +64,6 @@ __all__ = [
     "compile_fallback",
     "miscompile",
     "consolidation_pair_crash",
-    "worker_death",
     "vectorize_crash",
     "vectorize_mismask",
     "shrink_batch",

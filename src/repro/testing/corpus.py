@@ -40,7 +40,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from ..lang.ast import Program
 from ..lang.parser import parse_program
@@ -150,7 +149,7 @@ def write_case(path: str | Path, case: CorpusCase) -> Path:
     return path
 
 
-def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial",)):
+def replay_case(case: CorpusCase):
     """Run the oracle battery on a corpus case under its declared fault.
 
     Returns the :class:`~repro.testing.oracles.BatteryResult`; raises
@@ -184,12 +183,10 @@ def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial",)):
         inputs = [{param: row} for row in case.inputs]
     check_validator = True
     if case.fault != "none":
-        # Under an injected fault the cross-executor parity and the static
-        # validator are not meaningful oracles (stateful fault counters make
-        # executors diverge; solver crashes escape through the validator);
-        # what a fault case asserts is that the *execution* paths still
-        # agree — dataflow equality, soundness, backend differential.
-        executors = ("serial",)
+        # Under an injected fault the static validator is not a meaningful
+        # oracle (solver crashes escape through it); what a fault case
+        # asserts is that the *execution* paths still agree — dataflow
+        # equality, soundness, backend differential.
         check_validator = case.fault in (
             "smt_unknown", "compile_cache_miss",
             "vectorize_crash", "vectorize_mismask",
@@ -199,7 +196,6 @@ def replay_case(case: CorpusCase, executors: Sequence[str] = ("serial",)):
             case.programs,
             dataset,
             inputs=inputs,
-            executors=executors,
             check_validator=check_validator,
         )
     if case.expect == "pass" and not result.ok:

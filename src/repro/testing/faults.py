@@ -17,22 +17,16 @@ What each fault must *prove* when used in a test:
   hands back a working runner (recompilation, or the interpreter);
 * ``miscompile`` — the *differential oracle* catches the corrupted
   backend; this is the harness testing itself;
-* ``consolidation_pair_crash`` / ``worker_death`` — a mid-batch failure
-  (in-process or a killed pool worker) degrades, never raises.
+* ``consolidation_pair_crash`` — a mid-batch pair-merge failure degrades,
+  never raises.
 
 Compilation faults clear the compile cache on entry *and* exit: entry so
 the fault actually sees compilations (not stale cache hits), exit so a
 corrupted program cannot outlive its fault window.
-
-Process pools: the driver creates its pool lazily *inside* the batch, and
-Linux forks workers, so a hook installed before ``consolidate_all`` is
-inherited by the children — which is what lets ``worker_death`` kill a
-real worker process.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from ..consolidation import divide_conquer as _dc
@@ -48,7 +42,6 @@ __all__ = [
     "compile_fallback",
     "miscompile",
     "consolidation_pair_crash",
-    "worker_death",
     "vectorize_crash",
     "vectorize_mismask",
 ]
@@ -183,30 +176,11 @@ def miscompile(transform=None):
 
 @contextmanager
 def consolidation_pair_crash(after: int = 0, exc: type[Exception] = RuntimeError):
-    """Make in-process pair merges raise after the first ``after`` pairs."""
+    """Make pair merges raise after the first ``after`` pairs."""
 
     def effect(site, payload):
         if site == "consolidate.pair":
             raise exc("injected pair-merge crash")
-        return None
-
-    with fault_hook(_dc, _after_counter(after, effect)) as hook:
-        yield hook
-
-
-@contextmanager
-def worker_death(after: int = 0):
-    """Kill the process-pool worker handling a pair merge (hard ``_exit``).
-
-    ``os._exit`` skips all cleanup, exactly like an OOM kill; the parent
-    observes ``BrokenProcessPool`` and must redo the level serially.  The
-    counter lives in the forked child, so with a fresh pool the first
-    ``after`` pairs survive *per worker*; ``after=0`` kills on first use.
-    """
-
-    def effect(site, payload):
-        if site == "consolidate.worker":
-            os._exit(17)
         return None
 
     with fault_hook(_dc, _after_counter(after, effect)) as hook:

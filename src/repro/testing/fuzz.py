@@ -58,7 +58,6 @@ def run_fuzz(
     size: int = 3,
     time_budget: float | None = None,
     emit_corpus: str | None = None,
-    executors: Sequence[str] = ("serial",),
     shrink: bool = True,
     progress=None,
 ) -> FuzzReport:
@@ -93,9 +92,7 @@ def run_fuzz(
         programs = generate_case(spec.seed, spec.schema, spec.size)
         dataset = schema_dataset(schema)
         inputs = case_inputs(schema)
-        result = run_battery(
-            programs, dataset, inputs=inputs, executors=executors, deadline=deadline
-        )
+        result = run_battery(programs, dataset, inputs=inputs, deadline=deadline)
         if result.timed_out:
             # The battery was cut off mid-way: the case is incomplete, so
             # it does not count toward cases_run, but any discrepancy the
@@ -136,9 +133,7 @@ def run_fuzz(
                 if not candidate:
                     return False
                 try:
-                    rerun = run_battery(
-                        candidate, dataset, inputs=inputs, executors=executors
-                    )
+                    rerun = run_battery(candidate, dataset, inputs=inputs)
                 except Exception:  # noqa: BLE001 - crashes are not *this* failure
                     return False
                 return any(d.oracle in oracles for d in rerun.discrepancies)

@@ -16,8 +16,6 @@ is checked:
   (a new pid, every local renamed): the copy must ride on its class's
   representative, leave the calculus's merges untouched, get its
   original's bucket, and keep whereMany's buckets and cost bound;
-* **serial vs process** — ``consolidate_all`` is deterministic, so both
-  executors must produce the *structurally identical* merged program;
 * **check_soundness** — Definition 1 re-checked directly on the merged
   program (notification equality + cost bound per input);
 * **validate_consolidation** — the static validator must not *refute* the
@@ -49,11 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..config import ExecutionConfig
-from ..consolidation.divide_conquer import (
-    SMT_UNKNOWN_NOTE,
-    ConsolidationReport,
-    consolidate_all,
-)
+from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
 from ..datasets.records import Dataset
 from ..lang.ast import Program
 from ..lang.compile import make_runner
@@ -70,8 +64,8 @@ __all__ = ["Discrepancy", "BatteryResult", "run_battery"]
 class Discrepancy:
     """One disagreement between two execution paths that must agree."""
 
-    # 'backend' | 'dataflow' | 'riders' | 'executor' | 'soundness' | 'validator'
-    # | 'planner' | 'vectorized'
+    # 'backend' | 'dataflow' | 'riders' | 'soundness' | 'validator' | 'planner'
+    # | 'vectorized'
     oracle: str
     detail: str
     args: dict = field(default_factory=dict)
@@ -264,56 +258,6 @@ def _check_riders(
                 f"{ridden.metrics.udf_cost} > whereMany {many.metrics.udf_cost}",
             )
         )
-
-
-def _check_executors(
-    programs: Sequence[Program],
-    dataset: Dataset,
-    cost_model: CostModel,
-    executors: Sequence[str],
-    out: list[Discrepancy],
-) -> None:
-    if len(programs) < 2 or len(executors) < 2:
-        return
-    reference = None
-    for executor in executors:
-        try:
-            report = consolidate_all(
-                list(programs),
-                dataset.functions,
-                config=ExecutionConfig(cost_model=cost_model, executor=executor),
-            )
-        except Exception as exc:  # noqa: BLE001
-            out.append(
-                Discrepancy(
-                    "executor",
-                    f"consolidate_all(executor={executor!r}) raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        # The SMT-unknown note is deterministic precision loss, identical
-        # across executors — not an executor-specific fallback.
-        hard = report.skipped_pairs or [
-            d for d in report.degradations if not d.startswith(SMT_UNKNOWN_NOTE)
-        ]
-        if hard:
-            out.append(
-                Discrepancy(
-                    "executor",
-                    f"executor {executor!r} degraded unexpectedly: {hard}",
-                )
-            )
-        if reference is None:
-            reference = (executor, report.program)
-        elif report.program != reference[1]:
-            out.append(
-                Discrepancy(
-                    "executor",
-                    f"merged programs differ between executors "
-                    f"{reference[0]!r} and {executor!r}",
-                )
-            )
 
 
 def _check_soundness(
@@ -583,16 +527,12 @@ def run_battery(
     dataset: Dataset,
     inputs: Sequence[Mapping[str, object]] | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    executors: Sequence[str] = ("serial",),
     check_validator: bool = True,
     deadline: float | None = None,
 ) -> BatteryResult:
     """Run every differential oracle over one batch; collect disagreements.
 
-    ``inputs`` defaults to a spread of the dataset's rows.  ``executors``
-    controls the ``consolidate_all`` parity check (pass
-    ``("serial", "process")`` to run it; one executor has nothing to
-    compare).
+    ``inputs`` defaults to a spread of the dataset's rows.
     ``deadline`` is an absolute :func:`time.perf_counter` instant; it is
     re-checked between oracle stages, so one slow battery cannot overrun a
     fuzzing time budget by a whole five-stage run.  A battery cut short
@@ -623,10 +563,6 @@ def run_battery(
         return result
     if report is not None:
         _check_riders(programs, report, dataset, rows, cost_model, out)
-        if expired():
-            return result
-    _check_executors(programs, dataset, cost_model, executors, out)
-    if report is not None:
         if expired():
             return result
         _check_soundness(programs, report, dataset, inputs, cost_model, out)

@@ -7,7 +7,8 @@ every pre-config keyword argument is gone (a ``TypeError``, not a silent
 shim), the 5.0.0-removal tests that the dropped ``ExecutionConfig``
 fields and the thread executor are gone, the 6.0.0-removal tests that
 the profiler is no longer threaded through a run, the 7.0.0-removal
-tests that the prefilter is gone, and the config validation errors (they
+tests that the prefilter is gone, the 8.0.0-removal tests that the
+process-pool executor is gone, and the config validation errors (they
 must enumerate the valid values).
 """
 
@@ -22,7 +23,7 @@ import repro
 import repro.api as api
 import repro.config
 import repro.naiad.dataflow
-from repro.config import EXECUTORS, ExecutionConfig, ServiceConfig
+from repro.config import ExecutionConfig, ServiceConfig
 from repro.consolidation import ConsolidationReport, consolidate_all
 from repro.experiments import (
     run_experiment,
@@ -188,30 +189,26 @@ def test_execution_config_backend_error_enumerates_choices():
         ExecutionConfig(backend="gpu")
 
 
-def test_execution_config_executor_error_enumerates_choices():
-    with pytest.raises(ValueError) as excinfo:
-        ExecutionConfig(executor="fibers")
-    for executor in EXECUTORS:
-        assert executor in str(excinfo.value)
-
-
 def test_execution_config_worker_errors_state_the_valid_range():
     with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 0"):
         ExecutionConfig(workers=0)
 
 
 # ---------------------------------------------------------------------------
-# the 5.0.0 removals: four ExecutionConfig fields and the thread executor
+# the 5.0.0 removals: four ExecutionConfig fields and the thread executor;
+# the 8.0.0 removal: the executor field itself
 
 
-@pytest.mark.parametrize("keyword", ["max_workers", "smt_budget_seconds", "functions", "sink"])
+@pytest.mark.parametrize(
+    "keyword", ["max_workers", "smt_budget_seconds", "functions", "sink", "executor"]
+)
 def test_removed_execution_config_field_raises_type_error(keyword):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_ten_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 10
+def test_execution_config_has_nine_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 9
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
 
@@ -248,9 +245,18 @@ def test_profiler_null_twin_is_gone():
 
 
 def test_thread_executor_is_gone():
-    assert EXECUTORS == ("serial", "process")
-    with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+    # 8.0.0 took the process executor with it: no executor is left to name.
+    assert not [name for name in dir(repro.config) if name.lower().startswith("executor")]
+    with pytest.raises(TypeError, match="unexpected keyword argument 'executor'"):
         ExecutionConfig(executor="thread")
+
+
+def test_pool_report_fields_are_gone():
+    from repro.experiments import ExperimentResult
+
+    for name in ("executor", "max_workers"):
+        assert name not in ConsolidationReport.__dataclass_fields__
+    assert "executor" not in ExperimentResult.__dataclass_fields__
 
 
 def test_simplify_loop_bodies_option_is_gone():

@@ -261,24 +261,20 @@ class TestObservabilityFlags:
         with pytest.raises(SystemExit, match="no usable samples"):
             main(["calibrate", "--trace-in", str(tmp_path / "missing.jsonl")])
 
-    def test_consolidate_executor_flag(self, tmp_path, capsys):
-        rc = main(
-            ["consolidate", "--domain", "weather", "--executor", "process"]
-            + _two_progs(tmp_path)
-        )
-        assert rc == 0
-        assert "executor process" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--executor thread", "--max-workers 2", "--smt-budget 5"])
+    # The thread executor, --max-workers and --smt-budget went in 5.0.0,
+    # the executor flag itself in 8.0.0.
+    @pytest.mark.parametrize(
+        "flag", ["executor=thread", "executor=serial", "max-workers=2", "smt-budget=5"]
+    )
     def test_removed_consolidate_flags_exit_2(self, tmp_path, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["consolidate", *flag.split(), *_two_progs(tmp_path)])
+            main(["consolidate", f"--{flag}", *_two_progs(tmp_path)])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--executor thread", "--max-workers 2"])
+    @pytest.mark.parametrize("flag", ["executor=thread", "executor=serial", "max-workers=2"])
     def test_removed_serve_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--port", "0", *flag.split()])
+            main(["serve", "--port", "0", f"--{flag}"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
@@ -312,23 +308,12 @@ class TestObservabilityFlags:
         assert (rc == 1) == ("warning" in levels)
         assert all(r["ruleId"] != "prefilter" for r in run["results"])
 
-    @pytest.mark.parametrize("executors, bad", [("serial,bogus", "bogus"), ("serial,thread", "thread")])
-    def test_fuzz_rejects_an_unknown_executor_at_parse_time(self, capsys, executors, bad):
+    @pytest.mark.parametrize("flag", ["executors=serial", "executors=serial,process"])
+    def test_removed_fuzz_executors_flag_exits_2(self, flag):
+        # 8.0.0: the executor-parity oracle and its flag are gone.
         with pytest.raises(SystemExit) as excinfo:
-            main(["fuzz", "--seed", "0", "--cases", "2", "--executors", executors])
+            main(["fuzz", "--seed", "0", "--cases", "2", f"--{flag}"])
         assert excinfo.value.code == 2
-        assert f"invalid executor '{bad}'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv, parsed",
-        [
-            ([], ("serial",)),
-            (["--executors", "process"], ("process",)),
-            (["--executors", "serial,process"], ("serial", "process")),
-        ],
-    )
-    def test_fuzz_executors_parse_to_a_tuple(self, argv, parsed):
-        assert build_parser().parse_args(["fuzz", *argv]).executors == parsed
 
     @pytest.mark.parametrize(
         "argv, message",

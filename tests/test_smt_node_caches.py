@@ -192,8 +192,8 @@ def test_caches_do_not_survive_pickling():
 
 
 def test_cached_hash_does_not_cross_a_process():
-    """``str`` hashes are salted per interpreter: a hash cached in a worker
-    must not arrive with the node (``executor="process"``, pickled trees)."""
+    """``str`` hashes are salted per interpreter: a hash cached in one
+    process must not arrive with the node in another."""
 
     build = (
         "from repro.smt.terms import *\n"

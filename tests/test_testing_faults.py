@@ -3,14 +3,13 @@
 The production modules carry one ``FAULT_HOOK`` seam each (SMT solver,
 compile pipeline, consolidation driver).  These tests force each failure
 mode and assert the documented degradation: sequential-baseline fallback,
-interpreter fallback, serial redo — with observable behaviour unchanged —
+interpreter fallback — with observable behaviour unchanged —
 and that the oracle battery stays green under every *sound* fault while
 still catching a genuine miscompile.
 """
 
 import pytest
 
-from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.consolidation.divide_conquer import SMT_UNKNOWN_NOTE
 from repro.lang.compile import CompileError, compile_cached, make_runner
@@ -98,7 +97,6 @@ class TestSmtFaults:
             with fault():
                 result = run_battery(
                     PROGRAMS, WEATHER, inputs=INPUTS,
-                    executors=("serial",),
                     check_validator=fault is smt_unknown,
                 )
             assert result.ok, (fault.__name__, [str(d) for d in result.discrepancies])
@@ -130,7 +128,6 @@ class TestCompileFaults:
             with fault():
                 result = run_battery(
                     PROGRAMS, WEATHER, inputs=INPUTS,
-                    executors=("serial",),
                     check_validator=fault is compile_cache_miss,
                 )
             assert result.ok, (fault.__name__, [str(d) for d in result.discrepancies])
@@ -141,7 +138,7 @@ class TestCompileFaults:
         with miscompile():
             result = run_battery(
                 PROGRAMS, WEATHER, inputs=INPUTS,
-                executors=("serial",), check_validator=False,
+                check_validator=False,
             )
         assert not result.ok
         assert "backend" in {d.oracle for d in result.discrepancies}
@@ -159,7 +156,7 @@ class TestConsolidationFaults:
         with consolidation_pair_crash():
             result = run_battery(
                 PROGRAMS, WEATHER, inputs=INPUTS,
-                executors=("serial",), check_validator=False,
+                check_validator=False,
             )
         assert result.ok, [str(d) for d in result.discrepancies]
 
@@ -169,19 +166,11 @@ class TestConsolidationFaults:
         hard = [d for d in report.degradations if not d.startswith(SMT_UNKNOWN_NOTE)]
         assert not hard
 
+    def test_pool_worker_fault_is_gone(self):
+        # 8.0.0: the process-pool executor went, and with it the injector
+        # that killed a pool worker; no pair merge runs in a worker now.
+        import repro.testing
+        from repro.testing import faults
 
-@pytest.mark.slow
-class TestWorkerDeath:
-    def test_dead_worker_redone_serially(self):
-        from repro.testing import worker_death
-
-        baseline = consolidate_all(list(PROGRAMS), WEATHER.functions)
-        with worker_death():
-            report = consolidate_all(
-                list(PROGRAMS),
-                WEATHER.functions,
-                config=ExecutionConfig(executor="process"),
-            )
-        assert report.degradations, "the broken pool must be recorded"
-        assert any("process pool failed" in d for d in report.degradations)
-        assert report.program == baseline.program
+        for module in (repro.testing, faults):
+            assert not [name for name in dir(module) if "worker" in name]

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.fuzz
 
 
 def test_fuzz_smoke_all_schemas():
-    report = run_fuzz(seed=0, cases=10, executors=("serial",), shrink=False)
+    report = run_fuzz(seed=0, cases=10, shrink=False)
     assert report.cases_run == 10
     assert report.ok, [f.spec for f in report.failures]
     assert set(report.per_schema) == {"weather", "flight", "news", "twitter", "stock"}
@@ -18,7 +18,7 @@ def test_fuzz_smoke_all_schemas():
 
 
 def test_fuzz_respects_time_budget():
-    report = run_fuzz(seed=0, cases=10_000, time_budget=3.0, executors=("serial",))
+    report = run_fuzz(seed=0, cases=10_000, time_budget=3.0)
     assert report.cases_run < 10_000
     assert report.ok
 
@@ -37,7 +37,7 @@ def test_battery_deadline_checked_between_stages():
     inputs = case_inputs("weather")
 
     expired = run_battery(
-        programs, dataset, inputs=inputs, executors=("serial",),
+        programs, dataset, inputs=inputs,
         deadline=time.perf_counter() - 1.0,
     )
     assert expired.timed_out
@@ -45,50 +45,23 @@ def test_battery_deadline_checked_between_stages():
     assert expired.ok
 
     complete = run_battery(
-        programs, dataset, inputs=inputs, executors=("serial",),
+        programs, dataset, inputs=inputs,
         deadline=time.perf_counter() + 3600.0,
     )
     assert not complete.timed_out
     assert complete.report is not None
 
 
-def test_battery_cross_checks_serial_against_process(monkeypatch):
-    """The executor oracle runs only when two executors are named; serial
-    and process must then agree on every generated batch."""
-
-    from repro.testing import oracles
-    from repro.testing.generator import case_inputs, generate_case, schema_dataset
-
-    seen = []
-    real = oracles.consolidate_all
-
-    def spy(*args, config=None, **kwargs):
-        seen.append(config.executor if config else "serial")
-        return real(*args, config=config, **kwargs)
-
-    monkeypatch.setattr(oracles, "consolidate_all", spy)
-    dataset = schema_dataset("weather")
-    inputs = case_inputs("weather")
-    for seed in range(3):
-        programs = generate_case(seed, "weather", 3)
-        result = oracles.run_battery(
-            programs, dataset, inputs=inputs, executors=("serial", "process"),
-            check_validator=False,
-        )
-        assert result.ok, [str(d) for d in result.discrepancies]
-    assert seen.count("process") == 3
-
-
 def test_fuzz_timed_out_case_not_counted():
     """A case whose battery is cut off mid-way does not count as run."""
 
-    report = run_fuzz(seed=0, cases=5, time_budget=1e-9, executors=("serial",))
+    report = run_fuzz(seed=0, cases=5, time_budget=1e-9)
     assert report.cases_run == 0
     assert report.ok
 
 
 def test_fuzz_single_schema():
-    report = run_fuzz(seed=5, cases=4, schemas=["news"], executors=("serial",))
+    report = run_fuzz(seed=5, cases=4, schemas=["news"])
     assert report.per_schema == {"news": 4}
 
 
@@ -108,7 +81,6 @@ def test_fuzz_emits_corpus_for_failures(tmp_path):
             seed=0,
             cases=1,
             schemas=["weather"],
-            executors=("serial",),
             emit_corpus=str(tmp_path),
         )
     assert not report.ok
@@ -121,7 +93,6 @@ def test_fuzz_emits_corpus_for_failures(tmp_path):
 
 
 def test_cli_fuzz_exit_codes(tmp_path, capsys):
-    assert main(["fuzz", "--seed", "0", "--cases", "3", "--executors", "serial",
-                 "--no-shrink"]) == 0
+    assert main(["fuzz", "--seed", "0", "--cases", "3", "--no-shrink"]) == 0
     out = capsys.readouterr()
     assert "0 failure(s)" in out.err

@@ -77,7 +77,7 @@ def test_miscompile_shrinks_to_minimal_program():
     with miscompile():
         result = run_battery(
             programs, WEATHER, inputs=INPUTS,
-            executors=("serial",), check_validator=False,
+            check_validator=False,
         )
         assert not result.ok, "the battery must catch the miscompile"
         oracles = {d.oracle for d in result.discrepancies}
@@ -87,7 +87,7 @@ def test_miscompile_shrinks_to_minimal_program():
                 return False
             rerun = run_battery(
                 candidate, WEATHER, inputs=INPUTS,
-                executors=("serial",), check_validator=False,
+                check_validator=False,
             )
             return any(d.oracle in oracles for d in rerun.discrepancies)
 

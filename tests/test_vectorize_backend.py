@@ -437,7 +437,7 @@ class TestVectorizeFaults:
         with vectorize_crash():
             result = run_battery(
                 PROGRAMS, WEATHER, inputs=INPUTS,
-                executors=("serial",), check_validator=False,
+                check_validator=False,
             )
         assert result.ok, [str(d) for d in result.discrepancies]
 
@@ -511,7 +511,7 @@ class TestVectorizeFaults:
         with vectorize_mismask():
             result = run_battery(
                 PROGRAMS, WEATHER, inputs=INPUTS,
-                executors=("serial",), check_validator=False,
+                check_validator=False,
             )
         assert not result.ok
         assert "vectorized" in {d.oracle for d in result.discrepancies}

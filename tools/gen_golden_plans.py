@@ -89,11 +89,10 @@ def priority_of(programs) -> list:
     return [programs[-1].pid, programs[2].pid]
 
 
-def plan_record(programs, functions, order, planner, executor="serial") -> dict:
+def plan_record(programs, functions, order, planner) -> dict:
     """Consolidate one batch and project the report onto its plan."""
 
     config = ExecutionConfig(
-        executor=executor,
         planner=planner,
         calibration=CalibratedCostModel.uniform() if planner == "calibrated" else None,
     )
