@@ -7,14 +7,13 @@
 """
 
 from .costmodel import expr_cost
-from .invariants import loop_invariant, stable_conjuncts
+from .invariants import loop_invariant
 from .related import comparison_subjects, expr_features, related
 from .sp import SpEngine
 
 __all__ = [
     "expr_cost",
     "loop_invariant",
-    "stable_conjuncts",
     "comparison_subjects",
     "expr_features",
     "related",

@@ -7,14 +7,17 @@ for Loop 3).  In the paper's workloads these invariants are affine
 equalities between the two loops' induction variables (e.g. ``j = i - 1``
 in Example 6), so we use a guess-and-check scheme:
 
-1. **Stable facts** — conjuncts of the entry context ``Ψ`` that mention no
-   variable the loop writes are invariant outright.
+1. **Stable facts** — the entry path condition speaks about values, not
+   names (see :mod:`repro.analysis.sp`), so all of it holds at every loop
+   head; at loop entry the locals the body writes are bound to fresh
+   symbols in the store, which stand for their loop-head values.
 2. **Affine candidates** — for every pair of integer variables of interest
-   the entry context is probed for an entailed difference ``u - v = c``
+   the entry state is probed for an entailed difference ``u - v = c``
    (``c`` drawn from a small constant pool seeded by the program text).
 3. **Inductiveness check** — the candidates that pass initiation are
-   assumed together and checked for preservation through one symbolic
-   execution of the body (:class:`~repro.analysis.sp.SpEngine`) per round;
+   assumed together over the loop-head symbols and re-checked through the
+   store one symbolic execution of the body
+   (:class:`~repro.analysis.sp.SpEngine`) leaves, per round;
    the ones the solver does not re-prove are dropped and the round repeats
    until none drops (the Houdini fixpoint), so candidates may support each
    other and what is left is the greatest inductive subset.
@@ -26,42 +29,33 @@ sequentially (the Step/Seq fallback), never a wrong transformation.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..lang.ast import Expr, IntConst, Stmt
 from ..lang.functions import INT
 from ..lang.visitors import assigned_vars, expr_args, expr_vars, stmt_vars, subexpressions
-from ..smt.interface import arg_sym, var_sym
+from ..smt.interface import Store, arg_sym, var_sym
 from ..smt.solver import Solver
 from ..smt.terms import (
-    FAnd,
     Formula,
     Le,
     Num,
     Sym,
     TRUE_F,
+    Term,
     cone_of_influence,
     eq_f,
     fand,
-    formula_tokens,
     le_f,
+    rename_syms,
     t_sub,
 )
 from .sp import SpEngine
 
-__all__ = ["loop_invariant", "stable_conjuncts"]
+__all__ = ["loop_invariant"]
 
 _BASE_CONSTANT_POOL = (-2, -1, 0, 1, 2)
 _MAX_CANDIDATE_SYMS = 10
-
-
-def stable_conjuncts(psi: Formula, killed_names: set[str]) -> Formula:
-    """Conjuncts of ``psi`` whose symbols survive havocking ``killed_names``."""
-
-    killed_syms = {var_sym(n).name for n in killed_names}
-    parts = psi.args if isinstance(psi, FAnd) else (psi,)
-    kept = [p for p in parts if formula_tokens(p).isdisjoint(killed_syms)]
-    return fand(*kept)
 
 
 def _program_constants(body: Stmt, conds: Iterable[Expr]) -> list[int]:
@@ -169,25 +163,46 @@ def _candidate_pairs(
     return pairs
 
 
+def _reader(store: Store, syms: list[Sym]) -> Callable[[Formula], Formula]:
+    """A candidate (over the locals' own symbols) as read through ``store``."""
+
+    mapping: dict[str, Term] = {}
+    for s in syms:
+        value = store.get(s.name[2:]) if s.name.startswith("v!") else None
+        if isinstance(value, Term):
+            mapping[s.name] = value
+    return lambda cand: rename_syms(cand, mapping)
+
+
 def loop_invariant(
     engine: SpEngine,
     solver: Solver,
     psi: Formula,
     conds: list[Expr],
     body: Stmt,
+    store: Store,
 ) -> Formula:
-    """Infer an inductive invariant of ``while (/\\ conds) do body`` from ``psi``.
+    """Infer an inductive invariant of ``while (/\\ conds) do body``.
 
-    Candidates are SMT-entailed pairwise differences and guard bounds
-    (guess-and-check); only those the solver re-proves through the body
-    are kept, so a missed candidate costs completeness, never soundness.
+    The loop is entered in state ``(psi, store)``.  On return ``store``
+    holds the loop-head values — every local the body writes is bound to a
+    fresh symbol — and the result is ``psi`` conjoined with the proved
+    invariant facts over those symbols.  Candidates are SMT-entailed
+    pairwise differences and guard bounds (guess-and-check); only those the
+    solver re-proves through the body are kept, so a missed candidate costs
+    completeness, never soundness.
     """
 
-    modified = assigned_vars(body)
-    stable = stable_conjuncts(psi, modified)
+    syms = _candidate_syms(engine, body, conds)
+    at_entry = _reader(store, syms)
+    engine.havoc(store, assigned_vars(body))
+    at_head = _reader(store, syms)
+
+    def initiated(cand: Formula) -> bool:
+        goal = at_entry(cand)
+        return solver.entails(cone_of_influence(psi, goal), goal)
 
     # --- candidate generation --------------------------------------------------
-    syms = _candidate_syms(engine, body, conds)
     pool = _program_constants(body, conds)
     candidates: list[Formula] = []
     for u, v in _candidate_pairs(engine, syms, conds, body):
@@ -195,7 +210,7 @@ def loop_invariant(
             cand = eq_f(t_sub(u, v), Num(c))
             if cand == TRUE_F:
                 break
-            if solver.entails(cone_of_influence(psi, cand), cand):
+            if initiated(cand):
                 candidates.append(cand)
                 break
 
@@ -213,23 +228,28 @@ def loop_invariant(
             for cand in (le_f(u, Num(c)), le_f(Num(c), u)):
                 if cand in (TRUE_F,) or not isinstance(cand, Le):
                     continue
-                if solver.entails(cone_of_influence(psi, cand), cand):
+                if initiated(cand):
                     candidates.append(cand)
 
     # --- inductiveness: preservation through one body execution -------------
-    entry_guard = TRUE_F
-    for e in conds:
-        entry_guard = fand(entry_guard, engine.encode_bool(e) or TRUE_F)
+    entry_guard = fand(*(engine.encode_bool(e, store) or TRUE_F for e in conds))
 
     # Houdini: assume every surviving candidate at once, execute the body
-    # once, drop what the solver does not re-prove, repeat until none drops.
-    # What survives is inductive as a set — the greatest such subset.
+    # once, drop what the solver does not re-prove through the store it
+    # leaves, repeat until none drops.  What survives is inductive as a
+    # set — the greatest such subset.
     proven = candidates
     while proven:
-        post = engine.post(fand(stable, *proven, entry_guard), body)
-        kept = [c for c in proven if solver.entails(cone_of_influence(post, c), c)]
+        after = dict(store)
+        post = engine.post(fand(psi, *map(at_head, proven), entry_guard), after, body)
+        at_exit = _reader(after, syms)
+        kept = [
+            c
+            for c in proven
+            if solver.entails(cone_of_influence(post, goal := at_exit(c)), goal)
+        ]
         if len(kept) == len(proven):
             break
         proven = kept
 
-    return fand(stable, *proven)
+    return fand(psi, *map(at_head, proven))

@@ -29,8 +29,8 @@ from ...lang.ast import Arg, Expr, Program, Var, While
 from ...lang.cost import DEFAULT_COST_MODEL, CostModel
 from ...lang.functions import FunctionTable
 from ...lang.visitors import expr_args, expr_vars, notified_pids, stmt_args, stmt_vars
-from ...smt.interface import arg_sym, var_sym
-from ...smt.terms import Eq, FAnd, Formula, Le, Num, as_linear, fand, le_f
+from ...smt.interface import Store, arg_sym, var_sym
+from ...smt.terms import Eq, FAnd, Formula, Le, Num, Sym, as_linear, fand, le_f
 from ..invariants import loop_invariant
 from .costbound import LoopBoundHook, stmt_cost_upper, trip_count_bound
 from .domains import IntervalConstDomain, NotificationDomain
@@ -167,7 +167,11 @@ def _env_formula(env: StaticEnv, loop: While) -> Formula:
     return fand(*conjuncts)
 
 
-def _sym_atom(name: str) -> Optional[Expr]:
+def _sym_atom(name: str, head: dict[str, Optional[Expr]]) -> Optional[Expr]:
+    """The program atom whose loop-head value the symbol ``name`` is."""
+
+    if name in head:
+        return head[name]
     if name.startswith("v!"):
         return Var(name[2:])
     if name.startswith("a!"):
@@ -175,9 +179,18 @@ def _sym_atom(name: str) -> Optional[Expr]:
     return None
 
 
-def _refine_env_from_invariant(env: StaticEnv, inv: Formula) -> StaticEnv:
-    """Meet single-variable ``k*v + c <= 0`` / ``= 0`` facts into ``env``."""
+def _refine_env_from_invariant(
+    env: StaticEnv, inv: Formula, store: Store
+) -> StaticEnv:
+    """Meet single-variable ``k*v + c <= 0`` / ``= 0`` facts into ``env``.
 
+    ``store`` binds the locals the loop writes to their loop-head symbols;
+    their own symbols in ``inv`` are entry values, which say nothing about
+    the loop head.
+    """
+
+    head: dict[str, Optional[Expr]] = {var_sym(n).name: None for n in store}
+    head.update((v.name, Var(n)) for n, v in store.items() if isinstance(v, Sym))
     refined = env.copy()
     parts = inv.args if isinstance(inv, FAnd) else (inv,)
     for part in parts:
@@ -190,7 +203,7 @@ def _refine_env_from_invariant(env: StaticEnv, inv: Formula) -> StaticEnv:
         name = getattr(atom_term, "name", None)
         if name is None:
             continue
-        atom = _sym_atom(name)
+        atom = _sym_atom(name, head)
         if atom is None:
             continue
         if isinstance(part, Eq):
@@ -219,8 +232,9 @@ def make_invariant_loop_bound(engine: SpEngine, solver: Solver) -> LoopBoundHook
     def hook(loop: While, env: StaticEnv) -> Optional[int]:
         try:
             psi = _env_formula(env, loop)
-            inv = loop_invariant(engine, solver, psi, [loop.cond], loop.body)
-            refined = _refine_env_from_invariant(env, inv)
+            store: Store = {}
+            inv = loop_invariant(engine, solver, psi, [loop.cond], loop.body, store)
+            refined = _refine_env_from_invariant(env, inv, store)
             return trip_count_bound(loop, refined)
         except Exception:  # inference is best-effort; no bound, no harm
             return None

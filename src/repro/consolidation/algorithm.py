@@ -354,14 +354,12 @@ class Consolidator:
         # If 1: the context proves the test — drop it and the dead branch.
         if ctx.entails_expr(cond):
             self._rule("If1", "Ψ proves {}", cond)
-            ctx.psi = ctx.assume(cond)
             ctx.observe(cond)
             return self._omega(ctx, seq(head.then, cont), other)
 
         # If 2: the context refutes the test.
         if ctx.entails_expr(cond, negate=True):
             self._rule("If2", "Ψ refutes {}", cond)
-            ctx.psi = ctx.assume(cond, negate=True)
             ctx.observe(cond, negate=True)
             return self._omega(ctx, seq(head.orelse, cont), other)
 
@@ -506,14 +504,14 @@ class Consolidator:
         postconditions, but that doubles ``Ψ`` at every conditional and the
         solver cost compounds exponentially along a consolidated batch.  We
         havoc the branch-written variables instead — a sound weakening that
-        keeps ``Ψ`` conjunctive and linear-sized; branch-local facts were
-        already exploited while the branches themselves were consolidated.
+        leaves the path condition as it is; branch-local facts were already
+        exploited while the branches themselves were consolidated.
         """
 
         killed = assigned_vars(executed)
         if not isinstance(absorbed, Skip):
             killed |= assigned_vars(absorbed)
-        ctx.psi = ctx.engine.havoc(ctx.psi, killed)
+        ctx.forget(killed)
         ctx.kill_vars(killed)
 
     # -- loops ------------------------------------------------------------------------
@@ -549,9 +547,12 @@ class Consolidator:
         e1, s1 = w1.cond, w1.body
         e2, s2 = w2.cond, w2.body
         merged_body = seq(s1, s2)
-        psi1 = loop_invariant(ctx.engine, ctx.solver, ctx.psi, [e1, e2], merged_body)
-        enc1 = ctx.engine.encode_bool(e1)
-        enc2 = ctx.engine.encode_bool(e2)
+        # ``head``: the store at the fused loop's head, its written locals
+        # bound to fresh symbols that ``psi1``'s invariant facts speak about.
+        head = dict(ctx.store)
+        psi1 = loop_invariant(ctx.engine, ctx.solver, ctx.psi, [e1, e2], merged_body, head)
+        enc1 = ctx.engine.encode_bool(e1, head)
+        enc2 = ctx.engine.encode_bool(e2, head)
         if enc1 is None or enc2 is None:
             return None
 
@@ -559,9 +560,10 @@ class Consolidator:
             """One fusion goal against the solver, timed for the recorder."""
 
             started = time.perf_counter()
-            verdict = ctx.solver.entails(cone_of_influence(psi_f, goal), goal)
+            hyp = cone_of_influence(psi_f, goal)
+            verdict = ctx.solver.entails(hyp, goal)
             self.recorder.entailment(
-                kind, psi_f, goal, verdict, time.perf_counter() - started, "smt"
+                kind, hyp, goal, verdict, time.perf_counter() - started, "smt"
             )
             return verdict
 
@@ -573,24 +575,17 @@ class Consolidator:
             bodies: tuple[Stmt, Stmt],
             remainders: tuple[Stmt, Stmt],
         ) -> Stmt:
-            """One fused loop ``while (guard) bodies``, then the remainders.
+            """One fused loop ``while (guard) bodies``, then the remainders:
+            the body under the invariant and the guard, the remainders under
+            the invariant and the guard's negation, both over the loop-head
+            store."""
 
-            The env mirrors every direct Ψ replacement: facts about the
-            fused body's variables no longer hold mid-loop, so they are
-            forgotten before the body/exit guard is observed.
-            """
-
-            fused_vars = assigned_vars(merged_body)
             with self._scope(rule, "while ({}) — " + detail, guard):
-                body_ctx = ctx.branch(fand(psi1, enc))
+                body_ctx = ctx.branch(fand(psi1, enc), head)
                 body_ctx.bindings = {}
-                body_ctx.forget(fused_vars)
-                body_ctx.observe(guard)
                 body = self._omega(body_ctx, *bodies)
-            ctx.psi = fand(psi1, fnot(enc))
+            ctx.psi, ctx.store = fand(psi1, fnot(enc)), head
             ctx.bindings = {}
-            ctx.forget(fused_vars)
-            ctx.observe(guard, negate=True)
             return seq(While(guard, body), self._omega(ctx, *remainders))
 
         # Loop 2: Ψ1 |= e1 <-> e2 — both loops run the same number of times.
@@ -628,8 +623,7 @@ class Consolidator:
             self._rule("LoopDrop", "Ψ refutes guard {}", w.cond)
             return SKIP
 
-        havocked = ctx.engine.havoc(ctx.psi, body_vars)
-        inv_ctx = ctx.branch(havocked)
+        inv_ctx = ctx.branch()
         inv_ctx.bindings = {}
         inv_ctx.forget(body_vars)
         guard = inv_ctx.simplify_bool(w.cond)
@@ -649,6 +643,6 @@ class Consolidator:
 
         self._rule("Step", "while ({})", guard)
         self._rewrite(inv_ctx, "loop-guard", w.cond, guard)
-        ctx.psi = ctx.engine.post(ctx.psi, w)
+        ctx.psi = ctx.engine.post(ctx.psi, ctx.store, w)
         ctx.kill_vars(body_vars)
         return While(guard, body)

@@ -254,7 +254,7 @@ class ConsolidationReport(PairViews):
     merge it asked for failed.
 
     ``simplify_stats`` sums the pairs' entailment fast-path counters
-    (abstract-env pre-check skips, memo hits).  ``planner`` records the
+    (goals folded through the store, memo hits).  ``planner`` records the
     pair-ordering strategy that ran (``"related"`` — the default heuristic
     adjacency — or ``"calibrated"``).
 

@@ -28,7 +28,6 @@ from typing import Callable, Iterable
 
 from ..analysis.costmodel import expr_cost
 from ..analysis.sp import SpEngine
-from ..analysis.static.values import StaticEnv
 from ..lang.ast import (
     Arg,
     BinOp,
@@ -47,8 +46,9 @@ from ..lang.ast import (
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.visitors import expr_vars, subexpressions
 from ..provenance.recorder import NULL_RECORDER
+from ..smt.interface import Store
 from ..smt.solver import Solver
-from ..smt.terms import Formula, TRUE_F, cone_of_influence, eq_f, fand, fiff, fnot
+from ..smt.terms import FFalse, FTrue, Formula, TRUE_F, cone_of_influence, eq_f, fand, fiff, fnot
 from ..lang.functions import BOOL
 
 __all__ = ["Context", "SimplifyStats", "fold_expr", "ir_linear", "ir_from_linear"]
@@ -217,9 +217,10 @@ class SimplifyStats:
     """Counters for the entailment fast paths (shared across a whole batch).
 
     ``entail_queries`` counts semantic questions asked of the context;
-    ``precheck_skips`` the ones the abstract environment decided without
-    the solver; ``memo_hits`` the repeats answered from the ``(Ψ, e)``
-    memo; ``smt_queries`` the remainder that actually reached the solver.
+    ``precheck_skips`` the ones whose goal folded to a constant through the
+    store, decided without the solver; ``memo_hits`` the repeats answered
+    from the ``(Ψ, store reads, e)`` memo; ``smt_queries`` the remainder
+    that actually reached the solver.
     """
 
     entail_queries: int = 0
@@ -248,69 +249,66 @@ class SimplifyStats:
 class Context:
     """Everything the judgments of Figures 3/5 thread through a derivation.
 
-    ``psi`` is the logical context; ``bindings`` maps previously computed
-    expressions to the cheap expression (usually a variable) holding their
-    value — the candidate generator for the (Int) rule.  Contexts are
-    value-like: use :meth:`branch` when exploring conditional arms.
+    The logical context Ψ is a symbolic state (:mod:`repro.analysis.sp`):
+    ``store`` maps each consumed local to its value and ``psi`` is the path
+    condition — branch conditions and loop facts only.  Every goal is
+    encoded through the store, so ``x := f(a); y := f(a)`` makes
+    ``x = y`` the syntactic ``f(a) = f(a)``, which folds to true before any
+    solver is asked.  ``bindings`` maps previously computed expressions to
+    the cheap expression (usually a variable) holding their value — the
+    candidate generator for the (Int) rule.  Contexts are value-like: use
+    :meth:`branch` when exploring conditional arms.
 
-    ``env`` mirrors ``psi`` in the interval/constant abstract domain: every
-    ``assume``/``assign``/``havoc`` applied to ``psi`` is applied to ``env``
-    too, so ``env`` always over-approximates the states satisfying the path
-    condition.  That makes two solver fast paths sound: an env-decided
-    predicate settles ``Ψ ⊨ e`` without SMT, and env-decided truth of ``e``
-    means ``Ψ ⊨ ¬e`` is hopeless (and vice versa).  ``stats``,
-    ``entail_memo``, ``query_memo`` and ``cost_memo`` are shared by reference
-    across :meth:`branch` — the first two key on ``psi`` and the function
-    table and cost model are fixed for a pair, so sharing across branches
-    stays sound.
+    ``stats``, ``entail_memo``, ``query_memo`` and ``cost_memo`` are shared
+    by reference across :meth:`branch`.  The first two key on ``psi`` and on
+    the store bindings the goal reads, and the function table and cost
+    model are fixed for a pair, so sharing across branches stays sound.
     """
 
     engine: SpEngine
     solver: Solver
     cost_model: CostModel = DEFAULT_COST_MODEL
     psi: Formula = TRUE_F
+    store: Store = field(default_factory=dict)
     bindings: dict[Expr, Expr] = field(default_factory=dict)
     defs: dict[str, Expr] = field(default_factory=dict)
     call_sites: dict[str, list[tuple[Expr, Call]]] = field(default_factory=dict)
     recent_assigns: list[tuple[str, Expr]] = field(default_factory=list)
     use_smt: bool = True
-    env: StaticEnv = field(default_factory=StaticEnv)
     stats: SimplifyStats = field(default_factory=SimplifyStats)
     entail_memo: dict = field(default_factory=dict)
-    # (Ψ, e) -> what ``entails_expr`` asks the solver: both polarities read it.
-    query_memo: dict[tuple[Formula, Expr], tuple[Formula, Formula] | None] = field(
-        default_factory=dict
-    )
+    # (Ψ, reads, e) -> what ``entails_expr`` asks the solver: both polarities read it.
+    query_memo: dict[tuple, tuple[Formula, Formula] | None] = field(default_factory=dict)
     cost_memo: dict[Expr, int] = field(default_factory=dict)
     recorder: object = NULL_RECORDER
 
     # -- plumbing -------------------------------------------------------------
 
-    def branch(self, psi: Formula) -> "Context":
+    def branch(self, psi: Formula | None = None, store: Store | None = None) -> "Context":
         return replace(
             self,
-            psi=psi,
+            psi=self.psi if psi is None else psi,
+            store=dict(self.store if store is None else store),
             bindings=dict(self.bindings),
             defs=dict(self.defs),
             call_sites={k: list(v) for k, v in self.call_sites.items()},
             recent_assigns=list(self.recent_assigns),
-            env=self.env.copy(),
         )
 
     def observe(self, e: Expr, *, negate: bool = False) -> None:
-        """Mirror an assumed branch outcome into the abstract environment."""
+        """Conjoin a branch outcome to the path condition."""
 
-        self.env.assume(e, positive=not negate)
+        self.psi = self.assume(e, negate=negate)
 
     def forget(self, names: Iterable[str]) -> None:
-        """Drop abstract facts about ``names`` (the env side of a havoc)."""
+        """Havoc ``names`` in the store: their values are no longer known."""
 
-        self.env.havoc(names)
+        self.engine.havoc(self.store, names)
 
     def assuming(self, e: Expr, *, negate: bool = False) -> "Context":
-        """A branch context with both ``psi`` and ``env`` refined by ``e``."""
+        """A branch context whose path condition also holds ``e``."""
 
-        out = self.branch(self.assume(e, negate=negate))
+        out = self.branch()
         out.observe(e, negate=negate)
         return out
 
@@ -320,52 +318,62 @@ class Context:
             known = self.cost_memo[e] = expr_cost(e, self.engine.functions, self.cost_model)
         return known
 
-    def _query(self, goal: Formula | None) -> tuple[Formula, Formula] | None:
-        """``(goal, Ψ's cone of influence for it)`` — pruning the hypothesis
-        is sound (only weakening) and keeps queries small and cacheable
-        however large the accumulated context has grown."""
+    def _reads(self, *exprs: Expr) -> frozenset:
+        """The store bindings a goal over ``exprs`` reads."""
 
-        return None if goal is None else (goal, cone_of_influence(self.psi, goal))
+        store = self.store
+        return frozenset((n, store[n]) for e in exprs for n in expr_vars(e) if n in store)
+
+    def _query(self, goal: Formula | None) -> tuple[Formula, Formula] | None:
+        """``(goal, the path condition's cone of influence for it)``: pruning
+        the hypothesis only weakens it; a constant goal needs none."""
+
+        if goal is None:
+            return None
+        if isinstance(goal, (FTrue, FFalse)):
+            return goal, TRUE_F
+        return goal, cone_of_influence(self.psi, goal)
 
     def _decide(
         self,
         kind: str,
         key: tuple,
         query: object,
-        precheck: Callable[[], bool | None],
+        reads: frozenset,
         encode: Callable[[], tuple[Formula, Formula] | None],
         negate: bool = False,
     ) -> bool:
         """The one entailment ladder behind the three judgments below.
 
-        ``(Ψ, *key)`` memo, then the abstract environment (``precheck``:
-        env over-approximates Ψ's states, so what it decides needs no SMT),
-        then the encoding (:meth:`_query`; ``None``: outside the fragment,
-        not entailed), then the solver on the goal's cone of influence.
+        ``(Ψ, reads, *key)`` memo, then the goal encoded through the store
+        (``encode``, via :meth:`_query`; ``None``: outside the fragment, not
+        entailed), decided on the spot when it folded to a constant, else by
+        the solver on the path condition's cone of influence.
         """
 
         self.stats.entail_queries += 1
-        key = (self.psi, *key)
+        key = (self.psi, reads, *key)
         seconds = 0.0
-        result = self.entail_memo.get(key)
-        if result is not None:
+        known = self.entail_memo.get(key)
+        if known is not None:
             self.stats.memo_hits += 1
-            source = "memo"
-        elif (result := precheck()) is not None:
-            self.stats.precheck_skips += 1
-            source = "precheck"
+            (result, hyp), source = known, "memo"
         elif (asked := encode()) is None:
-            result, source = False, "syntactic"
+            (result, hyp), source = (False, self.psi), "syntactic"
         else:
-            self.stats.smt_queries += 1
-            started = time.perf_counter()
             goal, hyp = asked
-            prove = self.solver.entails_not if negate else self.solver.entails
-            result, source = prove(hyp, goal), "smt"
-            seconds = time.perf_counter() - started
+            if isinstance(goal, (FTrue, FFalse)):
+                self.stats.precheck_skips += 1
+                result, source = isinstance(goal, FTrue) != negate, "precheck"
+            else:
+                self.stats.smt_queries += 1
+                started = time.perf_counter()
+                prove = self.solver.entails_not if negate else self.solver.entails
+                result, source = prove(hyp, goal), "smt"
+                seconds = time.perf_counter() - started
         if source != "memo":
-            self.entail_memo[key] = result
-        self.recorder.entailment(kind, self.psi, query, result, seconds, source)
+            self.entail_memo[key] = (result, hyp)
+        self.recorder.entailment(kind, hyp, query, result, seconds, source, reads)
         return result
 
     def entails_expr(self, e: Expr, *, negate: bool = False) -> bool:
@@ -373,22 +381,18 @@ class Context:
 
         if not self.use_smt:
             return False
-
-        def precheck() -> bool | None:
-            # Env truth of ``e`` proves the goal or shows it unprovable.
-            value = self.env.eval_bool(e)
-            return None if value is None else value != negate
+        reads = self._reads(e)
 
         def encode() -> tuple[Formula, Formula] | None:
             # If 1 / If 2 and Bool 1 / Bool 2 ask both polarities back to
             # back: one encoding and one cone serve the two.
-            key = (self.psi, e)
+            key = (self.psi, reads, e)
             if key not in self.query_memo:
-                self.query_memo[key] = self._query(self.engine.encode_bool(e))
+                self.query_memo[key] = self._query(self.engine.encode_bool(e, self.store))
             return self.query_memo[key]
 
         return self._decide(
-            "entails-not" if negate else "entails", (e, negate), e, precheck, encode, negate
+            "entails-not" if negate else "entails", (e, negate), e, reads, encode, negate
         )
 
     def provably_equal(self, a: Expr, b: Expr) -> bool:
@@ -400,30 +404,11 @@ class Context:
             return False
 
         def encode() -> tuple[Formula, Formula] | None:
-            ta, tb = self.engine.encode_int(a), self.engine.encode_int(b)
+            ta = self.engine.encode_int(a, self.store)
+            tb = self.engine.encode_int(b, self.store)
             return self._query(None if ta is None or tb is None else eq_f(ta, tb))
 
-        return self._decide(
-            "equal", ("=", a, b), ("{} = {}", a, b), lambda: self._precheck_equal(a, b), encode
-        )
-
-    def _precheck_equal(self, a: Expr, b: Expr) -> bool | None:
-        """Env-decided equality: constant intervals or disjoint ranges/sets."""
-
-        ia = self.env.eval_int(a)
-        ib = self.env.eval_int(b)
-        if ia.is_const and ib.is_const:
-            return ia.lo == ib.lo
-        if ia.never_overlaps(ib):
-            return False
-        sa = self.env.eval_str(a)
-        sb = self.env.eval_str(b)
-        if sa is not None and sb is not None:
-            if len(sa) == 1 and sa == sb:
-                return True
-            if not (sa & sb):
-                return False
-        return None
+        return self._decide("equal", ("=", a, b), ("{} = {}", a, b), self._reads(a, b), encode)
 
     # -- table maintenance ------------------------------------------------------
 
@@ -453,7 +438,6 @@ class Context:
         for holders in self.call_sites.values():
             holders[:] = [(h, c) for h, c in holders if name not in expr_vars(h)]
         self.recent_assigns = [(n, r) for n, r in self.recent_assigns if n != name]
-        self.env.havoc((name,))
 
     def kill_vars(self, names: Iterable[str]) -> None:
         for n in names:
@@ -477,8 +461,7 @@ class Context:
         self.recent_assigns.append((var, rhs))
         if len(self.recent_assigns) > _MAX_RECENT_ASSIGNS:
             del self.recent_assigns[0]
-        self.psi = self.engine.assign(self.psi, var, rhs)
-        self.env.assign(var, rhs)
+        self.engine.assign(self.store, var, rhs)
 
     def _record_derived_binding(self, target: Expr, rhs: Expr) -> None:
         """Solve ``x := const + k*c + rest`` for a lone unit-coefficient call.
@@ -508,17 +491,15 @@ class Context:
             self.call_sites.setdefault(call_atom.func, []).append((derived, call_atom))
 
     def assume(self, e: Expr, *, negate: bool = False) -> Formula:
-        asked = self.query_memo.get((self.psi, e))
-        if asked is None:  # not asked under this Ψ, or outside the fragment
-            return self.engine.assume(self.psi, e, negate=negate)
+        """The path condition with ``e`` (or ``¬e``) read through the store."""
+
+        asked = self.query_memo.get((self.psi, self._reads(e), e))
+        if asked is None:  # not asked in this state, or outside the fragment
+            return self.engine.assume(self.psi, e, self.store, negate=negate)
         # If 1-5 assume the test they have just asked about: same encoding.
         return fand(self.psi, fnot(asked[0]) if negate else asked[0])
 
     # -- the (Int) judgment:  Ψ ⊢i e : e' ---------------------------------------
-
-    def simplify_int(self, e: Expr) -> Expr:
-        best = self._simplify_int_once(e)
-        return best
 
     def _candidates_for_call(self, e: Call) -> list[Expr]:
         out: list[Expr] = []
@@ -608,7 +589,7 @@ class Context:
             return rebuilt if self.cost(rebuilt) <= self.cost(e) else e
         return e
 
-    def _simplify_int_once(self, e: Expr) -> Expr:
+    def simplify_int(self, e: Expr) -> Expr:
         if isinstance(e, (IntConst, StrConst, Arg)):
             return e
         # Whole-expression table hit first (cheapest possible outcome).
@@ -676,15 +657,14 @@ class Context:
         if not self.use_smt:
             return False
 
-        def precheck() -> bool | None:
-            va, vb = self.env.eval_bool(a), self.env.eval_bool(b)
-            return None if va is None or vb is None else va == vb
-
         def encode() -> tuple[Formula, Formula] | None:
-            fa, fb = self.engine.encode_bool(a), self.engine.encode_bool(b)
+            fa = self.engine.encode_bool(a, self.store)
+            fb = self.engine.encode_bool(b, self.store)
             return self._query(None if fa is None or fb is None else fiff(fa, fb))
 
-        return self._decide("iff", ("<->", a, b), ("{} <-> {}", a, b), precheck, encode)
+        return self._decide(
+            "iff", ("<->", a, b), ("{} <-> {}", a, b), self._reads(a, b), encode
+        )
 
     def simplify_bool(self, e: Expr) -> Expr:
         # Bool 1 / Bool 2: the whole predicate is decided by the context.

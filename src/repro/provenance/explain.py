@@ -32,7 +32,7 @@ from ..consolidation import ConsolidationOptions, consolidate_all
 from ..naiad.linq import from_collection
 from ..telemetry import Telemetry
 from .attribution import DEFAULT_LOOSE_THRESHOLD, OperatorAttribution, attribute_costs
-from .recorder import DerivationTree, RuleNode, _strip_timings
+from .recorder import DerivationTree, Entailment, RuleNode, _strip_timings
 
 __all__ = [
     "ExplainReport",
@@ -248,6 +248,16 @@ def explain_batch(
 # ---------------------------------------------------------------------------
 
 
+def _goal(e: Entailment) -> str:
+    """The query, with the store bindings it was encoded through."""
+
+    return f"{e.query} where {e.store}" if e.store else e.query
+
+
+def _question(e: Entailment) -> str:
+    return f"Ψ = {e.psi or 'true'} ⊨ {_goal(e)}"
+
+
 def _node_lines(node: RuleNode, prefix: str, include_timings: bool) -> list[str]:
     lines: list[str] = []
     label = node.rule if not node.detail else f"{node.rule} — {node.detail}"
@@ -255,10 +265,7 @@ def _node_lines(node: RuleNode, prefix: str, include_timings: bool) -> list[str]
     pad = prefix.replace("├─ ", "│  ").replace("└─ ", "   ")
     for e in node.entailments:
         timing = f" [{e.seconds * 1000:.2f}ms]" if include_timings else ""
-        lines.append(
-            f"{pad}  ⊢ {e.kind} ({e.source}{timing}): "
-            f"Ψ = {e.psi or 'true'} ⊨ {e.query} → {e.verdict}"
-        )
+        lines.append(f"{pad}  ⊢ {e.kind} ({e.source}{timing}): {_question(e)} → {e.verdict}")
     for r in node.rewrites:
         lines.append(
             f"{pad}  ↦ {r.site}: {r.before} → {r.after} (Δcost {r.cost_delta:+d})"
@@ -315,10 +322,7 @@ def render_text(report: ExplainReport, include_timings: bool = True) -> str:
         out.append("slowest SMT entailments:")
         for e in hotspots:
             timing = f"{e.seconds * 1000:8.3f}ms  " if include_timings else ""
-            out.append(
-                f"  {timing}{e.kind} ({e.source}) "
-                f"Ψ = {e.psi or 'true'} ⊨ {e.query} → {e.verdict}"
-            )
+            out.append(f"  {timing}{e.kind} ({e.source}) {_question(e)} → {e.verdict}")
         out.append("")
     out.append("cost attribution (static bound vs observed per record):")
     for a in report.attributions:
@@ -379,8 +383,8 @@ def _node_html(node: RuleNode) -> str:
         cls = "verdict-true" if e.verdict else "verdict-false"
         parts.append(
             f'<span class="event">⊢ {_esc(e.kind)} ({_esc(e.source)}, '
-            f"{e.seconds * 1000:.2f}ms): Ψ = {_esc(e.psi or 'true')} ⊨ "
-            f'{_esc(e.query)} → <span class="{cls}">{e.verdict}</span></span>'
+            f"{e.seconds * 1000:.2f}ms): {_esc(_question(e))} → "
+            f'<span class="{cls}">{e.verdict}</span></span>'
         )
     for r in node.rewrites:
         parts.append(
@@ -412,7 +416,7 @@ def render_html(report: ExplainReport) -> str:
     hotspot_rows = "".join(
         f"<tr><td>{e.seconds * 1000:.3f}</td><td>{_esc(e.kind)}</td>"
         f"<td>{_esc(e.source)}</td><td><code>{_esc(e.psi or 'true')}</code></td>"
-        f"<td><code>{_esc(e.query)}</code></td><td>{e.verdict}</td></tr>"
+        f"<td><code>{_esc(_goal(e))}</code></td><td>{e.verdict}</td></tr>"
         for e in report.slowest_entailments()
     )
     attribution_rows = "".join(
@@ -450,7 +454,7 @@ UDF cost {report.udf_cost_many} (whereMany) vs
 {report.udf_cost_consolidated} (whereConsolidated).
 Entailment queries: {stats.get("entail_queries", 0)}
 (SMT {stats.get("smt_queries", 0)}, memo {stats.get("memo_hits", 0)},
-precheck {stats.get("precheck_skips", 0)}).
+folded through the store {stats.get("precheck_skips", 0)}).
 Static validation: notify <b>{_esc(validation.get("notify", "-"))}</b>,
 cost <b>{_esc(validation.get("cost", "-"))}</b>.</p>
 <h2>Rule applications</h2>

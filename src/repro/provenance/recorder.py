@@ -9,9 +9,10 @@ single pair merge, everything the calculus decided:
   family) nest their sub-derivations as children, mirroring the Ω′
   recursion, so the tree *is* the derivation of Figure 8;
 * every **entailment** the context was asked (``Ψ ⊨ e``, provable
-  equality/equivalence, the Loop 2/3 fusion goals) with ``Ψ``, the
-  query, the verdict, the wall time, and which fast path answered it
-  (``smt`` / ``memo`` / ``precheck`` / ``syntactic``);
+  equality/equivalence, the Loop 2/3 fusion goals) with the hypothesis
+  sent to the solver, the query, the store bindings the query read, the
+  verdict, the wall time, and which fast path answered it (``smt`` /
+  ``memo`` / ``precheck`` / ``syntactic``);
 * every **cross-simplification rewrite** that changed an expression,
   with before/after and the static cost delta;
 * every **heuristic decision** — ``related`` accept/reject, the
@@ -35,7 +36,7 @@ from typing import Any, Iterable, Iterator
 
 from ..lang.ast import Expr
 from ..smt.terms import Formula
-from .render import MAX_TEXT, format_expr, format_formula
+from .render import MAX_TEXT, format_expr, format_formula, format_store
 
 __all__ = [
     "Entailment",
@@ -54,8 +55,9 @@ def _text(x: object) -> str:
     """Render one held event argument.
 
     Text passes through; an expression or formula is rendered up to the
-    shared report clamp; ``(template, *parts)`` is ``str.format`` over the
-    rendered parts.
+    shared report clamp; a frozenset holds store bindings
+    (:func:`~repro.provenance.render.format_store`); ``(template, *parts)``
+    is ``str.format`` over the rendered parts.
     """
 
     if isinstance(x, str):
@@ -64,6 +66,8 @@ def _text(x: object) -> str:
         return format_expr(x)
     if isinstance(x, Formula):
         return format_formula(x, MAX_TEXT)
+    if isinstance(x, frozenset):
+        return format_store(x)
     if isinstance(x, tuple):
         return _fill(x[0], x[1:])
     return str(x)
@@ -105,23 +109,34 @@ class Entailment(_Event):
     """One semantic question asked of the context ``Ψ``.
 
     ``kind`` names the judgment (``entails`` / ``entails-not`` /
-    ``equal`` / ``iff`` / ``loop2-iff`` / ``loop3-exit`` …); ``source``
-    records which layer answered it: ``smt`` (a real solver check),
-    ``memo`` (the ``(Ψ, e)`` cache), ``precheck`` (the abstract-env
-    interval fast path) or ``syntactic`` (no encoding — vacuously
-    false).
+    ``equal`` / ``iff`` / ``loop2-iff`` / ``loop3-exit`` …); ``psi`` is
+    the hypothesis the solver got (the path condition's cone of influence
+    for the goal); ``store`` the bindings of the locals the query reads,
+    through which it was encoded.  ``source`` records which layer answered
+    it: ``smt`` (a real solver check), ``memo`` (the ``(Ψ, store reads,
+    e)`` cache), ``precheck`` (the goal folded to a constant through the
+    store) or ``syntactic`` (no encoding — vacuously false).
     """
 
-    __slots__ = ("kind", "_psi", "_query", "verdict", "seconds", "source")
+    __slots__ = ("kind", "_psi", "_query", "_store", "verdict", "seconds", "source")
     psi = _rendered("_psi")
     query = _rendered("_query")
+    store = _rendered("_store")
 
     def __init__(
-        self, kind: str, psi: object, query: object, verdict: bool, seconds: float, source: str
+        self,
+        kind: str,
+        psi: object,
+        query: object,
+        verdict: bool,
+        seconds: float,
+        source: str,
+        store: object = "",
     ) -> None:
         self.kind = kind
         self._psi = psi
         self._query = query
+        self._store = store
         self.verdict = verdict
         self.seconds = seconds
         self.source = source
@@ -359,11 +374,18 @@ class DerivationRecorder:
     # -- decision events -----------------------------------------------------
 
     def entailment(
-        self, kind: str, psi: object, query: object, verdict: bool, seconds: float, source: str
+        self,
+        kind: str,
+        psi: object,
+        query: object,
+        verdict: bool,
+        seconds: float,
+        source: str,
+        store: object = "",
     ) -> None:
         if self._stack:
             self._stack[-1].entailments.append(
-                Entailment(kind, psi, query, bool(verdict), seconds, source)
+                Entailment(kind, psi, query, bool(verdict), seconds, source, store)
             )
 
     def rewrite(

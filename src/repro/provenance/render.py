@@ -19,7 +19,7 @@ report.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..lang.ast import Expr, display_name
 from ..lang.printer import expr_to_str
@@ -39,7 +39,7 @@ from ..smt.terms import (
     Term,
 )
 
-__all__ = ["format_term", "format_formula", "format_expr", "clamp"]
+__all__ = ["format_term", "format_formula", "format_expr", "format_store", "clamp"]
 
 MAX_TEXT = 240
 
@@ -151,3 +151,14 @@ def format_expr(e: Expr, limit: int = MAX_TEXT) -> str:
     """The language pretty-printer with the shared report length clamp."""
 
     return clamp(expr_to_str(e), limit)
+
+
+def format_store(bindings: Iterable[tuple[str, Term | Formula]], limit: int = MAX_TEXT) -> str:
+    """Store bindings ``local ↦ value``, by local name, comma-separated."""
+
+    parts = [
+        f"{display_name(name)} ↦ "
+        + (format_formula(value, limit) if isinstance(value, Formula) else format_term(value))
+        for name, value in sorted(bindings, key=lambda b: b[0])
+    ]
+    return clamp(", ".join(parts), limit)

@@ -6,18 +6,20 @@ directly.  Three encoding conventions:
 
 * **Name spaces.**  Arguments encode as ``Sym("a!name")`` and locals as
   ``Sym("v!name")`` so that an argument and a local with the same surface
-  name never collide.  Strongest-postcondition renaming appends ``#k``
-  suffixes to local symbols.
+  name never collide.
+* **Stores.**  Given a *store* (local name → its symbolic value, see
+  :mod:`repro.analysis.sp`) a local encodes as the value the store binds it
+  to; a local the store does not bind encodes as its own symbol.  Fresh
+  values bound by a havoc are ``Sym("v!name#k")``.
 * **Strings** are interned to integer codes (process-global registry).
   Distinct strings get distinct codes, so string equality/disequality is
   decided by plain integer reasoning.  Well-typedness of the IR (checked by
   :func:`repro.lang.visitors.check_program`) guarantees a string-sorted
   expression is never compared against a program integer, so the codes
   cannot be confused with program literals.
-* **Booleans in integer positions.**  A boolean-sorted local ``x`` is
-  encoded as the atom ``x = 1``; a boolean-returning library call likewise.
-  Assignments of boolean expressions produce an ``iff`` in the strongest
-  postcondition, keeping both views consistent.
+* **Booleans in integer positions.**  A boolean-returning library call is
+  encoded as the atom ``f(..) = 1``.  A boolean local the store binds is its
+  formula; an unbound one (or one bound to a term) is the atom ``x = 1``.
 
 Encoding failures (e.g. a call with a boolean argument) raise
 :class:`EncodingError`; callers treat that as "unknown" and simply skip the
@@ -43,6 +45,8 @@ from ..lang.ast import (
 )
 from ..lang.functions import BOOL, FunctionTable, INT, STR, Sort
 from ..lang.visitors import type_of
+from typing import Union
+
 from .terms import (
     App,
     FALSE_F,
@@ -71,7 +75,14 @@ __all__ = [
     "encode_int",
     "encode_bool",
     "encode_expr",
+    "Store",
+    "Value",
 ]
+
+# A local's symbolic value: a term, or a formula for a boolean local; a
+# store maps locals to their values (see :mod:`repro.analysis.sp`).
+Value = Union[Term, Formula]
+Store = dict[str, Value]
 
 
 class EncodingError(Exception):
@@ -121,6 +132,7 @@ def encode_int(
     e: Expr,
     functions: FunctionTable | None = None,
     sorts: dict[str, Sort] | None = None,
+    store: Store | None = None,
 ) -> Term:
     """Encode an integer- or string-sorted expression as a term."""
 
@@ -131,17 +143,22 @@ def encode_int(
     if isinstance(e, Arg):
         return arg_sym(e.name)
     if isinstance(e, Var):
-        return var_sym(e.name)
+        value = store.get(e.name) if store else None
+        if value is None:
+            return var_sym(e.name)
+        if isinstance(value, Formula):
+            raise EncodingError(f"boolean local {e.name} in an integer position")
+        return value
     if isinstance(e, Call):
         encoded: list[Term] = []
         for a in e.args:
             if _sort_of(a, functions, sorts) == BOOL:
                 raise EncodingError(f"boolean argument in call {e}")
-            encoded.append(encode_int(a, functions, sorts))
+            encoded.append(encode_int(a, functions, sorts, store))
         return App(e.func, tuple(encoded))
     if isinstance(e, BinOp):
-        left = encode_int(e.left, functions, sorts)
-        right = encode_int(e.right, functions, sorts)
+        left = encode_int(e.left, functions, sorts, store)
+        right = encode_int(e.right, functions, sorts, store)
         if e.op == "+":
             return t_add(left, right)
         if e.op == "-":
@@ -154,32 +171,36 @@ def encode_bool(
     e: Expr,
     functions: FunctionTable | None = None,
     sorts: dict[str, Sort] | None = None,
+    store: Store | None = None,
 ) -> Formula:
     """Encode a boolean-sorted expression as a formula."""
 
     if isinstance(e, BoolConst):
         return TRUE_F if e.value else FALSE_F
     if isinstance(e, Cmp):
-        left = encode_int(e.left, functions, sorts)
-        right = encode_int(e.right, functions, sorts)
+        left = encode_int(e.left, functions, sorts, store)
+        right = encode_int(e.right, functions, sorts, store)
         if e.op == "<":
             return lt_f(left, right)
         if e.op == "<=":
             return le_f(left, right)
         return eq_f(left, right)
     if isinstance(e, Not):
-        return fnot(encode_bool(e.operand, functions, sorts))
+        return fnot(encode_bool(e.operand, functions, sorts, store))
     if isinstance(e, BoolOp):
-        left = encode_bool(e.left, functions, sorts)
-        right = encode_bool(e.right, functions, sorts)
+        left = encode_bool(e.left, functions, sorts, store)
+        right = encode_bool(e.right, functions, sorts, store)
         return fand(left, right) if e.op == "and" else for_(left, right)
     if isinstance(e, Var):
-        # A boolean local: encode through the 0/1 convention.
-        return eq_f(var_sym(e.name), Num(1))
+        value = store.get(e.name) if store else None
+        if isinstance(value, Formula):
+            return value
+        # Unbound, or bound to a term: the 0/1 convention.
+        return eq_f(var_sym(e.name) if value is None else value, Num(1))
     if isinstance(e, Call):
         if functions is not None and e.func in functions and functions[e.func].result_sort != BOOL:
             raise EncodingError(f"call {e.func} is not boolean-sorted")
-        return eq_f(encode_int(e, functions, sorts), Num(1))
+        return eq_f(encode_int(e, functions, sorts, store), Num(1))
     raise EncodingError(f"not a boolean expression: {e}")
 
 
@@ -187,9 +208,10 @@ def encode_expr(
     e: Expr,
     functions: FunctionTable | None = None,
     sorts: dict[str, Sort] | None = None,
+    store: Store | None = None,
 ) -> Term | Formula:
     """Encode by sort: booleans become formulas, everything else terms."""
 
     if _sort_of(e, functions, sorts) == BOOL:
-        return encode_bool(e, functions, sorts)
-    return encode_int(e, functions, sorts)
+        return encode_bool(e, functions, sorts, store)
+    return encode_int(e, functions, sorts, store)

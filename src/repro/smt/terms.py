@@ -539,8 +539,8 @@ def formula_tokens(f: Formula) -> Tokens:
     shared tokens — shared variables, or equal ground applications such as
     ``f(3)`` whose results congruence identifies.  This is the one accessor
     for "what does this formula mention": computed once per node and cached
-    on it, it serves :func:`cone_of_influence`, :func:`rename_syms`,
-    :func:`free_syms` and ``invariants.stable_conjuncts``.
+    on it, it serves :func:`cone_of_influence`, :func:`rename_syms` and
+    :func:`free_syms`.
     """
 
     if not isinstance(f, (Le, Eq, FNot, FAnd, FOr)):

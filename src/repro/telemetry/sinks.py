@@ -80,10 +80,10 @@ HELP_TEXTS = {
     "consolidation_batches_total": "Divide-and-conquer consolidation batches run.",
     "consolidation_entail_queries": "Semantic entailment questions asked of the context.",
     "consolidation_memo_hit_rate": "Fraction of entailment queries answered by the memo.",
-    "consolidation_memo_hits": "Entailment queries answered by the (psi, e) memo.",
+    "consolidation_memo_hits": "Entailment queries answered by the (psi, store reads, e) memo.",
     "consolidation_pair_seconds": "Wall time per pair consolidation.",
     "consolidation_pairs_total": "Pair consolidations performed.",
-    "consolidation_precheck_skips": "Entailments decided by the abstract-env precheck.",
+    "consolidation_precheck_skips": "Entailments whose goal folded to a constant through the store.",
     "consolidation_rule_applications_total": "Calculus rule applications, by rule.",
     "consolidation_seconds_total": "Total wall time spent consolidating batches.",
     "consolidation_skipped_pairs_total": "Pairs kept unmerged after a mid-batch failure.",

@@ -16,6 +16,11 @@ is checked:
   (a new pid, every local renamed): the copy must ride on its class's
   representative, leave the calculus's merges untouched, get its
   original's bucket, and keep whereMany's buckets and cost bound;
+* **verdicts** — every ``unsat`` the solver returned while the batch was
+  consolidated for whereConsolidated (the only answer the calculus acts
+  on) is decided again, from scratch, by
+  :func:`~repro.testing.reference.reference_check`; a ``sat`` there means
+  the calculus acted on a wrong proof;
 * **check_soundness** — Definition 1 re-checked directly on the merged
   program (notification equality + cost bound per input);
 * **validate_consolidation** — the static validator must not *refute* the
@@ -43,8 +48,9 @@ the oracle saying "all paths agree on this case".
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..config import ExecutionConfig
 from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
@@ -55,17 +61,22 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.interp import Interpreter
 from ..lang.visitors import notified_pids, strip_notifies
 from ..naiad.linq import run_where_consolidated, run_where_many
+from ..provenance.render import MAX_TEXT, format_formula
+from ..smt import solver as _solver
+from ..smt.terms import Formula
+from .faults import fault_hook
 from .generator import alpha_copy, drop_arm_assignment
+from .reference import reference_check
 
-__all__ = ["Discrepancy", "BatteryResult", "run_battery"]
+__all__ = ["Discrepancy", "BatteryResult", "run_battery", "recorded_verdicts", "check_verdicts"]
 
 
 @dataclass
 class Discrepancy:
     """One disagreement between two execution paths that must agree."""
 
-    # 'backend' | 'dataflow' | 'riders' | 'soundness' | 'validator' | 'planner'
-    # | 'vectorized'
+    # 'backend' | 'dataflow' | 'verdict' | 'riders' | 'soundness' | 'validator'
+    # | 'planner' | 'vectorized'
     oracle: str
     detail: str
     args: dict = field(default_factory=dict)
@@ -81,6 +92,8 @@ class BatteryResult:
     discrepancies: list[Discrepancy] = field(default_factory=list)
     report: ConsolidationReport | None = None
     timed_out: bool = False
+    # ``unsat`` verdicts the reference decided again (the verdict oracle).
+    unsat_rechecked: int = 0
 
     @property
     def ok(self) -> bool:
@@ -202,6 +215,67 @@ def _check_dataflow(
             )
         )
     return report
+
+
+@contextmanager
+def recorded_verdicts(verdicts: list[tuple[Formula, str]]) -> Iterator[None]:
+    """Record ``(formula, verdict)`` for every solver check in the block.
+
+    Each check that misses its solver's cache is decided by one production
+    :class:`~repro.smt.solver.Solver` of the recorder's own, and its
+    verdict is what the checking solver returns: the calculus acts on
+    exactly the verdicts recorded.  A fault hook installed around the
+    block keeps precedence; what it forces is recorded as well.
+    """
+
+    outer = _solver.FAULT_HOOK
+    judge = _solver.Solver()
+    deciding = False
+
+    def hook(site: str, f: Formula) -> str | None:
+        nonlocal deciding
+        if deciding:  # the judge's own check: let it search
+            return None
+        verdict = outer(site, f) if outer is not None else None
+        if verdict is None:
+            deciding = True
+            try:
+                verdict = judge.is_sat(f)
+            finally:
+                deciding = False
+        verdicts.append((f, verdict))
+        return verdict
+
+    with fault_hook(_solver, hook):
+        yield
+
+
+def check_verdicts(
+    verdicts: Sequence[tuple[Formula, str]],
+    out: list[Discrepancy],
+    expired: Callable[[], bool] = lambda: False,
+) -> int:
+    """Decide every recorded ``unsat`` again with :func:`reference_check`.
+
+    The reference answering ``sat`` is a discrepancy; ``unknown`` (its
+    budget ran out) is not.  Returns how many verdicts were re-decided.
+    """
+
+    rechecked = 0
+    for f, verdict in dict.fromkeys(verdicts):
+        if verdict != "unsat":
+            continue
+        if expired():
+            break
+        rechecked += 1
+        if reference_check(f) == "sat":
+            out.append(
+                Discrepancy(
+                    "verdict",
+                    f"solver said unsat, reference says sat: {format_formula(f, MAX_TEXT)}",
+                )
+            )
+    return rechecked
 
 
 def _check_riders(
@@ -557,8 +631,11 @@ def run_battery(
     _check_backends(programs, dataset, inputs, cost_model, out)
     if expired():
         return result
-    report = _check_dataflow(programs, dataset, rows, cost_model, out)
+    verdicts: list[tuple[Formula, str]] = []
+    with recorded_verdicts(verdicts):
+        report = _check_dataflow(programs, dataset, rows, cost_model, out)
     result.report = report
+    result.unsat_rechecked = check_verdicts(verdicts, out, expired)
     if expired():
         return result
     if report is not None:

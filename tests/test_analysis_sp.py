@@ -65,59 +65,86 @@ def solver():
     return Solver()
 
 
+def holds(solver, engine, psi, store, e):
+    """``(psi, store) ⊨ e``: the goal is read through the store."""
+
+    return solver.entails(psi, engine.encode_bool(e, store))
+
+
 class TestAssign:
     def test_simple_equality_recorded(self, engine, solver):
-        psi = engine.assign(TRUE_F, "x", add(arg("a"), 1))
-        assert solver.entails(psi, eq_f(var_sym("x"), Sym("a!a"))) is False
+        store = {}
+        engine.assign(store, "x", add(arg("a"), 1))
         from repro.smt.terms import t_add
-        assert solver.entails(psi, eq_f(var_sym("x"), t_add(Sym("a!a"), Num(1))))
+
+        assert store["x"] == t_add(Sym("a!a"), Num(1))
+        assert not holds(solver, engine, TRUE_F, store, eq(var("x"), arg("a")))
+        assert holds(solver, engine, TRUE_F, store, eq(var("x"), add(arg("a"), 1)))
 
     def test_old_value_renamed(self, engine, solver):
-        psi = engine.assign(TRUE_F, "x", add(arg("a"), 0))
-        psi = engine.assign(psi, "x", add(var("x"), 1))
-        # Now x = a + 1; the old x = a fact must not clash.
+        store = {}
+        engine.assign(store, "x", add(arg("a"), 0))
+        engine.assign(store, "x", add(var("x"), 1))
+        # x = a + 1: the new value is read through the old one.
         from repro.smt.terms import t_add
-        assert solver.entails(psi, eq_f(var_sym("x"), t_add(Sym("a!a"), Num(1))))
+
+        assert store["x"] == t_add(Sym("a!a"), Num(1))
 
     def test_self_reference_uses_old_value(self, engine, solver):
-        psi = fand(eq_f(var_sym("x"), Num(5)))
-        psi = engine.assign(psi, "x", mul(var("x"), 2))
-        assert solver.entails(psi, eq_f(var_sym("x"), Num(10)))
+        psi = eq_f(var_sym("x"), Num(5))  # about x's own (unbound) symbol
+        store = {}
+        engine.assign(store, "x", mul(var("x"), 2))
+        assert holds(solver, engine, psi, store, eq(var("x"), 10))
 
     def test_call_produces_uninterpreted_equality(self, engine, solver):
-        psi = engine.assign(TRUE_F, "y", call("f", arg("a")))
-        assert solver.entails(psi, eq_f(var_sym("y"), App("f", (Sym("a!a"),))))
+        store = {}
+        engine.assign(store, "y", call("f", arg("a")))
+        assert store["y"] == App("f", (Sym("a!a"),))
 
-    def test_boolean_assignment_iff(self, engine, solver):
-        psi = engine.assign(TRUE_F, "b", lt(arg("a"), 5))
-        # b = 1 <-> a < 5 ; so b = 1 and a >= 5 is inconsistent.
-        bad = fand(psi, eq_f(var_sym("b"), Num(1)), le_f(Num(5), Sym("a!a")))
-        assert solver.is_sat(bad) == "unsat"
+    def test_boolean_assignment_binds_its_formula(self, engine, solver):
+        store = {}
+        engine.assign(store, "b", lt(arg("a"), 5))
+        assert store["b"] == lt_f(Sym("a!a"), Num(5))
+        # Reading b is reading its formula: one atom, no 0/1 integer.
+        assert engine.encode_bool(var("b"), store) is store["b"]
+        assert engine.encode_int(var("b"), store) is None
 
 
 class TestControlFlow:
     def test_if_disjunction(self, engine, solver):
         s = if_(lt(arg("a"), 0), assign("x", 0), assign("x", 1))
-        psi = engine.post(TRUE_F, s)
+        store = {}
+        psi = engine.post(TRUE_F, store, s)
         # x is 0 or 1 in every post-state.
-        assert solver.entails(psi, fand(le_f(Num(0), var_sym("x")), le_f(var_sym("x"), Num(1))))
+        assert holds(solver, engine, psi, store, le(0, var("x")))
+        assert holds(solver, engine, psi, store, le(var("x"), 1))
+
+    def test_if_arms_agreeing_bind_no_fresh_symbol(self, engine, solver):
+        s = if_(lt(arg("a"), 0), assign("x", 7), block(assign("y", 1), assign("x", 7)))
+        store = {}
+        psi = engine.post(TRUE_F, store, s)
+        assert store["x"] == Num(7)
+        assert holds(solver, engine, psi, store, eq(var("x"), 7))
 
     def test_while_negated_condition(self, engine, solver):
         s = while_(lt(var("i"), 10), assign("i", add(var("i"), 1)))
-        psi = engine.post(eq_f(var_sym("i"), Num(0)), s)
-        assert solver.entails(psi, le_f(Num(10), var_sym("i")))
+        store = {"i": Num(0)}
+        psi = engine.post(TRUE_F, store, s)
+        assert holds(solver, engine, psi, store, le(10, var("i")))
 
     def test_while_havocs_body_vars(self, engine, solver):
         s = while_(lt(var("i"), 10), assign("i", add(var("i"), 1)))
-        psi = engine.post(eq_f(var_sym("i"), Num(0)), s)
+        store = {"i": Num(0)}
+        psi = engine.post(TRUE_F, store, s)
         # The entry fact i = 0 must be gone.
-        assert not solver.entails(psi, eq_f(var_sym("i"), Num(0)))
+        assert not holds(solver, engine, psi, store, eq(var("i"), 0))
 
     def test_notify_is_identity(self, engine, solver):
         from repro.lang import notify
 
-        psi = eq_f(var_sym("x"), Num(3))
-        assert engine.post(psi, notify("q", lt(var("x"), 5))) == psi
+        psi, store = eq_f(var_sym("x"), Num(3)), {"x": Num(3)}
+        assert engine.post(psi, store, notify("q", lt(var("x"), 5))) is psi
+        assert store == {"x": Num(3)}
 
     def test_unencodable_assign_havocs(self, engine, solver):
         # A call with a boolean argument is outside the fragment.
@@ -125,9 +152,10 @@ class TestControlFlow:
         from repro.lang import lt as lt_ir
 
         weird = Call("f", (lt_ir(arg("a"), 1),))
-        psi = eq_f(var_sym("x"), Num(3))
-        post = engine.assign(psi, "x", weird)
-        assert not solver.entails(post, eq_f(var_sym("x"), Num(3)))
+        store = {"x": Num(3)}
+        engine.assign(store, "x", weird)
+        assert isinstance(store["x"], Sym) and store["x"] != var_sym("x")
+        assert not holds(solver, engine, TRUE_F, store, eq(var("x"), 3))
 
 
 # -- dynamic soundness property ------------------------------------------------
@@ -197,11 +225,14 @@ def test_sp_soundness_on_loop_program(a0, n):
     from repro.lang import Program
 
     result = interp.run(Program("p", ("a",), prog_body), {"a": a0})
-    psi = engine.post(TRUE_F, prog_body)
+    store = {}
+    psi = engine.post(TRUE_F, store, prog_body)
+    # The formula the store stands for: pc and every local equal to its value.
+    psi = fand(psi, *(eq_f(var_sym(n), value) for n, value in store.items()))
 
     env = {f"v!{k}": v for k, v in result.env.items() if k != "a"}
     env["a!a"] = a0
-    # Fresh (renamed) symbols are havocked — _holds treats them as free.
+    # Fresh symbols are existential — _holds treats them as free.
     assert _holds(psi, env, {f.name: f for f in ft})
 
 
@@ -209,20 +240,20 @@ def test_sp_soundness_on_loop_program(a0, n):
 
 
 class TestCostIsWhatTheStatementTouches:
-    """Counted, not timed: canonicalising calls must not grow with |Ψ|."""
+    """Counted, not timed: consuming a statement must not grow with |Ψ|."""
 
     @staticmethod
     def context(n):
-        """Two conjuncts on ``x`` and ``n`` conjuncts that do not mention it."""
+        """A path condition of ``n`` conjuncts and a store of ``n`` locals,
+        none of them about ``x``, and two facts on ``x``."""
 
         from repro.smt.terms import t_add
 
-        untouched = [le_f(var_sym(f"y{i}"), Num(i)) for i in range(n)]
-        on_x = [
-            le_f(var_sym("x"), Num(5)),
-            eq_f(var_sym("w"), t_add(var_sym("x"), Num(1))),
-        ]
-        return fand(*untouched[: n // 2], *on_x, *untouched[n // 2 :]), untouched
+        psi = fand(*(le_f(var_sym(f"y{i}"), Num(i)) for i in range(n)))
+        store = {f"z{i}": t_add(Sym("a!a"), Num(i)) for i in range(n)}
+        store["x"] = Num(5)
+        store["w"] = t_add(var_sym("u"), Num(1))
+        return psi, store
 
     @staticmethod
     def count_canonicalisations(monkeypatch):
@@ -244,33 +275,35 @@ class TestCostIsWhatTheStatementTouches:
         return calls
 
     def measure(self, monkeypatch, n, step):
-        psi, untouched = self.context(n)
+        psi, store = self.context(n)
+        untouched = {k: v for k, v in store.items() if k != "x"}
         with monkeypatch.context() as patch:
             calls = self.count_canonicalisations(patch)
-            post = step(psi)
-        kept = {id(part) for part in post.args}
-        assert all(id(part) in kept for part in untouched)
+            post = step(psi, store)
+        assert post is psi
+        assert all(store[k] is v for k, v in untouched.items())
         return dict(calls)
 
     def test_assign(self, ft, monkeypatch):
-        def step(psi):
-            return SpEngine(ft).assign(psi, "x", add(var("x"), 1))
+        def step(psi, store):
+            SpEngine(ft).assign(store, "x", add(var("x"), var("w")))
+            return psi
 
         small = self.measure(monkeypatch, 50, step)
         assert small["from_linear"] > 0
         assert self.measure(monkeypatch, 800, step) == small
 
     def test_havoc(self, ft, monkeypatch):
-        def step(psi):
-            return SpEngine(ft).havoc(psi, {"x"})
+        def step(psi, store):
+            SpEngine(ft).havoc(store, {"x"})
+            return psi
 
         small = self.measure(monkeypatch, 50, step)
-        assert small["from_linear"] > 0
         assert self.measure(monkeypatch, 800, step) == small
 
     def test_loop_invariant_body_execution(self, ft, monkeypatch):
-        """``post(pre, body)`` runs once per candidate over ``stable ∧ ...``:
-        a large stable part must ride through it by identity."""
+        """``post(pre, store, body)`` runs once per Houdini round over
+        ``pc ∧ ...``: a large path condition must ride through by identity."""
 
         from repro.analysis import loop_invariant
 
@@ -280,29 +313,30 @@ class TestCostIsWhatTheStatementTouches:
         def run(n):
             engine = SpEngine(ft)
             untouched = [le_f(var_sym(f"y{k}"), Num(k)) for k in range(n)]
-            psi = fand(*untouched, eq_f(var_sym("i"), Num(0)), eq_f(var_sym("j"), Num(1)))
+            psi = fand(*untouched)
+            store = {"i": Num(0), "j": Num(1)}
             posts = []
             real_post = engine.post
 
-            def post(pre, stmt):
-                out = real_post(pre, stmt)
+            def post(pre, at, stmt):
+                out = real_post(pre, at, stmt)
                 posts.append(out)
                 return out
 
             engine.post = post
             with monkeypatch.context() as patch:
                 calls = self.count_canonicalisations(patch)
-                inv = loop_invariant(engine, Solver(), psi, conds, body)
+                inv = loop_invariant(engine, Solver(), psi, conds, body, store)
             assert posts, "no candidate reached the inductiveness check"
             for out in posts:
                 kept = {id(part) for part in out.args}
                 assert all(id(part) in kept for part in untouched)
-            return dict(calls), inv
+            return dict(calls), inv, store
 
-        small_calls, small_inv = run(50)
-        large_calls, large_inv = run(800)
+        small_calls, small_inv, small_store = run(50)
+        large_calls, large_inv, large_store = run(800)
         assert large_calls == small_calls
         from repro.smt.terms import t_sub
 
-        for inv in (small_inv, large_inv):
-            assert Solver().entails(inv, eq_f(t_sub(var_sym("j"), var_sym("i")), Num(1)))
+        for inv, store in ((small_inv, small_store), (large_inv, large_store)):
+            assert Solver().entails(inv, eq_f(t_sub(store["j"], store["i"]), Num(1)))

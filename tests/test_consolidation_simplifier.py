@@ -26,7 +26,7 @@ from repro.lang import (
     var,
 )
 from repro.lang.ast import IntConst, Var
-from repro.smt import Solver, TRUE_F
+from repro.smt import Le, Solver, TRUE_F
 
 
 @pytest.fixture
@@ -150,11 +150,11 @@ class TestIntSimplification:
 
 class TestBoolSimplification:
     def test_bool1_entailed_true(self, ctx):
-        ctx.psi = ctx.assume(lt(arg("a"), 5))
+        ctx.observe(lt(arg("a"), 5))
         assert ctx.simplify_bool(lt(arg("a"), 10)) == TRUE
 
     def test_bool2_entailed_false(self, ctx):
-        ctx.psi = ctx.assume(lt(arg("a"), 5))
+        ctx.observe(lt(arg("a"), 5))
         assert ctx.simplify_bool(ge(arg("a"), 10)) == FALSE
 
     def test_bool3_operand_simplification(self, ctx):
@@ -163,18 +163,18 @@ class TestBoolSimplification:
         assert result == lt(var("x"), 10)
 
     def test_bool4_connective_folding(self, ctx):
-        ctx.psi = ctx.assume(lt(arg("a"), 5))
+        ctx.observe(lt(arg("a"), 5))
         result = ctx.simplify_bool(and_(lt(arg("a"), 10), lt(arg("b"), 3)))
         assert result == lt(arg("b"), 3)
 
     def test_bool5_negation(self, ctx):
-        ctx.psi = ctx.assume(lt(arg("a"), 5))
+        ctx.observe(lt(arg("a"), 5))
         assert ctx.simplify_bool(not_(lt(arg("a"), 10))) == FALSE
 
     def test_paper_example_3(self, ctx):
         """Ψ: a1 > 0, x = f(a2), y = a1 simplifies (y>=0 ∧ f(a2)!=0) to x!=0."""
 
-        ctx.psi = ctx.assume(gt(arg("a1"), 0))
+        ctx.observe(gt(arg("a1"), 0))
         ctx.record_assign("x", call("f", arg("a2")))
         ctx.record_assign("y", arg("a1"))
         result = ctx.simplify_bool(and_(ge(var("y"), 0), ne(call("f", arg("a2")), 0)))
@@ -194,7 +194,7 @@ class TestCostGuarantee:
         """Every simplification must respect cost(e') <= cost(e)."""
 
         ctx.record_assign("x", add(call("f", arg("a")), 1))
-        ctx.psi = ctx.assume(lt(arg("a"), 5))
+        ctx.observe(lt(arg("a"), 5))
         exprs = [
             sub(call("f", arg("a")), 1),
             and_(lt(arg("a"), 10), lt(call("f", arg("a")), 3)),
@@ -204,3 +204,66 @@ class TestCostGuarantee:
         for e in exprs:
             simplified = ctx.simplify_for_sort(e)
             assert ctx.cost(simplified) <= ctx.cost(e)
+
+
+class TestStore:
+    """Ψ is a store plus a path condition (``repro.analysis.sp``)."""
+
+    def test_straight_line_assigns_bind_the_store(self, ctx):
+        ctx.record_assign("x", call("f", arg("a")))
+        ctx.record_assign("y", add(var("x"), 1))
+        assert ctx.psi is TRUE_F
+        assert set(ctx.store) == {"x", "y"}
+        # y's value is read through x's: the equality needs no solver.
+        assert ctx.provably_equal(var("y"), add(call("f", arg("a")), 1))
+        assert ctx.stats.smt_queries == 0 and ctx.stats.precheck_skips == 1
+
+    def test_havoc_of_integer_locals_keeps_psi(self, ctx):
+        ctx.observe(lt(arg("a"), 5))
+        ctx.record_assign("x", arg("a"))
+        ctx.record_assign("y", add(arg("a"), 1))
+        psi, before = ctx.psi, dict(ctx.store)
+        ctx.forget({"x", "y"})
+        assert ctx.psi is psi
+        assert all(ctx.store[n] != before[n] for n in ("x", "y"))
+        assert not ctx.entails_expr(lt(var("x"), 5))
+
+    def test_boolean_local_is_one_atom(self, ctx):
+        ctx.record_assign("b", gt(var("x"), 3))
+        ctx.observe(var("b"))
+        assert isinstance(ctx.psi, Le)
+        assert ctx.entails_expr(gt(var("x"), 2))
+
+    def test_goal_folding_to_a_constant_skips_the_solver(self, ctx):
+        ctx.record_assign("k", IntConst(5))
+        assert ctx.entails_expr(lt(var("k"), 7))
+        assert ctx.entails_expr(lt(var("k"), 3), negate=True)
+        assert ctx.stats.precheck_skips == 2 and ctx.stats.smt_queries == 0
+
+    def test_stock_bc_ends_without_unknowns(self):
+        """Stock BC at n = 50 once exhausted the solver's lemma budget on 8
+        checks; read through the store, no check does."""
+
+        from repro.consolidation import consolidate_all
+        from repro.datasets import generate_stocks
+        from repro.queries import DOMAIN_QUERIES
+
+        # The sizes figure9.make_datasets(scale=0.05) gives Stock.
+        dataset = generate_stocks(companies=20, total_daily_rows=18871)
+        programs = DOMAIN_QUERIES["stock"].make_batch(dataset, "BC", n=50, seed=1)
+        report = consolidate_all(programs, dataset.functions)
+        assert report.solver_stats["unknowns"] == 0
+
+    def test_memo_keys_on_the_bindings_read(self, ctx):
+        """A goal re-asked after unrelated assignments is a memo hit; one
+        whose local was reassigned is asked again."""
+
+        ctx.record_assign("x", call("f", arg("a")))
+        goal = lt(var("x"), 10)
+        ctx.entails_expr(goal)
+        ctx.record_assign("y", call("g", arg("a")))
+        ctx.entails_expr(goal)
+        assert ctx.stats.memo_hits == 1
+        ctx.record_assign("x", call("g", arg("a")))
+        ctx.entails_expr(goal)
+        assert ctx.stats.memo_hits == 1 and ctx.stats.smt_queries == 2

@@ -73,3 +73,23 @@ def test_plan_replays_from_unpickled_programs(batches, row):
 def test_incremental_script_replays(batches, domain):
     programs, functions = batches[domain]
     assert gen.incremental_record(programs, functions) == GOLDEN["incremental"][domain]
+
+
+@pytest.fixture(scope="module")
+def loop_batches():
+    return gen.loop_batches()
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["loop_plans"], ids=lambda row: f"weather-Q3-seed{row['seed']}-{row['order']}"
+)
+def test_loop_plan_replays_byte_for_byte(loop_batches, row):
+    """Weather Q3 fuses its loops (Loop 2): the invariant is inferred and
+    the fused body consolidated over the loop-head store."""
+
+    programs, functions = loop_batches[row["seed"]]
+    record = gen.plan_record(programs, functions, row["order"], "related")
+    loops_in = sum(gen.program_to_str(p).count("while") for p in programs)
+    assert 0 < record["program"].count("while") < loops_in  # fused, not sequenced
+    for key in RECORDED:
+        assert record[key] == row[key], f"{key} differs from the golden plan"

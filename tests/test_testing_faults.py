@@ -174,3 +174,45 @@ class TestConsolidationFaults:
 
         for module in (repro.testing, faults):
             assert not [name for name in dir(module) if "worker" in name]
+
+
+class TestVerdictOracle:
+    """Every ``unsat`` the calculus acts on is decided again by the reference."""
+
+    @pytest.fixture(scope="class")
+    def golden_batches(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "tools" / "gen_golden_plans.py"
+        spec = importlib.util.spec_from_file_location("gen_golden_plans", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        return gen.batches()
+
+    def test_golden_families_agree_with_the_reference(self, golden_batches):
+        from repro.testing.oracles import check_verdicts, recorded_verdicts
+
+        for domain, (programs, functions) in golden_batches.items():
+            verdicts = []
+            with recorded_verdicts(verdicts):
+                consolidate_all(list(programs), functions)
+            out = []
+            assert check_verdicts(verdicts, out) > 0, domain
+            assert out == [], (domain, [str(d) for d in out])
+
+    def test_battery_rechecks_unsat_verdicts(self):
+        result = run_battery(PROGRAMS, WEATHER, inputs=INPUTS, check_validator=False)
+        assert result.ok, [str(d) for d in result.discrepancies]
+        assert result.unsat_rechecked > 0
+
+    def test_a_wrong_unsat_is_caught(self):
+        """A solver that proves everything: the calculus acts on its
+        verdicts, and the reference refutes some of them."""
+
+        from repro.smt import solver as solver_module
+        from repro.testing import fault_hook
+
+        with fault_hook(solver_module, lambda site, payload: "unsat"):
+            result = run_battery(PROGRAMS, WEATHER, inputs=INPUTS, check_validator=False)
+        assert "verdict" in {d.oracle for d in result.discrepancies}

@@ -22,6 +22,11 @@ Per domain, one mixed family at n=8 is consolidated under
   static-prior ``uniform()`` model;
 
 and one add/remove script runs through ``repro.consolidation.incremental``.
+Weather's bounded-loop family ``Q3`` is consolidated too (``loop_plans``,
+n=8, two batch seeds, the ``clustered`` and ``fold`` orders): its merges
+fuse loops (Loop 2), so they pin the loop-invariant path of the calculus.
+Those rows were added by running this script at the commit before the
+context became a symbolic store, with every other row unchanged.
 Every recorded field is a pure function of the inputs: program text, pair
 counts, tree shapes and the planner's ``(left, right, merged, used_smt)``
 projection — no durations, no predicted seconds.
@@ -62,6 +67,9 @@ MIXED_FAMILY = {
 }
 N_UDFS = 8
 BATCH_SEED = 3
+LOOP_FAMILY = ("weather", "Q3")
+LOOP_SEEDS = (1, 3)
+LOOP_ORDERS = ("clustered", "fold")
 ORDERS = ("clustered", "tree", "fold", "priority")
 # The calibrated planner applies to the tree orders only.
 TREE_ORDERS = ("clustered", "tree")
@@ -80,6 +88,28 @@ def batches() -> dict:
         )
         for domain, family in MIXED_FAMILY.items()
     }
+
+
+def loop_batches() -> dict:
+    """``{seed: (programs, functions)}`` for the bounded-loop family."""
+
+    domain, family = LOOP_FAMILY
+    dataset = make_datasets(scale=0.02)[domain]
+    return {
+        seed: (
+            DOMAIN_QUERIES[domain].make_batch(dataset, family, n=N_UDFS, seed=seed),
+            dataset.functions,
+        )
+        for seed in LOOP_SEEDS
+    }
+
+
+def loop_plans() -> list:
+    return [
+        {"seed": seed, "order": order, **plan_record(programs, functions, order, "related")}
+        for seed, (programs, functions) in loop_batches().items()
+        for order in LOOP_ORDERS
+    ]
 
 
 def priority_of(programs) -> list:
@@ -176,6 +206,7 @@ def build() -> dict:
         "batch_seed": BATCH_SEED,
         "plans": plans,
         "incremental": incremental,
+        "loop_plans": loop_plans(),
     }
 
 
