@@ -45,8 +45,8 @@ Commands
     dynamically.  Admission runs the linter and rejects with SARIF
     diagnostics; equivalent re-registrations hit a plan cache keyed by
     canonical fingerprints; single add/remove patches the merge tree
-    incrementally (with recorded fallback to full re-consolidation); an
-    optional ``--event-log`` journal makes state replayable on restart.
+    incrementally (rebuilding the balanced tree when grafts make it too
+    deep); an optional ``--event-log`` journal makes state replayable on restart.
     ``--port 0`` binds an ephemeral port, printed as ``serving on
     http://…`` at startup.
 
@@ -97,7 +97,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Callable
+from typing import Callable
 
 from .config import ExecutionConfig, ServiceConfig
 from .consolidation import ConsolidationOptions, check_soundness, consolidate_all
@@ -180,21 +180,6 @@ def _sweep(text: str) -> tuple[int, ...]:
             f"invalid sweep {text!r} (comma-separated positive integers)"
         )
     return points
-
-
-def _service_field(name: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    """A ``serve`` flag's ``type=``: ``convert``, then ``ServiceConfig``'s own
-    check of field ``name``, so a bad value is a usage error."""
-
-    def parse(text: str) -> Any:
-        try:
-            value = convert(text)
-            ServiceConfig(**{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    return parse
 
 
 def _domain_dataset(name: str | None):
@@ -600,8 +585,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         event_log=args.event_log,
         static_validate_patches=not args.no_validate_patches,
-        rebalance_factor=args.rebalance_factor,
-        plan_cache_size=args.plan_cache_size,
         admit_warnings=not args.strict_admission,
     )
     server = serve(
@@ -892,20 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-validate-patches",
         action="store_true",
-        help="skip the static translation validator on incremental patches",
-    )
-    p.add_argument(
-        "--rebalance-factor",
-        type=_service_field("rebalance_factor", float),
-        default=2.0,
-        help="rebuild the merge tree when its depth exceeds this multiple "
-        "of the balanced depth (default: %(default)s)",
-    )
-    p.add_argument(
-        "--plan-cache-size",
-        type=_service_field("plan_cache_size", int),
-        default=128,
-        help="retained consolidated plans, LRU-evicted (0 disables)",
+        help="skip the static translation validator on the registry's pair merges",
     )
     p.add_argument(
         "--strict-admission",

@@ -15,7 +15,9 @@ through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
 ``consolidate_all`` reads ``cost_model``, ``telemetry``, ``provenance``,
 ``planner`` and ``calibration`` from its ``config`` and from nowhere else.
-8.0.0 removed ``executor`` with the process-pool consolidation driver.
+8.0.0 removed ``executor`` with the process-pool consolidation driver;
+9.0.0 made ``ServiceConfig``'s rebalance factor and plan-cache size the
+registry's constants.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -24,7 +26,6 @@ reports into (default: the no-op ``NULL_TELEMETRY``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -135,23 +136,15 @@ class ServiceConfig:
         Path of the append-only registry journal.  ``None`` keeps the
         registry in-memory only (no durability, no replay on restart).
     ``static_validate_patches``
-        Run the abstract-interpretation translation validator on every
-        incremental pair merge; an uncertified patch falls back to a full
-        re-consolidation (recorded, never silent).
+        Run the abstract-interpretation translation validator on every pair
+        merge the registry runs, rebalances included; a refuted pair is
+        kept unmerged, as in a batch (recorded, never silent).
     ``record_derivations``
         Record one provenance :class:`~repro.provenance.DerivationTree`
         per patched pair merge, summarised by ``/v1/explain``.  Recording
         keeps references to the nodes each event was handed and renders
         their text only when a report reads it, so on by default costs a
         patch little more than the event objects themselves.
-    ``rebalance_factor``
-        Incremental adds graft at the root and slowly grow a spine; when
-        the tree's depth exceeds ``rebalance_factor × ⌈log₂ n⌉ + 1`` the
-        registry rebuilds the balanced tree instead (a recorded rebuild,
-        not a failure).  Must be finite and ≥ 1.0.
-    ``plan_cache_size``
-        Maximum retained consolidated plans, evicted least-recently-used.
-        0 disables the cache.
     ``admit_warnings``
         When False, a lint *warning* rejects a submission just like an
         error (the default only rejects on errors).
@@ -162,8 +155,6 @@ class ServiceConfig:
     event_log: Optional[str] = None
     static_validate_patches: bool = True
     record_derivations: bool = True
-    rebalance_factor: float = 2.0
-    plan_cache_size: int = 128
     admit_warnings: bool = True
 
     def __post_init__(self) -> None:
@@ -171,17 +162,6 @@ class ServiceConfig:
             raise ValueError(
                 f"port must be an integer in 0..65535 (0 = ephemeral), "
                 f"got {self.port!r}"
-            )
-        # Written so NaN fails too: a NaN factor never trips a rebalance.
-        if not 1.0 <= self.rebalance_factor < math.inf:
-            raise ValueError(
-                f"rebalance_factor must be a finite float >= 1.0, got "
-                f"{self.rebalance_factor!r}"
-            )
-        if not _is_integer(self.plan_cache_size) or self.plan_cache_size < 0:
-            raise ValueError(
-                f"plan_cache_size must be an integer >= 0 (0 disables the "
-                f"cache), got {self.plan_cache_size!r}"
             )
 
     def evolve(self, **changes: Any) -> "ServiceConfig":

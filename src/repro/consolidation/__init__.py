@@ -11,6 +11,6 @@
 
 from .algorithm import ConsolidationError, ConsolidationOptions, Consolidator, PairRecord
 from .divide_conquer import ConsolidationReport, MergeNode, consolidate_all, merge_pair
-from .incremental import PatchError, PatchResult, add_query, rebuild, remove_query
+from .incremental import PatchResult, add_query, rebuild, remove_query
 from .simplifier import Context, fold_expr, ir_from_linear, ir_linear
 from .verify import SoundnessReport, SoundnessViolation, check_soundness

@@ -23,14 +23,14 @@ policy* — which programs of a level meet, and which ride up unmerged:
   :class:`repro.profiling.planner.CalibratedPairing`, for the tree orders.
 
 Every pair the policy names goes through the one pair step,
-:func:`merge_pair`, which either returns the pair's
-:class:`~repro.consolidation.algorithm.PairRecord` — the merged program
-with all its evidence — or raises.  Its two callers differ only in what
-a failure *means*: the batch driver keeps the pair unmerged
-(:func:`_unmerged`, a record that says why); the incremental engine
-(:mod:`repro.consolidation.incremental`) turns it into a ``PatchError``.
-The driver folds each record into the batch in plan order, and
-:class:`ConsolidationReport` is a set of views over the records.
+:func:`merge_pair`, which returns the pair's
+:class:`~repro.consolidation.algorithm.PairRecord`: the merged program
+with all its evidence, or — when the merge failed — the pair kept
+unmerged (:func:`_unmerged`, a record that says why).  The incremental
+engine (:mod:`repro.consolidation.incremental`) patches the merge tree
+through the same step, failure rule included.  The driver folds each
+record into the batch in plan order, and :class:`ConsolidationReport` is
+a set of views over the records.
 
 Every run-time knob comes from ``config`` (an
 :class:`repro.config.ExecutionConfig`) and nowhere else.  Each level's
@@ -52,7 +52,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence, cast
+from typing import Any, Callable, Optional, Sequence, cast
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
@@ -109,31 +109,25 @@ class MergeNode:
 
     Leaves hold the original (unmerged) programs, their locals qualified
     with their pids; an internal node holds the program produced by
-    consolidating its two children — or, on a *ride node* (``ride`` set),
-    the left child's program with the right leaf riding on its
-    representative: ``ride`` maps the representative's pids to the
-    rider's, and every ``notify`` of one is followed by the same
-    ``notify`` of the other (:func:`ride`).  Ride nodes form a chain
-    above the calculus root, whose subtree holds no ride node.  The tree
-    is treated as immutable: the incremental re-consolidation engine
-    (:mod:`repro.consolidation.incremental`) patches it by rebuilding only
-    the nodes on the path it touched, sharing every untouched subtree.
+    consolidating its two children — or, on the *ride node* (``ride``
+    set), its left child's program with every α-copy riding on its
+    representative (:func:`ride`).  ``ride`` maps each rider's pid to its
+    pid map — the representative's pids to the rider's — in notify order.
+    Only a root is a ride node; the calculus tree below it holds none.
+    The tree is treated as immutable: the incremental re-consolidation
+    engine (:mod:`repro.consolidation.incremental`) patches it by
+    rebuilding only the nodes on the path it touched, sharing every
+    untouched subtree.
     """
 
     program: Program
     left: Optional["MergeNode"] = None
     right: Optional["MergeNode"] = None
-    ride: Optional[dict[str, str]] = None
+    ride: Optional[dict[str, dict[str, str]]] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None and self.right is None
-
-    @property
-    def representative(self) -> Optional[str]:
-        """On a ride node, the pid of the program the right leaf rides on."""
-
-        return next(iter(self.ride)) if self.ride else None
 
     def relabel(
         self,
@@ -146,45 +140,39 @@ class MergeNode:
         qualifiers, the label and the ride map.  A pure rebuild — α-renaming
         a consolidated program needs no calculus."""
 
+        def rename(pid: str) -> str:
+            return pid_map.get(pid, pid)
+
         program = self.program
         renamed = Program(
-            "&".join(pid_map.get(p, p) for p in program.pid.split("&")),
+            "&".join(map(rename, program.pid.split("&"))),
             program.params,
             rename_pids(requalify_locals(program.body, pid_map), pid_map),
         )
         ride = self.ride
         if ride is not None:
-            ride = {pid_map.get(k, k): pid_map.get(v, v) for k, v in ride.items()}
+            ride = {
+                rename(rider): {rename(k): rename(v) for k, v in rider_map.items()}
+                for rider, rider_map in ride.items()
+            }
         return MergeNode(renamed, left, right, ride)
 
-    def leaves(self) -> Iterator["MergeNode"]:
-        """The leaf nodes in left-to-right order."""
+    def leaf_pids(self) -> list[str]:
+        """The calculus leaves' pids in left-to-right order, then the riders'."""
 
         if self.is_leaf:
-            yield self
-            return
-        for child in (self.left, self.right):
-            if child is not None:
-                yield from child.leaves()
-
-    def leaf_pids(self) -> list[str]:
-        return [leaf.program.pid for leaf in self.leaves()]
+            return [self.program.pid]
+        children = (c for c in (self.left, self.right) if c is not None)
+        return [pid for c in children for pid in c.leaf_pids()] + list(self.ride or ())
 
     def riders(self) -> dict[str, str]:
-        """Each rider's pid and its representative's, riders nearest the
-        root first.  Riders ride in a chain above the calculus root."""
+        """Each rider's pid and its representative's, in notify order."""
 
-        out: dict[str, str] = {}
-        node = self
-        while node.representative is not None:
-            assert node.left is not None and node.right is not None
-            out[node.right.program.pid] = node.representative
-            node = node.left
-        return out
+        return {rider: next(iter(pid_map)) for rider, pid_map in (self.ride or {}).items()}
 
     def depth(self) -> int:
         """Height of the tree in pair merges (a single leaf has depth 1; the
-        ride chain adds nothing)."""
+        ride node adds nothing)."""
 
         if self.is_leaf:
             return 1
@@ -200,7 +188,7 @@ class MergeNode:
             return self.program.pid
         doc: dict[str, object] = {"pid": self.program.pid}
         if self.ride is not None:
-            doc["rides_on"] = self.representative
+            doc["riders"] = self.riders()
         doc["children"] = [c.shape() for c in (self.left, self.right) if c is not None]
         return doc
 
@@ -383,27 +371,41 @@ def _alpha_classes(
 
 
 def ride(
-    tree: MergeNode, rider: MergeNode, pid_map: dict[str, str]
-) -> tuple[MergeNode, PairRecord]:
-    """The ride node that puts leaf ``rider`` on ``tree``, and its record.
+    root: MergeNode, riders: dict[str, dict[str, str]]
+) -> tuple[MergeNode, list[PairRecord]]:
+    """The ride node that puts ``riders`` on the calculus root ``root``,
+    and one record per rider.
 
-    ``pid_map`` pairs the pids of a representative in ``tree`` with the
-    rider's (:func:`~repro.lang.visitors.pid_order`, position by
-    position).  The rider is α-equivalent to its representative, so it
-    notifies what the representative notifies: wherever ``tree``'s program
-    runs ``notify rep e``, the ride node's runs ``notify rider e`` right
-    after it.  No calculus runs and no local of the rider is used; the
-    record's one rule is ``Ride``.
+    ``riders`` maps each rider's pid to its pid map: a representative's
+    pids in ``root`` paired with the rider's
+    (:func:`~repro.lang.visitors.pid_order`, position by position).  A
+    rider is α-equivalent to its representative, so it notifies what the
+    representative notifies: wherever ``root``'s program runs
+    ``notify rep e``, the ride node's runs ``notify rider e`` for each of
+    ``rep``'s riders right after it, in map order — one pass over the
+    program for all of them.  No calculus runs and no local of a rider is
+    used; each record's one rule is ``Ride``.  With no riders, ``root``
+    itself is returned.
     """
 
+    if not riders:
+        return root, []
     started = time.perf_counter()
-    program = tree.program
-    body = ride_notifies(program.body, pid_map)
-    merged = Program(f"{program.pid}&{rider.program.pid}", program.params, body)
-    node = MergeNode(merged, tree, rider, ride=pid_map)
-    seconds = time.perf_counter() - started
-    rep = next(iter(pid_map))
-    return node, PairRecord(rep, rider.program.pid, merged, seconds, rules=("Ride",))
+    followers: dict[str, list[str]] = {}
+    for pid_map in riders.values():
+        for rep, rider in pid_map.items():
+            followers.setdefault(rep, []).append(rider)
+    program = root.program
+    # A rider added later notifies first and is appended to the label.
+    label = "&".join([program.pid, *reversed(riders)])
+    merged = Program(label, program.params, ride_notifies(program.body, followers))
+    node = MergeNode(merged, root, ride=riders)
+    seconds = (time.perf_counter() - started) / len(riders)
+    records = [
+        PairRecord(next(iter(pid_map)), rider, merged, seconds, rules=("Ride",))
+        for rider, pid_map in riders.items()
+    ]
+    return node, records
 
 
 def merge_pair(
@@ -418,26 +420,31 @@ def merge_pair(
     telemetry: Telemetry = NULL_TELEMETRY,
     **span_attrs: object,
 ) -> PairRecord:
-    """The one pair-merge step: consolidate ``a`` and ``b`` or raise.
+    """The one pair step: ``a`` and ``b`` consolidated, or kept unmerged.
 
     A fresh Consolidator per pair keeps each record's rules and counters
     its own; the caller's ``solver`` keeps the entailment cache warm across
     its pairs.  The recorder is per-pair too: its node stack is not
     re-entrant.
 
-    Anything may escape — a solver crash, a refuted static validation, an
-    injected fault (:data:`FAULT_HOOK`).  What that means is
-    the caller's business; see the module docstring.
+    A failure — a solver crash, a refuted static validation, an injected
+    fault (:data:`FAULT_HOOK`) — keeps the pair as its sequential baseline
+    with the reason on ``skip_reason`` (:func:`_unmerged`): the result is
+    still correct, just less consolidated, so no caller ever sees a pair
+    raise.
     """
 
-    if FAULT_HOOK is not None:
-        FAULT_HOOK("consolidate.pair", (a, b))
-    recorder: DerivationRecorder | NullRecorder = (
-        DerivationRecorder() if provenance else NULL_RECORDER
-    )
-    worker = Consolidator(functions, cost_model, options, solver, recorder)
-    with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
-        worker.consolidate(a, b)
+    try:
+        if FAULT_HOOK is not None:
+            FAULT_HOOK("consolidate.pair", (a, b))
+        recorder: DerivationRecorder | NullRecorder = (
+            DerivationRecorder() if provenance else NULL_RECORDER
+        )
+        worker = Consolidator(functions, cost_model, options, solver, recorder)
+        with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
+            worker.consolidate(a, b)
+    except Exception as exc:  # noqa: BLE001 - degrade, never crash mid-batch
+        return _unmerged(a, b, f"{type(exc).__name__}: {exc}")
     assert worker.record is not None  # consolidate() returned
     return worker.record
 
@@ -502,7 +509,6 @@ def consolidate_all(
     solver = Solver(telemetry=telemetry)
     options = options or ConsolidationOptions()
     records: list[PairRecord] = []
-    rides: list[PairRecord] = []
     stats = SimplifyStats()
     degradations: list[str] = []
     registry = telemetry.metrics
@@ -511,21 +517,16 @@ def consolidate_all(
     started = time.perf_counter()
 
     def attempt(a: Program, b: Program) -> PairRecord:
-        # Here a failure keeps the pair unmerged (the sequential baseline
-        # is always correct) and says why; the batch never dies for one pair.
-        try:
-            return merge_pair(
-                a,
-                b,
-                functions,
-                cost_model,
-                options,
-                solver,
-                provenance=cfg.provenance,
-                telemetry=telemetry,
-            )
-        except Exception as exc:  # noqa: BLE001 - degrade, never crash mid-batch
-            return _unmerged(a, b, f"{type(exc).__name__}: {exc}")
+        return merge_pair(
+            a,
+            b,
+            functions,
+            cost_model,
+            options,
+            solver,
+            provenance=cfg.provenance,
+            telemetry=telemetry,
+        )
 
     def absorb(record: PairRecord) -> Program:
         # Fold one pair's record into the batch, in plan order.
@@ -556,7 +557,7 @@ def consolidate_all(
         # Every program of a level is held by a MergeNode, so each
         # intermediate merged program lands in the tree.  A leaf's
         # locals are qualified here, once; no merge renames them again.
-        level, riders = _alpha_classes([MergeNode(qualify_locals(p)) for p in programs])
+        level, copies = _alpha_classes([MergeNode(qualify_locals(p)) for p in programs])
         while len(level) > 1:
             depth += 1
             pairs, carried = policy([node.program for node in level])
@@ -564,14 +565,16 @@ def consolidate_all(
             level = [
                 MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
             ] + [level[i] for i in carried]
-        # Riders go on last to first, each right after its
-        # representative, so a class notifies in the driver's order.
-        root = level[0]
-        for first, leaf in reversed(riders):
-            pid_map = dict(zip(pid_order(first.program), pid_order(leaf.program)))
-            root, record = ride(root, leaf, pid_map)
-            rides.append(record)
-            rule_counts["Ride"] += 1
+        # The riders notify right after their representative, each class
+        # in the driver's order.
+        root, rides = ride(
+            level[0],
+            {
+                leaf.program.pid: dict(zip(pid_order(first.program), pid_order(leaf.program)))
+                for first, leaf in copies
+            },
+        )
+        rule_counts.update(rule for record in rides for rule in record.rules)
     result = root.program
 
     solver_stats = solver.stats.snapshot()
@@ -609,7 +612,7 @@ def consolidate_all(
         program=result,
         num_inputs=len(programs),
         pairs=records,
-        rides=rides[::-1],
+        rides=rides,
         tree_depth=depth,
         duration=time.perf_counter() - started,
         solver_stats=solver_stats,

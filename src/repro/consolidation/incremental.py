@@ -18,38 +18,31 @@ instead:
   pair merges instead of *n − 1*.
 
 An α-copy of a live query takes no pair merge at all.  As in the batch
-driver, riders sit in a chain of ride nodes
+driver, the riders sit in one ride node
 (:func:`~repro.consolidation.divide_conquer.ride`) above the calculus
-root, and each mutation rebuilds the chain over the root it leaves:
+root, and each mutation rides them again on the root it leaves:
 
-* **add** of a copy — the caller names the live twin — puts one more ride
-  node on top; an ordinary add grafts onto the calculus root and rides
-  the chain again;
-* **remove** of a rider drops its link from the chain;
+* **add** of a copy — the caller names the live twin — puts the copy
+  first in the ride map; an ordinary add grafts onto the calculus root;
+* **remove** of a rider drops it from the ride map;
 * **remove** of a representative that still has riders hands its place to
-  the topmost of them: every node on the representative's calculus path
-  is renamed to that rider — pids and local qualifiers, as the plan cache
+  the first of them: every node on the representative's calculus path is
+  renamed to that rider — pids and local qualifiers, as the plan cache
   relabels a tree — and the class's other riders ride on it.
 
-Each patched pair merge can run the static translation validator
-(:mod:`repro.analysis.static.validate`); a refuted certificate — or any
-exception escaping the merge — raises :class:`PatchError`, and the caller
-is expected to fall back to a full re-consolidation, recording the
-fallback.  Unlike the batch driver, a patch never silently degrades to
-the sequential composition: the service wants either a certified patch or
-an honest rebuild.
-
-Patched pairs go through the batch driver's one pair step
-(:func:`~repro.consolidation.divide_conquer.merge_pair`) — and so through
-its fault-injection seam (``divide_conquer.FAULT_HOOK``, site
-``consolidate.pair``), which lets the existing fault battery exercise the
-fallback ladder.  Only the meaning of a failure is this module's own.
+Every patched pair goes through the batch driver's one pair step
+(:func:`~repro.consolidation.divide_conquer.merge_pair`) and so under its
+rules: a merge that fails — or whose static validation is refuted — is
+kept unmerged, with the reason on its record's ``skip_reason``, exactly
+as in a batch.  The step's fault-injection seam
+(``divide_conquer.FAULT_HOOK``, site ``consolidate.pair``) reaches the
+patches too.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..config import ExecutionConfig
@@ -69,16 +62,7 @@ from .divide_conquer import (
     ride,
 )
 
-__all__ = ["PatchError", "PatchResult", "add_query", "remove_query", "rebuild"]
-
-
-class PatchError(Exception):
-    """A tree patch could not be completed (or certified) safely.
-
-    Raised when a patched pair merge throws, or when the static validator
-    refutes its certificate.  Callers fall back to a full
-    re-consolidation; the message becomes the recorded fallback reason.
-    """
+__all__ = ["PatchResult", "add_query", "remove_query", "rebuild"]
 
 
 @dataclass
@@ -90,23 +74,20 @@ class PatchResult(PairViews):
     or all of a ``fallback`` rebuild's — and the other per-pair names are
     views over it: ``pair_merges`` is its length (the quantity a full
     re-consolidation spends *n − 1* on, counted whether or not provenance
-    was recorded), ``validations`` and ``derivations`` are the records'
-    certificates and provenance trees.  ``rides`` holds a ``("Ride",)``
-    record per ride node the mutation built (an added copy, or the chain
-    ridden again over a new calculus root); they are not pair merges.
-    ``tree`` is ``None`` only when the last query was removed.
+    was recorded, a pair kept unmerged included), ``validations`` and
+    ``derivations`` are the records' certificates and provenance trees.
+    ``rides`` holds a ``("Ride",)`` record per rider of the ride node the
+    mutation built; they are not pair merges.  ``fallback`` is set by a
+    caller that rebuilt instead of patching, and says why.  ``tree`` is
+    ``None`` only when the last query was removed.
     """
 
     tree: Optional[MergeNode]
-    action: str  # "add" | "remove" | "rebuild"
+    action: str  # "add" | "remove"
     seconds: float = 0.0
     pairs: list[PairRecord] = field(default_factory=list)
     fallback: Optional[str] = None
     rides: list[PairRecord] = field(default_factory=list)
-
-    @property
-    def program(self) -> Optional[Program]:
-        return self.tree.program if self.tree is not None else None
 
     @property
     def pair_merges(self) -> int:
@@ -122,82 +103,46 @@ class PatchResult(PairViews):
         return [self.tree.program.pid] if self.tree is not None else []
 
 
-def _patch_step(
+def _merge_step(
     result: PatchResult,
     functions: FunctionTable,
     cost_model: CostModel,
     options: ConsolidationOptions | None,
-    static_validate: bool,
     record: bool,
     telemetry: Telemetry,
-) -> Callable[[Program, Program], Program]:
-    """One patch's pair step: a certified merge folded into ``result``, or
-    a :class:`PatchError` — for an exception and for an uncertified
-    validation alike.  Each patch gets a fresh solver.
-    """
+) -> Callable[[MergeNode, MergeNode], MergeNode]:
+    """One patch's pair step: the node over two children whose program is
+    their :func:`merge_pair`, its record kept on ``result.pairs``.  Each
+    patch gets a fresh solver."""
 
     options = options or ConsolidationOptions()
-    if static_validate:
-        options = replace(options, static_validate=True)
     solver = Solver(telemetry=telemetry)
 
-    def merge(a: Program, b: Program) -> Program:
-        try:
-            pair = merge_pair(
-                a,
-                b,
-                functions,
-                cost_model,
-                options,
-                solver,
-                provenance=record,
-                telemetry=telemetry,
-                patch=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - surfaced as a typed patch failure
-            raise PatchError(
-                f"pair merge {a.pid} ⊕ {b.pid} failed: {type(exc).__name__}: {exc}"
-            ) from exc
+    def merge(left: MergeNode, right: MergeNode) -> MergeNode:
+        pair = merge_pair(
+            left.program,
+            right.program,
+            functions,
+            cost_model,
+            options,
+            solver,
+            provenance=record,
+            telemetry=telemetry,
+            patch=True,
+        )
         result.pairs.append(pair)
-        if pair.validation is not None and not pair.validation.certified:
-            raise PatchError(
-                f"pair merge {a.pid} ⊕ {b.pid} refuted by the static validator"
-            )
-        return pair.program
+        return MergeNode(pair.program, left, right)
 
     return merge
 
 
-def _unchain(tree: MergeNode) -> tuple[MergeNode, list[MergeNode]]:
-    """The calculus root below ``tree``'s ride chain, and the chain's ride
-    nodes, root first."""
+def _split(tree: MergeNode) -> tuple[MergeNode, dict[str, dict[str, str]]]:
+    """The calculus root of ``tree`` and the ride map above it."""
 
-    links: list[MergeNode] = []
-    while tree.ride is not None:
-        assert tree.left is not None  # a ride node holds what it rides on
-        links.append(tree)
-        tree = tree.left
-    return tree, links
-
-
-def _rechain(
-    root: MergeNode, chain: list[tuple[MergeNode, dict[str, str]]], result: PatchResult
-) -> MergeNode:
-    """``root`` with each ``(rider, pid_map)`` of ``chain`` (root first)
-    riding on it again, bottom-up, so riders notify in the same order."""
-
-    for rider, pid_map in reversed(chain):
-        root, record = ride(root, rider, pid_map)
-        result.rides.append(record)
-    return root
-
-
-def _chain(links: list[MergeNode]) -> list[tuple[MergeNode, dict[str, str]]]:
-    out = []
-    for link in links:
-        assert link.right is not None and link.ride is not None
-        out.append((link.right, link.ride))
-    return out
+    if tree.ride is None:
+        return tree, {}
+    assert tree.left is not None  # a ride node holds what it rides on
+    return tree.left, tree.ride
 
 
 _Step = Callable[[MergeNode, MergeNode, MergeNode], MergeNode]
@@ -225,7 +170,6 @@ def add_query(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    static_validate: bool = True,
     record: bool = True,
     telemetry: Telemetry = NULL_TELEMETRY,
     twin: Optional[str] = None,
@@ -238,9 +182,7 @@ def add_query(
     ``consolidate_all`` does.  ``twin`` names a live query ``program`` is
     an α-copy of (the registry knows it from fingerprints): the copy then
     rides on that query's representative, with no pair merge.  Raises
-    :class:`PatchError` when the merge fails or its validation is refuted,
-    or when ``program`` is not an α-copy of ``twin``; the caller should
-    then fall back to :func:`rebuild`.
+    :class:`ValueError` when ``program`` is not an α-copy of ``twin``.
     """
 
     started = time.perf_counter()
@@ -248,20 +190,18 @@ def add_query(
     leaf = MergeNode(qualify_locals(program))
     if tree is None:
         result.tree = leaf
-    elif twin is not None:
-        path = _path_to_leaf(tree, tree.riders().get(twin, twin))
-        if path is None or canonicalize(path[-1].program) != canonicalize(leaf.program):
-            raise PatchError(f"query {program.pid!r} is not an α-copy of {twin!r}")
-        pid_map = dict(zip(pid_order(path[-1].program), pid_order(leaf.program)))
-        result.tree, ridden = ride(tree, leaf, pid_map)
-        result.rides.append(ridden)
     else:
-        merge = _patch_step(
-            result, functions, cost_model, options, static_validate, record, telemetry
-        )
-        root, links = _unchain(tree)
-        grafted = MergeNode(merge(root.program, leaf.program), root, leaf)
-        result.tree = _rechain(grafted, _chain(links), result)
+        root, riders = _split(tree)
+        if twin is not None:
+            path = _path_to_leaf(root, tree.riders().get(twin, twin))
+            if path is None or canonicalize(path[-1].program) != canonicalize(leaf.program):
+                raise ValueError(f"query {program.pid!r} is not an α-copy of {twin!r}")
+            pid_map = dict(zip(pid_order(path[-1].program), pid_order(leaf.program)))
+            riders = {program.pid: pid_map, **riders}
+        else:
+            merge = _merge_step(result, functions, cost_model, options, record, telemetry)
+            root = merge(root, leaf)
+        result.tree, result.rides = ride(root, riders)
     result.seconds = time.perf_counter() - started
     return result
 
@@ -273,7 +213,6 @@ def remove_query(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    static_validate: bool = True,
     record: bool = True,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PatchResult:
@@ -284,29 +223,23 @@ def remove_query(
     children, bottom-up, and the riders ride on the new calculus root.  A
     rider and a representative with riders leave with no pair merge (see
     the module docstring).  Raises :class:`ValueError` when ``pid`` is not
-    a leaf of ``tree`` and :class:`PatchError` when a path merge fails.
+    a leaf of ``tree``.
     """
 
     started = time.perf_counter()
     result = PatchResult(tree=tree, action="remove")
-    root, links = _unchain(tree)
-    chain = _chain(links)
-    ridden = [rider.program.pid for rider, _ in chain]
-    heir = next((link for link in links if link.representative == pid), None)
+    root: Optional[MergeNode]
+    root, riders = _split(tree)
     path = _path_to_leaf(root, pid)
-    if pid in ridden:
-        # A rider leaves: the chain above its link rides again without it.
-        i = ridden.index(pid)
-        below = links[i].left
-        assert below is not None
-        result.tree = _rechain(below, chain[:i], result)
+    heir = next((r for r, rep in tree.riders().items() if rep == pid), None)
+    if pid in riders:
+        riders = {r: pid_map for r, pid_map in riders.items() if r != pid}
     elif path is None:
         raise ValueError(f"query {pid!r} is not a leaf of the merge tree")
     elif heir is not None:
-        # The topmost rider takes the representative's place: its path is
+        # The first rider takes the representative's place: its path is
         # renamed, and the class's other riders ride on the heir.
-        pid_map = heir.ride
-        assert pid_map is not None
+        pid_map = riders[heir]
         leaf = path[-1]
         root = _replace_up(
             path[:-1],
@@ -314,32 +247,27 @@ def remove_query(
             leaf.relabel(pid_map),
             lambda ancestor, left, right: ancestor.relabel(pid_map, left, right),
         )
-        rest = [
-            (rider, {pid_map.get(k, k): v for k, v in rider_map.items()})
-            for rider, rider_map in chain
-            if rider is not heir.right
-        ]
-        result.tree = _rechain(root, rest, result)
+        riders = {
+            r: {pid_map.get(k, k): v for k, v in rider_map.items()}
+            for r, rider_map in riders.items()
+            if r != heir
+        }
     elif len(path) == 1:
         # The tree was a single leaf; removing it empties the registry.
-        result.tree = None
+        root = None
     else:
-        merge = _patch_step(
-            result, functions, cost_model, options, static_validate, record, telemetry
-        )
+        merge = _merge_step(result, functions, cost_model, options, record, telemetry)
         # ``path`` runs root → … → parent → leaf.  The sibling subtree takes
         # the parent's place; every ancestor above is then re-merged
         # bottom-up from its untouched child and the patched subtree.
         parent = path[-2]
         sibling = parent.right if parent.left is path[-1] else parent.left
         assert sibling is not None
-        root = _replace_up(
-            path[:-2],
-            parent,
-            sibling,
-            lambda _, left, right: MergeNode(merge(left.program, right.program), left, right),
-        )
-        result.tree = _rechain(root, chain, result)
+        root = _replace_up(path[:-2], parent, sibling, lambda _, left, right: merge(left, right))
+    if root is not None:
+        result.tree, result.rides = ride(root, riders)
+    else:
+        result.tree = None
     result.seconds = time.perf_counter() - started
     return result
 

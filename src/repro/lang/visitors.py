@@ -348,14 +348,14 @@ def strip_notifies(s: Stmt, pids: frozenset[str]) -> Stmt:
     return _map_notifies(s, lambda n: SKIP if n.pid in pids else n)
 
 
-def ride_notifies(s: Stmt, mapping: dict[str, str]) -> Stmt:
+def ride_notifies(s: Stmt, mapping: dict[str, list[str]]) -> Stmt:
     """``s`` where each ``notify p e`` with ``p`` in ``mapping`` is followed
-    by ``notify mapping[p] e``: the second pid broadcasts what the first
-    does, at the same point, for one ``notify`` more."""
+    by ``notify r e`` for each ``r`` of ``mapping[p]``, in order: every rider
+    broadcasts what ``p`` does, at the same point, for one ``notify`` more."""
 
     def on_notify(n: Notify) -> Stmt:
-        pid = mapping.get(n.pid)
-        return n if pid is None else seq(n, Notify(pid, n.expr))
+        pids = mapping.get(n.pid)
+        return n if not pids else seq(n, *(Notify(pid, n.expr) for pid in pids))
 
     return _map_notifies(s, on_notify)
 

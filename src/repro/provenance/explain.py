@@ -78,11 +78,15 @@ class ExplainReport:
     riders: dict[str, str] = field(default_factory=dict)
 
     def slowest_entailments(self, count: int = 10, by_time: bool = True):
-        """The hotspot list.  ``by_time=False`` orders lexicographically —
-        used by the timing-stripped renderings, where wall-clock rank
-        would leak nondeterminism into golden files."""
+        """The hotspot list: entailments that reached the solver
+        (``source == "smt"``), not those a memo or the store answered.
+        ``by_time=False`` orders lexicographically — used by the
+        timing-stripped renderings, where wall-clock rank would leak
+        nondeterminism into golden files."""
 
-        pool = [e for tree in self.derivations for e in tree.entailments()]
+        pool = [
+            e for tree in self.derivations for e in tree.entailments() if e.source == "smt"
+        ]
         if by_time:
             return sorted(pool, key=lambda e: -e.seconds)[:count]
         return sorted(pool, key=lambda e: (e.kind, e.source, e.psi, e.query))[:count]

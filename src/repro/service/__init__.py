@@ -14,8 +14,8 @@ change.
   fingerprints and the order-independent plan key for the plan cache.
 * :mod:`~repro.service.registry` — the core :class:`QueryRegistry`: plan
   cache, incremental merge-tree patching
-  (:mod:`repro.consolidation.incremental`) with recorded fallback to
-  full re-consolidation, and the append-only event log
+  (:mod:`repro.consolidation.incremental`) with a recorded rebalance when
+  grafts make the tree too deep, and the append-only event log
   (:mod:`~repro.service.events`) that makes state replayable on restart.
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
   stdlib-only HTTP server (``repro serve``) and a typed client that maps

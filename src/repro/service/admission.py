@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from ..analysis.static import Finding, LintReport, lint_program, to_sarif
 from ..frontend import TranslationError, translate_source
@@ -46,18 +47,19 @@ class AdmissionDecision:
     def warnings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "warning")
 
-    def diagnostics(self) -> dict:
+    def diagnostics(self) -> dict[str, Any]:
         """The findings as a SARIF 2.1.0 document (a plain dict)."""
 
         return _sarif(self.program.pid, self.findings)
 
 
-def _sarif(pid: str, findings) -> dict:
+def _sarif(pid: str, findings: Iterable[Finding]) -> dict[str, Any]:
     report = LintReport(program=pid, findings=tuple(findings))
-    return json.loads(json.dumps(to_sarif([report])))
+    doc: dict[str, Any] = json.loads(json.dumps(to_sarif([report])))
+    return doc
 
 
-def _reject(pid: str, findings) -> AdmissionError:
+def _reject(pid: str, findings: Sequence[Finding]) -> AdmissionError:
     errors = [f for f in findings if f.severity == "error"]
     summary = "; ".join(f"{f.rule}: {f.message}" for f in errors[:3])
     if len(errors) > 3:

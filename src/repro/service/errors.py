@@ -10,6 +10,8 @@ the client side.
 
 from __future__ import annotations
 
+from typing import Any
+
 __all__ = [
     "ServiceError",
     "RegistryError",
@@ -43,7 +45,7 @@ class AdmissionError(RegistryError):
 
     code = "admission"
 
-    def __init__(self, message: str, diagnostics: dict | None = None) -> None:
+    def __init__(self, message: str, diagnostics: dict[str, Any] | None = None) -> None:
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
@@ -72,7 +74,7 @@ _BY_CODE = {
 }
 
 
-def error_for(code: str, message: str, diagnostics: dict | None = None) -> ServiceError:
+def error_for(code: str, message: str, diagnostics: dict[str, Any] | None = None) -> ServiceError:
     """Rebuild the typed exception a server error payload describes."""
 
     cls = _BY_CODE.get(code, ServiceError)

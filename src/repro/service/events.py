@@ -128,5 +128,5 @@ class EventLog:
     def __enter__(self) -> "EventLog":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         self.close()

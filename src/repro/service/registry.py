@@ -7,12 +7,13 @@ fingerprints, and the append-only event log that makes all of it
 replayable.  Mutations take one path::
 
     admit ──► duplicate / precondition checks ──► journal append
-          ──► plan cache probe ──► incremental patch ──► (fallback: rebuild)
+          ──► plan cache probe ──► incremental patch (or rebalance)
 
 * **Admission** (:mod:`repro.service.admission`) rejects malformed or
   lint-failing queries with SARIF diagnostics before any state changes.
 * **Plan cache**: the registry keys each consolidated plan by the
-  multiset of member fingerprints (:func:`repro.service.fingerprint.plan_key`).
+  multiset of member fingerprints (:func:`repro.service.fingerprint.plan_key`)
+  and keeps the :data:`PLAN_CACHE_SIZE` most recently used.
   Re-registering an alpha-equivalent batch — same queries, new names or
   pids — reuses the prior merge tree wholesale; only the notify targets
   and the locals' qualifiers are structurally renamed, no pair is
@@ -21,9 +22,12 @@ replayable.  Mutations take one path::
   cache miss on add/remove of one query patches the merge tree instead of
   re-running ``consolidate_all``; an α-copy of a live query rides on it
   with no pair merge, and ``explain()`` names each rider's
-  representative.  A failed or uncertified patch — and a tree grown too
-  spindly by repeated root grafts — falls back to a full rebuild,
-  recorded on the patch result and counted in telemetry.
+  representative.  Every merge runs under the batch driver's rules: a
+  pair that fails, or whose static validation is refuted, is kept
+  unmerged and counted (``patch_fallbacks``).  A registration whose graft
+  would grow the tree past the depth bound (:data:`REBALANCE_FACTOR`)
+  rebuilds the balanced tree instead, validated like any other merge and
+  recorded on the patch result (``full_rebuilds``).
 * **Event log** (:mod:`repro.service.events`): every applied mutation is
   journalled first; a registry constructed over an existing journal
   replays it through this same path, so restart recovers byte-identical
@@ -33,8 +37,8 @@ All public methods are safe under concurrent callers: one re-entrant
 lock serialises mutations and plan reads.
 
 Telemetry lands under ``service_*``: registrations, admission rejects,
-plan-cache hits/misses, incremental patches, fallbacks, rebuilds, pair
-merges, and patch/rebuild seconds histograms.
+plan-cache hits/misses, incremental patches, rebalances, pair merges, and
+the patch seconds histogram.
 """
 
 from __future__ import annotations
@@ -42,30 +46,38 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import RLock
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..config import ExecutionConfig, ServiceConfig
+from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import MergeNode
-from ..consolidation.incremental import (
-    PatchError,
-    PatchResult,
-    add_query,
-    rebuild,
-    remove_query,
-)
+from ..consolidation.incremental import PatchResult, add_query, rebuild, remove_query
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
 from ..lang.printer import program_to_str
 from ..lang.visitors import notified_pids
+from ..naiad.dataflow import RunResult
 from ..naiad.linq import from_collection
-from .admission import admit
+from .admission import AdmissionDecision, admit
 from .errors import DuplicateQueryError, RegistryError, UnknownQueryError
-from .events import EventLog
+from .events import Event, EventLog
 from .fingerprint import fingerprint, plan_key
 
-__all__ = ["RegisteredQuery", "PlanSnapshot", "QueryRegistry"]
+__all__ = [
+    "PLAN_CACHE_SIZE",
+    "REBALANCE_FACTOR",
+    "RegisteredQuery",
+    "PlanSnapshot",
+    "QueryRegistry",
+]
+
+# A root graft that would make the tree deeper than
+# REBALANCE_FACTOR · ⌈log₂ n⌉ + 1 rebuilds the balanced tree instead.
+REBALANCE_FACTOR = 2.0
+# Consolidated plans the cache keeps, evicted least-recently-used.
+PLAN_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,7 @@ class RegisteredQuery:
     fingerprint: str
     seq: int
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "pid": self.pid,
             "tenant": self.tenant,
@@ -97,7 +109,7 @@ class PlanSnapshot:
     depth: int
     program_text: str
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "fingerprint": self.fingerprint,
             "pids": list(self.pids),
@@ -146,6 +158,9 @@ class QueryRegistry:
         self.config = config or ExecutionConfig()
         self.service = service or ServiceConfig()
         self.telemetry = self.config.telemetry
+        self._options = ConsolidationOptions(
+            static_validate=self.service.static_validate_patches
+        )
         self._queries: "OrderedDict[str, RegisteredQuery]" = OrderedDict()
         self._tree: Optional[MergeNode] = None
         self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
@@ -175,7 +190,7 @@ class QueryRegistry:
 
     # -- replay ------------------------------------------------------------
 
-    def _replay(self, events) -> None:
+    def _replay(self, events: Iterable[Event]) -> None:
         """Re-apply a journal through the ordinary mutation path."""
 
         self._replaying = True
@@ -264,7 +279,7 @@ class QueryRegistry:
                 raise
             self._bump("unregistered_total", "service_unregistered_total")
 
-    def _admit(self, query: Program | str):
+    def _admit(self, query: Program | str) -> AdmissionDecision:
         try:
             return admit(
                 query,
@@ -280,7 +295,7 @@ class QueryRegistry:
         if self.telemetry.enabled:
             self.telemetry.counter(metric).inc()
 
-    def _journal(self, op: str, pid: str, **fields) -> int:
+    def _journal(self, op: str, pid: str, **fields: str) -> int:
         self._seq += 1
         if self._log is not None and not self._replaying:
             return self._log.append(op, pid, **fields).seq
@@ -292,7 +307,7 @@ class QueryRegistry:
         return plan_key(q.fingerprint for q in self._queries.values())
 
     def _cache_store(self) -> None:
-        if self._tree is None or self.service.plan_cache_size == 0:
+        if self._tree is None:
             return
         key = self._current_key()
         leaves = tuple(
@@ -301,7 +316,7 @@ class QueryRegistry:
         )
         self._plan_cache[key] = _CachedPlan(self._tree, leaves)
         self._plan_cache.move_to_end(key)
-        while len(self._plan_cache) > self.service.plan_cache_size:
+        while len(self._plan_cache) > PLAN_CACHE_SIZE:
             self._plan_cache.popitem(last=False)
 
     def _cache_probe(self) -> bool:
@@ -337,33 +352,29 @@ class QueryRegistry:
             self.last_patch = PatchResult(tree=self._tree, action="add")
             return
         started = time.perf_counter()
-        try:
-            # A root graft makes the tree one level deeper: decide the
-            # rebalance before merging, so a registration pays the graft or
-            # the rebuild, never both.  An α-copy of a live query — the
-            # fingerprint is the α-class key — rides on it and deepens
-            # nothing; add_query refuses a twin whose canonical form differs.
-            depth = self._tree.depth() + 1 if self._tree is not None else 1
-            twins = (q.pid for q in self._queries.values() if q.fingerprint == fp)
-            twin = next((pid for pid in twins if pid != program.pid), None)
-            if twin is None and self._needs_rebalance(depth):
-                raise PatchError(
-                    f"rebalance: depth {depth} exceeded the "
-                    f"policy bound for {len(self._queries)} queries"
-                )
+        # A root graft makes the tree one level deeper: decide the
+        # rebalance before merging, so a registration pays the graft or
+        # the rebuild, never both.  An α-copy of a live query — the
+        # fingerprint is the α-class key — rides on it and deepens nothing.
+        depth = self._tree.depth() + 1 if self._tree is not None else 1
+        twins = (q.pid for q in self._queries.values() if q.fingerprint == fp)
+        twin = next((pid for pid in twins if pid != program.pid), None)
+        if twin is None and self._needs_rebalance(depth):
+            patch = self._rebalance(
+                f"rebalance: depth {depth} exceeded the "
+                f"policy bound for {len(self._queries)} queries"
+            )
+        else:
             patch = add_query(
                 self._tree,
                 program,
                 self.functions,
                 self.config.cost_model,
-                static_validate=self.service.static_validate_patches,
+                self._options,
                 record=self.service.record_derivations,
                 telemetry=self.telemetry,
                 twin=twin,
             )
-        except PatchError as exc:
-            patch = self._fallback_rebuild("add", str(exc))
-        else:
             if patch.pair_merges or patch.rides:
                 self._count_patch(patch)
         patch.seconds = time.perf_counter() - started
@@ -373,39 +384,36 @@ class QueryRegistry:
         if self._cache_probe():
             self.last_patch = PatchResult(tree=self._tree, action="remove")
             return
+        assert self._tree is not None  # the membership had entry
         started = time.perf_counter()
-        try:
-            patch = remove_query(
-                self._tree,
-                entry.pid,
-                self.functions,
-                self.config.cost_model,
-                static_validate=self.service.static_validate_patches,
-                record=self.service.record_derivations,
-                telemetry=self.telemetry,
-            )
-        except (PatchError, ValueError) as exc:
-            patch = self._fallback_rebuild("remove", str(exc))
-        else:
-            self._count_patch(patch)
+        patch = remove_query(
+            self._tree,
+            entry.pid,
+            self.functions,
+            self.config.cost_model,
+            self._options,
+            record=self.service.record_derivations,
+            telemetry=self.telemetry,
+        )
+        self._count_patch(patch)
         patch.seconds = time.perf_counter() - started
         self._install(patch)
 
-    def _fallback_rebuild(self, action: str, reason: str) -> PatchResult:
-        """Full re-consolidation, recorded as the patch's fallback."""
+    def _rebalance(self, reason: str) -> PatchResult:
+        """Full re-consolidation of the live set, recorded as the patch's
+        ``fallback``: the balanced tree again."""
 
         programs = [q.program for q in self._queries.values()]
         tree, report = rebuild(
             programs,
             self.functions,
             self.config.cost_model,
+            self._options,
             config=self.config,
             provenance=self.service.record_derivations,
             telemetry=self.telemetry,
         )
         self.stats["full_rebuilds"] += 1
-        self.stats["patch_fallbacks"] += 1
-        self.stats["pair_merges_total"] += report.pair_consolidations
         for decision in report.planner_decisions:
             if decision["merged"]:
                 self.stats["planner_merges_total"] += 1
@@ -415,19 +423,23 @@ class QueryRegistry:
                 self.stats["planner_mispredictions_total"] += 1
         if self.telemetry.enabled:
             self.telemetry.counter("service_full_rebuilds_total").inc()
-            self.telemetry.counter("service_pair_merges_total").inc(
-                report.pair_consolidations
-            )
-        return PatchResult(tree=tree, action=action, pairs=report.pairs, fallback=reason)
+        patch = PatchResult(tree=tree, action="add", pairs=report.pairs, fallback=reason)
+        self._count_pairs(patch)
+        return patch
 
     def _count_patch(self, patch: PatchResult) -> None:
         self.stats["incremental_patches"] += 1
-        self.stats["pair_merges_total"] += patch.pair_merges
         if self.telemetry.enabled:
             self.telemetry.counter("service_incremental_patches_total").inc()
-            self.telemetry.counter("service_pair_merges_total").inc(
-                patch.pair_merges
-            )
+        self._count_pairs(patch)
+
+    def _count_pairs(self, patch: PatchResult) -> None:
+        """Count the patch's pair merges, and those kept unmerged."""
+
+        self.stats["pair_merges_total"] += patch.pair_merges
+        self.stats["patch_fallbacks"] += sum(r.skip_reason is not None for r in patch.pairs)
+        if self.telemetry.enabled:
+            self.telemetry.counter("service_pair_merges_total").inc(patch.pair_merges)
 
     def _install(self, patch: PatchResult) -> None:
         self._tree = patch.tree
@@ -438,10 +450,7 @@ class QueryRegistry:
 
     def _needs_rebalance(self, depth: int) -> bool:
         n = len(self._queries)
-        if n < 4:
-            return False
-        bound = self.service.rebalance_factor * math.ceil(math.log2(n)) + 1
-        return depth > bound
+        return n >= 4 and depth > REBALANCE_FACTOR * math.ceil(math.log2(n)) + 1
 
     # -- reads -------------------------------------------------------------
 
@@ -480,7 +489,7 @@ class QueryRegistry:
                 program_text=program_to_str(self._tree.program),
             )
 
-    def run(self, rows: Sequence[object]):
+    def run(self, rows: Sequence[object]) -> RunResult:
         """Execute the consolidated plan over ``rows`` (a RunResult)."""
 
         with self._lock:
@@ -492,7 +501,7 @@ class QueryRegistry:
         )
         return query.run(self.config)
 
-    def metrics_doc(self) -> dict:
+    def metrics_doc(self) -> dict[str, Any]:
         """The ``/metrics`` document: counters plus planner/calibration info.
 
         Counters come straight from ``stats``; the configured planner name
@@ -502,7 +511,7 @@ class QueryRegistry:
         """
 
         with self._lock:
-            doc: dict = dict(self.stats)
+            doc: dict[str, Any] = dict(self.stats)
             doc["planner"] = self.config.planner
             calibration = self.config.calibration
             if calibration is not None:
@@ -513,13 +522,13 @@ class QueryRegistry:
                 doc["calibration_source"] = calibration.source
             return doc
 
-    def explain(self) -> dict:
+    def explain(self) -> dict[str, Any]:
         """A JSON-friendly account of the plan and how it got here."""
 
         from ..provenance import derivation_summary
 
         with self._lock:
-            doc: dict = {
+            doc: dict[str, Any] = {
                 "queries": len(self._queries),
                 "plan_fingerprint": self._current_key() if self._queries else None,
                 "tree": self._tree.shape() if self._tree is not None else None,

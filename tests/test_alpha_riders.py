@@ -8,10 +8,12 @@ Key claims under test:
   so the UDF cost is at most the copy-free batch's plus one ``notify`` per
   copy per notification of its original; static validation certifies
   whenever it certifies the copy-free batch;
+* all riders share one ride node above the calculus root, which notifies
+  each class in the driver's order;
 * the incremental engine adds a copy, removes a rider, hands a leaving
   representative's place to its rider, re-adds the removed id and removes
-  the last member with zero pair merges and zero rebuilds, and after each
-  step the plan's buckets equal a fresh rebuild's;
+  the last member with zero pair merges, and after each step the plan's
+  buckets equal a fresh rebuild's;
 * the registry's ``explain()``, ``repro explain`` and ``repro figure9``
   show the riders: who rides on whom, and how many UDFs are distinct.
 """
@@ -22,8 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.static import validate_consolidation
-from repro.config import ServiceConfig
-from repro.consolidation import PatchError, add_query, consolidate_all
+from repro.consolidation import add_query, consolidate_all, remove_query
 from repro.datasets import generate_weather
 from repro.experiments import render_figure9, run_figure9
 from repro.lang import (
@@ -36,6 +37,7 @@ from repro.lang import (
     strip_notifies,
 )
 from repro.lang.ast import stmt_parts
+from repro.lang.visitors import qualify_locals
 from repro.lang.cost import DEFAULT_COST_MODEL
 from repro.naiad import from_collection, run_where_consolidated, run_where_many
 from repro.provenance import explain_batch, render_text
@@ -142,6 +144,26 @@ def test_canonical_form_lives_in_the_language_layer():
     assert service_fingerprint.rename_pids is rename_pids
 
 
+def test_riders_share_one_ride_node_in_driver_order():
+    programs = generate_case(11, "twitter", 3)
+    copies = [alpha_copy(programs[0], f"c{k}") for k in range(3)]
+    copies.append(alpha_copy(programs[1], "d0"))
+    functions = schema_dataset("twitter").functions
+    report = consolidate_all(programs + copies, functions, keep_tree=True)
+    tree = report.merge_tree
+    assert tree.riders() == report.riders
+    assert list(tree.ride) == [r.right for r in report.rides]
+    assert tree.left.ride is None and tree.depth() == tree.left.depth()
+    assert tree.leaf_pids() == tree.left.leaf_pids() + list(tree.ride)
+    # Each class notifies in the driver's order, right after its
+    # representative: one notify more per copy and notification.
+    order = [n.pid for n in notifies(tree.program.body)]
+    for rep in {programs[0].pid, programs[1].pid}:
+        riders = [r for r, first in report.riders.items() if first == rep]
+        i = order.index(rep)
+        assert order[i + 1 : i + 1 + len(riders)] == riders
+
+
 # ---------------------------------------------------------------------------
 # the incremental script
 
@@ -157,88 +179,84 @@ def pair():
 
 
 def test_incremental_script_takes_no_pair_merge(pair):
+    # The script drives the engine itself: in a registry most of its
+    # memberships repeat, and the plan cache would serve them unpatched.
     a, b, functions = pair
     rows = [args[ROW] for args in case_inputs("twitter")]
-    registry = QueryRegistry(functions, service=ServiceConfig(plan_cache_size=0))
+    live = []
+    tree = None
 
-    def step(op, program):
+    def step(op, program, twin=None):
+        nonlocal tree
         if op == "add":
-            registry.register(program)
+            patch = add_query(tree, program, functions, twin=twin)
+            live.append(program)
         else:
-            registry.unregister(program.pid)
-        live = [q.program for q in registry.queries()]
+            patch = remove_query(tree, program.pid, functions)
+            live[:] = [p for p in live if p.pid != program.pid]
+        tree = patch.tree
+        pids = [p.pid for p in live]
+        served = from_collection(rows).where_consolidated(tree.program, pids, functions).run()
         fresh = consolidate_all(live, functions)
-        served = registry.run(rows)
-        expected = from_collection(rows).where_consolidated(
-            fresh.program, [p.pid for p in live], functions
-        ).run()
+        expected = from_collection(rows).where_consolidated(fresh.program, pids, functions).run()
         assert nonempty(served.buckets) == nonempty(expected.buckets), (op, program.pid)
         assert nonempty(served.buckets) == nonempty(
             run_where_many(rows, live, functions).buckets
         )
-        return registry.last_patch
+        assert sorted(tree.leaf_pids()) == sorted(pids)
+        return patch
 
     a1, a2 = alpha_copy(a, "a1"), alpha_copy(a, "a2")
-    for p in (a, b, a1):
-        step("add", p)
-    merges_so_far = registry.stats["pair_merges_total"]
-    assert registry.explain()["riders"] == {"a1": a.pid}
+    step("add", a)
+    assert step("add", b).pair_merges == 1
+    patches = [step("add", a1, twin=a.pid)]
+    assert tree.riders() == {"a1": a.pid}
 
-    assert step("add", a2).rides  # a copy rides on the root
-    assert registry.explain()["riders"] == {"a2": a.pid, "a1": a.pid}
-    step("remove", a2)  # the rider leaves: its link drops out of the chain
-    step("remove", a)  # the representative leaves: a1 takes its place
-    assert registry.explain()["riders"] == {}
-    assert step("add", a).rides  # the removed id is back, as a rider
-    assert registry.explain()["riders"] == {a.pid: "a1"}
-    step("remove", alpha_copy(a, "a1"))  # a takes a1's place again
-    step("remove", a)  # the last member: its parent is the root
-    assert registry.pids() == [b.pid]
-
-    assert registry.stats["pair_merges_total"] == merges_so_far
-    assert registry.stats["full_rebuilds"] == 0
-    assert registry.stats["patch_fallbacks"] == 0
-
-
-def ride_chain(tree):
-    """The ride nodes above the calculus root, and that root."""
-
-    links = []
-    while tree.ride is not None:
-        links.append(tree)
-        tree = tree.left
-    return links, tree
+    patches.append(step("add", a2, twin=a.pid))
+    assert patches[-1].rides  # a copy rides on the root
+    assert tree.riders() == {"a2": a.pid, "a1": a.pid}
+    patches.append(step("remove", a2))  # the rider leaves the ride map
+    patches.append(step("remove", a))  # the representative leaves: a1 takes its place
+    assert tree.riders() == {}
+    patches.append(step("add", a, twin="a1"))
+    assert patches[-1].rides  # the removed id is back, as a rider
+    assert tree.riders() == {a.pid: "a1"}
+    patches.append(step("remove", a1))  # a takes a1's place again
+    patches.append(step("remove", a))  # the last member: its parent is the root
+    assert tree.leaf_pids() == [b.pid]
+    assert [patch.pair_merges for patch in patches] == [0] * len(patches)
 
 
-def test_a_graft_rides_the_chain_again_above_the_calculus_root(pair):
+def test_a_graft_rides_the_riders_again_above_the_calculus_root(pair):
     a, b, functions = pair
     rows = [args[ROW] for args in case_inputs("twitter")]
-    registry = QueryRegistry(functions, service=ServiceConfig(plan_cache_size=0))
-    registry.register(a)
-    registry.register(alpha_copy(a, "a1"))
-    registry.register(b)
-    patch = registry.last_patch
+    a1 = alpha_copy(a, "a1")
+    tree = add_query(None, a, functions).tree
+    tree = add_query(tree, a1, functions, twin=a.pid).tree
+    patch = add_query(tree, b, functions)
     assert (patch.pair_merges, len(patch.rides)) == (1, 1)
-    links, root = ride_chain(registry.tree)
-    assert [link.right.program.pid for link in links] == ["a1"]
+    tree = patch.tree
+    assert tree.riders() == {"a1": a.pid}
+    root = tree.left
     assert root.program.pid == f"{a.pid}&{b.pid}"
     assert root.leaf_pids() == [a.pid, b.pid]
-    assert root.left.ride is None and root.right.ride is None
-    served = registry.run(rows)
+    assert root.ride is None and root.left.ride is None and root.right.ride is None
+    served = from_collection(rows).where_consolidated(
+        tree.program, [a.pid, "a1", b.pid], functions
+    ).run()
     assert nonempty(served.buckets) == nonempty(
-        run_where_many(rows, [a, alpha_copy(a, "a1"), b], functions).buckets
+        run_where_many(rows, [a, a1, b], functions).buckets
     )
     # Removing ``b`` collapses the calculus back to ``a``; ``a1`` still rides.
-    registry.unregister(b.pid)
-    assert registry.last_patch.pair_merges == 0
-    assert registry.tree.riders() == {"a1": a.pid}
-    assert ride_chain(registry.tree)[1].program.pid == a.pid
+    patch = remove_query(tree, b.pid, functions)
+    assert (patch.pair_merges, patch.tree.riders()) == (0, {"a1": a.pid})
+    assert patch.tree.left.program == qualify_locals(a)
 
 
 def test_a_named_twin_must_be_an_alpha_copy(pair):
     a, b, functions = pair
     tree = add_query(None, a, functions).tree
-    with pytest.raises(PatchError, match="not an α-copy"):
+    with pytest.raises(ValueError, match="not an α-copy"):
         add_query(tree, b, functions, twin=a.pid)
     patch = add_query(tree, alpha_copy(a, "a1"), functions, twin=a.pid)
     assert (patch.pair_merges, patch.tree.riders()) == (0, {"a1": a.pid})

@@ -8,8 +8,9 @@ shim), the 5.0.0-removal tests that the dropped ``ExecutionConfig``
 fields and the thread executor are gone, the 6.0.0-removal tests that
 the profiler is no longer threaded through a run, the 7.0.0-removal
 tests that the prefilter is gone, the 8.0.0-removal tests that the
-process-pool executor is gone, and the config validation errors (they
-must enumerate the valid values).
+process-pool executor is gone, the 9.0.0-removal tests that the service's
+constant knobs and ``PatchError`` are gone, and the config validation
+errors (they must enumerate the valid values).
 """
 
 import dataclasses
@@ -309,10 +310,33 @@ def test_consolidation_leaves_no_prefilter_trace():
 def test_service_config_validation_errors_enumerate_values():
     with pytest.raises(ValueError, match=r"0\.\.65535"):
         ServiceConfig(port=70000)
-    with pytest.raises(ValueError, match=r">= 1\.0"):
-        ServiceConfig(rebalance_factor=0.5)
-    with pytest.raises(ValueError, match=r">= 0 \(0 disables"):
-        ServiceConfig(plan_cache_size=-1)
+
+
+# ---------------------------------------------------------------------------
+# the 9.0.0 removals: the registry's one-valued knobs and PatchError
+
+
+@pytest.mark.parametrize("keyword", ["rebalance_factor", "plan_cache_size"])
+def test_removed_service_config_field_raises_type_error(keyword):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        ServiceConfig(**{keyword: None})
+
+
+def test_service_config_has_six_fields_and_the_registry_its_constants():
+    from repro.service import registry
+
+    assert len(dataclasses.fields(ServiceConfig)) == 6
+    assert (registry.REBALANCE_FACTOR, registry.PLAN_CACHE_SIZE) == (2.0, 128)
+
+
+def test_patch_error_is_gone():
+    import repro.consolidation
+    import repro.consolidation.incremental as incremental
+
+    assert not hasattr(repro.consolidation, "PatchError")
+    assert not hasattr(incremental, "PatchError")
+    for name in ("_unchain", "_rechain", "_chain"):
+        assert not hasattr(incremental, name)
 
 
 def test_service_config_is_frozen_and_evolvable():

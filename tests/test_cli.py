@@ -318,12 +318,6 @@ class TestObservabilityFlags:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["serve", "--rebalance-factor", "0.5"], "finite float >= 1.0"),
-            (["serve", "--rebalance-factor", "nan"], "finite float >= 1.0"),
-            (["serve", "--rebalance-factor", "inf"], "finite float >= 1.0"),
-            (["serve", "--rebalance-factor", "x"], "could not convert"),
-            (["serve", "--plan-cache-size", "-1"], "integer >= 0"),
-            (["serve", "--plan-cache-size", "1.5"], "invalid literal"),
             (["figure10", "--sweep", "10,x"], "invalid sweep '10,x'"),
             (["figure10", "--sweep", "0,10"], "invalid sweep '0,10'"),
             (["figure10", "--sweep", ""], "invalid sweep ''"),
@@ -367,11 +361,17 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "latency: error: argument --priority-index: must be in 0.." in err
 
+    @pytest.mark.parametrize(
+        "flag", [["--rebalance-factor", "2"], ["--plan-cache-size", "128"]]
+    )
+    def test_removed_serve_flags_are_unknown_arguments(self, capsys, flag):
+        # 9.0.0: the rebalance factor and the plan-cache size are constants.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_good_values_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "--rebalance-factor", "1", "--plan-cache-size", "0"]
-        )
-        assert (args.rebalance_factor, args.plan_cache_size) == (1.0, 0)
         assert build_parser().parse_args(["figure10"]).sweep == (10, 25, 50, 100)
         assert build_parser().parse_args(["figure10", "--sweep", "2,4"]).sweep == (2, 4)
         assert build_parser().parse_args(["consolidate", "--verify", "0", "a"]).verify == 0

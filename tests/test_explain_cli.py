@@ -36,6 +36,13 @@ class TestExplainBatch:
         assert operators == {"whereMany[2]", "whereConsolidated[2]"}
         assert report.udf_cost_consolidated <= report.udf_cost_many
 
+    @pytest.mark.parametrize("by_time", [True, False])
+    def test_hotspots_are_solver_entailments_only(self, report, by_time):
+        sources = {e.source for tree in report.derivations for e in tree.entailments()}
+        assert sources - {"smt"}, "the batch answers no entailment without the solver"
+        hotspots = report.slowest_entailments(by_time=by_time)
+        assert hotspots and {e.source for e in hotspots} == {"smt"}
+
     def test_bad_arguments_raise_value_error(self):
         dataset = generate_weather(cities=12)
         with pytest.raises(ValueError, match="unknown domain"):

@@ -14,10 +14,11 @@ The service's whole value rests on two claims, both tested here:
   program's cost never worse than the sequential composition (Theorem 1,
   which the paper guarantees only against the *sequential* baseline).
 
-Failure handling is load-bearing too: a fault injected at the batch
-driver's ``consolidate.pair`` seam must surface as :class:`PatchError`
-(the registry then falls back to a recorded rebuild), never as a silent
-sequential degradation.  And the registry must stay coherent under
+Failure handling is load-bearing too: a patch merges under the batch
+driver's rules, so a fault injected at its ``consolidate.pair`` seam —
+during a root graft, a path re-merge or a rebalance rebuild — keeps the
+pair unmerged with the reason on its record, and the plan still notifies
+as ``whereMany`` does.  And the registry must stay coherent under
 concurrent register/unregister callers.
 """
 
@@ -26,12 +27,8 @@ import threading
 import pytest
 
 from repro.consolidation import divide_conquer
-from repro.consolidation.incremental import (
-    PatchError,
-    add_query,
-    rebuild,
-    remove_query,
-)
+from repro.lang.ast import seq
+from repro.consolidation.incremental import add_query, rebuild, remove_query
 from repro.naiad import from_collection, run_where_many
 from repro.queries import DOMAIN_QUERIES
 from repro.service import QueryRegistry
@@ -187,51 +184,97 @@ def test_single_patch_beats_full_reconsolidation_on_50_queries(weather):
 
 
 # ---------------------------------------------------------------------------
-# failure: faults surface as PatchError, the registry records the fallback
+# failure: a faulted pair is kept unmerged, and the plan stays sound
 
 
-def test_patch_fault_raises_patch_error(weather):
+def explode(site, payload):
+    if site == "consolidate.pair":
+        raise RuntimeError("injected pair fault")
+
+
+def test_patch_fault_keeps_the_pair_unmerged(weather):
     programs = weather_batch(weather, n=3)
     tree, _ = rebuild(programs, weather.functions)
     extra = weather_batch(weather, n=4)[3]
 
-    def explode(site, payload):
-        if site == "consolidate.pair":
-            raise RuntimeError("injected pair fault")
-
     with fault_hook(divide_conquer, explode):
-        with pytest.raises(PatchError, match="injected pair fault"):
-            add_query(tree, extra, weather.functions)
+        patch = add_query(tree, extra, weather.functions)
+
+    (pair,) = patch.pairs
+    assert not pair.merged and "injected pair fault" in pair.skip_reason
+    assert patch.tree.program.body == seq(tree.program.body, patch.tree.right.program.body)
+    rows = weather.rows[:40]
+    pids = [p.pid for p in programs + [extra]]
+    assert buckets_of(run_tree(patch.tree, pids, weather.functions, rows)) == buckets_of(
+        run_where_many(rows, programs + [extra], weather.functions)
+    )
 
 
-def test_registry_falls_back_to_recorded_rebuild_on_fault(weather):
-    programs = weather_batch(weather, n=4)
-    registry = QueryRegistry(weather.functions)
+def _graft(registry, programs):
     for program in programs[:3]:
         registry.register(program)
-
-    calls = {"n": 0}
-
-    def explode_once(site, payload):
-        # Fail only the *patch* merge (the first call); let the fallback
-        # rebuild's merges through.
-        if site == "consolidate.pair":
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected patch fault")
-
-    with fault_hook(divide_conquer, explode_once):
+    with fault_hook(divide_conquer, explode):
         registry.register(programs[3])
+    return programs[:4]
 
-    assert len(registry) == 4
-    assert registry.stats["patch_fallbacks"] == 1
-    assert registry.stats["full_rebuilds"] == 1
-    assert registry.last_patch.fallback is not None
-    assert "injected patch fault" in registry.last_patch.fallback
-    # The fallback plan is complete and sound.
+
+def _path_remerge(registry, programs):
+    for program in programs[:4]:
+        registry.register(program)
+    with fault_hook(divide_conquer, explode):
+        registry.unregister(programs[1].pid)
+    return [programs[0], *programs[2:4]]
+
+
+def _rebalance(registry, programs):
+    for program in programs[:7]:
+        registry.register(program)
+    with fault_hook(divide_conquer, explode):
+        registry.register(programs[7])
+    assert registry.last_patch.fallback.startswith("rebalance")
+    return programs
+
+
+@pytest.mark.parametrize("mutate", [_graft, _path_remerge, _rebalance])
+def test_registry_keeps_faulted_pairs_unmerged(weather, mutate):
+    # Q1 at n=8 has no α-copy, so the eighth graft is the one that trips
+    # the depth bound (8 > 2 · ⌈log₂ 8⌉ + 1).
+    programs = weather_batch(weather, n=8)
+    registry = QueryRegistry(weather.functions)
+    live = mutate(registry, programs)
+
+    patch = registry.last_patch
+    assert patch.pairs
+    for pair in patch.pairs:
+        assert not pair.merged and "injected pair fault" in pair.skip_reason
+    assert registry.stats["patch_fallbacks"] == len(patch.pairs)
     rows = weather.rows[:40]
     assert buckets_of(registry.run(rows)) == buckets_of(
-        run_where_many(rows, programs, weather.functions)
+        run_where_many(rows, live, weather.functions)
+    )
+
+
+def test_registry_keeps_serving_after_a_faulted_pair(weather):
+    # A pair kept unmerged is an ordinary node of the tree: later patches
+    # graft above it and re-merge the path through it without a fault.
+    programs = weather_batch(weather, n=6)
+    registry = QueryRegistry(weather.functions)
+    live = _graft(registry, programs)
+    assert registry.stats["patch_fallbacks"] == 1
+
+    registry.register(programs[4])
+    assert registry.last_patch.pairs
+    assert all(pair.merged for pair in registry.last_patch.pairs)
+    registry.unregister(programs[3].pid)
+    assert registry.last_patch.pairs
+    assert all(pair.merged for pair in registry.last_patch.pairs)
+    live = [*live[:3], programs[4]]
+
+    assert registry.stats["patch_fallbacks"] == 1
+    assert registry.stats["full_rebuilds"] == 0
+    rows = weather.rows[:40]
+    assert buckets_of(registry.run(rows)) == buckets_of(
+        run_where_many(rows, live, weather.functions)
     )
 
 

@@ -11,7 +11,10 @@ Key claims under test:
 * the event log replays to byte-identical plan fingerprints, drops a torn
   final append and refuses corruption anywhere else;
 * a spindly tree (adds graft at the root) trips the rebalance policy and
-  the registry performs a recorded full rebuild, never a silent one.
+  the registry performs a recorded, validated full rebuild, never a
+  silent one;
+* the plan cache keeps the most recently used plans, and an evicted
+  membership goes through the patch path again.
 """
 
 import json
@@ -35,6 +38,7 @@ from repro.service import (
     fingerprint,
     plan_key,
 )
+from repro.service.registry import PLAN_CACHE_SIZE, REBALANCE_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -249,58 +253,80 @@ def test_explain_certifies_only_validated_patches(weather):
     assert (last["pair_merges"], last["certified"], last["validated"]) == (1, None, 0)
 
 
-def test_explain_does_not_certify_an_unvalidated_rebuild(weather):
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(rebalance_factor=1.0)
-    )
-    for program in weather_batch(weather, n=8, family="Q2"):
+def register_until_rebalance(registry, programs):
+    """Register ``programs`` in order up to the first rebalance, and return
+    the stats from just before it.  Eight distinct queries grafted one by
+    one make a spine of depth 8: past 2 · ⌈log₂ 8⌉ + 1 = 7."""
+
+    for program in programs:
+        before = dict(registry.stats)
         registry.register(program)
         if registry.last_patch.fallback is not None:
-            break
+            return before
+    raise AssertionError("no registration rebalanced")
+
+
+def test_explain_certifies_a_validated_rebalance(weather):
+    registry = QueryRegistry(weather.functions)
+    register_until_rebalance(registry, weather_batch(weather, n=8))
     last = registry.explain()["last_patch"]
     assert last["fallback"].startswith("rebalance") and last["pair_merges"] > 1
+    assert last["validated"] == last["pair_merges"] >= 1
+    assert last["certified"] is all(v.certified for v in registry.last_patch.validations)
+
+    unchecked = QueryRegistry(
+        weather.functions, service=ServiceConfig(static_validate_patches=False)
+    )
+    register_until_rebalance(unchecked, weather_batch(weather, n=8))
+    last = unchecked.explain()["last_patch"]
+    assert last["fallback"].startswith("rebalance")
     assert (last["certified"], last["validated"]) == (None, 0)
 
 
-def test_plan_cache_capacity_zero_disables(weather):
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(plan_cache_size=0)
-    )
-    program = weather_batch(weather, n=1)[0]
-    registry.register(program)
-    registry.unregister(program.pid)
-    registry.register(program)
+def test_plan_cache_evicts_the_least_recently_used_plan(weather):
+    # One-query memberships are plans that cost no pair merge.
+    registry = QueryRegistry(weather.functions)
+    programs = [
+        parse_program(f"program c{i}(row) {{ notify c{i} (@row > {i}); }}")
+        for i in range(PLAN_CACHE_SIZE + 1)
+    ]
+    for program in programs:
+        registry.register(program)
+        registry.unregister(program.pid)
+    assert registry.explain()["cache"]["size"] == PLAN_CACHE_SIZE
     assert registry.stats["plan_cache_hits"] == 0
+
+    registry.register(programs[-1])  # still cached
+    assert registry.stats["plan_cache_hits"] == 1
+    registry.unregister(programs[-1].pid)
+    misses = registry.stats["plan_cache_misses"]
+    registry.register(programs[0])  # evicted: the patch path builds it again
+    assert registry.stats["plan_cache_hits"] == 1
+    assert registry.stats["plan_cache_misses"] == misses + 1
+    assert registry.last_patch.tree is registry.tree
+    assert registry.tree.leaf_pids() == [programs[0].pid]
 
 
 def test_rebalance_triggers_recorded_rebuild(weather):
-    # factor 1.0 trips as soon as the root-grafted spine exceeds the
-    # balanced depth: the fallback must be recorded, not silent.
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(rebalance_factor=1.0)
-    )
-    for program in weather_batch(weather, n=8, family="Q2"):
+    # The root-grafted spine outgrows the balanced depth: the rebuild must
+    # be recorded, not silent.
+    registry = QueryRegistry(weather.functions)
+    for program in weather_batch(weather, n=8):
         registry.register(program)
-    assert registry.stats["full_rebuilds"] > 0
-    assert registry.stats["patch_fallbacks"] > 0
-    rebuilt = registry.last_patch
-    assert registry.tree.depth() <= 1.0 * 3 + 1 or rebuilt.fallback
+    assert registry.stats["full_rebuilds"] == 1
+    assert registry.stats["patch_fallbacks"] == 0  # no pair was kept unmerged
+    assert registry.last_patch.fallback.startswith("rebalance: depth 8 exceeded")
+    assert registry.tree.depth() <= REBALANCE_FACTOR * 3 + 1
 
 
 def test_rebalancing_register_merges_once(weather):
     # The depth of a root graft is known before merging: the registration
     # that trips the bound pays the rebuild's n - 1 merges, not a graft the
     # rebuild then throws away.
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(rebalance_factor=1.0)
-    )
-    for program in weather_batch(weather, n=8, family="Q2"):
-        before = dict(registry.stats)
-        registry.register(program)
-        patch = registry.last_patch
-        if patch.fallback is not None:
-            break
-    assert patch.fallback.startswith("rebalance: depth 4 exceeded")
+    registry = QueryRegistry(weather.functions)
+    before = register_until_rebalance(registry, weather_batch(weather, n=8))
+    patch = registry.last_patch
+    assert patch.fallback.startswith("rebalance: depth 8 exceeded")
     n = len(registry)
     assert registry.stats["pair_merges_total"] - before["pair_merges_total"] == n - 1
     assert registry.stats["incremental_patches"] == before["incremental_patches"]

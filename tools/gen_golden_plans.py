@@ -13,7 +13,9 @@ equals the one it replaced), when the SMT budget went (its
 ``smt_budget_seconds=0`` rows and key were dropped; every other row is
 unchanged), and when α-copies came to ride on their representative
 instead of entering the calculus (only the weather rows changed: ``q7``
-is an α-copy of ``q1``, the only copy in the five batches).
+is an α-copy of ``q1``, the only copy in the five batches), and when the
+chain of ride nodes became one ride node with a rider map (only the
+shapes that hold riders changed; every program and digest is the same).
 
 Per domain, one mixed family at n=8 is consolidated under
 
