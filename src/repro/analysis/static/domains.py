@@ -2,8 +2,8 @@
 
 * :class:`IntervalConstDomain` — integer intervals + boolean/string
   constants over :class:`~repro.analysis.static.values.StaticEnv`.  Powers
-  unreachable-branch detection, loop trip-count bounds, and (through the
-  simplifier's mirror env) the SMT entailment pre-check.
+  the linter's unreachable-branch detection and the loop trip-count bounds
+  of the static cost bound and the translation validator.
 * :class:`DefiniteAssignmentDomain` — the *must*-analysis of assigned
   locals (join = intersection), powering use-before-def linting.
 * :class:`NotificationDomain` — per-pid broadcast-count intervals with

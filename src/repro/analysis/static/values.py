@@ -3,9 +3,9 @@
 Everything here is *non-relational*: an abstract environment maps each
 atom (a local variable or a program argument) to a value abstracting the
 set of concrete values it may hold, independently of the other atoms.
-That choice buys a crucial maintenance property exploited by the
-simplifier's entailment pre-check: assigning one variable can never
-invalidate a fact recorded about another, so transfer functions are O(1).
+That choice buys a crucial maintenance property: assigning one variable
+can never invalidate a fact recorded about another, so transfer functions
+are O(1).
 
 Three value lattices cover the language's three sorts:
 
@@ -18,8 +18,8 @@ Three value lattices cover the language's three sorts:
 :class:`StaticEnv` packages an environment over these values with the
 transfer functions (``assign``, ``assume``, ``havoc``, ``join``) and the
 three-valued evaluators (``eval_bool`` returning ``True``/``False``/
-``None``) that the framework domains, the linter's reachability checks
-and the SMT pre-check all share.
+``None``) that the framework domains, the linter's reachability checks,
+the static cost bound and the translation validator all share.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .consolidation import ConsolidationOptions, ConsolidationReport, consolidat
 from .lang.ast import Program
 from .lang.functions import FunctionTable
 from .naiad.dataflow import RunResult
-from .naiad.linq import from_collection
+from .naiad.linq import run_where_consolidated, run_where_many
 from .provenance import derivation_summary
 from .service.registry import QueryRegistry, RegisteredQuery
 
@@ -79,17 +79,9 @@ def run(
     are one ``==`` on ``result.buckets``.
     """
 
-    cfg = config or ExecutionConfig()
-    table = FunctionTable() if functions is None else functions
-    programs = list(programs)
-    pids = [p.pid for p in programs]
-    query = from_collection(rows, config=cfg)
     if consolidated:
-        report = consolidate(programs, table, options=options, config=cfg)
-        query = query.where_consolidated(report.program, pids, table)
-    else:
-        query = query.where_many(programs, table)
-    return query.run(cfg)
+        return run_where_consolidated(rows, programs, functions, options, config)[0]
+    return run_where_many(rows, programs, functions, config)
 
 
 def register(

@@ -110,13 +110,21 @@ __all__ = ["main"]
 
 
 def _calibration_from_args(args):
-    """Load the ``--calibration`` model file, if the command has the flag."""
+    """The model ``--planner calibrated`` plans with: the ``--calibration``
+    file, or the uniform Figure-2 priors without one.  ``None`` — the
+    ``related`` heuristic — for ``--planner related`` and for commands
+    without the flags; ``--calibration`` without ``--planner calibrated``
+    is a usage error (exit 2), not a model silently left unused."""
 
     path = getattr(args, "calibration", None)
-    if path is None:
+    if getattr(args, "planner", None) != "calibrated":
+        if path is not None:
+            args.usage_error("argument --calibration: requires --planner calibrated")
         return None
     from .profiling import CalibratedCostModel
 
+    if path is None:
+        return CalibratedCostModel.uniform()
     try:
         return CalibratedCostModel.load(path)
     except (OSError, ValueError) as exc:
@@ -130,7 +138,6 @@ def _config_from_args(args) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
         telemetry=telemetry,
-        planner=getattr(args, "planner", None) or "related",
         calibration=_calibration_from_args(args),
     )
 
@@ -427,7 +434,6 @@ def cmd_explain(args) -> int:
             seed=args.seed,
             rows=args.rows,
             telemetry=args._telemetry,
-            planner=args.planner or "related",
             calibration=_calibration_from_args(args),
         )
     except ValueError as exc:
@@ -576,24 +582,23 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import serve
+    from .service import QueryRegistry, serve
 
     dataset = _domain_dataset(args.domain)
     functions = dataset.functions if dataset else FunctionTable()
     service = ServiceConfig(
         host=args.host,
         port=args.port,
-        event_log=args.event_log,
         static_validate_patches=not args.no_validate_patches,
         admit_warnings=not args.strict_admission,
     )
-    server = serve(
+    registry = QueryRegistry(
         functions,
         config=_config_from_args(args),
         service=service,
-        verbose=args.verbose,
+        event_log=args.event_log,
     )
-    registry = server.registry
+    server = serve(functions, registry=registry, verbose=args.verbose)
     if len(registry):
         print(
             f"# replayed {len(registry)} queries from {args.event_log}",
@@ -650,12 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKENDS, default=argparse.SUPPRESS
     )
     # Planner knobs shared by every command that consolidates.
-    from .config import PLANNERS
-
     planner_opts = argparse.ArgumentParser(add_help=False)
     planner_opts.add_argument(
         "--planner",
-        choices=PLANNERS,
+        choices=("related", "calibrated"),
         default=None,
         help="pair-selection strategy (default: related; 'calibrated' orders "
         "pairs by predicted savings under a calibrated cost model and skips "
@@ -665,8 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--calibration",
         metavar="MODEL.json",
         default=None,
-        help="calibrated cost model from 'repro calibrate' (the calibrated "
-        "planner falls back to uniform weights without one)",
+        help="calibrated cost model from 'repro calibrate'; requires "
+        "--planner calibrated, which plans with uniform weights without one",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -681,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-loops", action="store_true", help="disable Loop 2/3 fusion")
     p.add_argument("--no-smt", action="store_true", help="syntactic value numbering only")
     p.add_argument("--verify", type=_count, default=0, metavar="N", help="check Theorem 1 on N rows")
-    p.set_defaults(fn=cmd_consolidate)
+    p.set_defaults(fn=cmd_consolidate, usage_error=p.error)
 
     p = sub.add_parser("lint", help="static UDF linter (+ optional translation validation)", parents=[common])
     p.add_argument("files", nargs="*")
@@ -763,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rendering (default: %(default)s)",
     )
     p.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
-    p.set_defaults(fn=cmd_explain)
+    p.set_defaults(fn=cmd_explain, usage_error=p.error)
 
     p = sub.add_parser(
         "profile",
@@ -885,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
-    p.set_defaults(fn=cmd_serve)
+    p.set_defaults(fn=cmd_serve, usage_error=p.error)
 
     return parser
 

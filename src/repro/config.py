@@ -13,11 +13,15 @@ the experiment harness and the CLI.
 It is the only way to set a run-time knob: the keywords were deprecated
 through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
-``consolidate_all`` reads ``cost_model``, ``telemetry``, ``provenance``,
-``planner`` and ``calibration`` from its ``config`` and from nowhere else.
+``consolidate_all`` reads ``cost_model``, ``telemetry``, ``provenance``
+and ``calibration`` from its ``config`` and from nowhere else.
 8.0.0 removed ``executor`` with the process-pool consolidation driver;
 9.0.0 made ``ServiceConfig``'s rebalance factor and plan-cache size the
-registry's constants.
+registry's constants.  10.0.0 left one knob per decision: the engine's
+charges are :mod:`repro.naiad.dataflow` constants, a ``calibration``
+model is the choice of the calibrated planner (no ``planner`` field),
+provenance is always recorded by the service, and its event log is
+named on :class:`repro.service.QueryRegistry` alone.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -27,21 +31,19 @@ reports into (default: the no-op ``NULL_TELEMETRY``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .lang.compile import BACKENDS, DEFAULT_BACKEND
 from .lang.cost import DEFAULT_COST_MODEL, CostModel
 from .telemetry import NULL_TELEMETRY, Telemetry
 
+if TYPE_CHECKING:
+    from .profiling.model import CalibratedCostModel
+
 __all__ = [
     "ExecutionConfig",
     "ServiceConfig",
-    "PLANNERS",
 ]
-
-# Consolidation pair-ordering strategies (see repro.profiling.planner for
-# the calibrated one).
-PLANNERS = ("related", "calibrated")
 
 
 def _is_integer(value: object) -> bool:
@@ -73,8 +75,6 @@ class ExecutionConfig:
     ``cost_model``
         The Figure-2 cost model used by interpreter, compiler and
         consolidator alike.
-    ``io_cost_per_record`` / ``overhead_per_operator``
-        The dataflow engine's virtual-clock charges.
     ``telemetry``
         The observability handle.
     ``provenance``
@@ -84,41 +84,40 @@ class ExecutionConfig:
         ``ConsolidationReport.derivations``.  Off by default — recording
         follows the NULL-twin pattern, so the disabled path costs one
         inert method call per decision point.
-    ``planner``
-        Consolidation pair-ordering strategy: ``"related"`` (the paper's
-        heuristic, default) or ``"calibrated"`` — rank candidate pairs by
-        predicted wall-seconds saved under ``calibration``, skip pairs
-        predicted unprofitable, and merge the highest-savings pairs first
-        (see :mod:`repro.profiling.planner`).  It plans tree levels, so
-        ``consolidate_all`` refuses it with ``order="fold"``/``"priority"``.
     ``calibration``
-        Optional :class:`repro.profiling.CalibratedCostModel` backing the
-        calibrated planner.  When the planner is ``"calibrated"`` and no
-        model is supplied, the driver falls back to
-        ``CalibratedCostModel.uniform()`` (static Figure-2 priors).
+        The consolidation pair-ordering strategy.  ``None`` (default) runs
+        the paper's ``related`` heuristic; a
+        :class:`repro.profiling.CalibratedCostModel` runs the calibrated
+        planner under it — rank candidate pairs by predicted wall-seconds
+        saved, skip pairs predicted unprofitable, and merge the
+        highest-savings pairs first (see :mod:`repro.profiling.planner`);
+        ``CalibratedCostModel.uniform()`` plans with the static Figure-2
+        priors.  The calibrated planner plans tree levels, so
+        ``consolidate_all`` refuses it with ``order="fold"``/``"priority"``.
     """
 
     backend: str = DEFAULT_BACKEND
     workers: int = 4
     cost_model: CostModel = DEFAULT_COST_MODEL
-    io_cost_per_record: int = 25
-    overhead_per_operator: int = 2
     telemetry: Telemetry = NULL_TELEMETRY
     provenance: bool = False
-    planner: str = "related"
-    calibration: object = None
+    calibration: Optional["CalibratedCostModel"] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if self.planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {self.planner!r}; choose from {PLANNERS}"
-            )
         if not _is_integer(self.workers) or self.workers < 1:
             raise ValueError(
                 f"workers must be an integer >= 1, got {self.workers!r}"
             )
+        if self.calibration is not None:
+            from .profiling.model import CalibratedCostModel
+
+            if not isinstance(self.calibration, CalibratedCostModel):
+                raise TypeError(
+                    "calibration must be a CalibratedCostModel or None, got "
+                    f"{type(self.calibration).__name__}"
+                )
 
     def evolve(self, **changes: Any) -> "ExecutionConfig":
         """A copy with ``changes`` applied (the config is immutable)."""
@@ -130,21 +129,16 @@ class ExecutionConfig:
 class ServiceConfig:
     """Knobs for the consolidation service (``repro serve``).
 
+    The registry always records one provenance derivation per pair merge
+    (``/v1/explain`` summarises them), and its event log is named on
+    :class:`repro.service.QueryRegistry` (``repro serve --event-log``).
+
     ``host`` / ``port``
         Bind address; port 0 asks the OS for an ephemeral port.
-    ``event_log``
-        Path of the append-only registry journal.  ``None`` keeps the
-        registry in-memory only (no durability, no replay on restart).
     ``static_validate_patches``
         Run the abstract-interpretation translation validator on every pair
         merge the registry runs, rebalances included; a refuted pair is
         kept unmerged, as in a batch (recorded, never silent).
-    ``record_derivations``
-        Record one provenance :class:`~repro.provenance.DerivationTree`
-        per patched pair merge, summarised by ``/v1/explain``.  Recording
-        keeps references to the nodes each event was handed and renders
-        their text only when a report reads it, so on by default costs a
-        patch little more than the event objects themselves.
     ``admit_warnings``
         When False, a lint *warning* rejects a submission just like an
         error (the default only rejects on errors).
@@ -152,9 +146,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    event_log: Optional[str] = None
     static_validate_patches: bool = True
-    record_derivations: bool = True
     admit_warnings: bool = True
 
     def __post_init__(self) -> None:

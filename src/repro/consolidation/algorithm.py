@@ -73,7 +73,16 @@ from .simplifier import Context, SimplifyStats
 
 __all__ = [
     "ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRecord", "check_batch",
+    "MAX_EMBED_SIZE",
 ]
+
+# Node-count guard above which If 3/If 4 are downgraded to If 5, taming the
+# exponential blow-up the paper's Section 4 remark warns about.  Embedding
+# pays when it can kill *expensive* computation in a branch; once programs
+# grow past this size, cross-call sharing is already captured by the Assign
+# rule (value numbering survives an If 5 join), so only cheap test
+# elimination is forgone.
+MAX_EMBED_SIZE = 160
 
 
 class ConsolidationError(Exception):
@@ -113,13 +122,6 @@ class ConsolidationOptions:
     ``use_smt``:
         When False, only syntactic value-numbering is used — no entailment
         checks, no If 1/If 2, no loop fusion (ablation for the SMT engine).
-    ``max_embed_size``:
-        Node-count guard above which If 3/If 4 are downgraded to If 5,
-        taming the exponential blow-up the paper's Section 4 remark warns
-        about.  Embedding pays when it can kill *expensive* computation in
-        a branch; once programs grow past this size, cross-call sharing is
-        already captured by the Assign rule (value numbering survives an
-        If 5 join), so only cheap test elimination is forgone.
     ``static_validate``:
         Run the abstract-interpretation translation validator
         (:func:`repro.analysis.static.validate_consolidation`) over every
@@ -132,7 +134,6 @@ class ConsolidationOptions:
     if_rule_mode: str = "heuristic"
     enable_loop_rules: bool = True
     use_smt: bool = True
-    max_embed_size: int = 160
     static_validate: bool = False
 
     def __post_init__(self) -> None:
@@ -375,7 +376,6 @@ class Consolidator:
 
         # Rule selection: If 3 vs the derived If 4 / If 5 (lines 14-18).
         mode = self.options.if_rule_mode
-        max_embed = self.options.max_embed_size
         if mode == "always_if3":
             use_if3, use_if4 = True, False
         elif mode == "always_if5":
@@ -392,15 +392,15 @@ class Consolidator:
             use_if3 = rel_cond and (rel_cont or isinstance(cont, Skip))
             use_if4 = rel_cond and not use_if3
         embedded_size = stmt_size(cont) + stmt_size(other)
-        too_big = "{} downgraded: {} size {} > max_embed_size {}"
-        if use_if3 and embedded_size > max_embed:
+        too_big = "{} downgraded: {} size {} > MAX_EMBED_SIZE {}"
+        if use_if3 and embedded_size > MAX_EMBED_SIZE:
             recorder.heuristic(
-                "embed-guard", too_big, False, "If3", "embedded", embedded_size, max_embed
+                "embed-guard", too_big, False, "If3", "embedded", embedded_size, MAX_EMBED_SIZE
             )
             use_if3, use_if4 = False, True
-        if use_if4 and stmt_size(other) > max_embed:
+        if use_if4 and stmt_size(other) > MAX_EMBED_SIZE:
             recorder.heuristic(
-                "embed-guard", too_big, False, "If4", "other", stmt_size(other), max_embed
+                "embed-guard", too_big, False, "If4", "other", stmt_size(other), MAX_EMBED_SIZE
             )
             use_if4 = False
 

@@ -19,8 +19,9 @@ policy* — which programs of a level meet, and which ride up unmerged:
   same optimisations but consolidates the growing accumulator n−1 times;
   ``priority`` puts the queries named in ``priority`` first — the paper's
   Section 8 extension sketch, a (partial) query execution order;
-* ``config.planner="calibrated"`` — the cost-driven plan of
-  :class:`repro.profiling.planner.CalibratedPairing`, for the tree orders.
+* a ``config.calibration`` model — the cost-driven plan of
+  :class:`repro.profiling.planner.CalibratedPairing` under it, for the
+  tree orders.
 
 Every pair the policy names goes through the one pair step,
 :func:`merge_pair`, which returns the pair's
@@ -52,7 +53,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, cast
+from typing import Any, Callable, Optional, Sequence
 
 from ..analysis.related import call_features
 from ..config import ExecutionConfig
@@ -68,7 +69,6 @@ from ..lang.visitors import (
     ride_notifies,
     stmt_exprs,
 )
-from ..profiling.model import CalibratedCostModel
 from ..profiling.planner import CalibratedPairing, Pairing
 from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
@@ -244,7 +244,7 @@ class ConsolidationReport(PairViews):
     ``simplify_stats`` sums the pairs' entailment fast-path counters
     (goals folded through the store, memo hits).  ``planner`` records the
     pair-ordering strategy that ran (``"related"`` — the default heuristic
-    adjacency — or ``"calibrated"``).
+    adjacency — or ``"calibrated"`` when ``config.calibration`` is set).
 
     ``degradations`` is a log of coarser fallbacks than a skipped pair (the
     :data:`SMT_UNKNOWN_NOTE` entry when the solver answered "unknown" and
@@ -465,7 +465,7 @@ def consolidate_all(
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
     run-time knobs — ``cost_model``, ``telemetry``,
-    ``provenance``, ``planner``, ``calibration`` — documented on
+    ``provenance``, ``calibration`` — documented on
     :class:`repro.config.ExecutionConfig`.
 
     Before the first level the qualified leaves are grouped by α-class
@@ -493,10 +493,10 @@ def consolidate_all(
     if order not in ("clustered", "tree", "fold", "priority"):
         raise ValueError(f"unknown order {order!r}")
     fold = order in ("fold", "priority")
-    if fold and cfg.planner == "calibrated":
+    if fold and cfg.calibration is not None:
         raise ValueError(
-            f"planner='calibrated' plans tree levels and cannot drive order={order!r}; "
-            "use order='tree' or 'clustered', or planner='related'"
+            f"the calibrated planner plans tree levels and cannot drive order={order!r}; "
+            "use order='tree' or 'clustered', or no calibration"
         )
     check_batch(programs)
 
@@ -540,14 +540,9 @@ def consolidate_all(
         return record.program
 
     calibrated = None
-    if cfg.planner == "calibrated":
+    if cfg.calibration is not None:
         calibrated = CalibratedPairing(
-            functions,
-            cast("CalibratedCostModel | None", cfg.calibration)
-            or CalibratedCostModel.uniform(cost_model),
-            options,
-            merge_step=attempt,
-            compose=_unmerged,
+            functions, cfg.calibration, options, merge_step=attempt, compose=_unmerged
         )
     policy = calibrated or (_first_two if fold else _adjacent)
     merge = calibrated.merge if calibrated else attempt
@@ -619,5 +614,5 @@ def consolidate_all(
         simplify_stats=simplify_snapshot,
         degradations=degradations,
         merge_tree=root if keep_tree else None,
-        planner=cfg.planner,
+        planner="related" if calibrated is None else "calibrated",
     )

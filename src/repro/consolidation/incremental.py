@@ -73,9 +73,9 @@ class PatchResult(PairViews):
     of every pair consolidation the mutation ran — the patch's own merges,
     or all of a ``fallback`` rebuild's — and the other per-pair names are
     views over it: ``pair_merges`` is its length (the quantity a full
-    re-consolidation spends *n − 1* on, counted whether or not provenance
-    was recorded, a pair kept unmerged included), ``validations`` and
-    ``derivations`` are the records' certificates and provenance trees.
+    re-consolidation spends *n − 1* on, a pair kept unmerged included),
+    ``validations`` and ``derivations`` are the records' certificates and
+    provenance trees (every patch records one per pair).
     ``rides`` holds a ``("Ride",)`` record per rider of the ride node the
     mutation built; they are not pair merges.  ``fallback`` is set by a
     caller that rebuilt instead of patching, and says why.  ``tree`` is
@@ -108,7 +108,6 @@ def _merge_step(
     functions: FunctionTable,
     cost_model: CostModel,
     options: ConsolidationOptions | None,
-    record: bool,
     telemetry: Telemetry,
 ) -> Callable[[MergeNode, MergeNode], MergeNode]:
     """One patch's pair step: the node over two children whose program is
@@ -126,7 +125,7 @@ def _merge_step(
             cost_model,
             options,
             solver,
-            provenance=record,
+            provenance=True,
             telemetry=telemetry,
             patch=True,
         )
@@ -170,7 +169,6 @@ def add_query(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    record: bool = True,
     telemetry: Telemetry = NULL_TELEMETRY,
     twin: Optional[str] = None,
 ) -> PatchResult:
@@ -199,7 +197,7 @@ def add_query(
             pid_map = dict(zip(pid_order(path[-1].program), pid_order(leaf.program)))
             riders = {program.pid: pid_map, **riders}
         else:
-            merge = _merge_step(result, functions, cost_model, options, record, telemetry)
+            merge = _merge_step(result, functions, cost_model, options, telemetry)
             root = merge(root, leaf)
         result.tree, result.rides = ride(root, riders)
     result.seconds = time.perf_counter() - started
@@ -213,7 +211,6 @@ def remove_query(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     options: ConsolidationOptions | None = None,
     *,
-    record: bool = True,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PatchResult:
     """Unlink the leaf for ``pid`` and re-merge only its root path.
@@ -256,7 +253,7 @@ def remove_query(
         # The tree was a single leaf; removing it empties the registry.
         root = None
     else:
-        merge = _merge_step(result, functions, cost_model, options, record, telemetry)
+        merge = _merge_step(result, functions, cost_model, options, telemetry)
         # ``path`` runs root → … → parent → leaf.  The sibling subtree takes
         # the parent's place; every ancestor above is then re-merged
         # bottom-up from its untouched child and the patched subtree.
@@ -279,12 +276,12 @@ def rebuild(
     options: ConsolidationOptions | None = None,
     *,
     config: ExecutionConfig | None = None,
-    provenance: bool = True,
     telemetry: Telemetry | None = None,
 ) -> tuple[MergeNode, ConsolidationReport]:
-    """Full re-consolidation, keeping the tree for future patches."""
+    """Full re-consolidation, keeping the tree (and every pair's
+    derivation) for future patches."""
 
-    cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model, provenance=provenance)
+    cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model, provenance=True)
     if telemetry is not None:
         cfg = cfg.evolve(telemetry=telemetry)
     report = consolidate_all(programs, functions, options=options, keep_tree=True, config=cfg)

@@ -49,7 +49,15 @@ __all__ = [
     "OperatorStats",
     "RunMetrics",
     "RunResult",
+    "IO_COST_PER_RECORD",
+    "OVERHEAD_PER_OPERATOR",
 ]
+
+# The virtual clock's engine charges, fixed for every run so that
+# ``whereMany`` and ``whereConsolidated`` are billed alike: reading one
+# record, and one record's hop through one operator.
+IO_COST_PER_RECORD = 25
+OVERHEAD_PER_OPERATOR = 2
 
 
 class Vertex:
@@ -153,10 +161,6 @@ class RunMetrics:
     def makespan(self) -> int:
         return max(self.per_worker_total, default=0)
 
-    @property
-    def udf_makespan(self) -> int:
-        return max(self.per_worker_udf, default=0)
-
 
 @dataclass
 class RunResult:
@@ -171,10 +175,9 @@ class Worker:
     engine calls into a vertex; here they are the bare calls.
     """
 
-    def __init__(self, index: int, run: RunResult, overhead_per_operator: int) -> None:
+    def __init__(self, index: int, run: RunResult) -> None:
         self.index = index
         self._run = run
-        self._overhead = overhead_per_operator
         self.total_clock = 0
         self.udf_clock = 0
 
@@ -216,9 +219,8 @@ class Worker:
 
     def push(self, vertex: Vertex, record: Any) -> None:
         # charge_overhead, inlined: this is the hottest call in a run.
-        overhead = self._overhead
-        self.total_clock += overhead
-        self._run.metrics.overhead_cost += overhead
+        self.total_clock += OVERHEAD_PER_OPERATOR
+        self._run.metrics.overhead_cost += OVERHEAD_PER_OPERATOR
         for output in vertex.process(record, self):
             for child in vertex.downstream:
                 self.push(child, output)
@@ -227,7 +229,7 @@ class Worker:
         """Hand a whole partition to the batch operator ending ``path``: one
         overhead charge per hop per record, as the push loop would bill."""
 
-        self.charge_overhead(self._overhead * len(records) * len(path))
+        self.charge_overhead(OVERHEAD_PER_OPERATOR * len(records) * len(path))
         path[-1].ingest_batch(records, self)
 
     def flush(self, vertex: Vertex) -> None:
@@ -243,8 +245,8 @@ class _TracedWorker(Worker):
     attribution hooks.
     """
 
-    def __init__(self, index: int, run: RunResult, overhead_per_operator: int) -> None:
-        super().__init__(index, run, overhead_per_operator)
+    def __init__(self, index: int, run: RunResult) -> None:
+        super().__init__(index, run)
         self._stats = run.metrics.per_operator
         self._op: OperatorStats | None = None
 
@@ -275,7 +277,7 @@ class _TracedWorker(Worker):
         stats.seconds -= perf_counter() - t0
 
     def push(self, vertex: Vertex, record: Any) -> None:
-        self.charge_overhead(self._overhead)
+        self.charge_overhead(OVERHEAD_PER_OPERATOR)
         stats = self._stats[vertex.name]
         stats.records_in += 1
         outer, self._op = self._op, stats
@@ -311,13 +313,7 @@ class _TracedWorker(Worker):
 class Dataflow:
     """A dataflow graph under construction, and its executor."""
 
-    def __init__(
-        self,
-        io_cost_per_record: int = 25,
-        overhead_per_operator: int = 2,
-    ) -> None:
-        self.io_cost_per_record = io_cost_per_record
-        self.overhead_per_operator = overhead_per_operator
+    def __init__(self) -> None:
         self._vertices: list[Vertex] = []
         self._roots: list[Vertex] = []
 
@@ -389,11 +385,11 @@ class Dataflow:
         with telemetry.span("dataflow.run", workers=workers) as span:
             start = perf_counter()
             for index, part in enumerate(self._partition(records, workers)):
-                worker = make_worker(index, state, self.overhead_per_operator)
+                worker = make_worker(index, state)
                 # IO charges and the record count are per-partition sums; batch
                 # them so the per-record loop only pays for operator pushes.
                 state.metrics.records += len(part)
-                worker.charge_io(self.io_cost_per_record * len(part))
+                worker.charge_io(IO_COST_PER_RECORD * len(part))
                 if batch_path is not None:
                     worker.ingest(batch_path, part)
                 else:

@@ -132,7 +132,7 @@ def from_collection(records: Sequence[Any], config: ExecutionConfig | None = Non
     """Start a query over an in-memory collection (one graph root)."""
 
     cfg = config or ExecutionConfig()
-    dataflow = Dataflow(cfg.io_cost_per_record, cfg.overhead_per_operator)
+    dataflow = Dataflow()
     source = _Source("input")
     dataflow.add_vertex(source)
     return Query(records, dataflow, source, cfg)

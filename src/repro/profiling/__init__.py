@@ -21,8 +21,8 @@ observe:
   :class:`CalibratedCostModel`, pluggable back into the
   :mod:`repro.lang.cost` seam via :func:`repro.lang.cost.cost_model_from_weights`;
 * :mod:`repro.profiling.planner` — the cost-driven pair planner the
-  divide-and-conquer consolidation driver uses under
-  ``planner="calibrated"``.
+  divide-and-conquer consolidation driver uses when
+  ``ExecutionConfig.calibration`` holds a model.
 """
 
 from __future__ import annotations

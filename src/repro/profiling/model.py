@@ -201,7 +201,8 @@ class CalibratedCostModel:
     ) -> "CalibratedCostModel":
         """A calibration-shaped view of the static Figure-2 model.
 
-        Used when ``planner="calibrated"`` runs without a fitted model:
+        The calibrated planner's model when there is no fitted one
+        (``repro ... --planner calibrated`` without ``--calibration``):
         every kind's weight is its static cost times one uniform
         seconds-per-unit scale, so predicted *savings rankings* reduce to
         static cost units — the planner still works, it just plans with

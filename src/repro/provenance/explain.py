@@ -31,7 +31,7 @@ from ..config import ExecutionConfig
 from ..consolidation import ConsolidationOptions, consolidate_all
 from ..naiad.linq import from_collection
 from ..telemetry import Telemetry
-from .attribution import DEFAULT_LOOSE_THRESHOLD, OperatorAttribution, attribute_costs
+from .attribution import OperatorAttribution, attribute_costs
 from .recorder import DerivationTree, Entailment, RuleNode, _strip_timings
 
 __all__ = [
@@ -138,10 +138,8 @@ def explain_batch(
     seed: int = 1,
     rows: Optional[int] = 200,
     options: ConsolidationOptions | None = None,
-    loose_threshold: float = DEFAULT_LOOSE_THRESHOLD,
     dataset=None,
     telemetry=None,
-    planner: str = "related",
     calibration=None,
 ) -> ExplainReport:
     """Consolidate one pair with full recording and instrumented execution.
@@ -152,8 +150,9 @@ def explain_batch(
     ``--metrics-out`` registry; per-operator stats require a live
     instance, so a disabled one is replaced by a fresh capture).
 
-    ``planner="calibrated"`` (with an optional ``calibration`` model, see
-    ``repro calibrate``) routes the pair through the cost-driven planner;
+    A ``calibration`` model (see ``repro calibrate``, or
+    ``CalibratedCostModel.uniform()``) routes the pair through the
+    cost-driven planner;
     its predicted-vs-observed savings land both on the derivation tree
     (a ``planner`` heuristic entry, rendered in every format) and on
     ``report.planner_decisions``.
@@ -188,7 +187,7 @@ def explain_batch(
         selected,
         dataset.functions,
         options=options,
-        config=cfg.evolve(provenance=True, planner=planner, calibration=calibration),
+        config=cfg.evolve(provenance=True, calibration=calibration),
     )
 
     validation = validate_consolidation(
@@ -215,9 +214,7 @@ def explain_batch(
     }
     per_operator = dict(many_run.metrics.per_operator)
     per_operator.update(cons_run.metrics.per_operator)
-    attributions = attribute_costs(
-        per_operator, predicted, loose_threshold=loose_threshold, telemetry=telemetry
-    )
+    attributions = attribute_costs(per_operator, predicted, telemetry=telemetry)
 
     rule_counts: dict[str, int] = {}
     for tree in report.derivations:

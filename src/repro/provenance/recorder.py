@@ -16,7 +16,7 @@ single pair merge, everything the calculus decided:
 * every **cross-simplification rewrite** that changed an expression,
   with before/after and the static cost delta;
 * every **heuristic decision** — ``related`` accept/reject, the
-  ``max_embed_size`` guard, commutativity.
+  ``MAX_EMBED_SIZE`` guard, commutativity.
 
 Recording follows the repository's NULL-twin pattern
 (:mod:`repro.telemetry.noop`): producers hand over the ``Expr``/``Formula``

@@ -29,9 +29,11 @@ Quick start, in-process::
     registry.register("program q1(row) { notify q1 (row > 10); }")
     result = registry.run(rows)          # buckets per registered pid
 
-Over the wire::
+Over the wire, durable across restarts (the registry owns the journal;
+``repro serve --event-log`` does the same)::
 
-    server = serve(functions)            # ServiceConfig(port=0) → ephemeral
+    registry = QueryRegistry(functions, event_log="events.jsonl")
+    server = serve(functions, service=ServiceConfig(port=0), registry=registry)
     client = Client(port=server.port)
     client.register(source, tenant="acme")
 """

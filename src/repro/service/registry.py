@@ -144,7 +144,12 @@ def _relabel_tree(node: MergeNode, pid_map: dict[str, str]) -> MergeNode:
 
 
 class QueryRegistry:
-    """Dynamic multi-tenant registry with an incrementally-patched plan."""
+    """Dynamic multi-tenant registry with an incrementally-patched plan.
+
+    ``event_log`` is the path of the append-only journal: an existing one
+    is replayed on construction; ``None`` keeps the registry in memory
+    only (no durability, no replay on restart).
+    """
 
     def __init__(
         self,
@@ -183,9 +188,8 @@ class QueryRegistry:
             "planner_skips_total": 0,
             "planner_mispredictions_total": 0,
         }
-        log_path = event_log if event_log is not None else self.service.event_log
-        if log_path is not None:
-            self._log = EventLog(log_path)
+        if event_log is not None:
+            self._log = EventLog(event_log)
             self._replay(self._log.existing)
 
     # -- replay ------------------------------------------------------------
@@ -371,7 +375,6 @@ class QueryRegistry:
                 self.functions,
                 self.config.cost_model,
                 self._options,
-                record=self.service.record_derivations,
                 telemetry=self.telemetry,
                 twin=twin,
             )
@@ -392,7 +395,6 @@ class QueryRegistry:
             self.functions,
             self.config.cost_model,
             self._options,
-            record=self.service.record_derivations,
             telemetry=self.telemetry,
         )
         self._count_patch(patch)
@@ -410,7 +412,6 @@ class QueryRegistry:
             self.config.cost_model,
             self._options,
             config=self.config,
-            provenance=self.service.record_derivations,
             telemetry=self.telemetry,
         )
         self.stats["full_rebuilds"] += 1
@@ -504,16 +505,17 @@ class QueryRegistry:
     def metrics_doc(self) -> dict[str, Any]:
         """The ``/metrics`` document: counters plus planner/calibration info.
 
-        Counters come straight from ``stats``; the configured planner name
-        rides along, and when a calibrated model is installed its age,
-        fit timestamp, and provenance (``fit`` vs ``uniform``) are
-        reported so operators can alert on staleness.
+        Counters come straight from ``stats``; the planner name rides
+        along (``"calibrated"`` exactly when ``config.calibration`` holds
+        a model), and for a model its age, fit timestamp, and provenance
+        (``fit`` vs ``uniform``) are reported so operators can alert on
+        staleness.
         """
 
         with self._lock:
             doc: dict[str, Any] = dict(self.stats)
-            doc["planner"] = self.config.planner
             calibration = self.config.calibration
+            doc["planner"] = "related" if calibration is None else "calibrated"
             if calibration is not None:
                 doc["calibration_staleness_seconds"] = round(
                     calibration.staleness_seconds(), 3

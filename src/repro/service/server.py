@@ -261,7 +261,11 @@ class ConsolidationServer(ThreadingHTTPServer):
     """A registry with an HTTP front door.
 
     ``port=0`` binds an ephemeral port; read the real one from
-    ``server.port`` (the smoke harness and tests depend on this).
+    ``server.port`` (the smoke harness and tests depend on this).  Without
+    a ``registry`` the server builds an in-memory one; a durable service
+    passes one built over its journal
+    (``QueryRegistry(functions, event_log=path)``, as ``repro serve
+    --event-log`` does).
     """
 
     daemon_threads = True
@@ -275,11 +279,12 @@ class ConsolidationServer(ThreadingHTTPServer):
         registry: QueryRegistry | None = None,
         verbose: bool = False,
     ) -> None:
-        self.registry = registry or QueryRegistry(
-            functions, config=config, service=service
-        )
+        # Not ``registry or ...``: a registry with no queries is falsy.
+        if registry is None:
+            registry = QueryRegistry(functions, config=config, service=service)
+        self.registry = registry
         self.verbose = verbose
-        svc = service or (registry.service if registry is not None else ServiceConfig())
+        svc = service or registry.service
         super().__init__((svc.host, svc.port), _Handler)
 
     @property

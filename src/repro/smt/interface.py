@@ -43,7 +43,7 @@ from ..lang.ast import (
     StrConst,
     Var,
 )
-from ..lang.functions import BOOL, FunctionTable, INT, STR, Sort
+from ..lang.functions import BOOL, FunctionTable, Sort
 from ..lang.visitors import type_of
 from typing import Union
 

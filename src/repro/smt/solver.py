@@ -45,7 +45,7 @@ from .models import Model, formula_model, holds, interpretation
 from .sat import SatSolver
 from .terms import Eq, FALSE_F, FAnd, FNot, Formula, Le, TRUE_F, fand, fnot, for_
 
-__all__ = ["Solver", "SolverStats", "CheckResult", "FAULT_HOOK"]
+__all__ = ["Solver", "SolverStats", "CheckResult", "FAULT_HOOK", "LEMMA_BUDGET", "CACHE_SIZE"]
 
 CheckResult = str  # 'sat' | 'unsat' | 'unknown'
 # A remembered witness: its interpretation and the atom truths found under it.
@@ -60,6 +60,12 @@ _Remembered = tuple[dict[WitnessKey, int], dict[Formula, bool]]
 # ``None`` — the production value — costs one module attribute read per
 # uncached check.
 FAULT_HOOK: Optional[Callable[[str, Formula], Optional[CheckResult]]] = None
+
+# SAT/theory rounds one search may run, each blocking one theory conflict,
+# before it answers "unknown".
+LEMMA_BUDGET = 400
+# Verdicts the formula cache keeps; past this, new formulas are not cached.
+CACHE_SIZE = 100_000
 
 
 @dataclass
@@ -100,14 +106,7 @@ class Solver:
     only cost is one attribute read per miss.
     """
 
-    def __init__(
-        self,
-        lemma_budget: int = 400,
-        cache_size: int = 100_000,
-        telemetry: Any = None,
-    ) -> None:
-        self.lemma_budget = lemma_budget
-        self.cache_size = cache_size
+    def __init__(self, telemetry: Any = None) -> None:
         self.stats = SolverStats()
         self._sat_cache: dict[Formula, CheckResult] = {}
         # The two most recent verified witnesses, most recently useful first:
@@ -148,7 +147,7 @@ class Solver:
             # "cannot prove", skipping an optimisation.  Counted so batch
             # reports can show *why* a consolidation was less aggressive.
             self.stats.unknowns += 1
-        if len(self._sat_cache) < self.cache_size:
+        if len(self._sat_cache) < CACHE_SIZE:
             self._sat_cache[f] = result
         return result
 
@@ -284,7 +283,7 @@ class Solver:
                 if var is not None:
                     sat.add_clause([var if value else -var])
 
-        for _ in range(self.lemma_budget):
+        for _ in range(LEMMA_BUDGET):
             chosen: list[tuple[Formula, bool]] = []
             if structured:
                 self.stats.sat_calls += 1

@@ -61,6 +61,7 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.interp import Interpreter
 from ..lang.visitors import notified_pids, strip_notifies
 from ..naiad.linq import run_where_consolidated, run_where_many
+from ..profiling.model import CalibratedCostModel
 from ..provenance.render import MAX_TEXT, format_formula
 from ..smt import solver as _solver
 from ..smt.terms import Formula
@@ -399,15 +400,17 @@ def _check_planner(
     The cost-driven planner reorders merges and skips predicted-unprofitable
     pairs (composing them sequentially) — both must be *plan*-level
     decisions only.  The
-    batch is consolidated again under ``planner="calibrated"`` (with the
-    uniform fallback model, so the check needs no trace) and its dataflow
+    batch is consolidated again under the calibrated planner (with the
+    uniform model, so the check needs no trace) and its dataflow
     run must reproduce the ``whereMany`` baseline's buckets exactly,
     with consolidated UDF cost never worse (Theorem 2 survives planning).
     """
 
     if len(programs) < 2:
         return
-    config = ExecutionConfig(cost_model=cost_model, planner="calibrated")
+    config = ExecutionConfig(
+        cost_model=cost_model, calibration=CalibratedCostModel.uniform(cost_model)
+    )
     try:
         many = run_where_many(rows, programs, dataset.functions, config=config)
         planned, report = run_where_consolidated(

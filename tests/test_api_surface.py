@@ -9,8 +9,10 @@ fields and the thread executor are gone, the 6.0.0-removal tests that
 the profiler is no longer threaded through a run, the 7.0.0-removal
 tests that the prefilter is gone, the 8.0.0-removal tests that the
 process-pool executor is gone, the 9.0.0-removal tests that the service's
-constant knobs and ``PatchError`` are gone, and the config validation
-errors (they must enumerate the valid values).
+constant knobs and ``PatchError`` are gone, the 10.0.0-removal tests that
+each decision has one knob (one-valued knobs are constants, a calibration
+model is the planner choice), and the config validation errors (they must
+enumerate the valid values).
 """
 
 import dataclasses
@@ -25,7 +27,14 @@ import repro.api as api
 import repro.config
 import repro.naiad.dataflow
 from repro.config import ExecutionConfig, ServiceConfig
-from repro.consolidation import ConsolidationReport, consolidate_all
+from repro.consolidation import (
+    ConsolidationOptions,
+    ConsolidationReport,
+    add_query,
+    consolidate_all,
+    rebuild,
+    remove_query,
+)
 from repro.experiments import (
     run_experiment,
     run_figure9,
@@ -36,6 +45,7 @@ from repro.lang import FunctionTable, parse_program
 from repro.lang.compile import make_runner
 from repro.lang.vectorize import vectorize_cached
 from repro.naiad import (
+    Dataflow,
     Query,
     Where,
     WhereConsolidated,
@@ -44,6 +54,8 @@ from repro.naiad import (
     run_where_consolidated,
     run_where_many,
 )
+from repro.provenance import explain_batch
+from repro.smt.solver import Solver
 
 # ---------------------------------------------------------------------------
 # the facade: frozen __all__ and golden signatures
@@ -121,6 +133,16 @@ REMOVED_KEYWORDS = [
     (run_figure9, ("workers", "backend")),
     (run_figure10, ("workers", "backend")),
     (run_latency_experiment, ("cost_model", "backend")),
+    # 10.0.0: one knob per decision.
+    (ExecutionConfig, ("io_cost_per_record", "overhead_per_operator", "planner")),
+    (ServiceConfig, ("event_log", "record_derivations")),
+    (ConsolidationOptions, ("max_embed_size",)),
+    (Solver, ("lemma_budget", "cache_size")),
+    (Dataflow, ("io_cost_per_record", "overhead_per_operator")),
+    (explain_batch, ("loose_threshold", "planner")),
+    (add_query, ("record",)),
+    (remove_query, ("record",)),
+    (rebuild, ("provenance",)),
     # 7.0.0: the prefilter is gone.
     (ExecutionConfig, ("prefilter",)),
     (Where, ("prefilter",)),
@@ -208,8 +230,8 @@ def test_removed_execution_config_field_raises_type_error(keyword):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_nine_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 9
+def test_execution_config_has_six_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 6
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
 
@@ -322,10 +344,10 @@ def test_removed_service_config_field_raises_type_error(keyword):
         ServiceConfig(**{keyword: None})
 
 
-def test_service_config_has_six_fields_and_the_registry_its_constants():
+def test_service_config_has_four_fields_and_the_registry_its_constants():
     from repro.service import registry
 
-    assert len(dataclasses.fields(ServiceConfig)) == 6
+    assert len(dataclasses.fields(ServiceConfig)) == 4
     assert (registry.REBALANCE_FACTOR, registry.PLAN_CACHE_SIZE) == (2.0, 128)
 
 
@@ -337,6 +359,27 @@ def test_patch_error_is_gone():
     assert not hasattr(incremental, "PatchError")
     for name in ("_unchain", "_rechain", "_chain"):
         assert not hasattr(incremental, name)
+
+
+# ---------------------------------------------------------------------------
+# the 10.0.0 removals: one knob per decision
+
+
+def test_one_valued_knobs_are_constants():
+    from repro.consolidation import algorithm
+    from repro.smt import solver
+
+    assert len(dataclasses.fields(ConsolidationOptions)) == 4
+    assert list(inspect.signature(Solver).parameters) == ["telemetry"]
+    assert list(inspect.signature(Dataflow).parameters) == []
+    assert (
+        repro.naiad.dataflow.IO_COST_PER_RECORD,
+        repro.naiad.dataflow.OVERHEAD_PER_OPERATOR,
+    ) == (25, 2)
+    assert algorithm.MAX_EMBED_SIZE == 160
+    assert (solver.LEMMA_BUDGET, solver.CACHE_SIZE) == (400, 100_000)
+    assert not hasattr(repro.config, "PLANNERS")
+    assert not hasattr(repro.naiad.dataflow.RunMetrics, "udf_makespan")
 
 
 def test_service_config_is_frozen_and_evolvable():

@@ -223,6 +223,22 @@ class TestObservabilityFlags:
                 + ["--calibration", str(model_path)] + _two_progs(tmp_path)
             )
 
+    @pytest.mark.parametrize("planner", [[], ["--planner", "related"]], ids=["default", "related"])
+    @pytest.mark.parametrize("command", ["consolidate", "explain", "serve"])
+    def test_a_calibration_without_the_calibrated_planner_is_a_usage_error(
+        self, tmp_path, capsys, command, planner
+    ):
+        # The model used to be loaded and then ignored: `related` ran.
+        argv = {
+            "consolidate": ["consolidate"] + _two_progs(tmp_path),
+            "explain": ["explain", "--domain", "weather"],
+            "serve": ["serve", "--port", "0"],
+        }[command]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + planner + ["--calibration", str(tmp_path / "model.json")])
+        assert exited.value.code == 2
+        assert "--calibration: requires --planner calibrated" in capsys.readouterr().err
+
     # Per-record unit vector of a weather Q1 program (n=2, seed=1).
     _Q1_UNITS = {
         "arg": 1.0, "assign": 1.0, "branch": 1.0, "call": 40.0, "cmp": 1.0,

@@ -164,14 +164,16 @@ class TestRuleSelection:
         with pytest.raises(ValueError):
             ConsolidationOptions(if_rule_mode="always_if7")
 
-    def test_embed_size_guard_downgrades(self, ft):
-        options = ConsolidationOptions(max_embed_size=1)
+    def test_embed_size_guard_downgrades(self, ft, monkeypatch):
+        from repro.consolidation import algorithm
+
+        monkeypatch.setattr(algorithm, "MAX_EMBED_SIZE", 1)
         p1 = program("a", ("x",), ite_notify("a", lt(call("f", arg("x")), 5)))
         p2 = program("b", ("x",), ite_notify("b", lt(call("f", arg("x")), 10)))
-        c = Consolidator(ft, options=options)
+        c = Consolidator(ft)
         merged = c.consolidate(p1, p2)
         assert "If3" not in c.trace
-        _m, report = check(ft, p1, p2, [{"x": i} for i in range(20)], options)
+        _m, report = check(ft, p1, p2, [{"x": i} for i in range(20)])
 
 
 class TestLoops:

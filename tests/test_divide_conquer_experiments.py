@@ -32,6 +32,7 @@ from repro.lang import (
     var,
 )
 from repro.lang.visitors import notified_pids
+from repro.profiling import CalibratedCostModel
 from repro.queries import DOMAIN_QUERIES
 
 FT = FunctionTable([LibraryFunction("val", lambda r: (r * 13) % 50, cost=15)])
@@ -94,8 +95,9 @@ class TestDivideConquer:
 
         monkeypatch.setattr(divide_conquer, "merge_pair", spy)
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(6)]
+        calibration = CalibratedCostModel.uniform() if planner == "calibrated" else None
         report = consolidate_all(
-            programs, FT, order=order, config=ExecutionConfig(planner=planner)
+            programs, FT, order=order, config=ExecutionConfig(calibration=calibration)
         )
         assert report.pair_consolidations == 5 and not report.degraded
         assert [(left, right) for left, right, _ in calls] == [
@@ -143,7 +145,9 @@ class TestPairAccount:
                 programs,
                 dataset.functions,
                 options=ConsolidationOptions(static_validate=True),
-                config=ExecutionConfig(provenance=True, planner="calibrated"),
+                config=ExecutionConfig(
+                    provenance=True, calibration=CalibratedCostModel.uniform()
+                ),
             )
         pairs = report.pairs
         assert report.pair_consolidations == len(pairs) == 7

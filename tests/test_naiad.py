@@ -23,6 +23,7 @@ from repro.naiad import (
     run_where_consolidated,
     run_where_many,
 )
+from repro.naiad.dataflow import IO_COST_PER_RECORD
 
 FT = FunctionTable([LibraryFunction("val", lambda r: (r * 13) % 50, cost=15)])
 
@@ -54,9 +55,9 @@ class TestDataflowBasics:
         assert sum(result.buckets["n"]) == 10
 
     def test_io_cost_charged_once_per_record(self):
-        q = from_collection(range(10), ExecutionConfig(io_cost_per_record=7)).collect("out")
+        q = from_collection(range(10)).collect("out")
         result = q.run(ExecutionConfig(workers=2))
-        assert result.metrics.io_cost == 70
+        assert result.metrics.io_cost == 10 * IO_COST_PER_RECORD == 250
 
     def test_udf_cost_accumulates(self):
         q = from_collection(range(10)).where(filt("q", 25), FT).collect("out")

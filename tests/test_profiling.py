@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.config import PLANNERS, ExecutionConfig
+from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang.builder import (
@@ -483,6 +483,9 @@ class TestPlanner:
 # planner end to end: semantics parity, budget, provenance, config
 # ---------------------------------------------------------------------------
 
+# The calibrated planner's model without a trace: the static Figure-2 priors.
+CALIBRATED = ExecutionConfig(calibration=CalibratedCostModel.uniform())
+
 
 class TestPlannerEndToEnd:
     def test_calibrated_planner_preserves_buckets(self, weather):
@@ -490,7 +493,7 @@ class TestPlannerEndToEnd:
             weather, "Mix", n=10, seed=2
         )
         rows = list(weather.rows[:80])
-        config = ExecutionConfig(planner="calibrated")
+        config = CALIBRATED
         many = run_where_many(rows, programs, weather.functions, config=config)
         planned, report = run_where_consolidated(
             rows, programs, weather.functions, config=config
@@ -519,10 +522,8 @@ class TestPlannerEndToEnd:
         rows = list(weather.rows[:50])
         many = run_where_many(rows, programs, weather.functions)
         costs, reports = {}, {}
-        for planner in ("related", "calibrated"):
-            reports[planner] = consolidate_all(
-                programs, weather.functions, config=ExecutionConfig(planner=planner)
-            )
+        for planner, config in (("related", ExecutionConfig()), ("calibrated", CALIBRATED)):
+            reports[planner] = consolidate_all(programs, weather.functions, config=config)
             result = (
                 from_collection(rows)
                 .where_consolidated(reports[planner].program, pids, weather.functions)
@@ -551,7 +552,7 @@ class TestPlannerEndToEnd:
             programs,
             weather.functions,
             options=ConsolidationOptions(use_smt=False),
-            config=ExecutionConfig(planner="calibrated"),
+            config=CALIBRATED,
         )
         merges = [d for d in report.planner_decisions if d["merged"]]
         assert merges
@@ -577,7 +578,7 @@ class TestPlannerEndToEnd:
         report = consolidate_all(
             programs,
             weather.functions,
-            config=ExecutionConfig(planner="calibrated", provenance=True),
+            config=CALIBRATED.evolve(provenance=True),
         )
         heuristics = [
             h
@@ -606,7 +607,7 @@ class TestPlannerEndToEnd:
             report = consolidate_all(
                 programs,
                 weather.functions,
-                config=ExecutionConfig(planner="calibrated", telemetry=telemetry),
+                config=CALIBRATED.evolve(telemetry=telemetry),
             )
         (skip,) = report.skipped_pairs
         (decision,) = report.planner_decisions
@@ -630,7 +631,7 @@ class TestPlannerEndToEnd:
             n=4,
             seed=1,
             rows=10,
-            planner="calibrated",
+            calibration=CalibratedCostModel.uniform(),
         )
         assert report.planner == "calibrated"
         assert report.planner_decisions
@@ -640,9 +641,23 @@ class TestPlannerEndToEnd:
         assert report.to_dict()["planner"] == "calibrated"
 
     def test_config_validation(self):
-        assert PLANNERS == ("related", "calibrated")
-        with pytest.raises(ValueError):
-            ExecutionConfig(planner="bogus")
+        # The model is the planner choice: there is no planner name to get
+        # wrong, and anything but a model (or None) is refused.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'planner'"):
+            ExecutionConfig(planner="calibrated")
+        with pytest.raises(TypeError, match="CalibratedCostModel or None, got str"):
+            ExecutionConfig(calibration="calibrated")
+
+    def test_a_calibration_alone_runs_the_calibrated_planner(self):
+        # A model without a planner name used to be ignored: `related` ran
+        # (0 planner decisions on flight Mix n = 8) and the report said so.
+        from repro.datasets import generate_flights
+
+        flights = generate_flights(airlines=12)
+        programs = DOMAIN_QUERIES["flight"].make_batch(flights, "Mix", n=8, seed=1)
+        report = consolidate_all(programs, flights.functions, config=CALIBRATED)
+        assert report.planner == "calibrated"
+        assert len(report.planner_decisions) == 7
 
     @pytest.mark.parametrize("order", ["fold", "priority"])
     def test_calibrated_planner_rejects_fold_orders(self, weather, order):
@@ -652,13 +667,8 @@ class TestPlannerEndToEnd:
         programs = DOMAIN_QUERIES["weather"].make_batch(
             weather, "Mix", n=3, seed=1
         )
-        with pytest.raises(ValueError, match=rf"planner='calibrated'.*order='{order}'"):
-            consolidate_all(
-                programs,
-                weather.functions,
-                order=order,
-                config=ExecutionConfig(planner="calibrated"),
-            )
+        with pytest.raises(ValueError, match=rf"calibrated planner.*order='{order}'"):
+            consolidate_all(programs, weather.functions, order=order, config=CALIBRATED)
 
     def test_registry_metrics_doc_reports_calibration(self, weather):
         from repro.service.registry import QueryRegistry
@@ -666,10 +676,13 @@ class TestPlannerEndToEnd:
         model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
         registry = QueryRegistry(
             weather.functions,
-            config=ExecutionConfig(planner="calibrated", calibration=model),
+            config=ExecutionConfig(calibration=model),
         )
         doc = registry.metrics_doc()
         assert doc["planner"] == "calibrated"
         assert doc["calibration_source"] == "uniform"
         assert doc["calibration_staleness_seconds"] == 0.0
         assert doc["planner_merges_total"] == 0
+        plain = QueryRegistry(weather.functions).metrics_doc()
+        assert plain["planner"] == "related"
+        assert not [key for key in plain if key.startswith("calibration")]

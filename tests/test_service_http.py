@@ -22,6 +22,7 @@ from repro.service import (
     DuplicateQueryError,
     HealthInfo,
     PlanInfo,
+    QueryRegistry,
     RegisterResult,
     RunInfo,
     ServiceError,
@@ -161,10 +162,14 @@ def test_run_with_empty_registry_is_typed(client):
 
 def test_restart_replays_event_log_to_identical_fingerprints(tmp_path, weather):
     log = tmp_path / "events.jsonl"
-    service = ServiceConfig(port=0, event_log=str(log))
+    service = ServiceConfig(port=0)
     sources, pids = weather_sources(weather, n=5, family="Q2")
 
-    first = serve(weather.functions, service=service)
+    def durable():
+        registry = QueryRegistry(weather.functions, service=service, event_log=str(log))
+        return serve(weather.functions, service=service, registry=registry)
+
+    first = durable()
     thread = threading.Thread(target=first.serve_forever, daemon=True)
     thread.start()
     client = Client(port=first.port)
@@ -178,7 +183,7 @@ def test_restart_replays_event_log_to_identical_fingerprints(tmp_path, weather):
     first.shutdown()
     first.server_close()
 
-    second = serve(weather.functions, service=service)
+    second = durable()
     thread = threading.Thread(target=second.serve_forever, daemon=True)
     thread.start()
     try:

@@ -335,19 +335,6 @@ def test_rebalancing_register_merges_once(weather):
     assert patch.patched_pids == [registry.tree.program.pid]
 
 
-def test_pair_merges_are_counted_without_provenance(weather):
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(record_derivations=False)
-    )
-    for program in weather_batch(weather, n=3):
-        registry.register(program)
-    patch = registry.last_patch
-    assert patch.derivations == []
-    assert patch.pair_merges == len(patch.pairs) == 1
-    assert patch.patched_pids == [registry.tree.program.pid]
-    assert registry.stats["pair_merges_total"] == 2
-
-
 def test_explain_shape(weather):
     registry = QueryRegistry(weather.functions)
     for program in weather_batch(weather, n=3):
@@ -368,8 +355,7 @@ def test_explain_shape(weather):
 
 def test_event_log_replay_restores_identical_fingerprints(tmp_path, weather):
     log = tmp_path / "events.jsonl"
-    service = ServiceConfig(event_log=str(log))
-    registry = QueryRegistry(weather.functions, service=service)
+    registry = QueryRegistry(weather.functions, event_log=str(log))
     batch = weather_batch(weather, n=5)
     for program in batch:
         registry.register(program)
@@ -377,7 +363,7 @@ def test_event_log_replay_restores_identical_fingerprints(tmp_path, weather):
     plan = registry.plan()
     entries = {q.pid: q.fingerprint for q in registry.queries()}
 
-    replayed = QueryRegistry(weather.functions, service=service)
+    replayed = QueryRegistry(weather.functions, event_log=str(log))
     assert {q.pid: q.fingerprint for q in replayed.queries()} == entries
     assert replayed.plan().fingerprint == plan.fingerprint
     assert replayed.plan().pids == plan.pids
@@ -385,14 +371,13 @@ def test_event_log_replay_restores_identical_fingerprints(tmp_path, weather):
 
 def test_event_log_survives_multiple_generations(tmp_path, weather):
     log = tmp_path / "events.jsonl"
-    service = ServiceConfig(event_log=str(log))
-    first = QueryRegistry(weather.functions, service=service)
+    first = QueryRegistry(weather.functions, event_log=str(log))
     first.register("program g1(row) { notify g1 (@row > 5); }")
 
-    second = QueryRegistry(weather.functions, service=service)
+    second = QueryRegistry(weather.functions, event_log=str(log))
     second.register("program g2(row) { notify g2 (@row > 50); }")
 
-    third = QueryRegistry(weather.functions, service=service)
+    third = QueryRegistry(weather.functions, event_log=str(log))
     assert sorted(third.pids()) == ["g1", "g2"]
     assert third.plan().fingerprint == second.plan().fingerprint
 
@@ -448,15 +433,13 @@ def test_event_log_refuses_corruption_before_the_tail(tmp_path, weather):
 
 def test_admission_failure_leaves_no_state(tmp_path, weather):
     log = tmp_path / "events.jsonl"
-    registry = QueryRegistry(
-        weather.functions, service=ServiceConfig(event_log=str(log))
-    )
+    registry = QueryRegistry(weather.functions, event_log=str(log))
     with pytest.raises(AdmissionError):
         registry.register("program bad(row) { notify bad (oops > 1); }")
     assert len(registry) == 0
     assert registry.stats["admission_rejects_total"] == 1
     # Nothing journalled → a replay starts empty.
-    assert len(QueryRegistry(weather.functions, service=ServiceConfig(event_log=str(log)))) == 0
+    assert len(QueryRegistry(weather.functions, event_log=str(log))) == 0
 
 
 def test_telemetry_counters_flow(weather):

@@ -122,11 +122,14 @@ def priority_of(programs) -> list:
 
 
 def plan_record(programs, functions, order, planner) -> dict:
-    """Consolidate one batch and project the report onto its plan."""
+    """Consolidate one batch and project the report onto its plan.
+
+    ``planner`` is the file's column: ``"calibrated"`` plans with the
+    ``uniform()`` model, ``"related"`` with no calibration.
+    """
 
     config = ExecutionConfig(
-        planner=planner,
-        calibration=CalibratedCostModel.uniform() if planner == "calibrated" else None,
+        calibration=CalibratedCostModel.uniform() if planner == "calibrated" else None
     )
     report = consolidate_all(
         list(programs),
