@@ -45,10 +45,21 @@ from ..lang.ast import (
 )
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.visitors import expr_vars, subexpressions
-from ..provenance.recorder import NULL_RECORDER
-from ..smt.interface import Store
+from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
+from ..smt.interface import Store, Value
 from ..smt.solver import Solver
-from ..smt.terms import FFalse, FTrue, Formula, TRUE_F, cone_of_influence, eq_f, fand, fiff, fnot
+from ..smt.terms import (
+    FALSE_F,
+    FFalse,
+    FTrue,
+    Formula,
+    TRUE_F,
+    cone_of_influence,
+    eq_f,
+    fand,
+    fiff,
+    fnot,
+)
 from ..lang.functions import BOOL
 
 __all__ = ["Context", "SimplifyStats", "fold_expr", "ir_linear", "ir_from_linear"]
@@ -57,6 +68,10 @@ _MAX_CALL_CANDIDATES = 8
 _MAX_RECENT_ASSIGNS = 12
 _MAX_RECENT_PROBES = 4
 _PROBE_COST_THRESHOLD = 8
+
+# The store bindings a goal reads, and the memo keys built on them.
+Reads = frozenset[tuple[str, Value]]
+MemoKey = tuple[object, ...]
 
 
 def _ground_args_compatible(a: "Call", b: "Call") -> bool:
@@ -217,8 +232,9 @@ class SimplifyStats:
     """Counters for the entailment fast paths (shared across a whole batch).
 
     ``entail_queries`` counts semantic questions asked of the context;
-    ``precheck_skips`` the ones whose goal folded to a constant through the
-    store, decided without the solver; ``memo_hits`` the repeats answered
+    ``precheck_skips`` the ones decided without the solver — the goal
+    folded to a constant through the store, or an equality under an empty
+    path condition compared its two store values; ``memo_hits`` the repeats answered
     from the ``(Ψ, store reads, e)`` memo; ``smt_queries`` the remainder
     that actually reached the solver.
     """
@@ -234,7 +250,7 @@ class SimplifyStats:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> dict[str, float]:
         total = self.entail_queries
         return {
             "entail_queries": total,
@@ -276,11 +292,11 @@ class Context:
     recent_assigns: list[tuple[str, Expr]] = field(default_factory=list)
     use_smt: bool = True
     stats: SimplifyStats = field(default_factory=SimplifyStats)
-    entail_memo: dict = field(default_factory=dict)
+    entail_memo: dict[MemoKey, tuple[bool, Formula]] = field(default_factory=dict)
     # (Ψ, reads, e) -> what ``entails_expr`` asks the solver: both polarities read it.
-    query_memo: dict[tuple, tuple[Formula, Formula] | None] = field(default_factory=dict)
+    query_memo: dict[MemoKey, tuple[Formula, Formula] | None] = field(default_factory=dict)
     cost_memo: dict[Expr, int] = field(default_factory=dict)
-    recorder: object = NULL_RECORDER
+    recorder: DerivationRecorder | NullRecorder = NULL_RECORDER
 
     # -- plumbing -------------------------------------------------------------
 
@@ -318,7 +334,7 @@ class Context:
             known = self.cost_memo[e] = expr_cost(e, self.engine.functions, self.cost_model)
         return known
 
-    def _reads(self, *exprs: Expr) -> frozenset:
+    def _reads(self, *exprs: Expr) -> Reads:
         """The store bindings a goal over ``exprs`` reads."""
 
         store = self.store
@@ -337,9 +353,9 @@ class Context:
     def _decide(
         self,
         kind: str,
-        key: tuple,
+        key: MemoKey,
         query: object,
-        reads: frozenset,
+        reads: Reads,
         encode: Callable[[], tuple[Formula, Formula] | None],
         negate: bool = False,
     ) -> bool:
@@ -406,7 +422,14 @@ class Context:
         def encode() -> tuple[Formula, Formula] | None:
             ta = self.engine.encode_int(a, self.store)
             tb = self.engine.encode_int(b, self.store)
-            return self._query(None if ta is None or tb is None else eq_f(ta, tb))
+            if ta is None or tb is None:
+                return None
+            if isinstance(self.psi, FTrue):
+                # Nothing assumed: ``ta = tb`` is valid exactly when the two
+                # canonical terms are one (a non-constant difference is a
+                # lone literal, satisfiable either way; a constant one folds).
+                return (TRUE_F if ta == tb else FALSE_F), TRUE_F
+            return self._query(eq_f(ta, tb))
 
         return self._decide("equal", ("=", a, b), ("{} = {}", a, b), self._reads(a, b), encode)
 

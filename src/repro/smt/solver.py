@@ -11,7 +11,10 @@ Most of those queries have one of two answers that need no search, and each
 has a cheap path (DESIGN.md §14): *not entailed* is read off one of the two
 most recent verified witnesses (:meth:`Solver._decide`), and a theory
 conflict among level-0 atoms closes ``unsat`` without core minimisation
-(:meth:`Solver._search`).
+(:meth:`Solver._search`).  A check that is one theory literal and nothing
+else — a goal asked with no hypothesis bearing on it — is ``sat`` on sight:
+its term is canonical and non-constant, so it is neither valid nor
+unsatisfiable, and ``sat`` licenses no rewrite.
 
 The queries that do search are ``Ψ ∧ ¬e`` with Ψ a conjunction that is mostly
 — usually entirely — theory literals, shared with the query before.  The
@@ -53,8 +56,8 @@ _Remembered = tuple[dict[WitnessKey, int], dict[Formula, bool]]
 
 # Fault-injection seam (see repro.testing.faults).  When set, the hook is
 # called as ``FAULT_HOOK("smt.check", formula)`` on every check that misses
-# the formula cache — before the witnesses are consulted, so which check a
-# counting hook forces does not depend on witness hits; it may return a
+# the formula cache — before the lone-literal rule and the witnesses, so
+# which check a counting hook forces depends on neither; it may return a
 # forced CheckResult ('unknown' models budget exhaustion), raise (a solver
 # crash escaping as an exception), or return None to let the real check run.
 # ``None`` — the production value — costs one module attribute read per
@@ -73,7 +76,8 @@ class SolverStats:
     """Counters for reporting and the scalability experiments.
 
     Of the ``checks`` asked, ``cache_hits`` were answered by the formula
-    cache and ``witness_hits`` by a remembered witness: neither ran the
+    cache, ``literal_hits`` ``sat`` as a lone non-constant theory literal
+    and ``witness_hits`` by a remembered witness: none of them ran the
     search.  Of those that did, ``forced_unsat`` closed on a theory conflict
     among level-0 atoms, without core minimisation or a second SAT call.
     ``sat_calls`` counts ``SatSolver.solve()`` calls — none for a check whose
@@ -85,6 +89,7 @@ class SolverStats:
 
     checks: int = 0
     cache_hits: int = 0
+    literal_hits: int = 0
     theory_rounds: int = 0
     sat_calls: int = 0
     unknowns: int = 0
@@ -182,7 +187,15 @@ class Solver:
     # -- a check that missed the formula cache --------------------------------
 
     def _decide(self, f: Formula) -> CheckResult:
-        """The fault hook, then the remembered witnesses, then the search.
+        """The fault hook, the lone-literal rule, the witnesses, the search.
+
+        A lone literal ``t ≤ 0``, ``t = 0`` or its negation is satisfiable.
+        ``le_f`` / ``eq_f``, which build every ``Le`` / ``Eq``, keep ``t`` in
+        canonical linear form and fold a constant one to ``true`` /
+        ``false``; the atoms of a non-constant ``t`` take independent
+        values, and an equation's coefficient gcd divides its constant
+        (``eq_f`` refutes it otherwise).  So the rule is exact, it keeps no
+        witness, and — ``'sat'`` — it is sound.
 
         A witness is a *total* interpretation, and ``f`` is evaluated under
         it in full: a hit exhibits a model of ``f``, so it can only say
@@ -195,6 +208,10 @@ class Solver:
             forced = FAULT_HOOK("smt.check", f)
             if forced is not None:
                 return forced
+        literal = f.operand if isinstance(f, FNot) else f
+        if isinstance(literal, (Le, Eq)):
+            self.stats.literal_hits += 1
+            return "sat"
         recent = self._witnesses
         for position, (w, truths) in enumerate(recent):
             if holds(f, w, truths):

@@ -115,6 +115,7 @@ HELP_TEXTS = {
     "smt_check_seconds": "SMT validity check latency.",
     "smt_checks": "SMT validity checks issued.",
     "smt_forced_unsat": "SMT checks closed on a level-0 theory conflict (no core minimisation).",
+    "smt_literal_hits": "SMT checks answered 'sat' as one non-constant theory literal (no search).",
     "smt_literals_asserted": "Theory literals pushed onto the solver's assertion stack.",
     "smt_literals_reused": "Theory literals a check found already asserted (shared prefix).",
     "smt_sat_calls": "Underlying SAT search invocations.",

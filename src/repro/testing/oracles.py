@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..config import ExecutionConfig
-from ..consolidation.divide_conquer import ConsolidationReport, consolidate_all
+from ..consolidation.divide_conquer import ConsolidationReport
 from ..datasets.records import Dataset
 from ..lang.ast import Program
 from ..lang.compile import make_runner
@@ -80,7 +80,7 @@ class Discrepancy:
     # | 'planner' | 'vectorized'
     oracle: str
     detail: str
-    args: dict = field(default_factory=dict)
+    args: dict[str, object] = field(default_factory=dict)
 
     def __str__(self) -> str:
         return f"[{self.oracle}] {self.detail}"

@@ -1,4 +1,4 @@
-"""The solver's two cheap answers, and the one engine that feeds them.
+"""The solver's cheap answers, and the one engine that feeds them.
 
 * A theory conflict among level-0 atoms closes ``unsat`` without core
   minimisation or a second SAT call — and when every conjunct is a literal,
@@ -6,8 +6,11 @@
   minimises.
 * A query that evaluates true under a remembered, verified witness is
   answered ``sat`` without the search: nothing is asserted on the stack.
+* A query that is one non-constant theory literal is ``sat`` on sight, and
+  an equality the calculus asks under an empty path condition compares its
+  two store values instead of reaching the solver.
 
-Neither may change an entailment verdict: the solver is compared with the
+None may change an entailment verdict: the solver is compared with the
 from-scratch loop in :mod:`repro.testing.reference` on generated formulas
 and on every query the five golden families ask.  Counts, not timings.
 """
@@ -22,11 +25,12 @@ from collections import OrderedDict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro
 from repro.config import ExecutionConfig
 from repro.consolidation import consolidate_all
+from repro.consolidation.simplifier import Context
 from repro.smt import combine, solver as solver_mod
 from repro.smt.combine import TheoryLiteral, TheoryStack
 from repro.smt.euf import CongruenceClosure
@@ -37,6 +41,10 @@ from repro.smt.solver import Solver
 from repro.smt.terms import (
     FALSE_F,
     TRUE_F,
+    Eq,
+    FNot,
+    FTrue,
+    Le,
     app,
     eq_f,
     fand,
@@ -48,9 +56,10 @@ from repro.smt.terms import (
     num,
     sym,
     t_add,
+    t_mul,
     t_scale,
 )
-from repro.testing.faults import smt_unknown
+from repro.testing.faults import fault_hook, smt_unknown
 from repro.testing.reference import reference_check
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -165,6 +174,135 @@ def test_every_query_of_a_golden_family_agrees_with_the_reference(
         assert (verdict == "unsat") == (reference_check(f) == "unsat"), f
 
 
+# -- a lone literal is sat on sight ------------------------------------------------
+
+
+@st.composite
+def lone_literals(draw):
+    """One theory literal over nested applications and ``@mul`` products,
+    with coefficients whose gcd the constructors divide out."""
+
+    def atom(depth):
+        choice = draw(st.integers(0, 3 if depth else 0))
+        if choice == 0:
+            return draw(st.sampled_from(_VARS))
+        if choice == 1:
+            return app(draw(st.sampled_from(["f", "g"])), term(depth - 1))
+        if choice == 2:
+            return app("h", term(depth - 1), term(depth - 1))
+        return t_mul(term(depth - 1), term(depth - 1))  # @mul unless a side is constant
+
+    def term(depth):
+        t = num(draw(st.integers(-6, 6)))
+        for _ in range(draw(st.integers(0, 3))):
+            t = t_add(t, t_scale(draw(st.integers(-4, 4)), atom(depth)))
+        return t
+
+    build = draw(st.sampled_from([le_f, lt_f, eq_f, ne_f]))
+    return build(term(2), term(2))
+
+
+def _assert_lone_literal_rule(f):
+    solver = Solver()
+    assert solver.is_sat(f) == "sat"
+    assert solver.stats.literal_hits == 1 and solver.stats.theory_rounds == 0
+    assert not solver._witnesses and not solver._idle, "the rule kept a witness or searched"
+    # Neither the search the rule skips nor the from-scratch loop refutes it.
+    assert solver._check(f)[0] != "unsat", f
+    assert reference_check(f) != "unsat", f
+
+
+@given(lone_literals())
+@settings(max_examples=300, deadline=None)
+def test_the_reference_never_refutes_a_lone_literal_the_rule_calls_sat(f):
+    assume(f not in (TRUE_F, FALSE_F))  # a constant comparison folds on construction
+    _assert_lone_literal_rule(f)
+
+
+fx, gy = app("f", x), app("g", y)
+_LONE_LITERALS = {
+    "le": le_f(t_add(fx, t_scale(3, y)), num(7)),
+    "lt-negated-le": fnot(le_f(x, app("f", app("g", z)))),
+    "eq": eq_f(fx, t_add(y, num(1))),
+    "ne": ne_f(fx, gy),
+    "nested-eq": eq_f(app("f", app("f", x)), t_add(fx, num(1))),
+    "mul-le": le_f(t_add(t_mul(x, x), num(1)), num(0)),
+    "mul-ne": ne_f(t_mul(x, y), t_add(x, y)),
+    "gcd-eq": eq_f(t_add(t_scale(2, x), t_scale(4, fx)), num(6)),
+    "gcd-ne": ne_f(t_scale(6, gy), t_add(t_scale(9, z), num(3))),
+    "gcd-le": le_f(t_add(t_scale(4, x), t_scale(6, t_mul(x, y))), num(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONE_LITERALS))
+def test_each_kind_of_lone_literal_is_sat_without_a_search(name):
+    f = _LONE_LITERALS[name]
+    literal = f.operand if isinstance(f, FNot) else f
+    assert isinstance(literal, Le if "le" in name else Eq), f
+    assert isinstance(f, FNot) == name.endswith("ne"), f
+    _assert_lone_literal_rule(f)
+
+
+def test_gcd_normalisation_refutes_before_the_rule_is_asked():
+    assert eq_f(t_scale(2, x), num(3)) == FALSE_F  # 2x = 3 has no integer solution
+    assert eq_f(t_scale(2, x), num(4)) == eq_f(x, num(2))
+    solver = Solver()
+    assert solver.is_sat(eq_f(t_add(t_scale(4, x), t_scale(6, y)), num(9))) == "unsat"
+    assert solver.stats.literal_hits == 0
+
+
+def test_the_fault_hook_sees_and_can_force_a_lone_literal_check():
+    seen = []
+
+    def hook(site, f):
+        seen.append((site, f))
+        return "unsat" if len(seen) == 1 else None
+
+    forced, passed = le_f(x, num(3)), ne_f(fx, y)
+    solver = Solver()
+    with fault_hook(solver_mod, hook):
+        assert solver.is_sat(forced) == "unsat"  # what a buggy solver could say
+        assert solver.is_sat(passed) == "sat"  # let through: the rule answers
+        assert solver.is_sat(forced) == "unsat"  # the formula cache, not the hook
+    assert seen == [("smt.check", forced), ("smt.check", passed)]
+    assert solver.stats.literal_hits == 1 and solver.stats.cache_hits == 1
+    with smt_unknown():
+        assert not solver.entails(TRUE_F, le_f(y, num(0)))
+    assert solver.stats.unknowns == 1 and solver.stats.literal_hits == 1
+
+
+@pytest.mark.parametrize("domain", ["weather", "flight"])
+def test_an_equality_under_an_empty_path_condition_keeps_the_solver_verdict(
+    golden_batches, domain, monkeypatch
+):
+    """Every ``provably_equal`` a golden batch asks with ``Ψ = true``: the
+    store-value comparison answers what the encoded ``a = b`` folded to or
+    the search on its negation decided."""
+
+    programs, functions = golden_batches[domain]
+    answers = []
+    real = Context.provably_equal
+
+    def compared(self, a, b):
+        verdict = real(self, a, b)
+        if a != b and isinstance(self.psi, FTrue):
+            ta, tb = self.engine.encode_int(a, self.store), self.engine.encode_int(b, self.store)
+            if ta is not None and tb is not None:
+                goal = eq_f(ta, tb)
+                if goal in (TRUE_F, FALSE_F):
+                    want = goal == TRUE_F
+                else:
+                    want = Solver()._check(fnot(goal))[0] == "unsat"
+                assert verdict == want, (a, b, goal)
+                answers.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(Context, "provably_equal", compared)
+    report = consolidate_all(list(programs), functions, config=ExecutionConfig(workers=1))
+    assert not report.skipped_pairs
+    assert False in answers, "the batch asked no equality the rule refutes"
+
+
 # -- counted, not timed ----------------------------------------------------------
 
 
@@ -271,23 +409,27 @@ def test_a_witness_hit_runs_no_search_and_still_counts_the_check(counted, fresh_
 
 def test_only_two_witnesses_are_kept_most_recently_useful_first():
     solver = Solver()
-    first = le_f(num(5), x)
-    second = le_f(x, num(-5))
+    # Two literals each: a lone literal is answered without a search and
+    # leaves no witness behind.
+    first = fand(le_f(num(5), x), le_f(num(5), y))
+    second = fand(le_f(x, num(-5)), le_f(y, num(-5)))
     third = fand(le_f(num(1), x), le_f(x, num(2)))
     for f in (first, second, third):
         assert solver.is_sat(f) == "sat"
+    assert solver.stats.witness_hits == 0 and solver.stats.literal_hits == 0
     assert len(solver._witnesses) == 2
     assert holds(third, solver._witnesses[0][0], {}) and holds(second, solver._witnesses[1][0], {})
     # A hit at position 1 moves that witness to the front.
-    assert solver.is_sat(le_f(x, num(-1))) == "sat"
+    assert solver.is_sat(fand(le_f(x, num(-1)), le_f(y, num(-1)))) == "sat"
     assert solver.stats.witness_hits == 1
     assert holds(second, solver._witnesses[0][0], {})
 
 
 def test_a_witness_never_answers_unsat_or_hides_a_proof():
     solver = Solver()
-    assert solver.is_sat(le_f(x, y)) == "sat"
     hyp = fand(le_f(x, y), le_f(y, z))
+    assert solver.is_sat(hyp) == "sat"
+    assert solver._witnesses, "the search left no witness"
     assert solver.entails(hyp, le_f(x, z))  # proved by the search, not blocked by the witness
     assert not solver.entails(hyp, le_f(z, x))
     assert solver.is_sat(FALSE_F) == "unsat"
@@ -299,15 +441,18 @@ def test_a_witness_never_answers_unsat_or_hides_a_proof():
 
 def test_fault_hook_is_consulted_before_the_witnesses():
     solver = Solver()
-    assert solver.is_sat(le_f(num(3), x)) == "sat"
+    assert solver.is_sat(fand(le_f(num(3), x), le_f(num(3), y))) == "sat"
+    query = fand(le_f(num(2), x), le_f(num(2), y))
+    assert holds(query, solver._witnesses[0][0], {}), "the witness x = y = 3 satisfies it"
     with smt_unknown():
-        assert solver.is_sat(le_f(num(2), x)) == "unknown"  # the witness x = 3 satisfies it
+        assert solver.is_sat(query) == "unknown"
     assert solver.stats.witness_hits == 0 and solver.stats.unknowns == 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_smt_unknown_after_k_forces_the_same_check_whatever_the_witnesses_answer(k):
-    queries = [le_f(num(bound), x) for bound in range(5, 0, -1)]  # all true at x = 5
+    # All true at x = y = 5; two literals each, so each check can meet a witness.
+    queries = [fand(le_f(num(bound), x), le_f(num(bound), y)) for bound in range(5, 0, -1)]
     solver = Solver()
     with smt_unknown(after=k):
         verdicts = [solver.is_sat(f) for f in queries]
