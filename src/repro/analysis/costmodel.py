@@ -60,14 +60,14 @@ def expr_cost(
         return call_cost + sum(expr_cost(a, functions, cm) for a in e.args)
     if isinstance(e, BinOp):
         sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
-        return cm.arith_cost(e.op) + sides
+        return cm.arith + sides
     if isinstance(e, Cmp):
         sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
-        return cm.cmp_cost(e.op) + sides
+        return cm.cmp + sides
     if isinstance(e, Not):
         return cm.neg + expr_cost(e.operand, functions, cm)
     if isinstance(e, BoolOp):
         sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)
-        return cm.logic_cost(e.op) + sides
+        return cm.logic + sides
     raise TypeError(f"not an expression: {e!r}")
 

@@ -1,12 +1,13 @@
 """Forward abstract interpretation over the Figure-1 IR.
 
 * :mod:`repro.analysis.static.framework` — the structured fixpoint engine
-  (``Seq``/``If``/``While`` with widening) parameterised by a
-  :class:`~repro.analysis.static.framework.Domain`,
+  (``Seq``/``If``/``While`` with widening) over the interval domain,
 * :mod:`repro.analysis.static.values` — intervals, three-valued booleans
   and the non-relational :class:`~repro.analysis.static.values.StaticEnv`,
-* :mod:`repro.analysis.static.domains` — interval/constant,
-  definite-assignment and reaching-notification domains,
+* :mod:`repro.analysis.static.domains` — the interval/constant domain, the
+  only one; definite assignment and notify multiplicity are statement
+  facts (:func:`~repro.lang.visitors.walk_assigned`,
+  :func:`~repro.lang.visitors.notify_counts`),
 * :mod:`repro.analysis.static.costbound` — worst-case cost bounds with
   trip-count inference,
 * :mod:`repro.analysis.static.lint` — the UDF linter behind ``repro lint``,
@@ -16,13 +17,8 @@
   validator of Theorem 1's static half.
 """
 
-from .domains import (
-    DefiniteAssignmentDomain,
-    IntervalConstDomain,
-    NotificationDomain,
-    widening_thresholds,
-)
-from .framework import Domain, analyze_program, analyze_stmt, loop_invariant_state
+from .domains import IntervalConstDomain, widening_thresholds
+from .framework import analyze_program, analyze_stmt, loop_invariant_state
 from .costbound import (
     constant_step,
     program_cost_upper,
@@ -35,15 +31,12 @@ from .validate import StaticValidation, validate_consolidation
 from .values import Interval, StaticEnv
 
 __all__ = [
-    "Domain",
     "analyze_program",
     "analyze_stmt",
     "loop_invariant_state",
     "Interval",
     "StaticEnv",
     "IntervalConstDomain",
-    "DefiniteAssignmentDomain",
-    "NotificationDomain",
     "widening_thresholds",
     "constant_step",
     "trip_count_bound",

@@ -258,7 +258,7 @@ def stmt_cost_upper(
         else_cost, else_env = stmt_cost_upper(
             s.orelse, functions, cm, else_in, domain, loop_bound_hook
         )
-        out_env = domain.join(then_env, else_env)
+        out_env = then_env.join(else_env)
         if then_in.unreachable:
             return (None if else_cost is None else test + else_cost), out_env
         if else_in.unreachable:

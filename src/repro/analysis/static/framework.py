@@ -12,10 +12,11 @@ collapses into a recursive interpreter with one fixpoint per ``While``:
   threshold widening over a constant-rich program — still terminate),
   then exits under ``inv ∧ ¬guard``.
 
-A :class:`Domain` packages the lattice and the transfer functions; the
-interval/constant, definite-assignment and reaching-notification domains
-in :mod:`repro.analysis.static.domains` plug in here, and so would any
-future one (the framework never inspects states).
+States are :class:`~repro.analysis.static.values.StaticEnv` stores; the
+:class:`~repro.analysis.static.domains.IntervalConstDomain` supplies the
+widenings and the transfer functions.  It is the only domain: facts that
+never read a branch condition — definite assignment, notify multiplicity —
+are derived from the statement itself (:mod:`repro.lang.visitors`).
 
 ``visit`` observers receive ``(stmt, pre_state)`` for every statement in
 program order — inside loops they observe the *stabilised* invariant pass
@@ -25,22 +26,13 @@ that covers every concrete visit.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Optional, TypeVar
+from typing import Callable, Optional
 
-from ...lang.ast import (
-    Assign,
-    Expr,
-    If,
-    Notify,
-    Program,
-    Seq,
-    Skip,
-    Stmt,
-    While,
-)
+from ...lang.ast import Assign, If, Notify, Program, Seq, Skip, Stmt, While
+from .domains import IntervalConstDomain
+from .values import StaticEnv
 
 __all__ = [
-    "Domain",
     "analyze_stmt",
     "analyze_program",
     "loop_invariant_state",
@@ -49,98 +41,35 @@ __all__ = [
     "MAX_ITER",
 ]
 
-S = TypeVar("S")
-
 WIDEN_AFTER = 3
 WIDEN_TOP_AFTER = 24
 MAX_ITER = 64
 
-Visit = Callable[[Stmt, S], None]
-
-
-class Domain(Generic[S]):
-    """The lattice + transfer-function interface the interpreter drives.
-
-    Subclasses supply immutable-by-convention states (the framework never
-    mutates one — every transfer returns a fresh state or the input
-    unchanged) and must satisfy the usual soundness obligations: ``join``
-    over-approximates both inputs, ``widen`` additionally guarantees
-    finite ascending chains, and each ``transfer_*`` over-approximates the
-    concrete semantics of the statement kind it models.
-    """
-
-    # -- lattice ---------------------------------------------------------------
-
-    def initial(self, program: Program) -> S:
-        raise NotImplementedError
-
-    def bottom(self) -> S:
-        raise NotImplementedError
-
-    def is_bottom(self, state: S) -> bool:
-        raise NotImplementedError
-
-    def join(self, a: S, b: S) -> S:
-        raise NotImplementedError
-
-    def widen(self, older: S, newer: S) -> S:
-        return self.join(older, newer)
-
-    def widen_top(self, older: S, newer: S) -> S:
-        """Last-resort widening once ``widen`` has had its chances.
-
-        ``widen`` may climb slowly toward a fixpoint (e.g. interval
-        widening-with-thresholds moves one threshold per step, and a
-        program can carry more thresholds than the iteration budget).
-        After :data:`WIDEN_TOP_AFTER` steps the framework switches to this
-        operator, which must reach a fixpoint in O(1) further steps —
-        typically by discarding any precision device (thresholds) and
-        jumping unstable components straight to top.
-        """
-
-        return self.widen(older, newer)
-
-    def leq(self, a: S, b: S) -> bool:
-        raise NotImplementedError
-
-    # -- transfer functions ------------------------------------------------------
-
-    def transfer_assign(self, state: S, var: str, expr: Expr) -> S:
-        raise NotImplementedError
-
-    def transfer_notify(self, state: S, pid: str, expr: Expr) -> S:
-        return state
-
-    def transfer_assume(self, state: S, cond: Expr, positive: bool) -> S:
-        """Refine ``state`` by a branch outcome; bottom = branch infeasible."""
-
-        return state
+Visit = Callable[[Stmt, StaticEnv], None]
 
 
 def analyze_stmt(
-    domain: Domain[S],
-    state: S,
+    domain: IntervalConstDomain,
+    state: StaticEnv,
     stmt: Stmt,
     visit: Optional[Visit] = None,
-) -> S:
+) -> StaticEnv:
     """Abstractly execute ``stmt`` from ``state``; returns the post-state."""
 
-    if domain.is_bottom(state):
+    if state.unreachable:
         return state
 
     if visit is not None and not isinstance(stmt, (Seq, Skip)):
         visit(stmt, state)
 
-    if isinstance(stmt, Skip):
+    if isinstance(stmt, (Skip, Notify)):
         return state
     if isinstance(stmt, Assign):
         return domain.transfer_assign(state, stmt.var, stmt.expr)
-    if isinstance(stmt, Notify):
-        return domain.transfer_notify(state, stmt.pid, stmt.expr)
     if isinstance(stmt, Seq):
         for sub in stmt.stmts:
             state = analyze_stmt(domain, state, sub, visit)
-            if domain.is_bottom(state):
+            if state.unreachable:
                 return state
         return state
     if isinstance(stmt, If):
@@ -148,9 +77,9 @@ def analyze_stmt(
         else_in = domain.transfer_assume(state, stmt.cond, False)
         then_out = analyze_stmt(domain, then_in, stmt.then, visit)
         else_out = analyze_stmt(domain, else_in, stmt.orelse, visit)
-        return domain.join(then_out, else_out)
+        return then_out.join(else_out)
     if isinstance(stmt, While):
-        inv = _loop_invariant(domain, state, stmt)
+        inv = loop_invariant_state(domain, state, stmt)
         if visit is not None:
             # One observed pass under the stabilised invariant; its result
             # is discarded (the fixpoint already absorbed it).
@@ -160,15 +89,15 @@ def analyze_stmt(
     raise TypeError(f"not a statement: {stmt!r}")
 
 
-def _loop_invariant(domain: Domain[S], entry: S, loop: While) -> S:
+def loop_invariant_state(domain: IntervalConstDomain, entry: StaticEnv, loop: While) -> StaticEnv:
     """The structured fixpoint: a state stable across loop iterations."""
 
     inv = entry
     for iteration in range(MAX_ITER):
         body_in = domain.transfer_assume(inv, loop.cond, True)
         body_out = analyze_stmt(domain, body_in, loop.body)
-        nxt = domain.join(entry, body_out)
-        if domain.leq(nxt, inv):
+        nxt = entry.join(body_out)
+        if nxt.leq(inv):
             return inv
         if iteration >= WIDEN_TOP_AFTER:
             inv = domain.widen_top(inv, nxt)
@@ -179,23 +108,14 @@ def _loop_invariant(domain: Domain[S], entry: S, loop: While) -> S:
     # The widening contract guarantees convergence long before MAX_ITER;
     # reaching it means a domain bug, so fail loudly rather than return an
     # invariant that may not be inductive.
-    raise RuntimeError(
-        f"abstract fixpoint did not converge in {MAX_ITER} iterations "
-        f"({type(domain).__name__})"
-    )
-
-
-def loop_invariant_state(domain: Domain[S], entry: S, loop: While) -> S:
-    """Public access to the per-loop fixpoint (used by the cost bounder)."""
-
-    return _loop_invariant(domain, entry, loop)
+    raise RuntimeError(f"abstract fixpoint did not converge in {MAX_ITER} iterations")
 
 
 def analyze_program(
-    domain: Domain[S],
+    domain: IntervalConstDomain,
     program: Program,
     visit: Optional[Visit] = None,
-) -> S:
-    """Analyze a whole program from the domain's initial state."""
+) -> StaticEnv:
+    """Analyze a whole program from the empty (top) store."""
 
-    return analyze_stmt(domain, domain.initial(program), program.body, visit)
+    return analyze_stmt(domain, StaticEnv(), program.body, visit)

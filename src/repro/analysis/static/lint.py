@@ -1,9 +1,10 @@
-"""A UDF linter built on the abstract-interpretation framework.
+"""A UDF linter built on the abstract-interpretation framework and the
+statement facts of :mod:`repro.lang.visitors`.
 
 Rules (rule id → severity):
 
 * ``use-before-def`` (error) — a local may be read before any path has
-  assigned it (definite-assignment domain).
+  assigned it (:func:`~repro.lang.visitors.walk_assigned`).
 * ``type-error`` / ``non-bool-guard`` / ``non-bool-notify`` (error) —
   sort violations; branch/loop guards and notify payloads must be boolean.
 * ``unknown-function`` (error) — a ``Call`` targets a function missing
@@ -45,15 +46,12 @@ from ...lang.printer import expr_to_str
 from ...lang.visitors import (
     TypeError_,
     expr_vars,
-    notified_pids,
+    notify_counts,
     subexpressions,
     type_of,
+    walk_assigned,
 )
-from .domains import (
-    DefiniteAssignmentDomain,
-    IntervalConstDomain,
-    NotificationDomain,
-)
+from .domains import IntervalConstDomain
 from .framework import analyze_program
 
 __all__ = ["Finding", "LintReport", "lint_program", "lint_programs"]
@@ -126,14 +124,13 @@ def _stmt_reads(s: Stmt) -> Optional[Expr]:
 
 
 def _check_use_before_def(program: Program, out: list[Finding]) -> None:
-    domain = DefiniteAssignmentDomain()
     reported: set[tuple[str, str]] = set()
 
-    def visit(stmt: Stmt, state) -> None:
+    def visit(stmt: Stmt, assigned: frozenset[str]) -> None:
         expr = _stmt_reads(stmt)
         if expr is None:
             return
-        for name in sorted(domain.uses_unassigned(state, expr)):
+        for name in sorted(expr_vars(expr) - assigned):
             key = (name, expr_to_str(expr))
             if key in reported:
                 continue
@@ -148,7 +145,7 @@ def _check_use_before_def(program: Program, out: list[Finding]) -> None:
                 )
             )
 
-    analyze_program(domain, program, visit)
+    walk_assigned(program.body, visit)
 
 
 def _check_types(
@@ -324,12 +321,8 @@ def _check_dead_stores(program: Program, out: list[Finding]) -> None:
 
 
 def _check_notifications(program: Program, out: list[Finding]) -> None:
-    domain = NotificationDomain()
-    final = analyze_program(domain, program)
-    if domain.is_bottom(final):
-        return
-    pids = sorted(notified_pids(program.body))
-    if not pids:
+    counts = notify_counts(program.body)
+    if not counts:
         out.append(
             Finding(
                 rule="missing-notify",
@@ -339,8 +332,7 @@ def _check_notifications(program: Program, out: list[Finding]) -> None:
             )
         )
         return
-    for pid in pids:
-        lo, hi = final.range_for(pid)
+    for pid, (lo, hi) in counts.items():
         if lo >= 2:
             out.append(
                 Finding(

@@ -5,7 +5,7 @@ two obligations Definition 1 imposes on a merged program:
 
 1. **Notification exactness** — the merged program notifies exactly the
    union of the originals' pids, each exactly once on every path
-   (reaching-notifications domain).
+   (:func:`~repro.lang.visitors.notify_counts`, kept on each node).
 2. **Cost** — a static worst-case cost bound of the merged program does
    not exceed the sum of the originals' bounds.  Loop-free programs get
    exact worst-case path costs; loops are bounded by interval trip counts,
@@ -13,7 +13,7 @@ two obligations Definition 1 imposes on a merged program:
    :mod:`repro.analysis.invariants` when the intervals alone are too weak.
 
 Verdicts are deliberately asymmetric.  ``refuted`` is only ever produced
-by the notification check, whose domain computes *definite* multiplicity
+by the notification check, whose counts are *definite* multiplicity
 bounds; the cost check answers ``proved``/``unknown`` because comparing
 two upper bounds can never disprove the pointwise inequality (a merged
 bound may be looser, not larger in reality).  The dynamic checker in
@@ -23,18 +23,22 @@ bound may be looser, not larger in reality).  The dynamic checker in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ...lang.ast import Arg, Expr, Program, Var, While
 from ...lang.cost import DEFAULT_COST_MODEL, CostModel
 from ...lang.functions import FunctionTable
-from ...lang.visitors import expr_args, expr_vars, notified_pids, stmt_args, stmt_vars
+from ...lang.visitors import (
+    expr_args,
+    expr_vars,
+    notify_counts,
+    stmt_args,
+    stmt_vars,
+)
 from ...smt.interface import Store, arg_sym, var_sym
 from ...smt.terms import Eq, FAnd, Formula, Le, Num, Sym, as_linear, fand, le_f
 from ..invariants import loop_invariant
-from .costbound import LoopBoundHook, stmt_cost_upper, trip_count_bound
-from .domains import IntervalConstDomain, NotificationDomain
-from .framework import analyze_program
+from .costbound import LoopBoundHook, program_cost_upper, trip_count_bound
 from .values import Interval, StaticEnv
 
 if TYPE_CHECKING:
@@ -91,52 +95,55 @@ class StaticValidation:
 def _expected_pids(originals: Sequence[Program]) -> set[str]:
     expected: set[str] = set()
     for o in originals:
-        pids = notified_pids(o.body)
-        expected |= pids if pids else {o.pid}
+        expected.update(notify_counts(o.body).keys() or (o.pid,))
     return expected
+
+
+def _exactly_once(counts: Mapping[str, tuple[int, int]], pid: str) -> Optional[bool]:
+    """True / False / None (undecided) for "``pid`` notified exactly once"."""
+
+    lo, hi = counts.get(pid, (0, 0))
+    if lo == hi == 1:
+        return True
+    if hi == 0 or lo >= 2:
+        return False
+    return None
 
 
 def _check_notifications(
     originals: Sequence[Program], merged: Program, details: list[str]
 ) -> str:
-    domain = NotificationDomain()
-
     # Whether each original itself provably notifies its pids exactly once;
     # if not, "exactly once in the merged program" is not the right spec and
     # a merged-side failure must stay UNKNOWN rather than REFUTED.
     originals_exact = True
     for o in originals:
-        final_o = analyze_program(domain, o)
-        for pid in sorted(notified_pids(o.body)):
-            if domain.exactly_once(final_o, pid) is not True:
+        counts_o = notify_counts(o.body)
+        for pid in counts_o:
+            if _exactly_once(counts_o, pid) is not True:
                 originals_exact = False
                 details.append(
                     f"original '{o.pid}': cannot prove '{pid}' notified exactly once"
                 )
 
-    final_m = analyze_program(domain, merged)
-    if domain.is_bottom(final_m):
-        details.append("merged program has no reachable exit")
-        return UNKNOWN
-
+    counts_m = notify_counts(merged.body)
     expected = _expected_pids(originals)
     verdict = PROVED
-    extra = notified_pids(merged.body) - expected
+    extra = counts_m.keys() - expected
     if extra:
         details.append(f"merged notifies pids outside the union: {sorted(extra)}")
         verdict = REFUTED
     for pid in sorted(expected):
-        status = domain.exactly_once(final_m, pid)
+        status = _exactly_once(counts_m, pid)
         if status is True:
             continue
+        lo, hi = counts_m.get(pid, (0, 0))
         if status is False and originals_exact:
-            lo, hi = final_m.range_for(pid)
             details.append(
                 f"merged '{pid}' notified between {lo} and {hi} times, never exactly once"
             )
             verdict = REFUTED
         else:
-            lo, hi = final_m.range_for(pid)
             details.append(
                 f"merged '{pid}' notification count in [{lo}, {hi}]: not provably exact"
             )
@@ -242,19 +249,6 @@ def make_invariant_loop_bound(engine: SpEngine, solver: Solver) -> LoopBoundHook
     return hook
 
 
-def _cost_upper(
-    program: Program,
-    functions: Optional[FunctionTable],
-    cost_model: CostModel,
-    hook: Optional[LoopBoundHook],
-) -> Optional[int]:
-    domain = IntervalConstDomain.for_program(program)
-    cost, _ = stmt_cost_upper(
-        program.body, functions, cost_model, StaticEnv(), domain, hook
-    )
-    return cost
-
-
 def _check_cost(
     originals: Sequence[Program],
     merged: Program,
@@ -263,10 +257,10 @@ def _check_cost(
     hook: Optional[LoopBoundHook],
     details: list[str],
 ) -> tuple[str, Optional[int], Optional[int]]:
-    merged_ub = _cost_upper(merged, functions, cost_model, hook)
+    merged_ub = program_cost_upper(merged, functions, cost_model, hook)
     total: Optional[int] = 0
     for o in originals:
-        ub = _cost_upper(o, functions, cost_model, hook)
+        ub = program_cost_upper(o, functions, cost_model, hook)
         if ub is None:
             details.append(f"original '{o.pid}': no finite static cost bound")
             total = None

@@ -262,10 +262,6 @@ class StaticEnv:
     def copy(self) -> "StaticEnv":
         return StaticEnv(dict(self.ints), dict(self.bools), dict(self.strs), self.unreachable)
 
-    @staticmethod
-    def bottom() -> "StaticEnv":
-        return StaticEnv(unreachable=True)
-
     def mark_unreachable(self) -> None:
         self.ints.clear()
         self.bools.clear()

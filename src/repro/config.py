@@ -66,8 +66,10 @@ class ExecutionConfig:
         that raises) and from there to the interpreter (see
         :mod:`repro.lang.vectorize`).  ``"compiled"`` (default) and
         ``"vectorized"`` both enter at the kernel — two names for one
-        strategy until 5.0.0 drops one; ``"interp"`` enters at the
-        bottom rung, the tree-walking reference.  Per-record callers
+        strategy, both kept while the benchmark's ``run_*`` metrics
+        build both (ROADMAP items 9(iii) and 10(a) drop one);
+        ``"interp"`` enters at the bottom rung, the tree-walking
+        reference.  Per-record callers
         (:func:`repro.lang.compile.make_runner`) get the compiled closure
         or the interpreter.
     ``workers``

@@ -529,15 +529,10 @@ class Context:
         exact = self.bindings.get(e)
         if exact is not None:
             out.append(exact)
-        for key, value in self.bindings.items():
-            if value in out:
-                continue
-            if isinstance(key, Call) and _ground_args_compatible(key, e):
-                out.append(value)
-            if len(out) >= _MAX_CALL_CANDIDATES:
-                break
         # Variables that held a result of this function at some point; their
-        # equality with ``e`` is decided semantically by the caller.  The
+        # equality with ``e`` is decided semantically by the caller.  Every
+        # call bound in ``bindings`` is recorded here under the same holder,
+        # so this offers whatever a scan of ``bindings`` would.  The
         # ground-argument prefilter rejects e.g. ``contains(row, 17)`` vs
         # ``contains(row, 23)`` without paying for a solver call.
         for holder, defining in reversed(self.call_sites.get(e.func, [])):

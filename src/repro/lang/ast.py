@@ -29,16 +29,16 @@ Because nodes never change, the facts the calculus keeps asking of them are
 attributes of the node, not walks beside it.  Every composite node carries
 lazily filled slots (:mod:`repro.nodeslots`: not compared, not printed, not
 constructor arguments, never pickled) for its structural hash, the names it
-mentions, its ``related`` features and its size; the readers are the
-collectors of :mod:`repro.lang.visitors` and
-:func:`repro.analysis.related.expr_features`.  Leaves carry none: their
-facts are one field away.
+mentions, its ``related`` features, its size and (on statements) its
+notification counts; the readers are the collectors of
+:mod:`repro.lang.visitors` and :func:`repro.analysis.related.expr_features`.
+Leaves carry none: their facts are one field away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from ..nodeslots import cached, slot
 
@@ -281,6 +281,7 @@ class _CompositeStmt(Stmt):
     _hash: Optional[int] = slot()
     _vars: Optional[frozenset[str]] = slot()  # visitors.stmt_vars
     _assigned: Optional[frozenset[str]] = slot()  # visitors.assigned_vars
+    _notifies: Optional[Mapping[str, tuple[int, int]]] = slot()  # visitors.notify_counts
     _features: Optional[Any] = slot()  # analysis.related.expr_features
     _size: Optional[int] = slot()  # visitors.stmt_size
 

@@ -402,11 +402,11 @@ class _Emitter:
                 self._check_int(lpy, e.left, e, depth)
             if rs != INT:
                 self._check_int(rpy, e.right, e, depth)
-            return f"({lpy} {e.op} {rpy})", lc + rc + cm.arith_cost(e.op), INT
+            return f"({lpy} {e.op} {rpy})", lc + rc + cm.arith, INT
         if isinstance(e, Cmp):
             lpy, lc, ls = self.expr(e.left, depth)
             rpy, rc, rs = self.expr(e.right, depth)
-            cost = lc + rc + cm.cmp_cost(e.op)
+            cost = lc + rc + cm.cmp
             if e.op == "=":
                 # Equality accepts any values; Python ``==`` on the wrapped
                 # value domain (ints/bools/strs) returns exactly what the
@@ -445,7 +445,7 @@ class _Emitter:
                 self._check_bool(lpy, e.left, msg, depth)
             if rs != BOOL:
                 self._check_bool(rpy, e.right, msg, depth)
-            return f"({lpy} {e.op} {rpy})", lc + rc + cm.logic_cost(e.op), BOOL
+            return f"({lpy} {e.op} {rpy})", lc + rc + cm.logic, BOOL
         raise CompileError(f"unknown expression node {e!r}")
 
     # -- statements ---------------------------------------------------------

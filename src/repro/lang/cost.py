@@ -36,15 +36,6 @@ class CostModel:
     notify: int = 1
     branch: int = 2
 
-    def arith_cost(self, op: str) -> int:
-        return self.arith
-
-    def cmp_cost(self, op: str) -> int:
-        return self.cmp
-
-    def logic_cost(self, op: str) -> int:
-        return self.logic
-
 
 DEFAULT_COST_MODEL = CostModel()
 

@@ -196,7 +196,7 @@ class Interpreter:
                 v = lv - rv
             else:
                 v = lv * rv
-            return v, lc + rc + cm.arith_cost(e.op)
+            return v, lc + rc + cm.arith
         if isinstance(e, Cmp):
             lv, lc = self._eval(e.left, env)
             rv, rc = self._eval(e.right, env)
@@ -206,7 +206,7 @@ class Interpreter:
                 if not isinstance(lv, int) or not isinstance(rv, int):
                     raise InterpError(f"ordering on non-integers: {e}")
                 v = lv < rv if e.op == "<" else lv <= rv
-            return v, lc + rc + cm.cmp_cost(e.op)
+            return v, lc + rc + cm.cmp
         if isinstance(e, Not):
             v, c = self._eval(e.operand, env)
             if not isinstance(v, bool):
@@ -220,7 +220,7 @@ class Interpreter:
             if not isinstance(lv, bool) or not isinstance(rv, bool):
                 raise InterpError(f"connective on non-booleans: {e}")
             v = (lv and rv) if e.op == "and" else (lv or rv)
-            return v, lc + rc + cm.logic_cost(e.op)
+            return v, lc + rc + cm.logic
         raise InterpError(f"unknown expression node {e!r}")
 
     def _eval_call(self, e: Call, env: Mapping[str, Value]) -> tuple[Value, int]:

@@ -75,10 +75,16 @@ from .compile import (
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .functions import FunctionTable
 from .interp import RunResult
-from .visitors import assigned_vars, contains_stmt, expr_args, expr_vars
+from .visitors import (
+    assigned_vars,
+    contains_stmt,
+    expr_args,
+    expr_vars,
+    notify_counts,
+    walk_assigned,
+)
 
 if TYPE_CHECKING:
-    from ..analysis.static.domains import AssignedState
     from ..telemetry import Telemetry
 
 __all__ = [
@@ -118,7 +124,7 @@ class VectorizeError(Exception):
 # -- the batch frame --------------------------------------------------------
 
 
-def _row_facts(program: Program) -> tuple[dict[str, tuple[int, int]], frozenset[str]]:
+def _row_facts(program: Program) -> tuple[Mapping[str, tuple[int, int]], frozenset[str]]:
     """What the batch frame must know about one run of ``program``.
 
     ``(notify_counts, undef)``: per pid, the fewest and most broadcasts
@@ -128,18 +134,14 @@ def _row_facts(program: Program) -> tuple[dict[str, tuple[int, int]], frozenset[
     Over-approximating ``undef`` only costs a reset and a check per read.
     """
 
-    # Deferred: the analyses import this package.
-    from ..analysis.static import DefiniteAssignmentDomain, NotificationDomain, analyze_program
-
     undef: set[str] = set()
 
-    def visit(stmt: Stmt, state: AssignedState) -> None:
+    def visit(stmt: Stmt, assigned: frozenset[str]) -> None:
         e = stmt.cond if isinstance(stmt, (If, While)) else stmt.expr
-        undef.update((expr_vars(e) | expr_args(e)) - state.assigned)
+        undef.update((expr_vars(e) | expr_args(e)) - assigned)
 
-    analyze_program(DefiniteAssignmentDomain(), program, visit)
-    counts = analyze_program(NotificationDomain(), program).as_dict()
-    return counts, frozenset(undef - set(program.params))
+    walk_assigned(program.body, visit)
+    return notify_counts(program.body), frozenset(undef - set(program.params))
 
 
 class _KernelEmitter(_Emitter):

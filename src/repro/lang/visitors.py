@@ -7,15 +7,17 @@ qualification to enforce the disjoint-locals precondition of consolidation,
 and expression typing.
 
 The collectors the calculus keeps asking (``expr_vars``/``expr_args``/``expr_calls``/
-``expr_size``, ``stmt_vars``/``assigned_vars``/``stmt_size``) are attributes of the node:
-the recursive definition over the children, made a slot read by :func:`repro.nodeslots.derived`.
-A node is visited once however often it is asked; the ``frozenset`` is shared by every caller.
+``expr_size``, ``stmt_vars``/``assigned_vars``/``stmt_size``, and the checkers'
+``notify_counts``) are attributes of the node: the recursive definition over the
+children, made a slot read by :func:`repro.nodeslots.derived`.  A node is visited
+once however often it is asked; the ``frozenset`` is shared by every caller.
 """
 
 from __future__ import annotations
 
 from operator import is_
-from typing import Callable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping
 
 from ..nodeslots import derived, union
 from .ast import (
@@ -57,6 +59,9 @@ __all__ = [
     "stmt_calls",
     "assigned_vars",
     "notified_pids",
+    "SATURATE_AT",
+    "notify_counts",
+    "walk_assigned",
     "contains_stmt",
     "substitute",
     "map_exprs",
@@ -160,6 +165,78 @@ def notified_pids(s: Stmt) -> frozenset[str]:
     for st in nested:  # a worklist: it grows while it is read
         nested.extend(stmt_parts(st)[1])
     return frozenset(st.pid for st in nested if isinstance(st, Notify))
+
+
+SATURATE_AT = 2  # counts above 1 all behave alike: the run already clashes
+
+_NO_COUNTS: Mapping[str, tuple[int, int]] = MappingProxyType({})
+
+
+def _sorted_counts(counts: dict[str, tuple[int, int]]) -> Mapping[str, tuple[int, int]]:
+    return MappingProxyType(dict(sorted(counts.items()))) if counts else _NO_COUNTS
+
+
+@derived("_notifies")
+def notify_counts(s: Stmt) -> Mapping[str, tuple[int, int]]:
+    """Per pid ``s`` may notify, in sorted order: the fewest and most
+    broadcasts over its paths, saturating at :data:`SATURATE_AT`.
+
+    A ``Seq`` adds, an ``If`` takes the min and max over its arms, and a
+    ``While`` — any number of iterations — gives ``(0, SATURATE_AT)`` for
+    every pid its body may notify.  The mapping is shared and read-only.
+    """
+
+    if isinstance(s, Notify):
+        return MappingProxyType({s.pid: (1, 1)})
+    if isinstance(s, Seq):
+        parts = [part for part in map(notify_counts, s.stmts) if part]
+        if len(parts) == 1:
+            return parts[0]
+        total: dict[str, tuple[int, int]] = {}
+        for part in parts:
+            for pid, (lo, hi) in part.items():
+                was_lo, was_hi = total.get(pid, (0, 0))
+                total[pid] = (min(was_lo + lo, SATURATE_AT), min(was_hi + hi, SATURATE_AT))
+        return _sorted_counts(total)
+    if isinstance(s, If):
+        then, orelse = notify_counts(s.then), notify_counts(s.orelse)
+        arms: dict[str, tuple[int, int]] = {}
+        for pid in then.keys() | orelse.keys():
+            (lo_t, hi_t), (lo_e, hi_e) = then.get(pid, (0, 0)), orelse.get(pid, (0, 0))
+            arms[pid] = (min(lo_t, lo_e), max(hi_t, hi_e))
+        return _sorted_counts(arms)
+    if isinstance(s, While):
+        return _sorted_counts(dict.fromkeys(notify_counts(s.body), (0, SATURATE_AT)))
+    return _NO_COUNTS
+
+
+def walk_assigned(
+    s: Stmt,
+    visit: Callable[[Stmt, frozenset[str]], None],
+    assigned: frozenset[str] = frozenset(),
+) -> frozenset[str]:
+    """Call ``visit(stmt, assigned)`` on each statement of ``s`` but ``Seq``
+    and ``Skip``, in program order, with the locals assigned on every path
+    to it; return those assigned on every path through ``s``.
+
+    An ``If`` keeps what both arms assign.  A ``While`` body is visited
+    once, from the loop's entry, and adds nothing: it may run zero times.
+    """
+
+    if isinstance(s, Seq):
+        for sub in s.stmts:
+            assigned = walk_assigned(sub, visit, assigned)
+        return assigned
+    if isinstance(s, Skip):
+        return assigned
+    visit(s, assigned)
+    if isinstance(s, Assign):
+        return assigned | {s.var}
+    if isinstance(s, If):
+        return walk_assigned(s.then, visit, assigned) & walk_assigned(s.orelse, visit, assigned)
+    if isinstance(s, While):
+        walk_assigned(s.body, visit, assigned)
+    return assigned
 
 
 def contains_stmt(s: Stmt, kinds: type[Stmt] | tuple[type[Stmt], ...]) -> bool:

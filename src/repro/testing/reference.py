@@ -20,11 +20,16 @@ The ``*_full_walk`` collectors over :mod:`repro.lang.ast` are what
 their answers became slots of the node: every call walks the whole fragment
 and reads no slot, so a property test can require the slot-backed collectors
 to agree with them on nodes whose slots are empty, partly filled or full.
+The two path facts — :func:`notify_counts_full_walk` and
+:func:`must_assigned_full_walk` — enumerate the paths themselves, every
+loop run zero, one and two times, where :mod:`repro.lang.visitors` folds
+them into one interval or one intersection per statement.  They are
+exponential in the branches of a fragment: for test-sized programs only.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping, TypeVar
 
 from ..lang import ast
 from ..smt.cnf import CnfBuilder
@@ -65,6 +70,8 @@ __all__ = [
     "assigned_vars_full_walk",
     "stmt_size_full_walk",
     "expr_features_full_walk",
+    "notify_counts_full_walk",
+    "must_assigned_full_walk",
 ]
 
 
@@ -242,3 +249,74 @@ def expr_features_full_walk(x: ast.Expr | ast.Stmt) -> tuple[set[object], set[as
                     elif not isinstance(side, (ast.IntConst, ast.StrConst, ast.BoolConst)):
                         subjects.add(side)
     return calls, subjects, compared
+
+
+
+_P = TypeVar("_P", bound=Hashable)  # what a path has done so far
+
+
+def _paths(
+    s: ast.Stmt,
+    entries: frozenset[_P],
+    step: Callable[[_P, ast.Stmt], _P],
+    reach: Callable[[tuple[int, ...], ast.Stmt, frozenset[_P]], None],
+    at: tuple[int, ...] = (),
+) -> frozenset[_P]:
+    """The ends of every path through ``s`` from each of ``entries``.
+
+    ``step`` extends a path by an ``Assign`` or ``Notify``; ``reach`` sees,
+    per statement but ``Seq`` and ``Skip`` (by its position ``at``), the
+    paths reaching it.  A loop runs its body zero, one or two times.
+    """
+
+    if isinstance(s, ast.Seq):
+        for i, sub in enumerate(s.stmts):
+            entries = _paths(sub, entries, step, reach, at + (i,))
+        return entries
+    if isinstance(s, ast.Skip):
+        return entries
+    reach(at, s, entries)
+    if isinstance(s, (ast.Assign, ast.Notify)):
+        return frozenset(step(path, s) for path in entries)
+    if isinstance(s, ast.If):
+        then = _paths(s.then, entries, step, reach, at + (0,))
+        return then | _paths(s.orelse, entries, step, reach, at + (1,))
+    assert isinstance(s, ast.While)
+    once = _paths(s.body, entries, step, reach, at + (0,))
+    return entries | once | _paths(s.body, once, step, reach, at + (0,))
+
+
+def notify_counts_full_walk(s: ast.Stmt) -> dict[str, tuple[int, int]]:
+    """Per pid ``s`` may notify, in sorted order: the fewest and most
+    broadcasts over every path, "two or more" counted as two."""
+
+    pids = sorted({sub.pid for sub in _substatements(s) if isinstance(sub, ast.Notify)})
+
+    def step(path: tuple[int, ...], st: ast.Stmt) -> tuple[int, ...]:
+        if not isinstance(st, ast.Notify):
+            return path
+        i = pids.index(st.pid)
+        return path[:i] + (min(path[i] + 1, 2),) + path[i + 1 :]
+
+    def ignore(at: tuple[int, ...], st: ast.Stmt, entries: frozenset[tuple[int, ...]]) -> None:
+        pass
+
+    ends = _paths(s, frozenset({(0,) * len(pids)}), step, ignore)
+    return {pid: (min(e[i] for e in ends), max(e[i] for e in ends)) for i, pid in enumerate(pids)}
+
+
+def must_assigned_full_walk(s: ast.Stmt) -> list[tuple[ast.Stmt, frozenset[str]]]:
+    """Each statement of ``s`` but ``Seq`` and ``Skip``, in program order,
+    with the locals every path reaching it has assigned."""
+
+    def step(path: frozenset[str], st: ast.Stmt) -> frozenset[str]:
+        return path | {st.var} if isinstance(st, ast.Assign) else path
+
+    seen: dict[tuple[int, ...], tuple[ast.Stmt, frozenset[str]]] = {}
+
+    def reach(at: tuple[int, ...], st: ast.Stmt, entries: frozenset[frozenset[str]]) -> None:
+        must = frozenset.intersection(*entries)
+        seen[at] = (st, must & seen[at][1] if at in seen else must)
+
+    _paths(s, frozenset({frozenset[str]()}), step, reach)
+    return [seen[at] for at in sorted(seen)]

@@ -3,7 +3,9 @@
 * The slots are invisible: not constructor arguments, not compared, not
   printed, not copied by ``dataclasses.replace``.
 * Every slot-backed collector equals the full walk it replaced
-  (``repro.testing.reference``), on cold, partly filled and full nodes.
+  (``repro.testing.reference``), on cold, partly filled and full nodes;
+  the path facts (``notify_counts``, ``walk_assigned``) equal enumerating
+  the paths.
 * ``rename_vars`` returns what it does not touch as the same object.
 * No slot crosses a process boundary: a program pickled under another
   ``PYTHONHASHSEED`` hashes and compares like a locally built twin, and a
@@ -51,15 +53,17 @@ from repro.lang.visitors import (
     expr_calls,
     expr_size,
     expr_vars,
+    notify_counts,
     rename_vars,
     stmt_size,
     stmt_vars,
     subexpressions,
+    walk_assigned,
 )
 from repro.queries import DOMAIN_QUERIES
 from repro.testing import reference
 
-SLOTS = ("_hash", "_vars", "_args", "_calls", "_assigned", "_features", "_size")
+SLOTS = ("_hash", "_vars", "_args", "_calls", "_assigned", "_notifies", "_features", "_size")
 
 leaves = st.one_of(
     st.integers(-3, 3).map(IntConst),
@@ -119,7 +123,16 @@ def ask_everything(x) -> None:
     if isinstance(x, Expr):
         expr_vars(x), expr_args(x), expr_calls(x), expr_size(x)
     else:
-        stmt_vars(x), assigned_vars(x), stmt_size(x)
+        stmt_vars(x), assigned_vars(x), notify_counts(x), stmt_size(x)
+
+
+def same_path_facts_as_full_walk(s) -> None:
+    counts = notify_counts(s)
+    want = reference.notify_counts_full_walk(s)
+    assert dict(counts) == want and list(counts) == list(want)
+    seen = []
+    walk_assigned(s, lambda stmt, assigned: seen.append((stmt, assigned)))
+    assert seen == reference.must_assigned_full_walk(s)
 
 
 def same_as_full_walk(x) -> None:
@@ -136,6 +149,7 @@ def same_as_full_walk(x) -> None:
         assert stmt_vars(x) == reference.stmt_vars_full_walk(x)
         assert assigned_vars(x) == reference.assigned_vars_full_walk(x)
         assert stmt_size(x) == reference.stmt_size_full_walk(x)
+        same_path_facts_as_full_walk(x)
         collected = (stmt_vars(x), assigned_vars(x))
     assert all(isinstance(names, frozenset) for names in collected)
 

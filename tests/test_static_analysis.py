@@ -1,18 +1,20 @@
 """Unit tests for the abstract-interpretation framework and its checkers.
 
 Covers the value lattices (`values`), the structured fixpoint engine
-(`framework` + `domains`), the trip-count/cost bounder (`costbound`) and
-the UDF linter (`lint`).  The translation validator has its own module
-(``test_static_validate``).
+(`framework` + `domains`), the statement facts beside it
+(`notify_counts`, `walk_assigned`), the trip-count/cost bounder
+(`costbound`) and the UDF linter (`lint`).  The translation validator has
+its own module (``test_static_validate``).
 """
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.static import (
-    DefiniteAssignmentDomain,
     Interval,
     IntervalConstDomain,
-    NotificationDomain,
     StaticEnv,
     analyze_program,
     constant_step,
@@ -39,9 +41,13 @@ from repro.lang import (
     var,
     while_,
 )
-from repro.lang.ast import Arg, Cmp, Var, While
+from repro.api import consolidate
+from repro.lang.ast import Arg, Cmp, Var, While, seq
 from repro.lang.cost import DEFAULT_COST_MODEL
 from repro.lang.interp import Interpreter
+from repro.lang.visitors import SATURATE_AT, notify_counts, walk_assigned
+from repro.testing import reference
+from repro.testing.generator import SCHEMAS, drop_arm_assignment, generate_case, schema_dataset
 
 FT = FunctionTable([LibraryFunction("f", lambda x: x + 1, cost=40)])
 
@@ -123,7 +129,7 @@ def test_env_join_keeps_common_facts_only():
 
 
 # ---------------------------------------------------------------------------
-# Framework + domains
+# Framework, domain and statement facts
 # ---------------------------------------------------------------------------
 
 
@@ -149,12 +155,14 @@ def test_definite_assignment_joins_by_intersection():
         if_(lt(arg("a"), lift(0)), assign("x", lift(1)), assign("y", lift(2))),
         notify("q", lt(lift(0), lift(1))),
     )
-    out = analyze_program(DefiniteAssignmentDomain(), p)
-    assert set(out.assigned) == set()  # neither x nor y assigned on *every* path
+    seen = []
+    out = walk_assigned(p.body, lambda stmt, assigned: seen.append((stmt, assigned)))
+    assert out == frozenset()  # neither x nor y assigned on *every* path
+    # The notify after the If sees the intersection too; each arm sees its entry.
+    assert [assigned for _stmt, assigned in seen] == [frozenset()] * 4
 
 
-def test_notification_domain_counts_and_saturates():
-    d = NotificationDomain()
+def test_notify_counts_count_and_saturate():
     p = program(
         "q",
         ("a",),
@@ -167,10 +175,40 @@ def test_notification_domain_counts_and_saturates():
         ),
         notify("q", lt(lift(0), lift(1))),
     )
-    out = analyze_program(d, p)
-    assert d.exactly_once(out, "q") is True
-    assert d.exactly_once(out, "w") is None  # 0..2+ times: undecided
-    assert d.exactly_once(out, "absent") is False
+    counts = notify_counts(p.body)
+    assert counts["q"] == (1, 1)  # exactly once
+    assert counts["w"] == (0, SATURATE_AT)  # 0..2+ times: undecided
+    assert "absent" not in counts  # never notified
+    assert list(counts) == ["q", "w"]
+    # A count past two stays two, whichever statement takes it there.
+    again = notify("w", lt(lift(0), lift(1)))
+    assert notify_counts(seq(p.body, again))["w"] == (1, SATURATE_AT)
+    assert notify_counts(seq(again, again, again))["w"] == (SATURATE_AT, SATURATE_AT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    schema=st.sampled_from(sorted(SCHEMAS)),
+    size=st.integers(1, 3),
+)
+def test_statement_facts_equal_path_enumeration(seed, schema, size):
+    """``notify_counts`` and ``walk_assigned`` against enumerating every path
+    (loops run 0, 1 and 2 times) on fuzzed UDFs, their one-path-assignment
+    mutants and their consolidation.  The references are exponential in
+    the branches, so the batches stay small."""
+
+    programs = generate_case(seed, schema, size)
+    merged = consolidate(programs, schema_dataset(schema).functions).program
+    mutants = [drop_arm_assignment(p, 0) for p in programs]
+    for p in [*programs, *filter(None, mutants), merged]:
+        body = pickle.loads(pickle.dumps(p.body))  # every slot empty
+        counts = notify_counts(body)
+        want = reference.notify_counts_full_walk(body)
+        assert dict(counts) == want and list(counts) == list(want)
+        seen = []
+        walk_assigned(body, lambda stmt, assigned: seen.append((stmt, assigned)))
+        assert seen == reference.must_assigned_full_walk(body)
 
 
 # ---------------------------------------------------------------------------
