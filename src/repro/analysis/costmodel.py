@@ -29,9 +29,10 @@ from ..lang.ast import (
 from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.functions import FunctionTable
 
-__all__ = ["expr_cost"]
+__all__ = ["DEFAULT_CALL_COST", "expr_cost"]
 
-_DEFAULT_CALL_COST = 10
+# The static price of a call to a function absent from the table.
+DEFAULT_CALL_COST = 10
 
 
 def expr_cost(
@@ -56,7 +57,7 @@ def expr_cost(
         if functions is not None and e.func in functions:
             call_cost = functions[e.func].cost
         else:
-            call_cost = _DEFAULT_CALL_COST
+            call_cost = DEFAULT_CALL_COST
         return call_cost + sum(expr_cost(a, functions, cm) for a in e.args)
     if isinstance(e, BinOp):
         sides = expr_cost(e.left, functions, cm) + expr_cost(e.right, functions, cm)

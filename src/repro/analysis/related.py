@@ -30,9 +30,11 @@ from ..lang.ast import (
     Stmt,
     StrConst,
     Var,
+    While,
     operands,
     stmt_parts,
 )
+from ..lang.visitors import expr_vars, substitute
 from ..nodeslots import derived, union
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
     "comparison_subjects",
     "expr_features",
     "is_trivial",
+    "loop_tests",
+    "shares_work",
 ]
 
 
@@ -138,3 +142,36 @@ def related(a: Expr | Stmt, b: Expr | Stmt) -> bool:
     """Heuristic: is cross-simplification between ``a`` and ``b`` plausible?"""
 
     return expr_features(a).overlap(expr_features(b))
+
+
+_ANY_LOCAL = Var("_")
+
+
+def loop_tests(s: Stmt) -> frozenset[Expr]:
+    """The test of every ``While`` in ``s``, each local read as one placeholder.
+
+    Two programs name their locals apart (each leaf qualifies its own), so
+    only the test's *shape* can match: ``while (m <= 12)`` and ``while
+    (k <= 12)`` have one, and the Loop rules fuse such loops even when
+    their bodies call different functions.
+    """
+
+    tests: set[Expr] = set()
+
+    def walk(st: Stmt) -> None:
+        if isinstance(st, While):
+            tests.add(substitute(st.cond, {Var(v): _ANY_LOCAL for v in expr_vars(st.cond)}))
+        for sub in stmt_parts(st)[1]:
+            walk(sub)
+
+    walk(s)
+    return frozenset(tests)
+
+
+def shares_work(a: Stmt, b: Stmt) -> bool:
+    """Whether the calculus has anything to share between ``a`` and ``b``:
+    a call signature or comparison subject (:func:`related`), or two loops
+    with the same test (:func:`loop_tests`).  A pair that shares neither is
+    composed sequentially, without running the calculus."""
+
+    return related(a, b) or not loop_tests(a).isdisjoint(loop_tests(b))

@@ -64,8 +64,9 @@ Commands
     Fit a :class:`~repro.profiling.model.CalibratedCostModel` from a
     profiling trace by least squares and print its diagnostics (R²,
     residuals, per-operation weight/stderr/support/confidence).
-    ``--out`` writes the model JSON that ``--calibration`` flags accept;
-    fitting the same trace twice yields byte-identical files.
+    ``--out`` writes the model JSON (:meth:`CalibratedCostModel.load`
+    reads it back); fitting the same trace twice yields byte-identical
+    files.
 
 ``fuzz``
     Differential fuzzing (:mod:`repro.testing`): generate random typed UDF
@@ -109,37 +110,11 @@ from .telemetry import NULL_TELEMETRY, Telemetry
 __all__ = ["main"]
 
 
-def _calibration_from_args(args):
-    """The model ``--planner calibrated`` plans with: the ``--calibration``
-    file, or the uniform Figure-2 priors without one.  ``None`` — the
-    ``related`` heuristic — for ``--planner related`` and for commands
-    without the flags; ``--calibration`` without ``--planner calibrated``
-    is a usage error (exit 2), not a model silently left unused."""
-
-    path = getattr(args, "calibration", None)
-    if getattr(args, "planner", None) != "calibrated":
-        if path is not None:
-            args.usage_error("argument --calibration: requires --planner calibrated")
-        return None
-    from .profiling import CalibratedCostModel
-
-    if path is None:
-        return CalibratedCostModel.uniform()
-    try:
-        return CalibratedCostModel.load(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot load calibration model {path}: {exc}")
-
-
 def _config_from_args(args) -> ExecutionConfig:
     """One ExecutionConfig for the whole CLI invocation."""
 
     telemetry = getattr(args, "_telemetry", NULL_TELEMETRY)
-    return ExecutionConfig(
-        backend=args.backend,
-        telemetry=telemetry,
-        calibration=_calibration_from_args(args),
-    )
+    return ExecutionConfig(backend=args.backend, telemetry=telemetry)
 
 
 def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
@@ -251,7 +226,8 @@ def cmd_consolidate(args) -> int:
     print(program_to_str(report.program))
     print(
         f"\n# consolidated {report.num_inputs} programs in {report.duration:.3f}s "
-        f"({report.pair_consolidations} pair merges, {len(report.rides)} rides, "
+        f"({report.pair_consolidations} pair merges, {len(report.declined)} declined, "
+        f"{len(report.rides)} rides, "
         f"depth {report.tree_depth})",
         file=sys.stderr,
     )
@@ -421,20 +397,22 @@ def cmd_latency(args) -> int:
 def cmd_explain(args) -> int:
     from .provenance import explain_batch, render_html, render_json, render_text
 
-    try:
-        i, j = (int(x) for x in args.pair.split(","))
-    except ValueError:
-        raise SystemExit(f"bad --pair {args.pair!r}; expected two indices like 0,1")
+    pair = None
+    if args.pair is not None:
+        try:
+            i, j = (int(x) for x in args.pair.split(","))
+        except ValueError:
+            raise SystemExit(f"bad --pair {args.pair!r}; expected two indices like 0,1")
+        pair = (i, j)
     try:
         report = explain_batch(
             args.domain,
-            pair=(i, j),
+            pair=pair,
             family=args.family,
             n=args.n,
             seed=args.seed,
             rows=args.rows,
             telemetry=args._telemetry,
-            calibration=_calibration_from_args(args),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -654,29 +632,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--backend", choices=BACKENDS, default=argparse.SUPPRESS
     )
-    # Planner knobs shared by every command that consolidates.
-    planner_opts = argparse.ArgumentParser(add_help=False)
-    planner_opts.add_argument(
-        "--planner",
-        choices=("related", "calibrated"),
-        default=None,
-        help="pair-selection strategy (default: related; 'calibrated' orders "
-        "pairs by predicted savings under a calibrated cost model and skips "
-        "predicted-unprofitable merges)",
-    )
-    planner_opts.add_argument(
-        "--calibration",
-        metavar="MODEL.json",
-        default=None,
-        help="calibrated cost model from 'repro calibrate'; requires "
-        "--planner calibrated, which plans with uniform weights without one",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "consolidate",
         help="merge programs from files",
-        parents=[common, planner_opts],
+        parents=[common],
     )
     p.add_argument("files", nargs="+")
     p.add_argument("--domain", help="evaluation domain supplying library functions")
@@ -684,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-loops", action="store_true", help="disable Loop 2/3 fusion")
     p.add_argument("--no-smt", action="store_true", help="syntactic value numbering only")
     p.add_argument("--verify", type=_count, default=0, metavar="N", help="check Theorem 1 on N rows")
-    p.set_defaults(fn=cmd_consolidate, usage_error=p.error)
+    p.set_defaults(fn=cmd_consolidate)
 
     p = sub.add_parser("lint", help="static UDF linter (+ optional translation validation)", parents=[common])
     p.add_argument("files", nargs="*")
@@ -744,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "explain",
         help="derivation explain-plan for one consolidated pair",
-        parents=[common, planner_opts],
+        parents=[common],
     )
     p.add_argument(
         "--domain",
@@ -752,7 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["weather", "flight", "news", "twitter", "stock"],
         help="evaluation domain supplying the query batch",
     )
-    p.add_argument("--pair", default="0,1", help="two batch indices, e.g. 0,1")
+    p.add_argument(
+        "--pair",
+        help="two batch indices, e.g. 0,1 (default: the first pair that shares work)",
+    )
     p.add_argument("--family", default="Mix", help="query family (default: %(default)s)")
     p.add_argument("--n", type=_positive_int, default=8, help="batch size to draw the pair from")
     p.add_argument("--seed", type=int, default=1)
@@ -766,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rendering (default: %(default)s)",
     )
     p.add_argument("--out", metavar="PATH", help="write the report to PATH instead of stdout")
-    p.set_defaults(fn=cmd_explain, usage_error=p.error)
+    p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser(
         "profile",
@@ -814,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         metavar="MODEL.json",
-        help="write the fitted model (consumable via --calibration)",
+        help="write the fitted model as JSON",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_calibrate)
@@ -854,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the consolidation service (dynamic query registry over HTTP)",
-        parents=[common, planner_opts],
+        parents=[common],
     )
     p.add_argument(
         "--domain",
@@ -888,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
-    p.set_defaults(fn=cmd_serve, usage_error=p.error)
+    p.set_defaults(fn=cmd_serve)
 
     return parser
 

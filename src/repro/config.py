@@ -13,15 +13,16 @@ the experiment harness and the CLI.
 It is the only way to set a run-time knob: the keywords were deprecated
 through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
-``consolidate_all`` reads ``cost_model``, ``telemetry``, ``provenance``
-and ``calibration`` from its ``config`` and from nowhere else.
+``consolidate_all`` reads ``cost_model``, ``telemetry`` and
+``provenance`` from its ``config`` and from nowhere else.
 8.0.0 removed ``executor`` with the process-pool consolidation driver;
 9.0.0 made ``ServiceConfig``'s rebalance factor and plan-cache size the
 registry's constants.  10.0.0 left one knob per decision: the engine's
-charges are :mod:`repro.naiad.dataflow` constants, a ``calibration``
-model is the choice of the calibrated planner (no ``planner`` field),
-provenance is always recorded by the service, and its event log is
-named on :class:`repro.service.QueryRegistry` alone.
+charges are :mod:`repro.naiad.dataflow` constants, provenance is always
+recorded by the service, and its event log is named on
+:class:`repro.service.QueryRegistry` alone.  12.0.0 removed
+``calibration`` with the calibrated planner: there is one pairing
+planner, and its pair step declines pairs that share no work.
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -31,14 +32,11 @@ reports into (default: the no-op ``NULL_TELEMETRY``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any
 
 from .lang.compile import BACKENDS, DEFAULT_BACKEND
 from .lang.cost import DEFAULT_COST_MODEL, CostModel
 from .telemetry import NULL_TELEMETRY, Telemetry
-
-if TYPE_CHECKING:
-    from .profiling.model import CalibratedCostModel
 
 __all__ = [
     "ExecutionConfig",
@@ -86,16 +84,6 @@ class ExecutionConfig:
         ``ConsolidationReport.derivations``.  Off by default — recording
         follows the NULL-twin pattern, so the disabled path costs one
         inert method call per decision point.
-    ``calibration``
-        The consolidation pair-ordering strategy.  ``None`` (default) runs
-        the paper's ``related`` heuristic; a
-        :class:`repro.profiling.CalibratedCostModel` runs the calibrated
-        planner under it — rank candidate pairs by predicted wall-seconds
-        saved, skip pairs predicted unprofitable, and merge the
-        highest-savings pairs first (see :mod:`repro.profiling.planner`);
-        ``CalibratedCostModel.uniform()`` plans with the static Figure-2
-        priors.  The calibrated planner plans tree levels, so
-        ``consolidate_all`` refuses it with ``order="fold"``/``"priority"``.
     """
 
     backend: str = DEFAULT_BACKEND
@@ -103,7 +91,6 @@ class ExecutionConfig:
     cost_model: CostModel = DEFAULT_COST_MODEL
     telemetry: Telemetry = NULL_TELEMETRY
     provenance: bool = False
-    calibration: Optional["CalibratedCostModel"] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -112,14 +99,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"workers must be an integer >= 1, got {self.workers!r}"
             )
-        if self.calibration is not None:
-            from .profiling.model import CalibratedCostModel
-
-            if not isinstance(self.calibration, CalibratedCostModel):
-                raise TypeError(
-                    "calibration must be a CalibratedCostModel or None, got "
-                    f"{type(self.calibration).__name__}"
-                )
 
     def evolve(self, **changes: Any) -> "ExecutionConfig":
         """A copy with ``changes`` applied (the config is immutable)."""

@@ -149,10 +149,12 @@ class PairRecord:
     the merged ``program``, the ``seconds`` Ω took, the ``rules`` it applied
     in order, the pair's own entailment counters (``stats``), the static
     ``validation`` certificate (``options.static_validate``) and the
-    ``derivation`` tree (a recording recorder).  The drivers add what only
-    they know: ``skip_reason`` when the merge raised and ``program`` is the
-    pair's sequential composition instead, and ``planner`` — the calibrated
-    planner's decision dict for this pair.
+    ``derivation`` tree (a recording recorder).  The pair step
+    (:func:`repro.consolidation.divide_conquer.merge_pair`) adds what only
+    it knows: ``merged`` is False when ``program`` is the pair's sequential
+    composition instead — with the reason on ``skip_reason`` when the
+    merge raised, or ``skip_reason`` ``None`` when the pair was *declined*
+    because the two programs share no work.
     """
 
     left: str
@@ -164,14 +166,14 @@ class PairRecord:
     validation: Any = None
     derivation: Any = None
     skip_reason: Optional[str] = None
-    planner: Optional[dict[str, Any]] = None
+    merged: bool = True
 
     @property
-    def merged(self) -> bool:
-        """Whether the calculus produced ``program`` (the merge neither
-        failed nor was declined by the planner)."""
+    def declined(self) -> bool:
+        """Kept unmerged because the pair shares no work, not because the
+        merge failed."""
 
-        return bool(self.planner["merged"]) if self.planner else self.skip_reason is None
+        return not self.merged and self.skip_reason is None
 
 
 def _printed_locals(p: Program) -> set[str]:

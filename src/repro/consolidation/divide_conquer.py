@@ -18,20 +18,20 @@ policy* — which programs of a level meet, and which ride up unmerged:
   meet, the rest wait" (:func:`_first_two`): a left fold, which exposes the
   same optimisations but consolidates the growing accumulator n−1 times;
   ``priority`` puts the queries named in ``priority`` first — the paper's
-  Section 8 extension sketch, a (partial) query execution order;
-* a ``config.calibration`` model — the cost-driven plan of
-  :class:`repro.profiling.planner.CalibratedPairing` under it, for the
-  tree orders.
+  Section 8 extension sketch, a (partial) query execution order.
 
 Every pair the policy names goes through the one pair step,
 :func:`merge_pair`, which returns the pair's
 :class:`~repro.consolidation.algorithm.PairRecord`: the merged program
-with all its evidence, or — when the merge failed — the pair kept
-unmerged (:func:`_unmerged`, a record that says why).  The incremental
-engine (:mod:`repro.consolidation.incremental`) patches the merge tree
-through the same step, failure rule included.  The driver folds each
-record into the batch in plan order, and :class:`ConsolidationReport` is
-a set of views over the records.
+with all its evidence, or the pair kept unmerged (:func:`_unmerged`) —
+*declined* when the two programs share no work
+(:func:`~repro.analysis.related.shares_work`: no call signature, no
+comparison subject, no loop test in common), so no calculus runs, or
+*skipped* when the merge failed, with a record that says why.  The
+incremental engine (:mod:`repro.consolidation.incremental`) patches the
+merge tree through the same step, both rules included.  The driver folds
+each record into the batch in plan order, and
+:class:`ConsolidationReport` is a set of views over the records.
 
 Every run-time knob comes from ``config`` (an
 :class:`repro.config.ExecutionConfig`) and nowhere else.  Each level's
@@ -43,8 +43,9 @@ two workers never reached 1.3× of this loop (CHANGES.md has the
 measurements).
 
 Telemetry (``config.telemetry``): per-pair merge time histogram, calculus
-rule application counts, SMT query counters and the entailment fast-path
-counters all land in the metrics registry; tracing adds
+rule application counts, declined and skipped pair counters, SMT query
+counters and the entailment fast-path counters all land in the metrics
+registry; tracing adds
 ``consolidate.batch`` / ``consolidate.pair`` spans.
 """
 
@@ -55,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from ..analysis.related import call_features
+from ..analysis.related import call_features, shares_work
 from ..config import ExecutionConfig
 from ..lang.ast import Program, seq
 from ..lang.cost import CostModel
@@ -69,7 +70,6 @@ from ..lang.visitors import (
     ride_notifies,
     stmt_exprs,
 )
-from ..profiling.planner import CalibratedPairing, Pairing
 from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -101,6 +101,11 @@ SMT_UNKNOWN_NOTE = "SMT solver returned unknown"
 # pair unmerged), never escape.  None — the production value — costs one
 # attribute read per pair.
 FAULT_HOOK: Optional[Callable[[str, tuple[Program, Program]], object]] = None
+
+# What a pairing policy answers for one level of the merge driver: the
+# positions that meet, in execution order, and the positions carried to the
+# next level unmerged.
+Pairing = tuple[Sequence[tuple[int, int]], Sequence[int]]
 
 
 @dataclass
@@ -210,41 +215,42 @@ class PairViews:
 
         return [r.derivation for r in self.pairs if r.derivation is not None]
 
+    @property
+    def declined(self) -> list[tuple[str, str]]:
+        """``(left, right)`` of each pair declined for sharing no work."""
+
+        return [(r.left, r.right) for r in self.pairs if r.declined]
+
 
 @dataclass
 class ConsolidationReport(PairViews):
     """What happened while merging a batch of UDFs.
 
     ``pairs`` holds one :class:`PairRecord` per pair the pairing policy
-    named, in plan order — merged, kept unmerged after a failure, or
-    declined by the planner — and is the only per-pair state: the names
+    named, in plan order — merged, declined because the two programs
+    share no work, or kept unmerged after a failure — and is the only
+    per-pair state: the names
     below are views over it.  ``rides`` holds one record per α-copy that
     rode on its representative instead (``rules == ("Ride",)``, ``left``
     the representative, ``right`` the rider); it is not a pair merge, and
     :attr:`riders` maps each rider to its representative.
 
-    ``pair_consolidations`` is its length.  ``validations`` holds one
-    static-validation certificate per pair when ``options.static_validate``
-    is on; ``derivations`` one :class:`repro.provenance.DerivationTree` per
-    successfully merged pair under ``config.provenance``, and is empty
-    otherwise.
+    ``pair_consolidations`` counts the pairs that were not declined.
+    ``validations`` holds one static-validation certificate per merged
+    pair when ``options.static_validate`` is on; ``derivations`` one
+    :class:`repro.provenance.DerivationTree` per successfully merged pair
+    under ``config.provenance``, and is empty otherwise.
 
     ``skipped_pairs`` lists every pair merge that failed mid-batch and
     was replaced by the sequential composition of its two inputs (one
-    ``{"left", "right", "reason"}`` dict per skip).  ``planner_decisions``
-    has one dict per calibrated-planner decision: ``{"left", "right",
-    "merged", "predicted_savings_seconds", "observed_savings_seconds",
-    "mispredicted", "used_smt"}``.  A *skip* decision (``"merged": False``)
-    means the planner predicted zero cross-simplification value and
-    composed the pair sequentially without invoking the consolidator at
-    all — semantically the exact result a merge of unrelated programs
-    produces, minus its cost — or, with a ``"skip_reason"``, that the
-    merge it asked for failed.
+    ``{"left", "right", "reason"}`` dict per skip).  ``declined`` lists
+    the pairs composed sequentially because they share no work: no
+    calculus ran and the result is the pair's sequential baseline, correct
+    and no costlier than the two programs run apart, so a decline is
+    neither a skip nor a degradation.
 
     ``simplify_stats`` sums the pairs' entailment fast-path counters
-    (goals folded through the store, memo hits).  ``planner`` records the
-    pair-ordering strategy that ran (``"related"`` — the default heuristic
-    adjacency — or ``"calibrated"`` when ``config.calibration`` is set).
+    (goals folded through the store, memo hits).
 
     ``degradations`` is a log of coarser fallbacks than a skipped pair (the
     :data:`SMT_UNKNOWN_NOTE` entry when the solver answered "unknown" and
@@ -263,11 +269,12 @@ class ConsolidationReport(PairViews):
     simplify_stats: dict[str, Any] = field(default_factory=dict)
     degradations: list[str] = field(default_factory=list)
     merge_tree: Optional[MergeNode] = None
-    planner: str = "related"
 
     @property
     def pair_consolidations(self) -> int:
-        return len(self.pairs)
+        """Pairs the calculus was asked to merge: every pair but the declined."""
+
+        return sum(not r.declined for r in self.pairs)
 
     @property
     def riders(self) -> dict[str, str]:
@@ -282,10 +289,6 @@ class ConsolidationReport(PairViews):
             for r in self.pairs
             if r.skip_reason is not None
         ]
-
-    @property
-    def planner_decisions(self) -> list[dict[str, Any]]:
-        return [r.planner for r in self.pairs if r.planner is not None]
 
     @property
     def all_certified(self) -> bool:
@@ -322,16 +325,19 @@ def _cluster_by_features(programs: list[Program]) -> list[Program]:
 def _unmerged(a: Program, b: Program, reason: Optional[str] = None) -> PairRecord:
     """The record of a pair kept as its sequential baseline: ``a`` then ``b``.
 
-    This is exactly what the paper's Ω produces when no rule applies — the
-    two bodies concatenated, their locals already qualified by their leaves
-    — so notifications are the disjoint union and the cost is the sum of the
-    originals, never worse than running the pair separately.  It is what
-    the planner asks for when it predicts nothing to share, and the
-    fallback for a merge that failed mid-batch (``reason`` says how).
+    The two bodies concatenated, their locals already qualified by their
+    leaves — so notifications are the disjoint union and the cost is the
+    sum of the originals, never worse than running the pair separately.
+    It is the pair step's answer for two programs that share no work, and
+    the fallback for a merge that failed mid-batch (``reason`` says how).
+    Ω may do better on a pair that shares no work — it also simplifies
+    each program as it merges (constant tests, tests ``Ψ = true``
+    entails), and Loop 2/3 can fuse loops whose tests differ in shape —
+    and a decline gives that up.
     """
 
     program = Program(f"{a.pid}&{b.pid}", a.params, seq(a.body, b.body))
-    return PairRecord(a.pid, b.pid, program, skip_reason=reason)
+    return PairRecord(a.pid, b.pid, program, skip_reason=reason, merged=False)
 
 
 def _adjacent(level: Sequence[Program]) -> Pairing:
@@ -422,19 +428,29 @@ def merge_pair(
 ) -> PairRecord:
     """The one pair step: ``a`` and ``b`` consolidated, or kept unmerged.
 
-    A fresh Consolidator per pair keeps each record's rules and counters
-    its own; the caller's ``solver`` keeps the entailment cache warm across
-    its pairs.  The recorder is per-pair too: its node stack is not
-    re-entrant.
+    Two programs that share no work (:func:`shares_work`) are *declined*:
+    kept as their sequential baseline (:func:`_unmerged`) with no
+    Consolidator built, ``skip_reason`` ``None`` and ``merged`` False —
+    unless Ω would refuse them (different inputs, a shared notification
+    id), which is a failure like any other.
+
+    Otherwise a fresh Consolidator per pair keeps each record's rules and
+    counters its own; the caller's ``solver`` keeps the entailment cache
+    warm across its pairs.  The recorder is per-pair too: its node stack
+    is not re-entrant.
 
     A failure — a solver crash, a refuted static validation, an injected
     fault (:data:`FAULT_HOOK`) — keeps the pair as its sequential baseline
-    with the reason on ``skip_reason`` (:func:`_unmerged`): the result is
-    still correct, just less consolidated, so no caller ever sees a pair
-    raise.
+    with the reason on ``skip_reason``: the result is still correct, just
+    less consolidated, so no caller ever sees a pair raise.
     """
 
     try:
+        if not shares_work(a.body, b.body):
+            check_batch((a, b))  # a pair Ω would refuse is skipped, not declined
+            if telemetry.enabled:
+                telemetry.counter("consolidation_declined_pairs_total").inc()
+            return _unmerged(a, b)
         if FAULT_HOOK is not None:
             FAULT_HOOK("consolidate.pair", (a, b))
         recorder: DerivationRecorder | NullRecorder = (
@@ -464,9 +480,8 @@ def consolidate_all(
     ``order`` picks the pairing policy (see the module docstring);
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
-    run-time knobs — ``cost_model``, ``telemetry``,
-    ``provenance``, ``calibration`` — documented on
-    :class:`repro.config.ExecutionConfig`.
+    run-time knobs — ``cost_model``, ``telemetry`` and ``provenance`` —
+    documented on :class:`repro.config.ExecutionConfig`.
 
     Before the first level the qualified leaves are grouped by α-class
     (:func:`~repro.lang.visitors.canonicalize`): only the first leaf of each
@@ -478,8 +493,7 @@ def consolidate_all(
     engine (:mod:`repro.consolidation.incremental`) patches on add/remove
     of a single query instead of re-running the whole batch.
 
-    Raises ``ValueError`` for an empty batch, an unknown ``order``, or the
-    calibrated planner (which plans *tree* levels) with a fold order.
+    Raises ``ValueError`` for an empty batch or an unknown ``order``.
     """
 
     cfg = config or ExecutionConfig()
@@ -492,12 +506,6 @@ def consolidate_all(
         raise ValueError("need at least one program")
     if order not in ("clustered", "tree", "fold", "priority"):
         raise ValueError(f"unknown order {order!r}")
-    fold = order in ("fold", "priority")
-    if fold and cfg.calibration is not None:
-        raise ValueError(
-            f"the calibrated planner plans tree levels and cannot drive order={order!r}; "
-            "use order='tree' or 'clustered', or no calibration"
-        )
     check_batch(programs)
 
     if order == "priority":
@@ -539,13 +547,7 @@ def consolidate_all(
             registry.counter("consolidation_skipped_pairs_total").inc()
         return record.program
 
-    calibrated = None
-    if cfg.calibration is not None:
-        calibrated = CalibratedPairing(
-            functions, cfg.calibration, options, merge_step=attempt, compose=_unmerged
-        )
-    policy = calibrated or (_first_two if fold else _adjacent)
-    merge = calibrated.merge if calibrated else attempt
+    policy = _first_two if order in ("fold", "priority") else _adjacent
     depth = 0
 
     with telemetry.span("consolidate.batch", n=len(programs), order=order):
@@ -556,7 +558,7 @@ def consolidate_all(
         while len(level) > 1:
             depth += 1
             pairs, carried = policy([node.program for node in level])
-            merged = [merge(level[i].program, level[j].program) for i, j in pairs]
+            merged = [attempt(level[i].program, level[j].program) for i, j in pairs]
             level = [
                 MergeNode(absorb(r), level[i], level[j]) for (i, j), r in zip(pairs, merged)
             ] + [level[i] for i in carried]
@@ -586,7 +588,9 @@ def consolidate_all(
 
     if telemetry.enabled:
         registry.counter("consolidation_batches_total").inc()
-        registry.counter("consolidation_pairs_total").inc(len(records))
+        registry.counter("consolidation_pairs_total").inc(
+            sum(not r.declined for r in records)
+        )
         registry.counter("consolidation_seconds_total").inc(
             time.perf_counter() - started
         )
@@ -600,8 +604,6 @@ def consolidate_all(
         registry.gauge("consolidation_memo_hit_rate").set(
             simplify_snapshot.get("memo_hit_rate", 0.0)
         )
-        if calibrated is not None:
-            calibrated.export(registry, [r.planner for r in records if r.planner is not None])
 
     return ConsolidationReport(
         program=result,
@@ -614,5 +616,4 @@ def consolidate_all(
         simplify_stats=simplify_snapshot,
         degradations=degradations,
         merge_tree=root if keep_tree else None,
-        planner="related" if calibrated is None else "calibrated",
     )

@@ -70,12 +70,13 @@ class PatchResult(PairViews):
     """What one incremental tree mutation did.
 
     ``pairs`` holds the :class:`~repro.consolidation.algorithm.PairRecord`
-    of every pair consolidation the mutation ran — the patch's own merges,
-    or all of a ``fallback`` rebuild's — and the other per-pair names are
-    views over it: ``pair_merges`` is its length (the quantity a full
-    re-consolidation spends *n − 1* on, a pair kept unmerged included),
+    of every pair step the mutation took — the patch's own pairs, or all
+    of a ``fallback`` rebuild's — and the other per-pair names are
+    views over it: ``pair_merges`` counts the records that were not
+    declined (a pair kept unmerged after a failure included; a full
+    re-consolidation of *n* queries has *n − 1* records),
     ``validations`` and ``derivations`` are the records' certificates and
-    provenance trees (every patch records one per pair).
+    provenance trees (every patch records one per merged pair).
     ``rides`` holds a ``("Ride",)`` record per rider of the ride node the
     mutation built; they are not pair merges.  ``fallback`` is set by a
     caller that rebuilt instead of patching, and says why.  ``tree`` is
@@ -91,7 +92,7 @@ class PatchResult(PairViews):
 
     @property
     def pair_merges(self) -> int:
-        return len(self.pairs)
+        return sum(not r.declined for r in self.pairs)
 
     @property
     def patched_pids(self) -> list[str]:

@@ -19,10 +19,7 @@ observe:
   (``repro calibrate``) with fit diagnostics;
 * :mod:`repro.profiling.model` — the serialized
   :class:`CalibratedCostModel`, pluggable back into the
-  :mod:`repro.lang.cost` seam via :func:`repro.lang.cost.cost_model_from_weights`;
-* :mod:`repro.profiling.planner` — the cost-driven pair planner the
-  divide-and-conquer consolidation driver uses when
-  ``ExecutionConfig.calibration`` holds a model.
+  :mod:`repro.lang.cost` seam via :func:`repro.lang.cost.cost_model_from_weights`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from typing import Any
 
 from .features import OP_KINDS, RECORD_KIND, op_units, program_units
 from .model import MODEL_SCHEMA_VERSION, CalibratedCostModel
-from .planner import LevelPlan, PlannedPair, pair_savings, plan_level
 from .trace import (
     TRACE_SCHEMA_VERSION,
     TraceSample,
@@ -41,8 +37,8 @@ from .trace import (
     trace_fingerprint,
 )
 
-# The profiler and the fitter load on first use: consolidation reaches this
-# package only for the cost model and the pair planner.
+# The profiler and the fitter load on first use: ``import repro`` reaches
+# this package only for the cost model.
 _LAZY = {"Profiler": "profiler", "fit_calibration": "calibrate"}
 
 
@@ -65,8 +61,4 @@ __all__ = [
     "fit_calibration",
     "CalibratedCostModel",
     "MODEL_SCHEMA_VERSION",
-    "PlannedPair",
-    "LevelPlan",
-    "pair_savings",
-    "plan_level",
 ]

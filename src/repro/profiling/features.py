@@ -4,8 +4,8 @@ A profiling sample pairs the wall time a backend observed with the
 *static* decomposition of the program it ran: how many units of each
 Figure-2 operation kind one execution performs.  The calibration fitter
 (:mod:`repro.profiling.calibrate`) then solves for seconds-per-unit
-weights by least squares, and the planner predicts merged-cost savings
-from the same vectors.
+weights by least squares, and :class:`~repro.profiling.model.CalibratedCostModel`
+predicts a program's seconds from the same vectors.
 
 Unit semantics, chosen so one regression covers heterogeneous programs:
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
+from ..analysis.costmodel import DEFAULT_CALL_COST
 from ..lang.ast import (
     Arg,
     Assign,
@@ -79,10 +80,6 @@ RECORD_KIND = "record"
 # cannot prove; the same figure for every program keeps rankings stable.
 LOOP_UNROLL = 4
 
-# Mirrors repro.analysis.costmodel._DEFAULT_CALL_COST for calls to
-# functions absent from the table.
-_DEFAULT_CALL_COST = 10
-
 
 def _add(units: Dict[str, float], kind: str, amount: float = 1.0) -> None:
     units[kind] = units.get(kind, 0.0) + amount
@@ -101,7 +98,7 @@ def _expr_units(
         if functions is not None and e.func in functions:
             call_cost = functions[e.func].cost
         else:
-            call_cost = _DEFAULT_CALL_COST
+            call_cost = DEFAULT_CALL_COST
         _add(units, "call", float(call_cost))
         for a in e.args:
             _expr_units(a, functions, units)

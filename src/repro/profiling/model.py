@@ -7,14 +7,11 @@ decide whether to trust it — R², residual magnitudes, per-kind standard
 errors and support counts, and the fingerprint/timestamp of the trace it
 was fitted from.
 
-Two consumption paths:
-
-* the cost-driven planner (:mod:`repro.profiling.planner`) calls
-  :meth:`predict_seconds` / :meth:`predict_program_seconds` to rank
-  candidate pairs by predicted merged-cost savings in *wall seconds*;
-* :meth:`to_cost_model` folds the weights back into the existing
-  :class:`repro.lang.cost.CostModel` seam (integer units normalized to
-  ``var = 1``) for any consumer of the Figure-2 static model.
+:meth:`to_cost_model` folds the weights back into the existing
+:class:`repro.lang.cost.CostModel` seam (integer units normalized to
+``var = 1``) for any consumer of the Figure-2 static model; a program's
+predicted seconds are its :func:`~repro.profiling.features.program_units`
+weighted by :attr:`CalibratedCostModel.weights`.
 
 Serialization is deterministic: :meth:`to_json` sorts every mapping and
 derives ``fitted_at`` from the newest sample timestamp, so fitting the
@@ -24,18 +21,12 @@ same trace twice yields byte-identical JSON (tested).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Union
 
-from ..lang.cost import DEFAULT_COST_MODEL, CostModel, cost_model_from_weights
-from ..lang.functions import FunctionTable
-from .features import OP_KINDS, RECORD_KIND, program_units
+from ..lang.cost import CostModel, cost_model_from_weights
 from .trace import finite
-
-# A forward reference would do, but the planner needs Program at runtime too.
-from ..lang.ast import Program
 
 __all__ = ["MODEL_SCHEMA_VERSION", "CalibratedCostModel"]
 
@@ -61,25 +52,10 @@ class CalibratedCostModel:
     backends: Mapping[str, int] = field(default_factory=dict)
     fitted_at: float = 0.0
     trace_fingerprint: str = ""
-    source: str = "fit"  # "fit" | "uniform"
+    source: str = "fit"  # "uniform" in files written before 12.0.0
     schema: int = MODEL_SCHEMA_VERSION
 
-    # -- prediction ----------------------------------------------------------
-
-    def predict_seconds(self, units: Mapping[str, float]) -> float:
-        """Predicted wall seconds for one execution with these unit counts."""
-
-        total = 0.0
-        for kind, amount in units.items():
-            weight = self.weights.get(kind)
-            if weight is not None:
-                total += weight * amount
-        return total
-
-    def predict_program_seconds(
-        self, program: Program, functions: Optional[FunctionTable] = None
-    ) -> float:
-        return self.predict_seconds(program_units(program, functions))
+    # -- diagnostics ---------------------------------------------------------
 
     def confidence(self, kind: str) -> str:
         """``high`` / ``medium`` / ``low`` trust in one fitted weight."""
@@ -92,14 +68,6 @@ class CalibratedCostModel:
         if weight > 0.0 and err <= 0.5 * weight:
             return "high"
         return "medium"
-
-    def staleness_seconds(self, now: Optional[float] = None) -> float:
-        """Age of the calibration (0.0 for a model with no trace history)."""
-
-        if self.fitted_at <= 0.0:
-            return 0.0
-        reference = time.time() if now is None else now
-        return max(0.0, reference - self.fitted_at)
 
     # -- the repro.lang.cost seam --------------------------------------------
 
@@ -190,41 +158,3 @@ class CalibratedCostModel:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CalibratedCostModel":
         return cls.from_json(Path(path).read_text())
-
-    # -- the no-trace fallback -----------------------------------------------
-
-    @classmethod
-    def uniform(
-        cls,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        seconds_per_unit: float = 1e-7,
-    ) -> "CalibratedCostModel":
-        """A calibration-shaped view of the static Figure-2 model.
-
-        The calibrated planner's model when there is no fitted one
-        (``repro ... --planner calibrated`` without ``--calibration``):
-        every kind's weight is its static cost times one uniform
-        seconds-per-unit scale, so predicted *savings rankings* reduce to
-        static cost units — the planner still works, it just plans with
-        the paper's priors instead of measured ones.
-        """
-
-        static = {
-            "const": float(cost_model.int_const),
-            "var": float(cost_model.var),
-            "arg": float(cost_model.arg),
-            "call": 1.0,  # call units already carry the table's cost
-            "arith": float(cost_model.arith),
-            "cmp": float(cost_model.cmp),
-            "logic": float(cost_model.logic),
-            "neg": float(cost_model.neg),
-            "assign": float(cost_model.assign),
-            "notify": float(cost_model.notify),
-            "branch": float(cost_model.branch),
-            RECORD_KIND: 0.0,
-        }
-        assert set(OP_KINDS) <= set(static)
-        return cls(
-            weights={k: v * seconds_per_unit for k, v in static.items()},
-            source="uniform",
-        )

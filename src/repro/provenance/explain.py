@@ -24,11 +24,15 @@ from __future__ import annotations
 import html as html_mod
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
+from ..analysis.related import shares_work
 from ..analysis.static import validate_consolidation
 from ..config import ExecutionConfig
 from ..consolidation import ConsolidationOptions, consolidate_all
+from ..lang.ast import Program
+from ..lang.visitors import canonicalize, qualify_locals
 from ..naiad.linq import from_collection
 from ..telemetry import Telemetry
 from .attribution import OperatorAttribution, attribute_costs
@@ -73,8 +77,7 @@ class ExplainReport:
     consolidation_seconds: float = 0.0
     udf_cost_many: int = 0
     udf_cost_consolidated: int = 0
-    planner: str = "related"
-    planner_decisions: list[dict] = field(default_factory=list)
+    declined: list[tuple[str, str]] = field(default_factory=list)
     riders: dict[str, str] = field(default_factory=dict)
 
     def slowest_entailments(self, count: int = 10, by_time: bool = True):
@@ -116,11 +119,10 @@ class ExplainReport:
                 for e in self.slowest_entailments(by_time=include_timings)
             ],
         }
-        if self.planner != "related" or self.planner_decisions:
-            # Emitted only when the cost-driven planner ran, so default
-            # explain documents keep their pre-planner schema.
-            doc["planner"] = self.planner
-            doc["planner_decisions"] = self.planner_decisions
+        if self.declined:
+            # A pair sharing no work is composed with no calculus run and
+            # has no derivation; emitted only then, as riders are.
+            doc["declined"] = [list(pair) for pair in self.declined]
         if self.riders:
             # An α-copy rides on its representative and has no derivation;
             # emitted only then, so other documents keep their schema.
@@ -130,9 +132,23 @@ class ExplainReport:
         return doc
 
 
+def _first_shared_pair(batch: list[Program]) -> tuple[int, int]:
+    """The first ``(i, j)``, in lexicographic order, that the calculus would merge:
+    two programs that share work and are not α-copies (a copy rides on
+    its twin).  ``(0, 1)`` when no pair of ``batch`` qualifies."""
+
+    qualified = [qualify_locals(p) for p in batch]
+    for i, j in combinations(range(len(batch)), 2):
+        if shares_work(qualified[i].body, qualified[j].body) and (
+            canonicalize(batch[i]) != canonicalize(batch[j])
+        ):
+            return i, j
+    return 0, 1
+
+
 def explain_batch(
     domain: str,
-    pair: tuple[int, int] = (0, 1),
+    pair: tuple[int, int] | None = None,
     family: str = "Mix",
     n: int = 8,
     seed: int = 1,
@@ -140,22 +156,18 @@ def explain_batch(
     options: ConsolidationOptions | None = None,
     dataset=None,
     telemetry=None,
-    calibration=None,
 ) -> ExplainReport:
     """Consolidate one pair with full recording and instrumented execution.
 
-    ``pair`` indexes into the generated batch (``--pair 0,1``); pass a
+    ``pair`` indexes into the generated batch (``--pair 0,1``; by default
+    the first pair that shares work and is not an α-copy, so the calculus
+    has something to do); pass a
     prebuilt ``dataset`` to skip generation (tests do, for speed), and a
     live ``telemetry`` to receive the run's metrics (the CLI passes its
     ``--metrics-out`` registry; per-operator stats require a live
-    instance, so a disabled one is replaced by a fresh capture).
-
-    A ``calibration`` model (see ``repro calibrate``, or
-    ``CalibratedCostModel.uniform()``) routes the pair through the
-    cost-driven planner;
-    its predicted-vs-observed savings land both on the derivation tree
-    (a ``planner`` heuristic entry, rendered in every format) and on
-    ``report.planner_decisions``.
+    instance, so a disabled one is replaced by a fresh capture).  A pair
+    that shares no work is *declined* — composed with no calculus run —
+    and every rendering names it.
     """
 
     from ..queries import DOMAIN_QUERIES
@@ -174,6 +186,8 @@ def explain_batch(
             f"unknown {domain} family {family!r}; choose from {module.FAMILY_NAMES}"
         )
     batch = module.make_batch(dataset, family, n=n, seed=seed)
+    if pair is None:
+        pair = _first_shared_pair(batch)
     i, j = pair
     if not (0 <= i < len(batch) and 0 <= j < len(batch)) or i == j:
         raise ValueError(f"pair {pair} out of range for a batch of {len(batch)}")
@@ -187,7 +201,7 @@ def explain_batch(
         selected,
         dataset.functions,
         options=options,
-        config=cfg.evolve(provenance=True, calibration=calibration),
+        config=cfg.evolve(provenance=True),
     )
 
     validation = validate_consolidation(
@@ -238,8 +252,7 @@ def explain_batch(
         consolidation_seconds=report.duration,
         udf_cost_many=many_run.metrics.udf_cost,
         udf_cost_consolidated=cons_run.metrics.udf_cost,
-        planner=report.planner,
-        planner_decisions=list(report.planner_decisions),
+        declined=report.declined,
         riders=report.riders,
     )
 
@@ -301,18 +314,10 @@ def render_text(report: ExplainReport, include_timings: bool = True) -> str:
     for rule, count in sorted(report.rule_counts.items(), key=lambda kv: (-kv[1], kv[0])):
         out.append(f"  {rule:<10} {count}")
     out.append("")
-    if report.planner_decisions:
-        out.append(f"planner ({report.planner}):")
-        for d in report.planner_decisions:
-            action = "merge" if d["merged"] else "skip "
-            flags = " MISPREDICTED" if d["mispredicted"] else ""
-            if d["merged"] and not d["used_smt"]:
-                flags += " (no smt)"
-            out.append(
-                f"  {action} {d['left']} ⊗ {d['right']}: "
-                f"predicted {d['predicted_savings_seconds']:.3e}s, "
-                f"observed {d['observed_savings_seconds']:.3e}s{flags}"
-            )
+    if report.declined:
+        out.append("declined (nothing shared; composed with no calculus run):")
+        for left, right in report.declined:
+            out.append(f"  {left} ⊗ {right}")
         out.append("")
     for tree in report.derivations:
         out.append(f"derivation {tree.left} ⊗ {tree.right} → {tree.merged}")
@@ -442,6 +447,9 @@ def render_html(report: ExplainReport) -> str:
     riders = "".join(
         f"<p>{_esc(rider)} rides on {_esc(rep)} (α-copy; no calculus run)</p>"
         for rider, rep in report.riders.items()
+    ) + "".join(
+        f"<p>{_esc(left)} ⊗ {_esc(right)} declined (nothing shared; no calculus run)</p>"
+        for left, right in report.declined
     )
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">

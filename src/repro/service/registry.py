@@ -184,9 +184,6 @@ class QueryRegistry:
             "full_rebuilds": 0,
             "patch_fallbacks": 0,
             "pair_merges_total": 0,
-            "planner_merges_total": 0,
-            "planner_skips_total": 0,
-            "planner_mispredictions_total": 0,
         }
         if event_log is not None:
             self._log = EventLog(event_log)
@@ -378,7 +375,7 @@ class QueryRegistry:
                 telemetry=self.telemetry,
                 twin=twin,
             )
-            if patch.pair_merges or patch.rides:
+            if patch.pairs or patch.rides:
                 self._count_patch(patch)
         patch.seconds = time.perf_counter() - started
         self._install(patch)
@@ -415,13 +412,6 @@ class QueryRegistry:
             telemetry=self.telemetry,
         )
         self.stats["full_rebuilds"] += 1
-        for decision in report.planner_decisions:
-            if decision["merged"]:
-                self.stats["planner_merges_total"] += 1
-            else:
-                self.stats["planner_skips_total"] += 1
-            if decision["mispredicted"]:
-                self.stats["planner_mispredictions_total"] += 1
         if self.telemetry.enabled:
             self.telemetry.counter("service_full_rebuilds_total").inc()
         patch = PatchResult(tree=tree, action="add", pairs=report.pairs, fallback=reason)
@@ -502,27 +492,11 @@ class QueryRegistry:
         )
         return query.run(self.config)
 
-    def metrics_doc(self) -> dict[str, Any]:
-        """The ``/metrics`` document: counters plus planner/calibration info.
-
-        Counters come straight from ``stats``; the planner name rides
-        along (``"calibrated"`` exactly when ``config.calibration`` holds
-        a model), and for a model its age, fit timestamp, and provenance
-        (``fit`` vs ``uniform``) are reported so operators can alert on
-        staleness.
-        """
+    def metrics_doc(self) -> dict[str, int]:
+        """The ``/metrics`` document: the counters in ``stats``."""
 
         with self._lock:
-            doc: dict[str, Any] = dict(self.stats)
-            calibration = self.config.calibration
-            doc["planner"] = "related" if calibration is None else "calibrated"
-            if calibration is not None:
-                doc["calibration_staleness_seconds"] = round(
-                    calibration.staleness_seconds(), 3
-                )
-                doc["calibration_fitted_at"] = calibration.fitted_at
-                doc["calibration_source"] = calibration.source
-            return doc
+            return dict(self.stats)
 
     def explain(self) -> dict[str, Any]:
         """A JSON-friendly account of the plan and how it got here."""
@@ -549,6 +523,7 @@ class QueryRegistry:
                 doc["last_patch"] = {
                     "action": patch.action,
                     "pair_merges": patch.pair_merges,
+                    "declined": [list(pair) for pair in patch.declined],
                     "rides": len(patch.rides),
                     "patched_pids": patch.patched_pids,
                     "fallback": patch.fallback,

@@ -8,9 +8,8 @@ every route body is one registry call, so the offline facade
 method    path                     registry call
 ========  =======================  =============================================
 GET       ``/healthz``             liveness + membership count
-GET       ``/metrics``             counters + planner/calibration info (JSON, or
-                                   Prometheus text when Accept asks for
-                                   ``text/plain``)
+GET       ``/metrics``             registry counters (JSON, or Prometheus
+                                   text when Accept asks for ``text/plain``)
 GET       ``/v1/queries``          :meth:`QueryRegistry.queries`
 POST      ``/v1/queries``          :meth:`QueryRegistry.register`
 DELETE    ``/v1/queries/<pid>``    :meth:`QueryRegistry.unregister`
@@ -106,10 +105,8 @@ class _Handler(BaseHTTPRequestHandler):
         A client whose ``Accept`` header mentions ``text/plain`` (what
         Prometheus scrapers send) gets the exposition format rendered by
         :func:`repro.telemetry.sinks.prometheus_text`; everything else
-        keeps the original JSON document.  Integer stats become
-        ``service_``-prefixed counters, float stats gauges, and string
-        fields (planner name, calibration source) ride on a labelled
-        info gauge.
+        keeps the original JSON document.  Each counter becomes a
+        ``service_``-prefixed Prometheus counter.
         """
 
         doc = self.registry.metrics_doc()
@@ -117,26 +114,11 @@ class _Handler(BaseHTTPRequestHandler):
         if "text/plain" not in accept:
             self._send(200, doc)
             return
-        counters, gauges = [], []
-        info_labels = {}
-        for name in sorted(doc):
-            value = doc[name]
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, int):
-                counters.append(
-                    {"name": f"service_{name}", "labels": {}, "value": value}
-                )
-            elif isinstance(value, float):
-                gauges.append(
-                    {"name": f"service_{name}", "labels": {}, "value": value}
-                )
-            else:
-                info_labels[name] = str(value)
-        gauges.append({"name": "service_info", "labels": info_labels, "value": 1})
-        text = prometheus_text(
-            {"counters": counters, "gauges": gauges, "histograms": []}
-        )
+        counters = [
+            {"name": f"service_{name}", "labels": {}, "value": value}
+            for name, value in sorted(doc.items())
+        ]
+        text = prometheus_text({"counters": counters, "gauges": [], "histograms": []})
         self._send_text(200, text, "text/plain; version=0.0.4; charset=utf-8")
 
     def _send_error(self, exc: Exception) -> None:

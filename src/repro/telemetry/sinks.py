@@ -78,22 +78,17 @@ HELP_TEXTS = {
     "compile_fallbacks_total": "Programs that fell back to the interpreter backend.",
     "compile_seconds": "Wall time spent translating programs to closures.",
     "consolidation_batches_total": "Divide-and-conquer consolidation batches run.",
+    "consolidation_declined_pairs_total": "Pairs sharing no work, composed with no calculus run.",
     "consolidation_entail_queries": "Semantic entailment questions asked of the context.",
     "consolidation_memo_hit_rate": "Fraction of entailment queries answered by the memo.",
     "consolidation_memo_hits": "Entailment queries answered by the (psi, store reads, e) memo.",
     "consolidation_pair_seconds": "Wall time per pair consolidation.",
-    "consolidation_pairs_total": "Pair consolidations performed.",
+    "consolidation_pairs_total": "Pair consolidations performed (declined pairs excluded).",
     "consolidation_precheck_skips": "Entailments whose goal folded to a constant through the store.",
     "consolidation_rule_applications_total": "Calculus rule applications, by rule.",
     "consolidation_seconds_total": "Total wall time spent consolidating batches.",
     "consolidation_skipped_pairs_total": "Pairs kept unmerged after a mid-batch failure.",
     "consolidation_smt_queries": "Entailment queries that reached the SMT solver.",
-    "calibration_r2": "R-squared of the calibrated cost model's fit.",
-    "calibration_staleness_seconds": "Age of the calibrated cost model in use.",
-    "planner_mispredictions_total": "Planned merges whose predicted savings failed to realize.",
-    "planner_pairs_total": "Pair merges executed by the calibrated planner.",
-    "planner_predicted_savings_seconds": "Total predicted savings of the last planned batch.",
-    "planner_skips_total": "Pairs the calibrated planner composed sequentially without merging.",
     "dataflow_operator_records_in_total": "Records entering each operator.",
     "dataflow_operator_records_out_total": "Records leaving each operator.",
     "dataflow_operator_seconds_total": "Wall time spent inside each operator.",
@@ -105,12 +100,6 @@ HELP_TEXTS = {
     "provenance_attributed_operators": "Operators joined in the last cost-attribution pass.",
     "provenance_mispredicted_operators_total": "Operators whose static cost bound was violated or loose.",
     "provenance_operator_cost_ratio": "Static predicted / observed per-record cost, by operator.",
-    "service_calibration_fitted_at": "Unix timestamp the served calibration was fitted at.",
-    "service_calibration_staleness_seconds": "Age of the service's calibrated cost model.",
-    "service_info": "Service configuration surfaced as labels (planner, calibration source).",
-    "service_planner_merges_total": "Pairs the service's calibrated planner merged.",
-    "service_planner_mispredictions_total": "Service planner merges whose predicted savings failed to realize.",
-    "service_planner_skips_total": "Pairs the service's calibrated planner composed sequentially.",
     "smt_cache_hits": "SMT validity checks answered from the formula cache.",
     "smt_check_seconds": "SMT validity check latency.",
     "smt_checks": "SMT validity checks issued.",

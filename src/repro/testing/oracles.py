@@ -26,10 +26,6 @@ is checked:
 * **validate_consolidation** — the static validator must not *refute* the
   merge (``unknown`` is acceptable: it is the validator giving up, not a
   counterexample);
-* **calibrated planner parity** — the batch is consolidated again under
-  the cost-driven planner (uniform fallback model); reordered or skipped
-  merges must leave the notification buckets identical to
-  ``whereMany`` and keep the consolidated cost never worse;
 * **interp vs compiled vs vectorized** — the three-way backend oracle:
   every program (and the merged program) runs as one column batch under
   the vectorized backend, and per record the notifications, *exact* cost
@@ -61,7 +57,6 @@ from ..lang.cost import DEFAULT_COST_MODEL, CostModel
 from ..lang.interp import Interpreter
 from ..lang.visitors import notified_pids, strip_notifies
 from ..naiad.linq import run_where_consolidated, run_where_many
-from ..profiling.model import CalibratedCostModel
 from ..provenance.render import MAX_TEXT, format_formula
 from ..smt import solver as _solver
 from ..smt.terms import Formula
@@ -77,7 +72,7 @@ class Discrepancy:
     """One disagreement between two execution paths that must agree."""
 
     # 'backend' | 'dataflow' | 'verdict' | 'riders' | 'soundness' | 'validator'
-    # | 'planner' | 'vectorized'
+    # | 'vectorized'
     oracle: str
     detail: str
     args: dict[str, object] = field(default_factory=dict)
@@ -388,71 +383,6 @@ def _check_validator(
         )
 
 
-def _check_planner(
-    programs: Sequence[Program],
-    dataset: Dataset,
-    rows: Sequence[object],
-    cost_model: CostModel,
-    out: list[Discrepancy],
-) -> None:
-    """Calibrated-planner parity: planning must never change semantics.
-
-    The cost-driven planner reorders merges and skips predicted-unprofitable
-    pairs (composing them sequentially) — both must be *plan*-level
-    decisions only.  The
-    batch is consolidated again under the calibrated planner (with the
-    uniform model, so the check needs no trace) and its dataflow
-    run must reproduce the ``whereMany`` baseline's buckets exactly,
-    with consolidated UDF cost never worse (Theorem 2 survives planning).
-    """
-
-    if len(programs) < 2:
-        return
-    config = ExecutionConfig(
-        cost_model=cost_model, calibration=CalibratedCostModel.uniform(cost_model)
-    )
-    try:
-        many = run_where_many(rows, programs, dataset.functions, config=config)
-        planned, report = run_where_consolidated(
-            rows, programs, dataset.functions, config=config
-        )
-    except Exception as exc:  # noqa: BLE001 - a planner crash is a finding
-        out.append(
-            Discrepancy(
-                "planner",
-                f"calibrated-planner run raised {type(exc).__name__}: {exc}",
-            )
-        )
-        return
-    for pid in (p.pid for p in programs):
-        a = many.buckets.get(pid, [])
-        b = planned.buckets.get(pid, [])
-        if a != b:
-            out.append(
-                Discrepancy(
-                    "planner",
-                    f"bucket {pid!r} differs under the calibrated planner: "
-                    f"whereMany {a!r} vs planned {b!r}",
-                )
-            )
-    if planned.metrics.udf_cost > many.metrics.udf_cost:
-        out.append(
-            Discrepancy(
-                "planner",
-                "cost-never-worse violated under the calibrated planner: "
-                f"consolidated UDF cost {planned.metrics.udf_cost} > "
-                f"whereMany {many.metrics.udf_cost}",
-            )
-        )
-    if report.planner != "calibrated":
-        out.append(
-            Discrepancy(
-                "planner",
-                f"report.planner is {report.planner!r}, expected 'calibrated'",
-            )
-        )
-
-
 def _check_vectorized(
     programs: Sequence[Program],
     report: ConsolidationReport | None,
@@ -650,9 +580,6 @@ def run_battery(
             if expired():
                 return result
             _check_validator(programs, report, dataset, cost_model, out)
-    if expired():
-        return result
-    _check_planner(programs, dataset, rows, cost_model, out)
     if expired():
         return result
     _check_vectorized(programs, report, dataset, rows, inputs, cost_model, out)

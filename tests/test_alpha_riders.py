@@ -23,6 +23,7 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.related import shares_work
 from repro.analysis.static import validate_consolidation
 from repro.consolidation import add_query, consolidate_all, remove_query
 from repro.datasets import generate_weather
@@ -170,11 +171,13 @@ def test_riders_share_one_ride_node_in_driver_order():
 
 @pytest.fixture
 def pair():
-    """Two distinct generated twitter programs and the schema's functions."""
+    """Two distinct generated twitter programs that share work, and the
+    schema's functions."""
 
-    programs = generate_case(11, "twitter", 3)
+    programs = generate_case(5, "twitter", 3)
     a, b = programs[0], programs[1]
     assert canonicalize(a) != canonicalize(b)
+    assert shares_work(qualify_locals(a).body, qualify_locals(b).body)
     return a, b, schema_dataset("twitter").functions
 
 

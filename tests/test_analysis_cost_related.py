@@ -3,7 +3,14 @@
 import pytest
 
 from repro.analysis import expr_cost, related
-from repro.analysis.related import call_features, comparison_subjects, is_trivial
+from repro.analysis.costmodel import DEFAULT_CALL_COST
+from repro.analysis.related import (
+    call_features,
+    comparison_subjects,
+    is_trivial,
+    loop_tests,
+    shares_work,
+)
 from repro.analysis.static.costbound import program_cost_upper
 from repro.lang import (
     CostModel,
@@ -19,6 +26,7 @@ from repro.lang import (
     eq,
     gt,
     if_,
+    le,
     lt,
     ne,
     not_,
@@ -50,7 +58,13 @@ class TestExprCost:
         assert expr_cost(call("pricey", arg("r")), ft) == 101
 
     def test_unknown_call_default(self, ft):
-        assert expr_cost(call("mystery", arg("r")), ft) == 11
+        assert expr_cost(call("mystery", arg("r")), ft) == DEFAULT_CALL_COST + 1 == 11
+
+    def test_profiling_features_price_an_unknown_call_the_same(self, ft):
+        from repro.profiling import program_units
+
+        p = program("q", ("r",), notify("q", lt(call("mystery", arg("r")), 5)))
+        assert program_units(p, ft)["call"] == DEFAULT_CALL_COST
 
     def test_nested(self, ft):
         e = lt(call("cheap", arg("r")), add(var("x"), 3))
@@ -117,6 +131,28 @@ class TestRelated:
         a = lt(call("f", arg("row")), 5)
         b = notify("q", eq(call("g", arg("row")), 0))
         assert not related(a, b)
+
+    def test_loop_tests_erase_local_names(self):
+        # Each leaf qualifies its own locals: only the test's shape can match.
+        a = while_(le(var("q0/m"), 12), assign("q0/m", add(var("q0/m"), 1)))
+        b = block(
+            assign("q1/k", 1),
+            if_(lt(arg("r"), 3), while_(le(var("q1/k"), 12), assign("q1/k", 1)), assign("q1/k", 0)),
+        )
+        assert loop_tests(a) == loop_tests(b) == {le(var("_"), 12)}
+        assert loop_tests(while_(le(var("m"), 11), assign("m", 1))) == {le(var("_"), 11)}
+        assert loop_tests(assign("m", 1)) == frozenset()
+
+    def test_shares_work_on_features_or_loop_tests(self):
+        def loop(bound, fn):
+            return while_(le(var("m"), bound), assign("s", call(fn, arg("r"), var("m"))))
+
+        assert shares_work(loop(12, "f"), loop(12, "g"))  # same test, disjoint calls
+        assert not shares_work(loop(12, "f"), loop(11, "g"))
+        assert shares_work(loop(12, "f"), loop(11, "f"))  # a call name in common
+        ground = notify("p", lt(call("price", arg("r"), 0, 1), 100))
+        assert shares_work(ground, notify("q", gt(call("price", arg("r"), 0, 1), 3)))
+        assert not shares_work(ground, notify("q", gt(call("price", arg("r"), 2, 3), 3)))
 
     def test_trivial(self):
         assert is_trivial(arg("r"))

@@ -10,9 +10,10 @@ the profiler is no longer threaded through a run, the 7.0.0-removal
 tests that the prefilter is gone, the 8.0.0-removal tests that the
 process-pool executor is gone, the 9.0.0-removal tests that the service's
 constant knobs and ``PatchError`` are gone, the 10.0.0-removal tests that
-each decision has one knob (one-valued knobs are constants, a calibration
-model is the planner choice), and the config validation errors (they must
-enumerate the valid values).
+each decision has one knob (one-valued knobs are constants), the
+12.0.0-removal tests that the calibrated planner and its ``calibration``
+knob are gone, and the config validation errors (they must enumerate the
+valid values).
 """
 
 import dataclasses
@@ -143,6 +144,9 @@ REMOVED_KEYWORDS = [
     (add_query, ("record",)),
     (remove_query, ("record",)),
     (rebuild, ("provenance",)),
+    # 12.0.0: one pairing planner; the calibrated one is gone.
+    (ExecutionConfig, ("calibration",)),
+    (explain_batch, ("calibration",)),
     # 7.0.0: the prefilter is gone.
     (ExecutionConfig, ("prefilter",)),
     (Where, ("prefilter",)),
@@ -230,10 +234,28 @@ def test_removed_execution_config_field_raises_type_error(keyword):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_six_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 6
+def test_execution_config_has_five_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 5
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
+
+
+# ---------------------------------------------------------------------------
+# the 12.0.0 removal: the savings-ranked planner
+
+
+def test_the_calibrated_planner_is_gone():
+    import repro.profiling
+
+    with pytest.raises(ImportError):
+        import repro.profiling.planner  # noqa: F401
+    for name in ("CalibratedPairing", "plan_level", "LevelPlan", "PlannedPair", "pair_savings"):
+        assert not hasattr(repro.profiling, name), name
+    for name in ("uniform", "predict_seconds", "predict_program_seconds", "staleness_seconds"):
+        assert not hasattr(repro.profiling.CalibratedCostModel, name), name
+    report = consolidate_all([parse_program(_UDF)], FunctionTable())
+    for name in ("planner", "planner_decisions"):
+        assert not hasattr(report, name), name
 
 
 # ---------------------------------------------------------------------------

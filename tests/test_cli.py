@@ -200,44 +200,23 @@ class TestObservabilityFlags:
         assert model.to_dict() == printed
         assert model.source == "fit" and model.samples > 0
         assert set(model.backends) == {"interp", "compiled", "vectorized"}
-        # The fitted model drives the calibrated planner through the CLI.
-        metrics = tmp_path / "metrics.json"
-        rc = main(
-            ["consolidate", "--domain", "weather", "--verify", "20", "--planner", "calibrated"]
-            + ["--calibration", str(model_path), "--metrics-out", str(metrics)]
-            + _two_progs(tmp_path)
-        )
-        assert rc == 0
-        assert "verification on 20 rows: OK" in capsys.readouterr().err
-        gauges = {g["name"]: g["value"] for g in json.loads(metrics.read_text())["metrics"]["gauges"]}
-        assert gauges["calibration_r2"] == model.r2
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"schema": 999}'])
-    def test_an_unloadable_calibration_model_exits(self, tmp_path, content):
-        model_path = tmp_path / "model.json"
-        if content is not None:
-            model_path.write_text(content)
-        with pytest.raises(SystemExit, match=f"cannot load calibration model {model_path}"):
-            main(
-                ["consolidate", "--domain", "weather", "--planner", "calibrated"]
-                + ["--calibration", str(model_path)] + _two_progs(tmp_path)
-            )
-
-    @pytest.mark.parametrize("planner", [[], ["--planner", "related"]], ids=["default", "related"])
+    @pytest.mark.parametrize(
+        "flag", [["--planner", "calibrated"], ["--calibration", "model.json"]],
+        ids=["planner", "calibration"],
+    )
     @pytest.mark.parametrize("command", ["consolidate", "explain", "serve"])
-    def test_a_calibration_without_the_calibrated_planner_is_a_usage_error(
-        self, tmp_path, capsys, command, planner
-    ):
-        # The model used to be loaded and then ignored: `related` ran.
+    def test_the_planner_flags_are_gone(self, tmp_path, capsys, command, flag):
+        # 12.0.0: one pairing planner, so there is nothing to choose.
         argv = {
             "consolidate": ["consolidate"] + _two_progs(tmp_path),
             "explain": ["explain", "--domain", "weather"],
             "serve": ["serve", "--port", "0"],
         }[command]
         with pytest.raises(SystemExit) as exited:
-            main(argv + planner + ["--calibration", str(tmp_path / "model.json")])
+            main(argv + flag)
         assert exited.value.code == 2
-        assert "--calibration: requires --planner calibrated" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     # Per-record unit vector of a weather Q1 program (n=2, seed=1).
     _Q1_UNITS = {

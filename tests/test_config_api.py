@@ -134,7 +134,8 @@ class TestCostModelReachesTheConsolidator:
                 super().__init__(functions, cost_model, *args, **kwargs)
 
         monkeypatch.setattr(divide_conquer, "Consolidator", Spy)
-        pair, rows = batch[:2], weather.rows[:60]
+        # q3 and q4 both read monthly_avg_temp(@row, 1), so the pair merges.
+        pair, rows = batch[3:5], weather.rows[:60]
         result, report = run_where_consolidated(
             rows,
             pair,
@@ -358,13 +359,20 @@ class TestTelemetryDifferential:
 
         clear_vectorize_cache()
         cfg = ExecutionConfig(telemetry=Telemetry.capture())
-        run_where_consolidated(weather.rows[:20], batch, weather.functions, config=cfg)
+        _, report = run_where_consolidated(
+            weather.rows[:20], batch, weather.functions, config=cfg
+        )
         reg = cfg.telemetry.metrics
         assert reg.counter("smt_checks").value > 0
         assert reg.histogram("smt_check_seconds").count > 0
         assert reg.counter("vectorized_plan_cache_misses_total").value > 0
-        assert reg.counter("consolidation_pairs_total").value == len(batch) - 1
-        assert reg.histogram("consolidation_pair_seconds").count == len(batch) - 1
+        # Months differ across the batch, so some pairs share no call: those
+        # are counted as declined, and only the merges are counted and timed.
+        declined = len(report.declined)
+        assert declined and reg.counter("consolidation_declined_pairs_total").value == declined
+        merges = len(batch) - 1 - declined
+        assert reg.counter("consolidation_pairs_total").value == merges
+        assert reg.histogram("consolidation_pair_seconds").count == merges
 
     def test_harness_rows_carry_metrics(self, weather, batch):
         from repro.experiments.harness import run_experiment

@@ -32,7 +32,6 @@ from repro.lang import (
     var,
 )
 from repro.lang.visitors import notified_pids
-from repro.profiling import CalibratedCostModel
 from repro.queries import DOMAIN_QUERIES
 
 FT = FunctionTable([LibraryFunction("val", lambda r: (r * 13) % 50, cost=15)])
@@ -77,10 +76,8 @@ class TestDivideConquer:
         )
         assert sound.ok
 
-    @pytest.mark.parametrize(
-        "planner, order", [("related", "clustered"), ("related", "fold"), ("calibrated", "tree")]
-    )
-    def test_pairs_merge_in_plan_order_on_one_solver(self, monkeypatch, planner, order):
+    @pytest.mark.parametrize("order", ["clustered", "fold", "tree"])
+    def test_pairs_merge_in_plan_order_on_one_solver(self, monkeypatch, order):
         # One path: every pair merge runs in-process, in the order the
         # report lists it, and asks one solver whose entailment cache the
         # whole batch shares.
@@ -95,10 +92,7 @@ class TestDivideConquer:
 
         monkeypatch.setattr(divide_conquer, "merge_pair", spy)
         programs = [filt(f"q{i}", 5 * i + 3) for i in range(6)]
-        calibration = CalibratedCostModel.uniform() if planner == "calibrated" else None
-        report = consolidate_all(
-            programs, FT, order=order, config=ExecutionConfig(calibration=calibration)
-        )
+        report = consolidate_all(programs, FT, order=order)
         assert report.pair_consolidations == 5 and not report.degraded
         assert [(left, right) for left, right, _ in calls] == [
             (record.left, record.right) for record in report.pairs
@@ -119,11 +113,18 @@ class TestPairAccount:
 
     @pytest.fixture(scope="class")
     def weather(self):
+        # Mixed families: some pairs share no work and are declined.
         dataset = generate_weather(cities=12)
         return dataset, DOMAIN_QUERIES["weather"].make_batch(dataset, "Mix", n=8, seed=1)
 
-    def test_each_pair_merge_is_validated_and_derived(self, weather):
-        dataset, programs = weather
+    @pytest.fixture(scope="class")
+    def news(self):
+        # One family of boolean combinations: every pair shares work.
+        dataset = generate_news(articles=60)
+        return dataset, DOMAIN_QUERIES["news"].make_batch(dataset, "BC", n=8, seed=1)
+
+    def test_each_pair_merge_is_validated_and_derived(self, news):
+        dataset, programs = news
         report = consolidate_all(
             programs,
             dataset.functions,
@@ -131,6 +132,7 @@ class TestPairAccount:
             config=ExecutionConfig(provenance=True),
         )
         assert not report.degraded, (report.skipped_pairs, report.degradations)
+        assert report.declined == []
         assert (
             report.pair_consolidations, len(report.validations), len(report.derivations)
         ) == (7, 7, 7)
@@ -145,23 +147,22 @@ class TestPairAccount:
                 programs,
                 dataset.functions,
                 options=ConsolidationOptions(static_validate=True),
-                config=ExecutionConfig(
-                    provenance=True, calibration=CalibratedCostModel.uniform()
-                ),
+                config=ExecutionConfig(provenance=True),
             )
         pairs = report.pairs
-        assert report.pair_consolidations == len(pairs) == 7
+        assert len(pairs) == 7
         assert report.validations == [r.validation for r in pairs if r.validation]
         assert report.derivations == [r.derivation for r in pairs if r.derivation]
-        assert report.planner_decisions == [r.planner for r in pairs]
         skipped = [r for r in pairs if r.skip_reason is not None]
-        assert skipped and any(r.merged for r in pairs)
+        declined = [r for r in pairs if not r.merged and r.skip_reason is None]
+        assert skipped and declined and any(r.merged for r in pairs)
         assert report.skipped_pairs == [
             {"left": r.left, "right": r.right, "reason": r.skip_reason} for r in skipped
         ]
+        assert report.declined == [(r.left, r.right) for r in declined]
+        assert report.pair_consolidations == len(pairs) - len(declined)
         for r in pairs:
-            assert (r.planner["left"], r.planner["right"]) == (r.left, r.right)
-            assert r.merged == r.planner["merged"]
+            assert r.declined == (r in declined)
             assert r.program.pid == f"{r.left}&{r.right}"
             if r.merged:
                 tree = r.derivation

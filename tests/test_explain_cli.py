@@ -21,17 +21,20 @@ def report():
     # and the memo is process-wide: the golden is that of a cold one.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(combine, "_CHECK_CACHE", OrderedDict())
+        # The default pair is the first that shares work: q2 and q5 both
+        # read monthly_rainfall(@row, 12).
         return explain_batch("weather", dataset=dataset, rows=60, n=6, seed=1)
 
 
 class TestExplainBatch:
     def test_report_shape(self, report):
-        assert report.pair_pids == ("q0", "q1")
-        assert report.merged_pid == "q0&q1"
+        assert report.pair_pids == ("q2", "q5")
+        assert report.merged_pid == "q2&q5"
+        assert report.declined == []
         assert len(report.derivations) == 1
-        assert report.derivations[0].merged == "q0&q1"
+        assert report.derivations[0].merged == "q2&q5"
         assert report.rule_counts and all(v > 0 for v in report.rule_counts.values())
-        assert report.validation["merged"] == "q0&q1"
+        assert report.validation["merged"] == "q2&q5"
         operators = {a.operator for a in report.attributions}
         assert operators == {"whereMany[2]", "whereConsolidated[2]"}
         assert report.udf_cost_consolidated <= report.udf_cost_many
@@ -42,6 +45,26 @@ class TestExplainBatch:
         assert sources - {"smt"}, "the batch answers no entailment without the solver"
         hotspots = report.slowest_entailments(by_time=by_time)
         assert hotspots and {e.source for e in hotspots} == {"smt"}
+
+    def test_a_pair_sharing_no_work_is_declined_and_named(self):
+        # q0 reads monthly_avg_temp(@row, 1) and q1 (@row, 12): nothing to
+        # share, so no calculus runs and every rendering says so.
+        dataset = generate_weather(cities=12)
+        declined = explain_batch(
+            "weather", pair=(0, 1), dataset=dataset, rows=20, n=6, seed=1
+        )
+        assert declined.declined == [("q0", "q1")]
+        assert declined.derivations == [] and declined.rule_counts == {}
+        assert declined.validation["merged"] == "q0&q1"
+        assert declined.udf_cost_consolidated == declined.udf_cost_many
+        assert "declined (nothing shared; composed with no calculus run):\n  q0 ⊗ q1" in (
+            render_text(declined)
+        )
+        assert json.loads(render_json(declined))["declined"] == [["q0", "q1"]]
+        assert "q0 ⊗ q1 declined" in render_html(declined)
+        assert "declined" not in render_json(
+            explain_batch("weather", dataset=dataset, rows=20, n=6, seed=1)
+        )
 
     def test_bad_arguments_raise_value_error(self):
         dataset = generate_weather(cities=12)
@@ -92,7 +115,7 @@ class TestExplainCli:
         artifact = tmp_path / "explain.json"
         rc = main(
             [
-                "explain", "--domain", "weather", "--pair", "0,1",
+                "explain", "--domain", "weather", "--pair", "2,5",
                 "--format", "html", "--rows", "50",
                 "--out", str(out), "--metrics-out", str(artifact),
             ]
@@ -104,8 +127,8 @@ class TestExplainCli:
         assert "Cost attribution" in html
         doc = json.loads(artifact.read_text())
         (row,) = doc["rows"]
-        assert row["pair"] == ["q0", "q1"]
-        assert row["merged"] == "q0&q1"
+        assert row["pair"] == ["q2", "q5"]
+        assert row["merged"] == "q2&q5"
         assert row["rule_counts"]
 
     def test_prometheus_artifact_carries_provenance_series(self, tmp_path, capsys):
@@ -125,8 +148,17 @@ class TestExplainCli:
         rc = main(["explain", "--domain", "weather", "--rows", "30"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "explain weather/Mix pair q0+q1" in out
+        # The default pair is the first that shares work, so the report
+        # shows the calculus at work rather than a decline.
+        assert "explain weather/Mix pair q2+q5" in out
+        assert "derivation q2 ⊗ q5 → q2&q5" in out
+        assert "rule applications:" in out and "declined" not in out
         assert "cost attribution" in out
+        rc = main(["explain", "--domain", "weather", "--rows", "30", "--pair", "0,1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        # q0 and q1 read two different months: nothing to share.
+        assert "declined (nothing shared; composed with no calculus run):\n  q0 ⊗ q1" in out
 
     def test_bad_pair_exits(self, capsys):
         with pytest.raises(SystemExit, match="bad --pair"):

@@ -18,7 +18,8 @@ Key claims under test:
 
 import pytest
 
-from repro.consolidation import ConsolidationOptions, add_query, consolidate_all, merge_pair
+from repro.consolidation import ConsolidationOptions, add_query, consolidate_all
+from repro.consolidation.algorithm import Consolidator
 from repro.datasets import generate_twitter, generate_weather
 from repro.lang import visitors
 from repro.lang.ast import QUALIFIER
@@ -39,7 +40,8 @@ def twitter_q2():
 
 
 def test_each_leaf_is_qualified_once_per_batch(monkeypatch):
-    # Family seed 7 draws eight distinct UDFs: every leaf meets the calculus.
+    # Family seed 7 draws eight distinct UDFs: every leaf enters a pair
+    # step (none rides), though some of those pairs are declined.
     dataset = generate_twitter(tweets=400)
     programs = DOMAIN_QUERIES["twitter"].make_batch(dataset, "Q2", 8, 7)
     functions = dataset.functions
@@ -51,7 +53,7 @@ def test_each_leaf_is_qualified_once_per_batch(monkeypatch):
         visitors, "rename_vars", lambda s, renaming: renames.append(renaming) or real(s, renaming)
     )
     report = consolidate_all(programs, functions)
-    assert report.pair_consolidations == 7
+    assert len(report.pairs) == 7 and report.rides == []
     # The α-grouping canonicalizes each leaf once (locals → _c0, _c1, …).
     canonical = [r for r in renames if r == {n: f"_c{i}" for i, n in enumerate(r)}]
     assert len(canonical) == len(programs)
@@ -79,31 +81,37 @@ def test_every_local_of_a_merged_program_is_leaf_qualified(twitter_q2):
     assert "q1.t0 := sentiment_score(@row, 0);" in program_to_str(report.program)
 
 
-def test_solver_cache_answers_the_rewalk_of_a_merged_program(twitter_q2):
-    programs, functions = twitter_q2
-    report = consolidate_all(programs, functions)
+def test_solver_cache_answers_the_rewalk_of_a_merged_program():
+    # Family seed 1: the second level merges programs that share work (at
+    # family seed 0 those pairs share none and are declined, so no merged
+    # program is re-walked).
+    dataset = generate_twitter(tweets=400)
+    programs = DOMAIN_QUERIES["twitter"].make_batch(dataset, "Q2", 8, 1)
+    report = consolidate_all(programs, dataset.functions)
     assert report.solver_stats["cache_hits"] > 0
 
 
 def test_weather_mix_root_merge_applies_if3():
-    """The golden weather Mix batch (clustered, ``related``): with its
-    α-copy ``q7`` merged by the calculus, probing the six ``related``
-    pairs in name order alone picked If 4 at the root.  The driver now
-    rides ``q7`` on ``q1``; the calculus plan it replaced is rebuilt here
-    pair by pair."""
+    """The golden weather Mix batch (clustered): with its α-copy ``q7``
+    merged by the calculus, probing the six ``related`` pairs in name order
+    alone picked If 4 at the root.  The driver now rides ``q7`` on ``q1``
+    and declines its root pair, which shares no work; the calculus plan it
+    replaced is rebuilt here pair by pair, by the calculus itself (the pair
+    step would decline ``q2``/``q3`` and ``q6``/``q0``)."""
 
     dataset = generate_weather(cities=20)
     programs = DOMAIN_QUERIES["weather"].make_batch(dataset, "Mix", n=8, seed=3)
     report = consolidate_all(programs, dataset.functions)
     assert report.riders == {"q7": "q1"}
-    assert [r for r in report.pairs[-1].rules if r.startswith("If")][0] == "If4"
+    assert report.pairs[-1].declined
 
     leaf = {p.pid: qualify_locals(p) for p in programs}
     solver = Solver()
 
     def merge(a, b):
-        options = ConsolidationOptions()
-        return merge_pair(a, b, dataset.functions, DEFAULT_COST_MODEL, options, solver)
+        worker = Consolidator(dataset.functions, DEFAULT_COST_MODEL, ConsolidationOptions(), solver)
+        worker.consolidate(a, b)
+        return worker.record
 
     def quad(w, x, y, z):
         return merge(merge(leaf[w], leaf[x]).program, merge(leaf[y], leaf[z]).program).program

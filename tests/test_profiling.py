@@ -1,10 +1,8 @@
-"""The profiling → calibration → planner pipeline (repro.profiling).
+"""The profiling → calibration pipeline (repro.profiling).
 
 Covers the trace store's schema discipline, golden weight recovery and
-byte-identical determinism of the fitter, the profiler driving every
-rung of the execution ladder, the cost-driven planner's
-features and decisions (including the loop-shape axis and the SMT
-budget), and semantics parity between planners end to end.
+byte-identical determinism of the fitter, and the profiler driving every
+rung of the execution ladder.
 """
 
 import json
@@ -12,8 +10,6 @@ import random
 
 import pytest
 
-from repro.config import ExecutionConfig
-from repro.consolidation import consolidate_all
 from repro.datasets import generate_weather
 from repro.lang.builder import (
     add,
@@ -24,16 +20,13 @@ from repro.lang.builder import (
     gt,
     ite_notify,
     le,
-    lt,
     program,
     var,
     while_,
 )
 from repro.lang.compile import make_runner
-from repro.lang.cost import DEFAULT_COST_MODEL, cost_model_from_weights
-from repro.naiad.linq import from_collection, run_where_consolidated, run_where_many
+from repro.lang.cost import cost_model_from_weights
 from repro.profiling import (
-    OP_KINDS,
     RECORD_KIND,
     TRACE_SCHEMA_VERSION,
     CalibratedCostModel,
@@ -41,13 +34,10 @@ from repro.profiling import (
     TraceSample,
     TraceStore,
     fit_calibration,
-    pair_savings,
-    plan_level,
     program_units,
     read_trace,
     trace_fingerprint,
 )
-from repro.queries import DOMAIN_QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +286,6 @@ class TestCalibration:
         assert model.confidence("cmp") == "high"
         assert model.confidence("logic") == "low"  # no support at all
 
-    def test_uniform_fallback(self):
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        assert model.source == "uniform"
-        assert model.staleness_seconds() == 0.0
-        p = _cmp_program("q", "f", 1, 5)
-        assert model.predict_program_seconds(p) > 0.0
-
     def test_cost_model_seam(self):
         # Planted weights normalized to the reference kind give back an
         # integer Figure-2 model through the repro.lang.cost seam.
@@ -417,272 +400,3 @@ class TestProfiler:
         p = _cmp_program("q0", "monthly_avg_temp", 6, 50)
         with pytest.raises(ValueError, match="workers"):
             Profiler(store).profile(p, weather.functions, weather.rows, workers=0)
-
-
-# ---------------------------------------------------------------------------
-# the cost-driven planner
-# ---------------------------------------------------------------------------
-
-
-class TestPlanner:
-    def test_loop_shape_predicts_fusion_savings(self, weather):
-        # Q3/Q4-shaped loops over *different* accessors share no call or
-        # cmp feature, but their `while (m <= 12)` shapes match — SMT
-        # loop fusion dedups the loop control, so the planner must see
-        # positive savings (the regression that motivated the axis).
-        a = _loop_program("qa", "monthly_avg_temp", 40)
-        b = _loop_program("qb", "monthly_rainfall", 80)
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        plan = plan_level([a, b], weather.functions, model)
-        (decision,) = plan.decisions
-        assert decision.merge is True
-        assert decision.predicted_savings > 0.0
-
-    def test_disjoint_pair_is_skipped(self, weather):
-        a = _cmp_program("qa", "monthly_avg_temp", 6, 50)
-        b = _cmp_program("qb", "monthly_rainfall", 2, 80)
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        plan = plan_level([a, b], weather.functions, model)
-        (decision,) = plan.decisions
-        assert decision.merge is False
-        assert decision.predicted_savings == 0.0
-
-    def test_highest_savings_pairs_match_first(self, weather):
-        loop_a = _loop_program("qa", "monthly_avg_temp", 40)
-        loop_b = _loop_program("qb", "monthly_avg_temp", 60)
-        cmp_c = _cmp_program("qc", "monthly_avg_temp", 6, 50)
-        cmp_d = _cmp_program("qd", "monthly_avg_temp", 6, 80)
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        plan = plan_level(
-            [cmp_c, loop_a, cmp_d, loop_b], weather.functions, model
-        )
-        merged = [(d.left, d.right) for d in plan.decisions if d.merge]
-        # The two loops (indices 1, 3) share far more predicted seconds
-        # than the two comparisons, so they pair first.
-        assert merged[0] == (1, 3)
-        assert (0, 2) in merged
-        assert plan.carried == ()
-
-    def test_plan_is_deterministic(self, weather):
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=9, seed=5
-        )
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        a = plan_level(programs, weather.functions, model)
-        b = plan_level(programs, weather.functions, model)
-        assert a == b
-        assert len(a.carried) == 1  # odd program carried, never dropped
-
-    def test_pair_savings_is_symmetric(self):
-        a = {("call", "f"): 3.0, ("cmp", "x"): 1.0}
-        b = {("call", "f"): 2.0, ("loop", "s"): 5.0}
-        assert pair_savings(a, b) == pair_savings(b, a) == 2.0
-
-
-# ---------------------------------------------------------------------------
-# planner end to end: semantics parity, budget, provenance, config
-# ---------------------------------------------------------------------------
-
-# The calibrated planner's model without a trace: the static Figure-2 priors.
-CALIBRATED = ExecutionConfig(calibration=CalibratedCostModel.uniform())
-
-
-class TestPlannerEndToEnd:
-    def test_calibrated_planner_preserves_buckets(self, weather):
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=10, seed=2
-        )
-        rows = list(weather.rows[:80])
-        config = CALIBRATED
-        many = run_where_many(rows, programs, weather.functions, config=config)
-        planned, report = run_where_consolidated(
-            rows, programs, weather.functions, config=config
-        )
-        assert planned.buckets == many.buckets
-        assert planned.metrics.udf_cost <= many.metrics.udf_cost
-        assert report.planner == "calibrated"
-        assert report.planner_decisions, "planner recorded no decisions"
-        for decision in report.planner_decisions:
-            assert set(decision) >= {
-                "left",
-                "right",
-                "merged",
-                "predicted_savings_seconds",
-                "observed_savings_seconds",
-                "mispredicted",
-                "used_smt",
-            }
-
-    def test_skipping_pairs_costs_the_merged_plan_nothing(self, weather):
-        """The planner's pitch in cost units: on the batch it was validated on
-        it declines pairs, and the merged plan runs no dearer than ``related``'s."""
-
-        programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Mix", n=24, seed=3)
-        pids = [p.pid for p in programs]
-        rows = list(weather.rows[:50])
-        many = run_where_many(rows, programs, weather.functions)
-        costs, reports = {}, {}
-        for planner, config in (("related", ExecutionConfig()), ("calibrated", CALIBRATED)):
-            reports[planner] = consolidate_all(programs, weather.functions, config=config)
-            result = (
-                from_collection(rows)
-                .where_consolidated(reports[planner].program, pids, weather.functions)
-                .run()
-            )
-            assert result.buckets == many.buckets, planner
-            costs[planner] = result.metrics.udf_cost
-        assert any(not d["merged"] for d in reports["calibrated"].planner_decisions)
-        assert costs["calibrated"] <= costs["related"]
-
-    def test_related_planner_records_no_decisions(self, weather):
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=4, seed=2
-        )
-        report = consolidate_all(programs, weather.functions)
-        assert report.planner == "related"
-        assert report.planner_decisions == []
-
-    def test_no_smt_options_merge_without_the_solver(self, weather):
-        from repro.consolidation import ConsolidationOptions
-
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=8, seed=2
-        )
-        report = consolidate_all(
-            programs,
-            weather.functions,
-            options=ConsolidationOptions(use_smt=False),
-            config=CALIBRATED,
-        )
-        merges = [d for d in report.planner_decisions if d["merged"]]
-        assert merges
-        assert all(not d["used_smt"] for d in merges)
-        assert report.solver_stats["checks"] == 0
-        # A syntactic-only merge is still a sound merge.
-        rows = list(weather.rows[:40])
-        many = run_where_many(rows, programs, weather.functions)
-        cfg = ExecutionConfig()
-        result = (
-            from_collection(rows, config=cfg)
-            .where_consolidated(
-                report.program, [p.pid for p in programs], weather.functions
-            )
-            .run(cfg)
-        )
-        assert result.buckets == many.buckets
-
-    def test_planner_decisions_land_in_provenance(self, weather):
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=8, seed=2
-        )
-        report = consolidate_all(
-            programs,
-            weather.functions,
-            config=CALIBRATED.evolve(provenance=True),
-        )
-        heuristics = [
-            h
-            for tree in report.derivations
-            for h in tree.root.heuristics
-            if h.kind == "planner"
-        ]
-        assert heuristics, "no planner heuristic recorded on any derivation"
-        assert all("predicted=" in h.detail for h in heuristics)
-
-    def test_failed_merge_is_skipped_not_mispredicted(self, weather):
-        """A planned merge that raised observed nothing, so it mispredicted
-        nothing: its decision is a skip that carries the reason."""
-
-        from repro.consolidation import divide_conquer
-        from repro.telemetry import Telemetry
-        from repro.testing.faults import fault_hook
-
-        def crash(site, payload):
-            if site == "consolidate.pair":
-                raise RuntimeError("injected pair-merge crash")
-
-        programs = DOMAIN_QUERIES["weather"].make_batch(weather, "Q1", n=2, seed=2)
-        telemetry = Telemetry.capture()
-        with fault_hook(divide_conquer, crash):
-            report = consolidate_all(
-                programs,
-                weather.functions,
-                config=CALIBRATED.evolve(telemetry=telemetry),
-            )
-        (skip,) = report.skipped_pairs
-        (decision,) = report.planner_decisions
-        assert decision["predicted_savings_seconds"] > 0  # the planner asked for this merge
-        assert decision["merged"] is False
-        assert decision["mispredicted"] is False
-        assert decision["skip_reason"] == skip["reason"]
-        assert (decision["left"], decision["right"]) == (skip["left"], skip["right"])
-        counter = telemetry.metrics.counter
-        assert counter("planner_mispredictions_total").value == 0
-        assert counter("planner_skips_total").value == 1
-        assert counter("consolidation_skipped_pairs_total").value == 1
-
-    def test_explain_carries_planner_section(self, weather):
-        from repro.provenance import explain_batch, render_text
-
-        report = explain_batch(
-            "weather",
-            pair=(0, 1),
-            family="Mix",
-            n=4,
-            seed=1,
-            rows=10,
-            calibration=CalibratedCostModel.uniform(),
-        )
-        assert report.planner == "calibrated"
-        assert report.planner_decisions
-        text = render_text(report)
-        assert "planner (calibrated):" in text
-        assert "predicted" in text
-        assert report.to_dict()["planner"] == "calibrated"
-
-    def test_config_validation(self):
-        # The model is the planner choice: there is no planner name to get
-        # wrong, and anything but a model (or None) is refused.
-        with pytest.raises(TypeError, match="unexpected keyword argument 'planner'"):
-            ExecutionConfig(planner="calibrated")
-        with pytest.raises(TypeError, match="CalibratedCostModel or None, got str"):
-            ExecutionConfig(calibration="calibrated")
-
-    def test_a_calibration_alone_runs_the_calibrated_planner(self):
-        # A model without a planner name used to be ignored: `related` ran
-        # (0 planner decisions on flight Mix n = 8) and the report said so.
-        from repro.datasets import generate_flights
-
-        flights = generate_flights(airlines=12)
-        programs = DOMAIN_QUERIES["flight"].make_batch(flights, "Mix", n=8, seed=1)
-        report = consolidate_all(programs, flights.functions, config=CALIBRATED)
-        assert report.planner == "calibrated"
-        assert len(report.planner_decisions) == 7
-
-    @pytest.mark.parametrize("order", ["fold", "priority"])
-    def test_calibrated_planner_rejects_fold_orders(self, weather, order):
-        # The calibrated planner plans tree levels; a fold has none.  The
-        # combination used to run the plain fold while the report claimed
-        # "calibrated" — now it is refused with the other preconditions.
-        programs = DOMAIN_QUERIES["weather"].make_batch(
-            weather, "Mix", n=3, seed=1
-        )
-        with pytest.raises(ValueError, match=rf"calibrated planner.*order='{order}'"):
-            consolidate_all(programs, weather.functions, order=order, config=CALIBRATED)
-
-    def test_registry_metrics_doc_reports_calibration(self, weather):
-        from repro.service.registry import QueryRegistry
-
-        model = CalibratedCostModel.uniform(DEFAULT_COST_MODEL)
-        registry = QueryRegistry(
-            weather.functions,
-            config=ExecutionConfig(calibration=model),
-        )
-        doc = registry.metrics_doc()
-        assert doc["planner"] == "calibrated"
-        assert doc["calibration_source"] == "uniform"
-        assert doc["calibration_staleness_seconds"] == 0.0
-        assert doc["planner_merges_total"] == 0
-        plain = QueryRegistry(weather.functions).metrics_doc()
-        assert plain["planner"] == "related"
-        assert not [key for key in plain if key.startswith("calibration")]

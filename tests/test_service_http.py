@@ -31,6 +31,8 @@ from repro.service import (
 )
 from repro.testing.generator import alpha_copy
 
+from .helpers import shared_batch
+
 
 @pytest.fixture(scope="module")
 def weather():
@@ -57,6 +59,14 @@ def weather_sources(dataset, n=4, family="Q1", seed=3):
     return [program_to_str(p) for p in batch], [p.pid for p in batch]
 
 
+def shared_sources(n):
+    """Sources of ``n`` queries whose every pair shares work, so each
+    registration after the first merges."""
+
+    batch = shared_batch(n)
+    return [program_to_str(p) for p in batch], [p.pid for p in batch]
+
+
 # ---------------------------------------------------------------------------
 # typed results
 
@@ -66,7 +76,7 @@ def test_health_and_register_return_typed_objects(client, weather):
     assert isinstance(health, HealthInfo)
     assert health.status == "ok"
 
-    sources, pids = weather_sources(weather, n=2)
+    sources, pids = shared_sources(2)
     result = client.register(sources[0], tenant="acme")
     assert isinstance(result, RegisterResult)
     assert result.query.pid == pids[0]
@@ -84,7 +94,7 @@ def test_health_and_register_return_typed_objects(client, weather):
 
 
 def test_run_returns_buckets_and_costs(client, weather):
-    sources, pids = weather_sources(weather, n=3)
+    sources, pids = shared_sources(3)
     for source in sources:
         client.register(source)
     result = client.run(list(weather.rows[:40]))
@@ -237,3 +247,27 @@ def test_concurrent_clients_stress(server, weather):
     )
     result = client.run(list(weather.rows[:30]))
     assert set(result.buckets) <= set(plan.pids)
+
+
+# ---------------------------------------------------------------------------
+# /metrics
+
+
+def test_metrics_serve_the_registry_counters_in_both_formats(client, server, weather):
+    import urllib.request
+
+    sources, _ = weather_sources(weather, n=2)
+    for source in sources:
+        client.register(source)
+    doc = client.metrics()
+    assert doc["registered_total"] == 2
+    # Counters only: there is no planner to name and no model to age.
+    assert all(type(value) is int for value in doc.values()), doc
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{server.port}/metrics", headers={"Accept": "text/plain"}
+    )
+    with urllib.request.urlopen(request) as response:
+        text = response.read().decode()
+    assert "# TYPE service_registered_total counter" in text
+    assert "service_registered_total 2" in text
+    assert "planner" not in text and "calibration" not in text and "service_info" not in text

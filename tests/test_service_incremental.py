@@ -35,6 +35,8 @@ from repro.service import QueryRegistry
 from repro.testing.faults import fault_hook
 from repro.testing.generator import case_inputs, generate_case, schema_dataset
 
+from .helpers import shared_batch
+
 
 @pytest.fixture(scope="module")
 def weather():
@@ -149,10 +151,12 @@ def test_random_registration_orders_equivalent(schema, seed):
 def test_single_patch_beats_full_reconsolidation_on_50_queries(weather):
     programs = weather_batch(weather, n=50, family="Mix", seed=7)
     tree, full_report = rebuild(programs, weather.functions)
-    # One provenance derivation per pair merge is the counting instrument.
-    # 18 of the 50 are α-copies: they ride on their representatives, so
-    # the calculus merges the 32 distinct UDFs with 31 pair merges.
-    assert len(full_report.derivations) == full_report.pair_consolidations == 31
+    # One provenance derivation per calculus merge is the counting
+    # instrument.  18 of the 50 are α-copies: they ride on their
+    # representatives, so the batch pairs the 32 distinct UDFs 31 times;
+    # 7 of those pairs share no work and are declined, with no derivation.
+    assert len(full_report.pairs) == 31 and len(full_report.declined) == 7
+    assert len(full_report.derivations) == full_report.pair_consolidations == 31 - 7
     assert len(full_report.rides) == 18
 
     extra = weather_batch(weather, n=51, family="Q1", seed=7)[50]
@@ -193,9 +197,9 @@ def explode(site, payload):
 
 
 def test_patch_fault_keeps_the_pair_unmerged(weather):
-    programs = weather_batch(weather, n=3)
-    tree, _ = rebuild(programs, weather.functions)
-    extra = weather_batch(weather, n=4)[3]
+    programs = shared_batch(4)
+    tree, _ = rebuild(programs[:3], weather.functions)
+    programs, extra = programs[:3], programs[3]
 
     with fault_hook(divide_conquer, explode):
         patch = add_query(tree, extra, weather.functions)
@@ -237,9 +241,9 @@ def _rebalance(registry, programs):
 
 @pytest.mark.parametrize("mutate", [_graft, _path_remerge, _rebalance])
 def test_registry_keeps_faulted_pairs_unmerged(weather, mutate):
-    # Q1 at n=8 has no α-copy, so the eighth graft is the one that trips
+    # The batch has no α-copy, so the eighth graft is the one that trips
     # the depth bound (8 > 2 · ⌈log₂ 8⌉ + 1).
-    programs = weather_batch(weather, n=8)
+    programs = shared_batch(8)
     registry = QueryRegistry(weather.functions)
     live = mutate(registry, programs)
 
@@ -257,7 +261,7 @@ def test_registry_keeps_faulted_pairs_unmerged(weather, mutate):
 def test_registry_keeps_serving_after_a_faulted_pair(weather):
     # A pair kept unmerged is an ordinary node of the tree: later patches
     # graft above it and re-merge the path through it without a fault.
-    programs = weather_batch(weather, n=6)
+    programs = shared_batch(6)
     registry = QueryRegistry(weather.functions)
     live = _graft(registry, programs)
     assert registry.stats["patch_fallbacks"] == 1

@@ -40,6 +40,8 @@ from repro.service import (
 )
 from repro.service.registry import PLAN_CACHE_SIZE, REBALANCE_FACTOR
 
+from .helpers import shared_batch
+
 
 @pytest.fixture(scope="module")
 def weather():
@@ -144,7 +146,7 @@ def test_admission_warning_policy(weather):
 
 def test_register_patches_incrementally(weather):
     registry = QueryRegistry(weather.functions)
-    for program in weather_batch(weather):
+    for program in shared_batch(4):
         registry.register(program)
     assert len(registry) == 4
     # After the second registration every add is exactly one pair merge.
@@ -214,7 +216,7 @@ def test_last_patch_describes_a_plan_cache_hit(weather):
     # patch), re-register it (a cache hit).  The hit produced the live
     # tree, so it is what last_patch — and /v1/explain — must describe.
     registry = QueryRegistry(weather.functions)
-    batch = weather_batch(weather, n=3)
+    batch = shared_batch(3)
     for program in batch:
         registry.register(program)
     registry.unregister(batch[1].pid)
@@ -237,7 +239,7 @@ def test_last_patch_describes_a_plan_cache_hit(weather):
 
 
 def test_explain_certifies_only_validated_patches(weather):
-    batch = weather_batch(weather, n=2)
+    batch = shared_batch(2)
     registry = QueryRegistry(weather.functions)
     for program in batch:
         registry.register(program)
@@ -268,7 +270,7 @@ def register_until_rebalance(registry, programs):
 
 def test_explain_certifies_a_validated_rebalance(weather):
     registry = QueryRegistry(weather.functions)
-    register_until_rebalance(registry, weather_batch(weather, n=8))
+    register_until_rebalance(registry, shared_batch(8))
     last = registry.explain()["last_patch"]
     assert last["fallback"].startswith("rebalance") and last["pair_merges"] > 1
     assert last["validated"] == last["pair_merges"] >= 1
@@ -277,7 +279,7 @@ def test_explain_certifies_a_validated_rebalance(weather):
     unchecked = QueryRegistry(
         weather.functions, service=ServiceConfig(static_validate_patches=False)
     )
-    register_until_rebalance(unchecked, weather_batch(weather, n=8))
+    register_until_rebalance(unchecked, shared_batch(8))
     last = unchecked.explain()["last_patch"]
     assert last["fallback"].startswith("rebalance")
     assert (last["certified"], last["validated"]) == (None, 0)
@@ -324,7 +326,7 @@ def test_rebalancing_register_merges_once(weather):
     # that trips the bound pays the rebuild's n - 1 merges, not a graft the
     # rebuild then throws away.
     registry = QueryRegistry(weather.functions)
-    before = register_until_rebalance(registry, weather_batch(weather, n=8))
+    before = register_until_rebalance(registry, shared_batch(8))
     patch = registry.last_patch
     assert patch.fallback.startswith("rebalance: depth 8 exceeded")
     n = len(registry)
@@ -337,16 +339,47 @@ def test_rebalancing_register_merges_once(weather):
 
 def test_explain_shape(weather):
     registry = QueryRegistry(weather.functions)
-    for program in weather_batch(weather, n=3):
+    for program in shared_batch(3):
         registry.register(program)
     doc = registry.explain()
     assert doc["queries"] == 3
     assert doc["tree"] is not None
     assert doc["last_patch"]["action"] == "add"
     assert doc["last_patch"]["pair_merges"] == 1
+    assert doc["last_patch"]["declined"] == []
     assert doc["last_patch"]["derivations"]["pairs"] == 1
     assert doc["last_patch"]["derivations"]["rules"]
     assert doc["cache"]["misses"] >= 1
+
+
+def test_explain_names_a_declined_graft(weather):
+    # q0 reads monthly_avg_temp(@row, 7) and q1 (@row, 6): nothing shared.
+    registry = QueryRegistry(weather.functions)
+    q0, q1 = weather_batch(weather, n=2)
+    registry.register(q0)
+    registry.register(q1)
+    last = registry.explain()["last_patch"]
+    assert last["pair_merges"] == 0 and last["declined"] == [["q0", "q1"]]
+    assert (last["certified"], last["validated"], last["derivations"]["pairs"]) == (None, 0, 0)
+    assert registry.stats["patch_fallbacks"] == 0
+    assert registry.stats["pair_merges_total"] == 0
+    assert registry.stats["incremental_patches"] == 1  # the graft is still a patch
+
+
+def test_a_rebalance_with_declines_validates_every_merge(weather):
+    # weather_batch mixes months: the rebuild declines some pairs and
+    # merges others, and only the merges are counted, validated and derived.
+    registry = QueryRegistry(weather.functions)
+    before = register_until_rebalance(registry, weather_batch(weather, n=8))
+    patch, last = registry.last_patch, registry.explain()["last_patch"]
+    assert last["fallback"].startswith("rebalance")
+    assert last["declined"] and last["pair_merges"] >= 1
+    assert len(patch.pairs) == len(registry) - 1
+    assert last["pair_merges"] == len(patch.pairs) - len(last["declined"])
+    assert last["validated"] == last["derivations"]["pairs"] == last["pair_merges"]
+    assert last["certified"] is True
+    merged = registry.stats["pair_merges_total"] - before["pair_merges_total"]
+    assert merged == last["pair_merges"]
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,11 @@ def test_an_equality_under_an_empty_path_condition_keeps_the_solver_verdict(
         return verdict
 
     monkeypatch.setattr(Context, "provably_equal", compared)
-    report = consolidate_all(list(programs), functions, config=ExecutionConfig(workers=1))
+    # The balanced tree over the batch as given: its merges ask equalities
+    # under Ψ = true that the rule refutes; the clustered order's ask none.
+    report = consolidate_all(
+        list(programs), functions, order="tree", config=ExecutionConfig(workers=1)
+    )
     assert not report.skipped_pairs
     assert False in answers, "the batch asked no equality the rule refutes"
 

@@ -184,6 +184,30 @@ class TestPrometheus:
         assert 'path="a\\nb"' in text
         assert "\n\n" not in text  # no literal newline leaked into a label
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "calibration_r2",
+            "calibration_staleness_seconds",
+            "planner_mispredictions_total",
+            "planner_pairs_total",
+            "planner_predicted_savings_seconds",
+            "planner_skips_total",
+            "service_calibration_fitted_at",
+            "service_calibration_staleness_seconds",
+            "service_info",
+            "service_planner_merges_total",
+            "service_planner_mispredictions_total",
+            "service_planner_skips_total",
+        ],
+    )
+    def test_the_calibrated_planner_families_are_gone(self, family):
+        # 12.0.0: one pairing planner; its pair step counts what it declines.
+        from repro.telemetry.sinks import HELP_TEXTS
+
+        assert family not in HELP_TEXTS
+        assert "consolidation_declined_pairs_total" in HELP_TEXTS
+
     def test_help_escaping_differs_from_label_escaping(self):
         # HELP text escapes backslash and newline but NOT double quotes.
         from repro.telemetry.sinks import HELP_TEXTS

@@ -15,23 +15,22 @@ unchanged), and when α-copies came to ride on their representative
 instead of entering the calculus (only the weather rows changed: ``q7``
 is an α-copy of ``q1``, the only copy in the five batches), and when the
 chain of ride nodes became one ride node with a rider map (only the
-shapes that hold riders changed; every program and digest is the same).
+shapes that hold riders changed; every program and digest is the same),
+and when the pair step came to decline pairs that share no work and the
+calibrated planner went (its rows were dropped; CHANGES.md lists each
+plan's cost before and after).
 
-Per domain, one mixed family at n=8 is consolidated under
-
-* ``order`` ∈ {clustered, tree, fold, priority} with the ``related`` planner;
-* ``order`` ∈ {clustered, tree} with the ``calibrated`` planner on the
-  static-prior ``uniform()`` model;
-
-and one add/remove script runs through ``repro.consolidation.incremental``.
+Per domain, one mixed family at n=8 is consolidated under each ``order`` ∈
+{clustered, tree, fold, priority}, and one add/remove script runs through
+``repro.consolidation.incremental``.
 Weather's bounded-loop family ``Q3`` is consolidated too (``loop_plans``,
 n=8, two batch seeds, the ``clustered`` and ``fold`` orders): its merges
 fuse loops (Loop 2), so they pin the loop-invariant path of the calculus.
 Those rows were added by running this script at the commit before the
 context became a symbolic store, with every other row unchanged.
 Every recorded field is a pure function of the inputs: program text, pair
-counts, tree shapes and the planner's ``(left, right, merged, used_smt)``
-projection — no durations, no predicted seconds.
+merge counts (declined pairs excluded), tree shapes and the ``(left,
+right)`` of each declined pair — no durations.
 
 Regenerate only when a change is *meant* to alter plans::
 
@@ -48,12 +47,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.config import ExecutionConfig  # noqa: E402
 from repro.consolidation import add_query, consolidate_all, rebuild, remove_query  # noqa: E402
 from repro.experiments.figure9 import make_datasets  # noqa: E402
 from repro.lang.printer import program_to_str  # noqa: E402
 from repro.lang.visitors import canonicalize  # noqa: E402
-from repro.profiling import CalibratedCostModel  # noqa: E402
 from repro.queries import DOMAIN_QUERIES  # noqa: E402
 
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "consolidation_plans.json"
@@ -73,8 +70,6 @@ LOOP_FAMILY = ("weather", "Q3")
 LOOP_SEEDS = (1, 3)
 LOOP_ORDERS = ("clustered", "fold")
 ORDERS = ("clustered", "tree", "fold", "priority")
-# The calibrated planner applies to the tree orders only.
-TREE_ORDERS = ("clustered", "tree")
 
 
 def batches() -> dict:
@@ -108,7 +103,7 @@ def loop_batches() -> dict:
 
 def loop_plans() -> list:
     return [
-        {"seed": seed, "order": order, **plan_record(programs, functions, order, "related")}
+        {"seed": seed, "order": order, **plan_record(plan_report(programs, functions, order))}
         for seed, (programs, functions) in loop_batches().items()
         for order in LOOP_ORDERS
     ]
@@ -121,33 +116,27 @@ def priority_of(programs) -> list:
     return [programs[-1].pid, programs[2].pid]
 
 
-def plan_record(programs, functions, order, planner) -> dict:
-    """Consolidate one batch and project the report onto its plan.
+def plan_report(programs, functions, order):
+    """Consolidate one batch as its golden row does, keeping the merge tree."""
 
-    ``planner`` is the file's column: ``"calibrated"`` plans with the
-    ``uniform()`` model, ``"related"`` with no calibration.
-    """
-
-    config = ExecutionConfig(
-        calibration=CalibratedCostModel.uniform() if planner == "calibrated" else None
-    )
-    report = consolidate_all(
+    return consolidate_all(
         list(programs),
         functions,
         order=order,
         priority=priority_of(programs) if order == "priority" else None,
         keep_tree=True,
-        config=config,
     )
+
+
+def plan_record(report) -> dict:
+    """Project a batch's report onto its plan."""
+
     return {
         "program": program_to_str(report.program),
         "pair_consolidations": report.pair_consolidations,
         "tree_depth": report.tree_depth,
         "shape": report.merge_tree.shape(),
-        "planner_decisions": [
-            [d["left"], d["right"], d["merged"], d["used_smt"]]
-            for d in report.planner_decisions
-        ],
+        "declined": [list(pair) for pair in report.declined],
     }
 
 
@@ -194,16 +183,8 @@ def build() -> dict:
     incremental = {}
     for domain, (programs, functions) in batches().items():
         for order in ORDERS:
-            planners = ("related", "calibrated") if order in TREE_ORDERS else ("related",)
-            for planner in planners:
-                plans.append(
-                    {
-                        "domain": domain,
-                        "order": order,
-                        "planner": planner,
-                        **plan_record(programs, functions, order, planner),
-                    }
-                )
+            record = plan_record(plan_report(programs, functions, order))
+            plans.append({"domain": domain, "order": order, **record})
         incremental[domain] = incremental_record(programs, functions)
     return {
         "families": MIXED_FAMILY,

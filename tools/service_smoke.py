@@ -116,7 +116,6 @@ def check_metrics(port: int) -> None:
         )
         doc = json.loads(response.read())
     assert doc["registered_total"] >= 1, doc
-    assert "planner" in doc, doc
 
     request = urllib.request.Request(url, headers={"Accept": "text/plain"})
     with urllib.request.urlopen(request) as response:
@@ -126,7 +125,6 @@ def check_metrics(port: int) -> None:
         text = response.read().decode()
     assert "# TYPE service_registered_total counter" in text, text
     assert f'service_registered_total {doc["registered_total"]}' in text, text
-    assert "service_info{" in text and 'planner="' in text, text
     print("  /metrics serves JSON by default and Prometheus text on Accept")
 
 
@@ -168,7 +166,8 @@ def check_alpha_copy(client: Client, module, dataset, first, fingerprints: dict)
     for program in module.make_batch(dataset, "Mix", n=8, seed=5):
         if program.pid not in fingerprints:
             result = client.register(program_to_str(program))
-            if result.patch.pair_merges:
+            # A merge the calculus ran, not a pair declined for sharing no work.
+            if client.explain()["last_patch"]["derivations"]["pairs"]:
                 fingerprints[program.pid] = result.query.fingerprint
                 print(f"  registered {program.pid}: {result.patch.pair_merges} merge(s)")
                 return twin.pid
@@ -181,7 +180,9 @@ def main() -> int:
     module = DOMAIN_QUERIES["weather"]
     sources = {}
     for index, family in enumerate(module.FAMILY_NAMES):
-        program = module.make_batch(dataset, family, n=index + 1, seed=4)[index]
+        # Seed 3: the Mix query shares work with the Q3/Q4 ones, so its
+        # graft is a recorded merge, not a declined pair.
+        program = module.make_batch(dataset, family, n=index + 1, seed=3)[index]
         sources[program.pid] = program_to_str(program)
     print(f"registering {len(sources)} queries, one per family: "
           f"{', '.join(module.FAMILY_NAMES)}")
@@ -205,7 +206,7 @@ def main() -> int:
             assert plan.queries == len(sources)
             check_metrics(port)
             check_explain(client, "before the restart")
-            first = module.make_batch(dataset, module.FAMILY_NAMES[0], n=1, seed=4)[0]
+            first = module.make_batch(dataset, module.FAMILY_NAMES[0], n=1, seed=3)[0]
             twin = check_alpha_copy(client, module, dataset, first, fingerprints)
             riders = client.explain()["riders"]
             check_explain(client, "after the α-copy")
