@@ -27,7 +27,7 @@ from .costbound import (
 )
 from .lint import Finding, LintReport, lint_program, lint_programs
 from .sarif import render_sarif, to_sarif
-from .validate import StaticValidation, validate_consolidation
+from .validate import StaticValidation, check_notifications, validate_consolidation
 from .values import Interval, StaticEnv
 
 __all__ = [
@@ -49,5 +49,6 @@ __all__ = [
     "render_sarif",
     "to_sarif",
     "StaticValidation",
+    "check_notifications",
     "validate_consolidation",
 ]

@@ -293,7 +293,7 @@ def program_cost_upper(
 ) -> Optional[int]:
     """Worst-case cost of one run of ``program``; None when unbounded."""
 
-    domain = IntervalConstDomain.for_program(program)
+    domain = IntervalConstDomain(program)
     cost, _env = stmt_cost_upper(
         program.body, functions, cost_model, StaticEnv(), domain, loop_bound_hook
     )

@@ -12,6 +12,8 @@ multiplicity) are structural facts of a statement,
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ...lang.ast import Expr, IntConst, Program
 from ...lang.visitors import stmt_exprs, subexpressions
 from .values import StaticEnv
@@ -41,15 +43,16 @@ class IntervalConstDomain:
 
     States are treated as immutable: every transfer copies before refining.
     ``thresholds`` come from :func:`widening_thresholds` of the program
-    under analysis.
+    under analysis, computed when a loop is first widened: a loop-free
+    program never walks its expressions for them.
     """
 
-    def __init__(self, thresholds: tuple[int, ...] = ()) -> None:
-        self.thresholds = thresholds
+    def __init__(self, program: Program) -> None:
+        self.program = program
 
-    @classmethod
-    def for_program(cls, program: Program) -> "IntervalConstDomain":
-        return cls(widening_thresholds(program))
+    @cached_property
+    def thresholds(self) -> tuple[int, ...]:
+        return widening_thresholds(self.program)
 
     def widen(self, older: StaticEnv, newer: StaticEnv) -> StaticEnv:
         return older.widen(newer, self.thresholds)

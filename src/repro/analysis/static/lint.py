@@ -224,7 +224,7 @@ def _check_types(
 
 
 def _check_unreachable(program: Program, out: list[Finding]) -> None:
-    domain = IntervalConstDomain.for_program(program)
+    domain = IntervalConstDomain(program)
 
     def visit(stmt: Stmt, env) -> None:
         if isinstance(stmt, If):

@@ -6,11 +6,14 @@ two obligations Definition 1 imposes on a merged program:
 1. **Notification exactness** — the merged program notifies exactly the
    union of the originals' pids, each exactly once on every path
    (:func:`~repro.lang.visitors.notify_counts`, kept on each node).
+   :func:`check_notifications`, this half alone, gates every pair merge.
 2. **Cost** — a static worst-case cost bound of the merged program does
    not exceed the sum of the originals' bounds.  Loop-free programs get
    exact worst-case path costs; loops are bounded by interval trip counts,
    falling back to SMT-proved invariants from
    :mod:`repro.analysis.invariants` when the intervals alone are too weak.
+   A program node keeps its bounds, so a program is bounded once however
+   many certificates name it.
 
 Verdicts are deliberately asymmetric.  ``refuted`` is only ever produced
 by the notification check, whose counts are *definite* multiplicity
@@ -23,7 +26,7 @@ bound may be looser, not larger in reality).  The dynamic checker in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ...lang.ast import Arg, Expr, Program, Var, While
 from ...lang.cost import DEFAULT_COST_MODEL, CostModel
@@ -36,16 +39,15 @@ from ...lang.visitors import (
     stmt_vars,
 )
 from ...smt.interface import Store, arg_sym, var_sym
+from ...smt.solver import Solver
 from ...smt.terms import Eq, FAnd, Formula, Le, Num, Sym, as_linear, fand, le_f
 from ..invariants import loop_invariant
-from .costbound import LoopBoundHook, program_cost_upper, trip_count_bound
+from ..sp import SpEngine
+from . import costbound
+from .costbound import LoopBoundHook, trip_count_bound
 from .values import Interval, StaticEnv
 
-if TYPE_CHECKING:
-    from ...smt.solver import Solver
-    from ..sp import SpEngine
-
-__all__ = ["StaticValidation", "validate_consolidation"]
+__all__ = ["StaticValidation", "check_notifications", "validate_consolidation"]
 
 PROVED = "proved"
 UNKNOWN = "unknown"
@@ -110,12 +112,13 @@ def _exactly_once(counts: Mapping[str, tuple[int, int]], pid: str) -> Optional[b
     return None
 
 
-def _check_notifications(
-    originals: Sequence[Program], merged: Program, details: list[str]
-) -> str:
+def check_notifications(originals: Sequence[Program], merged: Program) -> tuple[str, list[str]]:
+    """The notification half: its verdict, and the details behind it."""
+
     # Whether each original itself provably notifies its pids exactly once;
     # if not, "exactly once in the merged program" is not the right spec and
     # a merged-side failure must stay UNKNOWN rather than REFUTED.
+    details: list[str] = []
     originals_exact = True
     for o in originals:
         counts_o = notify_counts(o.body)
@@ -149,7 +152,7 @@ def _check_notifications(
             )
             if verdict != REFUTED:
                 verdict = UNKNOWN
-    return verdict
+    return verdict, details
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +252,26 @@ def make_invariant_loop_bound(engine: SpEngine, solver: Solver) -> LoopBoundHook
     return hook
 
 
+def _cost_upper(
+    program: Program,
+    functions: Optional[FunctionTable],
+    cost_model: CostModel,
+    hook: Optional[LoopBoundHook],
+) -> Optional[int]:
+    """:func:`~.costbound.program_cost_upper`, kept on ``program``'s
+    ``_bounds`` slot per function table, cost model and whether the
+    invariant fallback (deterministic) ran."""
+
+    bounds = program._bounds
+    if bounds is None:
+        bounds = {}
+        object.__setattr__(program, "_bounds", bounds)
+    key = (functions, cost_model, hook is not None)
+    if key not in bounds:
+        bounds[key] = costbound.program_cost_upper(program, functions, cost_model, hook)
+    return bounds[key]
+
+
 def _check_cost(
     originals: Sequence[Program],
     merged: Program,
@@ -257,10 +280,10 @@ def _check_cost(
     hook: Optional[LoopBoundHook],
     details: list[str],
 ) -> tuple[str, Optional[int], Optional[int]]:
-    merged_ub = program_cost_upper(merged, functions, cost_model, hook)
+    merged_ub = _cost_upper(merged, functions, cost_model, hook)
     total: Optional[int] = 0
     for o in originals:
-        ub = program_cost_upper(o, functions, cost_model, hook)
+        ub = _cost_upper(o, functions, cost_model, hook)
         if ub is None:
             details.append(f"original '{o.pid}': no finite static cost bound")
             total = None
@@ -289,24 +312,20 @@ def validate_consolidation(
     merged: Program,
     functions: Optional[FunctionTable] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    engine: Optional[SpEngine] = None,
-    solver: Optional[Solver] = None,
+    invariants: bool = False,
 ) -> StaticValidation:
     """Statically certify ``merged`` against the ``originals`` it replaces.
 
-    ``engine``/``solver`` (an :class:`~repro.analysis.sp.SpEngine` and a
-    :class:`~repro.smt.solver.Solver`) are optional; when provided, loops
-    the interval domain cannot bound get a second chance through the
-    SMT-backed invariant inference.
+    With ``invariants`` (and ``functions``), loops the interval domain
+    cannot bound get a second chance through the SMT-backed invariant
+    inference, on a fresh engine and solver: a pair record's certificate
+    (``PairRecord.validation``) is computed so, when first read.
     """
 
-    details: list[str] = []
-    notify_verdict = _check_notifications(originals, merged, details)
-    hook = (
-        make_invariant_loop_bound(engine, solver)
-        if engine is not None and solver is not None
-        else None
-    )
+    notify_verdict, details = check_notifications(originals, merged)
+    hook = None
+    if invariants and functions is not None:
+        hook = make_invariant_loop_bound(SpEngine(functions), Solver())
     cost_verdict, merged_ub, total_ub = _check_cost(
         originals, merged, functions, cost_model, hook, details
     )

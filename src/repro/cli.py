@@ -21,9 +21,9 @@ Commands
     selects the rendering (``--json`` is kept as an alias for
     ``--format json``; ``sarif`` emits a SARIF 2.1.0 document for
     code-scanning UIs); ``--validate`` additionally consolidates each
-    batch and runs the abstract-interpretation translation validator over
-    every merged pair.  Exit status: 0 clean, 1 warnings only, 2 errors or
-    a refuted validation.
+    batch and reads every merged pair's translation-validation
+    certificate (a merge the validator refutes is never taken).  Exit
+    status: 0 clean, 1 warnings only, 2 errors.
 
 ``figure9`` / ``figure10``
     Regenerate the paper's evaluation figures (textual rendering).
@@ -275,14 +275,11 @@ def cmd_lint(args) -> int:
 
     validations = []
     if args.validate:
-        options = ConsolidationOptions(static_validate=True)
         cfg = _config_from_args(args)
         for batch in batches:
             if len(batch) < 2:
                 continue
-            validations.extend(
-                consolidate_all(batch, functions, options=options, config=cfg).validations
-            )
+            validations.extend(consolidate_all(batch, functions, config=cfg).validations)
 
     errors = sum(len(r.errors) for r in reports)
     warnings = sum(len(r.warnings) for r in reports)
@@ -311,7 +308,7 @@ def cmd_lint(args) -> int:
             summary += f"; {certified}/{len(validations)} pair consolidations certified"
         print(summary, file=sys.stderr)
 
-    if errors or any(v.refuted for v in validations):
+    if errors:
         return 2
     if warnings:
         return 1
@@ -567,7 +564,6 @@ def cmd_serve(args) -> int:
     service = ServiceConfig(
         host=args.host,
         port=args.port,
-        static_validate_patches=not args.no_validate_patches,
         admit_warnings=not args.strict_admission,
     )
     registry = QueryRegistry(
@@ -838,11 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="append-only registry journal; replayed on startup so restarts "
         "recover the same plan fingerprints",
-    )
-    p.add_argument(
-        "--no-validate-patches",
-        action="store_true",
-        help="skip the static translation validator on the registry's pair merges",
     )
     p.add_argument(
         "--strict-admission",

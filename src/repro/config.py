@@ -116,10 +116,6 @@ class ServiceConfig:
 
     ``host`` / ``port``
         Bind address; port 0 asks the OS for an ephemeral port.
-    ``static_validate_patches``
-        Run the abstract-interpretation translation validator on every pair
-        merge the registry runs, rebalances included; a refuted pair is
-        kept unmerged, as in a batch (recorded, never silent).
     ``admit_warnings``
         When False, a lint *warning* rejects a submission just like an
         error (the default only rejects on errors).
@@ -127,7 +123,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    static_validate_patches: bool = True
     admit_warnings: bool = True
 
     def __post_init__(self) -> None:

@@ -29,12 +29,15 @@ from __future__ import annotations
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..analysis.invariants import loop_invariant
 from ..analysis.related import Features, expr_features
 from ..analysis.sp import SpEngine
+from ..analysis.static.validate import REFUTED, StaticValidation, check_notifications
+from ..analysis.static.validate import validate_consolidation
 from ..lang.ast import (
     Assign,
     Expr,
@@ -122,19 +125,11 @@ class ConsolidationOptions:
     ``use_smt``:
         When False, only syntactic value-numbering is used — no entailment
         checks, no If 1/If 2, no loop fusion (ablation for the SMT engine).
-    ``static_validate``:
-        Run the abstract-interpretation translation validator
-        (:func:`repro.analysis.static.validate_consolidation`) over every
-        merged pair; a *refuted* certificate raises
-        :class:`ConsolidationError` (it would mean an unsound rewrite),
-        while ``unknown`` verdicts are recorded and left to the dynamic
-        checker.
     """
 
     if_rule_mode: str = "heuristic"
     enable_loop_rules: bool = True
     use_smt: bool = True
-    static_validate: bool = False
 
     def __post_init__(self) -> None:
         if self.if_rule_mode not in ("heuristic", "always_if3", "always_if5"):
@@ -147,9 +142,10 @@ class PairRecord:
 
     :meth:`Consolidator.consolidate` fills in what the calculus knows:
     the merged ``program``, the ``seconds`` Ω took, the ``rules`` it applied
-    in order, the pair's own entailment counters (``stats``), the static
-    ``validation`` certificate (``options.static_validate``) and the
-    ``derivation`` tree (a recording recorder).  The pair step
+    in order, the pair's own entailment counters (``stats``), the
+    ``derivation`` tree (a recording recorder) and ``certify``, which
+    computes the static ``validation`` certificate when it is first read
+    (the merge itself runs only its notification half).  The pair step
     (:func:`repro.consolidation.divide_conquer.merge_pair`) adds what only
     it knows: ``merged`` is False when ``program`` is the pair's sequential
     composition instead — with the reason on ``skip_reason`` when the
@@ -163,10 +159,19 @@ class PairRecord:
     seconds: float = 0.0
     rules: tuple[str, ...] = ()
     stats: SimplifyStats = field(default_factory=SimplifyStats)
-    validation: Any = None
     derivation: Any = None
     skip_reason: Optional[str] = None
     merged: bool = True
+    certify: Optional[Callable[[], StaticValidation]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def validation(self) -> Optional[StaticValidation]:
+        """The merge's static certificate, computed on first read; ``None``
+        for a pair kept unmerged and for a ride."""
+
+        return None if self.certify is None else self.certify()
 
     @property
     def declined(self) -> bool:
@@ -262,24 +267,19 @@ class Consolidator:
         merged = Program(f"{p1.pid}&{p2.pid}", p1.params, self._omega(ctx, q1.body, q2.body))
         seconds = time.perf_counter() - started
         derivation = self.recorder.end_pair(merged.pid, seconds)
-        validation = None
-        if self.options.static_validate:
-            from ..analysis.static import validate_consolidation
-
-            validation = validate_consolidation(
-                [p1, p2],
-                merged,
-                self.functions,
-                self.cost_model,
-                engine=engine,
-                solver=self.solver,
+        # The half of Definition 1 that can refute: a merge that does not
+        # notify each pid exactly once would be an unsound rewrite.
+        verdict, details = check_notifications((p1, p2), merged)
+        if verdict == REFUTED:
+            raise ConsolidationError(
+                f"static validation refuted {merged.pid}: {'; '.join(details)}"
             )
-            if validation.refuted:
-                raise ConsolidationError(
-                    f"static validation refuted {merged.pid}: {'; '.join(validation.details)}"
-                )
         self.record = PairRecord(
-            p1.pid, p2.pid, merged, seconds, tuple(self.trace), ctx.stats, validation, derivation
+            p1.pid, p2.pid, merged, seconds, tuple(self.trace), ctx.stats, derivation,
+            certify=partial(
+                validate_consolidation, (p1, p2), merged, self.functions, self.cost_model,
+                invariants=True,
+            ),
         )
         return merged
 

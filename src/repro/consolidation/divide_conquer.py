@@ -27,11 +27,13 @@ with all its evidence, or the pair kept unmerged (:func:`_unmerged`) —
 *declined* when the two programs share no work
 (:func:`~repro.analysis.related.shares_work`: no call signature, no
 comparison subject, no loop test in common), so no calculus runs, or
-*skipped* when the merge failed, with a record that says why.  The
-incremental engine (:mod:`repro.consolidation.incremental`) patches the
-merge tree through the same step, both rules included.  The driver folds
-each record into the batch in plan order, and
-:class:`ConsolidationReport` is a set of views over the records.
+*skipped* when the merge failed (or the notification gate,
+:func:`~repro.analysis.static.check_notifications`, refuted it), with a
+record that says why.  The incremental engine
+(:mod:`repro.consolidation.incremental`) patches the merge tree through
+the same step, both rules included.  The driver folds each record into
+the batch in plan order, and :class:`ConsolidationReport` is a set of
+views over the records.
 
 Every run-time knob comes from ``config`` (an
 :class:`repro.config.ExecutionConfig`) and nowhere else.  Each level's
@@ -205,7 +207,7 @@ class PairViews:
 
     @property
     def validations(self) -> list[Any]:
-        """The static-validation certificates (``options.static_validate``)."""
+        """One static-validation certificate per merged pair, computed when read."""
 
         return [r.validation for r in self.pairs if r.validation is not None]
 
@@ -237,7 +239,7 @@ class ConsolidationReport(PairViews):
 
     ``pair_consolidations`` counts the pairs that were not declined.
     ``validations`` holds one static-validation certificate per merged
-    pair when ``options.static_validate`` is on; ``derivations`` one
+    pair, computed when read; ``derivations`` one
     :class:`repro.provenance.DerivationTree` per successfully merged pair
     under ``config.provenance``, and is empty otherwise.
 
@@ -292,7 +294,7 @@ class ConsolidationReport(PairViews):
 
     @property
     def all_certified(self) -> bool:
-        """Every pair statically certified (vacuously True when not validated)."""
+        """Every merged pair statically certified (vacuously True with none)."""
 
         return all(v.certified for v in self.validations)
 
@@ -439,7 +441,7 @@ def merge_pair(
     warm across its pairs.  The recorder is per-pair too: its node stack
     is not re-entrant.
 
-    A failure — a solver crash, a refuted static validation, an injected
+    A failure — a solver crash, a refuted notification gate, an injected
     fault (:data:`FAULT_HOOK`) — keeps the pair as its sequential baseline
     with the reason on ``skip_reason``: the result is still correct, just
     less consolidated, so no caller ever sees a pair raise.
@@ -501,7 +503,7 @@ def consolidate_all(
 
     # Batch-level preconditions are checked up front so misuse still raises
     # eagerly; once they hold, any *mid-batch* failure (solver crash, refuted
-    # validation) degrades to the sequential baseline instead.
+    # notifications) degrades to the sequential baseline instead.
     if not programs:
         raise ValueError("need at least one program")
     if order not in ("clustered", "tree", "fold", "priority"):

@@ -32,7 +32,7 @@ root, and each mutation rides them again on the root it leaves:
 
 Every patched pair goes through the batch driver's one pair step
 (:func:`~repro.consolidation.divide_conquer.merge_pair`) and so under its
-rules: a merge that fails — or whose static validation is refuted — is
+rules: a merge that fails — or whose notifications the gate refutes — is
 kept unmerged, with the reason on its record's ``skip_reason``, exactly
 as in a batch.  The step's fault-injection seam
 (``divide_conquer.FAULT_HOOK``, site ``consolidate.pair``) reaches the
@@ -75,8 +75,9 @@ class PatchResult(PairViews):
     views over it: ``pair_merges`` counts the records that were not
     declined (a pair kept unmerged after a failure included; a full
     re-consolidation of *n* queries has *n − 1* records),
-    ``validations`` and ``derivations`` are the records' certificates and
-    provenance trees (every patch records one per merged pair).
+    ``validations`` and ``derivations`` are the records' certificates,
+    computed when read, and provenance trees (every patch records one per
+    merged pair).
     ``rides`` holds a ``("Ride",)`` record per rider of the ride node the
     mutation built; they are not pair merges.  ``fallback`` is set by a
     caller that rebuilt instead of patching, and says why.  ``tree`` is
@@ -105,17 +106,13 @@ class PatchResult(PairViews):
 
 
 def _merge_step(
-    result: PatchResult,
-    functions: FunctionTable,
-    cost_model: CostModel,
-    options: ConsolidationOptions | None,
-    telemetry: Telemetry,
+    result: PatchResult, functions: FunctionTable, cost_model: CostModel, telemetry: Telemetry
 ) -> Callable[[MergeNode, MergeNode], MergeNode]:
     """One patch's pair step: the node over two children whose program is
-    their :func:`merge_pair`, its record kept on ``result.pairs``.  Each
-    patch gets a fresh solver."""
+    their :func:`merge_pair` under the default options, its record kept on
+    ``result.pairs``.  Each patch gets a fresh solver."""
 
-    options = options or ConsolidationOptions()
+    options = ConsolidationOptions()
     solver = Solver(telemetry=telemetry)
 
     def merge(left: MergeNode, right: MergeNode) -> MergeNode:
@@ -168,7 +165,6 @@ def add_query(
     program: Program,
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    options: ConsolidationOptions | None = None,
     *,
     telemetry: Telemetry = NULL_TELEMETRY,
     twin: Optional[str] = None,
@@ -198,7 +194,7 @@ def add_query(
             pid_map = dict(zip(pid_order(path[-1].program), pid_order(leaf.program)))
             riders = {program.pid: pid_map, **riders}
         else:
-            merge = _merge_step(result, functions, cost_model, options, telemetry)
+            merge = _merge_step(result, functions, cost_model, telemetry)
             root = merge(root, leaf)
         result.tree, result.rides = ride(root, riders)
     result.seconds = time.perf_counter() - started
@@ -210,7 +206,6 @@ def remove_query(
     pid: str,
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    options: ConsolidationOptions | None = None,
     *,
     telemetry: Telemetry = NULL_TELEMETRY,
 ) -> PatchResult:
@@ -254,7 +249,7 @@ def remove_query(
         # The tree was a single leaf; removing it empties the registry.
         root = None
     else:
-        merge = _merge_step(result, functions, cost_model, options, telemetry)
+        merge = _merge_step(result, functions, cost_model, telemetry)
         # ``path`` runs root → … → parent → leaf.  The sibling subtree takes
         # the parent's place; every ancestor above is then re-merged
         # bottom-up from its untouched child and the patched subtree.
@@ -274,7 +269,6 @@ def rebuild(
     programs: list[Program],
     functions: FunctionTable,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    options: ConsolidationOptions | None = None,
     *,
     config: ExecutionConfig | None = None,
     telemetry: Telemetry | None = None,
@@ -285,7 +279,7 @@ def rebuild(
     cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model, provenance=True)
     if telemetry is not None:
         cfg = cfg.evolve(telemetry=telemetry)
-    report = consolidate_all(programs, functions, options=options, keep_tree=True, config=cfg)
+    report = consolidate_all(programs, functions, keep_tree=True, config=cfg)
     assert report.merge_tree is not None  # keep_tree=True
     return report.merge_tree, report
 

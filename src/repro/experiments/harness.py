@@ -59,8 +59,6 @@ class ExperimentResult:
     pair_consolidations: int = 0
     distinct_udfs: int = 0  # α-classes: the UDFs the calculus consolidated
     simplify_stats: dict = field(default_factory=dict)
-    validations_certified: int = 0
-    validations_total: int = 0
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -110,7 +108,6 @@ class ExperimentResult:
             "smt_skips": self.smt_skips,
             "smt_queries": int(self.simplify_stats.get("smt_queries", 0)),
             "memo_hits": int(self.simplify_stats.get("memo_hits", 0)),
-            "validated": f"{self.validations_certified}/{self.validations_total}",
         }
 
 
@@ -174,7 +171,5 @@ def run_experiment(
         pair_consolidations=report.pair_consolidations,
         distinct_udfs=len(programs) - len(report.rides),
         simplify_stats=dict(report.simplify_stats),
-        validations_certified=sum(1 for v in report.validations if v.certified),
-        validations_total=len(report.validations),
         metrics=metrics_snapshot,
     )

@@ -452,6 +452,8 @@ class Program(Node):
     params: tuple[str, ...]
     body: Stmt
     _hash: Optional[int] = slot()  # the lowering caches key on whole programs
+    # Static cost bounds, filled by repro.analysis.static.validate.
+    _bounds: Optional[dict[Any, Optional[int]]] = slot()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))

@@ -23,11 +23,12 @@ replayable.  Mutations take one path::
   re-running ``consolidate_all``; an α-copy of a live query rides on it
   with no pair merge, and ``explain()`` names each rider's
   representative.  Every merge runs under the batch driver's rules: a
-  pair that fails, or whose static validation is refuted, is kept
+  pair that fails, or whose notifications the gate refutes, is kept
   unmerged and counted (``patch_fallbacks``).  A registration whose graft
   would grow the tree past the depth bound (:data:`REBALANCE_FACTOR`)
-  rebuilds the balanced tree instead, validated like any other merge and
-  recorded on the patch result (``full_rebuilds``).
+  rebuilds the balanced tree instead, gated like any other merge and
+  recorded on the patch result (``full_rebuilds``).  ``explain()`` reads
+  the last patch's static certificates, each computed on that first read.
 * **Event log** (:mod:`repro.service.events`): every applied mutation is
   journalled first; a registry constructed over an existing journal
   replays it through this same path, so restart recovers byte-identical
@@ -51,7 +52,6 @@ from threading import RLock
 from typing import Any, Iterable, Optional, Sequence
 
 from ..config import ExecutionConfig, ServiceConfig
-from ..consolidation.algorithm import ConsolidationOptions
 from ..consolidation.divide_conquer import MergeNode
 from ..consolidation.incremental import PatchResult, add_query, rebuild, remove_query
 from ..lang.ast import Program
@@ -163,9 +163,6 @@ class QueryRegistry:
         self.config = config or ExecutionConfig()
         self.service = service or ServiceConfig()
         self.telemetry = self.config.telemetry
-        self._options = ConsolidationOptions(
-            static_validate=self.service.static_validate_patches
-        )
         self._queries: "OrderedDict[str, RegisteredQuery]" = OrderedDict()
         self._tree: Optional[MergeNode] = None
         self._plan_cache: "OrderedDict[str, _CachedPlan]" = OrderedDict()
@@ -371,7 +368,6 @@ class QueryRegistry:
                 program,
                 self.functions,
                 self.config.cost_model,
-                self._options,
                 telemetry=self.telemetry,
                 twin=twin,
             )
@@ -391,7 +387,6 @@ class QueryRegistry:
             entry.pid,
             self.functions,
             self.config.cost_model,
-            self._options,
             telemetry=self.telemetry,
         )
         self._count_patch(patch)
@@ -407,7 +402,6 @@ class QueryRegistry:
             programs,
             self.functions,
             self.config.cost_model,
-            self._options,
             config=self.config,
             telemetry=self.telemetry,
         )

@@ -12,7 +12,9 @@ process-pool executor is gone, the 9.0.0-removal tests that the service's
 constant knobs and ``PatchError`` are gone, the 10.0.0-removal tests that
 each decision has one knob (one-valued knobs are constants), the
 12.0.0-removal tests that the calibrated planner and its ``calibration``
-knob are gone, and the config validation errors (they must enumerate the
+knob are gone, the 13.0.0-removal tests that static validation has no
+knob (the notification gate always runs, the certificate is computed
+when read), and the config validation errors (they must enumerate the
 valid values).
 """
 
@@ -147,6 +149,13 @@ REMOVED_KEYWORDS = [
     # 12.0.0: one pairing planner; the calibrated one is gone.
     (ExecutionConfig, ("calibration",)),
     (explain_batch, ("calibration",)),
+    # 13.0.0: one validation rule for every driver; the incremental
+    # engine merges under the registry's (default) options.
+    (ConsolidationOptions, ("static_validate",)),
+    (ServiceConfig, ("static_validate_patches",)),
+    (add_query, ("options",)),
+    (remove_query, ("options",)),
+    (rebuild, ("options",)),
     # 7.0.0: the prefilter is gone.
     (ExecutionConfig, ("prefilter",)),
     (Where, ("prefilter",)),
@@ -259,6 +268,24 @@ def test_the_calibrated_planner_is_gone():
 
 
 # ---------------------------------------------------------------------------
+# the 13.0.0 removal: static validation's knobs
+
+
+def test_validation_knobs_are_gone(capsys):
+    from repro.cli import main
+    from repro.experiments import ExperimentResult
+
+    assert len(dataclasses.fields(ConsolidationOptions)) == 3
+    assert len(dataclasses.fields(ServiceConfig)) == 3
+    for name in ("validations_certified", "validations_total"):
+        assert name not in ExperimentResult.__dataclass_fields__
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--port", "0", "--no-validate-patches"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --no-validate-patches" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # the 6.0.0 removals: the profiler drives the ladder from outside a run
 
 
@@ -366,10 +393,10 @@ def test_removed_service_config_field_raises_type_error(keyword):
         ServiceConfig(**{keyword: None})
 
 
-def test_service_config_has_four_fields_and_the_registry_its_constants():
+def test_service_config_has_three_fields_and_the_registry_its_constants():
     from repro.service import registry
 
-    assert len(dataclasses.fields(ServiceConfig)) == 4
+    assert len(dataclasses.fields(ServiceConfig)) == 3
     assert (registry.REBALANCE_FACTOR, registry.PLAN_CACHE_SIZE) == (2.0, 128)
 
 
@@ -391,7 +418,7 @@ def test_one_valued_knobs_are_constants():
     from repro.consolidation import algorithm
     from repro.smt import solver
 
-    assert len(dataclasses.fields(ConsolidationOptions)) == 4
+    assert len(dataclasses.fields(ConsolidationOptions)) == 3
     assert list(inspect.signature(Solver).parameters) == ["telemetry"]
     assert list(inspect.signature(Dataflow).parameters) == []
     assert (

@@ -121,7 +121,7 @@ class TestCostModelReachesTheConsolidator:
         self, weather, batch, monkeypatch
     ):
         from repro.analysis.static import validate_consolidation
-        from repro.consolidation import ConsolidationOptions, divide_conquer
+        from repro.consolidation import divide_conquer
         from repro.lang.cost import DEFAULT_COST_MODEL, CostModel
 
         cm = CostModel(branch=DEFAULT_COST_MODEL.branch + 5)
@@ -136,13 +136,7 @@ class TestCostModelReachesTheConsolidator:
         monkeypatch.setattr(divide_conquer, "Consolidator", Spy)
         # q3 and q4 both read monthly_avg_temp(@row, 1), so the pair merges.
         pair, rows = batch[3:5], weather.rows[:60]
-        result, report = run_where_consolidated(
-            rows,
-            pair,
-            weather.functions,
-            options=ConsolidationOptions(static_validate=True),
-            config=cfg,
-        )
+        result, report = run_where_consolidated(rows, pair, weather.functions, config=cfg)
         assert seen and all(model is cm for model in seen)
 
         (validation,) = report.validations

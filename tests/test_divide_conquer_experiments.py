@@ -9,7 +9,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.config import ExecutionConfig
-from repro.consolidation import ConsolidationOptions, check_soundness, consolidate_all
+from repro.consolidation import check_soundness, consolidate_all
 from repro.datasets import generate_news, generate_stocks, generate_weather
 from repro.experiments import (
     SoundnessError,
@@ -126,10 +126,7 @@ class TestPairAccount:
     def test_each_pair_merge_is_validated_and_derived(self, news):
         dataset, programs = news
         report = consolidate_all(
-            programs,
-            dataset.functions,
-            options=ConsolidationOptions(static_validate=True),
-            config=ExecutionConfig(provenance=True),
+            programs, dataset.functions, config=ExecutionConfig(provenance=True)
         )
         assert not report.degraded, (report.skipped_pairs, report.degradations)
         assert report.declined == []
@@ -144,10 +141,7 @@ class TestPairAccount:
         dataset, programs = weather
         with consolidation_pair_crash(after=2):
             report = consolidate_all(
-                programs,
-                dataset.functions,
-                options=ConsolidationOptions(static_validate=True),
-                config=ExecutionConfig(provenance=True),
+                programs, dataset.functions, config=ExecutionConfig(provenance=True)
             )
         pairs = report.pairs
         assert len(pairs) == 7

@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro.config import ExecutionConfig, ServiceConfig
+from repro.config import ExecutionConfig
 from repro.datasets import generate_weather
 from repro.lang.cost import CostModel
 from repro.lang.parser import parse_program
@@ -238,21 +238,12 @@ def test_last_patch_describes_a_plan_cache_hit(weather):
     assert (last["certified"], last["validated"]) == (None, 0)
 
 
-def test_explain_certifies_only_validated_patches(weather):
-    batch = shared_batch(2)
+def test_explain_certifies_every_merge_of_the_patch(weather):
     registry = QueryRegistry(weather.functions)
-    for program in batch:
+    for program in shared_batch(2):
         registry.register(program)
     last = registry.explain()["last_patch"]
     assert (last["pair_merges"], last["certified"], last["validated"]) == (1, True, 1)
-
-    unchecked = QueryRegistry(
-        weather.functions, service=ServiceConfig(static_validate_patches=False)
-    )
-    for program in batch:
-        unchecked.register(program)
-    last = unchecked.explain()["last_patch"]
-    assert (last["pair_merges"], last["certified"], last["validated"]) == (1, None, 0)
 
 
 def register_until_rebalance(registry, programs):
@@ -275,14 +266,6 @@ def test_explain_certifies_a_validated_rebalance(weather):
     assert last["fallback"].startswith("rebalance") and last["pair_merges"] > 1
     assert last["validated"] == last["pair_merges"] >= 1
     assert last["certified"] is all(v.certified for v in registry.last_patch.validations)
-
-    unchecked = QueryRegistry(
-        weather.functions, service=ServiceConfig(static_validate_patches=False)
-    )
-    register_until_rebalance(unchecked, shared_batch(8))
-    last = unchecked.explain()["last_patch"]
-    assert last["fallback"].startswith("rebalance")
-    assert (last["certified"], last["validated"]) == (None, 0)
 
 
 def test_plan_cache_evicts_the_least_recently_used_plan(weather):

@@ -143,7 +143,7 @@ def test_interval_domain_bounds_a_counting_loop():
         ),
         notify("q", lt(var("i"), lift(99))),
     )
-    out = analyze_program(IntervalConstDomain.for_program(p), p)
+    out = analyze_program(IntervalConstDomain(p), p)
     # On exit the guard is false: i in [13, 13] thanks to threshold widening.
     assert out.eval_int(Var("i")) == Interval(13, 13)
 
@@ -396,7 +396,7 @@ class TestWideningConvergence:
     def test_constant_rich_program_converges(self):
         p = self.constant_rich_loop()
         assert len(widening_thresholds(p)) > 64, "the trigger needs many thresholds"
-        state = analyze_program(IntervalConstDomain.for_program(p), p)
+        state = analyze_program(IntervalConstDomain(p), p)
         iv = state.ints.get(var("v"))
         # Sound after the loop: the exit refinement keeps the lower bound.
         assert iv is not None and iv.lo is not None and iv.lo >= 1000
@@ -407,7 +407,7 @@ class TestWideningConvergence:
         from repro.analysis.static import framework
 
         p = self.constant_rich_loop()
-        domain = IntervalConstDomain.for_program(p)
+        domain = IntervalConstDomain(p)
         original = framework.WIDEN_TOP_AFTER
         framework.WIDEN_TOP_AFTER = framework.MAX_ITER  # never reached
         try:
@@ -426,6 +426,6 @@ class TestWideningConvergence:
             while_(le(var("m"), lift(12)), assign("m", add(var("m"), lift(1)))),
             notify("q0", lt(var("m"), lift(100))),
         )
-        state = analyze_program(IntervalConstDomain.for_program(p), p)
+        state = analyze_program(IntervalConstDomain(p), p)
         iv = state.ints.get(var("m"))
         assert iv is not None and iv.lo == 13 and iv.hi == 13

@@ -4,10 +4,10 @@ Three layers:
 
 * unit — :func:`validate_consolidation` proves correct merges, leaves
   unprovable ones ``unknown`` and refutes definite notify violations;
-* integration — ``consolidate_all(static_validate=True)`` certifies every
-  pair the real engine produces on the paper domains (the "no false
-  alarms" acceptance criterion), and the entailment pre-check skips SMT
-  queries on a Figure-9-style run;
+* integration — the certificates ``consolidate_all`` computes on read
+  certify every pair the real engine produces on the paper domains (the
+  "no false alarms" acceptance criterion), and the entailment pre-check
+  skips SMT queries on a Figure-9-style run;
 * CLI — ``repro lint`` exit codes and JSON output.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.static import validate_consolidation
 from repro.analysis.static.validate import PROVED, REFUTED, UNKNOWN
 from repro.cli import main
-from repro.consolidation import ConsolidationOptions, Consolidator, consolidate_all
+from repro.consolidation import Consolidator, consolidate_all
 from repro.lang import (
     FunctionTable,
     LibraryFunction,
@@ -171,8 +171,7 @@ class TestIntegration:
         ds, module = datasets[domain], DOMAIN_QUERIES[domain]
         # n = 8 gives every family but NOTHING_SHARED a pair that shares work.
         batch = module.make_batch(ds, family, n=8, seed=1)
-        options = ConsolidationOptions(static_validate=True)
-        report = consolidate_all(batch, ds.functions, options=options, keep_tree=True)
+        report = consolidate_all(batch, ds.functions, keep_tree=True)
         assert_declines_obey_the_rule(report)
         # Every merge is validated; a declined pair runs no calculus.
         merged = [r for r in report.pairs if r.merged]
@@ -213,21 +212,21 @@ class TestIntegration:
         assert stats["memo_hits"] > 0, stats
         assert 0.0 <= stats["memo_hit_rate"] <= 1.0
 
-    def test_validation_surfaces_in_experiment_result(self, datasets):
+    def test_an_experiments_report_certifies_on_read(self, datasets):
         from repro.experiments import run_experiment
+        from repro.naiad.linq import run_where_consolidated
         from repro.queries import DOMAIN_QUERIES
 
         ds = datasets["weather"]
         module = DOMAIN_QUERIES["weather"]
         # Q4's loops share their test, so all three pairs merge.
         batch = module.make_batch(ds, "Q4", n=4, seed=1)
-        options = ConsolidationOptions(static_validate=True)
-        result = run_experiment(ds, batch, family="Q4", options=options, row_limit=10)
-        assert result.validations_total == 3
-        assert result.validations_certified == 3
-        row = result.row()
-        assert row["validated"] == "3/3"
-        assert row["smt_skips"] == result.smt_skips
+        result = run_experiment(ds, batch, family="Q4", row_limit=10)
+        assert "validated" not in result.row()
+        assert result.row()["smt_skips"] == result.smt_skips
+        _, report = run_where_consolidated(ds.rows[:10], batch, ds.functions)
+        assert report.pair_consolidations == 3
+        assert [v.certified for v in report.validations] == [True] * 3
 
 
 class TestLintCLI:

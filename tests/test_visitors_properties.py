@@ -194,7 +194,7 @@ def test_consolidation_keeps_a_local_named_like_a_prefixed_one():
         " if (x < q1.x) { notify q1 true; } else { notify q1 false; } }"
     )
     q2 = parse_program("program q2(row) { notify q2 true; }")
-    report = api.consolidate([q1, q2], FT, options=api.ConsolidationOptions(static_validate=True))
+    report = api.consolidate([q1, q2], FT)
     interp = Interpreter(FT)
     assert interp.run(q1, {"row": 0}).notifications == {"q1": True}
     assert interp.run(report.program, {"row": 0}).notifications == {"q1": True, "q2": True}

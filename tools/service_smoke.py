@@ -12,8 +12,8 @@ What CI's ``service-smoke`` job runs:
    text/plain`` header — and assert both content types serve the same
    counters (JSON document vs Prometheus text exposition);
 5. GET ``/v1/explain`` and assert the last patch has at least one
-   recorded derivation and is certified (patches are validated by
-   default);
+   recorded derivation and is certified, with one certificate per pair
+   merge (certificates are computed when ``/v1/explain`` reads them);
 6. register an α-copy of the first query (new pid, locals renamed) and
    assert it rides on it — no pair merge, named in ``/v1/explain``'s
    ``riders``, the same bucket; unregister the original (the copy takes
@@ -129,12 +129,14 @@ def check_metrics(port: int) -> None:
 
 
 def check_explain(client: Client, when: str) -> None:
-    """``/v1/explain`` accounts for the last patch: recorded and certified."""
+    """``/v1/explain`` accounts for the last patch: recorded, and certified
+    merge by merge."""
 
     last = client.explain()["last_patch"]
     derivations = last["derivations"]
     assert derivations["pairs"] >= 1, (when, last)
     assert last["certified"] is True, (when, last)
+    assert last["validated"] == last["pair_merges"], (when, last)
     print(f"  /v1/explain {when}: {last['action']} patch, {derivations['pairs']} "
           f"recorded merge(s), {derivations['entailments']} entailments, certified")
 
