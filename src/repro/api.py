@@ -19,7 +19,7 @@ in-process today and over HTTP tomorrow without changing error handling:
 ``explain``
     One JSON-able account of how a plan came to be — works on a live
     registry (the service's ``/v1/explain``) or on a plain batch of
-    programs (consolidates with provenance recording on).
+    programs (consolidates it and replays each merge's derivation).
 
 This module is a *facade*: no logic lives here, only stable signatures
 with full type hints.  ``__all__`` is a frozen tuple and
@@ -52,9 +52,9 @@ def consolidate(
 ) -> ConsolidationReport:
     """Merge ``programs`` into one consolidated program.
 
-    The report carries the merged program, cost/validation evidence,
-    degradation ladder and (under ``config.provenance``) per-pair
-    derivations.  ``functions`` defaults to an empty table.
+    The report carries the merged program, the degradation ladder and
+    per-pair evidence — validation certificates and derivations, each
+    computed when read.  ``functions`` defaults to an empty table.
     """
 
     table = FunctionTable() if functions is None else functions
@@ -120,15 +120,14 @@ def explain(
 
     A live :class:`~repro.service.QueryRegistry` explains itself — tree
     shape, last patch, plan-cache stats, counters.  A plain batch of
-    programs is consolidated on the spot with provenance recording on,
-    and the dict summarises the derivations (rule counts, entailments,
-    rewrites, solver time).
+    programs is consolidated on the spot, and the dict summarises the
+    merges' derivations, replayed as they are read (rule counts,
+    entailments, rewrites, solver time).
     """
 
     if isinstance(target, QueryRegistry):
         return target.explain()
-    cfg = (config or ExecutionConfig()).evolve(provenance=True)
-    report = consolidate(target, functions, options=options, config=cfg)
+    report = consolidate(target, functions, options=options, config=config)
     return {
         "queries": len(list(target)),
         "merged_pid": report.program.pid,

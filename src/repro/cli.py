@@ -22,8 +22,9 @@ Commands
     ``--format json``; ``sarif`` emits a SARIF 2.1.0 document for
     code-scanning UIs); ``--validate`` additionally consolidates each
     batch and reads every merged pair's translation-validation
-    certificate (a merge the validator refutes is never taken).  Exit
-    status: 0 clean, 1 warnings only, 2 errors.
+    certificate; a merge the validator refutes is never taken, and is
+    reported as a ``validation-refuted`` error.  Exit status: 0 clean,
+    1 warnings only, 2 errors.
 
 ``figure9`` / ``figure10``
     Regenerate the paper's evaluation figures (textual rendering).
@@ -33,8 +34,8 @@ Commands
 
 ``explain``
     Derivation explain-plan (:mod:`repro.provenance`): consolidate one
-    pair from a domain's generated batch with provenance recording on,
-    execute it instrumented, and render every calculus-rule application,
+    pair from a domain's generated batch, replay its derivation, execute
+    it instrumented, and render every calculus-rule application,
     SMT entailment (with its Ψ context), cross-simplification rewrite and
     predicted-vs-actual operator cost as a text tree, JSON document or a
     self-contained HTML report (``--format``, ``--out``).
@@ -248,7 +249,8 @@ def cmd_consolidate(args) -> int:
 def cmd_lint(args) -> int:
     import json
 
-    from .analysis.static import lint_programs
+    from .analysis.static import Finding, LintReport, lint_programs
+    from .consolidation.algorithm import REFUTED_NOTE
 
     dataset = _domain_dataset(args.domain)
     functions = dataset.functions if dataset else FunctionTable()
@@ -269,17 +271,24 @@ def cmd_lint(args) -> int:
     else:
         raise SystemExit("nothing to lint: pass FILES or --domain")
 
-    reports = []
-    for batch in batches:
-        reports.extend(lint_programs(batch, functions))
+    reports = [report for batch in batches for report in lint_programs(batch, functions)]
+    linted = len(reports)
 
+    # A refuted merge is kept unmerged, so it has no certificate: its
+    # skip reason is reported as an error of the pair's program.
     validations = []
     if args.validate:
         cfg = _config_from_args(args)
         for batch in batches:
             if len(batch) < 2:
                 continue
-            validations.extend(consolidate_all(batch, functions, config=cfg).validations)
+            report = consolidate_all(batch, functions, config=cfg)
+            validations.extend(report.validations)
+            for skip in report.skipped_pairs:
+                if REFUTED_NOTE in skip["reason"]:
+                    pid = f"{skip['left']}&{skip['right']}"
+                    finding = Finding("validation-refuted", "error", skip["reason"], pid)
+                    reports.append(LintReport(pid, (finding,)))
 
     errors = sum(len(r.errors) for r in reports)
     warnings = sum(len(r.warnings) for r in reports)
@@ -291,7 +300,7 @@ def cmd_lint(args) -> int:
         print(render_sarif(reports))
     elif fmt == "json":
         doc = {
-            "programs": len(reports),
+            "programs": linted,
             "errors": errors,
             "warnings": warnings,
             "reports": [r.to_dict() for r in reports if r.findings],
@@ -303,9 +312,12 @@ def cmd_lint(args) -> int:
             for f in r.findings:
                 where = f" [{f.snippet}]" if f.snippet else ""
                 print(f"{r.program}: {f.severity}: {f.rule}: {f.message}{where}")
-        summary = f"# linted {len(reports)} programs: {errors} errors, {warnings} warnings"
-        if validations:
-            summary += f"; {certified}/{len(validations)} pair consolidations certified"
+        summary = f"# linted {linted} programs: {errors} errors, {warnings} warnings"
+        if args.validate:
+            summary += (
+                f"; {certified}/{len(validations)} pair consolidations certified, "
+                f"{len(reports) - linted} refuted"
+            )
         print(summary, file=sys.stderr)
 
     if errors:

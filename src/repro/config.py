@@ -13,16 +13,18 @@ the experiment harness and the CLI.
 It is the only way to set a run-time knob: the keywords were deprecated
 through 1.x and removed in 2.0, and 3.0 removed the copies
 ``consolidate_all`` had kept (CHANGES.md has the migration table).
-``consolidate_all`` reads ``cost_model``, ``telemetry`` and
-``provenance`` from its ``config`` and from nowhere else.
+``consolidate_all`` reads ``cost_model`` and ``telemetry`` from its
+``config`` and from nowhere else.
 8.0.0 removed ``executor`` with the process-pool consolidation driver;
 9.0.0 made ``ServiceConfig``'s rebalance factor and plan-cache size the
 registry's constants.  10.0.0 left one knob per decision: the engine's
-charges are :mod:`repro.naiad.dataflow` constants, provenance is always
-recorded by the service, and its event log is named on
-:class:`repro.service.QueryRegistry` alone.  12.0.0 removed
-``calibration`` with the calibrated planner: there is one pairing
-planner, and its pair step declines pairs that share no work.
+charges are :mod:`repro.naiad.dataflow` constants, and the service's
+event log is named on :class:`repro.service.QueryRegistry` alone.
+12.0.0 removed ``calibration`` with the calibrated planner: there is one
+pairing planner, and its pair step declines pairs that share no work.
+14.0.0 removed ``provenance``: no merge records its derivation; a merged
+pair's is replayed when read
+(:attr:`repro.consolidation.PairRecord.derivation`).
 
 Telemetry rides in the config too: ``telemetry`` is the
 :class:`repro.telemetry.Telemetry` facade every instrumented layer
@@ -77,20 +79,12 @@ class ExecutionConfig:
         consolidator alike.
     ``telemetry``
         The observability handle.
-    ``provenance``
-        When True, the consolidation driver records a full
-        :class:`repro.provenance.DerivationTree` per pair merge (rule
-        applications, entailments, rewrites, heuristics) onto
-        ``ConsolidationReport.derivations``.  Off by default — recording
-        follows the NULL-twin pattern, so the disabled path costs one
-        inert method call per decision point.
     """
 
     backend: str = DEFAULT_BACKEND
     workers: int = 4
     cost_model: CostModel = DEFAULT_COST_MODEL
     telemetry: Telemetry = NULL_TELEMETRY
-    provenance: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -110,8 +104,8 @@ class ExecutionConfig:
 class ServiceConfig:
     """Knobs for the consolidation service (``repro serve``).
 
-    The registry always records one provenance derivation per pair merge
-    (``/v1/explain`` summarises them), and its event log is named on
+    ``/v1/explain`` summarises the last patch's derivations, each replayed
+    when read, and the event log is named on
     :class:`repro.service.QueryRegistry` (``repro serve --event-log``).
 
     ``host`` / ``port``

@@ -29,9 +29,9 @@ from __future__ import annotations
 import time
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..analysis.invariants import loop_invariant
 from ..analysis.related import Features, expr_features
@@ -69,14 +69,14 @@ from ..lang.visitors import (
     stmt_vars,
     substitute,
 )
-from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
+from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, DerivationTree, NullRecorder
 from ..smt.solver import Solver
 from ..smt.terms import TRUE_F, Formula, cone_of_influence, fand, fiff, fnot
 from .simplifier import Context, SimplifyStats
 
 __all__ = [
-    "ConsolidationOptions", "Consolidator", "ConsolidationError", "PairRecord", "check_batch",
-    "MAX_EMBED_SIZE",
+    "ConsolidationOptions", "Consolidator", "ConsolidationError", "PairInputs", "PairRecord",
+    "check_batch", "MAX_EMBED_SIZE", "REFUTED_NOTE",
 ]
 
 # Node-count guard above which If 3/If 4 are downgraded to If 5, taming the
@@ -86,6 +86,10 @@ __all__ = [
 # rule (value numbering survives an If 5 join), so only cheap test
 # elimination is forgone.
 MAX_EMBED_SIZE = 160
+
+# Start of the message a merge refuted by the notification gate raises with,
+# and so of its record's ``skip_reason`` after the exception's type name.
+REFUTED_NOTE = "static validation refuted"
 
 
 class ConsolidationError(Exception):
@@ -136,16 +140,27 @@ class ConsolidationOptions:
             raise ValueError(f"unknown if_rule_mode {self.if_rule_mode!r}")
 
 
+@dataclass(frozen=True)
+class PairInputs:
+    """What one Ω call was handed: enough to compute its evidence again."""
+
+    programs: tuple[Program, Program]
+    functions: FunctionTable
+    cost_model: CostModel
+    options: ConsolidationOptions
+
+
 @dataclass
 class PairRecord:
     """The one account of one pair merge; every report is a view over these.
 
     :meth:`Consolidator.consolidate` fills in what the calculus knows:
     the merged ``program``, the ``seconds`` Ω took, the ``rules`` it applied
-    in order, the pair's own entailment counters (``stats``), the
-    ``derivation`` tree (a recording recorder) and ``certify``, which
-    computes the static ``validation`` certificate when it is first read
-    (the merge itself runs only its notification half).  The pair step
+    in order, the pair's own entailment counters (``stats``) and the
+    ``inputs`` it was handed.  The merge records nothing else: the static
+    ``validation`` certificate and the ``derivation`` tree are computed
+    from ``inputs`` when first read (the merge itself runs only the
+    notification half of validation).  The pair step
     (:func:`repro.consolidation.divide_conquer.merge_pair`) adds what only
     it knows: ``merged`` is False when ``program`` is the pair's sequential
     composition instead — with the reason on ``skip_reason`` when the
@@ -159,19 +174,43 @@ class PairRecord:
     seconds: float = 0.0
     rules: tuple[str, ...] = ()
     stats: SimplifyStats = field(default_factory=SimplifyStats)
-    derivation: Any = None
     skip_reason: Optional[str] = None
     merged: bool = True
-    certify: Optional[Callable[[], StaticValidation]] = field(
-        default=None, repr=False, compare=False
-    )
+    inputs: Optional[PairInputs] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def validation(self) -> Optional[StaticValidation]:
         """The merge's static certificate, computed on first read; ``None``
         for a pair kept unmerged and for a ride."""
 
-        return None if self.certify is None else self.certify()
+        inputs = self.inputs
+        if inputs is None:
+            return None
+        return validate_consolidation(
+            inputs.programs, self.program, inputs.functions, inputs.cost_model, invariants=True
+        )
+
+    @cached_property
+    def derivation(self) -> Optional[DerivationTree]:
+        """The merge's derivation, replayed on first read; ``None`` for a
+        pair kept unmerged and for a ride.
+
+        A fresh :class:`Consolidator` with its own recorder and solver
+        merges ``inputs`` again, so a read touches no solver or telemetry
+        of the driver that merged the pair; Ω is deterministic, so the
+        tree is the one recording the merge itself would have built (its
+        timings are the replay's).
+        """
+
+        inputs = self.inputs
+        if inputs is None:
+            return None
+        recorder = DerivationRecorder()
+        worker = Consolidator(
+            inputs.functions, inputs.cost_model, inputs.options, Solver(), recorder
+        )
+        worker.consolidate(*inputs.programs)
+        return recorder.tree
 
     @property
     def declined(self) -> bool:
@@ -266,20 +305,15 @@ class Consolidator:
         )
         merged = Program(f"{p1.pid}&{p2.pid}", p1.params, self._omega(ctx, q1.body, q2.body))
         seconds = time.perf_counter() - started
-        derivation = self.recorder.end_pair(merged.pid, seconds)
+        self.recorder.end_pair(merged.pid, seconds)
         # The half of Definition 1 that can refute: a merge that does not
         # notify each pid exactly once would be an unsound rewrite.
         verdict, details = check_notifications((p1, p2), merged)
         if verdict == REFUTED:
-            raise ConsolidationError(
-                f"static validation refuted {merged.pid}: {'; '.join(details)}"
-            )
+            raise ConsolidationError(f"{REFUTED_NOTE} {merged.pid}: {'; '.join(details)}")
         self.record = PairRecord(
-            p1.pid, p2.pid, merged, seconds, tuple(self.trace), ctx.stats, derivation,
-            certify=partial(
-                validate_consolidation, (p1, p2), merged, self.functions, self.cost_model,
-                invariants=True,
-            ),
+            p1.pid, p2.pid, merged, seconds, tuple(self.trace), ctx.stats,
+            inputs=PairInputs((p1, p2), self.functions, self.cost_model, self.options),
         )
         return merged
 

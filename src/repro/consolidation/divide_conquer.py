@@ -72,7 +72,6 @@ from ..lang.visitors import (
     ride_notifies,
     stmt_exprs,
 )
-from ..provenance.recorder import NULL_RECORDER, DerivationRecorder, NullRecorder
 from ..smt.solver import Solver
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .algorithm import ConsolidationOptions, Consolidator, PairRecord, check_batch
@@ -213,7 +212,8 @@ class PairViews:
 
     @property
     def derivations(self) -> list[Any]:
-        """One :class:`repro.provenance.DerivationTree` per recorded merge."""
+        """One :class:`repro.provenance.DerivationTree` per merged pair,
+        replayed when read."""
 
         return [r.derivation for r in self.pairs if r.derivation is not None]
 
@@ -238,10 +238,9 @@ class ConsolidationReport(PairViews):
     :attr:`riders` maps each rider to its representative.
 
     ``pair_consolidations`` counts the pairs that were not declined.
-    ``validations`` holds one static-validation certificate per merged
-    pair, computed when read; ``derivations`` one
-    :class:`repro.provenance.DerivationTree` per successfully merged pair
-    under ``config.provenance``, and is empty otherwise.
+    ``validations`` holds one static-validation certificate and
+    ``derivations`` one :class:`repro.provenance.DerivationTree` per merged
+    pair, each computed when read (no merge records either).
 
     ``skipped_pairs`` lists every pair merge that failed mid-batch and
     was replaced by the sequential composition of its two inputs (one
@@ -424,9 +423,7 @@ def merge_pair(
     options: ConsolidationOptions,
     solver: Solver,
     *,
-    provenance: bool = False,
     telemetry: Telemetry = NULL_TELEMETRY,
-    **span_attrs: object,
 ) -> PairRecord:
     """The one pair step: ``a`` and ``b`` consolidated, or kept unmerged.
 
@@ -438,8 +435,8 @@ def merge_pair(
 
     Otherwise a fresh Consolidator per pair keeps each record's rules and
     counters its own; the caller's ``solver`` keeps the entailment cache
-    warm across its pairs.  The recorder is per-pair too: its node stack
-    is not re-entrant.
+    warm across its pairs.  Nothing is recorded: the record keeps what Ω
+    was handed, and its derivation is replayed from that when read.
 
     A failure — a solver crash, a refuted notification gate, an injected
     fault (:data:`FAULT_HOOK`) — keeps the pair as its sequential baseline
@@ -455,11 +452,8 @@ def merge_pair(
             return _unmerged(a, b)
         if FAULT_HOOK is not None:
             FAULT_HOOK("consolidate.pair", (a, b))
-        recorder: DerivationRecorder | NullRecorder = (
-            DerivationRecorder() if provenance else NULL_RECORDER
-        )
-        worker = Consolidator(functions, cost_model, options, solver, recorder)
-        with telemetry.span("consolidate.pair", left=a.pid, right=b.pid, **span_attrs):
+        worker = Consolidator(functions, cost_model, options, solver)
+        with telemetry.span("consolidate.pair", left=a.pid, right=b.pid):
             worker.consolidate(a, b)
     except Exception as exc:  # noqa: BLE001 - degrade, never crash mid-batch
         return _unmerged(a, b, f"{type(exc).__name__}: {exc}")
@@ -482,8 +476,8 @@ def consolidate_all(
     ``order`` picks the pairing policy (see the module docstring);
     ``priority`` names the queries ``order='priority'`` folds first.
     ``config`` (default ``ExecutionConfig()``) is the only source of the
-    run-time knobs — ``cost_model``, ``telemetry`` and ``provenance`` —
-    documented on :class:`repro.config.ExecutionConfig`.
+    run-time knobs — ``cost_model`` and ``telemetry`` — documented on
+    :class:`repro.config.ExecutionConfig`.
 
     Before the first level the qualified leaves are grouped by α-class
     (:func:`~repro.lang.visitors.canonicalize`): only the first leaf of each
@@ -527,16 +521,7 @@ def consolidate_all(
     started = time.perf_counter()
 
     def attempt(a: Program, b: Program) -> PairRecord:
-        return merge_pair(
-            a,
-            b,
-            functions,
-            cost_model,
-            options,
-            solver,
-            provenance=cfg.provenance,
-            telemetry=telemetry,
-        )
+        return merge_pair(a, b, functions, cost_model, options, solver, telemetry=telemetry)
 
     def absorb(record: PairRecord) -> Program:
         # Fold one pair's record into the batch, in plan order.

@@ -75,9 +75,8 @@ class PatchResult(PairViews):
     views over it: ``pair_merges`` counts the records that were not
     declined (a pair kept unmerged after a failure included; a full
     re-consolidation of *n* queries has *n − 1* records),
-    ``validations`` and ``derivations`` are the records' certificates,
-    computed when read, and provenance trees (every patch records one per
-    merged pair).
+    ``validations`` and ``derivations`` are the merged records'
+    certificates and derivation trees, each computed when read.
     ``rides`` holds a ``("Ride",)`` record per rider of the ride node the
     mutation built; they are not pair merges.  ``fallback`` is set by a
     caller that rebuilt instead of patching, and says why.  ``tree`` is
@@ -117,15 +116,8 @@ def _merge_step(
 
     def merge(left: MergeNode, right: MergeNode) -> MergeNode:
         pair = merge_pair(
-            left.program,
-            right.program,
-            functions,
-            cost_model,
-            options,
-            solver,
-            provenance=True,
+            left.program, right.program, functions, cost_model, options, solver,
             telemetry=telemetry,
-            patch=True,
         )
         result.pairs.append(pair)
         return MergeNode(pair.program, left, right)
@@ -273,10 +265,9 @@ def rebuild(
     config: ExecutionConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> tuple[MergeNode, ConsolidationReport]:
-    """Full re-consolidation, keeping the tree (and every pair's
-    derivation) for future patches."""
+    """Full re-consolidation, keeping the tree for future patches."""
 
-    cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model, provenance=True)
+    cfg = (config or ExecutionConfig()).evolve(cost_model=cost_model)
     if telemetry is not None:
         cfg = cfg.evolve(telemetry=telemetry)
     report = consolidate_all(programs, functions, keep_tree=True, config=cfg)

@@ -11,8 +11,8 @@ into queryable artifacts — the database EXPLAIN for the optimiser:
   :class:`repro.consolidation.Consolidator` and the simplifier
   :class:`~repro.consolidation.simplifier.Context`.  Recording follows
   the telemetry NULL-twin pattern: the default :data:`NULL_RECORDER`
-  makes every hook a no-op behind one ``enabled`` check, so the hot path
-  allocates *zero* derivation objects when nobody asked;
+  makes every hook a no-op behind one ``enabled`` check, so a merge
+  allocates *zero* derivation objects;
 * :mod:`repro.provenance.render` — compact text rendering of SMT
   formulas (``Ψ`` contexts) and IR expressions for reports;
 * :mod:`repro.provenance.attribution` — the cost-attribution pass that
@@ -20,13 +20,14 @@ into queryable artifacts — the database EXPLAIN for the optimiser:
   validator's bounds) with the *observed* per-operator runtime
   (``RunMetrics.per_operator``) and flags mispredictions;
 * :mod:`repro.provenance.explain` — the ``repro explain`` engine: build
-  a batch, consolidate it with recording on, execute it instrumented,
-  and render the whole derivation as a text tree, JSON document or a
-  self-contained HTML report.
+  a batch, consolidate it, execute it instrumented, and render the whole
+  derivation as a text tree, JSON document or a self-contained HTML
+  report.
 
-Enable recording through the config — ``consolidate_all(...,
-config=ExecutionConfig(provenance=True))``; every pair's
-:class:`DerivationTree` lands on ``ConsolidationReport.derivations``.
+No merge records: a merged pair's :class:`DerivationTree` is replayed
+from the pair's inputs when it is read — ``record.derivation``, or
+``ConsolidationReport.derivations`` / ``PatchResult.derivations`` for
+every merged pair.
 
 ``attribution`` and ``explain`` are loaded lazily (PEP 562): they import
 the consolidation and dataflow layers, which themselves import

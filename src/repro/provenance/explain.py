@@ -1,7 +1,7 @@
 """``repro explain`` — the EXPLAIN plan for consolidation.
 
 :func:`explain_batch` builds a query batch from one of the evaluation
-domains, consolidates the chosen pair with derivation recording on,
+domains, consolidates the chosen pair, replays its derivation,
 executes both the ``whereMany`` baseline and the merged program on an
 instrumented dataflow, and joins everything into one
 :class:`ExplainReport`:
@@ -157,7 +157,7 @@ def explain_batch(
     dataset=None,
     telemetry=None,
 ) -> ExplainReport:
-    """Consolidate one pair with full recording and instrumented execution.
+    """Consolidate one pair, replay its derivation and execute it instrumented.
 
     ``pair`` indexes into the generated batch (``--pair 0,1``; by default
     the first pair that shares work and is not an α-copy, so the calculus
@@ -197,12 +197,7 @@ def explain_batch(
     if telemetry is None or not getattr(telemetry, "enabled", False):
         telemetry = Telemetry()
     cfg = ExecutionConfig(telemetry=telemetry)
-    report = consolidate_all(
-        selected,
-        dataset.functions,
-        options=options,
-        config=cfg.evolve(provenance=True),
-    )
+    report = consolidate_all(selected, dataset.functions, options=options, config=cfg)
 
     validation = validate_consolidation(
         selected, report.program, dataset.functions

@@ -24,8 +24,11 @@ objects they decided on, so a call site is one unguarded line, and the
 shared :data:`NULL_RECORDER` (inert, ``enabled = False``) allocates
 **nothing**.  The real recorder keeps those immutable nodes by reference
 and renders text (bounded, :mod:`repro.provenance.render`) only when a
-report first reads a field, so a service that records every patch and
-never reads a report renders nothing.
+report first reads a field.
+
+No driver records while it merges: a real recorder rides only on the
+replay behind :attr:`repro.consolidation.algorithm.PairRecord.derivation`,
+one recorder per read pair.
 """
 
 from __future__ import annotations
@@ -304,7 +307,7 @@ def _strip_timings(doc: Any) -> Any:
 
 
 class DerivationRecorder:
-    """Accumulates :class:`DerivationTree` objects, one per pair merge.
+    """Records the :class:`DerivationTree` of a pair merge on ``tree``.
 
     The recorder keeps a stack of open :class:`RuleNode` scopes; the
     consolidator pushes a scope around each structural rule's
@@ -317,30 +320,23 @@ class DerivationRecorder:
     enabled = True
 
     def __init__(self) -> None:
-        self.trees: list[DerivationTree] = []
-        self._tree: DerivationTree | None = None
+        self.tree: DerivationTree | None = None
         self._stack: list[RuleNode] = []
 
     # -- pair lifecycle ------------------------------------------------------
 
     def begin_pair(self, left: str, right: str) -> None:
-        self._tree = DerivationTree(left=left, right=right)
-        self._stack = [self._tree.root]
+        self.tree = DerivationTree(left=left, right=right)
+        self._stack = [self.tree.root]
 
     def end_pair(self, merged: str, seconds: float) -> DerivationTree | None:
-        tree = self._tree
-        if tree is None:
-            return None
-        tree.merged = merged
-        tree.seconds = seconds
-        self.trees.append(tree)
-        self._tree = None
+        """Close the open pair, if any, and return its tree."""
+
+        tree = self.tree if self._stack else None
+        if tree is not None:
+            tree.merged, tree.seconds = merged, seconds
         self._stack = []
         return tree
-
-    @property
-    def current(self) -> RuleNode | None:
-        return self._stack[-1] if self._stack else None
 
     # -- rule events ---------------------------------------------------------
 
@@ -411,8 +407,6 @@ class NullRecorder:
 
     __slots__ = ()
     enabled = False
-    trees: tuple[DerivationTree, ...] = ()
-    current = None
 
     def begin_pair(self, left: str, right: str) -> None:
         pass

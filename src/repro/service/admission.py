@@ -8,9 +8,9 @@ A tenant submits a query as one of
   existing frontend.
 
 Admission then runs, in order: parsing/translation, the query-id check
-(no ``.``: see :func:`_dotted_pid`), the frontend type checker
-(:func:`repro.lang.visitors.check_program`) and the full static linter
-(:mod:`repro.analysis.static.lint`).  Any *error*-severity finding rejects
+(no ``.``: see :func:`_dotted_pid`) and the full static linter
+(:mod:`repro.analysis.static.lint`, whose type pass reports once each
+error the frontend type checker would raise).  Any *error*-severity finding rejects
 the query with an :class:`~repro.service.errors.AdmissionError`
 whose ``diagnostics`` is the same SARIF 2.1.0 document ``repro lint
 --format sarif`` emits — one vocabulary for offline linting and online
@@ -30,7 +30,6 @@ from ..frontend import TranslationError, translate_source
 from ..lang.ast import Program
 from ..lang.functions import FunctionTable
 from ..lang.parser import ParseError, parse_program
-from ..lang.visitors import TypeError_, check_program
 from .errors import AdmissionError
 
 __all__ = ["AdmissionDecision", "admit"]
@@ -154,19 +153,7 @@ def admit(
     findings: list[Finding] = []
     if "." in program.pid:
         findings.append(_dotted_pid(program.pid))
-    try:
-        check_program(program, functions)
-    except TypeError_ as exc:
-        findings.append(
-            Finding(
-                rule="type-error",
-                severity="error",
-                message=str(exc),
-                program=program.pid,
-            )
-        )
-    report = lint_program(program, functions)
-    findings.extend(report.findings)
+    findings.extend(lint_program(program, functions).findings)
 
     rejects = [f for f in findings if f.severity == "error"]
     if not admit_warnings:

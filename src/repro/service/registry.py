@@ -28,14 +28,16 @@ replayable.  Mutations take one path::
   would grow the tree past the depth bound (:data:`REBALANCE_FACTOR`)
   rebuilds the balanced tree instead, gated like any other merge and
   recorded on the patch result (``full_rebuilds``).  ``explain()`` reads
-  the last patch's static certificates, each computed on that first read.
+  the last patch's static certificates and derivations, each computed on
+  that first read; no merge records either.
 * **Event log** (:mod:`repro.service.events`): every applied mutation is
   journalled first; a registry constructed over an existing journal
   replays it through this same path, so restart recovers byte-identical
   plan fingerprints.
 
 All public methods are safe under concurrent callers: one re-entrant
-lock serialises mutations and plan reads.
+lock serialises mutations and plan reads.  ``explain()`` computes its
+evidence after releasing it, so a slow explain blocks no mutation.
 
 Telemetry lands under ``service_*``: registrations, admission rejects,
 plan-cache hits/misses, incremental patches, rebalances, pair merges, and
@@ -511,22 +513,24 @@ class QueryRegistry:
                 },
                 "counters": dict(self.stats),
             }
-            if self.last_patch is not None:
-                patch = self.last_patch
-                validations = patch.validations
-                doc["last_patch"] = {
-                    "action": patch.action,
-                    "pair_merges": patch.pair_merges,
-                    "declined": [list(pair) for pair in patch.declined],
-                    "rides": len(patch.rides),
-                    "patched_pids": patch.patched_pids,
-                    "fallback": patch.fallback,
-                    "seconds": round(patch.seconds, 6),
-                    # null, not a vacuous true, when no merge was validated
-                    "certified": (
-                        all(v.certified for v in validations) if validations else None
-                    ),
-                    "validated": len(validations),
-                    "derivations": derivation_summary(patch.derivations),
-                }
-            return doc
+            patch = self.last_patch
+        # An installed patch is never mutated again, and its certificates
+        # and derivations are computed here, on first read, out of the lock.
+        if patch is not None:
+            validations = patch.validations
+            doc["last_patch"] = {
+                "action": patch.action,
+                "pair_merges": patch.pair_merges,
+                "declined": [list(pair) for pair in patch.declined],
+                "rides": len(patch.rides),
+                "patched_pids": patch.patched_pids,
+                "fallback": patch.fallback,
+                "seconds": round(patch.seconds, 6),
+                # null, not a vacuous true, when no merge was validated
+                "certified": (
+                    all(v.certified for v in validations) if validations else None
+                ),
+                "validated": len(validations),
+                "derivations": derivation_summary(patch.derivations),
+            }
+        return doc

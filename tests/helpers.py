@@ -1,6 +1,9 @@
-"""Query batches and plan checks shared by several test modules."""
+"""Query batches, plan checks and fixtures shared by several test modules."""
+
+from contextlib import contextmanager
 
 from repro.analysis.related import shares_work
+from repro.consolidation.algorithm import Consolidator
 from repro.lang.ast import seq
 from repro.lang.parser import parse_program
 
@@ -37,3 +40,24 @@ def assert_declines_obey_the_rule(report):
             assert node.program.body == seq(left.body, right.body)
         seen += 1
     assert seen == len(report.pairs)
+
+
+@contextmanager
+def unsound_merges(monkeypatch):
+    """Make Ω run each merged body twice — every pid notified twice, which
+    the notification gate refutes.  Only the outermost Ω′ call doubles."""
+
+    real = Consolidator._omega
+    depth = [0]
+
+    def doubled(self, ctx, s, r):
+        depth[0] += 1
+        try:
+            body = real(self, ctx, s, r)
+        finally:
+            depth[0] -= 1
+        return seq(body, body) if depth[0] == 0 else body
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Consolidator, "_omega", doubled)
+        yield

@@ -35,6 +35,7 @@ from repro.consolidation import (
     ConsolidationReport,
     add_query,
     consolidate_all,
+    merge_pair,
     rebuild,
     remove_query,
 )
@@ -156,6 +157,9 @@ REMOVED_KEYWORDS = [
     (add_query, ("options",)),
     (remove_query, ("options",)),
     (rebuild, ("options",)),
+    # 14.0.0: no merge records; a pair's derivation is replayed when read.
+    (ExecutionConfig, ("provenance",)),
+    (merge_pair, ("provenance",)),
     # 7.0.0: the prefilter is gone.
     (ExecutionConfig, ("prefilter",)),
     (Where, ("prefilter",)),
@@ -243,8 +247,8 @@ def test_removed_execution_config_field_raises_type_error(keyword):
         ExecutionConfig(**{keyword: None})
 
 
-def test_execution_config_has_five_fields_and_no_removed_helpers():
-    assert len(dataclasses.fields(ExecutionConfig)) == 5
+def test_execution_config_has_four_fields_and_no_removed_helpers():
+    assert len(dataclasses.fields(ExecutionConfig)) == 4
     for name in ("resolve_functions", "flush_telemetry"):
         assert not hasattr(ExecutionConfig, name)
 
@@ -353,7 +357,7 @@ def test_prefilter_report_fields_are_gone():
 
 def test_consolidation_leaves_no_prefilter_trace():
     # No φ derivation, no `consolidate.prefilter` span, no `prefilter_*`
-    # counter: a traced, provenance-recording consolidation shows none.
+    # counter: a traced consolidation, derivations read, shows none.
     from repro.datasets import generate_weather
     from repro.queries import DOMAIN_QUERIES
     from repro.telemetry import Telemetry
@@ -361,7 +365,7 @@ def test_consolidation_leaves_no_prefilter_trace():
     dataset = generate_weather(cities=10)
     batch = DOMAIN_QUERIES["weather"].make_batch(dataset, "Q1", n=3, seed=2)
     telemetry = Telemetry.capture(trace=True)
-    config = ExecutionConfig(provenance=True, telemetry=telemetry)
+    config = ExecutionConfig(telemetry=telemetry)
     report = consolidate_all(batch, dataset.functions, config=config)
     assert report.derivations
     assert not any("φ" in d.merged for d in report.derivations)

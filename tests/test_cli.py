@@ -303,6 +303,39 @@ class TestObservabilityFlags:
         assert (rc == 1) == ("warning" in levels)
         assert all(r["ruleId"] != "prefilter" for r in run["results"])
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+    def test_lint_validate_reports_a_refuted_merge(self, capsys, monkeypatch, fmt):
+        # A refuted merge is kept unmerged and has no certificate; lint
+        # still reports it, as an error.  Weather Q4's loops share their
+        # test, so both pair steps of a batch of three run Ω.
+        import json
+
+        from .helpers import unsound_merges
+
+        argv = ["lint", "--domain", "weather", "--family", "Q4", "--n", "3", "--validate"]
+        with unsound_merges(monkeypatch):
+            rc = main([*argv, "--format", fmt])
+        assert rc == 2
+        out = capsys.readouterr().out
+        if fmt == "text":
+            refuted = [line for line in out.splitlines() if "validation-refuted" in line]
+            messages = refuted
+        elif fmt == "json":
+            doc = json.loads(out)
+            assert (doc["programs"], doc["errors"], doc["validations"]) == (3, 2, [])
+            refuted = [
+                f for r in doc["reports"] for f in r["findings"]
+                if f["rule"] == "validation-refuted"
+            ]
+            messages = [f["message"] for f in refuted]
+        else:
+            results = json.loads(out)["runs"][0]["results"]
+            refuted = [r for r in results if r["ruleId"] == "validation-refuted"]
+            assert all(r["level"] == "error" for r in refuted)
+            messages = [r["message"]["text"] for r in refuted]
+        assert len(refuted) == 2
+        assert all("static validation refuted" in m for m in messages)
+
     @pytest.mark.parametrize("flag", ["executors=serial", "executors=serial,process"])
     def test_removed_fuzz_executors_flag_exits_2(self, flag):
         # 8.0.0: the executor-parity oracle and its flag are gone.

@@ -8,7 +8,6 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.config import ExecutionConfig
 from repro.consolidation import check_soundness, consolidate_all
 from repro.datasets import generate_news, generate_stocks, generate_weather
 from repro.experiments import (
@@ -125,9 +124,7 @@ class TestPairAccount:
 
     def test_each_pair_merge_is_validated_and_derived(self, news):
         dataset, programs = news
-        report = consolidate_all(
-            programs, dataset.functions, config=ExecutionConfig(provenance=True)
-        )
+        report = consolidate_all(programs, dataset.functions)
         assert not report.degraded, (report.skipped_pairs, report.degradations)
         assert report.declined == []
         assert (
@@ -140,9 +137,7 @@ class TestPairAccount:
 
         dataset, programs = weather
         with consolidation_pair_crash(after=2):
-            report = consolidate_all(
-                programs, dataset.functions, config=ExecutionConfig(provenance=True)
-            )
+            report = consolidate_all(programs, dataset.functions)
         pairs = report.pairs
         assert len(pairs) == 7
         assert report.validations == [r.validation for r in pairs if r.validation]

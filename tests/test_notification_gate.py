@@ -9,20 +9,17 @@ the registry alike.  The cost half never runs while merging: a record's
 certificate is computed when it is first read, each program bounded once.
 """
 
-from contextlib import contextmanager
-
 import pytest
 
 from repro.analysis.static import costbound, validate_consolidation
 from repro.analysis.static.domains import IntervalConstDomain
 from repro.consolidation import add_query, consolidate_all, remove_query
-from repro.consolidation.algorithm import Consolidator
 from repro.datasets import generate_weather
 from repro.lang.ast import seq
 from repro.queries import DOMAIN_QUERIES
 from repro.service import QueryRegistry
 
-from .helpers import shared_batch
+from .helpers import shared_batch, unsound_merges
 
 
 @pytest.fixture(scope="module")
@@ -34,27 +31,6 @@ def loop_batch(dataset, n=4):
     """Weather Q4: yearly loops that share their test, so every pair merges."""
 
     return DOMAIN_QUERIES["weather"].make_batch(dataset, "Q4", n=n, seed=1)
-
-
-@contextmanager
-def unsound_merges(monkeypatch):
-    """Make Ω run each merged body twice — every pid notified twice, which
-    the notification gate refutes.  Only the outermost Ω′ call doubles."""
-
-    real = Consolidator._omega
-    depth = [0]
-
-    def doubled(self, ctx, s, r):
-        depth[0] += 1
-        try:
-            body = real(self, ctx, s, r)
-        finally:
-            depth[0] -= 1
-        return seq(body, body) if depth[0] == 0 else body
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Consolidator, "_omega", doubled)
-        yield
 
 
 def assert_refuted_and_kept_unmerged(records):

@@ -1,16 +1,19 @@
 """The derivation recorder and cost attribution (repro.provenance)."""
 
+import importlib.util
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import repro.provenance.recorder as recorder_mod
 import repro.provenance.render as render_mod
-from repro.config import ExecutionConfig
-from repro.consolidation import consolidate_all
+from repro.consolidation import add_query, consolidate_all, rebuild, remove_query
+from repro.consolidation.algorithm import ConsolidationOptions, Consolidator
 from repro.datasets import generate_weather
+from repro.lang.cost import DEFAULT_COST_MODEL
 from repro.provenance import (
     NULL_RECORDER,
     DerivationRecorder,
@@ -20,11 +23,12 @@ from repro.lang.builder import add, lift, var
 from repro.provenance.recorder import _strip_timings
 from repro.provenance.render import MAX_TEXT, clamp, format_formula
 from repro.queries import DOMAIN_QUERIES
+from repro.service import QueryRegistry
+from repro.smt.solver import Solver
 from repro.smt.terms import TRUE_F, Num, Sym, fand, fnot, for_, le_f
 
+from .helpers import shared_batch
 from .test_smt_node_caches import formulas
-
-RECORDING = ExecutionConfig(provenance=True)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +49,7 @@ class TestRecorderUnit:
                 rec.entailment("entails", "psi", "q", True, 0.5, "smt")
             rec.rewrite("site", "x+0", "x", 3, 1)
         tree = rec.end_pair("a&b", 1.25)
-        assert tree is rec.trees[0]
+        assert tree is rec.tree
         root = tree.root
         assert root.rule == "Ω"
         (if5,) = root.children
@@ -60,7 +64,7 @@ class TestRecorderUnit:
         rec.entailment("entails", "", "q", False, 0.0, "memo")
         rec.leaf("Assign")
         assert rec.end_pair("x", 0.0) is None
-        assert rec.trees == []
+        assert rec.tree is None
 
     def test_to_dict_is_sparse_and_json_able(self):
         rec = DerivationRecorder()
@@ -109,8 +113,6 @@ class TestRecorderUnit:
             NULL_RECORDER.leaf("Assign")
             NULL_RECORDER.entailment("entails", "", "q", True, 0.0, "smt")
         assert NULL_RECORDER.end_pair("x", 0.0) is None
-        assert NULL_RECORDER.trees == ()
-        assert NULL_RECORDER.current is None
 
 
 class TestBoundedRendering:
@@ -155,7 +157,7 @@ class TestBoundedRendering:
 class TestRecordedConsolidation:
     def test_derivations_land_on_report(self, weather):
         dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
+        report = consolidate_all(programs[:2], dataset.functions)
         assert len(report.derivations) == 1
         tree = report.derivations[0]
         assert tree.left == programs[0].pid and tree.right == programs[1].pid
@@ -172,7 +174,7 @@ class TestRecordedConsolidation:
 
     def test_entailments_have_contexts_and_sources(self, weather):
         dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
+        report = consolidate_all(programs[:2], dataset.functions)
         entailments = report.derivations[0].entailments()
         assert entailments
         assert {e.source for e in entailments} <= {
@@ -183,15 +185,14 @@ class TestRecordedConsolidation:
         assert all(e.query for e in smt)
         assert all(e.seconds >= 0 for e in entailments)
 
-    def test_off_by_default_and_trees_pickle(self, weather):
+    def test_one_tree_per_merged_pair_and_trees_pickle(self, weather):
         dataset, programs = weather
-        off = consolidate_all(programs[:2], dataset.functions)
-        assert off.derivations == []
-        on = consolidate_all(programs[:3], dataset.functions, config=RECORDING)
-        assert len(on.derivations) == 2  # two pair merges for a batch of 3
-        clones = pickle.loads(pickle.dumps(on.derivations))
-        assert [t.merged for t in clones] == [t.merged for t in on.derivations]
-        assert [t.to_dict() for t in clones] == [t.to_dict() for t in on.derivations]
+        report = consolidate_all(programs[:3], dataset.functions)
+        assert len(report.derivations) == 2  # two pair merges for a batch of 3
+        assert report.derivations[0] is report.pairs[0].derivation  # replayed once
+        clones = pickle.loads(pickle.dumps(report.derivations))
+        assert [t.merged for t in clones] == [t.merged for t in report.derivations]
+        assert [t.to_dict() for t in clones] == [t.to_dict() for t in report.derivations]
 
     def test_recording_renders_nothing_until_read(self, weather, monkeypatch):
         """Events keep the nodes they were handed; text comes on first read."""
@@ -202,7 +203,7 @@ class TestRecordedConsolidation:
         monkeypatch.setattr(recorder_mod, "format_formula", boom)
         monkeypatch.setattr(recorder_mod, "format_expr", boom)
         dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions, config=RECORDING)
+        report = consolidate_all(programs[:2], dataset.functions)
         assert not report.degraded
         entailment = report.derivations[0].entailments()[0]
         monkeypatch.undo()
@@ -212,18 +213,91 @@ class TestRecordedConsolidation:
         assert entailment.psi == format_formula(held, MAX_TEXT)
         assert entailment._psi is entailment.psi  # rendered once, kept
 
-    def test_recording_off_allocates_no_event_objects(self, weather, monkeypatch):
-        """The NULL-twin promise: with provenance off, not a single
-        derivation dataclass may be constructed anywhere in the pipeline."""
+    def test_a_read_touches_no_telemetry_of_the_merge(self, weather):
+        from repro.config import ExecutionConfig
+        from repro.telemetry import Telemetry
+
+        dataset, programs = weather
+        telemetry = Telemetry.capture(trace=True)
+        config = ExecutionConfig(telemetry=telemetry)
+        report = consolidate_all(programs[:3], dataset.functions, config=config)
+        before = (telemetry.metrics.snapshot(), telemetry.tracer.to_dicts())
+        assert report.derivations and report.validations
+        assert (telemetry.metrics.snapshot(), telemetry.tracer.to_dicts()) == before
+
+    def test_no_driver_builds_a_derivation_event_while_merging(self, weather, monkeypatch):
+        """Merging records nothing, in any driver: not one recorder, rule
+        node or event is built until a derivation is read."""
 
         def boom(*args, **kwargs):
-            raise AssertionError("derivation object allocated with recording off")
+            raise AssertionError("derivation object built while merging")
 
-        for name in ("Entailment", "Rewrite", "Heuristic", "DerivationTree"):
-            monkeypatch.setattr(recorder_mod, name, boom)
-        dataset, programs = weather
-        report = consolidate_all(programs[:2], dataset.functions)
-        assert report.derivations == []
+        for cls in (
+            recorder_mod.DerivationRecorder,
+            recorder_mod.DerivationTree,
+            recorder_mod.RuleNode,
+            recorder_mod.Entailment,
+            recorder_mod.Rewrite,
+            recorder_mod.Heuristic,
+        ):
+            monkeypatch.setattr(cls, "__init__", boom)
+        dataset, _ = weather
+        batch = shared_batch(8)
+        report = consolidate_all(batch[:4], dataset.functions, keep_tree=True)
+        added = add_query(report.merge_tree, batch[4], dataset.functions)
+        removed = remove_query(added.tree, "q0", dataset.functions)
+        _, rebuilt = rebuild(batch[:3], dataset.functions)
+        registry = QueryRegistry(dataset.functions)
+        for program in batch:
+            registry.register(program)
+        registry.unregister("q3")
+        assert registry.stats["full_rebuilds"] >= 1
+        assert registry.stats["incremental_patches"] >= 2
+        patches = (report, added, removed, rebuilt, registry.last_patch)
+        assert all(any(r.merged for r in p.pairs) for p in patches)
+        monkeypatch.undo()
+
+        for patch in patches:
+            trees = patch.derivations
+            assert len(trees) == sum(r.merged for r in patch.pairs) and trees
+            assert all(tree.rule_counts() for tree in trees)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "gen_golden_plans",
+    Path(__file__).resolve().parent.parent / "tools" / "gen_golden_plans.py",
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+@pytest.mark.parametrize("domain", sorted(golden.MIXED_FAMILY))
+def test_a_replayed_tree_equals_one_recorded_inline(domain):
+    """Each merged pair's derivation, replayed when read, is the tree a
+    driver loop recording inline — one warm solver shared by its pairs, in
+    plan order — builds for the same inputs."""
+
+    programs, functions = golden.batches()[domain]
+    report = consolidate_all(programs, functions, keep_tree=True)
+    nodes, inputs = [report.merge_tree], {}
+    for node in nodes:
+        if not node.is_leaf:
+            nodes.extend(c for c in (node.left, node.right) if c is not None)
+            if node.ride is None:
+                inputs[node.program.pid] = (node.left.program, node.right.program)
+    merged = [r for r in report.pairs if r.merged]
+    assert merged
+    solver = Solver()
+    for record in merged:
+        recorder = DerivationRecorder()
+        worker = Consolidator(
+            functions, DEFAULT_COST_MODEL, ConsolidationOptions(), solver, recorder
+        )
+        assert worker.consolidate(*inputs[record.program.pid]) == record.program
+        inline, replayed = recorder.tree, record.derivation
+        assert replayed is not inline
+        assert replayed.to_dict(include_timings=False) == inline.to_dict(include_timings=False)
+        assert tuple(worker.trace) == record.rules
 
 
 class TestAttribution:

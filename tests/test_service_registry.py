@@ -140,6 +140,14 @@ def test_admission_warning_policy(weather):
         admit(source, weather.functions, admit_warnings=False)
 
 
+def test_admission_reports_a_type_error_once(weather):
+    with pytest.raises(AdmissionError) as excinfo:
+        admit("program q1(row) { x := 1 + true; notify q1 (x > 0); }", weather.functions)
+    results = excinfo.value.diagnostics["runs"][0]["results"]
+    assert [r["ruleId"] for r in results].count("type-error") == 1
+    assert str(excinfo.value).count("type-error") == 1
+
+
 # ---------------------------------------------------------------------------
 # registry + plan cache
 
@@ -244,6 +252,38 @@ def test_explain_certifies_every_merge_of_the_patch(weather):
         registry.register(program)
     last = registry.explain()["last_patch"]
     assert (last["pair_merges"], last["certified"], last["validated"]) == (1, True, 1)
+
+
+def test_a_register_completes_while_an_explain_computes(weather, monkeypatch):
+    """``explain()`` computes certificates and derivations after releasing
+    the registry lock, so a mutation from another thread does not wait."""
+
+    import threading
+
+    import repro.provenance
+
+    registry = QueryRegistry(weather.functions)
+    batch = shared_batch(3)
+    for program in batch[:2]:
+        registry.register(program)
+    registered = threading.Event()
+    other = threading.Thread(target=lambda: (registry.register(batch[2]), registered.set()))
+    summary = repro.provenance.derivation_summary
+
+    def register_meanwhile(trees):
+        trees = list(trees)  # the derivations replay here
+        other.start()
+        # Under the lock the register could only finish after explain.
+        assert registered.wait(timeout=20), "register waited for explain"
+        return summary(trees)
+
+    monkeypatch.setattr(repro.provenance, "derivation_summary", register_meanwhile)
+    try:
+        doc = registry.explain()
+    finally:
+        other.join()
+    assert doc["queries"] == 2 and doc["last_patch"]["derivations"]["pairs"] == 1
+    assert len(registry) == 3
 
 
 def register_until_rebalance(registry, programs):

@@ -12,8 +12,9 @@ What CI's ``service-smoke`` job runs:
    text/plain`` header — and assert both content types serve the same
    counters (JSON document vs Prometheus text exposition);
 5. GET ``/v1/explain`` and assert the last patch has at least one
-   recorded derivation and is certified, with one certificate per pair
-   merge (certificates are computed when ``/v1/explain`` reads them);
+   derivation and is certified, with one certificate per pair merge
+   (derivations and certificates are computed when ``/v1/explain`` reads
+   them);
 6. register an α-copy of the first query (new pid, locals renamed) and
    assert it rides on it — no pair merge, named in ``/v1/explain``'s
    ``riders``, the same bucket; unregister the original (the copy takes
@@ -24,7 +25,7 @@ What CI's ``service-smoke`` job runs:
 8. assert the replayed registry serves byte-identical query and
    plan-cache fingerprints and an identical consolidated program, the
    same riders and the copy's bucket, and that its ``/v1/explain`` still
-   reports a recorded, certified patch;
+   reports a derived, certified patch;
 9. register one more query and assert every journal line parses: the torn
    tail was cut away, not built on.
 
@@ -129,7 +130,7 @@ def check_metrics(port: int) -> None:
 
 
 def check_explain(client: Client, when: str) -> None:
-    """``/v1/explain`` accounts for the last patch: recorded, and certified
+    """``/v1/explain`` accounts for the last patch: derived, and certified
     merge by merge."""
 
     last = client.explain()["last_patch"]
@@ -138,7 +139,7 @@ def check_explain(client: Client, when: str) -> None:
     assert last["certified"] is True, (when, last)
     assert last["validated"] == last["pair_merges"], (when, last)
     print(f"  /v1/explain {when}: {last['action']} patch, {derivations['pairs']} "
-          f"recorded merge(s), {derivations['entailments']} entailments, certified")
+          f"derived merge(s), {derivations['entailments']} entailments, certified")
 
 
 def check_alpha_copy(client: Client, module, dataset, first, fingerprints: dict) -> str:
